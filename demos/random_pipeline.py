@@ -14,7 +14,8 @@ from pathtsp.cuts import narrow_cuts
 from pathtsp.instance import (edges_cost, format_rational,
                               random_metric_instance)
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import GammaParams, assign_gamma, benefits, certify_bound
+from pathtsp.parity import (GammaParams, assign_gamma, benefits,
+                            certify_bound, correction_vectors)
 from pathtsp.reassembler import reassemble
 from pathtsp.tree_decomp import decompose
 
@@ -49,8 +50,10 @@ def main():
                                 initial=dist)
     print(f"reassembly: {len(records)} exchanges, {len(fixed)} trees")
 
-    audit = benefits(fixed, chain, assign_gamma(fixed, chain, params), params)
-    verdict = certify_bound(fixed, audit, params)
+    parities = assign_gamma(fixed, chain, params)
+    audit = benefits(fixed, chain, parities, params)
+    cv = correction_vectors(fixed, chain, parities, params)
+    verdict = certify_bound(fixed, audit, cv, params)
     worst = min(c.margin for c in audit.per_cut)
     print(f"audit: {verdict.label}, bound {format_rational(verdict.bound)}, "
           f"worst margin {format_rational(worst)}")

@@ -18,7 +18,8 @@ from pathtsp.instance import (appendix_wall_cut_indices,
                               build_appendix_instance, format_rational,
                               vector_cost)
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
-                            certify_bound, format_audit_lines)
+                            certify_bound, correction_vectors,
+                            format_audit_lines)
 from pathtsp.reassembler import reassemble, type_census
 
 RULE = "-" * 72
@@ -61,7 +62,8 @@ def main():
     print(f"  every failure: benefit {format_rational(bad[0].total)} "
           f"vs required {format_rational(bad[0].required)} "
           f"(margin {format_rational(bad[0].margin)})")
-    verdict = certify_bound(dist, audit, params)
+    cv = correction_vectors(dist, chain, flat, params)
+    verdict = certify_bound(dist, audit, cv, params)
     print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
 
     print(RULE)
@@ -79,7 +81,8 @@ def main():
     print(RULE)
     parities = assign_gamma(fixed, chain, params)
     audit = benefits(fixed, chain, parities, params)
-    verdict = certify_bound(fixed, audit, params)
+    cv = correction_vectors(fixed, chain, parities, params)
+    verdict = certify_bound(fixed, audit, cv, params)
     for line in format_audit_lines(audit, verdict):
         print(f"  {line}")
     assert verdict.certified and verdict.bound == Fraction(1599, 1000)

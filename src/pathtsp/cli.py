@@ -16,14 +16,12 @@ import time
 from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
+from .cuts import XI_DEFAULT
 from .instance import (build_appendix_instance, format_rational,
                        instance_digest, parse_rational,
                        random_metric_instance, read_instance, vector_cost,
                        write_instance)
-
-BETA_DEFAULT = Fraction(401, 1000)
-XI_DEFAULT = Fraction(173, 100)
-EPS_DEFAULT = Fraction(1, 100)
+from .parity import BETA_DEFAULT, EPS_DEFAULT
 
 OPT_BASELINE_LIMIT = 12   # held_karp in reports only at this size or below
 
@@ -187,7 +185,10 @@ def cmd_audit(args):
                        params, uniform_half=args.legacy_gamma_half)
     audit = r.stage("benefits", parity.benefits, dist, chain, parities,
                     params, rule_gamma=not args.legacy_gamma_half)
-    verdict = r.stage("certify", parity.certify_bound, dist, audit, params)
+    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
+                 chain, parities, params, check_membership=False)
+    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
+                      params)
     r.lines.extend(parity.format_audit_lines(audit, verdict))
     r.emit(args.output)
     return 0 if verdict.certified else 1
@@ -272,12 +273,12 @@ def cmd_verify(args):
 
     report("correction_floor", check_floor)
 
-    if inst.n <= parity.ENUM_LIMIT and "cv" in cv_box:
+    if "cv" in cv_box:
         def check_membership():
             for ai in range(len(dist)):
                 bad = parity.tjoin_cut_violations(
                     cv_box["cv"].y[ai], parities[ai].t_set, inst.n)
-                assert not bad, f"atom {ai}: {len(bad)} uncovered cuts"
+                assert not bad, f"atom {ai}: uncovered T_S-cut {bad[0]}"
             return ""
         report("join_membership", check_membership)
     else:
@@ -359,10 +360,10 @@ def cmd_run(args):
                        params, uniform_half=args.legacy_gamma_half)
     audit = r.stage("benefits", parity.benefits, dist, chain, parities,
                     params, rule_gamma=not args.legacy_gamma_half)
-    r.stage("correction-vectors", parity.correction_vectors, dist, chain,
-            parities, params,
-            check_membership=inst.n <= parity.ENUM_LIMIT)
-    verdict = r.stage("certify", parity.certify_bound, dist, audit, params)
+    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
+                 chain, parities, params)
+    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
+                      params)
     r.lines.extend(parity.format_audit_lines(audit, verdict))
 
     rows, tour, bomc_value = r.stage("tours", bomc.best_of_many, dist, inst)

@@ -6,17 +6,21 @@ narrow cuts are totally ordered by inclusion of their s-sides — that chain,
 the sub-chain of xi-narrow cuts (load < xi), and the per-cut crossing
 statistics of a tree distribution are what the reassembly stage consumes.
 
+The chain is read off one Gomory-Hu cut tree (Gusfield 1990), built from
+n-1 exact max-flows; parity's T-join membership check and the LP
+separation above n = 22 use the same tree.  For a feasible LP point a
+narrow cut is the unique minimum cut between any vertex of the chain gap
+on its left and any vertex of the gap on its right, so it is always one of
+the tree's fundamental cuts.
+
 Levels are carried both as sorted vertex tuples and as int bitmasks; the
 bitmask makes "does edge (u,v) cross cut i" a two-shift test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 from .flows import max_flow_min_cut
 from .instance import Instance, format_rational
@@ -26,9 +30,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
 XI_DEFAULT = Fraction(173, 100)
-
-ENUM_LIMIT = 22
-INT64_GUARD = 1 << 61
 
 
 class ChainError(Exception):
@@ -69,27 +70,60 @@ class CutChain:
         return sorted(e for e in x if crossing_mask(mask, *e))
 
 
-def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT,
-                method="auto") -> CutChain:
-    """All cuts with load < 2, assembled into the nested chain.
+def gomory_hu_tree(capacity: dict, nodes) -> list:
+    """Gusfield's (1990) cut tree of an undirected graph, from
+    len(nodes) - 1 exact max-flows and no contraction.
 
-    method: 'auto' picks subset enumeration for n <= 22, otherwise the
-    all-pairs exact max-flow route; 'enumerate'/'flows' force one path.
+    capacity: {(u, v): cap} as for max_flow_min_cut; nodes: every vertex,
+    isolated ones included.  Returns one (side, value) pair per tree edge:
+    side is the frozenset of nodes below the edge when the tree hangs from
+    nodes[0], value is the edge's flow value and equals capacity(delta(side)).
+    The minimum a-b cut value is the least value among the edges whose side
+    separates a from b, and the side of such an edge is a minimum a-b cut.
     """
+    nodes = list(nodes)
+    root = nodes[0]
+    parent = {v: root for v in nodes}
+    value = {}
+    for s in nodes[1:]:
+        t = parent[s]
+        flow, side = max_flow_min_cut(capacity, s, t)
+        for v in nodes:
+            if v != s and v in side and parent[v] == t:
+                parent[v] = s
+        value[s] = flow
+        # the swap keeps every subtree a minimum cut, not just flow-equivalent
+        if parent[t] in side:
+            parent[s] = parent[t]
+            parent[t] = s
+            value[s] = value[t]
+            value[t] = flow
+    children = {v: [] for v in nodes}
+    for v in nodes[1:]:
+        children[parent[v]].append(v)
+    order = [root]
+    for v in order:  # breadth-first: parents before children
+        order.extend(children[v])
+    below = {}
+    for v in reversed(order):
+        below[v] = frozenset({v}).union(*(below[c] for c in children[v]))
+    return [(below[v], value[v]) for v in nodes[1:]]
+
+
+def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
+    """All cuts with load < 2, assembled into the nested chain: the
+    fundamental cuts of value < 2 of one Gomory-Hu tree of x, which are
+    all such cuts when x is LP-feasible."""
     n, s, t = inst.n, inst.s, inst.t
     xi = Fraction(xi)
-    if method == "auto":
-        method = "enumerate" if n <= ENUM_LIMIT else "flows"
-    if method == "enumerate":
-        masks = _narrow_masks_enumerate(x, n)
-    elif method == "flows":
-        masks = _narrow_masks_flows(x, n, s, t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    cap = {e: v for e, v in x.items() if v != 0}
 
     full = (1 << n) - 1
     oriented = set()
-    for mask in masks:
+    for side, value in gomory_hu_tree(cap, range(n)):
+        if value >= 2:
+            continue
+        mask = sum(1 << v for v in side)
         if not (mask >> s) & 1:
             mask ^= full
         if (mask >> t) & 1:
@@ -110,50 +144,7 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT,
     xi_indices = [i for i, lo in enumerate(loads) if lo < xi]
     tuples = [tuple(v for v in range(n) if (m >> v) & 1) for m in levels]
     return CutChain(levels=tuples, masks=levels, loads=loads, xi=xi,
-                    xi_indices=xi_indices, inst=inst,
-                    x={e: v for e, v in x.items() if v != 0})
-
-
-def _narrow_masks_enumerate(x: dict, n: int):
-    items = sorted((e, v) for e, v in x.items() if v != 0)
-    m = 1 << (n - 1)
-    idx2 = (np.arange(m, dtype=np.int64) << 1) | 1
-    denom = lcm(*[v.denominator for _, v in items]) if items else 1
-    max_load = sum((v for _, v in items), ZERO) * 2
-    found = []
-    if denom * (max_load.numerator // max_load.denominator + 1) < INT64_GUARD:
-        load = np.zeros(m, dtype=np.int64)
-        for (u, v), val in items:
-            load += (((idx2 >> u) ^ (idx2 >> v)) & 1) * int(val * denom)
-        bad = np.nonzero((load < 2 * denom) & (idx2 != (1 << n) - 1))[0]
-        found = [int(idx2[i]) for i in bad.tolist()]
-    else:
-        loadf = np.zeros(m)
-        for (u, v), val in items:
-            loadf += (((idx2 >> u) ^ (idx2 >> v)) & 1) * float(val)
-        cand = np.nonzero((loadf < 2 + 1e-9) & (idx2 != (1 << n) - 1))[0]
-        for i in cand.tolist():
-            mask = int(idx2[i])
-            if load_of_mask(x, mask) < 2:
-                found.append(mask)
-    return found
-
-
-def _narrow_masks_flows(x: dict, n: int, s: int, t: int):
-    """All-pairs min cuts.  Complete because a narrow cut is the UNIQUE
-    narrow cut separating any (a, b) drawn from the two chain gaps around
-    it, and a min cut of value < 2 is itself narrow."""
-    cap = {e: v for e, v in x.items() if v != 0}
-    found = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            value, side = max_flow_min_cut(cap, a, b)
-            if value < 2:
-                mask = 0
-                for v in side:
-                    mask |= 1 << v
-                found.add(mask)
-    return found
+                    xi_indices=xi_indices, inst=inst, x=cap)
 
 
 # ----- pairwise structure -----

@@ -1,8 +1,9 @@
 """Exact max-flow / min-cut on small undirected graphs.
 
-Edmonds-Karp over Fractions.  Desk-scale only: the callers use this as the
-fallback route when subset enumeration would be too large, so graphs stay
-small and exactness matters more than speed.
+Edmonds-Karp over Fractions.  Desk-scale only: the Gomory-Hu cut tree in
+`cuts` is built from these flows, and LP separation above n = 22 runs them
+for the vertex pairs that tree cannot rule out.  Graphs stay small and
+exactness matters more than speed.
 """
 
 from __future__ import annotations

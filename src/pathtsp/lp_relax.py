@@ -7,9 +7,12 @@ constraints are then separated and appended until none remain.  Cuts whose
 vertex set contains both or neither of {s, t} require load 2, the others
 require 1.
 
-Separation enumerates all subsets for n <= 22 (vectorized over bitmasks);
-above that it falls back to exact max-flow min-cuts, which yields at least
-one violated cut whenever one exists.
+Separation enumerates all subsets for n <= 22 (vectorized over bitmasks).
+Above that it takes one exact min s-t cut for the odd cuts, and for the
+even cuts one Gomory-Hu tree of the graph with s and t contracted: a min
+cut is computed only for the vertex pairs whose tree connectivity is below
+2, so a feasible point costs n flows.  This route yields at least one
+violated cut whenever one exists.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from math import lcm
 
 import numpy as np
 
+from .cuts import gomory_hu_tree
 from .flows import max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        parse_rational, vector_cost)
@@ -139,11 +143,19 @@ def _separate_flows(x: dict, inst: Instance):
     if val < 1:
         U = canonical(side)
         found[U] = (U, ONE, cut_load(x, frozenset(U)))
-    # even cuts: contract s,t together, then all pairs
+    # even cuts: contract s,t together, then every pair whose connectivity
+    # is below 2.  "st" is a node even when x_st = 1 leaves it isolated.
     ccap = _contract(cap, {s, t}, "st")
-    nodes = sorted({u for e in ccap for u in e}, key=str)
+    nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
+                   key=str)
+    # pairs on the same side of every tree edge of value < 2 have
+    # connectivity >= 2 and cannot give a violated cut
+    narrow = [cut for cut, value in gomory_hu_tree(ccap, nodes) if value < 2]
+    group = {u: tuple(u in cut for cut in narrow) for u in nodes}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
+            if group[a] == group[b]:
+                continue
             val, side = max_flow_min_cut(ccap, a, b)
             if val < 2:
                 real = set()

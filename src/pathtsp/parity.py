@@ -20,19 +20,18 @@ inequalities behind that case analysis.
 Correction vectors: z^S spreads (1-2beta) gamma over the path edges and
 tops up even narrow cuts on their cheapest edge e_C, and
 y^S = beta x* + (1-2beta) chi^{J_S} + z^S must hit every T_S-cut with load
-at least 1 (verified by subset enumeration for n <= 22).  certify_bound
-re-verifies the full cost chain instead of trusting it.
+at least 1, verified at every n by Padberg-Rao: a minimum T_S-odd cut is a
+fundamental cut of a Gomory-Hu tree of y^S.  certify_bound re-verifies the
+full cost chain instead of trusting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-import numpy as np
-
-from .cuts import CutChain, crossings, format_rational
+from .cuts import (XI_DEFAULT, CutChain, crossings, format_rational,
+                   gomory_hu_tree)
 from .instance import Instance, complete_edges, edge, vector_cost
 from .tree_decomp import tree_path
 
@@ -41,11 +40,7 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 BETA_DEFAULT = Fraction(401, 1000)
-XI_DEFAULT = Fraction(173, 100)
 EPS_DEFAULT = Fraction(1, 100)
-
-ENUM_LIMIT = 22
-INT64_GUARD = 1 << 61
 
 
 def f_value(beta: Fraction, x: Fraction) -> Fraction:
@@ -368,10 +363,9 @@ def correction_vectors(dist, chain: CutChain, parities,
             y[e] = y.get(e, ZERO) + w1
         for e, v in z.items():
             y[e] = y.get(e, ZERO) + v
-        if check_membership and inst.n <= ENUM_LIMIT:
+        if check_membership:
             bad = tjoin_cut_violations(y, par.t_set, inst.n)
-            assert not bad, (f"atom {ai}: y^S misses {len(bad)} "
-                             f"T_S-cuts, first {bad[0]}")
+            assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
         zs.append(z)
         ys.append(y)
         e_paths.append(e_path)
@@ -379,36 +373,17 @@ def correction_vectors(dist, chain: CutChain, parities,
 
 
 def tjoin_cut_violations(y: dict, t_set, n: int):
-    """All U with |U cap T| odd and y(delta(U)) < 1, by enumeration."""
-    assert n <= ENUM_LIMIT
-    items = sorted((e, v) for e, v in y.items() if v != 0)
-    m = 1 << (n - 1)
-    idx2 = (np.arange(m, dtype=np.int64) << 1) | 1
-    parity = np.zeros(m, dtype=np.int64)
-    for v in t_set:
-        parity ^= (idx2 >> v) & 1
-    denom = lcm(*[v.denominator for _, v in items]) if items else 1
-    total = sum((v for _, v in items), ZERO)
+    """T-odd cuts with y(delta(U)) < 1, as vertex tuples containing 0.
+
+    Padberg-Rao: the T-odd fundamental cuts of a Gomory-Hu tree of y
+    include a minimum T-odd cut, so the list is empty exactly when every
+    T-odd cut has load at least 1."""
+    cap = {e: v for e, v in y.items() if v != 0}
     out = []
-    if denom * (total.numerator // total.denominator + 2) < INT64_GUARD:
-        load = np.zeros(m, dtype=np.int64)
-        for (u, v), val in items:
-            load += (((idx2 >> u) ^ (idx2 >> v)) & 1) * int(val * denom)
-        bad = np.nonzero((parity == 1) & (load < denom))[0]
-        for i in bad.tolist():
-            mask = int(idx2[i])
-            out.append(tuple(v for v in range(n) if (mask >> v) & 1))
-    else:
-        loadf = np.zeros(m)
-        for (u, v), val in items:
-            loadf += (((idx2 >> u) ^ (idx2 >> v)) & 1) * float(val)
-        cand = np.nonzero((parity == 1) & (loadf < 1 + 1e-7))[0]
-        for i in cand.tolist():
-            mask = int(idx2[i])
-            lo = sum((val for (u, v), val in items
-                      if ((mask >> u) ^ (mask >> v)) & 1), ZERO)
-            if lo < 1:
-                out.append(tuple(v for v in range(n) if (mask >> v) & 1))
+    for side, value in gomory_hu_tree(cap, range(n)):
+        if value < 1 and len(side.intersection(t_set)) % 2 == 1:
+            U = side if 0 in side else frozenset(range(n)) - side
+            out.append(tuple(sorted(U)))
     return out
 
 
@@ -425,9 +400,11 @@ class Verdict:
     margins: list
 
 
-def certify_bound(dist, audit: BenefitAudit, params: GammaParams) -> Verdict:
+def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
+                  params: GammaParams) -> Verdict:
     """Certified iff every narrow cut passed the benefit audit AND the
-    correction vectors are cheap enough:
+    correction vectors cv (built by correction_vectors for the same dist,
+    chain and parities) are cheap enough:
         sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
     When the audit passed, the whole cost chain behind that implication is
     re-derived step by step (any failure is a bug, hence an assertion)."""
@@ -435,8 +412,6 @@ def certify_bound(dist, audit: BenefitAudit, params: GammaParams) -> Verdict:
     inst = chain.inst
     beta = params.beta
     w1 = 1 - 2 * beta
-    cv = correction_vectors(dist, chain, parities, params,
-                            check_membership=False)
     z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
                   for ai, atom in enumerate(dist)), ZERO)
     path_cost = sum((atom.weight * sum((inst.cost[e] for e in

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathtsp import build_appendix_instance, narrow_cuts
+from pathtsp import build_appendix_instance, lp_relax, narrow_cuts
+from pathtsp.instance import random_metric_instance
 from pathtsp.parity import GammaParams
 
 
@@ -16,6 +17,27 @@ def appendix0():
 def appendix0_chain(appendix0):
     inst, xstar, _ = appendix0
     return narrow_cuts(xstar, inst)
+
+
+@pytest.fixture(scope="session")
+def lp26():
+    """(Instance, LpSolution, points) for a random n = 26 instance, above
+    the separation enumerator's limit; points are every x that solve_lp
+    handed to separate on the way."""
+    inst = random_metric_instance(26, 3)  # five separation rounds
+    points = []
+    separate = lp_relax.separate
+
+    def recording(x, inst):
+        points.append(dict(x))
+        return separate(x, inst)
+
+    lp_relax.separate = recording
+    try:
+        sol = lp_relax.solve_lp(inst)
+    finally:
+        lp_relax.separate = separate
+    return inst, sol, points
 
 
 @pytest.fixture(scope="session")

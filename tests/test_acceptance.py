@@ -101,7 +101,8 @@ def test_criterion_3(params):
         parities = parity.assign_gamma(final, chain, params)
         audit = parity.benefits(final, chain, parities, params)
         assert audit.all_ok
-        verdict = parity.certify_bound(final, audit, params)
+        cv = parity.correction_vectors(final, chain, parities, params)
+        verdict = parity.certify_bound(final, audit, cv, params)
         assert verdict.certified and verdict.bound == 2 - BETA
         _, _, bomc_value = bomc.best_of_many(final, inst)
         assert bomc_value <= (2 - BETA) * vector_cost(xstar, inst)
@@ -190,7 +191,7 @@ def property_results(params, legacy_params):
 
         # (e) certification at the headline beta
         audit = parity.benefits(final, chain, parities, params)
-        verdict = parity.certify_bound(final, audit, params)
+        verdict = parity.certify_bound(final, audit, cv, params)
         assert verdict.certified
 
         # (f) tour and ratio bounds

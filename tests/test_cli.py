@@ -71,20 +71,23 @@ def test_verify_flags_the_raw_wall(tmp_path, capsys):
 
 
 def test_reassembled_wall_verifies(tmp_path):
-    inst = tmp_path / "wall.txt"
-    sol = tmp_path / "wall.sol"
-    raw = tmp_path / "raw.dist"
-    fixed = tmp_path / "fixed.dist"
-    out = tmp_path / "verify.txt"
-    assert main(["gen", "appendix", "--k", "0", "-o", str(inst),
-                 "--solution", str(sol), "--dist", str(raw)]) == 0
-    assert main(["reassemble", str(inst), str(sol), "-o", str(fixed),
-                 "--initial", str(raw)]) == 0
-    assert main(["verify", str(fixed), str(inst), str(sol),
-                 "-o", str(out)]) == 0
-    body = strip_timings(out)
-    assert body[-1] == "checks_failed=0"
-    assert all("status=FAIL" not in ln for ln in body)
+    # k = 2 gives n = 28: membership is checked above n = 22 as well
+    for k in ("0", "2"):
+        inst = tmp_path / f"wall{k}.txt"
+        sol = tmp_path / f"wall{k}.sol"
+        raw = tmp_path / f"raw{k}.dist"
+        fixed = tmp_path / f"fixed{k}.dist"
+        out = tmp_path / f"verify{k}.txt"
+        assert main(["gen", "appendix", "--k", k, "-o", str(inst),
+                     "--solution", str(sol), "--dist", str(raw)]) == 0
+        assert main(["reassemble", str(inst), str(sol), "-o", str(fixed),
+                     "--initial", str(raw)]) == 0
+        assert main(["verify", str(fixed), str(inst), str(sol),
+                     "-o", str(out)]) == 0
+        body = strip_timings(out)
+        assert body[-1] == "checks_failed=0"
+        assert all("status=FAIL" not in ln for ln in body)
+        assert "check=join_membership status=OK" in body
 
 
 def test_run_random_end_to_end(tmp_path):

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathtsp.cuts import (
     ChainError,
@@ -8,12 +11,14 @@ from pathtsp.cuts import (
     crossings,
     cut_stats,
     format_cut_report,
+    gomory_hu_tree,
     narrow_cuts,
     pairwise_intersection_check,
 )
 from pathtsp.instance import (
     Instance,
     appendix_wall_cut_indices,
+    build_appendix_instance,
     complete_edges,
     edge,
     random_metric_instance,
@@ -22,7 +27,7 @@ from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import split_path_join
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import narrow_sets
+from .oracles import cut_value, narrow_sets, narrow_sets_all_pairs
 
 
 def uniform_instance(n, s=0, t=None):
@@ -63,15 +68,50 @@ def test_chain_is_strictly_nested_and_complete():
         assert {frozenset(lv) for lv in chain.levels} == set(narrow_sets(x, inst))
 
 
-def test_flow_route_matches_enumeration():
-    for n, seed in ((9, 13), (11, 8)):
-        inst = random_metric_instance(n, seed)
-        x = solve_lp(inst).x
-        by_enum = narrow_cuts(x, inst, method="enumerate")
-        by_flow = narrow_cuts(x, inst, method="flows")
-        assert by_enum.levels == by_flow.levels
-        assert by_enum.loads == by_flow.loads
-        assert by_enum.xi_indices == by_flow.xi_indices
+def test_chain_matches_all_pairs_reference(lp26):
+    cases = [build_appendix_instance(k)[:2] for k in (2, 5)]
+    inst26, sol26, _ = lp26
+    cases.append((inst26, sol26.x))
+    for inst, x in cases:
+        chain = narrow_cuts(x, inst)
+        assert inst.n > 22
+        assert ({frozenset(lv) for lv in chain.levels}
+                == narrow_sets_all_pairs(x, inst))
+        assert chain.loads == [cut_value(x, lv) for lv in chain.levels]
+
+
+@st.composite
+def rational_graphs(draw):
+    """Up to 9 nodes, random rational capacities; zero-capacity and missing
+    edges leave room for isolated nodes and disconnected graphs."""
+    n = draw(st.integers(2, 9))
+    cap = {}
+    for e in combinations(range(n), 2):
+        num = draw(st.integers(0, 6))
+        if num and draw(st.booleans()):
+            cap[e] = Fraction(num, draw(st.integers(1, 4)))
+    return n, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_graphs())
+def test_gomory_hu_tree_against_brute_force(graph):
+    n, cap = graph
+    tree = gomory_hu_tree(cap, range(n))
+    assert len(tree) == n - 1
+    for side, value in tree:
+        assert 0 not in side
+        assert cut_value(cap, side) == value
+    loads = {}
+    for r in range(1, n):
+        for extra in combinations(range(1, n), r - 1):
+            U = frozenset((0, *extra))
+            loads[U] = cut_value(cap, U)
+    for a, b in combinations(range(n), 2):
+        brute = min(lo for U, lo in loads.items() if (a in U) != (b in U))
+        path = min(value for side, value in tree
+                   if (a in side) != (b in side))
+        assert path == brute
 
 
 def test_non_chain_structure_is_rejected():

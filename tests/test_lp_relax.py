@@ -19,7 +19,7 @@ from pathtsp.lp_relax import (
     tree_polytope_violations,
 )
 
-from .oracles import path_min_cost, violated_cuts
+from .oracles import path_min_cost, separate_all_pairs, violated_cuts
 
 
 def uniform_instance(n, s=0, t=None):
@@ -53,6 +53,25 @@ def test_separate_agrees_with_enumeration_on_a_planted_gap():
         assert side in brute
         assert cut_load(x, U) == load < need
     assert frozenset({0, 4, 5}) in brute
+
+
+def test_separate_finds_the_merged_ends_above_the_enumeration_limit():
+    # x_st = 1 leaves the contracted {s, t} node without an edge; every
+    # degree is right, but the cut around {s, t} carries no load
+    n = 24
+    inst = uniform_instance(n)
+    x = path_incidence((0, n - 1))
+    x.update(path_incidence(tuple(range(1, n - 1)) + (1,)))
+    assert separate(x, inst) == [((0, n - 1), 2, 0)]
+    assert separate_all_pairs(x, inst) == [((0, n - 1), 2, 0)]
+
+
+def test_separate_matches_all_pairs_along_the_lp_path(lp26):
+    inst, sol, points = lp26
+    assert inst.n > 22 and len(points) > 1
+    for x in points:
+        assert separate(x, inst) == separate_all_pairs(x, inst)
+    assert separate(sol.x, inst) == []
 
 
 def test_solve_lp_uniform_triangle():

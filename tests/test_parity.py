@@ -1,9 +1,12 @@
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathtsp.cuts import narrow_cuts
+from pathtsp.cuts import gomory_hu_tree, narrow_cuts
 from pathtsp.instance import Instance, build_appendix_instance, complete_edges, edge
 from pathtsp.parity import (
     BETA_DEFAULT,
@@ -22,6 +25,9 @@ from pathtsp.parity import (
 )
 from pathtsp.reassembler import reassemble, type_census
 from pathtsp.tree_decomp import decompose
+
+from .oracles import cut_value, tjoin_violations_enumerate
+from .test_cuts import rational_graphs
 
 HALF = Fraction(1, 2)
 
@@ -132,9 +138,11 @@ def test_raw_wall_distribution_fails_the_audit(raw_audit):
             if c.status == "FAIL"] == list(range(1, 11))
 
 
-def test_raw_wall_distribution_falls_back(raw_audit, params):
-    p4, _, audit = raw_audit
-    verdict = certify_bound(p4, audit, params)
+def test_raw_wall_distribution_falls_back(raw_audit, appendix0_chain,
+                                          params):
+    p4, parities, audit = raw_audit
+    cv = correction_vectors(p4, appendix0_chain, parities, params)
+    verdict = certify_bound(p4, audit, cv, params)
     assert not verdict.certified and verdict.label == "fallback"
     assert verdict.bound == Fraction(5, 3)
     assert verdict.z_cost == Fraction(2401, 2000)
@@ -151,11 +159,13 @@ def test_legacy_beta_passes_on_the_raw_wall(appendix0, appendix0_chain,
                      rule_gamma=False)
     assert audit.all_ok
     assert all(c.margin == 0 for c in audit.per_cut if c.load > 1)
-    verdict = certify_bound(p4, audit, legacy_params)
+    cv = correction_vectors(p4, appendix0_chain, parities, legacy_params)
+    verdict = certify_bound(p4, audit, cv, legacy_params)
     assert verdict.certified and verdict.bound == Fraction(8, 5)
 
 
-def test_reassembled_wall_is_certified(reassembled, appendix0, params):
+def test_reassembled_wall_is_certified(reassembled, appendix0,
+                                       appendix0_chain, params):
     final, _, audit = reassembled
     assert audit.all_ok
     for c in audit.per_cut:
@@ -166,7 +176,8 @@ def test_reassembled_wall_is_certified(reassembled, appendix0, params):
             assert 2 * c.total >= c.eq17_bound
         else:
             assert c.case == "less_critical"
-    verdict = certify_bound(final, audit, params)
+    cv = correction_vectors(final, appendix0_chain, audit.parities, params)
+    verdict = certify_bound(final, audit, cv, params)
     assert verdict.certified and verdict.label == "certified"
     assert verdict.bound == 2 - params.beta == Fraction(1599, 1000)
     assert verdict.z_cost <= (1 - 2 * params.beta) * verdict.path_cost
@@ -243,12 +254,40 @@ def test_correction_vectors_on_the_wall(raw_audit, appendix0,
         for e, v in cv.z[ai].items():
             rebuilt[e] = rebuilt.get(e, Fraction(0)) + v
         assert rebuilt == cv.y[ai]
-        assert tjoin_cut_violations(cv.y[ai], parities[ai].t_set,
-                                    inst.n) == []
+        T = parities[ai].t_set
+        assert tjoin_cut_violations(cv.y[ai], T, inst.n) == []
+        assert tjoin_violations_enumerate(cv.y[ai], T, inst.n) == []
+        # at half weight some T_S-cuts fall below 1
+        half = {e: v / 2 for e, v in cv.y[ai].items()}
+        fast = tjoin_cut_violations(half, T, inst.n)
+        assert fast and set(fast) <= set(
+            tjoin_violations_enumerate(half, T, inst.n))
     for ci in range(len(appendix0_chain)):
         e = cv.e_cheap[ci]
         assert ((appendix0_chain.masks[ci] >> e[0])
                 ^ (appendix0_chain.masks[ci] >> e[1])) & 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_graphs(), st.data())
+def test_padberg_rao_against_enumeration(graph, data):
+    n, y = graph
+    T = data.draw(st.sets(st.integers(0, n - 1)))
+    if len(T) % 2:
+        T = T ^ {0}
+    fast = tjoin_cut_violations(y, T, n)
+    brute = tjoin_violations_enumerate(y, T, n)
+    assert set(fast) <= set(brute)
+    assert bool(fast) == bool(brute)
+    for U in fast:
+        assert U[0] == 0 and cut_value(y, U) < 1
+    # a minimum T-odd cut is a T-odd fundamental cut of the tree
+    odd = [value for side, value in gomory_hu_tree(y, range(n))
+           if len(side & T) % 2]
+    subsets = [{0, *extra} for r in range(n - 1)
+               for extra in combinations(range(1, n), r)]
+    odd_loads = [cut_value(y, U) for U in subsets if len(U & T) % 2]
+    assert min(odd, default=None) == min(odd_loads, default=None)
 
 
 def test_exchange_records_from_the_driver(reassembled, appendix0_chain):
