@@ -139,7 +139,8 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
         raise ChainError("chain does not end at V-{t}")
 
     loads = [load_of_mask(x, m) for m in levels]
-    assert loads[0] == 1 and loads[-1] == 1, "end cuts must have load 1"
+    if loads[0] != 1 or loads[-1] != 1:
+        raise ChainError("end cuts must have load 1")
     assert all(lo < 2 for lo in loads)
     xi_indices = [i for i, lo in enumerate(loads) if lo < xi]
     tuples = [tuple(v for v in range(n) if (m >> v) & 1) for m in levels]

@@ -122,6 +122,11 @@ def test_non_chain_structure_is_rejected():
          edge(4, 5): Fraction(1)}
     with pytest.raises(ChainError):
         narrow_cuts(x, inst)
+    # the cuts nest, but the end cut {s} carries load 3/2
+    x = path_x((0, 1, 2, 3))
+    x[edge(0, 2)] = Fraction(1, 2)
+    with pytest.raises(ChainError):
+        narrow_cuts(x, uniform_instance(4))
 
 
 def test_appendix_chain_shape(appendix0, appendix0_chain):
