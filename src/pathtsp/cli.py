@@ -10,7 +10,6 @@ marker so comparisons can strip them.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -57,19 +56,6 @@ class Runner:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("PATHTSP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"PATHTSP_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise ValueError("PATHTSP_THREADS must be at least 1")
-    return val
 
 
 def check_lp_point(x, inst):
@@ -180,6 +166,7 @@ def cmd_audit(args):
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = parity.GammaParams(args.beta, args.xi, args.eps)
+    r.stage("check-lp-point", check_lp_point, x, inst)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
     parities = r.stage("assign-gamma", parity.assign_gamma, dist, chain,
                        params, uniform_half=args.legacy_gamma_half)
@@ -216,9 +203,15 @@ def cmd_verify(args):
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = parity.GammaParams(args.beta, args.xi, args.eps)
     failures = 0
+    chain = parities = cv = None  # set once computed
 
-    def report(name, fn):
+    def report(name, fn, ready=True):
+        """Run one check and add its line; a check whose inputs could not
+        be computed reads SKIP.  Returns whether the check passed."""
         nonlocal failures
+        if not ready:
+            r.lines.append(f"check={name} status=SKIP")
+            return False
         t0 = time.perf_counter()
         try:
             detail = fn()
@@ -235,6 +228,7 @@ def cmd_verify(args):
         elif isinstance(detail, str) and detail:
             line += f" {detail}"
         r.lines.append(line)
+        return status == "OK"
 
     def check_reconstruction():
         assert tree_decomp.total_weight(dist) == 1, "total weight is not 1"
@@ -243,9 +237,11 @@ def cmd_verify(args):
             "distribution does not reconstruct the solution"
         return ""
 
-    chain = cuts.narrow_cuts(x, inst, args.xi)
-    report("reconstruction", check_reconstruction)
-    report("cut_stats", lambda: (cuts.cut_stats(chain, dist), "")[1])
+    def find_chain():
+        nonlocal chain
+        # narrow_cuts is complete only for a feasible point
+        chain = cuts.narrow_cuts(x, inst, args.xi)
+        return ""
 
     def check_packing():
         for ai, atom in enumerate(dist):
@@ -260,48 +256,44 @@ def cmd_verify(args):
                     seen[e] = mask
         return ""
 
-    report("packing", check_packing)
-
-    parities = parity.assign_gamma(dist, chain, params,
-                                   uniform_half=args.legacy_gamma_half)
-    cv_box = {}
-
     def check_floor():
-        cv_box["cv"] = parity.correction_vectors(
-            dist, chain, parities, params, check_membership=False)
+        nonlocal cv
+        cv = parity.correction_vectors(dist, chain, parities, params,
+                                       check_membership=False)
         return ""
 
-    report("correction_floor", check_floor)
-
-    if "cv" in cv_box:
-        def check_membership():
-            for ai in range(len(dist)):
-                bad = parity.tjoin_cut_violations(
-                    cv_box["cv"].y[ai], parities[ai].t_set, inst.n)
-                assert not bad, f"atom {ai}: uncovered T_S-cut {bad[0]}"
-            return ""
-        report("join_membership", check_membership)
-    else:
-        r.lines.append("check=join_membership status=SKIP")
-
-    audit_box = {}
+    def check_membership():
+        for ai in range(len(dist)):
+            bad = parity.tjoin_cut_violations(
+                cv.y[ai], parities[ai].t_set, inst.n)
+            assert not bad, f"atom {ai}: uncovered T_S-cut {bad[0]}"
+        return ""
 
     def check_margins():
         audit = parity.benefits(dist, chain, parities, params,
                                 rule_gamma=not args.legacy_gamma_half)
-        audit_box["audit"] = audit
         bad = [c.cut_index for c in audit.per_cut if c.status != "OK"]
         assert not bad, f"negative margin at cuts {bad}"
         return ""
-
-    report("benefit_margins", check_margins)
 
     def check_type_mix():
         assert reassembler.type_mix_bound_holds(dist, chain, args.eps), \
             "type-mix bound violated at an internal cut"
         return ""
 
-    report("type_mix", check_type_mix)
+    point_ok = report("lp_point", lambda: (check_lp_point(x, inst), "")[1])
+    report("reconstruction", check_reconstruction)
+    chain_ok = report("narrow_cuts", find_chain, point_ok)
+    report("cut_stats", lambda: (cuts.cut_stats(chain, dist), "")[1],
+           chain_ok)
+    report("packing", check_packing, chain_ok)
+    if chain_ok:
+        parities = parity.assign_gamma(dist, chain, params,
+                                       uniform_half=args.legacy_gamma_half)
+    floor_ok = report("correction_floor", check_floor, chain_ok)
+    report("join_membership", check_membership, floor_ok)
+    report("benefit_margins", check_margins, chain_ok)
+    report("type_mix", check_type_mix, chain_ok)
     r.lines.append(f"checks_failed={failures}")
     r.emit(args.output)
     return 1 if failures else 0
@@ -495,7 +487,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        thread_cap()
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except StageFailure as exc:

@@ -42,7 +42,6 @@ INT64_GUARD = 1 << 61
 class LpSolution:
     x: dict
     value: Fraction
-    tight_rows: list | None = None  # (U, rhs) for tight inequality rows
 
 
 def cut_requirement(U, inst: Instance) -> Fraction:
@@ -185,13 +184,10 @@ def solve_lp(inst: Instance, max_rounds=200) -> LpSolution:
     for v in range(n):
         rhs = 1 if v in (inst.s, inst.t) else 2
         sx.add_constraint(delta_coeffs({v}), "=", rhs)
-    cut_rows = []  # (U tuple, rhs) in row order, warm-start singletons first
-    seen = set()
+    seen = set()  # canonical vertex sets of the cut rows
     for v in range(n):
         sx.add_constraint(delta_coeffs({v}), ">=", 1)
-        U = tuple(sorted(frozenset(range(n)) - {v})) if v != 0 else (0,)
-        cut_rows.append((U, ONE))
-        seen.add(U)
+        seen.add(tuple(sorted(frozenset(range(n)) - {v})) if v != 0 else (0,))
     sx.solve()
 
     rounds = 0
@@ -208,16 +204,13 @@ def solve_lp(inst: Instance, max_rounds=200) -> LpSolution:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
             sx.add_cut_row(delta_coeffs(frozenset(U)), ">=", req)
-            cut_rows.append((U, req))
         sx.solve()
         rounds += 1
 
     sx.assert_optimal()
     value = sx.objective()
     assert value == vector_cost(xcur, inst)
-    tight = [(U, rhs) for (U, rhs) in cut_rows
-             if cut_load(xcur, frozenset(U)) == rhs]
-    return LpSolution(x=xcur, value=value, tight_rows=tight)
+    return LpSolution(x=xcur, value=value)
 
 
 # ----- feasibility helpers (used heavily by the tests) -----

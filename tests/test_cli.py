@@ -118,16 +118,44 @@ def test_stage_failures_exit_2(tmp_path):
                  "-o", str(tmp_path / "d.txt")]) == 2
 
 
-def test_console_script_and_thread_cap(tmp_path):
+def test_console_script(tmp_path):
     out = tmp_path / "inst.txt"
-    env = dict(os.environ)
     proc = subprocess.run(
         [sys.executable, "-m", "pathtsp.cli", "gen", "random", "--n", "5",
-         "--seed", "1", "-o", str(out)], env=env, capture_output=True)
+         "--seed", "1", "-o", str(out)], env=dict(os.environ),
+        capture_output=True)
     assert proc.returncode == 0 and out.exists()
-    env["PATHTSP_THREADS"] = "zero"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathtsp.cli", "gen", "random", "--n", "5",
-         "--seed", "1", "-o", str(out)], env=env, capture_output=True)
-    assert proc.returncode == 2
-    assert b"PATHTSP_THREADS" in proc.stderr
+
+
+def infeasible_triple(tmp_path):
+    """`gen random --n 6 --seed 0` (s = 2, t = 5) with the triangle 0-1-3
+    floating beside the path 2-4-5: every degree is right, but the cut
+    {0, 1, 3} carries no load.  The distribution is any spanning tree."""
+    inst = tmp_path / "inst.txt"
+    sol = tmp_path / "bad.sol"
+    dist = tmp_path / "star.dist"
+    assert main(["gen", "random", "--n", "6", "--seed", "0",
+                 "-o", str(inst)]) == 0
+    sol.write_text("0 1 1\n0 3 1\n1 3 1\n2 4 1\n4 5 1\n")
+    dist.write_text("tree 1\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+    return inst, sol, dist
+
+
+def test_verify_skips_the_chain_checks_of_an_infeasible_point(tmp_path):
+    inst, sol, dist = infeasible_triple(tmp_path)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", str(dist), str(inst), str(sol),
+                 "-o", str(out)]) == 1
+    body = strip_timings(out)
+    assert body[0].startswith("check=lp_point status=FAIL detail=cut "
+                              "(0, 1, 3) load 0 < 2")
+    for name in ("narrow_cuts", "cut_stats", "packing", "correction_floor",
+                 "join_membership", "benefit_margins", "type_mix"):
+        assert f"check={name} status=SKIP" in body
+    assert body[-1] == "checks_failed=2"  # lp_point and reconstruction
+
+
+def test_audit_rejects_an_infeasible_point(tmp_path, capsys):
+    inst, sol, dist = infeasible_triple(tmp_path)
+    assert main(["audit", str(inst), str(sol), str(dist)]) == 2
+    assert "stage check-lp-point" in capsys.readouterr().err

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathtsp.simplex import ExactSimplex, Infeasible, Unbounded
+from pathtsp import lp_relax
+from pathtsp.simplex import STALL_LIMIT, ExactSimplex, Infeasible, Unbounded
+
+from . import oracles
 
 
 def build(costs):
@@ -108,3 +114,171 @@ def test_solution_maps_only_nonzero_basics():
     sol = sx.solution()
     assert sum(sol.values(), Fraction(0)) == 2
     assert all(v > 0 for v in sol.values())
+
+
+# ----- the integer tableau against the Fraction tableau -----
+
+RAISES = (Infeasible, Unbounded, oracles.Infeasible, oracles.Unbounded)
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+class StallRecorder(oracles.FractionSimplex):
+    """The oracle, recording its longest run of degenerate pivots."""
+    streak = longest = 0
+
+    def _pivot(self, r, j):
+        self.streak = self.streak + 1 if self.rhs[r] == 0 else 0
+        self.longest = max(self.longest, self.streak)
+        super()._pivot(r, j)
+
+
+def both(build):
+    """(integer tableau, Fraction tableau), each set up by build(sx)."""
+    pair = ExactSimplex(), StallRecorder()
+    for sx in pair:
+        build(sx)
+    return pair
+
+
+def same_call(pair, method, *args):
+    """Call method on both tableaux: they must return the same value or
+    raise the same Infeasible/Unbounded.  True when the calls returned."""
+    outcomes = []
+    for sx in pair:
+        try:
+            outcomes.append(("returned", getattr(sx, method)(*args)))
+        except RAISES as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0] == "returned"
+
+
+def assert_same_state(pair, phase1=False):
+    new, old = pair
+    assert new.basis == old.basis
+    assert new.pivots == old.pivots
+    assert new.solution() == old.solution()
+    assert new.objective() == old.objective()
+    assert new.duals() == old.duals()
+    if phase1:
+        assert new.duals("z1") == old.duals("z1")
+
+
+def build_model(costs, rows):
+    def build(sx):
+        cols = [sx.add_variable(c) for c in costs]
+        for coefs, sense, rhs in rows:
+            sx.add_constraint(dict(zip(cols, coefs)), sense, rhs)
+    return build
+
+
+@st.composite
+def cutting_plane_runs(draw):
+    """A model with rational data, = and >= rows and any rhs sign, plus
+    the >= rows appended warm afterwards."""
+    nvars = draw(st.integers(1, 5))
+    coefs = st.lists(rationals, min_size=nvars, max_size=nvars)
+    costs = draw(coefs)
+    rows = draw(st.lists(st.tuples(coefs, st.sampled_from(["=", ">="]),
+                                   rationals), min_size=1, max_size=5))
+    cuts = draw(st.lists(st.tuples(coefs, rationals), max_size=4))
+    return costs, rows, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(cutting_plane_runs())
+def test_cutting_plane_path_matches_the_fraction_tableau(run):
+    costs, rows, cuts = run
+    pair = both(build_model(costs, rows))
+    if not same_call(pair, "solve"):
+        return
+    assert_same_state(pair)
+    pair[0].assert_optimal()
+    for coefs, rhs in cuts:
+        for sx in pair:
+            sx.add_cut_row(dict(enumerate(coefs)), ">=", rhs)
+        if not same_call(pair, "solve"):
+            return
+        assert_same_state(pair)
+        pair[0].assert_optimal()
+
+
+def degenerate_model(seed):
+    """Homogeneous >= rows and one convexity row: nearly every pivot is
+    degenerate, so long runs reach the Bland switch."""
+    rng = random.Random(seed)
+    nvars, m = rng.randint(6, 10), rng.randint(8, 16)
+    costs = [rng.randint(-5, 5) for _ in range(nvars)]
+    rows = [([rng.randint(-3, 3) for _ in range(nvars)], ">=", 0)
+            for _ in range(m)]
+    rows.append(([1] * nvars, "=", 1))
+    return build_model(costs, rows)
+
+
+@pytest.mark.parametrize("seed", [182, 187, 191, 195])
+def test_degenerate_path_through_bland_matches(seed):
+    pair = both(degenerate_model(seed))
+    if same_call(pair, "solve"):
+        assert_same_state(pair)
+    assert pair[1].longest >= STALL_LIMIT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_degenerate_path_matches_the_fraction_tableau(seed):
+    pair = both(degenerate_model(seed))
+    if same_call(pair, "solve"):
+        assert_same_state(pair)
+
+
+@st.composite
+def master_runs(draw):
+    """A column-generation master: = rows with rational rhs and no
+    variables, then columns priced in one at a time."""
+    m = draw(st.integers(1, 5))
+    rhs = draw(st.lists(st.builds(Fraction, st.integers(0, 4),
+                                  st.integers(1, 3)), min_size=m, max_size=m))
+    columns = draw(st.lists(st.tuples(
+        rationals, st.lists(rationals, min_size=m, max_size=m)),
+        min_size=1, max_size=8))
+    return rhs, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_runs())
+def test_master_path_matches_the_fraction_tableau(run):
+    rhs, columns = run
+
+    def build(sx):
+        for b in rhs:
+            sx.add_constraint({}, "=", b)
+
+    pair = both(build)
+    assert same_call(pair, "solve_phase1")
+    for cost, coefs in columns:
+        for sx in pair:
+            sx.add_column(cost, dict(enumerate(coefs)))
+        assert same_call(pair, "solve_phase1")
+        assert_same_state(pair, phase1=True)
+    if same_call(pair, "solve"):
+        assert_same_state(pair)
+
+
+def test_lp_path_matches_the_fraction_tableau(lp26, monkeypatch):
+    # n = 26 is above the separation enumerator's limit
+    inst, sol, _ = lp26
+    paths = []
+    for base in (ExactSimplex, oracles.FractionSimplex):
+        path = []
+
+        class Recording(base):
+            def _pivot(self, r, j, path=path):
+                path.append((r, j))
+                super()._pivot(r, j)
+
+        monkeypatch.setattr(lp_relax, "ExactSimplex", Recording)
+        got = lp_relax.solve_lp(inst)
+        assert (got.x, got.value) == (sol.x, sol.value)
+        paths.append(path)
+    assert paths[0] == paths[1]
