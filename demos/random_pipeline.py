@@ -46,8 +46,7 @@ def main():
           f"{len(chain.xi_indices)} below 173/100")
 
     params = GammaParams()
-    fixed, records = reassemble(sol.x, inst, params.xi, params.eps,
-                                initial=dist)
+    fixed, records = reassemble(dist, chain, params.eps)
     print(f"reassembly: {len(records)} exchanges, {len(fixed)} trees")
 
     parities = assign_gamma(fixed, chain, params)

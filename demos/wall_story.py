@@ -67,8 +67,7 @@ def main():
     print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
 
     print(RULE)
-    fixed, records = reassemble(xstar, inst, params.xi, params.eps,
-                                initial=dist)
+    fixed, records = reassemble(dist, chain, params.eps)
     print(f"reassembly: {len(records)} exchanges, "
           f"{len(fixed)} trees in the repaired distribution")
     for rec in records:

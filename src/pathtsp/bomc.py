@@ -20,7 +20,6 @@ from math import lcm
 
 from .instance import Instance, edge, format_rational
 from .parity import split_path_join
-from .tree_decomp import UnionFind
 
 ZERO = Fraction(0)
 
@@ -222,19 +221,6 @@ def held_karp_opt(inst: Instance) -> Tour:
     seq.reverse()
     assert len(seq) == n and seq[0] == inst.s and seq[-1] == inst.t
     return Tour(vertices=tuple(seq), cost=Fraction(dp[full][ti], scale))
-
-
-def min_cost_spanning_tree(inst: Instance):
-    """Kruskal with (cost, edge) tie-break — the single-tree comparator."""
-    uf = UnionFind(inst.n)
-    tree = set()
-    for c, e in sorted((c, e) for e, c in inst.cost.items()):
-        if uf.union(e[0], e[1]):
-            tree.add(e)
-            if len(tree) == inst.n - 1:
-                break
-    assert len(tree) == inst.n - 1
-    return frozenset(tree)
 
 
 def format_tour_report(rows, bomc_value, opt_cost=None):

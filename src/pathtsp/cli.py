@@ -145,11 +145,14 @@ def cmd_reassemble(args):
     r = Runner()
     inst = read_instance(args.instance, closure=args.closure)
     x, _ = lp_relax.read_solution(args.solution)
-    initial = None
+    r.stage("check-lp-point", check_lp_point, x, inst)
+    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
     if args.initial:
-        initial = tree_decomp.read_distribution(args.initial, n=inst.n)
-    dist, records = r.stage("reassemble", reassembler.reassemble, x, inst,
-                            args.xi, args.eps, initial=initial)
+        dist0 = tree_decomp.read_distribution(args.initial, n=inst.n)
+    else:
+        dist0 = r.stage("decompose", tree_decomp.decompose, x, inst)
+    dist, records = r.stage("reassemble", reassembler.reassemble, dist0,
+                            chain, args.eps)
     tree_decomp.write_distribution(args.output, dist)
     r.lines.append(f"atoms={len(dist)}")
     r.lines.append(f"exchanges={len(records)}")
@@ -247,8 +250,7 @@ def cmd_verify(args):
         for ai, atom in enumerate(dist):
             seen = {}
             for mask in chain.masks:
-                hits = [e for e in atom.tree
-                        if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
+                hits = cuts.crossing_edges(atom.tree, mask)
                 if len(hits) == 1:
                     e = hits[0]
                     assert e not in seen, (
@@ -340,7 +342,7 @@ def cmd_run(args):
         dist = dist0
     else:
         dist, records = r.stage("reassemble", reassembler.reassemble,
-                                x, inst, args.xi, args.eps, initial=dist0)
+                                dist0, chain, args.eps)
     r.lines.append("types_after:")
     r.lines.extend(census_lines(dist, chain))
     if args.trace and records:

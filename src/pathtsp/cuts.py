@@ -40,6 +40,11 @@ def crossing_mask(mask: int, u: int, v: int) -> bool:
     return ((mask >> u) & 1) != ((mask >> v) & 1)
 
 
+def crossing_edges(tree, mask: int) -> list:
+    """The edges of tree that cross the cut of mask, in the tree's order."""
+    return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
+
+
 def crossings(tree, mask: int) -> int:
     return sum(1 for (u, v) in tree if ((mask >> u) ^ (mask >> v)) & 1)
 
@@ -59,15 +64,11 @@ class CutChain:
     loads: list           # Fraction load per level
     xi: Fraction
     xi_indices: list      # chain indices with load < xi
-    inst: Instance = None # the instance and LP point the chain belongs to
-    x: dict = None
+    inst: Instance        # the instance and LP point the chain belongs to
+    x: dict
 
     def __len__(self):
         return len(self.levels)
-
-    def cut_edges(self, i, x: dict):
-        mask = self.masks[i]
-        return sorted(e for e in x if crossing_mask(mask, *e))
 
 
 def gomory_hu_tree(capacity: dict, nodes) -> list:
@@ -146,34 +147,6 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
     tuples = [tuple(v for v in range(n) if (m >> v) & 1) for m in levels]
     return CutChain(levels=tuples, masks=levels, loads=loads, xi=xi,
                     xi_indices=xi_indices, inst=inst, x=cap)
-
-
-# ----- pairwise structure -----
-
-def shared_load(x: dict, mask_a: int, mask_b: int) -> Fraction:
-    """x-mass on edges lying in BOTH cuts."""
-    total = ZERO
-    for (u, v), val in x.items():
-        if (((mask_a >> u) ^ (mask_a >> v)) & 1
-                and ((mask_b >> u) ^ (mask_b >> v)) & 1):
-            total += val
-    return total
-
-
-def pairwise_intersection_check(chain: CutChain, x: dict):
-    """Margins  load(C)/2 + load(C')/2 - 1 - x(C cap C')  for all pairs.
-
-    Raises if any margin is negative (LP feasibility would be broken)."""
-    margins = []
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            margin = (chain.loads[i] / 2 + chain.loads[j] / 2 - 1
-                      - shared_load(x, chain.masks[i], chain.masks[j]))
-            if margin < 0:
-                raise ValueError(
-                    f"cut pair ({i},{j}) has negative margin {margin}")
-            margins.append(margin)
-    return margins
 
 
 # ----- per-cut crossing statistics of a distribution -----

@@ -213,60 +213,6 @@ def solve_lp(inst: Instance, max_rounds=200) -> LpSolution:
     return LpSolution(x=xcur, value=value)
 
 
-# ----- feasibility helpers (used heavily by the tests) -----
-
-def feasibility_violations(x: dict, inst: Instance):
-    """Degree equalities + every cut bound, by full enumeration (n <= 22)."""
-    n = inst.n
-    assert n <= ENUM_LIMIT
-    out = []
-    deg = {v: ZERO for v in range(n)}
-    for (u, v), val in x.items():
-        if val < 0:
-            out.append(("nonneg", (u, v), val))
-        deg[u] += val
-        deg[v] += val
-    for v in range(n):
-        want = ONE if v in (inst.s, inst.t) else TWO
-        if deg[v] != want:
-            out.append(("degree", v, deg[v]))
-    for (U, req, load) in separate(x, inst):
-        out.append(("cut", U, load, req))
-    return out
-
-
-def tree_polytope_violations(x: dict, inst: Instance):
-    """Check x(E) = n-1 and x(E[U]) <= |U|-1 (minus 2 when {s,t} inside U),
-    for every nonempty proper U — enumeration for n <= 22."""
-    n, s, t = inst.n, inst.s, inst.t
-    assert n <= ENUM_LIMIT
-    items = sorted((e, v) for e, v in x.items() if v != 0)
-    out = []
-    total = sum((v for _, v in items), ZERO)
-    if total != n - 1:
-        out.append(("x(E)", total))
-    m = 1 << n
-    idx = np.arange(m, dtype=np.int64)
-    size = np.zeros(m, dtype=np.int64)
-    for v in range(n):
-        size += (idx >> v) & 1
-    denom = lcm(*[v.denominator for _, v in items]) if items else 1
-    if denom * (n + 1) >= INT64_GUARD:
-        raise ValueError("denominators too large for the int64 fast path")
-    inside = np.zeros(m, dtype=np.int64)
-    for (u, v), val in items:
-        inside += ((idx >> u) & (idx >> v) & 1) * int(val * denom)
-    st_in = (idx >> s) & (idx >> t) & 1
-    bound = (size - 1 - st_in) * denom
-    ok = (size == 0) | (idx == m - 1) | (inside <= bound)
-    for i in np.nonzero(~ok)[0].tolist():
-        mask = int(idx[i])
-        U = tuple(v for v in range(n) if (mask >> v) & 1)
-        out.append(("E[U]", U, Fraction(int(inside[i]), denom),
-                    Fraction(int(bound[i]), denom)))
-    return out
-
-
 # ----- solution files -----
 
 def emit_solution(x: dict, value: Fraction) -> str:

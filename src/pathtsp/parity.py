@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import (XI_DEFAULT, CutChain, crossings, format_rational,
-                   gomory_hu_tree)
+from .cuts import (XI_DEFAULT, CutChain, crossing_edges, crossings,
+                   format_rational, gomory_hu_tree)
 from .instance import Instance, complete_edges, edge, vector_cost
 from .tree_decomp import tree_path
 
@@ -457,9 +457,9 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
     for ai, atom in enumerate(dist):
         seen = set()
         for ci, mask in enumerate(chain.masks):
-            if crossings(atom.tree, mask) == 1:
-                (e,) = [e for e in atom.tree
-                        if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
+            hits = crossing_edges(atom.tree, mask)
+            if len(hits) == 1:
+                e = hits[0]
                 assert e in parities[ai].i_edges
                 assert e not in seen, "an edge single-defines two narrow cuts"
                 seen.add(e)

@@ -14,9 +14,11 @@ the same cut, turning them into 121 and 010 without disturbing the cuts to
 the left, and the sweeps drive those exchanges across the chain until one
 of the two type classes is exhausted at every cut.  A mirrored exchange
 (021 with 110) supports the right-to-left sweep.  The reassemble driver
-rounds weights onto the eps/n^2 grid, sweeps left then right, and returns
-the residual mass to the pot, so the final distribution satisfies the
-four-way type-mix bound within eps at every internal xi-narrow cut.
+takes a tree distribution and the narrow-cut chain of the point it
+decomposes, rounds weights onto the eps/n^2 grid, sweeps left then right,
+and returns the residual mass to the pot, so the final distribution
+satisfies the four-way type-mix bound within eps at every internal
+xi-narrow cut.
 
 Everything recomputes types from scratch after every exchange — correctness
 over speed at desk scale.
@@ -27,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cuts import CutChain, crossing_mask, narrow_cuts
-from .instance import Instance
-from .tree_decomp import (Atom, decompose, is_spanning_tree, reconstruct,
+# narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
+from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
+from .tree_decomp import (Atom, is_spanning_tree, reconstruct,
                           round_distribution, total_weight)
 
 ZERO = Fraction(0)
@@ -47,10 +49,6 @@ def xi_masks(chain: CutChain):
     return [chain.masks[j] for j in chain.xi_indices]
 
 
-def _crossing_edges(tree, mask):
-    return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
-
-
 def type_data(tree, chain: CutChain, i: int):
     """(code, l, m, r) of the tree at the i-th xi-narrow cut (0 < i < l')."""
     masks = xi_masks(chain)
@@ -58,7 +56,7 @@ def type_data(tree, chain: CutChain, i: int):
     if not 0 < i < last:
         raise ValueError(f"type queries are only defined at internal "
                          f"xi-narrow cuts, got index {i} of 0..{last}")
-    cut = _crossing_edges(tree, masks[i])
+    cut = crossing_edges(tree, masks[i])
     m = len(cut)
     l = sum(1 for e in cut if crossing_mask(masks[i - 1], *e))
     r = sum(1 for e in cut if crossing_mask(masks[i + 1], *e))
@@ -68,7 +66,7 @@ def type_data(tree, chain: CutChain, i: int):
         cut_set = set(cut)
         defined = False
         for mk in masks:
-            inter = _crossing_edges(tree, mk)
+            inter = crossing_edges(tree, mk)
             if len(inter) == 1 and inter[0] in cut_set:
                 defined = True
                 break
@@ -120,8 +118,8 @@ def _exchange_core(s1, s2, chain, i, mirrored):
     if t1 != want1 or t2 != want2:
         raise ExchangeError(f"need types ({want1},{want2}) at cut {i}, "
                             f"got ({t1},{t2})")
-    cut1 = _crossing_edges(s1, masks[i])
-    cut2 = _crossing_edges(s2, masks[i])
+    cut1 = crossing_edges(s1, masks[i])
+    cut2 = crossing_edges(s2, masks[i])
     assert len(cut1) == 2 and len(cut2) == 1
     e2 = cut2[0]
 
@@ -135,7 +133,7 @@ def _exchange_core(s1, s2, chain, i, mirrored):
         neighbor = masks[i - 1]
     e0 = h = None
     for j in hunt:
-        inter = _crossing_edges(s1, masks[j])
+        inter = crossing_edges(s1, masks[j])
         if len(inter) == 1 and inter[0] in cut1:
             e0, h = inter[0], j
             break
@@ -153,7 +151,7 @@ def _exchange_core(s1, s2, chain, i, mirrored):
 
     s1_new = frozenset(s1 - {e1} | {e2})
     s2_new = frozenset(s2 - {e2} | {e1})
-    n = len(chain.levels[-1]) + 1
+    n = chain.inst.n
     if not is_spanning_tree(s1_new, n) or not is_spanning_tree(s2_new, n):
         raise ExchangeError("exchange output is not a spanning tree")
     assert classify(s1_new, chain, i) == "121"
@@ -181,7 +179,7 @@ def validate_exchange_record(rec: ExchangeRecord, chain: CutChain):
     bad = []
     masks = xi_masks(chain)
     last = len(masks) - 1
-    n = len(chain.levels[-1]) + 1
+    n = chain.inst.n
     i = rec.cut_index
     mirrored = rec.direction == "left"
     want1, want2 = ("021", "110") if mirrored else ("120", "011")
@@ -257,7 +255,7 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
     for a in dist:
         key = (tuple(sorted(a.tree)), a.tag)
         pot[key] = pot.get(key, ZERO) + a.weight
-    before = {i: _census_from_pot(pot, chain, i) for i in range(1, last)}
+    before = {i: type_census(dist, chain, i) for i in range(1, last)}
 
     records = []
     order = range(1, last) if not mirrored else range(last - 1, 0, -1)
@@ -292,20 +290,12 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     for i in range(1, last):
-        after = _census_from_pot(pot, chain, i)
+        after = type_census(out, chain, i)
         assert min(after.get(want1, ZERO), after.get(want2, ZERO)) == 0
         good = after.get("GOOD", ZERO)
         for f in fragile:
             assert after.get(f, ZERO) <= before[i].get(f, ZERO) + good
     return out, records
-
-
-def _census_from_pot(pot, chain, i):
-    census = {}
-    for (tkey, _tag), w in pot.items():
-        code = classify(frozenset(tkey), chain, i)
-        census[code] = census.get(code, ZERO) + w
-    return census
 
 
 def sweep_right(dist, chain: CutChain, quantum=None):
@@ -335,28 +325,25 @@ def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     return True
 
 
-def reassemble(xstar: dict, inst: Instance, xi, eps, initial=None):
-    """Full pipeline: decompose, round to the eps/n^2 grid, sweep left,
-    sweep right, recombine the residual.  Returns (distribution, records).
+def reassemble(dist, chain: CutChain, eps):
+    """Round the tree distribution dist of chain.x to the eps/n^2 grid,
+    sweep left, sweep right, recombine the residual.  Returns
+    (distribution, exchange records).
 
-    The output reconstructs xstar exactly and satisfies the four-way
-    type-mix bound within eps at every internal xi-narrow cut.
+    chain is the narrow-cut chain of the LP point dist decomposes, with
+    3/2 < chain.xi < 2.  The output reconstructs chain.x exactly and
+    satisfies the four-way type-mix bound within eps at every internal
+    xi-narrow cut.
     """
-    xi = Fraction(xi)
     eps = Fraction(eps)
-    if not Fraction(3, 2) < xi < 2:
+    if not Fraction(3, 2) < chain.xi < 2:
         raise ValueError("xi must lie strictly between 3/2 and 2")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = inst.n
-    chain = narrow_cuts(xstar, inst, xi)
-    target = {e: v for e, v in xstar.items() if v != 0}
-
-    if initial is None:
-        dist = decompose(xstar, inst)
-    else:
-        dist = list(initial)
-        assert reconstruct(dist) == target, "initial distribution mismatch"
+    if reconstruct(dist) != chain.x:
+        raise ValueError("the distribution does not reconstruct the "
+                         "chain's LP point")
+    n = chain.inst.n
 
     quantum = eps / (n * n)
     rounded, residual = round_distribution(dist, eps, n)
@@ -365,7 +352,7 @@ def reassemble(xstar: dict, inst: Instance, xi, eps, initial=None):
     final = swept + residual
     records = rec_l + rec_r
 
-    assert reconstruct(final) == target
+    assert reconstruct(final) == chain.x
     assert total_weight(final) == 1
     assert len(final) < n * n / eps + n * n
     assert type_mix_bound_holds(final, chain, eps)

@@ -106,6 +106,7 @@ class ExactSimplex:
         self.basis = []          # basic column per row
         self.art_of_row = []     # artificial column per original row (-1: none)
         self.sp_of_row = {}      # surplus column of a row, where one exists
+        self.negated = set()     # rows stored times -1 to make rhs >= 0
         self.z = None            # phase-2 reduced-cost row, over zden
         self.zden = 1
         self.z1 = None           # phase-1 row over z1den; None once closed
@@ -139,6 +140,7 @@ class ExactSimplex:
         if rhs < 0:
             row = {j: -c for j, c in row.items()}
             rhs = -rhs
+            self.negated.add(len(self.model))
         self.model.append((row, rhs))
 
     def _setup(self):
@@ -381,7 +383,8 @@ class ExactSimplex:
         the decomposition master, which never appends rows).
         """
         assert self._setup_done
-        coeffs = {i0: Fraction(a) for i0, a in coeffs.items() if a != 0}
+        coeffs = {i0: Fraction(-a if i0 in self.negated else a)
+                  for i0, a in coeffs.items() if a != 0}
         # tableau column = B^-1 a, read off the artificial columns
         d_in = lcm(*(a.denominator for a in coeffs.values()))
         weights = []

@@ -161,6 +161,77 @@ def tjoin_violations_enumerate(y, t_set, n):
             for i in bad.tolist()]
 
 
+def tree_polytope_violations(x, inst):
+    """Check x(E) = n-1 and x(E[U]) <= |U|-1 (minus 2 when {s,t} inside U),
+    for every nonempty proper U, by enumerating the 2^n subsets in int64
+    arithmetic."""
+    n, s, t = inst.n, inst.s, inst.t
+    items = sorted((e, v) for e, v in x.items() if v != 0)
+    out = []
+    total = sum((v for _, v in items), ZERO)
+    if total != n - 1:
+        out.append(("x(E)", total))
+    m = 1 << n
+    idx = np.arange(m, dtype=np.int64)
+    size = np.zeros(m, dtype=np.int64)
+    for v in range(n):
+        size += (idx >> v) & 1
+    denom = lcm(*[v.denominator for _, v in items]) if items else 1
+    assert denom * (n + 1) < 1 << 61, "loads would overflow int64"
+    inside = np.zeros(m, dtype=np.int64)
+    for (u, v), val in items:
+        inside += ((idx >> u) & (idx >> v) & 1) * int(val * denom)
+    st_in = (idx >> s) & (idx >> t) & 1
+    bound = (size - 1 - st_in) * denom
+    ok = (size == 0) | (idx == m - 1) | (inside <= bound)
+    for i in np.nonzero(~ok)[0].tolist():
+        mask = int(idx[i])
+        U = tuple(v for v in range(n) if (mask >> v) & 1)
+        out.append(("E[U]", U, Fraction(int(inside[i]), denom),
+                    Fraction(int(bound[i]), denom)))
+    return out
+
+
+def shared_load(x, mask_a, mask_b):
+    """x-mass on edges lying in BOTH cuts."""
+    total = ZERO
+    for (u, v), val in x.items():
+        if (((mask_a >> u) ^ (mask_a >> v)) & 1
+                and ((mask_b >> u) ^ (mask_b >> v)) & 1):
+            total += val
+    return total
+
+
+def pairwise_intersection_check(chain, x):
+    """Margins  load(C)/2 + load(C')/2 - 1 - x(C cap C')  for all pairs of
+    chain cuts.
+
+    Raises if any margin is negative (LP feasibility would be broken)."""
+    margins = []
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            margin = (chain.loads[i] / 2 + chain.loads[j] / 2 - 1
+                      - shared_load(x, chain.masks[i], chain.masks[j]))
+            if margin < 0:
+                raise ValueError(
+                    f"cut pair ({i},{j}) has negative margin {margin}")
+            margins.append(margin)
+    return margins
+
+
+def min_cost_spanning_tree(inst):
+    """Kruskal with (cost, edge) tie-break — the single-tree comparator."""
+    component = list(range(inst.n))
+    tree = set()
+    for _, (u, v) in sorted((c, e) for e, c in inst.cost.items()):
+        cu, cv = component[u], component[v]
+        if cu != cv:
+            component = [cu if c == cv else c for c in component]
+            tree.add((u, v))
+    assert len(tree) == inst.n - 1
+    return frozenset(tree)
+
+
 def spans(edges, n):
     """|edges| = n-1 and the graph is connected (breadth-first search)."""
     if len(set(edges)) != n - 1:

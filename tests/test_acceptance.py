@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from pathtsp import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
-from pathtsp.cli import main
+from pathtsp.cli import check_lp_point, main
 from pathtsp.instance import (
     appendix_certificate_sets,
     appendix_wall_cut_indices,
@@ -95,8 +95,7 @@ def test_criterion_3(params):
         t0 = time.perf_counter()
         inst, xstar, p4 = build_appendix_instance(k)
         chain = cuts.narrow_cuts(xstar, inst, XI)
-        final, records = reassembler.reassemble(xstar, inst, XI, EPS,
-                                                initial=p4)
+        final, records = reassembler.reassemble(p4, chain, EPS)
         assert reassembler.type_mix_bound_holds(final, chain, EPS)
         parities = parity.assign_gamma(final, chain, params)
         audit = parity.benefits(final, chain, parities, params)
@@ -164,8 +163,7 @@ def property_results(params, legacy_params):
         stage2, _ = reassembler.sweep_right(stage1, chain, quantum)
         assert tree_decomp.reconstruct(stage2 + residual) == x
 
-        final, records = reassembler.reassemble(x, inst, XI, EPS,
-                                                initial=dist0)
+        final, records = reassembler.reassemble(dist0, chain, EPS)
         assert tree_decomp.reconstruct(final) == x
 
         # (b) per-cut crossing inequalities and the packing bound
@@ -256,7 +254,7 @@ def test_criterion_7():
         inst = random_metric_instance(n, seed)
         x = lp_relax.solve_lp(inst).x
         assert violated_cuts(x, inst) == []
-        assert lp_relax.feasibility_violations(x, inst) == []
+        assert check_lp_point(x, inst)
         lp_checked += 1
     return f"500 joins, 100 optima, {lp_checked} LP points"
 

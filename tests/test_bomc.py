@@ -8,7 +8,6 @@ from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
     held_karp_opt,
-    min_cost_spanning_tree,
     min_tjoin,
     tour_from_tree,
 )
@@ -22,7 +21,7 @@ from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import split_path_join
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import matching_min_cost, path_min_cost
+from .oracles import matching_min_cost, min_cost_spanning_tree, path_min_cost
 
 ZERO = Fraction(0)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,25 @@ def test_reassembled_wall_verifies(tmp_path):
         assert "check=join_membership status=OK" in body
 
 
+def test_reassemble_decomposes_when_no_initial_is_given(tmp_path, capsys):
+    inst = tmp_path / "wall.txt"
+    sol = tmp_path / "wall.sol"
+    dist = tmp_path / "dist.txt"
+    assert main(["gen", "appendix", "--k", "0", "-o", str(inst),
+                 "--solution", str(sol)]) == 0
+    assert main(["decompose", str(inst), str(sol), "-o", str(dist)]) == 0
+    capsys.readouterr()
+    reports = []
+    for name, extra in (("given", ["--initial", str(dist)]), ("own", [])):
+        assert main(["reassemble", str(inst), str(sol), "--trace",
+                     "-o", str(tmp_path / f"{name}.dist"), *extra]) == 0
+        out = capsys.readouterr().out
+        reports.append(out[:out.index("# timings")])
+    assert reports[0] == reports[1]
+    assert (tmp_path / "given.dist").read_bytes() == \
+        (tmp_path / "own.dist").read_bytes()
+
+
 def test_run_random_end_to_end(tmp_path):
     out = tmp_path / "rand.txt"
     assert main(["run", "random", "--n", "6", "--seed", "2",
@@ -127,6 +147,15 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0 and out.exists()
 
 
+def test_demos_run():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for demo in ("wall_story.py", "random_pipeline.py"):
+        proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 def infeasible_triple(tmp_path):
     """`gen random --n 6 --seed 0` (s = 2, t = 5) with the triangle 0-1-3
     floating beside the path 2-4-5: every degree is right, but the cut
@@ -158,4 +187,8 @@ def test_verify_skips_the_chain_checks_of_an_infeasible_point(tmp_path):
 def test_audit_rejects_an_infeasible_point(tmp_path, capsys):
     inst, sol, dist = infeasible_triple(tmp_path)
     assert main(["audit", str(inst), str(sol), str(dist)]) == 2
+    assert "stage check-lp-point" in capsys.readouterr().err
+    # reassemble checks the point in the same stage, before the chain
+    assert main(["reassemble", str(inst), str(sol),
+                 "-o", str(tmp_path / "fixed.dist")]) == 2
     assert "stage check-lp-point" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from pathtsp.cuts import (
     format_cut_report,
     gomory_hu_tree,
     narrow_cuts,
-    pairwise_intersection_check,
 )
 from pathtsp.instance import (
     Instance,
@@ -27,7 +26,12 @@ from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import split_path_join
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import cut_value, narrow_sets, narrow_sets_all_pairs
+from .oracles import (
+    cut_value,
+    narrow_sets,
+    narrow_sets_all_pairs,
+    pairwise_intersection_check,
+)
 
 
 def uniform_instance(n, s=0, t=None):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pathtsp.cli import check_lp_point
 from pathtsp.instance import (
     Instance,
     complete_edges,
@@ -11,15 +12,18 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import (
     cut_load,
-    feasibility_violations,
     parse_solution,
     emit_solution,
     separate,
     solve_lp,
-    tree_polytope_violations,
 )
 
-from .oracles import path_min_cost, separate_all_pairs, violated_cuts
+from .oracles import (
+    path_min_cost,
+    separate_all_pairs,
+    tree_polytope_violations,
+    violated_cuts,
+)
 
 
 def uniform_instance(n, s=0, t=None):
@@ -99,7 +103,7 @@ def test_lp_lower_bounds_the_optimum(seed):
 def test_solution_is_feasible_and_in_the_tree_polytope(n, seed):
     inst = random_metric_instance(n, seed)
     sol = solve_lp(inst)
-    assert feasibility_violations(sol.x, inst) == []
+    assert check_lp_point(sol.x, inst)
     assert tree_polytope_violations(sol.x, inst) == []
     assert violated_cuts(sol.x, inst) == []
 

@@ -44,9 +44,8 @@ def path_x(seq):
 
 @pytest.fixture(scope="module")
 def reassembled(appendix0, appendix0_chain, params):
-    inst, xstar, p4 = appendix0
-    final, records = reassemble(xstar, inst, params.xi, params.eps,
-                                initial=p4)
+    _, _, p4 = appendix0
+    final, records = reassemble(p4, appendix0_chain, params.eps)
     parities = assign_gamma(final, appendix0_chain, params)
     audit = benefits(final, appendix0_chain, parities, params)
     return final, records, audit

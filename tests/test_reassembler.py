@@ -201,7 +201,7 @@ def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
     chain = appendix0_chain
     eps = Fraction(1, 100)
     assert not type_mix_bound_holds(p4, chain, eps)
-    final, records = reassemble(xstar, inst, XI, eps, initial=p4)
+    final, records = reassemble(p4, chain, eps)
     assert type_mix_bound_holds(final, chain, eps)
     assert reconstruct(final) == {e: v for e, v in xstar.items() if v != 0}
     assert total_weight(final) == 1
@@ -215,14 +215,20 @@ def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
 def test_reassemble_trivial_on_integral_point():
     inst = uniform_instance(6)
     x = {e: Fraction(1) for e in tree((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))}
-    final, records = reassemble(x, inst, XI, Fraction(1, 100))
+    final, records = reassemble(decompose(x, inst), narrow_cuts(x, inst),
+                                Fraction(1, 100))
     assert records == []
     assert len(final) == 1 and total_weight(final) == 1
 
 
-def test_reassemble_validates_parameters(appendix0):
-    inst, xstar, _ = appendix0
-    with pytest.raises(ValueError):
-        reassemble(xstar, inst, Fraction(3, 2), Fraction(1, 100))
-    with pytest.raises(ValueError):
-        reassemble(xstar, inst, XI, Fraction(0))
+def test_reassemble_validates_parameters(appendix0, appendix0_chain):
+    inst, xstar, p4 = appendix0
+    with pytest.raises(ValueError, match="xi"):
+        reassemble(p4, narrow_cuts(xstar, inst, Fraction(3, 2)),
+                   Fraction(1, 100))
+    with pytest.raises(ValueError, match="eps"):
+        reassemble(p4, appendix0_chain, Fraction(0))
+    # a distribution read from a file need not belong to the chain's point
+    one_tree = [Atom(p4[0].tree, Fraction(1), "a")]
+    with pytest.raises(ValueError, match="reconstruct"):
+        reassemble(one_tree, appendix0_chain, Fraction(1, 100))

@@ -107,6 +107,18 @@ def test_column_generation_master_loop():
     assert sx.value_of(b) == Fraction(1, 2)
 
 
+def test_add_column_on_a_negative_rhs_row():
+    # add_constraint stores a row with rhs < 0 negated; a column priced in
+    # later enters with its coefficient on that row negated too
+    sx = ExactSimplex()
+    sx.add_constraint({}, "=", -1)
+    sx.add_constraint({}, "=", 2)
+    assert sx.solve_phase1() == 3
+    j = sx.add_column(0, {0: -1, 1: 2})
+    assert sx.solve_phase1() == 0
+    assert sx.value_of(j) == 1
+
+
 def test_solution_maps_only_nonzero_basics():
     sx, (x, y) = build([1, 1])
     sx.add_constraint({x: 1, y: 1}, ">=", 2)
@@ -235,7 +247,9 @@ def test_degenerate_path_matches_the_fraction_tableau(seed):
 @st.composite
 def master_runs(draw):
     """A column-generation master: = rows with rational rhs and no
-    variables, then columns priced in one at a time."""
+    variables, then columns priced in one at a time.  The rhs stay >= 0:
+    the Fraction tableau's add_column does not negate a column on a row
+    that add_constraint stored negated."""
     m = draw(st.integers(1, 5))
     rhs = draw(st.lists(st.builds(Fraction, st.integers(0, 4),
                                   st.integers(1, 3)), min_size=m, max_size=m))
