@@ -1,62 +1,96 @@
 """Exact max-flow / min-cut on small undirected graphs.
 
-Edmonds-Karp over Fractions.  Desk-scale only: the Gomory-Hu cut tree in
-`cuts` is built from these flows, and LP separation above n = 22 runs them
-for the vertex pairs that tree cannot rule out.  Graphs stay small and
-exactness matters more than speed.
+Edmonds-Karp on Python ints.  The Gomory-Hu cut tree in `cuts` is built
+from these flows, and LP separation above n = 22 runs them for the vertex
+pairs that tree cannot rule out.
+
+Integer scaling.  Each call multiplies every capacity by `den`, the lcm of
+the capacity denominators, so the flow runs on exact ints and the value is
+returned as Fraction(int_value, den).  No Fraction is created or compared
+while augmenting.
+
+Arc arrays.  Nodes are numbered 0..n-1 (source 0, sink 1).  Each undirected
+edge is one arc pair in the flat lists `head` and `res`: arc a and its
+reverse a ^ 1, both starting with the edge's capacity, where the keys
+(u, v) and (v, u) add up to one edge.  Every node keeps a list of its arc
+ids in capacity-dict order, and the breadth-first search records the arc
+that reached each node.
+
+The result does not depend on the algorithm.  The returned side is the set
+of nodes reachable from the source in the final residual graph.  For every
+maximum flow this set is the same: the unique inclusion-minimal minimum
+source side.  So any augmenting order, and any exact max-flow algorithm,
+returns the same (value, side).  Adjacency is kept in lists, never sets, so
+the work done does not depend on string hashing (PYTHONHASHSEED) either.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-
-ZERO = Fraction(0)
+from math import lcm
 
 
 def max_flow_min_cut(capacity: dict, source, sink):
-    """capacity: {(u, v): cap} undirected, nodes are arbitrary hashables.
+    """capacity: {(u, v): cap} undirected, with int or Fraction caps >= 0;
+    nodes are arbitrary hashables.
 
-    Returns (flow_value, source_side frozenset).
+    Returns (flow_value Fraction, source_side frozenset), the side being
+    the minimum cut with the fewest nodes.
     """
     assert source != sink
-    residual = {}
-    adj = {}
-    for (u, v), cap in capacity.items():
-        if cap < 0:
-            raise ValueError("negative capacity")
-        residual[(u, v)] = residual.get((u, v), ZERO) + cap
-        residual[(v, u)] = residual.get((v, u), ZERO) + cap
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    adj.setdefault(source, set())
-    adj.setdefault(sink, set())
+    ratios = [cap.as_integer_ratio() for cap in capacity.values()]
+    if any(num < 0 for num, _ in ratios):
+        raise ValueError("negative capacity")
+    den = lcm(*{d for _, d in ratios})
 
-    value = ZERO
+    labels = [source, sink]
+    index = {source: 0, sink: 1}
+    adj = [[], []]
+    head = []   # head[a]: the node arc a points to; a ^ 1 is its reverse
+    res = []    # res[a]: residual capacity of arc a, scaled by den
+    arc = {}    # (u, v) -> the arc from u to v
+    for (u, v), (num, d) in zip(capacity, ratios):
+        c = num * (den // d)
+        a = arc.get((u, v))
+        if a is not None:
+            res[a] += c
+            res[a ^ 1] += c
+            continue
+        for w in (u, v):
+            if w not in index:
+                index[w] = len(labels)
+                labels.append(w)
+                adj.append([])
+        a = len(head)
+        arc[u, v], arc[v, u] = a, a + 1
+        iu, iv = index[u], index[v]
+        head += (iv, iu)
+        res += (c, c)
+        adj[iu].append(a)
+        adj[iv].append(a + 1)
+
+    value = 0
     while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and residual.get((u, v), ZERO) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            side = frozenset(parent)
-            return value, side
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            r = residual[(u, v)]
-            if bottleneck is None or r < bottleneck:
-                bottleneck = r
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] = residual.get((v, u), ZERO) + bottleneck
-            v = u
+        parent = [None] * len(labels)   # the arc that reached each node
+        parent[0] = -1
+        queue = [0]
+        for u in queue:
+            for a in adj[u]:
+                if res[a] and parent[head[a]] is None:
+                    parent[head[a]] = a
+                    queue.append(head[a])
+            if parent[1] is not None:
+                break
+        else:
+            return Fraction(value, den), frozenset(labels[v] for v in queue)
+        path = []
+        v = 1
+        while v:
+            a = parent[v]
+            path.append(a)
+            v = head[a ^ 1]
+        bottleneck = min(res[a] for a in path)
+        for a in path:
+            res[a] -= bottleneck
+            res[a ^ 1] += bottleneck
         value += bottleneck

@@ -383,15 +383,16 @@ class ExactSimplex:
         the decomposition master, which never appends rows).
         """
         assert self._setup_done
-        coeffs = {i0: Fraction(-a if i0 in self.negated else a)
-                  for i0, a in coeffs.items() if a != 0}
-        # tableau column = B^-1 a, read off the artificial columns
+        coeffs = {i0: Fraction(a) for i0, a in coeffs.items() if a != 0}
+        # tableau column = B^-1 a, read off the artificial columns, with a
+        # taken on the stored rows (negated where the rhs was < 0)
         d_in = lcm(*(a.denominator for a in coeffs.values()))
         weights = []
         for i0, a in coeffs.items():
             acol = self.art_of_row[i0]
             assert acol >= 0, "add_column needs the row's artificial column"
-            weights.append((acol, a.numerator * (d_in // a.denominator)))
+            k = a.numerator * (d_in // a.denominator)
+            weights.append((acol, -k if i0 in self.negated else k))
         j = self._new_column(cost)
         rows, rhs, den = self.rows, self.rhs, self.den
         for i, row in enumerate(rows):
@@ -423,23 +424,25 @@ class ExactSimplex:
                     zip(self.rhs, self.den, self.basis) if bj == j), ZERO)
 
     def duals(self, zrow_name="z"):
-        """One multiplier per row, in row order.
+        """One multiplier per row, in row order, for the rows as given.
 
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
         the negated reduced cost; for a surplus (-1 entry, cost 0) y_i is
-        the reduced cost itself.
+        the reduced cost itself.  That is the multiplier of the stored row,
+        so it changes sign on a row that add_constraint negated.
         """
         out = []
         for i in range(len(self.rows)):
             acol = self.art_of_row[i]
             if zrow_name == "z1":
                 assert self.z1 is not None and acol >= 0
-                out.append(ONE - Fraction(self.z1[acol], self.z1den))
+                y = ONE - Fraction(self.z1[acol], self.z1den)
             elif acol >= 0:
-                out.append(Fraction(-self.z[acol], self.zden))
+                y = Fraction(-self.z[acol], self.zden)
             else:
-                out.append(Fraction(self.z[self.sp_of_row[i]], self.zden))
+                y = Fraction(self.z[self.sp_of_row[i]], self.zden)
+            out.append(-y if i in self.negated else y)
         return out
 
     def assert_optimal(self):

@@ -2,13 +2,14 @@
 
 Everything here favors obviously-correct code over speed: factorial and
 powerset enumeration with plain Fractions, one exact max-flow per vertex
-pair where enumeration would be too large, and the simplex tableau held in
-Fractions.  Nothing is imported
-from the package under test except the exact max-flow routine, so an
-agreement between a fast routine and its oracle is evidence, not
-circularity.
+pair where enumeration would be too large, and the simplex tableau and the
+max-flow held in Fractions.  Nothing is imported from the package under
+test except the exact max-flow routine, which tests hold to the Fraction
+max-flow below, so an agreement between a fast routine and its oracle is
+evidence, not circularity.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -275,9 +276,11 @@ def rational_rank(rows):
 
 # ----- the exact simplex on a Fraction tableau -----
 #
-# The tableau that pathtsp.simplex.ExactSimplex replaced, kept as it was:
-# every entry a Fraction.  The integer-row tableau must pick the same pivots
-# and return the same values.
+# The tableau that pathtsp.simplex.ExactSimplex replaced: every entry a
+# Fraction.  Kept as it was, except that, like ExactSimplex, it records the
+# rows add_constraint negates and flips them back in add_column and duals.
+# The integer-row tableau must pick the same pivots and return the same
+# values.
 
 ONE = Fraction(1)
 
@@ -304,6 +307,7 @@ class FractionSimplex:
         self.basis = []          # basic column per row
         self.art_of_row = []     # artificial column per original row (-1: none)
         self.sp_of_row = {}      # surplus column of a row, where one exists
+        self.negated = set()     # rows stored times -1 to make rhs >= 0
         self.z = None            # phase-2 reduced-cost row
         self.z1 = None           # phase-1 reduced-cost row (None once closed)
         self._setup_done = False
@@ -332,6 +336,7 @@ class FractionSimplex:
         if rhs < 0:
             row = {j: -c for j, c in row.items()}
             rhs = -rhs
+            self.negated.add(len(self.rows))
         self.rows.append(row)  # densified in _setup
         self.rhs.append(rhs)
 
@@ -582,6 +587,8 @@ class FractionSimplex:
                 continue
             acol = self.art_of_row[i0]
             assert acol >= 0, "add_column needs the row's artificial column"
+            if i0 in self.negated:
+                a = -a
             for i in range(m):
                 c = self.rows[i][acol]
                 if c != 0:
@@ -623,21 +630,77 @@ class FractionSimplex:
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
         the negated reduced cost; for a surplus (-1 entry, cost 0) y_i is
-        the reduced cost itself.
+        the reduced cost itself.  That is the multiplier of the stored row,
+        so it changes sign on a row that add_constraint negated.
         """
         out = []
         for i in range(len(self.rows)):
             acol = self.art_of_row[i]
             if zrow_name == "z1":
                 assert self.z1 is not None and acol >= 0
-                out.append(ONE - self.z1[acol])
+                y = ONE - self.z1[acol]
             elif acol >= 0:
-                out.append(-self.z[acol])
+                y = -self.z[acol]
             else:
-                out.append(self.z[self.sp_of_row[i]])
+                y = self.z[self.sp_of_row[i]]
+            out.append(-y if i in self.negated else y)
         return out
 
     def assert_optimal(self):
         assert all(b >= 0 for b in self.rhs), "primal infeasible tableau"
         bad = [j for j, rc in enumerate(self.z) if rc < 0 and self.enterable[j]]
         assert not bad, f"negative reduced costs remain: {bad[:5]}"
+
+
+# ----- the exact max-flow on Fractions -----
+#
+# The Edmonds-Karp that pathtsp.flows.max_flow_min_cut replaced, kept as it
+# was: Fraction residuals in dicts keyed by node pairs, set adjacency.  The
+# integer routine must return the same value and the same source side.
+
+def fraction_max_flow_min_cut(capacity: dict, source, sink):
+    """capacity: {(u, v): cap} undirected, nodes are arbitrary hashables.
+
+    Returns (flow_value, source_side frozenset).
+    """
+    assert source != sink
+    residual = {}
+    adj = {}
+    for (u, v), cap in capacity.items():
+        if cap < 0:
+            raise ValueError("negative capacity")
+        residual[(u, v)] = residual.get((u, v), ZERO) + cap
+        residual[(v, u)] = residual.get((v, u), ZERO) + cap
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    adj.setdefault(source, set())
+    adj.setdefault(sink, set())
+
+    value = ZERO
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and residual.get((u, v), ZERO) > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            side = frozenset(parent)
+            return value, side
+        bottleneck = None
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            r = residual[(u, v)]
+            if bottleneck is None or r < bottleneck:
+                bottleneck = r
+            v = u
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            residual[(u, v)] -= bottleneck
+            residual[(v, u)] = residual.get((v, u), ZERO) + bottleneck
+            v = u
+        value += bottleneck

@@ -192,3 +192,21 @@ def test_audit_rejects_an_infeasible_point(tmp_path, capsys):
     assert main(["reassemble", str(inst), str(sol),
                  "-o", str(tmp_path / "fixed.dist")]) == 2
     assert "stage check-lp-point" in capsys.readouterr().err
+
+
+def test_run_random_n40_is_the_same_under_two_hash_seeds():
+    # n = 40 runs flow separation, the cut tree and Padberg-Rao membership
+    # end to end; no report line may depend on string hashing
+    root = Path(__file__).resolve().parents[1]
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathtsp.cli", "run", "random",
+             "--n", "40", "--seed", "0"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict=certified bound=1599/1000" in proc.stdout
+        reports.append(proc.stdout.split("# timings")[0])
+    assert reports[0] == reports[1]

@@ -119,6 +119,21 @@ def test_add_column_on_a_negative_rhs_row():
     assert sx.value_of(j) == 1
 
 
+def test_duals_belong_to_the_rows_as_given():
+    # add_constraint stores -x = -1 as x = 1; the dual belongs to the row
+    # as given, so sum y_i b_i = -1 * -1 equals the objective 1
+    sx, (x,) = build([1])
+    sx.add_constraint({x: -1}, "=", -1)
+    sx.solve()
+    assert sx.objective() == 1
+    assert sx.duals() == [-1]
+    sx, (x,) = build([1])
+    sx.add_constraint({x: -1}, ">=", -3)
+    sx.add_constraint({x: 1}, ">=", 1)
+    sx.solve()
+    assert sx.duals() == [0, 1]
+
+
 def test_solution_maps_only_nonzero_basics():
     sx, (x, y) = build([1, 1])
     sx.add_constraint({x: 1, y: 1}, ">=", 2)
@@ -166,6 +181,12 @@ def same_call(pair, method, *args):
     return outcomes[0][0] == "returned"
 
 
+def assert_strong_duality(sx, rhs):
+    """sum y_i b_i over the rows as given equals the objective."""
+    assert sum((y * b for y, b in zip(sx.duals(), rhs)), Fraction(0)) \
+        == sx.objective()
+
+
 def assert_same_state(pair, phase1=False):
     new, old = pair
     assert new.basis == old.basis
@@ -202,18 +223,22 @@ def cutting_plane_runs(draw):
 @given(cutting_plane_runs())
 def test_cutting_plane_path_matches_the_fraction_tableau(run):
     costs, rows, cuts = run
+    rhs_given = [Fraction(rhs) for _, _, rhs in rows]
     pair = both(build_model(costs, rows))
     if not same_call(pair, "solve"):
         return
     assert_same_state(pair)
     pair[0].assert_optimal()
+    assert_strong_duality(pair[0], rhs_given)
     for coefs, rhs in cuts:
         for sx in pair:
             sx.add_cut_row(dict(enumerate(coefs)), ">=", rhs)
+        rhs_given.append(rhs)
         if not same_call(pair, "solve"):
             return
         assert_same_state(pair)
         pair[0].assert_optimal()
+        assert_strong_duality(pair[0], rhs_given)
 
 
 def degenerate_model(seed):
@@ -246,13 +271,10 @@ def test_degenerate_path_matches_the_fraction_tableau(seed):
 
 @st.composite
 def master_runs(draw):
-    """A column-generation master: = rows with rational rhs and no
-    variables, then columns priced in one at a time.  The rhs stay >= 0:
-    the Fraction tableau's add_column does not negate a column on a row
-    that add_constraint stored negated."""
+    """A column-generation master: = rows with rational rhs of any sign
+    and no variables, then columns priced in one at a time."""
     m = draw(st.integers(1, 5))
-    rhs = draw(st.lists(st.builds(Fraction, st.integers(0, 4),
-                                  st.integers(1, 3)), min_size=m, max_size=m))
+    rhs = draw(st.lists(rationals, min_size=m, max_size=m))
     columns = draw(st.lists(st.tuples(
         rationals, st.lists(rationals, min_size=m, max_size=m)),
         min_size=1, max_size=8))
