@@ -59,12 +59,20 @@ class Runner:
 
 
 def check_lp_point(x, inst):
-    """Degree/nonnegativity plus cut separation; works at every size."""
+    """Vertex range, degree/nonnegativity plus cut separation; works at
+    every size."""
     bad = []
     deg = {v: Fraction(0) for v in range(inst.n)}
+    inside = {}  # the edges of x between vertices of inst
     for (u, v), val in x.items():
+        outside = [w for w in (u, v) if w not in deg]
+        bad.extend(f"vertex {w} of edge {u},{v} is not in 0..{inst.n - 1}"
+                   for w in outside)
         if val < 0:
             bad.append(f"negative weight on {u},{v}")
+        if outside:
+            continue
+        inside[u, v] = val
         deg[u] += val
         deg[v] += val
     for v in range(inst.n):
@@ -73,7 +81,7 @@ def check_lp_point(x, inst):
             bad.append(f"degree {deg[v]} at vertex {v}, expected {want}")
     bad.extend(f"cut {U} load {format_rational(load)} < "
                f"{format_rational(req)}"
-               for U, req, load in lp_relax.separate(x, inst))
+               for U, req, load in lp_relax.separate(inside, inst))
     if bad:
         raise ValueError("; ".join(bad))
     return True

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import max_flow_min_cut
+from .flows import FlowNetwork, max_flow_min_cut
 from .instance import Instance, format_rational
 from .tree_decomp import total_weight
 
@@ -71,16 +71,17 @@ class CutChain:
         return len(self.levels)
 
 
-def gomory_hu_tree(capacity: dict, nodes) -> list:
+def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     """Gusfield's (1990) cut tree of an undirected graph, from
-    len(nodes) - 1 exact max-flows and no contraction.
+    len(nodes) - 1 exact max-flows on one network and no contraction.
 
-    capacity: {(u, v): cap} as for max_flow_min_cut; nodes: every vertex,
-    isolated ones included.  Returns one (side, value) pair per tree edge:
-    side is the frozenset of nodes below the edge when the tree hangs from
-    nodes[0], value is the edge's flow value and equals capacity(delta(side)).
-    The minimum a-b cut value is the least value among the edges whose side
-    separates a from b, and the side of such an edge is a minimum a-b cut.
+    net: the graph's FlowNetwork, built once by the caller, who may go on
+    querying it; nodes: every vertex, isolated ones included.  Returns one
+    (side, value) pair per tree edge: side is the frozenset of nodes below
+    the edge when the tree hangs from nodes[0], value is the edge's flow
+    value and equals the capacity of delta(side).  The minimum a-b cut
+    value is the least value among the edges whose side separates a from
+    b, and the side of such an edge is a minimum a-b cut.
     """
     nodes = list(nodes)
     root = nodes[0]
@@ -88,7 +89,7 @@ def gomory_hu_tree(capacity: dict, nodes) -> list:
     value = {}
     for s in nodes[1:]:
         t = parent[s]
-        flow, side = max_flow_min_cut(capacity, s, t)
+        flow, side = max_flow_min_cut(net, s, t)
         for v in nodes:
             if v != s and v in side and parent[v] == t:
                 parent[v] = s
@@ -121,7 +122,7 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
 
     full = (1 << n) - 1
     oriented = set()
-    for side, value in gomory_hu_tree(cap, range(n)):
+    for side, value in gomory_hu_tree(FlowNetwork(cap), range(n)):
         if value >= 2:
             continue
         mask = sum(1 << v for v in side)

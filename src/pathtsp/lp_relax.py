@@ -24,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from .cuts import gomory_hu_tree
-from .flows import max_flow_min_cut
+from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        parse_rational, vector_cost)
 from .simplex import ExactSimplex
@@ -138,24 +138,25 @@ def _separate_flows(x: dict, inst: Instance):
 
     found = {}
     # odd cuts: a min s-t cut is itself odd, so one flow suffices
-    val, side = max_flow_min_cut(cap, s, t)
+    val, side = max_flow_min_cut(FlowNetwork(cap), s, t)
     if val < 1:
         U = canonical(side)
         found[U] = (U, ONE, cut_load(x, frozenset(U)))
     # even cuts: contract s,t together, then every pair whose connectivity
-    # is below 2.  "st" is a node even when x_st = 1 leaves it isolated.
-    ccap = _contract(cap, {s, t}, "st")
+    # is below 2, all on one network.  "st" is a node even when x_st = 1
+    # leaves it isolated.
+    cnet = FlowNetwork(_contract(cap, {s, t}, "st"))
     nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
                    key=str)
     # pairs on the same side of every tree edge of value < 2 have
     # connectivity >= 2 and cannot give a violated cut
-    narrow = [cut for cut, value in gomory_hu_tree(ccap, nodes) if value < 2]
+    narrow = [cut for cut, value in gomory_hu_tree(cnet, nodes) if value < 2]
     group = {u: tuple(u in cut for cut in narrow) for u in nodes}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if group[a] == group[b]:
                 continue
-            val, side = max_flow_min_cut(ccap, a, b)
+            val, side = max_flow_min_cut(cnet, a, b)
             if val < 2:
                 real = set()
                 for u in side:

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .cuts import (XI_DEFAULT, CutChain, crossing_edges, crossings,
                    format_rational, gomory_hu_tree)
+from .flows import FlowNetwork
 from .instance import Instance, complete_edges, edge, vector_cost
 from .tree_decomp import tree_path
 
@@ -380,7 +381,7 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
     T-odd cut has load at least 1."""
     cap = {e: v for e, v in y.items() if v != 0}
     out = []
-    for side, value in gomory_hu_tree(cap, range(n)):
+    for side, value in gomory_hu_tree(FlowNetwork(cap), range(n)):
         if value < 1 and len(side.intersection(t_set)) % 2 == 1:
             U = side if 0 in side else frozenset(range(n)) - side
             out.append(tuple(sorted(U)))

@@ -5,19 +5,52 @@ Outside the default test run, which collects only test_*.py; run with
 
     PYTHONPATH=src python -m pytest tests/bench_flows.py
 
-`gomory_hu_tree` times one cut tree (n - 1 flows) of the `lp26` fixture's
-optimum; `separate` times LP separation at every point that fixture's
-solve handed to it, which is where solve_lp spends its flows.
+On the `lp26` fixture's optimum with s and t contracted, as LP separation
+sees it, `flow_network` times building one FlowNetwork and `pair_queries`
+times a max_flow_min_cut query for every vertex pair on one built network,
+so the build and query halves of a flow are measured apart.
+`gomory_hu_tree` times one cut tree (n - 1 flows) of the optimum itself;
+`separate` times LP separation at every point that fixture's solve handed
+to it, which is where solve_lp spends its flows.
 """
 
+from itertools import combinations
+
 from pathtsp.cuts import gomory_hu_tree
-from pathtsp.lp_relax import separate
+from pathtsp.flows import FlowNetwork, max_flow_min_cut
+from pathtsp.lp_relax import _contract, separate
+
+
+def contracted_support(lp26):
+    inst, sol, _ = lp26
+    cap = {e: v for e, v in sol.x.items() if v != 0}
+    nodes = sorted([v for v in range(inst.n) if v not in (inst.s, inst.t)]
+                   + ["st"], key=str)
+    return _contract(cap, {inst.s, inst.t}, "st"), nodes
+
+
+def test_flow_network_n26(benchmark, lp26):
+    ccap, nodes = contracted_support(lp26)
+    net = benchmark.pedantic(FlowNetwork, (ccap,), rounds=200, iterations=1)
+    assert sorted(net.labels, key=str) == nodes
+
+
+def test_pair_queries_n26(benchmark, lp26):
+    ccap, nodes = contracted_support(lp26)
+    net = FlowNetwork(ccap)
+
+    def all_pairs():
+        return [max_flow_min_cut(net, a, b)
+                for a, b in combinations(nodes, 2)]
+
+    flows = benchmark.pedantic(all_pairs, rounds=5, iterations=1)
+    assert len(flows) == len(nodes) * (len(nodes) - 1) // 2
 
 
 def test_gomory_hu_tree_n26(benchmark, lp26):
     inst, sol, _ = lp26
-    cap = {e: v for e, v in sol.x.items() if v != 0}
-    tree = benchmark.pedantic(gomory_hu_tree, (cap, range(inst.n)),
+    net = FlowNetwork({e: v for e, v in sol.x.items() if v != 0})
+    tree = benchmark.pedantic(gomory_hu_tree, (net, range(inst.n)),
                               rounds=10, iterations=1)
     assert len(tree) == inst.n - 1
 

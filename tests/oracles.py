@@ -4,9 +4,9 @@ Everything here favors obviously-correct code over speed: factorial and
 powerset enumeration with plain Fractions, one exact max-flow per vertex
 pair where enumeration would be too large, and the simplex tableau and the
 max-flow held in Fractions.  Nothing is imported from the package under
-test except the exact max-flow routine, which tests hold to the Fraction
-max-flow below, so an agreement between a fast routine and its oracle is
-evidence, not circularity.
+test except the exact max-flow routine and its FlowNetwork, which tests
+hold to the Fraction max-flow below, so an agreement between a fast
+routine and its oracle is evidence, not circularity.
 """
 
 from collections import deque
@@ -16,7 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from pathtsp.flows import max_flow_min_cut
+from pathtsp.flows import FlowNetwork, max_flow_min_cut
 
 ZERO = Fraction(0)
 
@@ -91,10 +91,11 @@ def narrow_sets_all_pairs(x, inst):
     load < 2 between a vertex of the chain gap on its left and one of the
     gap on its right."""
     cap = {e: v for e, v in x.items() if v != 0}
+    net = FlowNetwork(cap)
     everything = frozenset(range(inst.n))
     found = set()
     for a, b in combinations(range(inst.n), 2):
-        value, side = max_flow_min_cut(cap, a, b)
+        value, side = max_flow_min_cut(net, a, b)
         if value < 2:
             found.add(side if inst.s in side else everything - side)
     return found
@@ -116,7 +117,7 @@ def separate_all_pairs(x, inst):
         return tuple(sorted(U))
 
     found = {}
-    value, side = max_flow_min_cut(cap, s, t)
+    value, side = max_flow_min_cut(FlowNetwork(cap), s, t)
     if value < 1:
         U = canonical(side)
         found[U] = (U, Fraction(1), cut_value(x, U))
@@ -129,8 +130,9 @@ def separate_all_pairs(x, inst):
             merged[key] = merged.get(key, ZERO) + c
     nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
                    key=str)
+    net = FlowNetwork(merged)
     for a, b in combinations(nodes, 2):
-        value, side = max_flow_min_cut(merged, a, b)
+        value, side = max_flow_min_cut(net, a, b)
         if value < 2:
             real = set()
             for u in side:

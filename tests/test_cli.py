@@ -210,3 +210,24 @@ def test_run_random_n40_is_the_same_under_two_hash_seeds():
         assert "verdict=certified bound=1599/1000" in proc.stdout
         reports.append(proc.stdout.split("# timings")[0])
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("4 9 1", "vertex 9 of edge 4,9 is not in 0..5"),
+    ("-1 3 1", "vertex -1 of edge -1,3 is not in 0..5"),
+])
+def test_an_edge_outside_the_instance_is_a_violation(tmp_path, capsys,
+                                                     line, detail):
+    inst, sol, dist = infeasible_triple(tmp_path)
+    sol.write_text(f"0 1 1\n0 3 1\n1 3 1\n2 4 1\n{line}\n")
+    out = tmp_path / "verify.txt"
+    assert main(["verify", str(dist), str(inst), str(sol),
+                 "-o", str(out)]) == 1
+    assert strip_timings(out)[0].startswith(
+        f"check=lp_point status=FAIL detail={detail}; ")
+    for argv in (["audit", str(inst), str(sol), str(dist)],
+                 ["reassemble", str(inst), str(sol),
+                  "-o", str(tmp_path / "fixed.dist")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"stage check-lp-point: {detail}; " in capsys.readouterr().err

@@ -14,6 +14,7 @@ from pathtsp.cuts import (
     gomory_hu_tree,
     narrow_cuts,
 )
+from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
     Instance,
     appendix_wall_cut_indices,
@@ -101,7 +102,7 @@ def rational_graphs(draw):
 @given(rational_graphs())
 def test_gomory_hu_tree_against_brute_force(graph):
     n, cap = graph
-    tree = gomory_hu_tree(cap, range(n))
+    tree = gomory_hu_tree(FlowNetwork(cap), range(n))
     assert len(tree) == n - 1
     for side, value in tree:
         assert 0 not in side

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp.cuts import gomory_hu_tree, narrow_cuts
+from pathtsp.flows import FlowNetwork
 from pathtsp.instance import Instance, build_appendix_instance, complete_edges, edge
 from pathtsp.parity import (
     BETA_DEFAULT,
@@ -281,7 +282,7 @@ def test_padberg_rao_against_enumeration(graph, data):
     for U in fast:
         assert U[0] == 0 and cut_value(y, U) < 1
     # a minimum T-odd cut is a T-odd fundamental cut of the tree
-    odd = [value for side, value in gomory_hu_tree(y, range(n))
+    odd = [value for side, value in gomory_hu_tree(FlowNetwork(y), range(n))
            if len(side & T) % 2]
     subsets = [{0, *extra} for r in range(n - 1)
                for extra in combinations(range(1, n), r)]
