@@ -8,8 +8,12 @@ s-t path costing no more.  BOMC(p) takes the cheapest tree-plus-join over
 the support of a distribution.
 
 In a metric instance a minimum T-join is a minimum perfect matching on T
-using direct edges, computed here by subset dynamic programming (desk
-scale — |T| capped at 20 — instead of a blossom implementation).
+using direct edges.  It is computed exactly, at any |T|, as the optimal
+vertex of the perfect-matching LP on the complete graph over T: the exact
+simplex solves the degree rows, then odd-set rows separated by Padberg-Rao
+on one Gomory-Hu tree are added warm until none is violated.  By Edmonds'
+perfect-matching polytope theorem that vertex is 0/1, which is asserted;
+no blossom code is needed.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .instance import Instance, edge, format_rational
-from .parity import split_path_join
+from .instance import Instance, complete_edges, edge, format_rational
+from .parity import split_path_join, tjoin_cut_violations
+from .simplex import ExactSimplex
 
 ZERO = Fraction(0)
 
-TJOIN_LIMIT = 20
 HELD_KARP_LIMIT = 18
 
 
@@ -40,54 +44,60 @@ class STTour:
 
 
 def min_tjoin(T, inst: Instance):
-    """Minimum-cost T-join as a perfect matching on T (direct edges)."""
+    """Minimum-cost T-join as a minimum perfect matching on T (direct
+    edges), from the exact matching LP on the complete graph over T.
+
+    The LP starts with the degree rows y(delta(v)) = 1, each as a pair of
+    inequalities, and gains odd-set rows y(delta(U)) >= 1 in warm rounds,
+    each round adding every cut that Padberg-Rao separation returns.  When
+    none is left, the vertex satisfies Edmonds' description of the
+    perfect-matching polytope, so it is a vertex of that polytope: a 0/1
+    perfect matching."""
     verts = sorted(T)
-    if len(verts) % 2:
+    k = len(verts)
+    if k % 2:
         raise ValueError("parity set has odd size")
     if not verts:
         return frozenset()
-    if len(verts) > TJOIN_LIMIT:
-        raise ValueError(
-            f"parity set of size {len(verts)} exceeds the subset-DP cap "
-            f"{TJOIN_LIMIT}")
-    k = len(verts)
-    pair_cost = [[inst.cost[edge(a, b)] if a != b else ZERO
-                  for b in verts] for a in verts]
-    scale = lcm(*[c.denominator for row in pair_cost for c in row])
-    w = [[int(c * scale) for c in row] for row in pair_cost]
+    pairs = complete_edges(k)   # over the positions 0..k-1 in verts
+    sx = ExactSimplex()
+    var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
+              for i, j in pairs}
 
-    memo = {0: 0}
-    choice = {}
+    def delta_coeffs(U, sign=1):
+        return {var_of[p]: sign for p in pairs if (p[0] in U) != (p[1] in U)}
 
-    def solve(mask):
-        if mask in memo:
-            return memo[mask]
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        best = None
-        best_j = None
-        jm = rest
-        while jm:
-            j = (jm & -jm).bit_length() - 1
-            jm &= jm - 1
-            c = solve(rest ^ (1 << j)) + w[i][j]
-            if best is None or c < best:
-                best, best_j = c, j
-        memo[mask] = best
-        choice[mask] = best_j
-        return best
+    # Each degree equality goes in as two warm rows, >= 1 and <= 1, so the
+    # dual simplex starts from y = 0, which the costs (>= 0) keep dual
+    # feasible.  As equalities they would start a primal phase 2 on the
+    # highly degenerate fractional matching polytope, which took about
+    # 98,000 pivots on one parity set (|T| = 70) of the raw wall at k = 30.
+    sx.solve()
+    for v in range(k):
+        sx.add_cut_row(delta_coeffs({v}), ">=", 1)
+        sx.add_cut_row(delta_coeffs({v}, -1), ">=", -1)
+    sx.solve()
+    seen = set()  # vertex sets of the odd-set rows
+    while True:
+        sol = sx.solution()
+        y = {p: sol[j] for p, j in var_of.items() if sol.get(j, ZERO) != 0}
+        cuts = tjoin_cut_violations(y, range(k), k)
+        if not cuts:
+            break
+        for U in cuts:
+            assert U not in seen, "separated a cut already in the model"
+            seen.add(U)
+            sx.add_cut_row(delta_coeffs(frozenset(U)), ">=", 1)
+        sx.solve()
 
-    solve((1 << k) - 1)
-    join = set()
-    mask = (1 << k) - 1
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        j = choice[mask]
-        join.add(edge(verts[i], verts[j]))
-        mask ^= (1 << i) | (1 << j)
-    assert sum((inst.cost[e] for e in join), ZERO) \
-        == Fraction(memo[(1 << k) - 1], scale)
-    return frozenset(join)
+    sx.assert_optimal()
+    assert all(val == 1 for val in y.values()), "matching LP vertex is not 0/1"
+    deg = [0] * k
+    for i, j in y:
+        deg[i] += 1
+        deg[j] += 1
+    assert deg == [1] * k, "matching LP vertex is not a perfect matching"
+    return frozenset(edge(verts[i], verts[j]) for i, j in y)
 
 
 def euler_walk(edges, start, n):
@@ -121,7 +131,11 @@ def euler_walk(edges, start, n):
 def tour_from_tree(tree, inst: Instance):
     """Tree + min parity join, then Eulerian walk and shortcut."""
     par = split_path_join(tree, inst)
-    join = min_tjoin(par.t_set, inst)
+    return _shortcut(tree, min_tjoin(par.t_set, inst), inst)
+
+
+def _shortcut(tree, join, inst: Instance):
+    """The {s,t}-tour tree + join and its Eulerian walk, shortcut."""
     multiset = tuple(sorted(list(tree) + list(join)))
     st_cost = sum((inst.cost[e] for e in multiset), ZERO)
     deg = {v: 0 for v in range(inst.n)}
@@ -157,18 +171,17 @@ def best_of_many(dist, inst: Instance):
     atoms = sorted(dist, key=lambda a: (tuple(sorted(a.tree)), a.tag))
     rows = []
     best = None
-    best_atom = None
     for atom in atoms:
         tree_cost = sum((inst.cost[e] for e in atom.tree), ZERO)
         par = split_path_join(atom.tree, inst)
-        join_cost = sum((inst.cost[e]
-                         for e in min_tjoin(par.t_set, inst)), ZERO)
+        join = min_tjoin(par.t_set, inst)
+        join_cost = sum((inst.cost[e] for e in join), ZERO)
         total = tree_cost + join_cost
         rows.append((atom, tree_cost, join_cost, total))
         if best is None or total < best:
             best = total
-            best_atom = atom
-    _, tour = tour_from_tree(best_atom.tree, inst)
+            best_tree, best_join = atom.tree, join
+    _, tour = _shortcut(best_tree, best_join, inst)
     assert tour.cost <= best
     return rows, tour, best
 

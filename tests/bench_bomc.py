@@ -1,0 +1,41 @@
+"""Micro-benchmark of the exact minimum T-join (pytest-benchmark).
+
+Outside the default test run, which collects only test_*.py; run with
+
+    PYTHONPATH=src python -m pytest tests/bench_bomc.py
+
+Each case times one min_tjoin call on the largest parity set T_S among the
+trees of a wall's four-tree distribution: |T| = 20 at k = 5, the longest
+wall that the `wall` benchmark workload runs, and |T| = 34 at k = 12.
+`subset_dp` times the 2^|T| reference in tests/oracles.py on the first set.
+"""
+
+import pytest
+
+from pathtsp import build_appendix_instance
+from pathtsp.bomc import min_tjoin
+from pathtsp.parity import split_path_join
+
+from .oracles import tjoin_subset_dp
+
+
+def largest_parity_set(k):
+    inst, _, dist = build_appendix_instance(k)
+    T = max((split_path_join(atom.tree, inst).t_set for atom in dist),
+            key=len)
+    return T, inst
+
+
+@pytest.mark.parametrize("k, size", [(5, 20), (12, 34)])
+def test_min_tjoin_wall(benchmark, k, size):
+    T, inst = largest_parity_set(k)
+    assert len(T) == size
+    join = benchmark.pedantic(min_tjoin, (T, inst), rounds=10, iterations=1)
+    assert len(join) == size // 2
+
+
+def test_subset_dp_wall5(benchmark):
+    T, inst = largest_parity_set(5)
+    join = benchmark.pedantic(tjoin_subset_dp, (T, inst), rounds=10,
+                              iterations=1)
+    assert len(join) == 10

@@ -46,6 +46,54 @@ def matching_min_cost(T, inst):
     return rec(tuple(T))
 
 
+def tjoin_subset_dp(T, inst):
+    """Minimum-cost perfect matching on T (direct edges), by dynamic
+    programming over the 2^|T| subsets of T; the join as a frozenset."""
+    verts = sorted(T)
+    if len(verts) % 2:
+        raise ValueError("parity set has odd size")
+    if not verts:
+        return frozenset()
+    k = len(verts)
+    pair_cost = [[inst.c(a, b) if a != b else ZERO
+                  for b in verts] for a in verts]
+    scale = lcm(*[c.denominator for row in pair_cost for c in row])
+    w = [[int(c * scale) for c in row] for row in pair_cost]
+
+    memo = {0: 0}
+    choice = {}
+
+    def solve(mask):
+        if mask in memo:
+            return memo[mask]
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        best = None
+        best_j = None
+        jm = rest
+        while jm:
+            j = (jm & -jm).bit_length() - 1
+            jm &= jm - 1
+            c = solve(rest ^ (1 << j)) + w[i][j]
+            if best is None or c < best:
+                best, best_j = c, j
+        memo[mask] = best
+        choice[mask] = best_j
+        return best
+
+    solve((1 << k) - 1)
+    join = set()
+    mask = (1 << k) - 1
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        j = choice[mask]
+        join.add((verts[i], verts[j]))  # i < j, so the edge is canonical
+        mask ^= (1 << i) | (1 << j)
+    assert sum((inst.c(*e) for e in join), ZERO) \
+        == Fraction(memo[(1 << k) - 1], scale)
+    return frozenset(join)
+
+
 def path_min_cost(inst):
     """Cheapest Hamiltonian s-t path by trying every internal order."""
     inner = [v for v in range(inst.n) if v not in (inst.s, inst.t)]

@@ -3,7 +3,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathtsp import build_appendix_instance
 from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
@@ -19,9 +22,15 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import split_path_join
+from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import matching_min_cost, min_cost_spanning_tree, path_min_cost
+from .oracles import (
+    matching_min_cost,
+    min_cost_spanning_tree,
+    path_min_cost,
+    tjoin_subset_dp,
+)
 
 ZERO = Fraction(0)
 
@@ -47,8 +56,8 @@ def test_tjoin_base_cases():
     with pytest.raises(ValueError):
         min_tjoin({1, 2, 3}, inst)
     big = uniform_instance(24)
-    with pytest.raises(ValueError):
-        min_tjoin(set(range(22)), big)
+    # all costs are 1, so any 11 disjoint edges are a minimum join
+    assert cost_of(min_tjoin(set(range(22)), big), big) == 11
 
 
 def test_tjoin_degrees_fix_the_parity_set():
@@ -71,6 +80,82 @@ def test_tjoin_matches_the_exhaustive_matching(seed):
         size = n - (n % 2)
     T = rng.sample(range(n), size)
     assert cost_of(min_tjoin(T, inst), inst) == matching_min_cost(T, inst)
+
+
+def assert_perfect_matching_on(join, T):
+    deg = {}
+    for u, v in join:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    assert deg == {v: 1 for v in T}
+
+
+@st.composite
+def parity_problems(draw):
+    """(T, instance) with |T| <= 12, on a random metric or on all-equal
+    costs, where every perfect matching ties."""
+    n = draw(st.integers(3, 14))
+    if draw(st.booleans()):
+        inst = random_metric_instance(n, draw(st.integers(0, 10 ** 6)))
+    else:
+        inst = uniform_instance(n)
+    size = draw(st.sampled_from(range(0, min(n, 12) + 1, 2)))
+    T = draw(st.permutations(range(n)))[:size]
+    return T, inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_problems())
+def test_tjoin_matches_the_subset_dp(problem):
+    T, inst = problem
+    join = min_tjoin(T, inst)
+    assert cost_of(join, inst) == cost_of(tjoin_subset_dp(T, inst), inst)
+    assert_perfect_matching_on(join, T)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_tjoin_matches_the_subset_dp_on_the_wall(k):
+    # |T| = 10 + 2k on every tree of the wall
+    inst, _, dist = build_appendix_instance(k)
+    for atom in dist:
+        T = split_path_join(atom.tree, inst).t_set
+        assert len(T) == 10 + 2 * k
+        join = min_tjoin(T, inst)
+        assert cost_of(join, inst) == cost_of(tjoin_subset_dp(T, inst), inst)
+        assert_perfect_matching_on(join, T)
+
+
+def test_tjoin_pivots_stay_few_on_the_raw_wall(monkeypatch):
+    # with the degree rows as equalities, phase 2 took about 98,000
+    # pivots on one of these parity sets (|T| = 70)
+    made = []
+
+    class Recording(ExactSimplex):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr("pathtsp.bomc.ExactSimplex", Recording)
+    inst, _, dist = build_appendix_instance(30)
+    for atom in dist:
+        T = split_path_join(atom.tree, inst).t_set
+        assert_perfect_matching_on(min_tjoin(T, inst), T)
+    assert len(made) == 4 and max(sx.pivots for sx in made) < 1000
+
+
+def test_best_of_many_solves_one_join_per_atom(monkeypatch):
+    inst, _, dist = build_appendix_instance(0)
+    calls = []
+
+    def counting(T, inst):
+        calls.append(T)
+        return min_tjoin(T, inst)
+
+    monkeypatch.setattr("pathtsp.bomc.min_tjoin", counting)
+    rows, tour, value = best_of_many(dist, inst)
+    assert len(calls) == len(dist) == 4
+    winner = next(atom for atom, _, _, total in rows if total == value)
+    assert tour == tour_from_tree(winner.tree, inst)[1]
 
 
 def test_tour_from_hamiltonian_path():

@@ -91,6 +91,32 @@ def test_reassembled_wall_verifies(tmp_path):
         assert "check=join_membership status=OK" in body
 
 
+@pytest.mark.parametrize("k", ["6", "12", "20"])
+def test_large_walls_are_certified(tmp_path, k):
+    # the largest parity sets have |T| = 22, 34 and 50
+    out = tmp_path / "run.txt"
+    assert main(["run", "appendix", "--k", k, "-o", str(out)]) == 0
+    assert "verdict=certified bound=1599/1000" in strip_timings(out)
+
+
+def test_reassembled_large_wall_verifies_and_tours(tmp_path):
+    inst = tmp_path / "wall.txt"
+    sol = tmp_path / "wall.sol"
+    raw = tmp_path / "raw.dist"
+    fixed = tmp_path / "fixed.dist"
+    assert main(["gen", "appendix", "--k", "12", "-o", str(inst),
+                 "--solution", str(sol), "--dist", str(raw)]) == 0
+    assert main(["reassemble", str(inst), str(sol), "-o", str(fixed),
+                 "--initial", str(raw)]) == 0
+    out = tmp_path / "verify.txt"
+    assert main(["verify", str(fixed), str(inst), str(sol),
+                 "-o", str(out)]) == 0
+    assert strip_timings(out)[-1] == "checks_failed=0"
+    report = tmp_path / "tour.txt"
+    assert main(["tour", str(inst), str(fixed), "-o", str(report)]) == 0
+    assert "bomc=88" in strip_timings(report)  # as `run appendix --k 12`
+
+
 def test_reassemble_decomposes_when_no_initial_is_given(tmp_path, capsys):
     inst = tmp_path / "wall.txt"
     sol = tmp_path / "wall.sol"
