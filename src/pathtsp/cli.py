@@ -256,14 +256,12 @@ def cmd_verify(args):
 
     def check_packing():
         for ai, atom in enumerate(dist):
-            seen = {}
-            for mask in chain.masks:
-                hits = cuts.crossing_edges(atom.tree, mask)
-                if len(hits) == 1:
-                    e = hits[0]
+            seen = set()
+            for e in chain.profile(atom.tree).single:
+                if e is not None:
                     assert e not in seen, (
                         f"atom {ai}: edge {e} defines two narrow cuts")
-                    seen[e] = mask
+                    seen.add(e)
         return ""
 
     def check_floor():

@@ -13,13 +13,20 @@ narrow cut is the unique minimum cut between any vertex of the chain gap
 on its left and any vertex of the gap on its right, so it is always one of
 the tree's fundamental cuts.
 
-Levels are carried both as sorted vertex tuples and as int bitmasks; the
-bitmask makes "does edge (u,v) cross cut i" a two-shift test.
+Levels are carried both as sorted vertex tuples and as int bitmasks.
+Because the levels are nested, each vertex also has a layer, the first
+level that contains it (t has none, so its layer is the chain length), and
+an edge crosses exactly the levels from the lower of its endpoints' layers
+up to, not including, the higher one.  So one pass over a tree's edges,
+with difference arrays over those level intervals, gives everything the
+later stages ask about the tree: its crossing profile, built once per tree
+and kept on the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import FlowNetwork, max_flow_min_cut
@@ -45,16 +52,29 @@ def crossing_edges(tree, mask: int) -> list:
     return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
 
 
-def crossings(tree, mask: int) -> int:
-    return sum(1 for (u, v) in tree if ((mask >> u) ^ (mask >> v)) & 1)
-
-
 def load_of_mask(x: dict, mask: int) -> Fraction:
     total = ZERO
     for (u, v), val in x.items():
         if ((mask >> u) ^ (mask >> v)) & 1:
             total += val
     return total
+
+
+@dataclass(frozen=True)
+class CrossingProfile:
+    """How one spanning tree S meets the cuts of a chain.
+
+    counts[c]  |S cap C| at chain level c;
+    single[c]  the edge e when S cap C = {e} at level c, else None;
+    types[p]   (l, m, r, defined) at the p-th xi-narrow cut C: m = |S cap C|,
+               l and r count the edges of S cap C that also cross the
+               previous and the next xi-narrow cut (0 at the two ends), and
+               defined says whether some xi-narrow cut C' has S cap C' = {e}
+               for an edge e of S cap C.
+    """
+    counts: list
+    single: list
+    types: list
 
 
 @dataclass
@@ -66,9 +86,90 @@ class CutChain:
     xi_indices: list      # chain indices with load < xi
     inst: Instance        # the instance and LP point the chain belongs to
     x: dict
+    # derived from masks: layer[v] is the first level containing v, and
+    # len(masks) for a vertex in none (t)
+    layer: list = field(init=False, repr=False, compare=False)
+    # xi_at[c]: the first xi-position whose chain index is at least c
+    _xi_at: list = field(init=False, repr=False, compare=False)
+    _profiles: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = len(self.masks)
+        self.layer = [size] * self.inst.n
+        prev = 0
+        for i, mask in enumerate(self.masks):
+            if prev & ~mask:
+                raise ValueError("chain levels must be nested")
+            new = mask & ~prev
+            while new:
+                low = new & -new
+                self.layer[low.bit_length() - 1] = i
+                new ^= low
+            prev = mask
+        self._xi_at = [bisect_left(self.xi_indices, c)
+                       for c in range(size + 1)]
+        self._profiles = {}
 
     def __len__(self):
         return len(self.levels)
+
+    def profile(self, tree) -> CrossingProfile:
+        """The crossing profile of tree (a frozenset of edges), built on
+        first request and kept for the chain's lifetime."""
+        prof = self._profiles.get(tree)
+        if prof is None:
+            prof = self._profiles[tree] = self._build_profile(tree)
+        return prof
+
+    def _build_profile(self, tree) -> CrossingProfile:
+        size, xi, xi_at = len(self.masks), self.xi_indices, self._xi_at
+        npos = len(xi)
+        edges = []     # the edges that cross some level, numbered
+        spans = {}     # edge -> the xi-positions [pa, pb) it crosses
+        count = [0] * (size + 1)
+        ids = [0] * (size + 1)
+        both = [0] * (npos + 1)  # xi-cuts p - 1 and p both crossed
+        for e in tree:
+            a, b = self.layer[e[0]], self.layer[e[1]]
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            k = len(edges)
+            edges.append(e)
+            count[a] += 1
+            count[b] -= 1
+            ids[a] += k
+            ids[b] -= k
+            pa, pb = xi_at[a], xi_at[b]
+            spans[e] = pa, pb
+            if pb - pa >= 2:
+                both[pa + 1] += 1
+                both[pb] -= 1
+        counts, single = [], []
+        c = k = 0
+        for lvl in range(size):
+            c += count[lvl]
+            k += ids[lvl]     # at a level crossed once, the edge's number
+            counts.append(c)
+            single.append(edges[k] if c == 1 else None)
+        marked = [0] * (npos + 1)
+        for ci in xi:
+            if single[ci] is not None:
+                pa, pb = spans[single[ci]]
+                marked[pa] += 1
+                marked[pb] -= 1
+        shared = []    # shared[p]: edges crossing xi-cuts p - 1 and p
+        run = 0
+        for p in range(npos + 1):
+            run += both[p]
+            shared.append(run)
+        types = []
+        mark = 0
+        for p, ci in enumerate(xi):
+            mark += marked[p]
+            types.append((shared[p], counts[ci], shared[p + 1], mark > 0))
+        return CrossingProfile(counts=counts, single=single, types=types)
 
 
 def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
@@ -164,14 +265,14 @@ def cut_stats(chain: CutChain, dist) -> list:
     """One CutStat per chain level; asserts the crossing identities."""
     out = []
     total = total_weight(dist)
-    for i, mask in enumerate(chain.masks):
-        load = chain.loads[i]
+    counts = [chain.profile(atom.tree).counts for atom in dist]
+    for i, load in enumerate(chain.loads):
         p_even = ZERO
         p_one = ZERO
         p_many = ZERO
         weighted = ZERO
-        for atom in dist:
-            k = crossings(atom.tree, mask)
+        for atom, count in zip(dist, counts):
+            k = count[i]
             assert k >= 1, "a spanning tree must cross every cut"
             weighted += atom.weight * k
             if k % 2 == 0:

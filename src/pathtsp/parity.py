@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cuts import (XI_DEFAULT, CutChain, crossing_edges, crossings,
-                   format_rational, gomory_hu_tree)
+from .cuts import XI_DEFAULT, CutChain, format_rational, gomory_hu_tree
 from .flows import FlowNetwork
 from .instance import Instance, complete_edges, edge, vector_cost
 from .tree_decomp import tree_path
@@ -135,13 +135,14 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams,
             for e in par.i_edges:
                 gamma[e] = HALF
         else:
-            cross_count = [crossings(atom.tree, mk) for mk in chain.masks]
+            cross_count = chain.profile(atom.tree).counts
             for e in par.i_edges:
                 one_cuts = []
                 even_cuts = []
-                for ci, mk in enumerate(chain.masks):
-                    if not ((mk >> e[0]) ^ (mk >> e[1])) & 1:
-                        continue
+                # the levels e crosses: from the lower layer of its ends
+                # up to, not including, the higher one
+                lo, hi = sorted((chain.layer[e[0]], chain.layer[e[1]]))
+                for ci in range(lo, hi):
                     k = cross_count[ci]
                     if k == 1:
                         one_cuts.append(chain.loads[ci])
@@ -219,6 +220,7 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
     nu = params.nu
     xi_pos = {ci: p for p, ci in enumerate(chain.xi_indices)}
     lprime = len(chain.xi_indices) - 1
+    counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
     for ci, mask in enumerate(chain.masks):
         load = chain.loads[ci]
@@ -228,7 +230,7 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
         p_many = ZERO
         data = []
         for ai, atom in enumerate(dist):
-            k = crossings(atom.tree, mask)
+            k = counts[ai][ci]
             b = benefit(parities[ai], k, load, mask, params)
             pos = xi_pos.get(ci)
             if pos is not None and 0 < pos < lprime:
@@ -312,15 +314,30 @@ class CorrectionVectors:
     e_cheap: dict   # narrow-cut index -> cheapest complete-graph edge e_C
 
 
-def cheapest_cut_edge(inst: Instance, mask: int):
-    """Minimum-cost complete-graph edge crossing the cut; ties go to the
-    lexicographically smallest edge."""
-    best = None
-    for e in complete_edges(inst.n):
-        if ((mask >> e[0]) ^ (mask >> e[1])) & 1:
-            if best is None or (inst.cost[e], e) < (inst.cost[best], best):
-                best = e
-    return best
+def cheapest_cut_edges(chain: CutChain) -> dict:
+    """Chain index -> e_C, the minimum-cost complete-graph edge crossing
+    that narrow cut; ties go to the lexicographically smallest edge.
+
+    One pass over the edges in (cost, edge) order: each edge fills every
+    level of its layer interval that no earlier edge has filled.  The sort
+    compares costs as ints over their common denominator, the same order
+    as comparing the Fractions, only cheaper."""
+    inst, layer = chain.inst, chain.layer
+    edges = complete_edges(inst.n)
+    den = lcm(*(inst.cost[e].denominator for e in edges))
+    size = len(chain.masks)
+    cheap = [None] * size
+    unfilled = size
+    for e in sorted(edges, key=lambda e: (inst.cost[e].numerator * (
+            den // inst.cost[e].denominator), e)):
+        lo, hi = sorted((layer[e[0]], layer[e[1]]))
+        for ci in range(lo, hi):
+            if cheap[ci] is None:
+                cheap[ci] = e
+                unfilled -= 1
+        if not unfilled:
+            break
+    return dict(enumerate(cheap))
 
 
 def correction_vectors(dist, chain: CutChain, parities,
@@ -331,17 +348,17 @@ def correction_vectors(dist, chain: CutChain, parities,
     if beta > HALF:
         raise ValueError("beta must not exceed 1/2")
     w1 = 1 - 2 * beta
-    e_cheap = {ci: cheapest_cut_edge(inst, mask)
-               for ci, mask in enumerate(chain.masks)}
+    e_cheap = cheapest_cut_edges(chain)
     zs, ys, e_paths = [], [], []
     for ai, atom in enumerate(dist):
         par = parities[ai]
         z = {}
         for e in par.i_edges:
             z[e] = z.get(e, ZERO) + w1 * par.gamma[e]
+        counts = chain.profile(atom.tree).counts
         e_path = {}
         for ci, mask in enumerate(chain.masks):
-            k = crossings(atom.tree, mask)
+            k = counts[ci]
             if k % 2 == 1 and k > 1:
                 continue
             esc = path_edge_at_cut(par, mask)
@@ -354,7 +371,7 @@ def correction_vectors(dist, chain: CutChain, parities,
         assert all(v >= 0 for v in z.values())
         # even narrow cuts now carry z-mass at least beta(2 - load)
         for ci, mask in enumerate(chain.masks):
-            if crossings(atom.tree, mask) % 2 == 0:
+            if counts[ci] % 2 == 0:
                 zc = sum((v for e, v in z.items()
                           if ((mask >> e[0]) ^ (mask >> e[1])) & 1), ZERO)
                 assert zc >= beta * (2 - chain.loads[ci]), \
@@ -438,12 +455,12 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
     # per cut: the top-up mass is covered by the single-crossing slack
     # (this is exactly the benefit inequality restated), and the cheap
     # edge never costs more than the designated path edge
-    for ci, mask in enumerate(chain.masks):
-        load = chain.loads[ci]
+    profiles = [chain.profile(atom.tree) for atom in dist]
+    for ci, load in enumerate(chain.loads):
         tops = ZERO
         slack = ZERO
         for ai, atom in enumerate(dist):
-            k = crossings(atom.tree, mask)
+            k = profiles[ai].counts[ci]
             if k % 2 == 0:
                 esc = cv.e_path[ai][ci]
                 top = max(ZERO, beta * (2 - load) - w1 * parities[ai].gamma[esc])
@@ -455,12 +472,10 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
                     <= chain.inst.cost[esc]
         assert tops <= w1 * slack, f"stepping stone failed at cut {ci}"
     # per atom: narrow cuts crossed once are defined by distinct path edges
-    for ai, atom in enumerate(dist):
+    for ai, prof in enumerate(profiles):
         seen = set()
-        for ci, mask in enumerate(chain.masks):
-            hits = crossing_edges(atom.tree, mask)
-            if len(hits) == 1:
-                e = hits[0]
+        for e in prof.single:
+            if e is not None:
                 assert e in parities[ai].i_edges
                 assert e not in seen, "an edge single-defines two narrow cuts"
                 seen.add(e)

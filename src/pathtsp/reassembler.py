@@ -20,8 +20,11 @@ and returns the residual mass to the pot, so the final distribution
 satisfies the four-way type-mix bound within eps at every internal
 xi-narrow cut.
 
-Everything recomputes types from scratch after every exchange — correctness
-over speed at desk scale.
+Every type is read from the tree's crossing profile on the chain
+(CutChain.profile), built once per tree from the chain's layers and kept,
+so an exchange costs the profiles of the two trees it creates and nothing
+is rescanned; the exchange and the sweeps still re-check every type they
+promise.
 """
 
 from __future__ import annotations
@@ -50,28 +53,17 @@ def xi_masks(chain: CutChain):
 
 
 def type_data(tree, chain: CutChain, i: int):
-    """(code, l, m, r) of the tree at the i-th xi-narrow cut (0 < i < l')."""
-    masks = xi_masks(chain)
-    last = len(masks) - 1
+    """(code, l, m, r) of the tree at the i-th xi-narrow cut (0 < i < l'),
+    read from the tree's crossing profile."""
+    last = len(chain.xi_indices) - 1
     if not 0 < i < last:
         raise ValueError(f"type queries are only defined at internal "
                          f"xi-narrow cuts, got index {i} of 0..{last}")
-    cut = crossing_edges(tree, masks[i])
-    m = len(cut)
-    l = sum(1 for e in cut if crossing_mask(masks[i - 1], *e))
-    r = sum(1 for e in cut if crossing_mask(masks[i + 1], *e))
+    l, m, r, defined = chain.profile(tree).types[i]
     if m >= 3 or l + r >= 3:
         return "GOOD", l, m, r
-    if l + r >= 1:
-        cut_set = set(cut)
-        defined = False
-        for mk in masks:
-            inter = crossing_edges(tree, mk)
-            if len(inter) == 1 and inter[0] in cut_set:
-                defined = True
-                break
-        if not defined:
-            return "GOOD", l, m, r
+    if l + r >= 1 and not defined:
+        return "GOOD", l, m, r
     code = f"{l}{m}{r}"
     assert code in TYPE_CODES, f"impossible type {code}"
     return code, l, m, r
@@ -131,11 +123,12 @@ def _exchange_core(s1, s2, chain, i, mirrored):
     else:
         hunt = range(i - 1, -1, -1)
         neighbor = masks[i - 1]
+    single = chain.profile(s1).single
     e0 = h = None
     for j in hunt:
-        inter = crossing_edges(s1, masks[j])
-        if len(inter) == 1 and inter[0] in cut1:
-            e0, h = inter[0], j
+        e = single[chain.xi_indices[j]]
+        if e is not None and e in cut1:
+            e0, h = e, j
             break
     if e0 is None:
         raise ExchangeError(f"no singleton-defining cut for the type-{want1} "

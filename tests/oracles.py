@@ -5,8 +5,9 @@ powerset enumeration with plain Fractions, one exact max-flow per vertex
 pair where enumeration would be too large, and the simplex tableau and the
 max-flow held in Fractions.  Nothing is imported from the package under
 test except the exact max-flow routine and its FlowNetwork, which tests
-hold to the Fraction max-flow below, so an agreement between a fast
-routine and its oracle is evidence, not circularity.
+hold to the Fraction max-flow below, and the table of type codes, so an
+agreement between a fast routine and its oracle is evidence, not
+circularity.
 """
 
 from collections import deque
@@ -17,6 +18,7 @@ from math import lcm
 import numpy as np
 
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
+from pathtsp.reassembler import TYPE_CODES
 
 ZERO = Fraction(0)
 
@@ -268,6 +270,58 @@ def pairwise_intersection_check(chain, x):
                     f"cut pair ({i},{j}) has negative margin {margin}")
             margins.append(margin)
     return margins
+
+
+def crossing_edges(tree, mask):
+    """The edges of tree that cross the cut of mask, in the tree's order."""
+    return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
+
+
+def crossings(tree, mask):
+    """|S cap C| by scanning the tree against the cut's bitmask."""
+    return len(crossing_edges(tree, mask))
+
+
+def cheapest_cut_edge(inst, mask):
+    """Minimum-cost complete-graph edge crossing the cut, by scanning all
+    n(n-1)/2 edges; ties go to the lexicographically smallest edge."""
+    best = None
+    for u, v in combinations(range(inst.n), 2):
+        if ((mask >> u) ^ (mask >> v)) & 1:
+            if best is None or (inst.cost[u, v], (u, v)) < (inst.cost[best],
+                                                            best):
+                best = (u, v)
+    return best
+
+
+def type_data_scan(tree, chain, i):
+    """(code, l, m, r) of the tree at the i-th xi-narrow cut, by scanning
+    the tree against the cut's bitmask and, for the singleton test, against
+    every xi-narrow cut's."""
+    masks = [chain.masks[j] for j in chain.xi_indices]
+    last = len(masks) - 1
+    if not 0 < i < last:
+        raise ValueError(f"type queries are only defined at internal "
+                         f"xi-narrow cuts, got index {i} of 0..{last}")
+    cut = crossing_edges(tree, masks[i])
+    m = len(cut)
+    l = len(crossing_edges(cut, masks[i - 1]))
+    r = len(crossing_edges(cut, masks[i + 1]))
+    if m >= 3 or l + r >= 3:
+        return "GOOD", l, m, r
+    if l + r >= 1:
+        cut_set = set(cut)
+        defined = False
+        for mk in masks:
+            inter = crossing_edges(tree, mk)
+            if len(inter) == 1 and inter[0] in cut_set:
+                defined = True
+                break
+        if not defined:
+            return "GOOD", l, m, r
+    code = f"{l}{m}{r}"
+    assert code in TYPE_CODES, f"impossible type {code}"
+    return code, l, m, r
 
 
 def min_cost_spanning_tree(inst):

@@ -22,7 +22,8 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import cut_load, cut_requirement
 
-from .oracles import matching_min_cost, path_min_cost, rational_rank, violated_cuts
+from .oracles import (crossings, matching_min_cost, path_min_cost, rational_rank,
+                      violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)
@@ -177,7 +178,7 @@ def property_results(params, legacy_params):
                                        check_membership=True)
         for ai in range(len(final)):
             for ci, mask in enumerate(chain.masks):
-                if cuts.crossings(final[ai].tree, mask) % 2 == 0:
+                if crossings(final[ai].tree, mask) % 2 == 0:
                     zc = sum((v for e, v in cv.z[ai].items()
                               if ((mask >> e[0]) ^ (mask >> e[1])) & 1),
                              ZERO)

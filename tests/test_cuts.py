@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp.cuts import (
+    XI_DEFAULT,
     ChainError,
     CutChain,
-    crossings,
     cut_stats,
     format_cut_report,
     gomory_hu_tree,
@@ -25,14 +25,21 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import split_path_join
+from pathtsp.reassembler import type_data
 from pathtsp.tree_decomp import Atom, decompose
 
 from .oracles import (
+    crossing_edges,
+    crossings,
     cut_value,
     narrow_sets,
     narrow_sets_all_pairs,
     pairwise_intersection_check,
+    type_data_scan,
 )
+
+
+ONE = Fraction(1)
 
 
 def uniform_instance(n, s=0, t=None):
@@ -222,3 +229,73 @@ def test_cut_report_format(appendix0_chain):
     assert len(lines) == 13
     assert all("load" in ln and "xi_narrow" in ln for ln in lines[1:])
     assert "load 3/2" in lines[2] and "xi_narrow: yes" in lines[2]
+
+
+# ----- crossing profiles against the scanning oracle -----
+
+def random_chain(draw, inst):
+    """A random nested chain of inst from {s} to V - {t}, with a random
+    xi-subset that always keeps both end levels, so that, as on real
+    chains, some levels in between may not be xi-narrow.  Returns the chain
+    and the vertex order its levels are prefixes of."""
+    n, s, t = inst.n, inst.s, inst.t
+    middle = draw(st.permutations([v for v in range(n) if v not in (s, t)]))
+    order = [s, *middle, t]
+    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    sizes = [j for j in range(1, n) if keep[j - 1] or j in (1, n - 1)]
+    masks = [sum(1 << v for v in order[:j]) for j in sizes]
+    last = len(masks) - 1
+    keep = draw(st.lists(st.booleans(), min_size=last + 1,
+                         max_size=last + 1))
+    xi_indices = [i for i in range(last + 1) if keep[i] or i in (0, last)]
+    chain = CutChain(levels=[tuple(sorted(order[:j])) for j in sizes],
+                     masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
+                     xi_indices=xi_indices, inst=inst, x={})
+    return chain, order
+
+
+@st.composite
+def trees_on_chains(draw):
+    """(spanning tree, chain) on n <= 40 vertices.  The tree takes the
+    vertices in a random order and hangs each from an earlier one: in three
+    cases of four from one at most 1, 2 or 3 places away in the chain's
+    vertex order, so that the tree crosses few cuts and types other than
+    GOOD turn up, and otherwise from any earlier vertex."""
+    n = draw(st.integers(2, 40))
+    s, t = draw(st.permutations(range(n)))[:2]
+    chain, order = random_chain(draw, Instance(n=n, s=s, t=t, cost={}))
+    place = {v: j for j, v in enumerate(order)}
+    reach = draw(st.sampled_from((1, 2, 3, n)))
+    seq = draw(st.permutations(range(n)))
+    tree = set()
+    for i in range(1, n):
+        v = seq[i]
+        near = [u for u in seq[:i] if abs(place[u] - place[v]) <= reach]
+        near = near or seq[:i]
+        tree.add(edge(v, near[draw(st.integers(0, len(near) - 1))]))
+    return frozenset(tree), chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_on_chains())
+def test_profile_matches_the_scanning_oracle(case):
+    tree, chain = case
+    size = len(chain.masks)
+    for v in range(chain.inst.n):
+        inside = [i for i, m in enumerate(chain.masks) if (m >> v) & 1]
+        assert chain.layer[v] == (inside[0] if inside else size)
+    prof = chain.profile(tree)
+    assert chain.profile(tree) is prof
+    assert prof.counts == [crossings(tree, m) for m in chain.masks]
+    hits = [crossing_edges(tree, m) for m in chain.masks]
+    assert prof.single == [h[0] if len(h) == 1 else None for h in hits]
+    for i in range(1, len(chain.xi_indices) - 1):
+        assert type_data(tree, chain, i) == type_data_scan(tree, chain, i)
+
+
+def test_chain_levels_must_nest():
+    inst = uniform_instance(4, s=0, t=3)
+    with pytest.raises(ValueError, match="nested"):
+        CutChain(levels=[(0, 1), (0, 2)], masks=[0b011, 0b101],
+                 loads=[ONE, ONE], xi=XI_DEFAULT, xi_indices=[0, 1],
+                 inst=inst, x={})

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from pathtsp.cuts import gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
-from pathtsp.instance import Instance, build_appendix_instance, complete_edges, edge
+from pathtsp.instance import (
+    Instance,
+    complete_edges,
+    edge,
+    random_metric_instance,
+)
 from pathtsp.parity import (
     BETA_DEFAULT,
     EPS_DEFAULT,
@@ -18,6 +24,7 @@ from pathtsp.parity import (
     benefit,
     benefits,
     certify_bound,
+    cheapest_cut_edges,
     correction_vectors,
     f_value,
     format_audit_lines,
@@ -27,8 +34,8 @@ from pathtsp.parity import (
 from pathtsp.reassembler import reassemble, type_census
 from pathtsp.tree_decomp import decompose
 
-from .oracles import cut_value, tjoin_violations_enumerate
-from .test_cuts import rational_graphs
+from .oracles import cheapest_cut_edge, cut_value, tjoin_violations_enumerate
+from .test_cuts import random_chain, rational_graphs
 
 HALF = Fraction(1, 2)
 
@@ -294,3 +301,30 @@ def test_exchange_records_from_the_driver(reassembled, appendix0_chain):
     _, records, _ = reassembled
     assert len(records) == 6
     assert all(rec.delta > 0 for rec in records)
+
+
+@lru_cache(maxsize=None)
+def metric_instance(n, seed):
+    return random_metric_instance(n, seed)
+
+
+@st.composite
+def priced_chains(draw):
+    """A random nested chain on n <= 40 vertices, over the costs of a
+    random metric instance or over all-equal costs, where only the
+    lexicographic tie-break tells the edges apart."""
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        s, t = draw(st.permutations(range(n)))[:2]
+        inst = uniform_instance(n, s, t)
+    else:
+        inst = metric_instance(n, draw(st.integers(0, 2)))
+    return random_chain(draw, inst)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(priced_chains())
+def test_swept_cheapest_edges_match_the_per_cut_scan(chain):
+    assert cheapest_cut_edges(chain) == {
+        ci: cheapest_cut_edge(chain.inst, mask)
+        for ci, mask in enumerate(chain.masks)}
