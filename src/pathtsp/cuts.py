@@ -8,7 +8,7 @@ statistics of a tree distribution are what the reassembly stage consumes.
 
 The chain is read off one Gomory-Hu cut tree (Gusfield 1990), built from
 n-1 exact max-flows; parity's T-join membership check and the LP
-separation above n = 22 use the same tree.  For a feasible LP point a
+separation use the same tree.  For a feasible LP point a
 narrow cut is the unique minimum cut between any vertex of the chain gap
 on its left and any vertex of the gap on its right, so it is always one of
 the tree's fundamental cuts.

@@ -1,8 +1,8 @@
 """Exact max-flow / min-cut on small undirected graphs.
 
 Edmonds-Karp on Python ints.  The Gomory-Hu cut tree in `cuts` is built
-from these flows, and LP separation above n = 22 runs them for the vertex
-pairs that tree cannot rule out.
+from these flows, and LP separation runs them for the vertex pairs that
+tree cannot rule out.
 
 Build once, query many times.  A FlowNetwork is built once per capacity
 dict and answers every flow asked of that dict: the n - 1 flows of a cut

@@ -7,21 +7,18 @@ constraints are then separated and appended until none remain.  Cuts whose
 vertex set contains both or neither of {s, t} require load 2, the others
 require 1.
 
-Separation enumerates all subsets for n <= 22 (vectorized over bitmasks).
-Above that it takes one exact min s-t cut for the odd cuts, and for the
-even cuts one Gomory-Hu tree of the graph with s and t contracted: a min
-cut is computed only for the vertex pairs whose tree connectivity is below
-2, so a feasible point costs n flows.  This route yields at least one
-violated cut whenever one exists.
+Separation is exact at every n, by max-flow alone.  One min s-t cut gives
+the most violated odd cut.  For the even cuts it builds one Gomory-Hu tree
+of the graph with s and t contracted and computes a min cut only for the
+vertex pairs whose tree connectivity is below 2, so a feasible point costs
+n flows; the most violated even cut is a global min cut and so one of
+these.  Separation thus returns a most violated cut whenever one exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
@@ -33,9 +30,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
 
-ENUM_LIMIT = 22      # subset enumeration up to this many vertices
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
-INT64_GUARD = 1 << 61
 
 
 @dataclass
@@ -63,70 +58,11 @@ def separate(x: dict, inst: Instance):
     """Violated cuts as (U, required, load), U canonical (contains vertex 0),
     sorted by decreasing deficit then by vertex set.
 
-    For n <= 22 the list is complete; beyond that the max-flow route returns
-    at least one violated cut whenever any exists.
+    Every returned cut is violated and carries its exact load and
+    requirement.  The list is empty exactly when x violates no cut
+    constraint, and its first cut is a most violated one.  It need not list
+    every violated cut.
     """
-    if inst.n <= ENUM_LIMIT:
-        found = _separate_enumerate(x, inst)
-    else:
-        found = _separate_flows(x, inst)
-    found.sort(key=lambda r: (r[2] - r[1], r[0]))
-    return found
-
-
-def _separate_enumerate(x: dict, inst: Instance):
-    n, s, t = inst.n, inst.s, inst.t
-    items = sorted((e, v) for e, v in x.items() if v != 0)
-    m = 1 << (n - 1)
-    idx2 = (np.arange(m, dtype=np.int64) << 1) | 1  # subsets containing 0
-    odd = ((idx2 >> s) ^ (idx2 >> t)) & 1
-    full = (1 << n) - 1
-    denom = lcm(*[v.denominator for _, v in items]) if items else 1
-    max_load = sum(v for _, v in items) * 2
-    found = []
-    if denom * (max_load.numerator // max_load.denominator + 1) < INT64_GUARD:
-        load = np.zeros(m, dtype=np.int64)
-        for (u, v), val in items:
-            w = int(val * denom)
-            load += (((idx2 >> u) ^ (idx2 >> v)) & 1) * w
-        req = (2 - odd) * denom
-        bad = np.nonzero((load < req) & (idx2 != full))[0]
-        for i in bad.tolist():
-            mask = int(idx2[i])
-            U = tuple(v for v in range(n) if (mask >> v) & 1)
-            found.append((U, Fraction(int(req[i]), denom),
-                          Fraction(int(load[i]), denom)))
-    else:
-        # denominators too wild for int64: float screen, exact confirm
-        loadf = np.zeros(m)
-        for (u, v), val in items:
-            loadf += (((idx2 >> u) ^ (idx2 >> v)) & 1) * float(val)
-        reqf = (2 - odd).astype(float)
-        cand = np.nonzero((loadf < reqf + 1e-9) & (idx2 != full))[0]
-        for i in cand.tolist():
-            mask = int(idx2[i])
-            U = tuple(v for v in range(n) if (mask >> v) & 1)
-            Uset = frozenset(U)
-            lo = cut_load(x, Uset)
-            rq = cut_requirement(Uset, inst)
-            if lo < rq:
-                found.append((U, rq, lo))
-    return found
-
-
-def _contract(cap: dict, group, label):
-    out = {}
-    for (u, v), c in cap.items():
-        u2 = label if u in group else u
-        v2 = label if v in group else v
-        if u2 == v2:
-            continue
-        key = tuple(sorted((u2, v2), key=str))
-        out[key] = out.get(key, ZERO) + c
-    return out
-
-
-def _separate_flows(x: dict, inst: Instance):
     n, s, t = inst.n, inst.s, inst.t
     cap = {e: v for e, v in x.items() if v != 0}
 
@@ -167,7 +103,19 @@ def _separate_flows(x: dict, inst: Instance):
                     rq = cut_requirement(frozenset(U), inst)
                     if lo < rq:
                         found[U] = (U, rq, lo)
-    return list(found.values())
+    return sorted(found.values(), key=lambda r: (r[2] - r[1], r[0]))
+
+
+def _contract(cap: dict, group, label):
+    out = {}
+    for (u, v), c in cap.items():
+        u2 = label if u in group else u
+        v2 = label if v in group else v
+        if u2 == v2:
+            continue
+        key = tuple(sorted((u2, v2), key=str))
+        out[key] = out.get(key, ZERO) + c
+    return out
 
 
 # ----- the solver -----

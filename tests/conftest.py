@@ -19,12 +19,9 @@ def appendix0_chain(appendix0):
     return narrow_cuts(xstar, inst)
 
 
-@pytest.fixture(scope="session")
-def lp26():
-    """(Instance, LpSolution, points) for a random n = 26 instance, above
-    the separation enumerator's limit; points are every x that solve_lp
+def lp_path(inst):
+    """(Instance, LpSolution, points): points are every x that solve_lp
     handed to separate on the way."""
-    inst = random_metric_instance(26, 3)  # five separation rounds
     points = []
     separate = lp_relax.separate
 
@@ -38,6 +35,18 @@ def lp26():
     finally:
         lp_relax.separate = separate
     return inst, sol, points
+
+
+@pytest.fixture(scope="session")
+def lp26():
+    """The LP path of a random n = 26 instance (see lp_path)."""
+    return lp_path(random_metric_instance(26, 3))  # five separation rounds
+
+
+@pytest.fixture(scope="session")
+def lp20():
+    """The LP path of a random n = 20 instance (see lp_path)."""
+    return lp_path(random_metric_instance(20, 3))  # four separation rounds
 
 
 @pytest.fixture(scope="session")

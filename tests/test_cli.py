@@ -182,6 +182,19 @@ def test_demos_run():
         assert proc.returncode == 0, proc.stderr
 
 
+def test_the_package_runs_without_numpy():
+    # numpy is a test dependency only: importing the library and its
+    # command line must not load it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys, pathtsp, pathtsp.cli; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def infeasible_triple(tmp_path):
     """`gen random --n 6 --seed 0` (s = 2, t = 5) with the triangle 0-1-3
     floating beside the path 2-4-5: every degree is right, but the cut

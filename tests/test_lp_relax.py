@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathtsp.cli import check_lp_point
 from pathtsp.instance import (
@@ -19,6 +21,7 @@ from pathtsp.lp_relax import (
 )
 
 from .oracles import (
+    cut_value,
     path_min_cost,
     separate_all_pairs,
     tree_polytope_violations,
@@ -59,10 +62,10 @@ def test_separate_agrees_with_enumeration_on_a_planted_gap():
     assert frozenset({0, 4, 5}) in brute
 
 
-def test_separate_finds_the_merged_ends_above_the_enumeration_limit():
+@pytest.mark.parametrize("n", [6, 24])
+def test_separate_finds_the_merged_ends_above_the_enumeration_limit(n):
     # x_st = 1 leaves the contracted {s, t} node without an edge; every
     # degree is right, but the cut around {s, t} carries no load
-    n = 24
     inst = uniform_instance(n)
     x = path_incidence((0, n - 1))
     x.update(path_incidence(tuple(range(1, n - 1)) + (1,)))
@@ -70,12 +73,46 @@ def test_separate_finds_the_merged_ends_above_the_enumeration_limit():
     assert separate_all_pairs(x, inst) == [((0, n - 1), 2, 0)]
 
 
-def test_separate_matches_all_pairs_along_the_lp_path(lp26):
-    inst, sol, points = lp26
-    assert inst.n > 22 and len(points) > 1
+@pytest.mark.parametrize("path", ["lp20", "lp26"])
+def test_separate_matches_all_pairs_along_the_lp_path(path, request):
+    inst, sol, points = request.getfixturevalue(path)
+    assert len(points) > 1
     for x in points:
         assert separate(x, inst) == separate_all_pairs(x, inst)
     assert separate(sol.x, inst) == []
+
+
+weights = st.sampled_from([Fraction(0)] * 4 + [
+    Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+    Fraction(1), Fraction(3, 2), Fraction(2)])
+
+
+@st.composite
+def fractional_points(draw):
+    """Any s and t, and a sparse x of small fractions on up to 12 vertices;
+    x need not be LP-feasible."""
+    n = draw(st.integers(2, 12))
+    s, t = draw(st.permutations(range(n)))[:2]
+    x = {e: w for e in complete_edges(n) if (w := draw(weights)) != 0}
+    return uniform_instance(n, s, t), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractional_points())
+def test_separate_returns_violated_cuts_and_a_most_violated_one(point):
+    inst, x = point
+    everything = frozenset(range(inst.n))
+    deficit = {U: need - cut_value(x, U) for U, need in violated_cuts(x, inst)}
+    found = separate(x, inst)
+    assert bool(found) == bool(deficit)
+    assert found == sorted(found, key=lambda r: (r[2] - r[1], r[0]))
+    for U, need, load in found:
+        side = frozenset(U) if inst.s in U else everything - set(U)
+        assert U == tuple(sorted(U)) and 0 in U
+        assert side in deficit
+        assert load == cut_value(x, U) and need - load == deficit[side]
+    if found:
+        assert found[0][1] - found[0][2] == max(deficit.values())
 
 
 def test_solve_lp_uniform_triangle():

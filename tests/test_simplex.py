@@ -302,7 +302,6 @@ def test_master_path_matches_the_fraction_tableau(run):
 
 
 def test_lp_path_matches_the_fraction_tableau(lp26, monkeypatch):
-    # n = 26 is above the separation enumerator's limit
     inst, sol, _ = lp26
     paths = []
     for base in (ExactSimplex, oracles.FractionSimplex):
