@@ -53,8 +53,9 @@ def main():
     show_census(dist, chain, wall)
 
     params = GammaParams()
-    flat = assign_gamma(dist, chain, params, uniform_half=True)
-    audit = benefits(dist, chain, flat, params, rule_gamma=False)
+    flat_params = GammaParams(uniform_half=True)
+    flat = assign_gamma(dist, chain, flat_params)
+    audit = benefits(dist, chain, flat, flat_params)
     bad = [c for c in audit.per_cut if c.margin < 0]
     interior = [c for c in audit.per_cut if c.required > 0]
     print(f"flat gamma=1/2 audit at beta={format_rational(params.beta)}: "
@@ -62,8 +63,8 @@ def main():
     print(f"  every failure: benefit {format_rational(bad[0].total)} "
           f"vs required {format_rational(bad[0].required)} "
           f"(margin {format_rational(bad[0].margin)})")
-    cv = correction_vectors(dist, chain, flat, params)
-    verdict = certify_bound(dist, audit, cv, params)
+    cv = correction_vectors(dist, chain, flat, flat_params)
+    verdict = certify_bound(dist, audit, cv, flat_params)
     print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
 
     print(RULE)

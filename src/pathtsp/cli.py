@@ -87,6 +87,38 @@ def check_lp_point(x, inst):
     return True
 
 
+def certify_stages(r, dist, chain, params):
+    """The assign-gamma, benefits, correction-vectors and certify stages;
+    adds the audit lines and returns the verdict."""
+    parities = r.stage("assign-gamma", parity.assign_gamma, dist, chain,
+                       params)
+    audit = r.stage("benefits", parity.benefits, dist, chain, parities,
+                    params)
+    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
+                 chain, parities, params)
+    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
+                      params)
+    r.lines.extend(parity.format_audit_lines(audit, verdict))
+    return verdict
+
+
+def tour_stages(r, dist, inst):
+    """The tours stage, and the exact baseline on small instances; adds
+    the tour report and returns (tour, bomc value)."""
+    rows, tour, value = r.stage("tours", bomc.best_of_many, dist, inst)
+    opt = None
+    if inst.n <= OPT_BASELINE_LIMIT:
+        opt = r.stage("baseline", bomc.held_karp_opt, inst)
+    r.lines.extend(bomc.format_tour_report(
+        rows, value, None if opt is None else opt.cost))
+    return tour, value
+
+
+def gamma_params(args):
+    return parity.GammaParams(args.beta, args.xi, args.eps,
+                              uniform_half=args.legacy_gamma_half)
+
+
 def census_lines(dist, chain):
     out = []
     for pos in range(1, len(chain.xi_indices) - 1):
@@ -125,8 +157,7 @@ def cmd_gen(args):
 def cmd_solve_lp(args):
     r = Runner()
     inst = read_instance(args.instance, closure=args.closure)
-    sol = r.stage("solve-lp", lp_relax.solve_lp, inst,
-                  max_rounds=args.max_rounds)
+    sol = r.stage("solve-lp", lp_relax.solve_lp, inst)
     if args.output:
         lp_relax.write_solution(args.output, sol.x, sol.value)
     r.lines.append(f"instance={instance_digest(inst)} n={inst.n}")
@@ -176,18 +207,10 @@ def cmd_audit(args):
     inst = read_instance(args.instance, closure=args.closure)
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
-    params = parity.GammaParams(args.beta, args.xi, args.eps)
+    params = gamma_params(args)
     r.stage("check-lp-point", check_lp_point, x, inst)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
-    parities = r.stage("assign-gamma", parity.assign_gamma, dist, chain,
-                       params, uniform_half=args.legacy_gamma_half)
-    audit = r.stage("benefits", parity.benefits, dist, chain, parities,
-                    params, rule_gamma=not args.legacy_gamma_half)
-    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
-                 chain, parities, params, check_membership=False)
-    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
-                      params)
-    r.lines.extend(parity.format_audit_lines(audit, verdict))
+    verdict = certify_stages(r, dist, chain, params)
     r.emit(args.output)
     return 0 if verdict.certified else 1
 
@@ -196,12 +219,7 @@ def cmd_tour(args):
     r = Runner()
     inst = read_instance(args.instance, closure=args.closure)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
-    rows, tour, value = r.stage("tours", bomc.best_of_many, dist, inst)
-    opt = None
-    if inst.n <= OPT_BASELINE_LIMIT:
-        opt = r.stage("baseline", bomc.held_karp_opt, inst)
-    r.lines.extend(bomc.format_tour_report(
-        rows, value, None if opt is None else opt.cost))
+    tour, _ = tour_stages(r, dist, inst)
     r.lines.append("path=" + " ".join(str(v) for v in tour.vertices))
     r.emit(args.output)
     return 0
@@ -212,7 +230,7 @@ def cmd_verify(args):
     inst = read_instance(args.instance, closure=args.closure)
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
-    params = parity.GammaParams(args.beta, args.xi, args.eps)
+    params = gamma_params(args)
     failures = 0
     chain = parities = cv = None  # set once computed
 
@@ -224,21 +242,15 @@ def cmd_verify(args):
             r.lines.append(f"check={name} status=SKIP")
             return False
         t0 = time.perf_counter()
+        status = "OK"
         try:
-            detail = fn()
-            status = "OK"
+            fn()
         except (AssertionError, ValueError, cuts.ChainError) as exc:
-            detail = str(exc) or exc.__class__.__name__
-            status = "FAIL"
+            status = f"FAIL detail={str(exc) or exc.__class__.__name__}"
             failures += 1
         r.timings.append(
             f"stage={name} seconds={time.perf_counter() - t0:.3f}")
-        line = f"check={name} status={status}"
-        if status == "FAIL" and detail:
-            line += f" detail={detail}"
-        elif isinstance(detail, str) and detail:
-            line += f" {detail}"
-        r.lines.append(line)
+        r.lines.append(f"check={name} status={status}")
         return status == "OK"
 
     def check_reconstruction():
@@ -246,60 +258,36 @@ def cmd_verify(args):
         assert tree_decomp.reconstruct(dist) == \
             {e: v for e, v in x.items() if v != 0}, \
             "distribution does not reconstruct the solution"
-        return ""
 
     def find_chain():
         nonlocal chain
         # narrow_cuts is complete only for a feasible point
         chain = cuts.narrow_cuts(x, inst, args.xi)
-        return ""
-
-    def check_packing():
-        for ai, atom in enumerate(dist):
-            seen = set()
-            for e in chain.profile(atom.tree).single:
-                if e is not None:
-                    assert e not in seen, (
-                        f"atom {ai}: edge {e} defines two narrow cuts")
-                    seen.add(e)
-        return ""
 
     def check_floor():
         nonlocal cv
-        cv = parity.correction_vectors(dist, chain, parities, params,
-                                       check_membership=False)
-        return ""
-
-    def check_membership():
-        for ai in range(len(dist)):
-            bad = parity.tjoin_cut_violations(
-                cv.y[ai], parities[ai].t_set, inst.n)
-            assert not bad, f"atom {ai}: uncovered T_S-cut {bad[0]}"
-        return ""
+        cv = parity.correction_vectors(dist, chain, parities, params)
 
     def check_margins():
-        audit = parity.benefits(dist, chain, parities, params,
-                                rule_gamma=not args.legacy_gamma_half)
+        audit = parity.benefits(dist, chain, parities, params)
         bad = [c.cut_index for c in audit.per_cut if c.status != "OK"]
         assert not bad, f"negative margin at cuts {bad}"
-        return ""
 
     def check_type_mix():
         assert reassembler.type_mix_bound_holds(dist, chain, args.eps), \
             "type-mix bound violated at an internal cut"
-        return ""
 
-    point_ok = report("lp_point", lambda: (check_lp_point(x, inst), "")[1])
+    point_ok = report("lp_point", lambda: check_lp_point(x, inst))
     report("reconstruction", check_reconstruction)
     chain_ok = report("narrow_cuts", find_chain, point_ok)
-    report("cut_stats", lambda: (cuts.cut_stats(chain, dist), "")[1],
-           chain_ok)
-    report("packing", check_packing, chain_ok)
+    report("cut_stats", lambda: cuts.cut_stats(chain, dist), chain_ok)
+    report("packing", lambda: parity.check_packing(dist, chain), chain_ok)
     if chain_ok:
-        parities = parity.assign_gamma(dist, chain, params,
-                                       uniform_half=args.legacy_gamma_half)
+        parities = parity.assign_gamma(dist, chain, params)
     floor_ok = report("correction_floor", check_floor, chain_ok)
-    report("join_membership", check_membership, floor_ok)
+    report("join_membership",
+           lambda: parity.check_join_membership(cv, parities, inst.n),
+           floor_ok)
     report("benefit_margins", check_margins, chain_ok)
     report("type_mix", check_type_mix, chain_ok)
     r.lines.append(f"checks_failed={failures}")
@@ -324,8 +312,7 @@ def cmd_run(args):
                    f"s={inst.s} t={inst.t}")
 
     if xstar is None:
-        sol = r.stage("solve-lp", lp_relax.solve_lp, inst,
-                      max_rounds=args.max_rounds)
+        sol = r.stage("solve-lp", lp_relax.solve_lp, inst)
         x, value = sol.x, sol.value
     else:
         x = xstar
@@ -355,23 +342,8 @@ def cmd_run(args):
         r.lines.append("exchanges:")
         r.lines.extend(exchange_lines(records))
 
-    params = parity.GammaParams(args.beta, args.xi, args.eps)
-    parities = r.stage("assign-gamma", parity.assign_gamma, dist, chain,
-                       params, uniform_half=args.legacy_gamma_half)
-    audit = r.stage("benefits", parity.benefits, dist, chain, parities,
-                    params, rule_gamma=not args.legacy_gamma_half)
-    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
-                 chain, parities, params)
-    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
-                      params)
-    r.lines.extend(parity.format_audit_lines(audit, verdict))
-
-    rows, tour, bomc_value = r.stage("tours", bomc.best_of_many, dist, inst)
-    opt = None
-    if inst.n <= OPT_BASELINE_LIMIT:
-        opt = r.stage("baseline", bomc.held_karp_opt, inst)
-    r.lines.extend(bomc.format_tour_report(
-        rows, bomc_value, None if opt is None else opt.cost))
+    verdict = certify_stages(r, dist, chain, gamma_params(args))
+    _, bomc_value = tour_stages(r, dist, inst)
 
     bound_ok = True
     if verdict.certified:
@@ -427,7 +399,6 @@ def build_parser():
     sp = sub.add_parser("solve-lp", help="solve the relaxation exactly")
     sp.add_argument("instance")
     sp.add_argument("-o", "--output", help="solution file to write")
-    sp.add_argument("--max-rounds", type=int, default=200)
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_solve_lp)
 
@@ -485,7 +456,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--output")
     sp.add_argument("--skip-reassembly", action="store_true")
-    sp.add_argument("--max-rounds", type=int, default=200)
     sp.add_argument("--trace", action="store_true")
     _add_param_flags(sp)
     _add_instance_flags(sp)

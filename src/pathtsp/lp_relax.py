@@ -31,6 +31,7 @@ ONE = Fraction(1)
 TWO = Fraction(2)
 
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
+MAX_ROUNDS = 200     # separation rounds before solve_lp gives up
 
 
 @dataclass
@@ -120,7 +121,7 @@ def _contract(cap: dict, group, label):
 
 # ----- the solver -----
 
-def solve_lp(inst: Instance, max_rounds=200) -> LpSolution:
+def solve_lp(inst: Instance) -> LpSolution:
     n = inst.n
     edges = complete_edges(n)
     sx = ExactSimplex()
@@ -146,9 +147,9 @@ def solve_lp(inst: Instance, max_rounds=200) -> LpSolution:
         cuts = separate(xcur, inst)
         if not cuts:
             break
-        if rounds >= max_rounds:
+        if rounds >= MAX_ROUNDS:
             raise RuntimeError(f"separation did not close after "
-                               f"{max_rounds} rounds")
+                               f"{MAX_ROUNDS} rounds")
         for (U, req, _load) in cuts[:ADD_PER_ROUND]:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)

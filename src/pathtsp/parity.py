@@ -7,22 +7,28 @@ gamma_{S,e} in [0,1] from the two quantities
 
     f1 = 0, or min(1/2, max f(x(C)) over narrow C with e in C, |S cap C| = 1)
     f2 = 0, or min(1/2, max f(x(C)) over narrow C with e in C, |S cap C| even)
-    gamma = f2 if f2 < f1 else 1 - f1,     f(x) = beta(2-x)(x-1)/(1-2beta).
+    gamma = f2 if f2 < f1 else 1 - f1,     f(x) = beta(2-x)(x-1)/(1-2beta),
+
+or gamma = 1/2 on every path edge when GammaParams.uniform_half is set
+(Sebo's uniform assignment, the legacy audit mode).  e^S_C, the first path
+edge crossing the narrow cut C, is found for every level of the chain in
+one walk along the path and kept on the tree's TreeParity.
 
 The benefit of (S, C) is min(beta(2-x(C))/(1-2beta), gamma at e^S_C) when
 S crosses C an even number of times, 1 - gamma at e^S_C when it crosses
-once, and 0 otherwise, where e^S_C is the first path edge crossing C.  The
-audit checks, per narrow cut, that total benefit covers
-beta(2-x(C)) p_even/(1-2beta), labels each critical cut (f(x(C)) > 1/2)
-with the first applicable census case, and re-derives the per-tree
-inequalities behind that case analysis.
+once, and 0 otherwise.  The audit checks, per narrow cut, that total
+benefit covers beta(2-x(C)) p_even/(1-2beta); under the rule-based gamma
+it also labels each critical cut (f(x(C)) > 1/2) with the first
+applicable census case and re-derives the per-tree inequalities behind
+that case analysis.
 
 Correction vectors: z^S spreads (1-2beta) gamma over the path edges and
 tops up even narrow cuts on their cheapest edge e_C, and
 y^S = beta x* + (1-2beta) chi^{J_S} + z^S must hit every T_S-cut with load
 at least 1, verified at every n by Padberg-Rao: a minimum T_S-odd cut is a
-fundamental cut of a Gomory-Hu tree of y^S.  certify_bound re-verifies the
-full cost chain instead of trusting it.
+fundamental cut of a Gomory-Hu tree of y^S.  certify_bound checks that
+membership for every y^S and re-verifies the full cost chain instead of
+trusting it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cuts import XI_DEFAULT, CutChain, format_rational, gomory_hu_tree
+from .cuts import (XI_DEFAULT, CutChain, format_rational, gomory_hu_tree,
+                   load_of_mask)
 from .flows import FlowNetwork
 from .instance import Instance, complete_edges, edge, vector_cost
 from .tree_decomp import tree_path
@@ -53,6 +60,7 @@ class GammaParams:
     beta: Fraction = BETA_DEFAULT
     xi: Fraction = XI_DEFAULT
     eps: Fraction = EPS_DEFAULT
+    uniform_half: bool = False   # gamma = 1/2 on every path edge
 
     def __post_init__(self):
         self.beta = Fraction(self.beta)
@@ -83,6 +91,7 @@ class TreeParity:
     j_edges: frozenset     # the rest: a T_S-join
     t_set: frozenset       # wrong-parity vertices
     gamma: dict = None     # path edge -> Fraction, set by assign_gamma
+    e_path: list = None    # chain level -> e^S_C, set by assign_gamma
 
 
 def split_path_join(tree, inst: Instance) -> TreeParity:
@@ -114,27 +123,30 @@ def split_path_join(tree, inst: Instance) -> TreeParity:
                       t_set=frozenset(t_set))
 
 
-def path_edge_at_cut(parity: TreeParity, mask: int):
-    """First path edge crossing the cut, walking from s."""
+def first_path_edges(parity: TreeParity, chain: CutChain) -> list:
+    """e^S_C at every level of the chain: the first path edge, walking
+    from s, that crosses the level.  The path leaves level c on the first
+    edge to reach a vertex of layer above c, so one walk with a high-water
+    mark over the layers fills the levels in order."""
+    layer = chain.layer
+    out = []
     for a, b in zip(parity.path_vertices, parity.path_vertices[1:]):
-        if ((mask >> a) ^ (mask >> b)) & 1:
-            return edge(a, b)
-    raise ValueError("path does not cross the cut")
+        top = max(layer[a], layer[b])
+        if top > len(out):
+            out.extend([edge(a, b)] * (top - len(out)))
+    return out
 
 
-def assign_gamma(dist, chain: CutChain, params: GammaParams,
-                 uniform_half=False):
-    """TreeParity (with gamma) per atom.  uniform_half forces gamma = 1/2
-    on every path edge — the legacy audit mode."""
+def assign_gamma(dist, chain: CutChain, params: GammaParams):
+    """TreeParity, with gamma and e_path, per atom."""
     inst = chain.inst
     out = []
     for atom in dist:
         par = split_path_join(atom.tree, inst)
-        gamma = {}
-        if uniform_half:
-            for e in par.i_edges:
-                gamma[e] = HALF
+        if params.uniform_half:
+            gamma = dict.fromkeys(par.i_edges, HALF)
         else:
+            gamma = {}
             cross_count = chain.profile(atom.tree).counts
             for e in par.i_edges:
                 one_cuts = []
@@ -155,20 +167,21 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams,
                 gamma[e] = f2 if f2 < f1 else 1 - f1
         assert all(0 <= g <= 1 for g in gamma.values())
         par.gamma = gamma
+        par.e_path = first_path_edges(par, chain)
         out.append(par)
     return out
 
 
 # ----- benefits and the per-cut audit -----
 
-def benefit(parity: TreeParity, k_cross: int, load: Fraction, mask: int,
+def benefit(parity: TreeParity, k_cross: int, load: Fraction, ci: int,
             params: GammaParams) -> Fraction:
+    """The benefit of the tree at chain level ci, crossed k_cross times."""
     if k_cross % 2 == 0:
-        g = parity.gamma[path_edge_at_cut(parity, mask)]
+        g = parity.gamma[parity.e_path[ci]]
         return min(params.beta * (2 - load) / (1 - 2 * params.beta), g)
     if k_cross == 1:
-        g = parity.gamma[path_edge_at_cut(parity, mask)]
-        return 1 - g
+        return 1 - parity.gamma[parity.e_path[ci]]
     return ZERO
 
 
@@ -204,16 +217,15 @@ class BenefitAudit:
     all_ok: bool
 
 
-def benefits(dist, chain: CutChain, parities, params: GammaParams,
-             rule_gamma=True) -> BenefitAudit:
-    """Per-narrow-cut benefit audit; margins may be negative (reported,
-    never raised).  The per-tree invariants of the critical-cut case
-    analysis are asserted wherever an active case exists — their failure
-    would mean a code bug, not a legitimately failing instance.  They are
-    consequences of the rule-based gamma assignment, so pass
-    rule_gamma=False when auditing an overridden (e.g. uniform-1/2)
-    assignment: the case machinery is skipped and the margins alone
-    decide."""
+def benefits(dist, chain: CutChain, parities,
+             params: GammaParams) -> BenefitAudit:
+    """Per-narrow-cut benefit audit of parities (from assign_gamma with the
+    same params); margins may be negative (reported, never raised).  The
+    per-tree invariants of the critical-cut case analysis are asserted
+    wherever an active case exists — their failure would mean a code bug,
+    not a legitimately failing instance.  They are consequences of the
+    rule-based gamma, so under params.uniform_half the case machinery is
+    skipped and the margins alone decide."""
     from .reassembler import type_data
 
     beta, xi, eps = params.beta, params.xi, params.eps
@@ -222,8 +234,7 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
     lprime = len(chain.xi_indices) - 1
     counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
-    for ci, mask in enumerate(chain.masks):
-        load = chain.loads[ci]
+    for ci, load in enumerate(chain.loads):
         rows = []
         total = ZERO
         p_even = ZERO
@@ -231,7 +242,7 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
         data = []
         for ai, atom in enumerate(dist):
             k = counts[ai][ci]
-            b = benefit(parities[ai], k, load, mask, params)
+            b = benefit(parities[ai], k, load, ci, params)
             pos = xi_pos.get(ci)
             if pos is not None and 0 < pos < lprime:
                 code, l, m, r = type_data(atom.tree, chain, pos)
@@ -250,7 +261,7 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
         a_marks = None
         eq17 = None
         eq18_ok = None
-        if params.f(load) > HALF and rule_gamma:
+        if params.f(load) > HALF and not params.uniform_half:
             # a critical cut; with default constants its load sits in a
             # small window around 3/2, in particular below xi and off the
             # chain ends, so the type census is defined.  Exotic (but
@@ -310,7 +321,6 @@ def benefits(dist, chain: CutChain, parities, params: GammaParams,
 class CorrectionVectors:
     z: list         # per atom: edge vector
     y: list         # per atom: beta x* + (1-2beta) chi^{J_S} + z^S
-    e_path: list    # per atom: narrow-cut index -> e^S_C
     e_cheap: dict   # narrow-cut index -> cheapest complete-graph edge e_C
 
 
@@ -341,30 +351,22 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
 
 
 def correction_vectors(dist, chain: CutChain, parities,
-                       params: GammaParams,
-                       check_membership=True) -> CorrectionVectors:
-    inst = chain.inst
+                       params: GammaParams) -> CorrectionVectors:
+    """z^S and y^S per atom, asserting the even-cut floor of z^S;
+    certify_bound checks that each y^S is in the T_S-join dominant."""
     beta = params.beta
-    if beta > HALF:
-        raise ValueError("beta must not exceed 1/2")
     w1 = 1 - 2 * beta
     e_cheap = cheapest_cut_edges(chain)
-    zs, ys, e_paths = [], [], []
-    for ai, atom in enumerate(dist):
-        par = parities[ai]
+    zs, ys = [], []
+    for atom, par in zip(dist, parities):
         z = {}
         for e in par.i_edges:
             z[e] = z.get(e, ZERO) + w1 * par.gamma[e]
         counts = chain.profile(atom.tree).counts
-        e_path = {}
-        for ci, mask in enumerate(chain.masks):
-            k = counts[ci]
-            if k % 2 == 1 and k > 1:
-                continue
-            esc = path_edge_at_cut(par, mask)
-            e_path[ci] = esc
+        for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = beta * (2 - chain.loads[ci]) - w1 * par.gamma[esc]
+                top = (beta * (2 - chain.loads[ci])
+                       - w1 * par.gamma[par.e_path[ci]])
                 if top > 0:
                     ec = e_cheap[ci]
                     z[ec] = z.get(ec, ZERO) + top
@@ -372,22 +374,16 @@ def correction_vectors(dist, chain: CutChain, parities,
         # even narrow cuts now carry z-mass at least beta(2 - load)
         for ci, mask in enumerate(chain.masks):
             if counts[ci] % 2 == 0:
-                zc = sum((v for e, v in z.items()
-                          if ((mask >> e[0]) ^ (mask >> e[1])) & 1), ZERO)
-                assert zc >= beta * (2 - chain.loads[ci]), \
+                assert load_of_mask(z, mask) >= beta * (2 - chain.loads[ci]), \
                     "even-cut correction requirement failed"
         y = {e: beta * v for e, v in chain.x.items()}
         for e in par.j_edges:
             y[e] = y.get(e, ZERO) + w1
         for e, v in z.items():
             y[e] = y.get(e, ZERO) + v
-        if check_membership:
-            bad = tjoin_cut_violations(y, par.t_set, inst.n)
-            assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
         zs.append(z)
         ys.append(y)
-        e_paths.append(e_path)
-    return CorrectionVectors(z=zs, y=ys, e_path=e_paths, e_cheap=e_cheap)
+    return CorrectionVectors(z=zs, y=ys, e_cheap=e_cheap)
 
 
 def tjoin_cut_violations(y: dict, t_set, n: int):
@@ -403,6 +399,13 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
             U = side if 0 in side else frozenset(range(n)) - side
             out.append(tuple(sorted(U)))
     return out
+
+
+def check_join_membership(cv: CorrectionVectors, parities, n: int):
+    """Assert that every y^S lies in the T_S-join dominant."""
+    for ai, (y, par) in enumerate(zip(cv.y, parities)):
+        bad = tjoin_cut_violations(y, par.t_set, n)
+        assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
 
 
 # ----- certification -----
@@ -424,10 +427,12 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     correction vectors cv (built by correction_vectors for the same dist,
     chain and parities) are cheap enough:
         sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
-    When the audit passed, the whole cost chain behind that implication is
+    Every y^S is checked for T_S-join membership on every call, and when
+    the audit passed, the whole cost chain behind that implication is
     re-derived step by step (any failure is a bug, hence an assertion)."""
     chain, parities = audit.chain, audit.parities
     inst = chain.inst
+    check_join_membership(cv, parities, inst.n)
     beta = params.beta
     w1 = 1 - 2 * beta
     z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
@@ -454,32 +459,39 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
     w1 = 1 - 2 * beta
     # per cut: the top-up mass is covered by the single-crossing slack
     # (this is exactly the benefit inequality restated), and the cheap
-    # edge never costs more than the designated path edge
+    # edge never costs more than the designated path edge, which is the
+    # lone edge of a cut crossed once
     profiles = [chain.profile(atom.tree) for atom in dist]
     for ci, load in enumerate(chain.loads):
         tops = ZERO
         slack = ZERO
-        for ai, atom in enumerate(dist):
-            k = profiles[ai].counts[ci]
+        for atom, prof, par in zip(dist, profiles, parities):
+            k = prof.counts[ci]
+            esc = par.e_path[ci]
             if k % 2 == 0:
-                esc = cv.e_path[ai][ci]
-                top = max(ZERO, beta * (2 - load) - w1 * parities[ai].gamma[esc])
+                top = max(ZERO, beta * (2 - load) - w1 * par.gamma[esc])
                 tops += atom.weight * top
             elif k == 1:
-                esc = cv.e_path[ai][ci]
-                slack += atom.weight * (1 - parities[ai].gamma[esc])
+                assert prof.single[ci] == esc
+                slack += atom.weight * (1 - par.gamma[esc])
                 assert chain.inst.cost[cv.e_cheap[ci]] \
                     <= chain.inst.cost[esc]
         assert tops <= w1 * slack, f"stepping stone failed at cut {ci}"
     # per atom: narrow cuts crossed once are defined by distinct path edges
-    for ai, prof in enumerate(profiles):
-        seen = set()
-        for e in prof.single:
-            if e is not None:
-                assert e in parities[ai].i_edges
-                assert e not in seen, "an edge single-defines two narrow cuts"
-                seen.add(e)
+    check_packing(dist, chain)
     assert z_cost <= w1 * path_cost, "cost chain conclusion failed"
+
+
+def check_packing(dist, chain: CutChain):
+    """Assert that no edge of a tree is the lone crossing of two narrow
+    cuts."""
+    for ai, atom in enumerate(dist):
+        seen = set()
+        for e in chain.profile(atom.tree).single:
+            if e is not None:
+                assert e not in seen, (
+                    f"atom {ai}: edge {e} defines two narrow cuts")
+                seen.add(e)
 
 
 # ----- report formatting -----

@@ -1,0 +1,32 @@
+"""Micro-benchmark of the certification layer (pytest-benchmark).
+
+Outside the default test run, which collects only test_*.py; run with
+
+    PYTHONPATH=src python -m pytest tests/bench_parity.py
+
+Times one certification of the reassembled k = 20 wall: `assign_gamma`,
+`benefits`, `correction_vectors` and `certify_bound`, with the T-join
+membership check of every y^S.  The chain keeps the crossing profiles that
+reassembly built, as it does in `pathtsp run`.
+"""
+
+from pathtsp import build_appendix_instance, narrow_cuts
+from pathtsp.parity import (GammaParams, assign_gamma, benefits,
+                            certify_bound, correction_vectors)
+from pathtsp.reassembler import reassemble
+
+
+def test_certify_reassembled_wall(benchmark):
+    params = GammaParams()
+    inst, xstar, dist = build_appendix_instance(20)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+
+    def certify():
+        parities = assign_gamma(final, chain, params)
+        audit = benefits(final, chain, parities, params)
+        cv = correction_vectors(final, chain, parities, params)
+        return certify_bound(final, audit, cv, params)
+
+    verdict = benchmark.pedantic(certify, rounds=30, iterations=1)
+    assert verdict.certified

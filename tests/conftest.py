@@ -55,5 +55,12 @@ def params():
 
 
 @pytest.fixture(scope="session")
+def half_params():
+    """The default constants with Sebo's uniform gamma = 1/2."""
+    return GammaParams(uniform_half=True)
+
+
+@pytest.fixture(scope="session")
 def legacy_params():
-    return GammaParams(beta=Fraction(2, 5))
+    """The older 8/5 audit: beta = 2/5 with the uniform gamma = 1/2."""
+    return GammaParams(beta=Fraction(2, 5), uniform_half=True)

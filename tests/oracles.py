@@ -282,6 +282,15 @@ def crossings(tree, mask):
     return len(crossing_edges(tree, mask))
 
 
+def path_edge_at_cut(parity, mask):
+    """e^S_C: the first path edge crossing the cut, walking the tree's s-t
+    path from s."""
+    for a, b in zip(parity.path_vertices, parity.path_vertices[1:]):
+        if ((mask >> a) ^ (mask >> b)) & 1:
+            return (min(a, b), max(a, b))
+    raise ValueError("path does not cross the cut")
+
+
 def cheapest_cut_edge(inst, mask):
     """Minimum-cost complete-graph edge crossing the cut, by scanning all
     n(n-1)/2 edges; ties go to the lexicographically smallest edge."""

@@ -73,12 +73,10 @@ def test_criterion_1(appendix0, appendix0_chain):
 
 
 @criterion(2, "raw wall benefits stall at 1/2 and miss the requirement")
-def test_criterion_2(appendix0, appendix0_chain, params):
+def test_criterion_2(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    parities = parity.assign_gamma(p4, appendix0_chain, params,
-                                   uniform_half=True)
-    audit = parity.benefits(p4, appendix0_chain, parities, params,
-                            rule_gamma=False)
+    parities = parity.assign_gamma(p4, appendix0_chain, half_params)
+    audit = parity.benefits(p4, appendix0_chain, parities, half_params)
     assert not audit.all_ok
     for i in appendix_wall_cut_indices(0):
         c = audit.per_cut[i]
@@ -174,8 +172,8 @@ def property_results(params, legacy_params):
         # (c) correction vectors: even-cut floor and join-polyhedron
         # membership for every atom
         parities = parity.assign_gamma(final, chain, params)
-        cv = parity.correction_vectors(final, chain, parities, params,
-                                       check_membership=True)
+        cv = parity.correction_vectors(final, chain, parities, params)
+        parity.check_join_membership(cv, parities, inst.n)
         for ai in range(len(final)):
             for ci, mask in enumerate(chain.masks):
                 if crossings(final[ai].tree, mask) % 2 == 0:
@@ -200,10 +198,9 @@ def property_results(params, legacy_params):
         assert tour.cost <= Fraction(1599, 1000) * opt.cost
 
         # criterion 6 input: the legacy audit on the same distribution
-        legacy_parities = parity.assign_gamma(final, chain, legacy_params,
-                                              uniform_half=True)
+        legacy_parities = parity.assign_gamma(final, chain, legacy_params)
         legacy_audit = parity.benefits(final, chain, legacy_parities,
-                                       legacy_params, rule_gamma=False)
+                                       legacy_params)
         results.append({
             "n": n, "seed": seed,
             "fractional": any(v.denominator > 1 for v in x.values()),

@@ -89,6 +89,11 @@ def test_reassembled_wall_verifies(tmp_path):
         assert body[-1] == "checks_failed=0"
         assert all("status=FAIL" not in ln for ln in body)
         assert "check=join_membership status=OK" in body
+        # audit checks the same membership inside its certify stage
+        audit = tmp_path / f"audit{k}.txt"
+        assert main(["audit", str(inst), str(sol), str(fixed),
+                     "-o", str(audit)]) == 0
+        assert strip_timings(audit)[-1] == "certified_beta=401/1000"
 
 
 @pytest.mark.parametrize("k", ["6", "12", "20"])

@@ -11,6 +11,7 @@ from pathtsp.cuts import gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
     Instance,
+    build_appendix_instance,
     complete_edges,
     edge,
     random_metric_instance,
@@ -32,10 +33,11 @@ from pathtsp.parity import (
     tjoin_cut_violations,
 )
 from pathtsp.reassembler import reassemble, type_census
-from pathtsp.tree_decomp import decompose
+from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import cheapest_cut_edge, cut_value, tjoin_violations_enumerate
-from .test_cuts import random_chain, rational_graphs
+from .oracles import (cheapest_cut_edge, cut_value, path_edge_at_cut,
+                      tjoin_violations_enumerate)
+from .test_cuts import random_chain, rational_graphs, trees_on_chains
 
 HALF = Fraction(1, 2)
 
@@ -60,11 +62,10 @@ def reassembled(appendix0, appendix0_chain, params):
 
 
 @pytest.fixture(scope="module")
-def raw_audit(appendix0, appendix0_chain, params):
+def raw_audit(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    parities = assign_gamma(p4, appendix0_chain, params, uniform_half=True)
-    return p4, parities, benefits(p4, appendix0_chain, parities, params,
-                                  rule_gamma=False)
+    parities = assign_gamma(p4, appendix0_chain, half_params)
+    return p4, parities, benefits(p4, appendix0_chain, parities, half_params)
 
 
 def test_f_vanishes_at_the_window_ends(params, legacy_params):
@@ -77,6 +78,7 @@ def test_f_vanishes_at_the_window_ends(params, legacy_params):
 def test_parameter_pack():
     p = GammaParams()
     assert (p.beta, p.xi, p.eps) == (BETA_DEFAULT, XI_DEFAULT, EPS_DEFAULT)
+    assert p.uniform_half is False
     assert p.nu == Fraction(132181, 220000) > Fraction(3, 5)
     assert p.beta >= 3 / (6 + 4 * p.xi * (2 - p.xi)) == Fraction(2500, 6557)
     for kwargs in ({"beta": Fraction(3, 10)}, {"beta": HALF},
@@ -110,24 +112,58 @@ def test_gamma_is_one_on_an_integral_path(params):
     assert all(g == 1 for g in parities[0].gamma.values())
 
 
-def test_gamma_uniform_override(appendix0, appendix0_chain, params):
+def test_gamma_uniform_override(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    for par in assign_gamma(p4, appendix0_chain, params, uniform_half=True):
+    for par in assign_gamma(p4, appendix0_chain, half_params):
         assert all(g == HALF for g in par.gamma.values())
         assert set(par.gamma) == set(par.i_edges)
 
 
+def walked_path_edges(par, chain):
+    return [path_edge_at_cut(par, mask) for mask in chain.masks]
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_first_path_edges_match_the_walk_on_the_walls(k, params):
+    inst, xstar, raw = build_appendix_instance(k)
+    chain = narrow_cuts(xstar, inst)
+    fixed, records = reassemble(raw, chain, params.eps)
+    assert records
+    for dist in (raw, fixed):
+        for par in assign_gamma(dist, chain, params):
+            assert par.e_path == walked_path_edges(par, chain)
+
+
+def test_first_path_edges_match_the_walk_on_an_lp_optimum(lp26, params):
+    inst, sol, _ = lp26
+    chain = narrow_cuts(sol.x, inst)
+    for par in assign_gamma(decompose(sol.x, inst), chain, params):
+        assert par.e_path == walked_path_edges(par, chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_on_chains())
+def test_first_path_edges_match_the_walk_on_random_trees(case):
+    tree, chain = case  # the chain has no loads, so gamma must be uniform
+    par, = assign_gamma([Atom(tree, Fraction(1))], chain,
+                        GammaParams(uniform_half=True))
+    assert par.e_path == walked_path_edges(par, chain)
+
+
 def test_benefit_values(params):
     inst = uniform_instance(6)
-    par = split_path_join(frozenset(path_x(range(6))), inst)
+    x = path_x(range(6))
+    chain = narrow_cuts(x, inst)
+    par = assign_gamma(decompose(x, inst), chain, params)[0]
     par.gamma = {e: Fraction(1, 4) for e in par.i_edges}
-    mask = 1  # cut {0}; the path edge there is (0, 1)
-    assert benefit(par, 1, Fraction(1), mask, params) == Fraction(3, 4)
-    assert benefit(par, 3, Fraction(3, 2), mask, params) == 0
+    ci = 0  # cut {0}; the path edge there is (0, 1)
+    assert chain.masks[ci] == 1 and par.e_path[ci] == (0, 1)
+    assert benefit(par, 1, Fraction(1), ci, params) == Fraction(3, 4)
+    assert benefit(par, 3, Fraction(3, 2), ci, params) == 0
     # even crossings: min(beta (2 - load) / (1 - 2 beta), gamma)
-    assert benefit(par, 2, Fraction(3, 2), mask, params) == Fraction(1, 4)
+    assert benefit(par, 2, Fraction(3, 2), ci, params) == Fraction(1, 4)
     par.gamma[(0, 1)] = Fraction(3, 4)
-    assert benefit(par, 2, Fraction(7, 4), mask, params) == Fraction(401, 792)
+    assert benefit(par, 2, Fraction(7, 4), ci, params) == Fraction(401, 792)
 
 
 def test_raw_wall_distribution_fails_the_audit(raw_audit):
@@ -160,10 +196,8 @@ def test_raw_wall_distribution_falls_back(raw_audit, appendix0_chain,
 def test_legacy_beta_passes_on_the_raw_wall(appendix0, appendix0_chain,
                                             legacy_params):
     _, _, p4 = appendix0
-    parities = assign_gamma(p4, appendix0_chain, legacy_params,
-                            uniform_half=True)
-    audit = benefits(p4, appendix0_chain, parities, legacy_params,
-                     rule_gamma=False)
+    parities = assign_gamma(p4, appendix0_chain, legacy_params)
+    audit = benefits(p4, appendix0_chain, parities, legacy_params)
     assert audit.all_ok
     assert all(c.margin == 0 for c in audit.per_cut if c.load > 1)
     cv = correction_vectors(p4, appendix0_chain, parities, legacy_params)
@@ -195,7 +229,23 @@ def test_reassembled_wall_is_certified(reassembled, appendix0,
     assert all(pat.match(ln) for ln in lines[:-1])
 
 
-def test_swapping_the_ends_mirrors_everything(appendix0, params):
+def test_certify_bound_checks_join_membership(reassembled, appendix0,
+                                             appendix0_chain, params):
+    inst, _, _ = appendix0
+    final, _, audit = reassembled
+    cv = correction_vectors(final, appendix0_chain, audit.parities, params)
+    assert certify_bound(final, audit, cv, params).certified
+    # without its J_S part y^S is no longer in the T_S-join dominant
+    par = audit.parities[0]
+    w1 = 1 - 2 * params.beta
+    for e in par.j_edges:
+        cv.y[0][e] -= w1
+    assert tjoin_cut_violations(cv.y[0], par.t_set, inst.n)
+    with pytest.raises(AssertionError, match=r"atom 0: y\^S misses"):
+        certify_bound(final, audit, cv, params)
+
+
+def test_swapping_the_ends_mirrors_everything(appendix0, half_params):
     inst, xstar, p4 = appendix0
     swapped = Instance(n=inst.n, s=inst.t, t=inst.s, cost=inst.cost)
     c1 = narrow_cuts(xstar, inst)
@@ -209,9 +259,8 @@ def test_swapping_the_ends_mirrors_everything(appendix0, params):
             mirror(code): w for code, w in census.items()}
     audits = []
     for chain in (c1, c2):
-        parities = assign_gamma(p4, chain, params, uniform_half=True)
-        audits.append(benefits(p4, chain, parities, params,
-                               rule_gamma=False))
+        parities = assign_gamma(p4, chain, half_params)
+        audits.append(benefits(p4, chain, parities, half_params))
     assert ([c.margin for c in audits[1].per_cut]
             == [c.margin for c in audits[0].per_cut][::-1])
     assert ([c.total for c in audits[1].per_cut]
