@@ -24,7 +24,7 @@ from math import lcm
 
 from .instance import Instance, complete_edges, edge, format_rational
 from .parity import split_path_join, tjoin_cut_violations
-from .simplex import ExactSimplex
+from .simplex import ExactSimplex, delta_rows
 
 ZERO = Fraction(0)
 
@@ -63,9 +63,7 @@ def min_tjoin(T, inst: Instance):
     sx = ExactSimplex()
     var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
               for i, j in pairs}
-
-    def delta_coeffs(U, sign=1):
-        return {var_of[p]: sign for p in pairs if (p[0] in U) != (p[1] in U)}
+    delta_coeffs = delta_rows(var_of, k)
 
     # Each degree equality goes in as two warm rows, >= 1 and <= 1, so the
     # dual simplex starts from y = 0, which the costs (>= 0) keep dual
@@ -87,7 +85,7 @@ def min_tjoin(T, inst: Instance):
         for U in cuts:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
-            sx.add_cut_row(delta_coeffs(frozenset(U)), ">=", 1)
+            sx.add_cut_row(delta_coeffs(U), ">=", 1)
         sx.solve()
 
     sx.assert_optimal()

@@ -87,6 +87,14 @@ def check_lp_point(x, inst):
     return True
 
 
+def check_reconstruction(x, dist):
+    """The distribution's weights sum to 1 and its trees average to x."""
+    if tree_decomp.total_weight(dist) != 1:
+        raise ValueError("total weight is not 1")
+    if tree_decomp.reconstruct(dist) != {e: v for e, v in x.items() if v != 0}:
+        raise ValueError("distribution does not reconstruct the solution")
+
+
 def certify_stages(r, dist, chain, params):
     """The assign-gamma, benefits, correction-vectors and certify stages;
     adds the audit lines and returns the verdict."""
@@ -209,6 +217,7 @@ def cmd_audit(args):
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = gamma_params(args)
     r.stage("check-lp-point", check_lp_point, x, inst)
+    r.stage("reconstruction", check_reconstruction, x, dist)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
     verdict = certify_stages(r, dist, chain, params)
     r.emit(args.output)
@@ -253,12 +262,6 @@ def cmd_verify(args):
         r.lines.append(f"check={name} status={status}")
         return status == "OK"
 
-    def check_reconstruction():
-        assert tree_decomp.total_weight(dist) == 1, "total weight is not 1"
-        assert tree_decomp.reconstruct(dist) == \
-            {e: v for e, v in x.items() if v != 0}, \
-            "distribution does not reconstruct the solution"
-
     def find_chain():
         nonlocal chain
         # narrow_cuts is complete only for a feasible point
@@ -278,7 +281,7 @@ def cmd_verify(args):
             "type-mix bound violated at an internal cut"
 
     point_ok = report("lp_point", lambda: check_lp_point(x, inst))
-    report("reconstruction", check_reconstruction)
+    report("reconstruction", lambda: check_reconstruction(x, dist))
     chain_ok = report("narrow_cuts", find_chain, point_ok)
     report("cut_stats", lambda: cuts.cut_stats(chain, dist), chain_ok)
     report("packing", lambda: parity.check_packing(dist, chain), chain_ok)

@@ -13,6 +13,11 @@ of the graph with s and t contracted and computes a min cut only for the
 vertex pairs whose tree connectivity is below 2, so a feasible point costs
 n flows; the most violated even cut is a global min cut and so one of
 these.  Separation thus returns a most violated cut whenever one exists.
+A pair flow is skipped when an earlier flow from the same source already
+returned its answer (see separate), which drops most of the pair flows.
+
+The cut rows are built on ints: delta(U) comes from a vertex-pair table
+of columns (simplex.delta_rows) as int coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        parse_rational, vector_cost)
-from .simplex import ExactSimplex
+from .simplex import ExactSimplex, delta_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,6 +68,19 @@ def separate(x: dict, inst: Instance):
     requirement.  The list is empty exactly when x violates no cut
     constraint, and its first cut is a most violated one.  It need not list
     every violated cut.
+
+    The even cuts come from the pairs (a, b) of the contracted graph that a
+    narrow edge (value < 2) of its Gomory-Hu tree separates; lambda(a, b),
+    the min a-b cut value, is the least value among those edges.  The flow
+    from a to b returns M(a, b), the minimal min a-b cut (flows module).
+    For each source a the flows run so far leave their sides S = M(a, b')
+    at values lambda(a, b').  The pair (a, b) runs no flow when some such S
+    does not contain b and lambda(a, b') = lambda(a, b): then S is a min
+    a-b cut, so M(a, b) lies inside S; M(a, b) also leaves out b' at value
+    lambda(a, b'), so it is a min a-b' cut and contains S.  So M(a, b) = S:
+    the flow would return a side already examined, so the list is the one
+    that running every flow gives.  Each flow that runs must return exactly
+    lambda(a, b), which is asserted.
     """
     n, s, t = inst.n, inst.s, inst.t
     cap = {e: v for e, v in x.items() if v != 0}
@@ -85,25 +103,36 @@ def separate(x: dict, inst: Instance):
     cnet = FlowNetwork(_contract(cap, {s, t}, "st"))
     nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
                    key=str)
-    # pairs on the same side of every tree edge of value < 2 have
-    # connectivity >= 2 and cannot give a violated cut
-    narrow = [cut for cut, value in gomory_hu_tree(cnet, nodes) if value < 2]
-    group = {u: tuple(u in cut for cut in narrow) for u in nodes}
+    # the narrow tree edges, least value first, as ints over cnet.den; bit
+    # k of mask[u] says whether u lies below narrow edge k
+    narrow = sorted(((value.numerator * (cnet.den // value.denominator), cut)
+                     for cut, value in gomory_hu_tree(cnet, nodes)
+                     if value < 2), key=lambda item: item[0])
+    mask = {u: sum(1 << k for k, (_, cut) in enumerate(narrow) if u in cut)
+            for u in nodes}
     for i, a in enumerate(nodes):
+        kept = {}  # value -> the sides the flows from a returned at it
         for b in nodes[i + 1:]:
-            if group[a] == group[b]:
+            split = mask[a] ^ mask[b]
+            # pairs on the same side of every narrow edge have
+            # connectivity >= 2 and cannot give a violated cut
+            if not split:
                 continue
+            lam = narrow[(split & -split).bit_length() - 1][0]
+            if any(b not in S for S in kept.get(lam, ())):
+                continue  # the flow would return one of these sides
             val, side = max_flow_min_cut(cnet, a, b)
-            if val < 2:
-                real = set()
-                for u in side:
-                    real.update({s, t} if u == "st" else {u})
-                U = canonical(real)
-                if U not in found:
-                    lo = cut_load(x, frozenset(U))
-                    rq = cut_requirement(frozenset(U), inst)
-                    if lo < rq:
-                        found[U] = (U, rq, lo)
+            assert val * cnet.den == lam, "flow value is not the tree's"
+            kept.setdefault(lam, []).append(side)
+            real = set()
+            for u in side:
+                real.update({s, t} if u == "st" else {u})
+            U = canonical(real)
+            if U not in found:
+                lo = cut_load(x, frozenset(U))
+                rq = cut_requirement(frozenset(U), inst)
+                if lo < rq:
+                    found[U] = (U, rq, lo)
     return sorted(found.values(), key=lambda r: (r[2] - r[1], r[0]))
 
 
@@ -126,10 +155,7 @@ def solve_lp(inst: Instance) -> LpSolution:
     edges = complete_edges(n)
     sx = ExactSimplex()
     var_of = {e: sx.add_variable(inst.cost[e]) for e in edges}
-
-    def delta_coeffs(Uset):
-        return {var_of[e]: 1 for e in edges
-                if (e[0] in Uset) != (e[1] in Uset)}
+    delta_coeffs = delta_rows(var_of, n)
 
     for v in range(n):
         rhs = 1 if v in (inst.s, inst.t) else 2
@@ -153,7 +179,7 @@ def solve_lp(inst: Instance) -> LpSolution:
         for (U, req, _load) in cuts[:ADD_PER_ROUND]:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
-            sx.add_cut_row(delta_coeffs(frozenset(U)), ">=", req)
+            sx.add_cut_row(delta_coeffs(U), ">=", req)
         sx.solve()
         rounds += 1
 

@@ -92,6 +92,23 @@ def _appended(row, b, d, num, nden):
     return row, b, d
 
 
+def delta_rows(var_of: dict, n: int):
+    """The cut-row builder of an LP with one column per vertex pair:
+    var_of maps each pair (u, v) of 0..n-1 to its column.  Returns
+    delta(U, sign=1) -> {column: sign} over the pairs with exactly one end
+    in U, read from an n x n table in |U| (n - |U|) steps."""
+    table = [[0] * n for _ in range(n)]
+    for (u, v), j in var_of.items():
+        table[u][v] = table[v][u] = j
+
+    def delta(U, sign=1):
+        inside = set(U)
+        outside = [v for v in range(n) if v not in inside]
+        return {table[u][v]: sign for u in inside for v in outside}
+
+    return delta
+
+
 class ExactSimplex:
     """min cost.x  s.t.  rows (=, >=),  x >= 0 — all exact rationals."""
 
@@ -99,7 +116,7 @@ class ExactSimplex:
         self.costs = []          # phase-2 cost per column (Fractions)
         self.is_artificial = []
         self.enterable = []      # artificials are banned once they leave
-        self.model = []          # (coeffs, rhs) per row until set up
+        self.model = []          # ({col: (p, q)}, b, bd) per row until set up
         self.rows = []           # tableau: rows[i][j] / den[i]
         self.rhs = []            # rhs[i] / den[i]
         self.den = []
@@ -127,34 +144,35 @@ class ExactSimplex:
         return self._new_column(cost)
 
     def add_constraint(self, coeffs: dict, sense: str, rhs):
-        """coeffs: {col: coef}; sense '=' or '>='."""
+        """coeffs: {col: coef}; sense '=' or '>='.  Coefficients and rhs
+        are ints or Fractions."""
         assert not self._setup_done, "add_constraint only before the first solve"
-        rhs = Fraction(rhs)
-        row = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        b, bd = rhs.as_integer_ratio()
+        row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         if sense == ">=":
             sp = self.add_variable(ZERO)
-            row[sp] = Fraction(-1)
+            row[sp] = (-1, 1)
             self.sp_of_row[len(self.model)] = sp
         elif sense != "=":
             raise ValueError(f"unknown sense {sense!r}")
-        if rhs < 0:
-            row = {j: -c for j, c in row.items()}
-            rhs = -rhs
+        if b < 0:
+            row = {j: (-p, q) for j, (p, q) in row.items()}
+            b = -b
             self.negated.add(len(self.model))
-        self.model.append((row, rhs))
+        self.model.append((row, b, bd))
 
     def _setup(self):
         self.art_of_row = [self._new_column(ZERO, artificial=True)
                            for _ in self.model]
         ncols = len(self.costs)
-        for (coeffs, b), a in zip(self.model, self.art_of_row):
-            d = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+        for (coeffs, b, bd), a in zip(self.model, self.art_of_row):
+            d = lcm(bd, *(q for _, q in coeffs.values()))
             row = [0] * ncols
-            for j, c in coeffs.items():
-                row[j] = c.numerator * (d // c.denominator)
+            for j, (p, q) in coeffs.items():
+                row[j] = p * (d // q)
             row[a] = d
             self.rows.append(row)
-            self.rhs.append(b.numerator * (d // b.denominator))
+            self.rhs.append(b * (d // bd))
             self.den.append(d)
         self.model = None
         self.basis = list(self.art_of_row)
@@ -338,12 +356,13 @@ class ExactSimplex:
     # ----- warm modifications -----
 
     def add_cut_row(self, coeffs: dict, sense: str, rhs):
-        """Append a (typically violated) >= row; solve() repairs the basis."""
+        """Append a (typically violated) >= row; solve() repairs the basis.
+        Coefficients and rhs are ints or Fractions."""
         assert self._setup_done and self.z1 is None
         if sense != ">=":
             raise NotImplementedError("only >= rows can be appended warm")
-        rhs = Fraction(rhs)
-        coeffs = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        b, bd = rhs.as_integer_ratio()
+        coeffs = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         sp = self._new_column(ZERO)
         for row in self.rows:
             row.append(0)
@@ -352,16 +371,16 @@ class ExactSimplex:
         # times row i, over the common denominator d_in * d_rows
         used = [(i, coeffs[j]) for i, j in enumerate(self.basis)
                 if j in coeffs]
-        d_in = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        d_in = lcm(bd, *(q for _, q in coeffs.values()))
         d_rows = lcm(*(self.den[i] for i, _ in used))
         d = d_in * d_rows
         raw = [0] * len(self.costs)
-        for j, c in coeffs.items():
-            raw[j] = c.numerator * (d // c.denominator)
+        for j, (p, q) in coeffs.items():
+            raw[j] = p * (d // q)
         raw[sp] = -d
-        new_rhs = rhs.numerator * (d // rhs.denominator)
-        for i, c in used:
-            k = c.numerator * (d_in // c.denominator) * (d_rows // self.den[i])
+        new_rhs = b * (d // bd)
+        for i, (p, q) in used:
+            k = p * (d_in // q) * (d_rows // self.den[i])
             raw = [a - k * e for a, e in zip(raw, self.rows[i])]
             new_rhs -= k * self.rhs[i]
         # flip signs so the surplus enters the basis with coefficient +1

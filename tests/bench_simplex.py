@@ -4,9 +4,10 @@ Outside the default test run, which collects only test_*.py; run with
 
     PYTHONPATH=src python -m pytest tests/bench_simplex.py
 
-`solve_lp` times the cutting-plane solver on a random n = 26 instance,
-separation included; `decompose` times one column-generation master on the
-`lp26` fixture's optimum.
+`solve_lp` times the cutting-plane solver on random n = 26 and n = 40
+instances (seed 0; n = 40 is on the ROADMAP's grid), separation included;
+`decompose` times one column-generation master on the `lp26` fixture's
+optimum.
 """
 
 from pathtsp.instance import random_metric_instance
@@ -16,6 +17,12 @@ from pathtsp.tree_decomp import decompose, reconstruct
 
 def test_solve_lp_n26(benchmark):
     inst = random_metric_instance(26, 0)
+    sol = benchmark.pedantic(solve_lp, (inst,), rounds=3, iterations=1)
+    assert sol.value > 0
+
+
+def test_solve_lp_n40(benchmark):
+    inst = random_metric_instance(40, 0)
     sol = benchmark.pedantic(solve_lp, (inst,), rounds=3, iterations=1)
     assert sol.value > 0
 

@@ -50,6 +50,12 @@ def lp20():
 
 
 @pytest.fixture(scope="session")
+def lp40():
+    """The LP path of a random n = 40 instance (see lp_path)."""
+    return lp_path(random_metric_instance(40, 0))  # five separation rounds
+
+
+@pytest.fixture(scope="session")
 def params():
     return GammaParams()
 

@@ -5,7 +5,8 @@ powerset enumeration with plain Fractions, one exact max-flow per vertex
 pair where enumeration would be too large, and the simplex tableau and the
 max-flow held in Fractions.  Nothing is imported from the package under
 test except the exact max-flow routine and its FlowNetwork, which tests
-hold to the Fraction max-flow below, and the table of type codes, so an
+hold to the Fraction max-flow below, the Gomory-Hu tree built on them,
+which tests hold to every-pair flows, and the table of type codes, so an
 agreement between a fast routine and its oracle is evidence, not
 circularity.
 """
@@ -17,6 +18,7 @@ from math import lcm
 
 import numpy as np
 
+from pathtsp.cuts import gomory_hu_tree
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
 from pathtsp.reassembler import TYPE_CODES
 
@@ -157,6 +159,18 @@ def separate_all_pairs(x, inst):
     with s and t merged into the node "st" (even cuts).  "st" is a node
     even when it has no edge.  Pairs run in the order of the nodes sorted
     by str, source first, as the library's route does."""
+    return _separate_by_pairs(x, inst, pruned=False)
+
+
+def separate_every_pair(x, inst):
+    """separate_all_pairs, with a flow only for the pairs that one
+    Gomory-Hu tree of the merged support puts at connectivity below 2:
+    lp_relax.separate's pair loop before it skipped the flows whose
+    minimal min cut is already known."""
+    return _separate_by_pairs(x, inst, pruned=True)
+
+
+def _separate_by_pairs(x, inst, pruned):
     n, s, t = inst.n, inst.s, inst.t
     cap = {e: v for e, v in x.items() if v != 0}
 
@@ -181,7 +195,13 @@ def separate_all_pairs(x, inst):
     nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
                    key=str)
     net = FlowNetwork(merged)
-    for a, b in combinations(nodes, 2):
+    pairs = combinations(nodes, 2)
+    if pruned:
+        narrow = [cut for cut, value in gomory_hu_tree(net, nodes)
+                  if value < 2]
+        group = {u: tuple(u in cut for cut in narrow) for u in nodes}
+        pairs = [(a, b) for a, b in pairs if group[a] != group[b]]
+    for a, b in pairs:
         value, side = max_flow_min_cut(net, a, b)
         if value < 2:
             real = set()

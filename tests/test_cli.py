@@ -96,6 +96,28 @@ def test_reassembled_wall_verifies(tmp_path):
         assert strip_timings(audit)[-1] == "certified_beta=401/1000"
 
 
+def test_audit_rejects_a_distribution_that_is_not_the_lp_point(tmp_path,
+                                                                capsys):
+    # one tree, the path 2-0-1-3-4-5: a feasible point and a certifiable
+    # distribution, but not a decomposition of the LP optimum
+    inst = tmp_path / "inst.txt"
+    sol = tmp_path / "sol.txt"
+    dist = tmp_path / "path.dist"
+    assert main(["gen", "random", "--n", "6", "--seed", "0",
+                 "-o", str(inst)]) == 0
+    assert main(["solve-lp", str(inst), "-o", str(sol)]) == 0
+    dist.write_text("tree 1\n0 2\n0 1\n1 3\n3 4\n4 5\n")
+    out = tmp_path / "verify.txt"
+    assert main(["verify", str(dist), str(inst), str(sol),
+                 "-o", str(out)]) == 1
+    assert "check=reconstruction status=FAIL detail=distribution does not " \
+        "reconstruct the solution" in strip_timings(out)
+    capsys.readouterr()
+    assert main(["audit", str(inst), str(sol), str(dist)]) == 2
+    assert "stage reconstruction: distribution does not reconstruct the " \
+        "solution" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", ["6", "12", "20"])
 def test_large_walls_are_certified(tmp_path, k):
     # the largest parity sets have |T| = 22, 34 and 50

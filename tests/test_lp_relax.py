@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtsp import lp_relax
 from pathtsp.cli import check_lp_point
 from pathtsp.instance import (
     Instance,
@@ -20,10 +21,12 @@ from pathtsp.lp_relax import (
     solve_lp,
 )
 
+from . import oracles
 from .oracles import (
     cut_value,
     path_min_cost,
     separate_all_pairs,
+    separate_every_pair,
     tree_polytope_violations,
     violated_cuts,
 )
@@ -82,6 +85,39 @@ def test_separate_matches_all_pairs_along_the_lp_path(path, request):
     assert separate(sol.x, inst) == []
 
 
+def flow_results(module, separator, x, inst):
+    """separator(x, inst), and the set of (source, side) results of the
+    flows it ran through module.max_flow_min_cut."""
+    flow = module.max_flow_min_cut
+    results = set()
+
+    def recording(net, source, sink):
+        value, side = flow(net, source, sink)
+        results.add((source, side))
+        return value, side
+
+    module.max_flow_min_cut = recording
+    try:
+        return separator(x, inst), results
+    finally:
+        module.max_flow_min_cut = flow
+
+
+def assert_skips_change_nothing(x, inst):
+    """separate returns every-pair separation's list, and each flow it
+    skips would have returned a side that a flow from the same source
+    returned."""
+    assert flow_results(lp_relax, separate, x, inst) \
+        == flow_results(oracles, separate_every_pair, x, inst)
+
+
+@pytest.mark.parametrize("path", ["lp20", "lp26", "lp40"])
+def test_pair_flow_skips_change_nothing_along_the_lp_path(path, request):
+    inst, _, points = request.getfixturevalue(path)
+    for x in points:
+        assert_skips_change_nothing(x, inst)
+
+
 weights = st.sampled_from([Fraction(0)] * 4 + [
     Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
     Fraction(1), Fraction(3, 2), Fraction(2)])
@@ -95,6 +131,30 @@ def fractional_points(draw):
     s, t = draw(st.permutations(range(n)))[:2]
     x = {e: w for e in complete_edges(n) if (w := draw(weights)) != 0}
     return uniform_instance(n, s, t), x
+
+
+@st.composite
+def sparse_points(draw):
+    """Any s and t on 13 to 30 vertices, and a sum of small fractions on
+    up to 3n random vertex pairs; x need not be LP-feasible, and its
+    contracted support mostly has many narrow cut-tree edges."""
+    n = draw(st.integers(13, 30))
+    s, t = draw(st.permutations(range(n)))[:2]
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                     unique=True)
+    x = {}
+    for (u, v), w in draw(st.lists(st.tuples(pairs, weights),
+                                   max_size=3 * n)):
+        if w:
+            x[edge(u, v)] = x.get(edge(u, v), 0) + w
+    return uniform_instance(n, s, t), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_points())
+def test_pair_flow_skips_change_nothing_on_sparse_points(point):
+    inst, x = point
+    assert_skips_change_nothing(x, inst)
 
 
 @settings(max_examples=200, deadline=None)

@@ -148,10 +148,30 @@ def test_solution_maps_only_nonzero_basics():
 RAISES = (Infeasible, Unbounded, oracles.Infeasible, oracles.Unbounded)
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+# the data of one model: all ints, all Fractions, or each value either
+numbers = st.sampled_from([st.integers(-4, 4), rationals,
+                           st.one_of(st.integers(-4, 4), rationals)])
 
 
-class StallRecorder(oracles.FractionSimplex):
-    """The oracle, recording its longest run of degenerate pivots."""
+class PivotPath:
+    """Records every pivot (row, column) in self.path."""
+
+    def __init__(self):
+        super().__init__()
+        self.path = []
+
+    def _pivot(self, r, j):
+        self.path.append((r, j))
+        super()._pivot(r, j)
+
+
+class IntegerTableau(PivotPath, ExactSimplex):
+    pass
+
+
+class StallRecorder(PivotPath, oracles.FractionSimplex):
+    """The oracle, recording its pivots and its longest run of degenerate
+    pivots."""
     streak = longest = 0
 
     def _pivot(self, r, j):
@@ -162,7 +182,7 @@ class StallRecorder(oracles.FractionSimplex):
 
 def both(build):
     """(integer tableau, Fraction tableau), each set up by build(sx)."""
-    pair = ExactSimplex(), StallRecorder()
+    pair = IntegerTableau(), StallRecorder()
     for sx in pair:
         build(sx)
     return pair
@@ -189,6 +209,7 @@ def assert_strong_duality(sx, rhs):
 
 def assert_same_state(pair, phase1=False):
     new, old = pair
+    assert new.path == old.path
     assert new.basis == old.basis
     assert new.pivots == old.pivots
     assert new.solution() == old.solution()
@@ -208,14 +229,15 @@ def build_model(costs, rows):
 
 @st.composite
 def cutting_plane_runs(draw):
-    """A model with rational data, = and >= rows and any rhs sign, plus
-    the >= rows appended warm afterwards."""
+    """A model with int, Fraction or mixed data, = and >= rows and any rhs
+    sign, plus the >= rows appended warm afterwards."""
+    number = draw(numbers)
     nvars = draw(st.integers(1, 5))
-    coefs = st.lists(rationals, min_size=nvars, max_size=nvars)
+    coefs = st.lists(number, min_size=nvars, max_size=nvars)
     costs = draw(coefs)
     rows = draw(st.lists(st.tuples(coefs, st.sampled_from(["=", ">="]),
-                                   rationals), min_size=1, max_size=5))
-    cuts = draw(st.lists(st.tuples(coefs, rationals), max_size=4))
+                                   number), min_size=1, max_size=5))
+    cuts = draw(st.lists(st.tuples(coefs, number), max_size=4))
     return costs, rows, cuts
 
 
