@@ -12,11 +12,20 @@ rows[i][j] / den[i].  The reduced-cost rows `z` and `z1` are int lists over
 their own denominators `zden` and `z1den`.  A pivot divides the pivot row
 by its pivot entry, which cancels that row's denominator, and eliminates
 the entering column from every other row fraction-free, in the spirit of
-Bareiss (1968); each updated row is then divided by the gcd of its
-numerators, rhs and denominator.  When the pivot row's denominator is 1,
-the update touches only the pivot row's nonzeros.  Fractions appear only at
-the API boundary: inputs are converted on entry, and every value read back
-(solution, objective, duals) is a Fraction.
+Bareiss (1968), touching only the pivot row's nonzeros.  Fractions appear
+only at the API boundary: inputs are converted on entry, and every value
+read back (solution, objective, duals) is a Fraction.
+
+Normalisation is lazy.  The pivot row and each new cut row are divided by
+the gcd of their numerators, rhs and denominator.  Any other row is divided
+by its gcd only by a step that scales its denominator: an elimination whose
+multiple f / pd of the pivot row is not over the row's own denominator, or
+an appended entry whose denominator does not divide it.  Most eliminations
+leave the denominator as it is; they change only the pivot row's columns
+and skip the gcd pass over the whole row.  So a row's denominator is always
+the least one its values had just after it was last scaled, and the stored
+ints are its values times that number: they cannot compound.  A row need
+not be in lowest terms, and no choice depends on whether it is.
 
 The pivots are exactly those of the same tableau held in Fractions (kept as
 the reference in tests/oracles.py), because every choice compares exact
@@ -40,6 +49,7 @@ Two usage patterns:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -57,39 +67,45 @@ class Unbounded(Exception):
 
 
 def _reduced(row, b, d):
-    """Divide (row, b, d) by the gcd of all its entries."""
-    if d != 1:
-        g = gcd(d, b, *row)
-        if g != 1:
-            return [c // g for c in row], b // g, d // g
-    return row, b, d
+    """Divide (row, b, d) by the gcd of all its entries, taken with the sign
+    of d, so that the denominator comes out positive."""
+    if d == 1:
+        return row, b, d
+    g = gcd(d, b, *row)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return row, b, d
+    return [c // g for c in row], b // g, d // g
 
 
 def _eliminate(row, b, d, f, pivot_nz, pb, pd):
     """(row, b) / d minus f / d times the pivot row, whose nonzeros are
-    pivot_nz = [(column, numerator)] and whose rhs is pb, both over pd."""
+    pivot_nz = [(column, numerator)] and whose rhs is pb, both over pd.
+    Reduced only when d had to be scaled."""
     g = gcd(f, pd)
     s, f = pd // g, f // g
     if s != 1:
         row = [c * s for c in row]
-        b *= s
-        d *= s
     for jj, p in pivot_nz:
         row[jj] -= f * p
-    return _reduced(row, b - f * pb, d)
+    if s == 1:
+        return row, b - f * pb, d
+    return _reduced(row, b * s - f * pb, d * s)
 
 
 def _appended(row, b, d, num, nden):
-    """(row, b) / d with num / nden appended to the row."""
+    """(row, b) / d with num / nden appended to the row.  Reduced only when
+    d had to be scaled."""
     g = gcd(num, nden)
     num, nden = num // g, nden // g
     s = nden // gcd(d, nden)
-    if s != 1:
-        row = [c * s for c in row]
-        b *= s
-        d *= s
-    row.append(num * (d // nden))
-    return row, b, d
+    if s == 1:
+        row.append(num * (d // nden))
+        return row, b, d
+    row = [c * s for c in row]
+    row.append(num * (d * s // nden))
+    return _reduced(row, b * s, d * s)
 
 
 def delta_rows(var_of: dict, n: int):
@@ -181,9 +197,8 @@ class ExactSimplex:
         z1 = [0] * ncols
         for row, d in zip(self.rows, self.den):
             k = z1den // d
-            for j, c in enumerate(row):
-                if c:
-                    z1[j] -= k * c
+            for j in compress(count(), row):
+                z1[j] -= k * row[j]
         for a in self.art_of_row:
             z1[a] = 0
         self.z1, _, self.z1den = _reduced(z1, 0, z1den)
@@ -201,13 +216,11 @@ class ExactSimplex:
 
     def _pivot(self, r, j):
         rows, rhs, den = self.rows, self.rhs, self.den
-        prow, pb, pd = rows[r], rhs[r], rows[r][j]
+        pd = rows[r][j]
         assert pd != 0
-        if pd < 0:
-            prow, pb, pd = [-c for c in prow], -pb, -pd
         # dividing by the pivot entry pd / den[r] leaves the row over pd
-        rows[r], rhs[r], den[r] = prow, pb, pd = _reduced(prow, pb, pd)
-        pivot_nz = [(jj, c) for jj, c in enumerate(prow) if c]
+        rows[r], rhs[r], den[r] = prow, pb, pd = _reduced(rows[r], rhs[r], pd)
+        pivot_nz = list(zip(compress(count(), prow), filter(None, prow)))
         for i, row in enumerate(rows):
             f = row[j]
             if f and i != r:
@@ -243,18 +256,14 @@ class ExactSimplex:
         bland = False
         while True:
             zrow = self.z1 if phase1 else self.z
-            enter = -1
             if bland:
-                for j, rc in enumerate(zrow):
-                    if rc < 0 and enterable[j]:
-                        enter = j
-                        break
-            else:
-                best = 0
-                for j, rc in enumerate(zrow):
-                    if rc < best and enterable[j]:
-                        best = rc
-                        enter = j
+                enter = next((j for j in compress(count(), enterable)
+                              if zrow[j] < 0), -1)
+            else:  # the first enterable column of the least reduced cost
+                best = min(compress(zrow, enterable), default=0)
+                enter = zrow.index(best) if best < 0 else -1
+                while enter >= 0 and not enterable[enter]:
+                    enter = zrow.index(best, enter + 1)
             if enter < 0:
                 return
             # Ratio test, least rhs_i / a_i over a_i > 0.  A zero-rhs row
@@ -323,7 +332,9 @@ class ExactSimplex:
             z = self.z
             enter = -1
             bz = ba = 0  # the least ratio so far is bz / ba
-            for j, a in enumerate(rows[leave]):
+            row = rows[leave]
+            for j in compress(count(), row):
+                a = row[j]
                 if a < 0 and enterable[j]:
                     if enter < 0 or z[j] * ba < bz * -a:
                         bz, ba, enter = z[j], -a, j
@@ -368,7 +379,9 @@ class ExactSimplex:
             row.append(0)
         self.z.append(0)
         # express the new row in the current basis: subtract coeffs[basis[i]]
-        # times row i, over the common denominator d_in * d_rows
+        # times row i, over the common denominator d_in * d_rows, at row i's
+        # nonzeros; the row is kept negated, so that the surplus enters the
+        # basis with coefficient +1
         used = [(i, coeffs[j]) for i, j in enumerate(self.basis)
                 if j in coeffs]
         d_in = lcm(bd, *(q for _, q in coeffs.values()))
@@ -376,16 +389,17 @@ class ExactSimplex:
         d = d_in * d_rows
         raw = [0] * len(self.costs)
         for j, (p, q) in coeffs.items():
-            raw[j] = p * (d // q)
-        raw[sp] = -d
-        new_rhs = b * (d // bd)
+            raw[j] = -p * (d // q)
+        raw[sp] = d
+        new_rhs = -b * (d // bd)
         for i, (p, q) in used:
             k = p * (d_in // q) * (d_rows // self.den[i])
-            raw = [a - k * e for a, e in zip(raw, self.rows[i])]
-            new_rhs -= k * self.rhs[i]
-        # flip signs so the surplus enters the basis with coefficient +1
-        assert raw[sp] == -d
-        raw, new_rhs, d = _reduced([-c for c in raw], -new_rhs, d)
+            row = self.rows[i]
+            for jj in compress(count(), row):
+                raw[jj] += k * row[jj]
+            new_rhs += k * self.rhs[i]
+        assert raw[sp] == d
+        raw, new_rhs, d = _reduced(raw, new_rhs, d)
         row_id = len(self.rows)
         self.rows.append(raw)
         self.rhs.append(new_rhs)
@@ -418,15 +432,19 @@ class ExactSimplex:
             v = sum(k * row[acol] for acol, k in weights)
             rows[i], rhs[i], den[i] = _appended(row, rhs[i], den[i],
                                                 v, den[i] * d_in)
-        y2 = self.duals("z")
-        rc = self.costs[j] - sum((a * y2[i] for i, a in coeffs.items()), ZERO)
-        self.z, _, self.zden = _appended(self.z, 0, self.zden,
-                                         rc.numerator, rc.denominator)
+        # reduced costs cost - y.a over the column's rows only, with y read
+        # off the artificial columns as in duals(): y_i = -z[a_i] / zden,
+        # and y_i = 1 - z1[a_i] / z1den in phase 1
+        c, zden = self.costs[j], self.zden
+        num = sum(k * self.z[acol] for acol, k in weights)
+        self.z, _, self.zden = _appended(
+            self.z, 0, zden, c.numerator * zden * d_in + num * c.denominator,
+            c.denominator * zden * d_in)
         if self.z1 is not None:
-            y1 = self.duals("z1")
-            rc = -sum((a * y1[i] for i, a in coeffs.items()), ZERO)
-            self.z1, _, self.z1den = _appended(self.z1, 0, self.z1den,
-                                               rc.numerator, rc.denominator)
+            z1den = self.z1den
+            num = sum(k * (self.z1[acol] - z1den) for acol, k in weights)
+            self.z1, _, self.z1den = _appended(self.z1, 0, z1den, num,
+                                               z1den * d_in)
         return j
 
     # ----- reading results -----

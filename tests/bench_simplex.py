@@ -4,8 +4,9 @@ Outside the default test run, which collects only test_*.py; run with
 
     PYTHONPATH=src python -m pytest tests/bench_simplex.py
 
-`solve_lp` times the cutting-plane solver on random n = 26 and n = 40
-instances (seed 0; n = 40 is on the ROADMAP's grid), separation included;
+`solve_lp` times the cutting-plane solver on random n = 26, 40 and 60
+instances (seed 0; n = 40 and 60 are on the ROADMAP's grid), separation
+included;
 `decompose` times one column-generation master on the `lp26` fixture's
 optimum.
 """
@@ -23,6 +24,12 @@ def test_solve_lp_n26(benchmark):
 
 def test_solve_lp_n40(benchmark):
     inst = random_metric_instance(40, 0)
+    sol = benchmark.pedantic(solve_lp, (inst,), rounds=3, iterations=1)
+    assert sol.value > 0
+
+
+def test_solve_lp_n60(benchmark):
+    inst = random_metric_instance(60, 0)
     sol = benchmark.pedantic(solve_lp, (inst,), rounds=3, iterations=1)
     assert sol.value > 0
 

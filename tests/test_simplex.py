@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathtsp import lp_relax
+from pathtsp import bomc, build_appendix_instance, lp_relax, tree_decomp
+from pathtsp.parity import split_path_join
 from pathtsp.simplex import STALL_LIMIT, ExactSimplex, Infeasible, Unbounded
 
 from . import oracles
@@ -165,8 +168,34 @@ class PivotPath:
         super()._pivot(r, j)
 
 
+def stored_rows(sx):
+    """(numerators, rhs, denominator) of every row and cost row of sx."""
+    rows = [*zip(sx.rows, sx.rhs, sx.den), (sx.z, 0, sx.zden)]
+    if sx.z1 is not None:
+        rows.append((sx.z1, 0, sx.z1den))
+    return rows
+
+
 class IntegerTableau(PivotPath, ExactSimplex):
-    pass
+    """Checks the lazy normalisation after every pivot and appended column:
+    a row whose denominator changed is in lowest terms."""
+
+    def _pivot(self, r, j):
+        before = [d for _, _, d in stored_rows(self)]
+        super()._pivot(r, j)
+        self.assert_rescaled_rows_reduced(before)
+
+    def add_column(self, cost, coeffs):
+        before = [d for _, _, d in stored_rows(self)]
+        j = super().add_column(cost, coeffs)
+        self.assert_rescaled_rows_reduced(before)
+        return j
+
+    def assert_rescaled_rows_reduced(self, before):
+        for (row, b, d), d0 in zip(stored_rows(self), before, strict=True):
+            assert d > 0
+            if d != d0:
+                assert gcd(d, b, *row) == 1
 
 
 class StallRecorder(PivotPath, oracles.FractionSimplex):
@@ -207,8 +236,25 @@ def assert_strong_duality(sx, rhs):
         == sx.objective()
 
 
+def assert_same_tableau(pair):
+    """Every stored entry of the integer tableau, over its row's
+    denominator, equals the Fraction tableau's entry: the same pivots give
+    the same rows in the same order."""
+    new, old = pair
+    assert len(new.rows) == len(old.rows)
+    for row, b, d, old_row, old_b in zip(new.rows, new.rhs, new.den,
+                                         old.rows, old.rhs):
+        assert [Fraction(c, d) for c in row] == old_row
+        assert Fraction(b, d) == old_b
+    assert [Fraction(c, new.zden) for c in new.z] == old.z
+    assert (new.z1 is None) == (old.z1 is None)
+    if old.z1 is not None:
+        assert [Fraction(c, new.z1den) for c in new.z1] == old.z1
+
+
 def assert_same_state(pair, phase1=False):
     new, old = pair
+    assert_same_tableau(pair)
     assert new.path == old.path
     assert new.basis == old.basis
     assert new.pivots == old.pivots
@@ -255,6 +301,7 @@ def test_cutting_plane_path_matches_the_fraction_tableau(run):
     for coefs, rhs in cuts:
         for sx in pair:
             sx.add_cut_row(dict(enumerate(coefs)), ">=", rhs)
+        assert_same_tableau(pair)
         rhs_given.append(rhs)
         if not same_call(pair, "solve"):
             return
@@ -305,6 +352,10 @@ def master_runs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(master_runs())
+# a pivot leaves a cost row with a common factor, and the next column's
+# entry 1/2 scales that row's denominator: the row must come out reduced
+@example(([Fraction(0)], [(Fraction(2, 3), [Fraction(2, 3)]),
+                          (Fraction(0), [Fraction(1, 2)])]))
 def test_master_path_matches_the_fraction_tableau(run):
     rhs, columns = run
 
@@ -314,18 +365,22 @@ def test_master_path_matches_the_fraction_tableau(run):
 
     pair = both(build)
     assert same_call(pair, "solve_phase1")
+    assert_same_state(pair, phase1=True)
     for cost, coefs in columns:
         for sx in pair:
             sx.add_column(cost, dict(enumerate(coefs)))
+        assert_same_tableau(pair)
         assert same_call(pair, "solve_phase1")
         assert_same_state(pair, phase1=True)
     if same_call(pair, "solve"):
         assert_same_state(pair)
 
 
-def test_lp_path_matches_the_fraction_tableau(lp26, monkeypatch):
-    inst, sol, _ = lp26
-    paths = []
+def same_pivots_as_fractions(monkeypatch, module, run):
+    """run() with module.ExactSimplex, then with the Fraction tableau in its
+    place: both return the same result through the same pivots.  Returns
+    that result and the pivots."""
+    results, paths = [], []
     for base in (ExactSimplex, oracles.FractionSimplex):
         path = []
 
@@ -334,8 +389,66 @@ def test_lp_path_matches_the_fraction_tableau(lp26, monkeypatch):
                 path.append((r, j))
                 super()._pivot(r, j)
 
-        monkeypatch.setattr(lp_relax, "ExactSimplex", Recording)
-        got = lp_relax.solve_lp(inst)
-        assert (got.x, got.value) == (sol.x, sol.value)
+        monkeypatch.setattr(module, "ExactSimplex", Recording)
+        results.append(run())
         paths.append(path)
+    assert results[0] == results[1]
     assert paths[0] == paths[1]
+    return results[0], paths[0]
+
+
+def test_lp_path_matches_the_fraction_tableau(lp26, monkeypatch):
+    inst, sol, _ = lp26
+
+    def run():
+        got = lp_relax.solve_lp(inst)
+        return got.x, got.value
+
+    got, _ = same_pivots_as_fractions(monkeypatch, lp_relax, run)
+    assert got == (sol.x, sol.value)
+
+
+def test_tjoin_path_matches_the_fraction_tableau(monkeypatch):
+    # the largest parity set of the raw k = 5 wall; the matching LP starts
+    # from its degree rows appended warm, so most pivots are dual steps
+    inst, _, dist = build_appendix_instance(5)
+    T = max((split_path_join(atom.tree, inst).t_set for atom in dist),
+            key=len)
+    assert len(T) == 20
+    _, path = same_pivots_as_fractions(monkeypatch, bomc,
+                                       lambda: bomc.min_tjoin(T, inst))
+    assert len(path) > len(T)
+
+
+def test_decomposition_path_matches_the_fraction_tableau(lp26, monkeypatch):
+    inst, sol, _ = lp26
+    _, path = same_pivots_as_fractions(
+        monkeypatch, tree_decomp, lambda: tree_decomp.decompose(sol.x, inst))
+    assert path
+
+
+def test_tableau_ints_stay_small_along_the_lp40_path(lp40, monkeypatch):
+    # lazy normalisation leaves rows with a common factor; it must not let
+    # the stored ints compound (they peak at 6 bits here, as they do when
+    # every row is kept in lowest terms, and at 14 bits when none is)
+    inst, sol, _ = lp40
+    peak = []
+
+    def largest_bits(sx):
+        ints = chain(*sx.rows, sx.rhs, sx.den, sx.z, [sx.zden])
+        peak.append(max(map(abs, ints)).bit_length())
+
+    class Watched(ExactSimplex):
+        def _pivot(self, r, j):
+            super()._pivot(r, j)
+            largest_bits(self)
+
+        def add_cut_row(self, coeffs, sense, rhs):
+            row_id = super().add_cut_row(coeffs, sense, rhs)
+            largest_bits(self)
+            return row_id
+
+    monkeypatch.setattr(lp_relax, "ExactSimplex", Watched)
+    got = lp_relax.solve_lp(inst)
+    assert (got.x, got.value) == (sol.x, sol.value)
+    assert peak and max(peak) <= 10
