@@ -3,7 +3,7 @@ metric s-t path TSP: relaxation solving, spanning-tree decompositions,
 narrow-cut analysis, distribution reassembly, benefit audits, and tour
 construction — every number a Fraction."""
 
-from .bomc import best_of_many, held_karp_opt, min_tjoin, tour_from_tree
+from .bomc import best_of_many, held_karp_opt, min_tjoin
 from .cuts import CutChain, cut_stats, narrow_cuts
 from .instance import (Instance, build_appendix_instance,
                        random_metric_instance, read_instance,
@@ -21,5 +21,5 @@ __all__ = [
     "decompose", "exchange", "exchange_left", "held_karp_opt", "min_tjoin",
     "narrow_cuts", "random_metric_instance", "read_instance", "reassemble",
     "round_distribution", "separate", "solve_lp", "split_path_join",
-    "tour_from_tree", "write_instance",
+    "write_instance",
 ]

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .instance import Instance, complete_edges, edge, format_rational
+from .instance import ZERO, Instance, complete_edges, edge, format_rational
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, delta_rows
-
-ZERO = Fraction(0)
 
 HELD_KARP_LIMIT = 18
 
@@ -34,12 +32,6 @@ HELD_KARP_LIMIT = 18
 @dataclass
 class Tour:
     vertices: tuple   # permutation of V, vertices[0] = s, vertices[-1] = t
-    cost: Fraction
-
-
-@dataclass
-class STTour:
-    edges: tuple      # sorted edge multiset; connected, s and t odd
     cost: Fraction
 
 
@@ -77,8 +69,9 @@ def min_tjoin(T, inst: Instance):
     sx.solve()
     seen = set()  # vertex sets of the odd-set rows
     while True:
-        sol = sx.solution()
-        y = {p: sol[j] for p, j in var_of.items() if sol.get(j, ZERO) != 0}
+        # the pairs are columns 0..len(pairs) - 1, in order
+        y = {pairs[j]: v for j, v in sorted(sx.solution().items())
+             if j < len(pairs)}
         cuts = tjoin_cut_violations(y, range(k), k)
         if not cuts:
             break
@@ -126,16 +119,9 @@ def euler_walk(edges, start, n):
     return walk
 
 
-def tour_from_tree(tree, inst: Instance):
-    """Tree + min parity join, then Eulerian walk and shortcut."""
-    par = split_path_join(tree, inst)
-    return _shortcut(tree, min_tjoin(par.t_set, inst), inst)
-
-
 def _shortcut(tree, join, inst: Instance):
     """The {s,t}-tour tree + join and its Eulerian walk, shortcut."""
     multiset = tuple(sorted(list(tree) + list(join)))
-    st_cost = sum((inst.cost[e] for e in multiset), ZERO)
     deg = {v: 0 for v in range(inst.n)}
     for u, v in multiset:
         deg[u] += 1
@@ -143,7 +129,6 @@ def _shortcut(tree, join, inst: Instance):
     for v, d in deg.items():
         assert (d % 2 == 1) == (v in (inst.s, inst.t)), \
             "parity correction left a wrong-degree vertex"
-    st_tour = STTour(edges=multiset, cost=st_cost)
 
     walk = euler_walk(multiset, inst.s, inst.n)
     assert walk[0] == inst.s and walk[-1] == inst.t
@@ -156,8 +141,7 @@ def _shortcut(tree, join, inst: Instance):
     seq.append(inst.t)
     assert len(seq) == inst.n and seq[0] == inst.s
     cost = sum((inst.cost[edge(a, b)] for a, b in zip(seq, seq[1:])), ZERO)
-    assert cost <= st_cost, "shortcutting increased the cost"
-    return st_tour, Tour(vertices=tuple(seq), cost=cost)
+    return Tour(vertices=tuple(seq), cost=cost)
 
 
 def best_of_many(dist, inst: Instance):
@@ -179,8 +163,8 @@ def best_of_many(dist, inst: Instance):
         if best is None or total < best:
             best = total
             best_tree, best_join = atom.tree, join
-    _, tour = _shortcut(best_tree, best_join, inst)
-    assert tour.cost <= best
+    tour = _shortcut(best_tree, best_join, inst)
+    assert tour.cost <= best, "shortcutting increased the cost"
     return rows, tour, best
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from .cuts import XI_DEFAULT
-from .instance import (build_appendix_instance, format_rational,
+from .instance import (ZERO, build_appendix_instance, format_rational,
                        instance_digest, parse_rational,
                        random_metric_instance, read_instance, vector_cost,
                        write_instance)
@@ -62,7 +61,7 @@ def check_lp_point(x, inst):
     """Vertex range, degree/nonnegativity plus cut separation; works at
     every size."""
     bad = []
-    deg = {v: Fraction(0) for v in range(inst.n)}
+    deg = {v: ZERO for v in range(inst.n)}
     inside = {}  # the edges of x between vertices of inst
     for (u, v), val in x.items():
         outside = [w for w in (u, v) if w not in deg]

@@ -13,7 +13,7 @@ narrow cut is the unique minimum cut between any vertex of the chain gap
 on its left and any vertex of the gap on its right, so it is always one of
 the tree's fundamental cuts.
 
-Levels are carried both as sorted vertex tuples and as int bitmasks.
+Levels are int bitmasks; the chain derives their sorted vertex tuples.
 Because the levels are nested, each vertex also has a layer, the first
 level that contains it (t has none, so its layer is the chain length), and
 an edge crosses exactly the levels from the lower of its endpoints' layers
@@ -30,12 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import Instance, format_rational
+from .instance import ZERO, Instance, format_rational
 from .tree_decomp import total_weight
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-TWO = Fraction(2)
 XI_DEFAULT = Fraction(173, 100)
 
 
@@ -79,23 +76,26 @@ class CrossingProfile:
 
 @dataclass
 class CutChain:
-    levels: list          # sorted vertex tuples, strictly nested s-sides
-    masks: list           # int bitmask per level
+    masks: list           # int bitmask per level, strictly nested s-sides
     loads: list           # Fraction load per level
     xi: Fraction
     xi_indices: list      # chain indices with load < xi
     inst: Instance        # the instance and LP point the chain belongs to
     x: dict
-    # derived from masks: layer[v] is the first level containing v, and
-    # len(masks) for a vertex in none (t)
+    # derived from masks: levels[c] is level c as a sorted vertex tuple;
+    # layer[v] is the first level containing v, and len(masks) for a
+    # vertex in none (t)
+    levels: list = field(init=False, repr=False, compare=False)
     layer: list = field(init=False, repr=False, compare=False)
     # xi_at[c]: the first xi-position whose chain index is at least c
     _xi_at: list = field(init=False, repr=False, compare=False)
     _profiles: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = len(self.masks)
-        self.layer = [size] * self.inst.n
+        size, n = len(self.masks), self.inst.n
+        self.levels = [tuple(v for v in range(n) if (m >> v) & 1)
+                       for m in self.masks]
+        self.layer = [size] * n
         prev = 0
         for i, mask in enumerate(self.masks):
             if prev & ~mask:
@@ -246,8 +246,7 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
         raise ChainError("end cuts must have load 1")
     assert all(lo < 2 for lo in loads)
     xi_indices = [i for i, lo in enumerate(loads) if lo < xi]
-    tuples = [tuple(v for v in range(n) if (m >> v) & 1) for m in levels]
-    return CutChain(levels=tuples, masks=levels, loads=loads, xi=xi,
+    return CutChain(masks=levels, loads=loads, xi=xi,
                     xi_indices=xi_indices, inst=inst, x=cap)
 
 

@@ -13,6 +13,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# the package's shared constants, defined here once
+ZERO = Fraction(0)
+ONE = Fraction(1)
+TWO = Fraction(2)
+HALF = Fraction(1, 2)
+
 
 def edge(u, v):
     """Canonical edge tuple (smaller endpoint first)."""
@@ -58,33 +64,16 @@ class Instance:
 
 def vector_cost(x: dict, inst: Instance) -> Fraction:
     """c(x) = sum of x_e * cost(e)."""
-    return sum((q * inst.cost[e] for e, q in x.items()), Fraction(0))
+    return sum((q * inst.cost[e] for e, q in x.items()), ZERO)
 
 
 def edges_cost(edges, inst: Instance) -> Fraction:
-    return sum((inst.cost[e] for e in edges), Fraction(0))
+    return sum((inst.cost[e] for e in edges), ZERO)
 
 
 def support(x: dict):
     """Sorted edges carrying nonzero value."""
     return sorted(e for e, q in x.items() if q != 0)
-
-
-def validate_metric(inst: Instance):
-    """Every ordered triple (u,v,w) violating c(u,w) <= c(u,v) + c(v,w)."""
-    bad = []
-    c = inst.cost
-    for u in range(inst.n):
-        for w in range(inst.n):
-            if u == w:
-                continue
-            cuw = c[edge(u, w)]
-            for v in range(inst.n):
-                if v == u or v == w:
-                    continue
-                if cuw > c[edge(u, v)] + c[edge(v, w)]:
-                    bad.append((u, v, w))
-    return bad
 
 
 def metric_closure(n, weighted_edges):
@@ -207,16 +196,7 @@ def instance_digest(inst: Instance) -> str:
 # cuts all carry load 3/2, together with the four trees averaging to it
 # ---------------------------------------------------------------------------
 
-H = Fraction(1, 2)
 Q = Fraction(1, 4)
-
-
-def _wall_names(k):
-    names = ["s", "a1", "a2", "b", "b2", "c1", "c2", "c3", "c4", "d", "d2", "e", "e2"]
-    for i in range(1, k + 1):
-        names += [f"dn{i}", f"db{i}", f"up{i}", f"ut{i}"]
-    names += ["f", "f2", "g", "g2", "h1", "h2", "t"]
-    return names
 
 
 def build_appendix_instance(k: int = 0):
@@ -231,7 +211,10 @@ def build_appendix_instance(k: int = 0):
 
     if k < 0:
         raise ValueError("k must be nonnegative")
-    names = _wall_names(k)
+    names = ["s", "a1", "a2", "b", "b2", "c1", "c2", "c3", "c4", "d", "d2", "e", "e2"]
+    for i in range(1, k + 1):
+        names += [f"dn{i}", f"db{i}", f"up{i}", f"ut{i}"]
+    names += ["f", "f2", "g", "g2", "h1", "h2", "t"]
     ix = {nm: i for i, nm in enumerate(names)}
     n = len(names)
 
@@ -265,9 +248,9 @@ def build_appendix_instance(k: int = 0):
 
     xstar = {}
     for u, v in rungs:
-        xstar[edge(ix[u], ix[v])] = Fraction(1)
+        xstar[edge(ix[u], ix[v])] = ONE
     for u, v in half_edges:
-        xstar[edge(ix[u], ix[v])] = H
+        xstar[edge(ix[u], ix[v])] = HALF
     for u, v in quarter_edges:
         xstar[edge(ix[u], ix[v])] = Q
     for u, v in threequarter_edges:
@@ -300,29 +283,9 @@ def build_appendix_instance(k: int = 0):
     acc = {}
     for atom in p4:
         for e in atom.tree:
-            acc[e] = acc.get(e, Fraction(0)) + atom.weight
+            acc[e] = acc.get(e, ZERO) + atom.weight
     assert acc == xstar, "four-tree average must reproduce xstar"
     return inst, xstar, p4
-
-
-def appendix_certificate_sets(k: int = 0):
-    """Vertex sets whose cut constraints are tight at the fixture's xstar.
-
-    The rung pairs plus the c-block quadruple plus every singleton: together
-    exactly as many sets as support edges, with linearly independent cut
-    incidence vectors.
-    """
-    names = _wall_names(k)
-    ix = {nm: i for i, nm in enumerate(names)}
-    pair_names = ([("a1", "a2"), ("b", "b2"), ("c1", "c2"), ("c3", "c4"),
-                   ("d", "d2"), ("e", "e2")]
-                  + [(f"dn{i}", f"db{i}") for i in range(1, k + 1)]
-                  + [(f"up{i}", f"ut{i}") for i in range(1, k + 1)]
-                  + [("f", "f2"), ("g", "g2"), ("h1", "h2")])
-    sets = [frozenset(ix[u] for u in pair) for pair in pair_names]
-    sets.append(frozenset(ix[u] for u in ("c1", "c2", "c3", "c4")))
-    sets += [frozenset([v]) for v in range(len(names))]
-    return sets
 
 
 def appendix_wall_cut_indices(k: int = 0):

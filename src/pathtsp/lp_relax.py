@@ -27,13 +27,9 @@ from fractions import Fraction
 
 from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import (Instance, complete_edges, edge, format_rational,
-                       parse_rational, vector_cost)
+from .instance import (ONE, TWO, ZERO, Instance, complete_edges, edge,
+                       format_rational, parse_rational, vector_cost)
 from .simplex import ExactSimplex, delta_rows
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-TWO = Fraction(2)
 
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
 MAX_ROUNDS = 200     # separation rounds before solve_lp gives up
@@ -168,8 +164,9 @@ def solve_lp(inst: Instance) -> LpSolution:
 
     rounds = 0
     while True:
-        sol = sx.solution()
-        xcur = {e: sol[j] for e, j in var_of.items() if sol.get(j, ZERO) != 0}
+        # the edges are columns 0..len(edges) - 1, in order
+        xcur = {edges[j]: v for j, v in sorted(sx.solution().items())
+                if j < len(edges)}
         cuts = separate(xcur, inst)
         if not cuts:
             break

@@ -40,12 +40,9 @@ from math import lcm
 from .cuts import (XI_DEFAULT, CutChain, format_rational, gomory_hu_tree,
                    load_of_mask)
 from .flows import FlowNetwork
-from .instance import Instance, complete_edges, edge, vector_cost
+from .instance import HALF, ZERO, Instance, complete_edges, edge, vector_cost
+from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import tree_path
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 BETA_DEFAULT = Fraction(401, 1000)
 EPS_DEFAULT = Fraction(1, 100)
@@ -85,7 +82,6 @@ class GammaParams:
 
 @dataclass
 class TreeParity:
-    tree: frozenset
     path_vertices: tuple   # s .. t along the tree path
     i_edges: frozenset     # edges of the path
     j_edges: frozenset     # the rest: a T_S-join
@@ -118,7 +114,7 @@ def split_path_join(tree, inst: Instance) -> TreeParity:
     for v in range(inst.n):
         assert (jdeg.get(v, 0) % 2 == 1) == (v in t_set), \
             "J_S is not a T_S-join"
-    return TreeParity(tree=frozenset(tree), path_vertices=tuple(verts),
+    return TreeParity(path_vertices=tuple(verts),
                       i_edges=i_edges, j_edges=j_edges,
                       t_set=frozenset(t_set))
 
@@ -140,6 +136,8 @@ def first_path_edges(parity: TreeParity, chain: CutChain) -> list:
 def assign_gamma(dist, chain: CutChain, params: GammaParams):
     """TreeParity, with gamma and e_path, per atom."""
     inst = chain.inst
+    if not params.uniform_half:
+        f_at = [params.f(x) for x in chain.loads]   # f(x(C)) per level
     out = []
     for atom in dist:
         par = split_path_join(atom.tree, inst)
@@ -157,13 +155,11 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams):
                 for ci in range(lo, hi):
                     k = cross_count[ci]
                     if k == 1:
-                        one_cuts.append(chain.loads[ci])
+                        one_cuts.append(f_at[ci])
                     elif k % 2 == 0:
-                        even_cuts.append(chain.loads[ci])
-                f1 = min(HALF, max(params.f(x) for x in one_cuts)) \
-                    if one_cuts else ZERO
-                f2 = min(HALF, max(params.f(x) for x in even_cuts)) \
-                    if even_cuts else ZERO
+                        even_cuts.append(f_at[ci])
+                f1 = min(HALF, max(one_cuts)) if one_cuts else ZERO
+                f2 = min(HALF, max(even_cuts)) if even_cuts else ZERO
                 gamma[e] = f2 if f2 < f1 else 1 - f1
         assert all(0 <= g <= 1 for g in gamma.values())
         par.gamma = gamma
@@ -185,13 +181,13 @@ def benefit(parity: TreeParity, k_cross: int, load: Fraction, ci: int,
     return ZERO
 
 
-# census-pair and l,m,r combination per Lemma-14 case
-CASE_SPECS = (
-    ("1", ("120", "021"), lambda l, m, r, a: l + r - m + a),
-    ("2", ("011", "110"), lambda l, m, r, a: l + r + m + a - 3),
-    ("3", ("011", "021"), lambda l, m, r, a: 2 * l + r + a - 2),
-    ("4", ("110", "120"), lambda l, m, r, a: l + 2 * r + a - 2),
-)
+# census pair (the type-mix pairs, in order) and l,m,r combination per
+# Lemma-14 case
+CASE_SPECS = tuple(zip("1234", MIX_PAIRS, (
+    lambda l, m, r, a: l + r - m + a,
+    lambda l, m, r, a: l + r + m + a - 3,
+    lambda l, m, r, a: 2 * l + r + a - 2,
+    lambda l, m, r, a: l + 2 * r + a - 2)))
 
 
 @dataclass
@@ -199,8 +195,6 @@ class CutAudit:
     cut_index: int        # index into the narrow-cut chain
     load: Fraction
     case: str             # "1".."4", "less_critical", or "none"
-    rows: list            # (atom_index, type code or None, benefit)
-    a_marks: dict         # atom_index -> a_S for the active case (or None)
     total: Fraction
     required: Fraction
     margin: Fraction
@@ -226,8 +220,6 @@ def benefits(dist, chain: CutChain, parities,
     not a legitimately failing instance.  They are consequences of the
     rule-based gamma, so under params.uniform_half the case machinery is
     skipped and the margins alone decide."""
-    from .reassembler import type_data
-
     beta, xi, eps = params.beta, params.xi, params.eps
     nu = params.nu
     xi_pos = {ci: p for p, ci in enumerate(chain.xi_indices)}
@@ -235,7 +227,6 @@ def benefits(dist, chain: CutChain, parities,
     counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
     for ci, load in enumerate(chain.loads):
-        rows = []
         total = ZERO
         p_even = ZERO
         p_many = ZERO
@@ -248,7 +239,6 @@ def benefits(dist, chain: CutChain, parities,
                 code, l, m, r = type_data(atom.tree, chain, pos)
             else:
                 code = l = m = r = None
-            rows.append((ai, code, b))
             data.append((ai, atom.weight, code, l, m, r, k, b))
             total += atom.weight * b
             if k % 2 == 0:
@@ -257,11 +247,11 @@ def benefits(dist, chain: CutChain, parities,
         required = beta * (2 - load) * p_even / (1 - 2 * beta)
         margin = total - required
 
-        case = "less_critical" if params.f(load) <= HALF else "none"
-        a_marks = None
+        f = params.f(load)
+        case = "less_critical" if f <= HALF else "none"
         eq17 = None
         eq18_ok = None
-        if params.f(load) > HALF and not params.uniform_half:
+        if f > HALF and not params.uniform_half:
             # a critical cut; with default constants its load sits in a
             # small window around 3/2, in particular below xi and off the
             # chain ends, so the type census is defined.  Exotic (but
@@ -278,12 +268,10 @@ def benefits(dist, chain: CutChain, parities,
                                     ZERO)
                     if pair_mass <= good + eps:
                         case = label
-                        a_marks = {}
                         a_sum = ZERO
                         for ai, w, code, l, m, r, k, b in data:
                             a = 1 if code in pair else (-1 if code == "GOOD"
                                                         else 0)
-                            a_marks[ai] = a
                             a_sum += w * a
                             many = (m - 1) // 2
                             if m >= 3:
@@ -302,15 +290,14 @@ def benefits(dist, chain: CutChain, parities,
                 base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
                         * (nu - HALF))
                 eq17 = base - (4 * nu - 1) * p_many
-                eq18_ok = base >= 2 * params.f(load)
+                eq18_ok = base >= 2 * f
                 if case != "none" and load >= 2 - xi / 3:
                     assert 2 * total >= eq17, "weighted-sum bound failed"
 
         per_cut.append(CutAudit(
-            cut_index=ci, load=load, case=case, rows=rows, a_marks=a_marks,
-            total=total, required=required, margin=margin, eq17_bound=eq17,
-            eq18_ok=eq18_ok,
-            status="OK" if margin >= 0 else "FAIL"))
+            cut_index=ci, load=load, case=case, total=total,
+            required=required, margin=margin, eq17_bound=eq17,
+            eq18_ok=eq18_ok, status="OK" if margin >= 0 else "FAIL"))
     return BenefitAudit(chain=chain, parities=parities, per_cut=per_cut,
                         all_ok=all(c.status == "OK" for c in per_cut))
 
@@ -418,7 +405,6 @@ class Verdict:
     beta: Fraction
     z_cost: Fraction    # sum p_S c(z^S)
     path_cost: Fraction # sum p_S c(I_S)
-    margins: list
 
 
 def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
@@ -440,17 +426,14 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     path_cost = sum((atom.weight * sum((inst.cost[e] for e in
                                         parities[ai].i_edges), ZERO)
                      for ai, atom in enumerate(dist)), ZERO)
-    margins = [c.margin for c in audit.per_cut]
-    margins_ok = audit.all_ok
-    if margins_ok:
+    if audit.all_ok:
         _verify_cost_chain(dist, chain, parities, params, cv,
                            z_cost, path_cost)
-    certified = margins_ok and z_cost <= w1 * path_cost
+    certified = audit.all_ok and z_cost <= w1 * path_cost
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
                    bound=(2 - beta) if certified else Fraction(5, 3),
-                   beta=beta, z_cost=z_cost, path_cost=path_cost,
-                   margins=margins)
+                   beta=beta, z_cost=z_cost, path_cost=path_cost)
 
 
 def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):

@@ -34,14 +34,21 @@ from fractions import Fraction
 
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
 from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
+from .instance import ZERO
 from .tree_decomp import (Atom, is_spanning_tree, reconstruct,
                           round_distribution, total_weight)
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
               "022", "220", "121", "GOOD")
+
+# the four type pairs of the type-mix bound: after reassembly, at every
+# internal xi-narrow cut, the mass of one of them is at most p_GOOD + eps
+MIX_PAIRS = (("120", "021"), ("011", "110"), ("011", "021"), ("110", "120"))
+
+# sweep direction -> (the pair it exchanges into (121, 010), the fragile
+# pair whose mass it may grow only by what became GOOD)
+SWEEPS = {"right": (("120", "011"), ("110", "021")),
+          "left": (("021", "110"), ("011", "120"))}
 
 
 class ExchangeError(Exception):
@@ -101,10 +108,11 @@ class ExchangeRecord:
     delta: Fraction = None
 
 
-def _exchange_core(s1, s2, chain, i, mirrored):
+def _exchange_core(s1, s2, chain, i, direction):
     masks = xi_masks(chain)
     last = len(masks) - 1
-    want1, want2 = ("021", "110") if mirrored else ("120", "011")
+    mirrored = direction == "left"
+    want1, want2 = SWEEPS[direction][0]
     t1 = classify(s1, chain, i)
     t2 = classify(s2, chain, i)
     if t1 != want1 or t2 != want2:
@@ -150,98 +158,32 @@ def _exchange_core(s1, s2, chain, i, mirrored):
     assert classify(s1_new, chain, i) == "121"
     assert classify(s2_new, chain, i) == "010"
     return ExchangeRecord(
-        cut_index=i, direction="left" if mirrored else "right",
+        cut_index=i, direction=direction,
         s1=frozenset(s1), s2=frozenset(s2), e0=e0, e1=e1, e2=e2, h=h, k=k,
         s1_new=s1_new, s2_new=s2_new)
 
 
 def exchange(s1, s2, chain: CutChain, i: int):
     """(120, 011) -> (121, 010) at cut i; returns (s1', s2', record)."""
-    rec = _exchange_core(s1, s2, chain, i, mirrored=False)
+    rec = _exchange_core(s1, s2, chain, i, "right")
     return rec.s1_new, rec.s2_new, rec
 
 
 def exchange_left(s1, s2, chain: CutChain, i: int):
     """Mirror image: (021, 110) -> (121, 010) at cut i."""
-    rec = _exchange_core(s1, s2, chain, i, mirrored=True)
+    rec = _exchange_core(s1, s2, chain, i, "left")
     return rec.s1_new, rec.s2_new, rec
-
-
-def validate_exchange_record(rec: ExchangeRecord, chain: CutChain):
-    """Re-check everything the exchange promises; returns violation strings."""
-    bad = []
-    masks = xi_masks(chain)
-    last = len(masks) - 1
-    n = chain.inst.n
-    i = rec.cut_index
-    mirrored = rec.direction == "left"
-    want1, want2 = ("021", "110") if mirrored else ("120", "011")
-
-    if rec.s1_new != rec.s1 - {rec.e1} | {rec.e2}:
-        bad.append("s1_new is not s1 - e1 + e2")
-    if rec.s2_new != rec.s2 - {rec.e2} | {rec.e1}:
-        bad.append("s2_new is not s2 - e2 + e1")
-    for name, tree in (("s1", rec.s1), ("s2", rec.s2),
-                       ("s1_new", rec.s1_new), ("s2_new", rec.s2_new)):
-        if not is_spanning_tree(tree, n):
-            bad.append(f"{name} is not a spanning tree")
-    if classify(rec.s1, chain, i) != want1:
-        bad.append(f"s1 was not type {want1} at cut {i}")
-    if classify(rec.s2, chain, i) != want2:
-        bad.append(f"s2 was not type {want2} at cut {i}")
-    if classify(rec.s1_new, chain, i) != "121":
-        bad.append("s1_new is not type 121 at the exchange cut")
-    if classify(rec.s2_new, chain, i) != "010":
-        bad.append("s2_new is not type 010 at the exchange cut")
-
-    protected = range(1, i) if not mirrored else range(i + 1, last)
-    for j in protected:
-        if classify(rec.s1, chain, j) != classify(rec.s1_new, chain, j):
-            bad.append(f"(a) s1 type changed at protected cut {j}")
-        if classify(rec.s2, chain, j) != classify(rec.s2_new, chain, j):
-            bad.append(f"(a) s2 type changed at protected cut {j}")
-
-    open_side = range(i + 1, last) if not mirrored else range(1, i)
-    fragile = ("110", "021") if not mirrored else ("011", "120")
-    for j in open_side:
-        tj = classify(rec.s1_new, chain, j)
-        if tj in fragile and classify(rec.s1, chain, j) != tj:
-            bad.append(f"(c) s1_new acquired fragile type {tj} at cut {j}")
-    # claim inside the proof: s1_new is GOOD strictly between i and k
-    if mirrored:
-        claim = range(max(rec.k, 1), i)
-    else:
-        claim = range(i + 1, min(rec.k, last - 1) + 1)
-    claim = list(claim)
-    for j in claim:
-        if classify(rec.s1_new, chain, j) != "GOOD":
-            bad.append(f"(claim) s1_new not GOOD at cut {j}")
-    for j in open_side:
-        tj = classify(rec.s2_new, chain, j)
-        if tj in fragile and classify(rec.s2, chain, j) != tj:
-            span = range(i + 1, j + 1) if not mirrored else range(j, i)
-            if not all(classify(rec.s1_new, chain, p) == "GOOD"
-                       for p in span):
-                bad.append(f"(d) s2_new acquired fragile type {tj} at "
-                           f"cut {j} without s1_new GOOD cover")
-    return bad
 
 
 # ----- sweeps -----
 
-def _on_grid(dist, quantum):
-    return all((a.weight / quantum).denominator == 1 for a in dist)
-
-
-def _sweep(dist, chain: CutChain, mirrored, quantum=None):
-    if quantum is not None:
-        quantum = Fraction(quantum)
-        if quantum <= 0 or not _on_grid(dist, quantum):
-            raise ValueError("weights not on the eps/n^2 grid")
-    masks = xi_masks(chain)
-    last = len(masks) - 1
-    want1, want2 = ("021", "110") if mirrored else ("120", "011")
-    fragile = ("110", "021") if not mirrored else ("011", "120")
+def _sweep(dist, chain: CutChain, direction, quantum):
+    quantum = Fraction(quantum)
+    if quantum <= 0 or any((a.weight / quantum).denominator != 1
+                           for a in dist):
+        raise ValueError("weights not on the eps/n^2 grid")
+    last = len(chain.xi_indices) - 1
+    (want1, want2), fragile = SWEEPS[direction]
 
     # weights keyed by (tree, tag); canonical order = sorted key
     pot = {}
@@ -251,7 +193,7 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
     before = {i: type_census(dist, chain, i) for i in range(1, last)}
 
     records = []
-    order = range(1, last) if not mirrored else range(last - 1, 0, -1)
+    order = range(1, last) if direction == "right" else range(last - 1, 0, -1)
     for i in order:
         while True:
             ones = []
@@ -267,10 +209,10 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
                 break
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
-            core = exchange_left if mirrored else exchange
-            s1n, s2n, rec = core(frozenset(k1[0]), frozenset(k2[0]), chain, i)
+            rec = _exchange_core(frozenset(k1[0]), frozenset(k2[0]), chain,
+                                 i, direction)
             records.append(replace(rec, delta=delta))
-            for key, tree in ((k1, s1n), (k2, s2n)):
+            for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
                 pot[key] -= delta
                 if pot[key] == 0:
                     del pot[key]
@@ -278,8 +220,7 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
                 pot[nk] = pot.get(nk, ZERO) + delta
 
     out = [Atom(frozenset(k[0]), w, k[1]) for k, w in sorted(pot.items())]
-    if quantum is not None:
-        assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
+    assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     for i in range(1, last):
@@ -291,15 +232,16 @@ def _sweep(dist, chain: CutChain, mirrored, quantum=None):
     return out, records
 
 
-def sweep_right(dist, chain: CutChain, quantum=None):
-    """Left-to-right pass exchanging (120, 011) pairs; returns
-    (new distribution, exchange records)."""
-    return _sweep(dist, chain, mirrored=False, quantum=quantum)
+def sweep_right(dist, chain: CutChain, quantum):
+    """Left-to-right pass exchanging (120, 011) pairs, with every weight
+    on the grid of step quantum; returns (new distribution, exchange
+    records)."""
+    return _sweep(dist, chain, "right", quantum)
 
 
-def sweep_left(dist, chain: CutChain, quantum=None):
+def sweep_left(dist, chain: CutChain, quantum):
     """Right-to-left pass exchanging (021, 110) pairs."""
-    return _sweep(dist, chain, mirrored=True, quantum=quantum)
+    return _sweep(dist, chain, "left", quantum)
 
 
 # ----- the driver -----
@@ -311,9 +253,7 @@ def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     for i in range(1, last):
         census = type_census(dist, chain, i)
         p = lambda c: census.get(c, ZERO)
-        combos = (p("120") + p("021"), p("011") + p("110"),
-                  p("011") + p("021"), p("120") + p("110"))
-        if min(combos) > p("GOOD") + eps:
+        if min(p(a) + p(b) for a, b in MIX_PAIRS) > p("GOOD") + eps:
             return False
     return True
 

@@ -52,9 +52,6 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 STALL_LIMIT = 12  # degenerate pivots in a row before switching to Bland
 
 
@@ -166,7 +163,7 @@ class ExactSimplex:
         b, bd = rhs.as_integer_ratio()
         row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         if sense == ">=":
-            sp = self.add_variable(ZERO)
+            sp = self.add_variable(0)
             row[sp] = (-1, 1)
             self.sp_of_row[len(self.model)] = sp
         elif sense != "=":
@@ -178,7 +175,7 @@ class ExactSimplex:
         self.model.append((row, b, bd))
 
     def _setup(self):
-        self.art_of_row = [self._new_column(ZERO, artificial=True)
+        self.art_of_row = [self._new_column(0, artificial=True)
                            for _ in self.model]
         ncols = len(self.costs)
         for (coeffs, b, bd), a in zip(self.model, self.art_of_row):
@@ -241,11 +238,11 @@ class ExactSimplex:
     def _phase1_objective(self) -> Fraction:
         return sum((Fraction(b, d) for b, d, j in
                     zip(self.rhs, self.den, self.basis)
-                    if b and self.is_artificial[j]), ZERO)
+                    if b and self.is_artificial[j]), Fraction(0))
 
     def objective(self) -> Fraction:
         return sum((self.costs[j] * Fraction(b, d) for b, d, j in
-                    zip(self.rhs, self.den, self.basis) if b), ZERO)
+                    zip(self.rhs, self.den, self.basis) if b), Fraction(0))
 
     def _primal_steps(self, zrow_name):
         """Primal simplex to optimality on the chosen objective row."""
@@ -374,7 +371,7 @@ class ExactSimplex:
             raise NotImplementedError("only >= rows can be appended warm")
         b, bd = rhs.as_integer_ratio()
         coeffs = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
-        sp = self._new_column(ZERO)
+        sp = self._new_column(0)
         for row in self.rows:
             row.append(0)
         self.z.append(0)
@@ -453,12 +450,13 @@ class ExactSimplex:
         out = {}
         for b, d, j in zip(self.rhs, self.den, self.basis):
             if b:
-                out[j] = out.get(j, ZERO) + Fraction(b, d)
+                out[j] = out.get(j, 0) + Fraction(b, d)
         return out
 
     def value_of(self, j) -> Fraction:
         return sum((Fraction(b, d) for b, d, bj in
-                    zip(self.rhs, self.den, self.basis) if bj == j), ZERO)
+                    zip(self.rhs, self.den, self.basis) if bj == j),
+                   Fraction(0))
 
     def duals(self, zrow_name="z"):
         """One multiplier per row, in row order, for the rows as given.
@@ -474,7 +472,7 @@ class ExactSimplex:
             acol = self.art_of_row[i]
             if zrow_name == "z1":
                 assert self.z1 is not None and acol >= 0
-                y = ONE - Fraction(self.z1[acol], self.z1den)
+                y = 1 - Fraction(self.z1[acol], self.z1den)
             elif acol >= 0:
                 y = Fraction(-self.z[acol], self.zden)
             else:

@@ -14,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import (Instance, edge, format_rational, parse_rational,
-                       support, vector_cost)
+from .instance import (ONE, ZERO, Instance, edge, format_rational,
+                       parse_rational, support)
 from .simplex import ExactSimplex
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DecompositionError(Exception):

@@ -9,6 +9,11 @@ hold to the Fraction max-flow below, the Gomory-Hu tree built on them,
 which tests hold to every-pair flows, and the table of type codes, so an
 agreement between a fast routine and its oracle is evidence, not
 circularity.
+
+The checkers at the end are not agreement oracles: they restate what a
+result must satisfy (a metric, a tight-cut basis of the wall fixture, an
+exchange's promises) and use the package's classify, is_spanning_tree,
+sweep table and wall fixture to do so.
 """
 
 from collections import deque
@@ -20,7 +25,9 @@ import numpy as np
 
 from pathtsp.cuts import gomory_hu_tree
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
-from pathtsp.reassembler import TYPE_CODES
+from pathtsp.instance import build_appendix_instance, edge
+from pathtsp.reassembler import SWEEPS, TYPE_CODES, classify
+from pathtsp.tree_decomp import is_spanning_tree
 
 ZERO = Fraction(0)
 
@@ -837,3 +844,91 @@ def fraction_max_flow_min_cut(capacity: dict, source, sink):
             residual[(v, u)] = residual.get((v, u), ZERO) + bottleneck
             v = u
         value += bottleneck
+
+
+# ----- checkers: what a result must satisfy -----
+
+def validate_metric(inst):
+    """Every ordered triple (u,v,w) violating c(u,w) <= c(u,v) + c(v,w)."""
+    bad = []
+    c = inst.cost
+    for u in range(inst.n):
+        for w in range(inst.n):
+            if u == w:
+                continue
+            cuw = c[edge(u, w)]
+            for v in range(inst.n):
+                if v == u or v == w:
+                    continue
+                if cuw > c[edge(u, v)] + c[edge(v, w)]:
+                    bad.append((u, v, w))
+    return bad
+
+
+def appendix_certificate_sets(k=0):
+    """Vertex sets whose cut constraints are tight at the wall fixture's
+    xstar: the rung pairs (its value-1 edges), the c-block quadruple and
+    every singleton.  Together exactly as many sets as support edges, with
+    linearly independent cut incidence vectors."""
+    inst, xstar, _ = build_appendix_instance(k)
+    sets = [frozenset(e) for e, v in xstar.items() if v == 1]
+    sets.append(frozenset(range(5, 9)))  # c1, c2, c3, c4 at every k
+    sets += [frozenset([v]) for v in range(inst.n)]
+    return sets
+
+
+def validate_exchange_record(rec, chain):
+    """Re-check everything the exchange promises; returns violation strings."""
+    bad = []
+    last = len(chain.xi_indices) - 1
+    n = chain.inst.n
+    i = rec.cut_index
+    mirrored = rec.direction == "left"
+    (want1, want2), fragile = SWEEPS[rec.direction]
+
+    if rec.s1_new != rec.s1 - {rec.e1} | {rec.e2}:
+        bad.append("s1_new is not s1 - e1 + e2")
+    if rec.s2_new != rec.s2 - {rec.e2} | {rec.e1}:
+        bad.append("s2_new is not s2 - e2 + e1")
+    for name, tree in (("s1", rec.s1), ("s2", rec.s2),
+                       ("s1_new", rec.s1_new), ("s2_new", rec.s2_new)):
+        if not is_spanning_tree(tree, n):
+            bad.append(f"{name} is not a spanning tree")
+    if classify(rec.s1, chain, i) != want1:
+        bad.append(f"s1 was not type {want1} at cut {i}")
+    if classify(rec.s2, chain, i) != want2:
+        bad.append(f"s2 was not type {want2} at cut {i}")
+    if classify(rec.s1_new, chain, i) != "121":
+        bad.append("s1_new is not type 121 at the exchange cut")
+    if classify(rec.s2_new, chain, i) != "010":
+        bad.append("s2_new is not type 010 at the exchange cut")
+
+    protected = range(1, i) if not mirrored else range(i + 1, last)
+    for j in protected:
+        if classify(rec.s1, chain, j) != classify(rec.s1_new, chain, j):
+            bad.append(f"(a) s1 type changed at protected cut {j}")
+        if classify(rec.s2, chain, j) != classify(rec.s2_new, chain, j):
+            bad.append(f"(a) s2 type changed at protected cut {j}")
+
+    open_side = range(i + 1, last) if not mirrored else range(1, i)
+    for j in open_side:
+        tj = classify(rec.s1_new, chain, j)
+        if tj in fragile and classify(rec.s1, chain, j) != tj:
+            bad.append(f"(c) s1_new acquired fragile type {tj} at cut {j}")
+    # claim inside the proof: s1_new is GOOD strictly between i and k
+    if mirrored:
+        claim = range(max(rec.k, 1), i)
+    else:
+        claim = range(i + 1, min(rec.k, last - 1) + 1)
+    for j in claim:
+        if classify(rec.s1_new, chain, j) != "GOOD":
+            bad.append(f"(claim) s1_new not GOOD at cut {j}")
+    for j in open_side:
+        tj = classify(rec.s2_new, chain, j)
+        if tj in fragile and classify(rec.s2, chain, j) != tj:
+            span = range(i + 1, j + 1) if not mirrored else range(j, i)
+            if not all(classify(rec.s1_new, chain, p) == "GOOD"
+                       for p in span):
+                bad.append(f"(d) s2_new acquired fragile type {tj} at "
+                           f"cut {j} without s1_new GOOD cover")
+    return bad

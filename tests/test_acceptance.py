@@ -14,7 +14,6 @@ import pytest
 from pathtsp import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from pathtsp.cli import check_lp_point, main
 from pathtsp.instance import (
-    appendix_certificate_sets,
     appendix_wall_cut_indices,
     build_appendix_instance,
     random_metric_instance,
@@ -22,7 +21,8 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import cut_load, cut_requirement
 
-from .oracles import (crossings, matching_min_cost, path_min_cost, rational_rank,
+from .oracles import (appendix_certificate_sets, crossings, matching_min_cost,
+                      path_min_cost, rational_rank, validate_exchange_record,
                       violated_cuts)
 from .test_cuts import packing_holds
 
@@ -105,7 +105,7 @@ def test_criterion_3(params):
         _, _, bomc_value = bomc.best_of_many(final, inst)
         assert bomc_value <= (2 - BETA) * vector_cost(xstar, inst)
         for rec in records:
-            assert reassembler.validate_exchange_record(rec, chain) == []
+            assert validate_exchange_record(rec, chain) == []
         elapsed = time.perf_counter() - t0
         assert elapsed <= 60
         notes.append(f"k={k}: {len(records)} exchanges, {elapsed:.1f}s")
@@ -184,7 +184,7 @@ def property_results(params, legacy_params):
 
         # (d) every exchange record revalidates
         for rec in records:
-            assert reassembler.validate_exchange_record(rec, chain) == []
+            assert validate_exchange_record(rec, chain) == []
 
         # (e) certification at the headline beta
         audit = parity.benefits(final, chain, parities, params)

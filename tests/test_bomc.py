@@ -12,7 +12,6 @@ from pathtsp.bomc import (
     format_tour_report,
     held_karp_opt,
     min_tjoin,
-    tour_from_tree,
 )
 from pathtsp.instance import (
     Instance,
@@ -47,6 +46,12 @@ def cost_of(edges, inst):
 
 def path_tree(seq):
     return frozenset(edge(a, b) for a, b in zip(seq, seq[1:]))
+
+
+def tour_from_tree(tree, inst):
+    """(tree + min parity join cost, shortcut Tour) of one tree."""
+    _, tour, value = best_of_many([Atom(tree, Fraction(1))], inst)
+    return value, tour
 
 
 def test_tjoin_base_cases():
@@ -161,18 +166,19 @@ def test_best_of_many_solves_one_join_per_atom(monkeypatch):
 def test_tour_from_hamiltonian_path():
     inst = uniform_instance(6)
     tree = path_tree(range(6))
-    st_tour, tour = tour_from_tree(tree, inst)
-    assert st_tour.edges == tuple(sorted(tree))
-    assert st_tour.cost == tour.cost == 5
+    st_cost, tour = tour_from_tree(tree, inst)
+    assert st_cost == tour.cost == 5
     assert tour.vertices == (0, 1, 2, 3, 4, 5)
 
 
 def test_tour_from_star_tree():
     inst = random_metric_instance(7, 2)
     tree = frozenset(edge(inst.s, v) for v in range(7) if v != inst.s)
-    st_tour, tour = tour_from_tree(tree, inst)
-    assert st_tour.cost == cost_of(st_tour.edges, inst)
-    assert tour.cost <= st_tour.cost
+    st_cost, tour = tour_from_tree(tree, inst)
+    par = split_path_join(tree, inst)
+    assert st_cost == cost_of(tree, inst) + cost_of(
+        min_tjoin(par.t_set, inst), inst)
+    assert tour.cost <= st_cost
     assert sorted(tour.vertices) == list(range(7))
     assert tour.vertices[0] == inst.s and tour.vertices[-1] == inst.t
 

@@ -248,8 +248,7 @@ def random_chain(draw, inst):
     keep = draw(st.lists(st.booleans(), min_size=last + 1,
                          max_size=last + 1))
     xi_indices = [i for i in range(last + 1) if keep[i] or i in (0, last)]
-    chain = CutChain(levels=[tuple(sorted(order[:j])) for j in sizes],
-                     masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
+    chain = CutChain(masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
                      xi_indices=xi_indices, inst=inst, x={})
     return chain, order
 
@@ -296,6 +295,5 @@ def test_profile_matches_the_scanning_oracle(case):
 def test_chain_levels_must_nest():
     inst = uniform_instance(4, s=0, t=3)
     with pytest.raises(ValueError, match="nested"):
-        CutChain(levels=[(0, 1), (0, 2)], masks=[0b011, 0b101],
-                 loads=[ONE, ONE], xi=XI_DEFAULT, xi_indices=[0, 1],
-                 inst=inst, x={})
+        CutChain(masks=[0b011, 0b101], loads=[ONE, ONE], xi=XI_DEFAULT,
+                 xi_indices=[0, 1], inst=inst, x={})

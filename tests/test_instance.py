@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from pathtsp.instance import (
     Instance,
-    appendix_certificate_sets,
     build_appendix_instance,
     complete_edges,
     edge,
@@ -15,11 +14,11 @@ from pathtsp.instance import (
     parse_instance,
     parse_rational,
     random_metric_instance,
-    validate_metric,
 )
 from pathtsp.lp_relax import cut_load, cut_requirement, separate
 
-from .oracles import rational_rank
+from .oracles import (appendix_certificate_sets, rational_rank,
+                      validate_metric)
 
 
 def uniform_instance(n, s=0, t=None):

@@ -17,12 +17,14 @@ from pathtsp.reassembler import (
     type_census,
     type_data,
     type_mix_bound_holds,
-    validate_exchange_record,
 )
 from pathtsp.tree_decomp import Atom, decompose, reconstruct, total_weight
 
+from .oracles import validate_exchange_record
+
 HALF = Fraction(1, 2)
 XI = Fraction(173, 100)
+EPS = Fraction(1, 100)
 
 
 def uniform_instance(n, s=0, t=None):
@@ -36,9 +38,8 @@ def chain_of(inst, levels, x):
     came from to be LP-feasible, only the nesting."""
     masks = [sum(1 << v for v in lv) for lv in levels]
     loads = [load_of_mask(x, m) for m in masks]
-    return CutChain(levels=[tuple(sorted(lv)) for lv in levels], masks=masks,
-                    loads=loads, xi=XI, xi_indices=list(range(len(levels))),
-                    inst=inst, x=x)
+    return CutChain(masks=masks, loads=loads, xi=XI,
+                    xi_indices=list(range(len(levels))), inst=inst, x=x)
 
 
 def tree(*edges_):
@@ -167,14 +168,15 @@ def test_sweeps_on_the_wall_distribution(appendix0, appendix0_chain):
         census = type_census(p4, chain, i)
         assert census == {"011": Fraction(1, 4), "110": Fraction(1, 4),
                           "021": Fraction(1, 4), "120": Fraction(1, 4)}
-    swept, recs = sweep_right(p4, chain)
+    quantum = EPS / inst.n ** 2   # the grid reassemble sweeps on
+    swept, recs = sweep_right(p4, chain, quantum)
     assert recs and reconstruct(swept) == xstar
     assert total_weight(swept) == 1
     for i in range(1, len(chain) - 1):
         census = type_census(swept, chain, i)
         assert min(census.get("120", Fraction(0)),
                    census.get("011", Fraction(0))) == 0
-    swept2, recs2 = sweep_left(swept, chain)
+    swept2, recs2 = sweep_left(swept, chain, quantum)
     assert reconstruct(swept2) == xstar
     for i in range(1, len(chain) - 1):
         census = type_census(swept2, chain, i)
@@ -190,9 +192,10 @@ def test_sweep_without_applicable_pairs_is_identity():
     x = {e: Fraction(1) for e in tree((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))}
     chain = narrow_cuts(x, inst)
     dist = decompose(x, inst)
-    out, recs = sweep_right(dist, chain)
+    quantum = EPS / inst.n ** 2
+    out, recs = sweep_right(dist, chain, quantum)
     assert recs == [] and out == dist
-    out, recs = sweep_left(dist, chain)
+    out, recs = sweep_left(dist, chain, quantum)
     assert recs == [] and out == dist
 
 
