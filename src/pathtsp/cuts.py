@@ -13,7 +13,9 @@ narrow cut is the unique minimum cut between any vertex of the chain gap
 on its left and any vertex of the gap on its right, so it is always one of
 the tree's fundamental cuts.
 
-Levels are int bitmasks; the chain derives their sorted vertex tuples.
+A vertex set is an int bitmask (bit v for vertex v) from the cut tree up:
+the tree's sides, the chain's levels and load_of_mask all take that form,
+and the chain derives its levels' sorted vertex tuples for the reports.
 Because the levels are nested, each vertex also has a layer, the first
 level that contains it (t has none, so its layer is the chain length), and
 an edge crosses exactly the levels from the lower of its endpoints' layers
@@ -177,12 +179,12 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     len(nodes) - 1 exact max-flows on one network and no contraction.
 
     net: the graph's FlowNetwork, built once by the caller, who may go on
-    querying it; nodes: every vertex, isolated ones included.  Returns one
-    (side, value) pair per tree edge: side is the frozenset of nodes below
-    the edge when the tree hangs from nodes[0], value is the edge's flow
-    value and equals the capacity of delta(side).  The minimum a-b cut
-    value is the least value among the edges whose side separates a from
-    b, and the side of such an edge is a minimum a-b cut.
+    querying it; nodes: the vertices to span, isolated ones included.
+    Returns one (side, value) pair per tree edge: side is the int bitmask
+    of the vertices below the edge when the tree hangs from nodes[0], value
+    is the edge's flow value and equals the capacity of delta(side).  The
+    minimum a-b cut value is the least value among the edges whose side
+    separates a from b, and the side of such an edge is a minimum a-b cut.
     """
     nodes = list(nodes)
     root = nodes[0]
@@ -207,9 +209,9 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     order = [root]
     for v in order:  # breadth-first: parents before children
         order.extend(children[v])
-    below = {}
-    for v in reversed(order):
-        below[v] = frozenset({v}).union(*(below[c] for c in children[v]))
+    below = {v: 1 << v for v in nodes}
+    for v in reversed(order[1:]):  # children before parents
+        below[parent[v]] |= below[v]
     return [(below[v], value[v]) for v in nodes[1:]]
 
 
@@ -223,10 +225,9 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
 
     full = (1 << n) - 1
     oriented = set()
-    for side, value in gomory_hu_tree(FlowNetwork(cap), range(n)):
+    for mask, value in gomory_hu_tree(FlowNetwork(cap, n), range(n)):
         if value >= 2:
             continue
-        mask = sum(1 << v for v in side)
         if not (mask >> s) & 1:
             mask ^= full
         if (mask >> t) & 1:

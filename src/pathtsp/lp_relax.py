@@ -9,7 +9,7 @@ require 1.
 
 Separation is exact at every n, by max-flow alone.  One min s-t cut gives
 the most violated odd cut.  For the even cuts it builds one Gomory-Hu tree
-of the graph with s and t contracted and computes a min cut only for the
+of the graph with t merged into s and computes a min cut only for the
 vertex pairs whose tree connectivity is below 2, so a feasible point costs
 n flows; the most violated even cut is a global min cut and so one of
 these.  Separation thus returns a most violated cut whenever one exists.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import gomory_hu_tree
+from .cuts import gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (ONE, TWO, ZERO, Instance, complete_edges, edge,
                        format_rational, parse_rational, vector_cost)
@@ -39,19 +39,6 @@ MAX_ROUNDS = 200     # separation rounds before solve_lp gives up
 class LpSolution:
     x: dict
     value: Fraction
-
-
-def cut_requirement(U, inst: Instance) -> Fraction:
-    k = (inst.s in U) + (inst.t in U)
-    return ONE if k == 1 else TWO
-
-
-def cut_load(x: dict, U) -> Fraction:
-    total = ZERO
-    for (u, v), val in x.items():
-        if (u in U) != (v in U):
-            total += val
-    return total
 
 
 # ----- separation -----
@@ -80,68 +67,59 @@ def separate(x: dict, inst: Instance):
     """
     n, s, t = inst.n, inst.s, inst.t
     cap = {e: v for e, v in x.items() if v != 0}
+    full = (1 << n) - 1
+    found = {}  # canonical mask (vertex 0 inside) -> its violated cut
 
-    def canonical(side):
-        U = frozenset(side)
-        if 0 not in U:
-            U = frozenset(range(n)) - U
-        return tuple(sorted(U))
+    def consider(side, required):
+        if not side & 1:
+            side ^= full
+        if side not in found:
+            load = load_of_mask(cap, side)
+            if load < required:
+                U = tuple(v for v in range(n) if (side >> v) & 1)
+                found[side] = (U, required, load)
 
-    found = {}
     # odd cuts: a min s-t cut is itself odd, so one flow suffices
-    val, side = max_flow_min_cut(FlowNetwork(cap), s, t)
+    val, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
     if val < 1:
-        U = canonical(side)
-        found[U] = (U, ONE, cut_load(x, frozenset(U)))
-    # even cuts: contract s,t together, then every pair whose connectivity
-    # is below 2, all on one network.  "st" is a node even when x_st = 1
-    # leaves it isolated.
-    cnet = FlowNetwork(_contract(cap, {s, t}, "st"))
-    nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
-                   key=str)
+        consider(sum(1 << v for v in side), ONE)
+    # even cuts: merge t into s, then every pair whose connectivity is
+    # below 2, all on one network
+    merged = {}
+    for (u, v), c in cap.items():
+        u, v = (s if u == t else u), (s if v == t else v)
+        if u != v:
+            merged[u, v] = merged.get((u, v), ZERO) + c
+    cnet = FlowNetwork(merged, n)
+    # The pairs run in the string order of the vertex names with the merged
+    # vertex last: which flows run, and so the cut lists, the LP path and
+    # the recorded report digests, depend on that order.
+    nodes = sorted((v for v in range(n) if v not in (s, t)), key=str) + [s]
     # the narrow tree edges, least value first, as ints over cnet.den; bit
-    # k of mask[u] says whether u lies below narrow edge k
+    # k of bits[u] says whether u lies below narrow edge k
     narrow = sorted(((value.numerator * (cnet.den // value.denominator), cut)
                      for cut, value in gomory_hu_tree(cnet, nodes)
                      if value < 2), key=lambda item: item[0])
-    mask = {u: sum(1 << k for k, (_, cut) in enumerate(narrow) if u in cut)
+    bits = {u: sum(1 << k for k, (_, cut) in enumerate(narrow)
+                   if (cut >> u) & 1)
             for u in nodes}
     for i, a in enumerate(nodes):
         kept = {}  # value -> the sides the flows from a returned at it
         for b in nodes[i + 1:]:
-            split = mask[a] ^ mask[b]
+            split = bits[a] ^ bits[b]
             # pairs on the same side of every narrow edge have
             # connectivity >= 2 and cannot give a violated cut
             if not split:
                 continue
             lam = narrow[(split & -split).bit_length() - 1][0]
-            if any(b not in S for S in kept.get(lam, ())):
+            if any(not (S >> b) & 1 for S in kept.get(lam, ())):
                 continue  # the flow would return one of these sides
             val, side = max_flow_min_cut(cnet, a, b)
             assert val * cnet.den == lam, "flow value is not the tree's"
+            side = sum(1 << v for v in side)
             kept.setdefault(lam, []).append(side)
-            real = set()
-            for u in side:
-                real.update({s, t} if u == "st" else {u})
-            U = canonical(real)
-            if U not in found:
-                lo = cut_load(x, frozenset(U))
-                rq = cut_requirement(frozenset(U), inst)
-                if lo < rq:
-                    found[U] = (U, rq, lo)
+            consider(side | (1 << t) if (side >> s) & 1 else side, TWO)
     return sorted(found.values(), key=lambda r: (r[2] - r[1], r[0]))
-
-
-def _contract(cap: dict, group, label):
-    out = {}
-    for (u, v), c in cap.items():
-        u2 = label if u in group else u
-        v2 = label if v in group else v
-        if u2 == v2:
-            continue
-        key = tuple(sorted((u2, v2), key=str))
-        out[key] = out.get(key, ZERO) + c
-    return out
 
 
 # ----- the solver -----

@@ -380,11 +380,13 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
     include a minimum T-odd cut, so the list is empty exactly when every
     T-odd cut has load at least 1."""
     cap = {e: v for e, v in y.items() if v != 0}
+    t_mask = sum(1 << v for v in t_set)
     out = []
-    for side, value in gomory_hu_tree(FlowNetwork(cap), range(n)):
-        if value < 1 and len(side.intersection(t_set)) % 2 == 1:
-            U = side if 0 in side else frozenset(range(n)) - side
-            out.append(tuple(sorted(U)))
+    for side, value in gomory_hu_tree(FlowNetwork(cap, n), range(n)):
+        if value < 1 and (side & t_mask).bit_count() % 2 == 1:
+            if not side & 1:
+                side ^= (1 << n) - 1
+            out.append(tuple(v for v in range(n) if (side >> v) & 1))
     return out
 
 

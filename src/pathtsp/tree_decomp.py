@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .instance import (ONE, ZERO, Instance, edge, format_rational,
                        parse_rational, support)
@@ -64,22 +65,25 @@ def is_spanning_tree(edges, n) -> bool:
 
 
 def max_weight_spanning_tree(n, weights: dict, allowed=None):
-    """Kruskal on -weight with canonical (edge-id) tie-breaks.
+    """Kruskal on -weight with canonical (edge-id) tie-breaks, sorting the
+    weights as ints scaled over their lcm.
 
     Returns (frozenset of edges, total weight), or None if the allowed
     graph does not connect all n vertices.
     """
-    pool = sorted(weights.keys() if allowed is None else allowed)
-    pool.sort(key=lambda e: (-weights[e], e))
+    ratios = {e: weights[e].as_integer_ratio()
+              for e in (weights if allowed is None else allowed)}
+    den = lcm(*{d for _, d in ratios.values()})
+    scaled = {e: num * (den // d) for e, (num, d) in ratios.items()}
     uf = UnionFind(n)
     picked = []
-    total = ZERO
-    for e in pool:
+    total = 0
+    for e in sorted(scaled, key=lambda e: (-scaled[e], e)):
         if uf.union(*e):
             picked.append(e)
-            total += weights[e]
+            total += scaled[e]
             if len(picked) == n - 1:
-                return frozenset(picked), total
+                return frozenset(picked), Fraction(total, den)
     return None
 
 

@@ -38,6 +38,16 @@ def cut_value(x, U):
     return sum((v for (a, b), v in x.items() if (a in U) != (b in U)), ZERO)
 
 
+def members(mask):
+    """The vertex set of an int bitmask (bit v for vertex v)."""
+    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def mask_of(U):
+    """The int bitmask of a vertex set."""
+    return sum(1 << v for v in U)
+
+
 def matching_min_cost(T, inst):
     """Minimum perfect-matching cost on T, by exhaustive pairing."""
     T = sorted(T)
@@ -150,7 +160,7 @@ def narrow_sets_all_pairs(x, inst):
     load < 2 between a vertex of the chain gap on its left and one of the
     gap on its right."""
     cap = {e: v for e, v in x.items() if v != 0}
-    net = FlowNetwork(cap)
+    net = FlowNetwork(cap, inst.n)
     everything = frozenset(range(inst.n))
     found = set()
     for a, b in combinations(range(inst.n), 2):
@@ -163,9 +173,9 @@ def narrow_sets_all_pairs(x, inst):
 def separate_all_pairs(x, inst):
     """Violated cuts as (U, required, load) in lp_relax.separate's order,
     from the min s-t cut (odd cuts) and one min cut per vertex pair of x
-    with s and t merged into the node "st" (even cuts).  "st" is a node
-    even when it has no edge.  Pairs run in the order of the nodes sorted
-    by str, source first, as the library's route does."""
+    with t merged into s (even cuts).  s is a node even when it has no
+    edge.  Pairs run with the other vertices sorted by str and s last,
+    source first, as the library's route does."""
     return _separate_by_pairs(x, inst, pruned=False)
 
 
@@ -188,33 +198,28 @@ def _separate_by_pairs(x, inst, pruned):
         return tuple(sorted(U))
 
     found = {}
-    value, side = max_flow_min_cut(FlowNetwork(cap), s, t)
+    value, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
     if value < 1:
         U = canonical(side)
         found[U] = (U, Fraction(1), cut_value(x, U))
     merged = {}
     for (u, v), c in cap.items():
-        u = "st" if u in (s, t) else u
-        v = "st" if v in (s, t) else v
+        u = s if u == t else u
+        v = s if v == t else v
         if u != v:
-            key = tuple(sorted((u, v), key=str))
-            merged[key] = merged.get(key, ZERO) + c
-    nodes = sorted([v for v in range(n) if v not in (s, t)] + ["st"],
-                   key=str)
-    net = FlowNetwork(merged)
+            merged[edge(u, v)] = merged.get(edge(u, v), ZERO) + c
+    nodes = sorted((v for v in range(n) if v not in (s, t)), key=str) + [s]
+    net = FlowNetwork(merged, n)
     pairs = combinations(nodes, 2)
     if pruned:
-        narrow = [cut for cut, value in gomory_hu_tree(net, nodes)
+        narrow = [members(cut) for cut, value in gomory_hu_tree(net, nodes)
                   if value < 2]
         group = {u: tuple(u in cut for cut in narrow) for u in nodes}
         pairs = [(a, b) for a, b in pairs if group[a] != group[b]]
     for a, b in pairs:
         value, side = max_flow_min_cut(net, a, b)
         if value < 2:
-            real = set()
-            for u in side:
-                real.update((s, t) if u == "st" else (u,))
-            U = canonical(real)
+            U = canonical(side | {t} if s in side else side)
             need = Fraction(1 if (s in U) != (t in U) else 2)
             load = cut_value(x, U)
             if U not in found and load < need:

@@ -19,11 +19,10 @@ from pathtsp.instance import (
     random_metric_instance,
     vector_cost,
 )
-from pathtsp.lp_relax import cut_load, cut_requirement
 
-from .oracles import (appendix_certificate_sets, crossings, matching_min_cost,
-                      path_min_cost, rational_rank, validate_exchange_record,
-                      violated_cuts)
+from .oracles import (appendix_certificate_sets, crossings, mask_of,
+                      matching_min_cost, path_min_cost, rational_rank,
+                      validate_exchange_record, violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)
@@ -64,7 +63,8 @@ def test_criterion_1(appendix0, appendix0_chain):
     support = sorted(xstar)
     rows = []
     for U in sets:
-        assert cut_load(xstar, U) == cut_requirement(U, inst)
+        need = 1 if (inst.s in U) != (inst.t in U) else 2
+        assert cuts.load_of_mask(xstar, mask_of(U)) == need
         rows.append([1 if (e[0] in U) != (e[1] in U) else 0
                      for e in support])
     assert rational_rank(rows) == 30

@@ -32,6 +32,7 @@ from .oracles import (
     crossing_edges,
     crossings,
     cut_value,
+    members,
     narrow_sets,
     narrow_sets_all_pairs,
     pairwise_intersection_check,
@@ -109,11 +110,12 @@ def rational_graphs(draw):
 @given(rational_graphs())
 def test_gomory_hu_tree_against_brute_force(graph):
     n, cap = graph
-    tree = gomory_hu_tree(FlowNetwork(cap), range(n))
+    tree = gomory_hu_tree(FlowNetwork(cap, n), range(n))
     assert len(tree) == n - 1
     for side, value in tree:
-        assert 0 not in side
-        assert cut_value(cap, side) == value
+        assert isinstance(side, int) and 0 < side < 1 << n
+        assert not side & 1  # the tree hangs from vertex 0
+        assert cut_value(cap, members(side)) == value
     loads = {}
     for r in range(1, n):
         for extra in combinations(range(1, n), r - 1):
@@ -122,7 +124,7 @@ def test_gomory_hu_tree_against_brute_force(graph):
     for a, b in combinations(range(n), 2):
         brute = min(lo for U, lo in loads.items() if (a in U) != (b in U))
         path = min(value for side, value in tree
-                   if (a in side) != (b in side))
+                   if ((side >> a) ^ (side >> b)) & 1)
         assert path == brute
 
 

@@ -16,11 +16,11 @@ capacities = st.one_of(st.integers(0, 4),
 
 @st.composite
 def flow_problems(draw):
-    """Up to 9 nodes, int labels and the string "st", int and Fraction
-    capacities (zeros too), each edge keyed (u, v), (v, u) or both; the
-    source and sink may have no edge at all."""
+    """Up to 9 int vertices, int and Fraction capacities (zeros too), each
+    edge keyed (u, v), (v, u) or both, in a random key order; the source
+    and sink may have no edge at all."""
     n = draw(st.integers(2, 9))
-    nodes = draw(st.permutations([*range(n - 1), "st"]))
+    nodes = draw(st.permutations(range(n)))
     cap = {}
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:
@@ -29,14 +29,14 @@ def flow_problems(draw):
             for key in keys:
                 cap[key] = draw(capacities)
     source, sink = draw(st.permutations(nodes))[:2]
-    return cap, source, sink
+    return n, cap, source, sink
 
 
 @settings(max_examples=200, deadline=None)
 @given(flow_problems())
 def test_matches_the_fraction_edmonds_karp(problem):
-    cap, source, sink = problem
-    value, side = max_flow_min_cut(FlowNetwork(cap), source, sink)
+    n, cap, source, sink = problem
+    value, side = max_flow_min_cut(FlowNetwork(cap, n), source, sink)
     assert isinstance(value, Fraction) and isinstance(side, frozenset)
     assert (value, side) == fraction_max_flow_min_cut(cap, source, sink)
     assert source in side and sink not in side
@@ -47,14 +47,13 @@ def test_matches_the_fraction_edmonds_karp(problem):
 @given(flow_problems(), st.data())
 def test_one_network_answers_a_sequence_of_queries(problem, data):
     # no residual flow may leak from one query into the next
-    cap, source, sink = problem
-    nodes = sorted({source, sink, *(w for e in cap for w in e)}, key=str)
+    n, cap, source, sink = problem
     pairs = data.draw(st.lists(
-        st.permutations(nodes).map(lambda p: (p[0], p[1])),
+        st.permutations(range(n)).map(lambda p: (p[0], p[1])),
         min_size=1, max_size=6))
     queries = [(source, sink), *pairs, (sink, source),
                *[(b, a) for a, b in pairs], (source, sink)]
-    net = FlowNetwork(cap)
+    net = FlowNetwork(cap, n)
     for a, b in queries:
         assert max_flow_min_cut(net, a, b) \
             == fraction_max_flow_min_cut(cap, a, b)
@@ -62,25 +61,25 @@ def test_one_network_answers_a_sequence_of_queries(problem, data):
 
 def test_negative_capacity_raises():
     with pytest.raises(ValueError):
-        FlowNetwork({(0, 1): 1, (1, 2): Fraction(-1, 2)})
+        FlowNetwork({(0, 1): 1, (1, 2): Fraction(-1, 2)}, 3)
     with pytest.raises(ValueError):
-        FlowNetwork({(0, 1): -1})
+        FlowNetwork({(0, 1): -1}, 2)
 
 
 def test_side_is_the_minimal_minimum_cut():
-    # both edges of s-a-t are minimum cuts; the side is the smaller one
-    net = FlowNetwork({("s", "a"): 1, ("a", "t"): 1})
-    assert max_flow_min_cut(net, "s", "t") == (1, frozenset({"s"}))
+    # both edges of 0-1-2 are minimum cuts; the side is the smaller one
+    net = FlowNetwork({(0, 1): 1, (1, 2): 1}, 3)
+    assert max_flow_min_cut(net, 0, 2) == (1, frozenset({0}))
 
 
 def test_isolated_source():
-    net = FlowNetwork({(1, 2): Fraction(1, 2)})
+    net = FlowNetwork({(1, 2): Fraction(1, 2)}, 3)
     assert max_flow_min_cut(net, 0, 2) == (0, frozenset({0}))
 
 
 def test_isolated_sink():
     # no flow; the side is everything the source reaches
-    net = FlowNetwork({(0, 1): 1, (1, 2): Fraction(1, 2), (3, 4): 1})
+    net = FlowNetwork({(0, 1): 1, (1, 2): Fraction(1, 2), (3, 4): 1}, 6)
     assert max_flow_min_cut(net, 0, 5) == (0, frozenset({0, 1, 2}))
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathtsp.cuts import load_of_mask
 from pathtsp.instance import (
     Instance,
     build_appendix_instance,
@@ -15,9 +16,9 @@ from pathtsp.instance import (
     parse_rational,
     random_metric_instance,
 )
-from pathtsp.lp_relax import cut_load, cut_requirement, separate
+from pathtsp.lp_relax import separate
 
-from .oracles import (appendix_certificate_sets, rational_rank,
+from .oracles import (appendix_certificate_sets, mask_of, rational_rank,
                       validate_metric)
 
 
@@ -149,7 +150,8 @@ def test_appendix_certificate_tight_and_independent(appendix0):
     support = sorted(xstar)
     rows = []
     for U in sets:
-        assert cut_load(xstar, U) == cut_requirement(U, inst)
+        need = 1 if (inst.s in U) != (inst.t in U) else 2
+        assert load_of_mask(xstar, mask_of(U)) == need
         rows.append([1 if (e[0] in U) != (e[1] in U) else 0
                      for e in support])
     assert rational_rank(rows) == 30

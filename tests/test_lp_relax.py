@@ -13,8 +13,8 @@ from pathtsp.instance import (
     metric_closure,
     random_metric_instance,
 )
+from pathtsp.cuts import load_of_mask
 from pathtsp.lp_relax import (
-    cut_load,
     parse_solution,
     emit_solution,
     separate,
@@ -24,6 +24,7 @@ from pathtsp.lp_relax import (
 from . import oracles
 from .oracles import (
     cut_value,
+    mask_of,
     path_min_cost,
     separate_all_pairs,
     separate_every_pair,
@@ -61,7 +62,7 @@ def test_separate_agrees_with_enumeration_on_a_planted_gap():
     for U, need, load in found:
         side = frozenset(U) if inst.s in U else frozenset(range(6)) - set(U)
         assert side in brute
-        assert cut_load(x, U) == load < need
+        assert load_of_mask(x, mask_of(U)) == load < need
     assert frozenset({0, 4, 5}) in brute
 
 
@@ -83,6 +84,36 @@ def test_separate_matches_all_pairs_along_the_lp_path(path, request):
     for x in points:
         assert separate(x, inst) == separate_all_pairs(x, inst)
     assert separate(sol.x, inst) == []
+
+
+def test_pair_flows_run_in_name_order_with_the_merged_vertex_last(
+        monkeypatch, lp26):
+    # which pair flows run, and so the cut lists, the LP path and the
+    # recorded report digests, depend on this order: the vertices other
+    # than s and t by the string order of their names, then s, into which
+    # t is merged
+    inst, _, points = lp26
+    s, t = inst.s, inst.t
+    order = sorted((v for v in range(inst.n) if v not in (s, t)), key=str)
+    rank = {v: i for i, v in enumerate(order + [s])}
+    flow = lp_relax.max_flow_min_cut
+    calls = []
+
+    def recording(net, source, sink):
+        calls.append((source, sink))
+        return flow(net, source, sink)
+
+    monkeypatch.setattr(lp_relax, "max_flow_min_cut", recording)
+    pair_flows = 0
+    for x in points:
+        calls.clear()
+        separate(x, inst)
+        assert calls[0] == (s, t)  # the odd cuts' one s-t flow
+        ranks = [(rank[a], rank[b]) for a, b in calls[1:]]
+        assert all(i < j for i, j in ranks)
+        assert ranks == sorted(ranks)
+        pair_flows += len(ranks)
+    assert pair_flows == 108
 
 
 def flow_results(module, separator, x, inst):

@@ -35,8 +35,8 @@ from pathtsp.parity import (
 from pathtsp.reassembler import reassemble, type_census
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import (cheapest_cut_edge, cut_value, path_edge_at_cut,
-                      tjoin_violations_enumerate)
+from .oracles import (cheapest_cut_edge, cut_value, members,
+                      path_edge_at_cut, tjoin_violations_enumerate)
 from .test_cuts import random_chain, rational_graphs, trees_on_chains
 
 HALF = Fraction(1, 2)
@@ -338,8 +338,8 @@ def test_padberg_rao_against_enumeration(graph, data):
     for U in fast:
         assert U[0] == 0 and cut_value(y, U) < 1
     # a minimum T-odd cut is a T-odd fundamental cut of the tree
-    odd = [value for side, value in gomory_hu_tree(FlowNetwork(y), range(n))
-           if len(side & T) % 2]
+    tree = gomory_hu_tree(FlowNetwork(y, n), range(n))
+    odd = [value for side, value in tree if len(members(side) & T) % 2]
     subsets = [{0, *extra} for r in range(n - 1)
                for extra in combinations(range(1, n), r)]
     odd_loads = [cut_value(y, U) for U in subsets if len(U & T) % 2]
