@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .instance import ZERO, Instance, complete_edges, edge, format_rational
+from .instance import (ZERO, Instance, complete_edges, edge, edges_cost,
+                       format_rational)
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, delta_rows
+from .tree_decomp import tree_key
 
 HELD_KARP_LIMIT = 18
 
@@ -150,14 +152,14 @@ def best_of_many(dist, inst: Instance):
     rows hold (atom, tree cost, join cost, total) in that order."""
     if not dist:
         raise ValueError("empty distribution")
-    atoms = sorted(dist, key=lambda a: (tuple(sorted(a.tree)), a.tag))
+    atoms = sorted(dist, key=lambda a: tree_key(a.tree))
     rows = []
     best = None
     for atom in atoms:
-        tree_cost = sum((inst.cost[e] for e in atom.tree), ZERO)
+        tree_cost = edges_cost(atom.tree, inst)
         par = split_path_join(atom.tree, inst)
         join = min_tjoin(par.t_set, inst)
-        join_cost = sum((inst.cost[e] for e in join), ZERO)
+        join_cost = edges_cost(join, inst)
         total = tree_cost + join_cost
         rows.append((atom, tree_cost, join_cost, total))
         if best is None or total < best:

@@ -306,7 +306,7 @@ def cmd_run(args):
                                        args.k)
     elif args.target == "random":
         if args.n is None:
-            raise SystemExit("pathtsp: run random requires --n")
+            raise ValueError("run random requires --n")
         inst = r.stage("build", random_metric_instance, args.n, args.seed)
     else:
         inst = read_instance(args.target, closure=args.closure)

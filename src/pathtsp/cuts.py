@@ -237,10 +237,10 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
     for a, b in zip(levels, levels[1:]):
         if a & ~b:
             raise ChainError("narrow cuts do not form a chain")
-    if levels[0] != 1 << s:
-        raise ChainError("chain does not start at {s}")
+    if not levels or levels[0] != 1 << s:
+        raise ChainError(f"chain does not start at {{{s}}}")
     if levels[-1] != full ^ (1 << t):
-        raise ChainError("chain does not end at V-{t}")
+        raise ChainError(f"chain does not end at V-{{{t}}}")
 
     loads = [load_of_mask(x, m) for m in levels]
     if loads[0] != 1 or loads[-1] != 1:

@@ -207,7 +207,7 @@ def build_appendix_instance(k: int = 0):
     per step.  Costs are the metric closure of the support graph with unit
     edge lengths; the fixture is structural, not cost-optimal.
     """
-    from .tree_decomp import Atom  # local import, avoids a module cycle
+    from .tree_decomp import Atom, reconstruct  # local: avoids a module cycle
 
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -277,14 +277,10 @@ def build_appendix_instance(k: int = 0):
     t4 = tr(rungs + [("s", "a1"), ("a1", "b2"), ("b", "c1"), ("c1", "c3")]
             + bottom_row + down_exits + [("h2", "t")])
 
-    p4 = [Atom(tree=t, weight=Q, tag="fixture") for t in (t1, t2, t3, t4)]
+    p4 = [Atom(tree=t, weight=Q) for t in (t1, t2, t3, t4)]
     for atom in p4:
         assert len(atom.tree) == n - 1
-    acc = {}
-    for atom in p4:
-        for e in atom.tree:
-            acc[e] = acc.get(e, ZERO) + atom.weight
-    assert acc == xstar, "four-tree average must reproduce xstar"
+    assert reconstruct(p4) == xstar, "four-tree average must reproduce xstar"
     return inst, xstar, p4
 
 

@@ -40,7 +40,8 @@ from math import lcm
 from .cuts import (XI_DEFAULT, CutChain, format_rational, gomory_hu_tree,
                    load_of_mask)
 from .flows import FlowNetwork
-from .instance import HALF, ZERO, Instance, complete_edges, edge, vector_cost
+from .instance import (HALF, ZERO, Instance, complete_edges, edge, edges_cost,
+                       vector_cost)
 from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import tree_path
 
@@ -425,8 +426,7 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     w1 = 1 - 2 * beta
     z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
                   for ai, atom in enumerate(dist)), ZERO)
-    path_cost = sum((atom.weight * sum((inst.cost[e] for e in
-                                        parities[ai].i_edges), ZERO)
+    path_cost = sum((atom.weight * edges_cost(parities[ai].i_edges, inst)
                      for ai, atom in enumerate(dist)), ZERO)
     if audit.all_ok:
         _verify_cost_chain(dist, chain, parities, params, cv,
@@ -481,7 +481,7 @@ def check_packing(dist, chain: CutChain):
 
 # ----- report formatting -----
 
-def format_audit_lines(audit: BenefitAudit, verdict: Verdict = None):
+def format_audit_lines(audit: BenefitAudit, verdict: Verdict):
     lines = []
     for c in audit.per_cut:
         lines.append(
@@ -489,7 +489,6 @@ def format_audit_lines(audit: BenefitAudit, verdict: Verdict = None):
             f"case={c.case} benefit={format_rational(c.total)} "
             f"required={format_rational(c.required)} "
             f"margin={format_rational(c.margin)} status={c.status}")
-    if verdict is not None:
-        tag = format_rational(verdict.beta) if verdict.certified else "none"
-        lines.append(f"certified_beta={tag}")
+    beta = format_rational(verdict.beta) if verdict.certified else "none"
+    lines.append(f"certified_beta={beta}")
     return lines

@@ -9,11 +9,12 @@ The type is GOOD when m >= 3, or l+r >= 3, or (l+r >= 1 and no xi-narrow
 cut C' -- including C itself -- satisfies S cap C' = {e} for an edge
 e of S cap C); otherwise the code is the literal digits "lmr".
 
-The exchange swaps one edge between a type-120 tree and a type-011 tree at
-the same cut, turning them into 121 and 010 without disturbing the cuts to
-the left, and the sweeps drive those exchanges across the chain until one
-of the two type classes is exhausted at every cut.  A mirrored exchange
-(021 with 110) supports the right-to-left sweep.  The reassemble driver
+The exchange in direction "right" swaps one edge between a type-120 tree
+and a type-011 tree at the same cut, turning them into 121 and 010 without
+disturbing the cuts to the left, and the sweep in that direction drives
+those exchanges across the chain until one of the two type classes is
+exhausted at every cut.  Direction "left" mirrors both (021 with 110,
+right to left); SWEEPS holds what differs.  The reassemble driver
 takes a tree distribution and the narrow-cut chain of the point it
 decomposes, rounds weights onto the eps/n^2 grid, sweeps left then right,
 and returns the residual mass to the pot, so the final distribution
@@ -36,7 +37,7 @@ from fractions import Fraction
 from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
 from .instance import ZERO
 from .tree_decomp import (Atom, is_spanning_tree, reconstruct,
-                          round_distribution, total_weight)
+                          round_distribution, total_weight, tree_key)
 
 TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
               "022", "220", "121", "GOOD")
@@ -53,10 +54,6 @@ SWEEPS = {"right": (("120", "011"), ("110", "021")),
 
 class ExchangeError(Exception):
     pass
-
-
-def xi_masks(chain: CutChain):
-    return [chain.masks[j] for j in chain.xi_indices]
 
 
 def type_data(tree, chain: CutChain, i: int):
@@ -108,8 +105,11 @@ class ExchangeRecord:
     delta: Fraction = None
 
 
-def _exchange_core(s1, s2, chain, i, direction):
-    masks = xi_masks(chain)
+def exchange(s1, s2, chain: CutChain, i: int, direction: str):
+    """Swap one edge between s1 and s2 at the i-th xi-narrow cut: (120, 011)
+    -> (121, 010) for direction "right", (021, 110) -> (121, 010) for its
+    mirror image "left".  Returns the ExchangeRecord."""
+    masks = [chain.masks[j] for j in chain.xi_indices]
     last = len(masks) - 1
     mirrored = direction == "left"
     want1, want2 = SWEEPS[direction][0]
@@ -163,21 +163,12 @@ def _exchange_core(s1, s2, chain, i, direction):
         s1_new=s1_new, s2_new=s2_new)
 
 
-def exchange(s1, s2, chain: CutChain, i: int):
-    """(120, 011) -> (121, 010) at cut i; returns (s1', s2', record)."""
-    rec = _exchange_core(s1, s2, chain, i, "right")
-    return rec.s1_new, rec.s2_new, rec
-
-
-def exchange_left(s1, s2, chain: CutChain, i: int):
-    """Mirror image: (021, 110) -> (121, 010) at cut i."""
-    rec = _exchange_core(s1, s2, chain, i, "left")
-    return rec.s1_new, rec.s2_new, rec
-
-
 # ----- sweeps -----
 
-def _sweep(dist, chain: CutChain, direction, quantum):
+def sweep(dist, chain: CutChain, direction: str, quantum):
+    """One pass exchanging the pairs SWEEPS[direction] names, left to right
+    for "right" and right to left for "left", with every weight on the
+    grid of step quantum; returns (new distribution, exchange records)."""
     quantum = Fraction(quantum)
     if quantum <= 0 or any((a.weight / quantum).denominator != 1
                            for a in dist):
@@ -185,10 +176,10 @@ def _sweep(dist, chain: CutChain, direction, quantum):
     last = len(chain.xi_indices) - 1
     (want1, want2), fragile = SWEEPS[direction]
 
-    # weights keyed by (tree, tag); canonical order = sorted key
+    # weights keyed by tree, in canonical order
     pot = {}
     for a in dist:
-        key = (tuple(sorted(a.tree)), a.tag)
+        key = tree_key(a.tree)
         pot[key] = pot.get(key, ZERO) + a.weight
     before = {i: type_census(dist, chain, i) for i in range(1, last)}
 
@@ -199,8 +190,7 @@ def _sweep(dist, chain: CutChain, direction, quantum):
             ones = []
             twos = []
             for key in sorted(pot):
-                tree = frozenset(key[0])
-                code = classify(tree, chain, i)
+                code = classify(frozenset(key), chain, i)
                 if code == want1:
                     ones.append(key)
                 elif code == want2:
@@ -209,17 +199,17 @@ def _sweep(dist, chain: CutChain, direction, quantum):
                 break
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
-            rec = _exchange_core(frozenset(k1[0]), frozenset(k2[0]), chain,
-                                 i, direction)
+            rec = exchange(frozenset(k1), frozenset(k2), chain, i,
+                           direction)
             records.append(replace(rec, delta=delta))
             for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
                 pot[key] -= delta
                 if pot[key] == 0:
                     del pot[key]
-                nk = (tuple(sorted(tree)), key[1])
+                nk = tree_key(tree)
                 pot[nk] = pot.get(nk, ZERO) + delta
 
-    out = [Atom(frozenset(k[0]), w, k[1]) for k, w in sorted(pot.items())]
+    out = [Atom(frozenset(k), w) for k, w in sorted(pot.items())]
     assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
@@ -230,18 +220,6 @@ def _sweep(dist, chain: CutChain, direction, quantum):
         for f in fragile:
             assert after.get(f, ZERO) <= before[i].get(f, ZERO) + good
     return out, records
-
-
-def sweep_right(dist, chain: CutChain, quantum):
-    """Left-to-right pass exchanging (120, 011) pairs, with every weight
-    on the grid of step quantum; returns (new distribution, exchange
-    records)."""
-    return _sweep(dist, chain, "right", quantum)
-
-
-def sweep_left(dist, chain: CutChain, quantum):
-    """Right-to-left pass exchanging (021, 110) pairs."""
-    return _sweep(dist, chain, "left", quantum)
 
 
 # ----- the driver -----
@@ -280,8 +258,8 @@ def reassemble(dist, chain: CutChain, eps):
 
     quantum = eps / (n * n)
     rounded, residual = round_distribution(dist, eps, n)
-    swept, rec_l = sweep_left(rounded, chain, quantum)
-    swept, rec_r = sweep_right(swept, chain, quantum)
+    swept, rec_l = sweep(rounded, chain, "left", quantum)
+    swept, rec_r = sweep(swept, chain, "right", quantum)
     final = swept + residual
     records = rec_l + rec_r
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .instance import (ONE, ZERO, Instance, edge, format_rational,
-                       parse_rational, support)
+from .instance import (ONE, ZERO, Instance, edge, edges_cost,
+                       format_rational, parse_rational, support)
 from .simplex import ExactSimplex
 
 
@@ -26,10 +26,9 @@ class DecompositionError(Exception):
 
 @dataclass(frozen=True)
 class Atom:
-    """One spanning tree with its weight and an origin tag."""
+    """One spanning tree with its weight."""
     tree: frozenset
     weight: Fraction
-    tag: str = "decompose"
 
 
 # ----- spanning tree utilities -----
@@ -64,15 +63,14 @@ def is_spanning_tree(edges, n) -> bool:
     return True
 
 
-def max_weight_spanning_tree(n, weights: dict, allowed=None):
+def max_weight_spanning_tree(n, weights: dict):
     """Kruskal on -weight with canonical (edge-id) tie-breaks, sorting the
     weights as ints scaled over their lcm.
 
-    Returns (frozenset of edges, total weight), or None if the allowed
-    graph does not connect all n vertices.
+    Returns (frozenset of edges, total weight), or None if the edges of
+    weights do not connect all n vertices.
     """
-    ratios = {e: weights[e].as_integer_ratio()
-              for e in (weights if allowed is None else allowed)}
+    ratios = {e: w.as_integer_ratio() for e, w in weights.items()}
     den = lcm(*{d for _, d in ratios.values()})
     scaled = {e: num * (den // d) for e, (num, d) in ratios.items()}
     uf = UnionFind(n)
@@ -128,11 +126,10 @@ def total_weight(dist) -> Fraction:
 
 
 def distribution_cost(dist, inst: Instance) -> Fraction:
-    return sum((a.weight * sum((inst.cost[e] for e in a.tree), ZERO)
-                for a in dist), ZERO)
+    return sum((a.weight * edges_cost(a.tree, inst) for a in dist), ZERO)
 
 
-def decompose(x: dict, inst: Instance, tag="decompose"):
+def decompose(x: dict, inst: Instance):
     """Write x exactly as a convex combination of spanning trees.
 
     Raises DecompositionError when pricing proves x is outside the
@@ -144,7 +141,7 @@ def decompose(x: dict, inst: Instance, tag="decompose"):
         tree = frozenset(edges)
         if not is_spanning_tree(tree, n):
             raise DecompositionError("integral x is not a spanning tree")
-        return [Atom(tree, ONE, tag)]
+        return [Atom(tree, ONE)]
 
     row_of = {e: i for i, e in enumerate(edges)}
     conv = len(edges)  # convexity row id
@@ -161,7 +158,7 @@ def decompose(x: dict, inst: Instance, tag="decompose"):
     sx.add_constraint({}, "=", ONE)
     sx.solve_phase1()  # sets up the all-artificial basis
 
-    seeded = max_weight_spanning_tree(n, x, edges)
+    seeded = max_weight_spanning_tree(n, {e: x[e] for e in edges})
     if seeded is None:
         raise DecompositionError("support graph is not connected")
     add_tree(seeded[0])
@@ -174,7 +171,7 @@ def decompose(x: dict, inst: Instance, tag="decompose"):
             break
         y = sx.duals("z1")
         weights = {e: y[row_of[e]] for e in edges}
-        best = max_weight_spanning_tree(n, weights, edges)
+        best = max_weight_spanning_tree(n, weights)
         if best is None or best[1] + y[conv] <= 0:
             raise DecompositionError(
                 f"pricing found no improving tree; residual gap {gap}")
@@ -191,7 +188,7 @@ def decompose(x: dict, inst: Instance, tag="decompose"):
         if w < 0:
             raise DecompositionError("negative weight in master solution")
         if w > 0:
-            dist.append(Atom(tree, w, tag))
+            dist.append(Atom(tree, w))
     assert total_weight(dist) == 1
     assert reconstruct(dist) == {e: v for e, v in x.items() if v != 0}
     assert len(dist) < n * n
@@ -203,9 +200,9 @@ def decompose(x: dict, inst: Instance, tag="decompose"):
 def round_distribution(dist, eps, n):
     """Round weights down onto the eps/n^2 grid.
 
-    Returns (rounded, residual): rounded atoms carry their original tags
-    with weights that are integer multiples of eps/n^2; the residual list
-    holds the leftovers, tagged 'residual', with total mass < eps.
+    Returns (rounded, residual): the rounded atoms have weights that are
+    integer multiples of eps/n^2; the residual atoms hold the leftovers,
+    with total mass < eps.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -216,9 +213,9 @@ def round_distribution(dist, eps, n):
         steps = atom.weight / grid
         down = grid * (steps.numerator // steps.denominator)
         if down > 0:
-            rounded.append(Atom(atom.tree, down, atom.tag))
+            rounded.append(Atom(atom.tree, down))
         if atom.weight > down:
-            residual.append(Atom(atom.tree, atom.weight - down, "residual"))
+            residual.append(Atom(atom.tree, atom.weight - down))
     mass = total_weight(residual)
     assert mass < eps, f"residual mass {mass} >= {eps}"
     return rounded, residual
@@ -226,7 +223,8 @@ def round_distribution(dist, eps, n):
 
 # ----- canonical file format -----
 
-def _tree_key(tree):
+def tree_key(tree):
+    """The canonical order of trees: by sorted edge list."""
     return tuple(sorted(tree))
 
 
@@ -235,7 +233,7 @@ def emit_distribution(dist) -> str:
     lexicographically by edge list, equal trees merged."""
     merged = {}
     for atom in dist:
-        k = _tree_key(atom.tree)
+        k = tree_key(atom.tree)
         merged[k] = merged.get(k, ZERO) + atom.weight
     out = []
     for k in sorted(merged):
@@ -245,7 +243,7 @@ def emit_distribution(dist) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_distribution(text: str, n=None, tag="file"):
+def parse_distribution(text: str, n: int):
     dist = []
     cur_weight = None
     cur_edges = []
@@ -253,9 +251,9 @@ def parse_distribution(text: str, n=None, tag="file"):
     def flush():
         if cur_weight is None:
             return
-        if n is not None and not is_spanning_tree(cur_edges, n):
+        if not is_spanning_tree(cur_edges, n):
             raise ValueError(f"block is not a spanning tree: {cur_edges}")
-        dist.append(Atom(frozenset(cur_edges), cur_weight, tag))
+        dist.append(Atom(frozenset(cur_edges), cur_weight))
 
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -282,7 +280,7 @@ def parse_distribution(text: str, n=None, tag="file"):
     return dist
 
 
-def read_distribution(path, n=None):
+def read_distribution(path, n: int):
     with open(path) as fh:
         return parse_distribution(fh.read(), n)
 

@@ -157,9 +157,9 @@ def property_results(params, legacy_params):
                                                            inst.n)
         assert tree_decomp.reconstruct(rounded + residual) == x
         quantum = EPS / (inst.n * inst.n)
-        stage1, _ = reassembler.sweep_left(rounded, chain, quantum)
+        stage1, _ = reassembler.sweep(rounded, chain, "left", quantum)
         assert tree_decomp.reconstruct(stage1 + residual) == x
-        stage2, _ = reassembler.sweep_right(stage1, chain, quantum)
+        stage2, _ = reassembler.sweep(stage1, chain, "right", quantum)
         assert tree_decomp.reconstruct(stage2 + residual) == x
 
         final, records = reassembler.reassemble(dist0, chain, EPS)

@@ -202,7 +202,7 @@ def test_best_of_many_breaks_ties_canonically():
     inst = uniform_instance(4)
     first = path_tree((0, 1, 2, 3))
     second = path_tree((0, 2, 1, 3))
-    dist = [Atom(second, Fraction(1, 2), "z"), Atom(first, Fraction(1, 2), "a")]
+    dist = [Atom(second, Fraction(1, 2)), Atom(first, Fraction(1, 2))]
     rows, tour, bomc = best_of_many(dist, inst)
     assert bomc == 3 and [r[3] for r in rows] == [3, 3]
     assert tour.vertices == (0, 1, 2, 3)
@@ -248,7 +248,7 @@ def test_bound_chain_on_a_fractional_solution():
 
 def test_tour_report_format():
     inst = uniform_instance(4)
-    dist = [Atom(path_tree((0, 1, 2, 3)), Fraction(1), "d")]
+    dist = [Atom(path_tree((0, 1, 2, 3)), Fraction(1))]
     rows, _, bomc = best_of_many(dist, inst)
     lines = format_tour_report(rows, bomc, opt_cost=held_karp_opt(inst).cost)
     assert lines[0] == "atom=0 tree_cost=3 join_cost=0 total=3"

@@ -171,7 +171,7 @@ def test_run_random_end_to_end(tmp_path):
     assert "verdict=certified bound=1599/1000" in body
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
@@ -179,6 +179,9 @@ def test_usage_errors(tmp_path):
         main(["run", "appendix", "--frobnicate"])
     assert err.value.code == 2
     assert main(["solve-lp", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+    assert main(["run", "random"]) == 2
+    assert capsys.readouterr().err == "pathtsp: run random requires --n\n"
 
 
 def test_stage_failures_exit_2(tmp_path):

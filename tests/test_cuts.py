@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -143,6 +144,25 @@ def test_non_chain_structure_is_rejected():
         narrow_cuts(x, uniform_instance(4))
 
 
+def test_chain_errors_name_the_end_cuts():
+    # deg(s) = 2: the only cut of load < 2 is {0, 1, 2}
+    x = path_x((0, 1, 2, 3))
+    x[edge(0, 2)] = Fraction(1)
+    with pytest.raises(ChainError, match=re.escape("does not start at {0}")):
+        narrow_cuts(x, uniform_instance(4))
+    # deg(t) = 2: the only cut of load < 2 is {0}
+    x = path_x((0, 1, 2, 3))
+    x[edge(1, 3)] = Fraction(1)
+    with pytest.raises(ChainError, match=re.escape("does not end at V-{3}")):
+        narrow_cuts(x, uniform_instance(4))
+    # a cycle has no cut of load < 2 at all
+    inst = random_metric_instance(4, 0)
+    assert (inst.s, inst.t) == (1, 2)
+    cycle = {edge(v, (v + 1) % 4): Fraction(1) for v in range(4)}
+    with pytest.raises(ChainError, match=re.escape("does not start at {1}")):
+        narrow_cuts(cycle, inst)
+
+
 def test_appendix_chain_shape(appendix0, appendix0_chain):
     inst, xstar, _ = appendix0
     chain = appendix0_chain
@@ -185,7 +205,7 @@ def test_cut_stats_single_tree():
     inst = uniform_instance(4, s=0, t=3)
     x = path_x((0, 1, 2, 3))
     chain = narrow_cuts(x, inst)
-    stats = cut_stats(chain, [Atom(frozenset(path_x((0, 1, 2, 3))), Fraction(1), "t")])
+    stats = cut_stats(chain, [Atom(frozenset(path_x((0, 1, 2, 3))), Fraction(1))])
     for st in stats:
         assert (st.p_one, st.p_even, st.p_many) == (1, 0, 0)
 

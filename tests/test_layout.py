@@ -1,10 +1,12 @@
 """Layout rules of the package source, checked on its syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pathtsp"
 SHARED = ("ZERO", "ONE", "TWO", "HALF")
+PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
 
 
 def module_assignments(path):
@@ -30,3 +32,37 @@ def test_shared_constants_are_defined_once():
             owners[name].append(path.name)
     twice = {name: mods for name, mods in owners.items() if len(mods) > 1}
     assert not twice, f"shared constants assigned in several modules: {twice}"
+
+
+def docstring_nodes(tree):
+    """The string constants that are docstrings of the module, a class or
+    a function."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and \
+                    isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def placeholder_strings(path):
+    """(line, text) of every plain string literal holding a {name}
+    placeholder; docstrings and the parts of f-strings are skipped."""
+    tree = ast.parse(path.read_text())
+    skip = docstring_nodes(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            skip.update(id(part) for part in node.values)
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in skip and PLACEHOLDER.search(node.value)]
+
+
+def test_no_placeholder_in_a_plain_string():
+    found = {f"{path.name}:{line}": text
+             for path in sorted(SRC.glob("*.py"))
+             for line, text in placeholder_strings(path)}
+    assert not found, f"plain strings with a {{name}} placeholder: {found}"

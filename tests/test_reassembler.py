@@ -10,10 +10,8 @@ from pathtsp.reassembler import (
     ExchangeError,
     classify,
     exchange,
-    exchange_left,
     reassemble,
-    sweep_left,
-    sweep_right,
+    sweep,
     type_census,
     type_data,
     type_mix_bound_holds,
@@ -106,12 +104,13 @@ def test_type_queries_only_at_internal_cuts(six_chain):
 
 
 def test_type_census(six_chain):
-    dist = [Atom(S1, HALF, "a"), Atom(S2, HALF, "b")]
+    dist = [Atom(S1, HALF), Atom(S2, HALF)]
     assert type_census(dist, six_chain, 2) == {"120": HALF, "011": HALF}
 
 
 def test_exchange_on_the_two_tree_fixture(six_chain):
-    s1n, s2n, rec = exchange(S1, S2, six_chain, 2)
+    rec = exchange(S1, S2, six_chain, 2, "right")
+    s1n, s2n = rec.s1_new, rec.s2_new
     assert rec.e0 == (0, 3) and rec.e1 == (2, 3) and rec.e2 == (2, 5)
     assert rec.h == 0 and rec.k == 4
     assert rec.direction == "right"
@@ -134,7 +133,8 @@ def test_exchange_left_is_the_mirror_image():
     chain = chain_of(inst, LEVELS6, x)
     assert classify(s1m, chain, 2) == "021"
     assert classify(s2m, chain, 2) == "110"
-    s1n, s2n, rec = exchange_left(s1m, s2m, chain, 2)
+    rec = exchange(s1m, s2m, chain, 2, "left")
+    s1n, s2n = rec.s1_new, rec.s2_new
     assert rec.e0 == (2, 5) and rec.e1 == (2, 3) and rec.e2 == (0, 3)
     assert rec.h == 4 and rec.k == 0
     assert rec.direction == "left"
@@ -145,15 +145,15 @@ def test_exchange_left_is_the_mirror_image():
 
 def test_exchange_rejects_wrong_types(six_chain):
     with pytest.raises(ExchangeError):
-        exchange(S2, S1, six_chain, 2)   # swapped roles
+        exchange(S2, S1, six_chain, 2, "right")   # swapped roles
     with pytest.raises(ExchangeError):
-        exchange(S1, S1, six_chain, 2)
+        exchange(S1, S1, six_chain, 2, "right")
     with pytest.raises(ExchangeError):
-        exchange_left(S1, S2, six_chain, 2)
+        exchange(S1, S2, six_chain, 2, "left")
 
 
 def test_validate_catches_tampering(six_chain):
-    _, _, rec = exchange(S1, S2, six_chain, 2)
+    rec = exchange(S1, S2, six_chain, 2, "right")
     bad = validate_exchange_record(replace(rec, s1_new=rec.s1), six_chain)
     assert any("s1_new" in msg for msg in bad)
     bad = validate_exchange_record(replace(rec, e1=rec.e2, e2=rec.e1),
@@ -169,14 +169,14 @@ def test_sweeps_on_the_wall_distribution(appendix0, appendix0_chain):
         assert census == {"011": Fraction(1, 4), "110": Fraction(1, 4),
                           "021": Fraction(1, 4), "120": Fraction(1, 4)}
     quantum = EPS / inst.n ** 2   # the grid reassemble sweeps on
-    swept, recs = sweep_right(p4, chain, quantum)
+    swept, recs = sweep(p4, chain, "right", quantum)
     assert recs and reconstruct(swept) == xstar
     assert total_weight(swept) == 1
     for i in range(1, len(chain) - 1):
         census = type_census(swept, chain, i)
         assert min(census.get("120", Fraction(0)),
                    census.get("011", Fraction(0))) == 0
-    swept2, recs2 = sweep_left(swept, chain, quantum)
+    swept2, recs2 = sweep(swept, chain, "left", quantum)
     assert reconstruct(swept2) == xstar
     for i in range(1, len(chain) - 1):
         census = type_census(swept2, chain, i)
@@ -193,9 +193,9 @@ def test_sweep_without_applicable_pairs_is_identity():
     chain = narrow_cuts(x, inst)
     dist = decompose(x, inst)
     quantum = EPS / inst.n ** 2
-    out, recs = sweep_right(dist, chain, quantum)
+    out, recs = sweep(dist, chain, "right", quantum)
     assert recs == [] and out == dist
-    out, recs = sweep_left(dist, chain, quantum)
+    out, recs = sweep(dist, chain, "left", quantum)
     assert recs == [] and out == dist
 
 
@@ -232,6 +232,6 @@ def test_reassemble_validates_parameters(appendix0, appendix0_chain):
     with pytest.raises(ValueError, match="eps"):
         reassemble(p4, appendix0_chain, Fraction(0))
     # a distribution read from a file need not belong to the chain's point
-    one_tree = [Atom(p4[0].tree, Fraction(1), "a")]
+    one_tree = [Atom(p4[0].tree, Fraction(1))]
     with pytest.raises(ValueError, match="reconstruct"):
         reassemble(one_tree, appendix0_chain, Fraction(1, 100))

@@ -101,18 +101,17 @@ def test_decompose_inverts_random_mixtures(n, seed, k):
 
 
 def test_round_distribution_floor_values():
-    atoms = [Atom(frozenset([edge(0, i + 1)]), Fraction(1, 3), "x")
+    atoms = [Atom(frozenset([edge(0, i + 1)]), Fraction(1, 3))
              for i in range(3)]
     rounded, residual = round_distribution(atoms, Fraction(1, 100), 4)
     assert all(a.weight == Fraction(533, 1600) for a in rounded)
     assert total_weight(residual) == Fraction(1, 1600)
-    assert all(a.tag == "residual" for a in residual)
     merged = rounded + residual
     assert reconstruct(merged) == reconstruct(atoms)
 
 
 def test_round_distribution_exact_grid_leaves_no_residual():
-    atoms = [Atom(frozenset([edge(0, 1)]), Fraction(1), "x")]
+    atoms = [Atom(frozenset([edge(0, 1)]), Fraction(1))]
     rounded, residual = round_distribution(atoms, Fraction(1, 100), 5)
     assert rounded[0].weight == 1
     assert residual == []
@@ -126,8 +125,8 @@ def test_round_distribution_rejects_bad_eps():
 def test_distribution_file_round_trip_and_merge():
     t1 = path_tree((0, 1, 2, 3))
     t2 = path_tree((0, 2, 1, 3))
-    dist = [Atom(t1, Fraction(1, 4), "a"), Atom(t2, Fraction(1, 2), "b"),
-            Atom(t1, Fraction(1, 4), "c")]
+    dist = [Atom(t1, Fraction(1, 4)), Atom(t2, Fraction(1, 2)),
+            Atom(t1, Fraction(1, 4))]
     text = emit_distribution(dist)
     back = parse_distribution(text, n=4)
     assert reconstruct(back) == reconstruct(dist)
