@@ -65,8 +65,8 @@ def main():
 
     if inst.n <= 18:
         opt = held_karp_opt(inst)
-        print(f"exact baseline {format_rational(opt.cost)}, "
-              f"true ratio {float(tour.cost / opt.cost):.4f}")
+        print(f"exact baseline {format_rational(opt)}, "
+              f"true ratio {float(tour.cost / opt):.4f}")
 
 
 if __name__ == "__main__":

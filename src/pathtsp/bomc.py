@@ -1,5 +1,5 @@
 """Tour construction: T-joins, {s,t}-tours, best-of-many selection, and
-an exact dynamic-programming baseline for measured ratios.
+the cost of an exact dynamic-programming baseline for measured ratios.
 
 Adding a minimum T_S-join J to a spanning tree S gives a connected
 multigraph in which exactly s and t have odd degree (an {s,t}-tour); an
@@ -66,8 +66,8 @@ def min_tjoin(T, inst: Instance):
     # 98,000 pivots on one parity set (|T| = 70) of the raw wall at k = 30.
     sx.solve()
     for v in range(k):
-        sx.add_cut_row(delta_coeffs({v}), ">=", 1)
-        sx.add_cut_row(delta_coeffs({v}, -1), ">=", -1)
+        sx.add_cut_row(delta_coeffs({v}), 1)
+        sx.add_cut_row(delta_coeffs({v}, -1), -1)
     sx.solve()
     seen = set()  # vertex sets of the odd-set rows
     while True:
@@ -80,7 +80,7 @@ def min_tjoin(T, inst: Instance):
         for U in cuts:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
-            sx.add_cut_row(delta_coeffs(U), ">=", 1)
+            sx.add_cut_row(delta_coeffs(U), 1)
         sx.solve()
 
     sx.assert_optimal()
@@ -170,8 +170,8 @@ def best_of_many(dist, inst: Instance):
     return rows, tour, best
 
 
-def held_karp_opt(inst: Instance) -> Tour:
-    """Exact minimum-cost Hamiltonian s-t path by subset DP."""
+def held_karp_opt(inst: Instance) -> Fraction:
+    """Cost of a minimum-cost Hamiltonian s-t path, by subset DP."""
     n = inst.n
     if n > HELD_KARP_LIMIT:
         raise ValueError(f"n = {n} exceeds the subset-DP cap "
@@ -186,7 +186,6 @@ def held_karp_opt(inst: Instance) -> Tour:
     size = 1 << k
     INF = float("inf")
     dp = [[INF] * k for _ in range(size)]
-    parent = [[-1] * k for _ in range(size)]
     for i, v in enumerate(others):
         dp[1 << i][i] = w[inst.s][v]
     for mask in range(size):
@@ -203,21 +202,9 @@ def held_karp_opt(inst: Instance) -> Tour:
                 nm = mask | (1 << j)
                 if nxt < dp[nm][j]:
                     dp[nm][j] = nxt
-                    parent[nm][j] = i
-    ti = others.index(inst.t)
-    full = size - 1
-    assert dp[full][ti] is not INF
-    seq = [inst.t]
-    mask, i = full, ti
-    while parent[mask][i] >= 0:
-        pi = parent[mask][i]
-        mask ^= 1 << i
-        i = pi
-        seq.append(others[i])
-    seq.append(inst.s)
-    seq.reverse()
-    assert len(seq) == n and seq[0] == inst.s and seq[-1] == inst.t
-    return Tour(vertices=tuple(seq), cost=Fraction(dp[full][ti], scale))
+    best = dp[size - 1][others.index(inst.t)]
+    assert best is not INF
+    return Fraction(best, scale)
 
 
 def format_tour_report(rows, bomc_value, opt_cost=None):

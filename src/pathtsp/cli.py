@@ -25,10 +25,7 @@ OPT_BASELINE_LIMIT = 12   # held_karp in reports only at this size or below
 
 
 class StageFailure(Exception):
-    def __init__(self, stage, cause):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A stage raised; the message names the stage and the error."""
 
 
 class Runner:
@@ -43,7 +40,7 @@ class Runner:
         try:
             result = fn(*args, **kwargs)
         except Exception as exc:
-            raise StageFailure(name, exc) from exc
+            raise StageFailure(f"stage {name}: {exc}") from exc
         self.timings.append(
             f"stage={name} seconds={time.perf_counter() - t0:.3f}")
         return result
@@ -116,8 +113,7 @@ def tour_stages(r, dist, inst):
     opt = None
     if inst.n <= OPT_BASELINE_LIMIT:
         opt = r.stage("baseline", bomc.held_karp_opt, inst)
-    r.lines.extend(bomc.format_tour_report(
-        rows, value, None if opt is None else opt.cost))
+    r.lines.extend(bomc.format_tour_report(rows, value, opt))
     return tour, value
 
 
@@ -299,6 +295,7 @@ def cmd_verify(args):
 
 def cmd_run(args):
     r = Runner()
+    params = gamma_params(args)
     initial = None
     xstar = None
     if args.target == "appendix":
@@ -344,7 +341,7 @@ def cmd_run(args):
         r.lines.append("exchanges:")
         r.lines.extend(exchange_lines(records))
 
-    verdict = certify_stages(r, dist, chain, gamma_params(args))
+    verdict = certify_stages(r, dist, chain, params)
     _, bomc_value = tour_stages(r, dist, inst)
 
     bound_ok = True

@@ -58,9 +58,6 @@ class Instance:
         if self.s == self.t:
             raise ValueError("s and t must differ")
 
-    def c(self, u, v) -> Fraction:
-        return self.cost[edge(u, v)]
-
 
 def vector_cost(x: dict, inst: Instance) -> Fraction:
     """c(x) = sum of x_e * cost(e)."""

@@ -154,7 +154,7 @@ def solve_lp(inst: Instance) -> LpSolution:
         for (U, req, _load) in cuts[:ADD_PER_ROUND]:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
-            sx.add_cut_row(delta_coeffs(U), ">=", req)
+            sx.add_cut_row(delta_coeffs(U), req)
         sx.solve()
         rounds += 1
 

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cuts import (XI_DEFAULT, CutChain, format_rational, gomory_hu_tree,
-                   load_of_mask)
+from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork
 from .instance import (HALF, ZERO, Instance, complete_edges, edge, edges_cost,
-                       vector_cost)
+                       format_rational, vector_cost)
 from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import tree_path
 

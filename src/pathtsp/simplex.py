@@ -13,8 +13,9 @@ their own denominators `zden` and `z1den`.  A pivot divides the pivot row
 by its pivot entry, which cancels that row's denominator, and eliminates
 the entering column from every other row fraction-free, in the spirit of
 Bareiss (1968), touching only the pivot row's nonzeros.  Fractions appear
-only at the API boundary: inputs are converted on entry, and every value
-read back (solution, objective, duals) is a Fraction.
+only at the API boundary: inputs are converted on entry, and the solution
+and objective are read back as Fractions.  The duals are read back as ints
+over their cost row's denominator, the form pricing uses.
 
 Normalisation is lazy.  The pivot row and each new cut row are divided by
 the gcd of their numerators, rhs and denominator.  Any other row is divided
@@ -141,7 +142,6 @@ class ExactSimplex:
         self.zden = 1
         self.z1 = None           # phase-1 row over z1den; None once closed
         self.z1den = 1
-        self._setup_done = False
         self.pivots = 0
 
     # ----- model building (before setup) -----
@@ -153,13 +153,15 @@ class ExactSimplex:
         return len(self.costs) - 1
 
     def add_variable(self, cost) -> int:
-        assert not self._setup_done, "add_variable only before the first solve"
+        assert self.model is not None, \
+            "add_variable only before the first solve"
         return self._new_column(cost)
 
     def add_constraint(self, coeffs: dict, sense: str, rhs):
         """coeffs: {col: coef}; sense '=' or '>='.  Coefficients and rhs
         are ints or Fractions."""
-        assert not self._setup_done, "add_constraint only before the first solve"
+        assert self.model is not None, \
+            "add_constraint only before the first solve"
         b, bd = rhs.as_integer_ratio()
         row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         if sense == ">=":
@@ -203,10 +205,9 @@ class ExactSimplex:
         self.zden = lcm(*(c.denominator for c in self.costs))
         self.z = [c.numerator * (self.zden // c.denominator)
                   for c in self.costs]
-        self._setup_done = True
 
     def _ensure_setup(self):
-        if not self._setup_done:
+        if self.model is not None:
             self._setup()
 
     # ----- pivoting -----
@@ -363,12 +364,10 @@ class ExactSimplex:
 
     # ----- warm modifications -----
 
-    def add_cut_row(self, coeffs: dict, sense: str, rhs):
-        """Append a (typically violated) >= row; solve() repairs the basis.
-        Coefficients and rhs are ints or Fractions."""
-        assert self._setup_done and self.z1 is None
-        if sense != ">=":
-            raise NotImplementedError("only >= rows can be appended warm")
+    def add_cut_row(self, coeffs: dict, rhs):
+        """Append a (typically violated) row coeffs.x >= rhs; solve()
+        repairs the basis.  Coefficients and rhs are ints or Fractions."""
+        assert self.model is None and self.z1 is None
         b, bd = rhs.as_integer_ratio()
         coeffs = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         sp = self._new_column(0)
@@ -412,7 +411,7 @@ class ExactSimplex:
         Valid while every row still carries its artificial column (true for
         the decomposition master, which never appends rows).
         """
-        assert self._setup_done
+        assert self.model is None
         coeffs = {i0: Fraction(a) for i0, a in coeffs.items() if a != 0}
         # tableau column = B^-1 a, read off the artificial columns, with a
         # taken on the stored rows (negated where the rhs was < 0)
@@ -453,13 +452,10 @@ class ExactSimplex:
                 out[j] = out.get(j, 0) + Fraction(b, d)
         return out
 
-    def value_of(self, j) -> Fraction:
-        return sum((Fraction(b, d) for b, d, bj in
-                    zip(self.rhs, self.den, self.basis) if bj == j),
-                   Fraction(0))
-
     def duals(self, zrow_name="z"):
-        """One multiplier per row, in row order, for the rows as given.
+        """One multiplier per row, in row order, for the rows as given, as
+        (nums, den): y_i = nums[i] / den over the cost row's own positive
+        denominator (zden, or z1den in phase 1).
 
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
@@ -467,18 +463,19 @@ class ExactSimplex:
         the reduced cost itself.  That is the multiplier of the stored row,
         so it changes sign on a row that add_constraint negated.
         """
+        phase1 = zrow_name == "z1"
+        assert not phase1 or self.z1 is not None
+        zrow, den = (self.z1, self.z1den) if phase1 else (self.z, self.zden)
         out = []
-        for i in range(len(self.rows)):
-            acol = self.art_of_row[i]
-            if zrow_name == "z1":
-                assert self.z1 is not None and acol >= 0
-                y = 1 - Fraction(self.z1[acol], self.z1den)
+        for i, acol in enumerate(self.art_of_row):
+            if phase1:
+                y = den - zrow[acol]
             elif acol >= 0:
-                y = Fraction(-self.z[acol], self.zden)
+                y = -zrow[acol]
             else:
-                y = Fraction(self.z[self.sp_of_row[i]], self.zden)
+                y = zrow[self.sp_of_row[i]]
             out.append(-y if i in self.negated else y)
-        return out
+        return out, den
 
     def assert_optimal(self):
         assert all(b >= 0 for b in self.rhs), "primal infeasible tableau"

@@ -3,7 +3,9 @@
 The decomposition is found by column generation: a phase-1 master matches
 the target edge vector exactly (one row per support edge plus a convexity
 row), and the pricing oracle is a max-weight spanning tree on the master's
-dual weights, restricted to the support graph.  Everything is exact.
+dual weights, restricted to the support graph.  The duals are read as ints
+over one positive denominator, which orders the edges as the rationals
+would.  Everything is exact.
 
 A distribution is a plain list of Atom records; helper functions implement
 reconstruction, rounding to a weight grid, and the canonical file format.
@@ -65,7 +67,7 @@ def is_spanning_tree(edges, n) -> bool:
 
 def max_weight_spanning_tree(n, weights: dict):
     """Kruskal on -weight with canonical (edge-id) tie-breaks, sorting the
-    weights as ints scaled over their lcm.
+    weights (ints or Fractions) as ints scaled over their lcm.
 
     Returns (frozenset of edges, total weight), or None if the edges of
     weights do not connect all n vertices.
@@ -136,7 +138,7 @@ def decompose(x: dict, inst: Instance):
     spanning tree polytope (upstream bug: x should come from the LP).
     """
     n = inst.n
-    edges = sorted(support(x))
+    edges = support(x)
     if len(edges) == n - 1 and all(x[e] == 1 for e in edges):
         tree = frozenset(edges)
         if not is_spanning_tree(tree, n):
@@ -169,7 +171,7 @@ def decompose(x: dict, inst: Instance):
         gap = sx.solve_phase1()
         if gap == 0:
             break
-        y = sx.duals("z1")
+        y, _ = sx.duals("z1")  # over a den > 0: same order, same sign
         weights = {e: y[row_of[e]] for e in edges}
         best = max_weight_spanning_tree(n, weights)
         if best is None or best[1] + y[conv] <= 0:
@@ -183,8 +185,9 @@ def decompose(x: dict, inst: Instance):
         raise DecompositionError("column generation did not converge")
 
     dist = []
+    sol = sx.solution()
     for j, tree in columns.items():
-        w = sx.value_of(j)
+        w = sol.get(j, ZERO)
         if w < 0:
             raise DecompositionError("negative weight in master solution")
         if w > 0:

@@ -60,7 +60,7 @@ def matching_min_cost(T, inst):
         if not rest:
             return ZERO
         first, rest = rest[0], rest[1:]
-        return min(inst.c(first, rest[i])
+        return min(inst.cost[edge(first, rest[i])]
                    + rec(rest[:i] + rest[i + 1:])
                    for i in range(len(rest)))
 
@@ -76,7 +76,7 @@ def tjoin_subset_dp(T, inst):
     if not verts:
         return frozenset()
     k = len(verts)
-    pair_cost = [[inst.c(a, b) if a != b else ZERO
+    pair_cost = [[inst.cost[edge(a, b)] if a != b else ZERO
                   for b in verts] for a in verts]
     scale = lcm(*[c.denominator for row in pair_cost for c in row])
     w = [[int(c * scale) for c in row] for row in pair_cost]
@@ -110,7 +110,7 @@ def tjoin_subset_dp(T, inst):
         j = choice[mask]
         join.add((verts[i], verts[j]))  # i < j, so the edge is canonical
         mask ^= (1 << i) | (1 << j)
-    assert sum((inst.c(*e) for e in join), ZERO) \
+    assert sum((inst.cost[e] for e in join), ZERO) \
         == Fraction(memo[(1 << k) - 1], scale)
     return frozenset(join)
 
@@ -123,7 +123,7 @@ def path_min_cost(inst):
     best = None
     for perm in permutations(inner):
         seq = (inst.s,) + perm + (inst.t,)
-        cost = sum(inst.c(a, b) for a, b in zip(seq, seq[1:]))
+        cost = sum(inst.cost[edge(a, b)] for a, b in zip(seq, seq[1:]))
         if best is None or cost < best:
             best = cost
     return best
@@ -423,9 +423,10 @@ def rational_rank(rows):
 #
 # The tableau that pathtsp.simplex.ExactSimplex replaced: every entry a
 # Fraction.  Kept as it was, except that, like ExactSimplex, it records the
-# rows add_constraint negates and flips them back in add_column and duals.
-# The integer-row tableau must pick the same pivots and return the same
-# values.
+# rows add_constraint negates and flips them back in add_column and duals,
+# and it takes and returns what ExactSimplex does: add_cut_row appends a >=
+# row, and duals returns (values, 1).  The integer-row tableau must pick the
+# same pivots and return the same values.
 
 ONE = Fraction(1)
 
@@ -677,11 +678,9 @@ class FractionSimplex:
 
     # ----- warm modifications -----
 
-    def add_cut_row(self, coeffs: dict, sense: str, rhs):
+    def add_cut_row(self, coeffs: dict, rhs):
         """Append a (typically violated) >= row; solve() repairs the basis."""
         assert self._setup_done and self.z1 is None
-        if sense != ">=":
-            raise NotImplementedError("only >= rows can be appended warm")
         rhs = Fraction(rhs)
         ncols = len(self.costs)
         raw = [ZERO] * ncols
@@ -744,11 +743,11 @@ class FractionSimplex:
         self.enterable.append(True)
         for i in range(m):
             self.rows[i].append(col[i])
-        y2 = self.duals("z")
+        y2, _ = self.duals("z")
         self.z.append(cost - sum((Fraction(a) * y2[i]
                                   for i, a in coeffs.items()), ZERO))
         if self.z1 is not None:
-            y1 = self.duals("z1")
+            y1, _ = self.duals("z1")
             self.z1.append(-sum((Fraction(a) * y1[i]
                                  for i, a in coeffs.items()), ZERO))
         return j
@@ -762,15 +761,9 @@ class FractionSimplex:
                 out[j] = out.get(j, ZERO) + self.rhs[i]
         return out
 
-    def value_of(self, j) -> Fraction:
-        val = ZERO
-        for i, b in enumerate(self.basis):
-            if b == j:
-                val += self.rhs[i]
-        return val
-
     def duals(self, zrow_name="z"):
-        """One multiplier per row, in row order.
+        """One multiplier per row, in row order, as (values, 1): the
+        Fraction values over the denominator 1, in ExactSimplex's form.
 
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
@@ -789,7 +782,7 @@ class FractionSimplex:
             else:
                 y = self.z[self.sp_of_row[i]]
             out.append(-y if i in self.negated else y)
-        return out
+        return out, 1
 
     def assert_optimal(self):
         assert all(b >= 0 for b in self.rhs), "primal infeasible tableau"

@@ -195,7 +195,7 @@ def property_results(params, legacy_params):
         _, tour, bomc_value = bomc.best_of_many(final, inst)
         assert tour.cost <= bomc_value <= (2 - BETA) * sol.value
         opt = bomc.held_karp_opt(inst)
-        assert tour.cost <= Fraction(1599, 1000) * opt.cost
+        assert tour.cost <= Fraction(1599, 1000) * opt
 
         # criterion 6 input: the legacy audit on the same distribution
         legacy_parities = parity.assign_gamma(final, chain, legacy_params)
@@ -245,7 +245,7 @@ def test_criterion_7():
     for case in range(100):
         n = 5 + case % 4
         inst = random_metric_instance(n, case)
-        assert bomc.held_karp_opt(inst).cost == path_min_cost(inst)
+        assert bomc.held_karp_opt(inst) == path_min_cost(inst)
     lp_checked = 0
     for n, seed in [(9, 13), (10, 0), (11, 8), (11, 12), (12, 8),
                     (12, 15), (12, 22), (5, 0), (8, 1), (12, 34)]:

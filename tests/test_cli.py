@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pathtsp import lp_relax
 from pathtsp.cli import main
 
 
@@ -182,6 +183,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "random"]) == 2
     assert capsys.readouterr().err == "pathtsp: run random requires --n\n"
+
+
+def test_run_checks_the_gamma_settings_before_any_stage(monkeypatch,
+                                                         capsys):
+    def solve_lp(inst):
+        raise AssertionError("the LP was solved before the settings were "
+                             "checked")
+
+    monkeypatch.setattr(lp_relax, "solve_lp", solve_lp)
+    assert main(["run", "random", "--n", "30", "--xi", "8/5"]) == 2
+    assert capsys.readouterr().err == "pathtsp: xi 8/5 outside [1.7, 1.8]\n"
+    # outside (3/2, 2) the gamma range is reported, not reassembly's range
+    assert main(["run", "appendix", "--xi", "1"]) == 2
+    assert capsys.readouterr().err == "pathtsp: xi 1 outside [1.7, 1.8]\n"
 
 
 def test_stage_failures_exit_2(tmp_path):

@@ -101,7 +101,7 @@ def test_parse_requires_all_pairs_unless_closure():
     with pytest.raises(ValueError):
         parse_instance(text)
     inst = parse_instance(text, closure=True)
-    assert inst.c(0, 3) == 3
+    assert inst.cost[edge(0, 3)] == 3
     assert validate_metric(inst) == []
 
 

@@ -66,3 +66,28 @@ def test_no_placeholder_in_a_plain_string():
              for path in sorted(SRC.glob("*.py"))
              for line, text in placeholder_strings(path)}
     assert not found, f"plain strings with a {{name}} placeholder: {found}"
+
+
+def top_level_definitions(path):
+    """The names a module defines at top level: assignments, functions and
+    classes, not the names it imports."""
+    defs = {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return defs | module_assignments(path)
+
+
+def test_names_are_imported_from_their_defining_module():
+    defined = {path.stem: top_level_definitions(path)
+               for path in SRC.glob("*.py")}
+    relayed = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module is not None:
+                names = [a.name for a in node.names
+                         if a.name not in defined[node.module]]
+                if names:
+                    relayed[f"{path.name}:{node.lineno}"] = names
+    assert not relayed, f"names imported through another module: {relayed}"
