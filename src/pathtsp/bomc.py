@@ -46,7 +46,10 @@ def min_tjoin(T, inst: Instance):
     each round adding every cut that Padberg-Rao separation returns.  When
     none is left, the vertex satisfies Edmonds' description of the
     perfect-matching polytope, so it is a vertex of that polytope: a 0/1
-    perfect matching."""
+    perfect matching.  Conversely, a vertex whose pair values are all 1 is
+    a perfect matching by the degree rows; it crosses every odd set, so it
+    ends the loop without a separation round, and every round that runs on
+    a fractional vertex adds at least one cut."""
     verts = sorted(T)
     k = len(verts)
     if k % 2:
@@ -74,6 +77,8 @@ def min_tjoin(T, inst: Instance):
         # the pairs are columns 0..len(pairs) - 1, in order
         y = {pairs[j]: v for j, v in sorted(sx.solution().items())
              if j < len(pairs)}
+        if all(val == 1 for val in y.values()):
+            break
         cuts = tjoin_cut_violations(y, range(k), k)
         if not cuts:
             break
@@ -215,7 +220,8 @@ def format_tour_report(rows, bomc_value, opt_cost=None):
                      f"total={format_rational(total)}")
     tail = f"bomc={format_rational(bomc_value)}"
     if opt_cost is not None:
-        tail += (f" opt={format_rational(opt_cost)}"
-                 f" ratio≈{float(bomc_value / opt_cost):.6f}")
+        tail += f" opt={format_rational(opt_cost)}"
+        if opt_cost:   # no ratio to an optimum of cost 0
+            tail += f" ratio≈{float(bomc_value / opt_cost):.6f}"
     lines.append(tail)
     return lines

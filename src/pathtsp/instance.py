@@ -33,12 +33,21 @@ def complete_edges(n):
 
 
 def parse_rational(tok: str) -> Fraction:
-    return Fraction(tok)
+    """The rational that Fraction(tok) reads; a plain ASCII digit string
+    is read by int.  A zero denominator is a ValueError, as is any string
+    Fraction rejects."""
+    if tok.isascii() and tok.isdigit():
+        return Fraction(int(tok))
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok!r}") from None
 
 
 def format_rational(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
+    p, d = q.as_integer_ratio()
+    return f"{p}/{d}" if d != 1 else str(p)
 
 
 @dataclass(frozen=True)

@@ -170,12 +170,12 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams):
 
 # ----- benefits and the per-cut audit -----
 
-def benefit(parity: TreeParity, k_cross: int, load: Fraction, ci: int,
-            params: GammaParams) -> Fraction:
-    """The benefit of the tree at chain level ci, crossed k_cross times."""
+def benefit(parity: TreeParity, k_cross: int, ci: int,
+            cap: Fraction) -> Fraction:
+    """The benefit of the tree at chain level ci, crossed k_cross times;
+    cap = beta(2 - x(C))/(1 - 2beta) at that level."""
     if k_cross % 2 == 0:
-        g = parity.gamma[parity.e_path[ci]]
-        return min(params.beta * (2 - load) / (1 - 2 * params.beta), g)
+        return min(cap, parity.gamma[parity.e_path[ci]])
     if k_cross == 1:
         return 1 - parity.gamma[parity.e_path[ci]]
     return ZERO
@@ -221,30 +221,36 @@ def benefits(dist, chain: CutChain, parities,
     rule-based gamma, so under params.uniform_half the case machinery is
     skipped and the margins alone decide."""
     beta, xi, eps = params.beta, params.xi, params.eps
+    w1 = 1 - 2 * beta
     nu = params.nu
+    nu_half, nu_many = nu - HALF, 4 * nu - 1
     xi_pos = {ci: p for p, ci in enumerate(chain.xi_indices)}
     lprime = len(chain.xi_indices) - 1
     counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
     for ci, load in enumerate(chain.loads):
+        cap = beta * (2 - load) / w1
         total = ZERO
         p_even = ZERO
         p_many = ZERO
         data = []
         for ai, atom in enumerate(dist):
             k = counts[ai][ci]
-            b = benefit(parities[ai], k, load, ci, params)
+            b = benefit(parities[ai], k, ci, cap)
             pos = xi_pos.get(ci)
             if pos is not None and 0 < pos < lprime:
                 code, l, m, r = type_data(atom.tree, chain, pos)
             else:
                 code = l = m = r = None
             data.append((ai, atom.weight, code, l, m, r, k, b))
-            total += atom.weight * b
+            if b:
+                total += atom.weight * b
             if k % 2 == 0:
                 p_even += atom.weight
-            p_many += atom.weight * ((k - 1) // 2)
-        required = beta * (2 - load) * p_even / (1 - 2 * beta)
+            many = (k - 1) // 2
+            if many:
+                p_many += atom.weight * many
+        required = cap * p_even
         margin = total - required
 
         f = params.f(load)
@@ -275,12 +281,11 @@ def benefits(dist, chain: CutChain, parities,
                             a_sum += w * a
                             many = (m - 1) // 2
                             if m >= 3:
-                                lhs = (2 * b - (m + 1) * (nu - HALF)
-                                       + (4 * nu - 1) * many)
+                                lhs = (2 * b - (m + 1) * nu_half
+                                       + nu_many * many)
                             else:
-                                lhs = (2 * b
-                                       + combine(l, m, r, a) * (nu - HALF)
-                                       + (4 * nu - 1) * many)
+                                lhs = (2 * b + combine(l, m, r, a) * nu_half
+                                       + nu_many * many)
                             assert lhs >= 1, (
                                 f"per-tree case-{label} inequality failed: "
                                 f"atom {ai}, cut {ci}, type {code}, "
@@ -288,8 +293,8 @@ def benefits(dist, chain: CutChain, parities,
                         assert a_sum <= eps, "sum p_S a_S exceeded eps"
                         break
                 base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
-                        * (nu - HALF))
-                eq17 = base - (4 * nu - 1) * p_many
+                        * nu_half)
+                eq17 = base - nu_many * p_many
                 eq18_ok = base >= 2 * f
                 if case != "none" and load >= 2 - xi / 3:
                     assert 2 * total >= eq17, "weighted-sum bound failed"
@@ -344,6 +349,8 @@ def correction_vectors(dist, chain: CutChain, parities,
     beta = params.beta
     w1 = 1 - 2 * beta
     e_cheap = cheapest_cut_edges(chain)
+    floor = [beta * (2 - load) for load in chain.loads]  # per level
+    beta_x = {e: beta * v for e, v in chain.x.items()}
     zs, ys = [], []
     for atom, par in zip(dist, parities):
         z = {}
@@ -352,8 +359,7 @@ def correction_vectors(dist, chain: CutChain, parities,
         counts = chain.profile(atom.tree).counts
         for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = (beta * (2 - chain.loads[ci])
-                       - w1 * par.gamma[par.e_path[ci]])
+                top = floor[ci] - w1 * par.gamma[par.e_path[ci]]
                 if top > 0:
                     ec = e_cheap[ci]
                     z[ec] = z.get(ec, ZERO) + top
@@ -361,9 +367,9 @@ def correction_vectors(dist, chain: CutChain, parities,
         # even narrow cuts now carry z-mass at least beta(2 - load)
         for ci, mask in enumerate(chain.masks):
             if counts[ci] % 2 == 0:
-                assert load_of_mask(z, mask) >= beta * (2 - chain.loads[ci]), \
+                assert load_of_mask(z, mask) >= floor[ci], \
                     "even-cut correction requirement failed"
-        y = {e: beta * v for e, v in chain.x.items()}
+        y = dict(beta_x)
         for e in par.j_edges:
             y[e] = y.get(e, ZERO) + w1
         for e, v in z.items():

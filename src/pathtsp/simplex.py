@@ -12,9 +12,10 @@ rows[i][j] / den[i].  The reduced-cost rows `z` and `z1` are int lists over
 their own denominators `zden` and `z1den`.  A pivot divides the pivot row
 by its pivot entry, which cancels that row's denominator, and eliminates
 the entering column from every other row fraction-free, in the spirit of
-Bareiss (1968), touching only the pivot row's nonzeros.  Fractions appear
-only at the API boundary: inputs are converted on entry, and the solution
-and objective are read back as Fractions.  The duals are read back as ints
+Bareiss (1968), touching only the pivot row's nonzeros.  Inputs, ints or
+Fractions, are read as int ratios (as_integer_ratio()) on entry, and costs
+are stored as given.  Fractions appear only in the readers: the solution,
+the objective and the phase-1 objective.  The duals are read back as ints
 over their cost row's denominator, the form pricing uses.
 
 Normalisation is lazy.  The pivot row and each new cut row are divided by
@@ -127,7 +128,7 @@ class ExactSimplex:
     """min cost.x  s.t.  rows (=, >=),  x >= 0 — all exact rationals."""
 
     def __init__(self):
-        self.costs = []          # phase-2 cost per column (Fractions)
+        self.costs = []          # phase-2 cost per column, as given
         self.is_artificial = []
         self.enterable = []      # artificials are banned once they leave
         self.model = []          # ({col: (p, q)}, b, bd) per row until set up
@@ -147,7 +148,7 @@ class ExactSimplex:
     # ----- model building (before setup) -----
 
     def _new_column(self, cost, artificial=False) -> int:
-        self.costs.append(Fraction(cost))
+        self.costs.append(cost)
         self.is_artificial.append(artificial)
         self.enterable.append(True)
         return len(self.costs) - 1
@@ -202,9 +203,9 @@ class ExactSimplex:
             z1[a] = 0
         self.z1, _, self.z1den = _reduced(z1, 0, z1den)
         # phase-2 reduced costs: the all-artificial basis has zero cost
-        self.zden = lcm(*(c.denominator for c in self.costs))
-        self.z = [c.numerator * (self.zden // c.denominator)
-                  for c in self.costs]
+        ratios = [c.as_integer_ratio() for c in self.costs]
+        self.zden = lcm(*(q for _, q in ratios))
+        self.z = [p * (self.zden // q) for p, q in ratios]
 
     def _ensure_setup(self):
         if self.model is not None:
@@ -237,9 +238,10 @@ class ExactSimplex:
         self.pivots += 1
 
     def _phase1_objective(self) -> Fraction:
-        return sum((Fraction(b, d) for b, d, j in
-                    zip(self.rhs, self.den, self.basis)
-                    if b and self.is_artificial[j]), Fraction(0))
+        terms = [(b, d) for b, d, j in zip(self.rhs, self.den, self.basis)
+                 if b and self.is_artificial[j]]
+        den = lcm(*(d for _, d in terms))
+        return Fraction(sum(b * (den // d) for b, d in terms), den)
 
     def objective(self) -> Fraction:
         return sum((self.costs[j] * Fraction(b, d) for b, d, j in
@@ -412,15 +414,16 @@ class ExactSimplex:
         the decomposition master, which never appends rows).
         """
         assert self.model is None
-        coeffs = {i0: Fraction(a) for i0, a in coeffs.items() if a != 0}
+        coeffs = {i0: a.as_integer_ratio() for i0, a in coeffs.items()
+                  if a != 0}
         # tableau column = B^-1 a, read off the artificial columns, with a
         # taken on the stored rows (negated where the rhs was < 0)
-        d_in = lcm(*(a.denominator for a in coeffs.values()))
+        d_in = lcm(*(q for _, q in coeffs.values()))
         weights = []
-        for i0, a in coeffs.items():
+        for i0, (p, q) in coeffs.items():
             acol = self.art_of_row[i0]
             assert acol >= 0, "add_column needs the row's artificial column"
-            k = a.numerator * (d_in // a.denominator)
+            k = p * (d_in // q)
             weights.append((acol, -k if i0 in self.negated else k))
         j = self._new_column(cost)
         rows, rhs, den = self.rows, self.rhs, self.den
@@ -431,11 +434,11 @@ class ExactSimplex:
         # reduced costs cost - y.a over the column's rows only, with y read
         # off the artificial columns as in duals(): y_i = -z[a_i] / zden,
         # and y_i = 1 - z1[a_i] / z1den in phase 1
-        c, zden = self.costs[j], self.zden
+        cp, cq = cost.as_integer_ratio()
+        zden = self.zden
         num = sum(k * self.z[acol] for acol, k in weights)
         self.z, _, self.zden = _appended(
-            self.z, 0, zden, c.numerator * zden * d_in + num * c.denominator,
-            c.denominator * zden * d_in)
+            self.z, 0, zden, cp * zden * d_in + num * cq, cq * zden * d_in)
         if self.z1 is not None:
             z1den = self.z1den
             num = sum(k * (self.z1[acol] - z1den) for acol, k in weights)

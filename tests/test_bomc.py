@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtsp import build_appendix_instance
+from pathtsp import bomc, build_appendix_instance
 from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
@@ -20,7 +20,7 @@ from pathtsp.instance import (
     random_metric_instance,
 )
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import split_path_join
+from pathtsp.parity import split_path_join, tjoin_cut_violations
 from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import Atom, decompose
 
@@ -95,6 +95,23 @@ def assert_perfect_matching_on(join, T):
     assert deg == {v: 1 for v in T}
 
 
+def separating_min_tjoin(T, inst):
+    """min_tjoin(T, inst), asserting that every separation round it runs
+    returns at least one cut: an integral vertex ends the loop unseparated."""
+    found = []
+
+    def recording(y, t_set, n):
+        cuts = tjoin_cut_violations(y, t_set, n)
+        found.append(len(cuts))
+        return cuts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bomc, "tjoin_cut_violations", recording)
+        join = min_tjoin(T, inst)
+    assert all(found), f"cuts per separation round: {found}"
+    return join
+
+
 @st.composite
 def parity_problems(draw):
     """(T, instance) with |T| <= 12, on a random metric or on all-equal
@@ -113,7 +130,7 @@ def parity_problems(draw):
 @given(parity_problems())
 def test_tjoin_matches_the_subset_dp(problem):
     T, inst = problem
-    join = min_tjoin(T, inst)
+    join = separating_min_tjoin(T, inst)
     assert cost_of(join, inst) == cost_of(tjoin_subset_dp(T, inst), inst)
     assert_perfect_matching_on(join, T)
 
@@ -125,7 +142,7 @@ def test_tjoin_matches_the_subset_dp_on_the_wall(k):
     for atom in dist:
         T = split_path_join(atom.tree, inst).t_set
         assert len(T) == 10 + 2 * k
-        join = min_tjoin(T, inst)
+        join = separating_min_tjoin(T, inst)
         assert cost_of(join, inst) == cost_of(tjoin_subset_dp(T, inst), inst)
         assert_perfect_matching_on(join, T)
 

@@ -199,6 +199,32 @@ def test_run_checks_the_gamma_settings_before_any_stage(monkeypatch,
     assert capsys.readouterr().err == "pathtsp: xi 1 outside [1.7, 1.8]\n"
 
 
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "appendix", "--xi", "1/0"])
+    assert err.value.code == 2
+    assert "'1/0'" in capsys.readouterr().err
+    inst = tmp_path / "inst.txt"
+    inst.write_text("3 0 2\n0 1 1\n0 2 1/0\n1 2 1\n")
+    assert main(["run", str(inst)]) == 2
+    assert capsys.readouterr().err == "pathtsp: zero denominator in '1/0'\n"
+    inst.write_text("3 0 2\n0 1 1\n0 2 1\n1 2 1\n")
+    sol = tmp_path / "bad.sol"
+    sol.write_text("0 1 1/0\n")
+    assert main(["decompose", str(inst), str(sol),
+                 "-o", str(tmp_path / "d.txt")]) == 2
+    assert capsys.readouterr().err == "pathtsp: zero denominator in '1/0'\n"
+
+
+def test_run_on_an_instance_of_cost_0(tmp_path):
+    inst = tmp_path / "zero.txt"
+    inst.write_text("6 0 5\n" + "".join(
+        f"{u} {v} 0\n" for u in range(6) for v in range(u + 1, 6)))
+    out = tmp_path / "zero.out"
+    assert main(["run", str(inst), "-o", str(out)]) == 0
+    assert "bomc=0 opt=0" in strip_timings(out)
+
+
 def test_stage_failures_exit_2(tmp_path):
     inst = tmp_path / "inst.txt"
     bad_sol = tmp_path / "bad.sol"

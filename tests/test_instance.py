@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from pathtsp.instance import (
     complete_edges,
     edge,
     emit_instance,
+    format_rational,
     instance_digest,
     metric_closure,
     parse_instance,
@@ -36,8 +38,28 @@ def test_edge_is_canonical():
 
 
 def test_parse_rational_accepts_integers_and_fractions():
-    assert parse_rational("3") == 3
-    assert parse_rational("7/4") == Fraction(7, 4)
+    # held to Fraction(str): the same strings, read as the same values
+    for tok in ["3", "007", "-3", "+3", " 7 ", "1_000", "7/4", " 7/4",
+                "1.5", "1e3"]:
+        q = parse_rational(tok)
+        assert type(q) is Fraction and q == Fraction(tok), tok
+    # rejected with a ValueError naming the token; Fraction("1/0") raises
+    # ZeroDivisionError instead
+    for tok in ["7 /4", "", "0x10", "²", "1/0"]:
+        with pytest.raises(ValueError, match=re.escape(repr(tok))):
+            parse_rational(tok)
+
+
+def test_an_instance_cost_with_a_zero_denominator_is_rejected():
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_instance("2 0 1\n0 1 1/0\n")
+
+
+@pytest.mark.parametrize("q, text", [
+    (0, "0"), (3, "3"), (-3, "-3"), (Fraction(5), "5"),
+    (Fraction(-7, 4), "-7/4"), (Fraction(6, 4), "3/2")])
+def test_format_rational(q, text):
+    assert format_rational(q) == text
 
 
 def test_instance_rejects_bad_endpoints():

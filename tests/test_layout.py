@@ -91,3 +91,24 @@ def test_names_are_imported_from_their_defining_module():
                 if names:
                     relayed[f"{path.name}:{node.lineno}"] = names
     assert not relayed, f"names imported through another module: {relayed}"
+
+
+def fraction_callers(path):
+    """The names of the functions in one source file that call Fraction(."""
+    callers = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            if any(isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == "Fraction"
+                   for call in ast.walk(node)):
+                callers.add(node.name)
+    return callers
+
+
+def test_simplex_builds_fractions_only_in_its_readers():
+    # the tableau reads its inputs as int ratios; only the results it
+    # hands back are Fractions
+    extra = fraction_callers(SRC / "simplex.py") - {
+        "solution", "objective", "_phase1_objective"}
+    assert not extra, f"Fraction( called outside the readers: {extra}"

@@ -158,12 +158,16 @@ def test_benefit_values(params):
     par.gamma = {e: Fraction(1, 4) for e in par.i_edges}
     ci = 0  # cut {0}; the path edge there is (0, 1)
     assert chain.masks[ci] == 1 and par.e_path[ci] == (0, 1)
-    assert benefit(par, 1, Fraction(1), ci, params) == Fraction(3, 4)
-    assert benefit(par, 3, Fraction(3, 2), ci, params) == 0
-    # even crossings: min(beta (2 - load) / (1 - 2 beta), gamma)
-    assert benefit(par, 2, Fraction(3, 2), ci, params) == Fraction(1, 4)
+
+    def cap(load):  # beta (2 - load) / (1 - 2 beta)
+        return params.beta * (2 - load) / (1 - 2 * params.beta)
+
+    assert benefit(par, 1, ci, cap(Fraction(1))) == Fraction(3, 4)
+    assert benefit(par, 3, ci, cap(Fraction(3, 2))) == 0
+    # even crossings: min(cap, gamma)
+    assert benefit(par, 2, ci, cap(Fraction(3, 2))) == Fraction(1, 4)
     par.gamma[(0, 1)] = Fraction(3, 4)
-    assert benefit(par, 2, Fraction(7, 4), ci, params) == Fraction(401, 792)
+    assert benefit(par, 2, ci, cap(Fraction(7, 4))) == Fraction(401, 792)
 
 
 def test_raw_wall_distribution_fails_the_audit(raw_audit):
