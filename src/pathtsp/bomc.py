@@ -80,8 +80,7 @@ def min_tjoin(T, inst: Instance):
         if all(val == 1 for val in y.values()):
             break
         cuts = tjoin_cut_violations(y, range(k), k)
-        if not cuts:
-            break
+        assert cuts, "separation found no cut at a fractional vertex"
         for U in cuts:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)

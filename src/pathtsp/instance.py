@@ -33,11 +33,8 @@ def complete_edges(n):
 
 
 def parse_rational(tok: str) -> Fraction:
-    """The rational that Fraction(tok) reads; a plain ASCII digit string
-    is read by int.  A zero denominator is a ValueError, as is any string
-    Fraction rejects."""
-    if tok.isascii() and tok.isdigit():
-        return Fraction(int(tok))
+    """The rational that Fraction(tok) reads.  A zero denominator is a
+    ValueError, as is any string Fraction rejects."""
     try:
         return Fraction(tok)
     except ZeroDivisionError:

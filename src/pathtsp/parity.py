@@ -243,13 +243,10 @@ def benefits(dist, chain: CutChain, parities,
             else:
                 code = l = m = r = None
             data.append((ai, atom.weight, code, l, m, r, k, b))
-            if b:
-                total += atom.weight * b
+            total += atom.weight * b
             if k % 2 == 0:
                 p_even += atom.weight
-            many = (k - 1) // 2
-            if many:
-                p_many += atom.weight * many
+            p_many += atom.weight * ((k - 1) // 2)
         required = cap * p_even
         margin = total - required
 
