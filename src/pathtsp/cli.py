@@ -34,16 +34,36 @@ class Runner:
     def __init__(self):
         self.lines = []
         self.timings = []
+        self.failures = 0
 
-    def stage(self, name, fn, *args, **kwargs):
+    def _timed(self, name, fn, *args, **kwargs):
         t0 = time.perf_counter()
         try:
-            result = fn(*args, **kwargs)
+            return fn(*args, **kwargs)
+        finally:
+            self.timings.append(
+                f"stage={name} seconds={time.perf_counter() - t0:.3f}")
+
+    def stage(self, name, fn, *args, **kwargs):
+        try:
+            return self._timed(name, fn, *args, **kwargs)
         except Exception as exc:
             raise StageFailure(f"stage {name}: {exc}") from exc
-        self.timings.append(
-            f"stage={name} seconds={time.perf_counter() - t0:.3f}")
-        return result
+
+    def check(self, name, fn, *args, ready=True):
+        """Run one check and add its line; a check whose inputs could not
+        be computed reads SKIP.  Returns (passed, fn's result)."""
+        if not ready:
+            self.lines.append(f"check={name} status=SKIP")
+            return False, None
+        status, result = "OK", None
+        try:
+            result = self._timed(name, fn, *args)
+        except (AssertionError, ValueError, cuts.ChainError) as exc:
+            status = f"FAIL detail={str(exc) or exc.__class__.__name__}"
+            self.failures += 1
+        self.lines.append(f"check={name} status={status}")
+        return status == "OK", result
 
     def emit(self, out_path=None):
         text = "\n".join(self.lines + ["# timings"] + self.timings) + "\n"
@@ -81,14 +101,6 @@ def check_lp_point(x, inst):
     if bad:
         raise ValueError("; ".join(bad))
     return True
-
-
-def check_reconstruction(x, dist):
-    """The distribution's weights sum to 1 and its trees average to x."""
-    if tree_decomp.total_weight(dist) != 1:
-        raise ValueError("total weight is not 1")
-    if tree_decomp.reconstruct(dist) != {e: v for e, v in x.items() if v != 0}:
-        raise ValueError("distribution does not reconstruct the solution")
 
 
 def certify_stages(r, dist, chain, params):
@@ -133,7 +145,7 @@ def census_lines(dist, chain):
 
 
 def exchange_lines(records):
-    out = []
+    out = ["exchanges:"]
     for rec in records:
         out.append(f"  cut={rec.cut_index} dir={rec.direction} "
                    f"delta={format_rational(rec.delta)} h={rec.h} k={rec.k}")
@@ -199,7 +211,6 @@ def cmd_reassemble(args):
     r.lines.append(f"atoms={len(dist)}")
     r.lines.append(f"exchanges={len(records)}")
     if args.trace:
-        r.lines.append("exchanges:")
         r.lines.extend(exchange_lines(records))
     r.emit()
     return 0
@@ -212,7 +223,7 @@ def cmd_audit(args):
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = gamma_params(args)
     r.stage("check-lp-point", check_lp_point, x, inst)
-    r.stage("reconstruction", check_reconstruction, x, dist)
+    r.stage("reconstruction", tree_decomp.check_reconstruction, x, dist)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
     verdict = certify_stages(r, dist, chain, params)
     r.emit(args.output)
@@ -235,36 +246,6 @@ def cmd_verify(args):
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = gamma_params(args)
-    failures = 0
-    chain = parities = cv = None  # set once computed
-
-    def report(name, fn, ready=True):
-        """Run one check and add its line; a check whose inputs could not
-        be computed reads SKIP.  Returns whether the check passed."""
-        nonlocal failures
-        if not ready:
-            r.lines.append(f"check={name} status=SKIP")
-            return False
-        t0 = time.perf_counter()
-        status = "OK"
-        try:
-            fn()
-        except (AssertionError, ValueError, cuts.ChainError) as exc:
-            status = f"FAIL detail={str(exc) or exc.__class__.__name__}"
-            failures += 1
-        r.timings.append(
-            f"stage={name} seconds={time.perf_counter() - t0:.3f}")
-        r.lines.append(f"check={name} status={status}")
-        return status == "OK"
-
-    def find_chain():
-        nonlocal chain
-        # narrow_cuts is complete only for a feasible point
-        chain = cuts.narrow_cuts(x, inst, args.xi)
-
-    def check_floor():
-        nonlocal cv
-        cv = parity.correction_vectors(dist, chain, parities, params)
 
     def check_margins():
         audit = parity.benefits(dist, chain, parities, params)
@@ -275,32 +256,32 @@ def cmd_verify(args):
         assert reassembler.type_mix_bound_holds(dist, chain, args.eps), \
             "type-mix bound violated at an internal cut"
 
-    point_ok = report("lp_point", lambda: check_lp_point(x, inst))
-    report("reconstruction", lambda: check_reconstruction(x, dist))
-    chain_ok = report("narrow_cuts", find_chain, point_ok)
-    report("cut_stats", lambda: cuts.cut_stats(chain, dist), chain_ok)
-    report("packing", lambda: parity.check_packing(dist, chain), chain_ok)
-    if chain_ok:
-        parities = parity.assign_gamma(dist, chain, params)
-    floor_ok = report("correction_floor", check_floor, chain_ok)
-    report("join_membership",
-           lambda: parity.check_join_membership(cv, parities, inst.n),
-           floor_ok)
-    report("benefit_margins", check_margins, chain_ok)
-    report("type_mix", check_type_mix, chain_ok)
-    r.lines.append(f"checks_failed={failures}")
+    point_ok, _ = r.check("lp_point", check_lp_point, x, inst)
+    r.check("reconstruction", tree_decomp.check_reconstruction, x, dist)
+    # narrow_cuts is complete only for a feasible point
+    chain_ok, chain = r.check("narrow_cuts", cuts.narrow_cuts, x, inst,
+                              args.xi, ready=point_ok)
+    r.check("cut_stats", cuts.cut_stats, chain, dist, ready=chain_ok)
+    r.check("packing", parity.check_packing, dist, chain, ready=chain_ok)
+    parities = parity.assign_gamma(dist, chain, params) if chain_ok else None
+    floor_ok, cv = r.check("correction_floor", parity.correction_vectors,
+                           dist, chain, parities, params, ready=chain_ok)
+    r.check("join_membership", parity.check_join_membership, cv, parities,
+            inst.n, ready=floor_ok)
+    r.check("benefit_margins", check_margins, ready=chain_ok)
+    r.check("type_mix", check_type_mix, ready=chain_ok)
+    r.lines.append(f"checks_failed={r.failures}")
     r.emit(args.output)
-    return 1 if failures else 0
+    return 1 if r.failures else 0
 
 
 def cmd_run(args):
     r = Runner()
     params = gamma_params(args)
-    initial = None
     xstar = None
     if args.target == "appendix":
-        inst, xstar, initial = r.stage("build", build_appendix_instance,
-                                       args.k)
+        inst, xstar, dist0 = r.stage("build", build_appendix_instance,
+                                     args.k)
     elif args.target == "random":
         if args.n is None:
             raise ValueError("run random requires --n")
@@ -322,10 +303,8 @@ def cmd_run(args):
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
     r.lines.extend(cuts.format_cut_report(chain))
 
-    if initial is None:
+    if xstar is None:
         dist0 = r.stage("decompose", tree_decomp.decompose, x, inst)
-    else:
-        dist0 = initial
     r.lines.append("types_before:")
     r.lines.extend(census_lines(dist0, chain))
 
@@ -338,7 +317,6 @@ def cmd_run(args):
     r.lines.append("types_after:")
     r.lines.extend(census_lines(dist, chain))
     if args.trace and records:
-        r.lines.append("exchanges:")
         r.lines.extend(exchange_lines(records))
 
     verdict = certify_stages(r, dist, chain, params)

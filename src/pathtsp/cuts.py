@@ -11,7 +11,8 @@ n-1 exact max-flows; parity's T-join membership check and the LP
 separation use the same tree.  For a feasible LP point a
 narrow cut is the unique minimum cut between any vertex of the chain gap
 on its left and any vertex of the gap on its right, so it is always one of
-the tree's fundamental cuts.
+the tree's fundamental cuts.  The tree's sides are laminar, so turned to
+hold s, those that leave t out nest; CutChain checks that they do.
 
 A vertex set is an int bitmask (bit v for vertex v) from the cut tree up:
 the tree's sides, the chain's levels and load_of_mask all take that form,
@@ -39,7 +40,8 @@ XI_DEFAULT = Fraction(173, 100)
 
 
 class ChainError(Exception):
-    """The load<2 cuts fail to nest — the input x cannot be LP-feasible."""
+    """No LP-feasible x has these load<2 cuts: one holds both path ends,
+    they do not run from {s} to V-{t}, or an end cut's load is not 1."""
 
 
 def crossing_mask(mask: int, u: int, v: int) -> bool:
@@ -234,9 +236,6 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
             raise ChainError("narrow cut contains both path ends")
         oriented.add(mask)
     levels = sorted(oriented, key=lambda m: (bin(m).count("1"), m))
-    for a, b in zip(levels, levels[1:]):
-        if a & ~b:
-            raise ChainError("narrow cuts do not form a chain")
     if not levels or levels[0] != 1 << s:
         raise ChainError(f"chain does not start at {{{s}}}")
     if levels[-1] != full ^ (1 << t):

@@ -168,12 +168,14 @@ def parse_instance(text: str, closure: bool = False) -> Instance:
         if q < 0:
             raise ValueError(f"negative cost in {ln!r}")
         given[e] = q
-    full = set(complete_edges(n))
-    missing = full - set(given)
+    # the edges are in range and distinct, so counting finds the gaps
+    missing = (n * (n - 1) // 2 if n > 1 else 0) - len(given)
     if missing:
         if not closure:
-            raise ValueError(f"{len(missing)} missing edge costs (use closure mode "
+            raise ValueError(f"{missing} missing edge costs (use closure mode "
                              "to complete by shortest paths)")
+        if len(given) < n - 1:  # checked before the n x n table is built
+            raise ValueError("support graph is disconnected")
         cost = metric_closure(n, given)
     else:
         cost = {e: given[e] for e in sorted(given)}

@@ -224,29 +224,22 @@ def benefits(dist, chain: CutChain, parities,
     w1 = 1 - 2 * beta
     nu = params.nu
     nu_half, nu_many = nu - HALF, 4 * nu - 1
-    xi_pos = {ci: p for p, ci in enumerate(chain.xi_indices)}
-    lprime = len(chain.xi_indices) - 1
+    # chain index -> xi-position, at the internal xi-narrow cuts
+    internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
     counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
     for ci, load in enumerate(chain.loads):
         cap = beta * (2 - load) / w1
         total = ZERO
         p_even = ZERO
-        p_many = ZERO
-        data = []
+        bens = []
         for ai, atom in enumerate(dist):
             k = counts[ai][ci]
             b = benefit(parities[ai], k, ci, cap)
-            pos = xi_pos.get(ci)
-            if pos is not None and 0 < pos < lprime:
-                code, l, m, r = type_data(atom.tree, chain, pos)
-            else:
-                code = l = m = r = None
-            data.append((ai, atom.weight, code, l, m, r, k, b))
+            bens.append(b)
             total += atom.weight * b
             if k % 2 == 0:
                 p_even += atom.weight
-            p_many += atom.weight * ((k - 1) // 2)
         required = cap * p_even
         margin = total - required
 
@@ -254,47 +247,49 @@ def benefits(dist, chain: CutChain, parities,
         case = "less_critical" if f <= HALF else "none"
         eq17 = None
         eq18_ok = None
-        if f > HALF and not params.uniform_half:
-            # a critical cut; with default constants its load sits in a
-            # small window around 3/2, in particular below xi and off the
-            # chain ends, so the type census is defined.  Exotic (but
-            # validated) parameters can break that, in which case no case
-            # applies and the margin alone decides the verdict.
-            case = "none"
-            if all(c is not None for _, _, c, *_ in data):
-                census = {}
-                for _, w, code, *_ in data:
-                    census[code] = census.get(code, ZERO) + w
-                good = census.get("GOOD", ZERO)
-                for label, pair, combine in CASE_SPECS:
-                    pair_mass = sum((census.get(c, ZERO) for c in pair),
-                                    ZERO)
-                    if pair_mass <= good + eps:
-                        case = label
-                        a_sum = ZERO
-                        for ai, w, code, l, m, r, k, b in data:
-                            a = 1 if code in pair else (-1 if code == "GOOD"
-                                                        else 0)
-                            a_sum += w * a
-                            many = (m - 1) // 2
-                            if m >= 3:
-                                lhs = (2 * b - (m + 1) * nu_half
-                                       + nu_many * many)
-                            else:
-                                lhs = (2 * b + combine(l, m, r, a) * nu_half
-                                       + nu_many * many)
-                            assert lhs >= 1, (
-                                f"per-tree case-{label} inequality failed: "
-                                f"atom {ai}, cut {ci}, type {code}, "
-                                f"lhs {lhs}")
-                        assert a_sum <= eps, "sum p_S a_S exceeded eps"
-                        break
-                base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
-                        * nu_half)
-                eq17 = base - nu_many * p_many
-                eq18_ok = base >= 2 * f
-                if case != "none" and load >= 2 - xi / 3:
-                    assert 2 * total >= eq17, "weighted-sum bound failed"
+        pos = internal.get(ci)
+        # a critical cut, whose case analysis reads the tree types; with
+        # default constants its load sits in a small window around 3/2, in
+        # particular below xi and off the chain ends, so it is internal.
+        # Exotic (but validated) parameters can break that, in which case
+        # no case applies and the margin alone decides the verdict.
+        if f > HALF and not params.uniform_half and pos is not None:
+            data = [(ai, atom.weight, *type_data(atom.tree, chain, pos),
+                     bens[ai]) for ai, atom in enumerate(dist)]
+            census = {}
+            p_many = ZERO
+            for _, w, code, _, m, _, _ in data:
+                census[code] = census.get(code, ZERO) + w
+                p_many += w * ((m - 1) // 2)
+            good = census.get("GOOD", ZERO)
+            for label, pair, combine in CASE_SPECS:
+                pair_mass = sum((census.get(c, ZERO) for c in pair), ZERO)
+                if pair_mass <= good + eps:
+                    case = label
+                    a_sum = ZERO
+                    for ai, w, code, l, m, r, b in data:
+                        a = 1 if code in pair else (-1 if code == "GOOD"
+                                                    else 0)
+                        a_sum += w * a
+                        many = (m - 1) // 2
+                        if m >= 3:
+                            lhs = (2 * b - (m + 1) * nu_half
+                                   + nu_many * many)
+                        else:
+                            lhs = (2 * b + combine(l, m, r, a) * nu_half
+                                   + nu_many * many)
+                        assert lhs >= 1, (
+                            f"per-tree case-{label} inequality failed: "
+                            f"atom {ai}, cut {ci}, type {code}, "
+                            f"lhs {lhs}")
+                    assert a_sum <= eps, "sum p_S a_S exceeded eps"
+                    break
+            base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
+                    * nu_half)
+            eq17 = base - nu_many * p_many
+            eq18_ok = base >= 2 * f
+            if case != "none" and load >= 2 - xi / 3:
+                assert 2 * total >= eq17, "weighted-sum bound failed"
 
         per_cut.append(CutAudit(
             cut_index=ci, load=load, case=case, total=total,

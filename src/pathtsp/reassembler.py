@@ -36,8 +36,9 @@ from fractions import Fraction
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
 from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
 from .instance import ZERO
-from .tree_decomp import (Atom, is_spanning_tree, reconstruct,
-                          round_distribution, total_weight, tree_key)
+from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
+                          reconstruct, round_distribution, total_weight,
+                          tree_key)
 
 TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
               "022", "220", "121", "GOOD")
@@ -249,11 +250,7 @@ def reassemble(dist, chain: CutChain, eps):
     eps = Fraction(eps)
     if not Fraction(3, 2) < chain.xi < 2:
         raise ValueError("xi must lie strictly between 3/2 and 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if reconstruct(dist) != chain.x:
-        raise ValueError("the distribution does not reconstruct the "
-                         "chain's LP point")
+    check_reconstruction(chain.x, dist)
     n = chain.inst.n
 
     quantum = eps / (n * n)

@@ -127,6 +127,14 @@ def total_weight(dist) -> Fraction:
     return sum((a.weight for a in dist), ZERO)
 
 
+def check_reconstruction(x: dict, dist):
+    """The distribution's weights sum to 1 and its trees average to x."""
+    if total_weight(dist) != 1:
+        raise ValueError("total weight is not 1")
+    if reconstruct(dist) != {e: v for e, v in x.items() if v != 0}:
+        raise ValueError("distribution does not reconstruct the solution")
+
+
 def distribution_cost(dist, inst: Instance) -> Fraction:
     return sum((a.weight * edges_cost(a.tree, inst) for a in dist), ZERO)
 

@@ -30,7 +30,8 @@ def largest_parity_set(k):
 def test_min_tjoin_wall(benchmark, k, size):
     T, inst = largest_parity_set(k)
     assert len(T) == size
-    join = benchmark.pedantic(min_tjoin, (T, inst), rounds=10, iterations=1)
+    join = benchmark.pedantic(min_tjoin, (T, inst), rounds=30, iterations=1,
+                              warmup_rounds=2)
     assert len(join) == size // 2
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,26 @@ def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "pathtsp: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    ("instance", "3 0 2\n0 1 1\n0 1 2\n", "duplicate edge (0, 1)"),
+    ("solution", "0 1 1\n0 2 -1\n", "line 2: negative value"),
+    ("dist", "0 1\n", "line 1: edge before any tree header"),
+])
+def test_a_malformed_file_is_a_usage_error(tmp_path, capsys, reader, text,
+                                           message):
+    files = {"instance": "3 0 2\n0 1 1\n0 2 1\n1 2 1\n",
+             "solution": "0 1 1\n1 2 1\n", "dist": "tree 1\n0 1\n1 2\n"}
+    files[reader] = text
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    inst, sol, dist = (str(tmp_path / name) for name in files)
+    argv = {"instance": ["solve-lp", inst],
+            "solution": ["decompose", inst, sol, "-o", str(tmp_path / "d")],
+            "dist": ["tour", inst, dist]}[reader]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"pathtsp: {message}\n"
+
+
 def test_run_on_an_instance_of_cost_0(tmp_path):
     inst = tmp_path / "zero.txt"
     inst.write_text("6 0 5\n" + "".join(
@@ -341,3 +362,72 @@ def test_an_edge_outside_the_instance_is_a_violation(tmp_path, capsys,
         capsys.readouterr()
         assert main(argv) == 2
         assert f"stage check-lp-point: {detail}; " in capsys.readouterr().err
+
+
+CHECKS = ("lp_point", "reconstruction", "narrow_cuts", "cut_stats",
+          "packing", "correction_floor", "join_membership",
+          "benefit_margins", "type_mix")
+
+
+def wall_triple(tmp_path, reassembled):
+    """The k = 0 wall as written by `gen appendix`, with its four-tree
+    distribution, or that distribution after `reassemble`."""
+    inst = tmp_path / "wall.txt"
+    sol = tmp_path / "wall.sol"
+    dist = tmp_path / "wall.dist"
+    assert main(["gen", "appendix", "--k", "0", "-o", str(inst),
+                 "--solution", str(sol), "--dist", str(dist)]) == 0
+    if reassembled:
+        fixed = tmp_path / "fixed.dist"
+        assert main(["reassemble", str(inst), str(sol), "-o", str(fixed),
+                     "--initial", str(dist)]) == 0
+        dist = fixed
+    return inst, sol, dist
+
+
+@pytest.mark.parametrize("triple, statuses, rc", [
+    ("raw", ["OK"] * 7 + [
+        "FAIL detail=negative margin at cuts [3, 5, 6, 7, 8]",
+        "FAIL detail=type-mix bound violated at an internal cut"], 1),
+    ("reassembled", ["OK"] * 9, 0),
+    ("infeasible", [
+        "FAIL detail=cut (0, 1, 3) load 0 < 2",
+        "FAIL detail=distribution does not reconstruct the solution"]
+     + ["SKIP"] * 7, 1),
+])
+def test_verify_report(tmp_path, capsys, triple, statuses, rc):
+    if triple == "infeasible":
+        inst, sol, dist = infeasible_triple(tmp_path)
+    else:
+        inst, sol, dist = wall_triple(tmp_path, triple == "reassembled")
+    capsys.readouterr()
+    assert main(["verify", str(dist), str(inst), str(sol)]) == rc
+    out = capsys.readouterr().out.splitlines()
+    cut = out.index("# timings")
+    failed = sum(s.startswith("FAIL") for s in statuses)
+    assert out[:cut] == [f"check={name} status={status}"
+                         for name, status in zip(CHECKS, statuses)] + [
+        f"checks_failed={failed}"]
+    # one timing line per check that ran, none for a skipped one
+    assert [ln.split()[0] for ln in out[cut + 1:]] == [
+        f"stage={name}" for name, status in zip(CHECKS, statuses)
+        if status != "SKIP"]
+
+
+def test_run_trace_prints_the_exchanges_of_reassemble(tmp_path, capsys):
+    inst, sol, dist = wall_triple(tmp_path, reassembled=False)
+    capsys.readouterr()
+    reports = []
+    for argv in (["run", "appendix", "--k", "0", "--trace"],
+                 ["reassemble", str(inst), str(sol), "--trace",
+                  "--initial", str(dist), "-o", str(tmp_path / "f.dist")]):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        end = start = lines.index("exchanges:") + 1
+        while lines[end].startswith("  cut="):
+            end += 1
+        reports.append(lines[start:end])
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 6
+    assert all(re.fullmatch(r"  cut=\d+ dir=(left|right) delta=\S+ "
+                            r"h=\d+ k=\d+", ln) for ln in reports[0])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathtsp import instance
 from pathtsp.cuts import load_of_mask
 from pathtsp.instance import (
     Instance,
@@ -125,6 +126,43 @@ def test_parse_requires_all_pairs_unless_closure():
     inst = parse_instance(text, closure=True)
     assert inst.cost[edge(0, 3)] == 3
     assert validate_metric(inst) == []
+
+
+def test_a_large_header_is_rejected_without_listing_its_edges(monkeypatch):
+    # n = 10^6 would need an n x n table or a set of n^2/2 edges
+    def allocates(*args):
+        raise AssertionError("the complete edge set was built")
+
+    monkeypatch.setattr(instance, "complete_edges", allocates)
+    monkeypatch.setattr(instance, "metric_closure", allocates)
+    text = "1000000 0 1\n0 1 1\n"
+    with pytest.raises(ValueError, match="^499999499999 missing edge costs"):
+        parse_instance(text)
+    with pytest.raises(ValueError, match="support graph is disconnected"):
+        parse_instance(text, closure=True)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty instance file"),
+    ("# only a comment\n\n", "empty instance file"),
+    ("3 0\n", "bad header '3 0', expected 'n s t'"),
+    ("3 0 2\n0 1\n", "bad edge line '0 1'"),
+    ("3 0 2\n0 3 1\n", "vertex out of range in '0 3 1'"),
+    ("3 0 2\n0 1 1\n1 0 2\n", "duplicate edge (0, 1)"),
+    ("3 0 2\n0 1 -1\n", "negative cost in '0 1 -1'"),
+    ("3 0 2\n0 1 1\n", "2 missing edge costs"),
+    ("-5 0 1\n", "need at least two vertices"),
+])
+def test_parse_instance_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_instance(text)
+
+
+def test_parse_instance_skips_blank_and_comment_lines():
+    text = "# a triangle\n\n3 0 2\n  \n0 1 1\n# the long side\n0 2 2\n1 2 1\n"
+    inst = parse_instance(text)
+    assert (inst.n, inst.s, inst.t) == (3, 0, 2)
+    assert inst.cost == {(0, 1): 1, (0, 2): 2, (1, 2): 1}
 
 
 def test_digest_is_stable_under_reemission():

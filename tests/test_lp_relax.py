@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,3 +252,19 @@ def test_solution_file_round_trip():
     x, value = parse_solution(emit_solution(sol.x, sol.value))
     assert x == {e: v for e, v in sol.x.items() if v != 0}
     assert value == sol.value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n", "line 1: expected `u v a/b`"),
+    ("0 1 1/2\n\n1 0 1/2\n", "line 3: duplicate edge (0, 1)"),
+    ("# value 2\n0 1 -1/2\n", "line 2: negative value"),
+])
+def test_parse_solution_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_solution(text)
+
+
+def test_parse_solution_skips_blank_and_comment_lines():
+    text = "# a comment\n\n# value 3/2\n  \n0 1 1\n1 2 1/2\n0 2 0\n"
+    assert parse_solution(text) == (
+        {(0, 1): 1, (1, 2): Fraction(1, 2)}, Fraction(3, 2))

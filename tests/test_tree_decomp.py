@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pathtsp.instance import edge, random_metric_instance
 from pathtsp.tree_decomp import (
     Atom,
+    check_reconstruction,
     decompose,
     emit_distribution,
     is_spanning_tree,
@@ -138,3 +140,37 @@ def test_parse_distribution_rejects_non_trees():
     text = "tree 1\n0 1\n1 2\n0 2\n"
     with pytest.raises(ValueError):
         parse_distribution(text, n=4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no trees in distribution file"),
+    ("# nothing\n\n", "no trees in distribution file"),
+    ("tree\n0 1\n", "line 1: malformed tree header"),
+    ("tree 1 2\n0 1\n", "line 1: malformed tree header"),
+    ("tree 0\n0 1\n", "line 1: weight must be positive"),
+    ("0 1\ntree 1\n", "line 1: edge before any tree header"),
+    ("tree 1\n0 1 2\n", "line 2: expected `u v`"),
+])
+def test_parse_distribution_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_distribution(text, n=3)
+
+
+def test_parse_distribution_skips_blank_and_comment_lines():
+    text = "# two paths\n\ntree 1/2  # first\n0 1\n\n1 2\ntree 1/2\n0 2\n1 2\n"
+    dist = parse_distribution(text, n=3)
+    assert dist == [Atom(frozenset({(0, 1), (1, 2)}), Fraction(1, 2)),
+                    Atom(frozenset({(0, 2), (1, 2)}), Fraction(1, 2))]
+
+
+def test_check_reconstruction():
+    x = {edge(0, 1): Fraction(1, 2), edge(1, 2): Fraction(1),
+         edge(0, 2): Fraction(1, 2), edge(2, 3): Fraction(0)}
+    dist = [Atom(path_tree((0, 1, 2)), Fraction(1, 2)),
+            Atom(path_tree((1, 2, 0)), Fraction(1, 2))]
+    check_reconstruction(x, dist)   # zero entries of x are ignored
+    with pytest.raises(ValueError, match="^total weight is not 1$"):
+        check_reconstruction(x, dist[:1])
+    with pytest.raises(ValueError, match="^distribution does not "
+                       "reconstruct the solution$"):
+        check_reconstruction(x, [dist[0], Atom(dist[0].tree, Fraction(1, 2))])
