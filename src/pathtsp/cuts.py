@@ -7,12 +7,13 @@ the sub-chain of xi-narrow cuts (load < xi), and the per-cut crossing
 statistics of a tree distribution are what the reassembly stage consumes.
 
 The chain is read off one Gomory-Hu cut tree (Gusfield 1990), built from
-n-1 exact max-flows; parity's T-join membership check and the LP
-separation use the same tree.  For a feasible LP point a
-narrow cut is the unique minimum cut between any vertex of the chain gap
-on its left and any vertex of the gap on its right, so it is always one of
-the tree's fundamental cuts.  The tree's sides are laminar, so turned to
-hold s, those that leave t out nest; CutChain checks that they do.
+n-1 exact max-flows; the LP separation uses the same tree, and parity's
+T-join membership check builds it on the terminals T only, from |T| - 1
+flows.  For a feasible LP point a narrow cut is the unique minimum cut
+between any vertex of the chain gap on its left and any vertex of the gap
+on its right, so it is always one of the tree's fundamental cuts.  The
+tree's sides are laminar, so turned to hold s, those that leave t out
+nest; CutChain checks that they do.
 
 A vertex set is an int bitmask (bit v for vertex v) from the cut tree up:
 the tree's sides, the chain's levels and load_of_mask all take that form,
@@ -181,14 +182,20 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     len(nodes) - 1 exact max-flows on one network and no contraction.
 
     net: the graph's FlowNetwork, built once by the caller, who may go on
-    querying it; nodes: the vertices to span, isolated ones included.
-    Returns one (side, value) pair per tree edge: side is the int bitmask
-    of the vertices below the edge when the tree hangs from nodes[0], value
-    is the edge's flow value and equals the capacity of delta(side).  The
-    minimum a-b cut value is the least value among the edges whose side
-    separates a from b, and the side of such an edge is a minimum a-b cut.
+    querying it; nodes: the vertices to span, isolated ones included, all
+    of the graph's vertices or a subset of them (Gusfield's terminals).
+    Returns one (side, value) pair per tree edge, none for fewer than two
+    nodes: side is the int bitmask of the nodes below the edge when the
+    tree hangs from nodes[0], and value is the edge's flow value.  The side
+    is the node part of a minimum cut of that value: with every vertex as a
+    node it is that cut's vertex set, and value is the capacity of
+    delta(side).  For nodes a and b, the minimum a-b cut value is the least
+    value among the edges whose side separates a from b, and the side of
+    such an edge is the node part of a minimum a-b cut.
     """
     nodes = list(nodes)
+    if len(nodes) < 2:
+        return []
     root = nodes[0]
     parent = {v: root for v in nodes}
     value = {}

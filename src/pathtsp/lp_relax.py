@@ -1,11 +1,14 @@
 """Exact cutting-plane solver for the path LP relaxation.
 
-Variables live on all edges of the complete graph.  The initial model has
-the degree equalities (2 at internal vertices, 1 at the path ends) plus
-x(delta(v)) >= 1 warm-start rows for every singleton; violated cut
-constraints are then separated and appended until none remain.  Cuts whose
-vertex set contains both or neither of {s, t} require load 2, the others
-require 1.
+Variables live on all edges of the complete graph.  The initial model is
+the n degree equalities (2 at internal vertices, 1 at the path ends);
+violated cut constraints are then separated and appended until none
+remain.  Cuts whose vertex set contains both or neither of {s, t} require
+load 2, the others require 1.  A singleton cut needs no row: its degree
+equality makes its load equal its requirement, so separation never
+returns one.  The feasible region, and so the LP value, is the same as
+with those rows; where the optimum is not unique, the simplex may stop at
+another optimal vertex than it would with them.
 
 Separation is exact at every n, by max-flow alone.  One min s-t cut gives
 the most violated odd cut.  For the even cuts it builds one Gomory-Hu tree
@@ -135,9 +138,6 @@ def solve_lp(inst: Instance) -> LpSolution:
         rhs = 1 if v in (inst.s, inst.t) else 2
         sx.add_constraint(delta_coeffs({v}), "=", rhs)
     seen = set()  # canonical vertex sets of the cut rows
-    for v in range(n):
-        sx.add_constraint(delta_coeffs({v}), ">=", 1)
-        seen.add(tuple(sorted(frozenset(range(n)) - {v})) if v != 0 else (0,))
     sx.solve()
 
     rounds = 0

@@ -26,7 +26,8 @@ Correction vectors: z^S spreads (1-2beta) gamma over the path edges and
 tops up even narrow cuts on their cheapest edge e_C, and
 y^S = beta x* + (1-2beta) chi^{J_S} + z^S must hit every T_S-cut with load
 at least 1, verified at every n by Padberg-Rao: a minimum T_S-odd cut is a
-fundamental cut of a Gomory-Hu tree of y^S.  certify_bound checks that
+fundamental cut of a Gomory-Hu tree of y^S on the terminals T_S, built
+from |T_S| - 1 flows.  certify_bound checks that
 membership for every y^S and re-verifies the full cost chain instead of
 trusting it.
 """
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
-from .flows import FlowNetwork
+from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, edge, edges_cost,
                        format_rational, vector_cost)
 from .reassembler import MIX_PAIRS, type_data
@@ -374,17 +375,31 @@ def correction_vectors(dist, chain: CutChain, parities,
 def tjoin_cut_violations(y: dict, t_set, n: int):
     """T-odd cuts with y(delta(U)) < 1, as vertex tuples containing 0.
 
-    Padberg-Rao: the T-odd fundamental cuts of a Gomory-Hu tree of y
-    include a minimum T-odd cut, so the list is empty exactly when every
-    T-odd cut has load at least 1."""
+    Padberg-Rao on a Gomory-Hu tree of y over the terminals T alone,
+    |T| - 1 flows: each tree edge splits T, and its value is the least
+    load of a cut with that split.  The edges whose side is odd include a
+    minimum T-odd cut, so the list is empty exactly when every T-odd cut
+    has load at least 1.  When T = V an edge's side is its cut; otherwise
+    one more flow per violated edge, between two added vertices tied to
+    the terminals of each side, turns the split into a vertex set."""
     cap = {e: v for e, v in y.items() if v != 0}
+    full = (1 << n) - 1
     t_mask = sum(1 << v for v in t_set)
     out = []
-    for side, value in gomory_hu_tree(FlowNetwork(cap, n), range(n)):
-        if value < 1 and (side & t_mask).bit_count() % 2 == 1:
-            if not side & 1:
-                side ^= (1 << n) - 1
-            out.append(tuple(v for v in range(n) if (side >> v) & 1))
+    for side, value in gomory_hu_tree(FlowNetwork(cap, n), sorted(t_set)):
+        if value >= 1 or side.bit_count() % 2 == 0:
+            continue
+        if t_mask != full:
+            big = sum(cap.values(), 1)  # above any cut's load
+            ties = dict(cap)
+            for v in t_set:
+                ties[n if (side >> v) & 1 else n + 1, v] = big
+            flow, cut = max_flow_min_cut(FlowNetwork(ties, n + 2), n, n + 1)
+            assert flow == value, "the split's cut is not the tree edge's"
+            side = sum(1 << v for v in cut if v < n)
+        if not side & 1:
+            side ^= full
+        out.append(tuple(v for v in range(n) if (side >> v) & 1))
     return out
 
 

@@ -177,11 +177,13 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
     last = len(chain.xi_indices) - 1
     (want1, want2), fragile = SWEEPS[direction]
 
-    # weights keyed by tree, in canonical order
-    pot = {}
+    # weights keyed by tree, in canonical order; tree_of keeps each key's
+    # first frozenset, so the chain's profile cache hashes no new one
+    pot, tree_of = {}, {}
     for a in dist:
         key = tree_key(a.tree)
         pot[key] = pot.get(key, ZERO) + a.weight
+        tree_of.setdefault(key, a.tree)
     before = {i: type_census(dist, chain, i) for i in range(1, last)}
 
     records = []
@@ -191,7 +193,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
             ones = []
             twos = []
             for key in sorted(pot):
-                code = classify(frozenset(key), chain, i)
+                code = classify(tree_of[key], chain, i)
                 if code == want1:
                     ones.append(key)
                 elif code == want2:
@@ -200,8 +202,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
                 break
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
-            rec = exchange(frozenset(k1), frozenset(k2), chain, i,
-                           direction)
+            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
             records.append(replace(rec, delta=delta))
             for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
                 pot[key] -= delta
@@ -209,8 +210,9 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
                     del pot[key]
                 nk = tree_key(tree)
                 pot[nk] = pot.get(nk, ZERO) + delta
+                tree_of.setdefault(nk, tree)
 
-    out = [Atom(frozenset(k), w) for k, w in sorted(pot.items())]
+    out = [Atom(tree_of[k], w) for k, w in sorted(pot.items())]
     assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD

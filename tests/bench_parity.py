@@ -7,12 +7,15 @@ Outside the default test run, which collects only test_*.py; run with
 Times one certification of the reassembled k = 20 wall: `assign_gamma`,
 `benefits`, `correction_vectors` and `certify_bound`, with the T-join
 membership check of every y^S.  The chain keeps the crossing profiles that
-reassembly built, as it does in `pathtsp run`.
+reassembly built, as it does in `pathtsp run`.  Also times that membership
+check alone, `check_join_membership`, on the reassembled k = 5 wall: one
+Padberg-Rao pass per atom.
 """
 
 from pathtsp import build_appendix_instance, narrow_cuts
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
-                            certify_bound, correction_vectors)
+                            certify_bound, check_join_membership,
+                            correction_vectors)
 from pathtsp.reassembler import reassemble
 
 
@@ -30,3 +33,14 @@ def test_certify_reassembled_wall(benchmark):
 
     verdict = benchmark.pedantic(certify, rounds=30, iterations=1)
     assert verdict.certified
+
+
+def test_join_membership_reassembled_wall5(benchmark):
+    params = GammaParams()
+    inst, xstar, dist = build_appendix_instance(5)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+    parities = assign_gamma(final, chain, params)
+    cv = correction_vectors(final, chain, parities, params)
+    benchmark.pedantic(check_join_membership, (cv, parities, inst.n),
+                       rounds=30, iterations=1, warmup_rounds=2)

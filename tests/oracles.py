@@ -790,6 +790,32 @@ class FractionSimplex:
         assert not bad, f"negative reduced costs remain: {bad[:5]}"
 
 
+def full_path_lp_value(inst):
+    """The path LP's optimum with every constraint written out: the degree
+    equalities and one row per vertex set U with 2 <= |U| <= n - 2 (U
+    taken to contain vertex 0), requiring 1 when U separates s and t and
+    2 otherwise.  Exponential in n; keep n small."""
+    n = inst.n
+    sx = FractionSimplex()
+    edges = [edge(u, v) for u, v in combinations(range(n), 2)]
+    col = {e: sx.add_variable(inst.cost[e]) for e in edges}
+
+    def delta(U):
+        return {col[e]: 1 for e in edges if (e[0] in U) != (e[1] in U)}
+
+    for v in range(n):
+        sx.add_constraint(delta({v}), "=",
+                          1 if v in (inst.s, inst.t) else 2)
+    for size in range(1, n - 2):
+        for extra in combinations(range(1, n), size):
+            U = {0, *extra}
+            sx.add_constraint(delta(U), ">=",
+                              1 if (inst.s in U) != (inst.t in U) else 2)
+    sx.solve()
+    sx.assert_optimal()
+    return sx.objective()
+
+
 # ----- the exact max-flow on Fractions -----
 #
 # The Edmonds-Karp that pathtsp.flows.max_flow_min_cut replaced, kept as it

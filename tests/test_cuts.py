@@ -129,6 +129,30 @@ def test_gomory_hu_tree_against_brute_force(graph):
         assert path == brute
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_graphs(), st.data())
+def test_gomory_hu_tree_on_terminals_against_brute_force(graph, data):
+    n, cap = graph
+    T = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    tree = gomory_hu_tree(FlowNetwork(cap, n), T)
+    assert len(tree) == max(len(T) - 1, 0)
+    t_mask = sum(1 << v for v in T)
+    loads = [cut_value(cap, members(U)) for U in range(1 << n)]
+    for side, value in tree:
+        assert 0 < side and not side & ~t_mask
+        assert not (side >> T[0]) & 1  # the tree hangs from T[0]
+        # the least load of a vertex set that splits T as the edge does
+        split = min(load for U, load in enumerate(loads)
+                    if U & t_mask == side)
+        assert split == value
+
+
+@pytest.mark.parametrize("nodes", [[], [3]])
+def test_gomory_hu_tree_of_fewer_than_two_nodes_is_empty(nodes):
+    cap = {(0, 3): ONE, (1, 3): ONE}
+    assert gomory_hu_tree(FlowNetwork(cap, 4), nodes) == []
+
+
 def test_non_chain_structure_is_rejected():
     # infeasible point: a floating triangle makes narrow cuts incomparable
     inst = uniform_instance(6)

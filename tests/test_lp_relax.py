@@ -25,6 +25,7 @@ from pathtsp.lp_relax import (
 from . import oracles
 from .oracles import (
     cut_value,
+    full_path_lp_value,
     mask_of,
     path_min_cost,
     separate_all_pairs,
@@ -226,6 +227,24 @@ def test_lp_lower_bounds_the_optimum(seed):
     inst = random_metric_instance(7, seed)
     sol = solve_lp(inst)
     assert sol.value <= path_min_cost(inst)
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in (5, 6, 7)
+                                    for seed in range(3)])
+def test_solve_lp_is_optimal(n, seed):
+    inst = random_metric_instance(n, seed)
+    assert solve_lp(inst).value == full_path_lp_value(inst)
+
+
+def test_solve_lp_is_optimal_at_a_fractional_optimum():
+    # the closure of an eight-edge graph: the LP optimum 23/2 lies below
+    # the cheapest Hamiltonian path, 12
+    graph = {(0, 1): 1, (0, 3): 2, (0, 4): 3, (1, 3): 1, (2, 3): 2,
+             (2, 4): 3, (2, 5): 3, (3, 5): 2}
+    inst = Instance(n=6, s=0, t=5, cost=metric_closure(6, graph))
+    sol = solve_lp(inst)
+    assert sol.value == full_path_lp_value(inst) == Fraction(23, 2)
+    assert path_min_cost(inst) == 12
 
 
 @pytest.mark.parametrize("n,seed", [(6, 2), (9, 13), (10, 0)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtsp import cuts
 from pathtsp.cuts import gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
@@ -247,6 +248,27 @@ def test_certify_bound_checks_join_membership(reassembled, appendix0,
     assert tjoin_cut_violations(cv.y[0], par.t_set, inst.n)
     with pytest.raises(AssertionError, match=r"atom 0: y\^S misses"):
         certify_bound(final, audit, cv, params)
+
+
+def test_join_membership_runs_one_flow_per_terminal_tree_edge(
+        monkeypatch, params):
+    inst, xstar, dist = build_appendix_instance(5)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+    parities = assign_gamma(final, chain, params)
+    cv = correction_vectors(final, chain, parities, params)
+    calls = []
+    flow = cuts.max_flow_min_cut
+
+    def counted(net, s, t):
+        calls.append((s, t))
+        return flow(net, s, t)
+
+    monkeypatch.setattr(cuts, "max_flow_min_cut", counted)
+    for y, par in zip(cv.y, parities):
+        calls.clear()
+        assert tjoin_cut_violations(y, par.t_set, inst.n) == []
+        assert len(calls) == len(par.t_set) - 1 < inst.n - 1
 
 
 def test_swapping_the_ends_mirrors_everything(appendix0, half_params):
