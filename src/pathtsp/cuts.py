@@ -186,9 +186,10 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     of the graph's vertices or a subset of them (Gusfield's terminals).
     Returns one (side, value) pair per tree edge, none for fewer than two
     nodes: side is the int bitmask of the nodes below the edge when the
-    tree hangs from nodes[0], and value is the edge's flow value.  The side
-    is the node part of a minimum cut of that value: with every vertex as a
-    node it is that cut's vertex set, and value is the capacity of
+    tree hangs from nodes[0], and value is the edge's flow value as an int
+    over net.den, as max_flow_min_cut returns it.  The side is the node
+    part of a minimum cut of that value: with every vertex as a node it is
+    that cut's vertex set, and value / net.den is the capacity of
     delta(side).  For nodes a and b, the minimum a-b cut value is the least
     value among the edges whose side separates a from b, and the side of
     such an edge is the node part of a minimum a-b cut.
@@ -233,9 +234,10 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
     cap = {e: v for e, v in x.items() if v != 0}
 
     full = (1 << n) - 1
+    net = FlowNetwork(cap, n)
     oriented = set()
-    for mask, value in gomory_hu_tree(FlowNetwork(cap, n), range(n)):
-        if value >= 2:
+    for mask, value in gomory_hu_tree(net, range(n)):
+        if value >= 2 * net.den:
             continue
         if not (mask >> s) & 1:
             mask ^= full

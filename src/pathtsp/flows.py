@@ -11,9 +11,10 @@ copies the network's capacity list into fresh residuals, so no flow is
 left behind for the next query.
 
 Integer scaling.  The network multiplies every capacity by `den`, the lcm
-of the capacity denominators, so the flow runs on exact ints and the value
-is returned as Fraction(int_value, den).  No Fraction is created or
-compared while augmenting.
+of the capacity denominators, so the flow runs on exact ints, and the
+value is returned as that int: the flow value times net.den.  No Fraction
+is created, and callers compare the int against their own thresholds
+scaled by net.den.
 
 Arc arrays.  Vertices are the ints 0..n-1 and number themselves, so a
 side is a set of the caller's own vertex ids and an edgeless vertex is
@@ -33,7 +34,6 @@ never sets, so the work done does not depend on hashing either.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 
@@ -70,7 +70,8 @@ class FlowNetwork:
 
 
 def max_flow_min_cut(net: FlowNetwork, s: int, t: int):
-    """Returns (flow_value Fraction, source_side frozenset), the side being
+    """Returns (value, source_side frozenset): value is the maximum s-t flow
+    as an int over net.den (the flow is value / net.den), and the side is
     the minimum s-t cut of net with the fewest vertices.
     """
     assert s != t
@@ -89,7 +90,7 @@ def max_flow_min_cut(net: FlowNetwork, s: int, t: int):
             if parent[t] is not None:
                 break
         else:
-            return Fraction(value, net.den), frozenset(queue)
+            return value, frozenset(queue)
         path = []
         v = t
         while v != s:

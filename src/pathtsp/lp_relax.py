@@ -8,31 +8,41 @@ load 2, the others require 1.  A singleton cut needs no row: its degree
 equality makes its load equal its requirement, so separation never
 returns one.  The feasible region, and so the LP value, is the same as
 with those rows; where the optimum is not unique, the simplex may stop at
-another optimal vertex than it would with them.
+another optimal vertex than it would with them.  A vertex that is 1 on
+the edges of a spanning tree is, under the degree equalities, a
+Hamiltonian s-t path, which crosses every cut as often as it requires:
+the loop stops there without a separation round.
 
 Separation is exact at every n, by max-flow alone.  One min s-t cut gives
 the most violated odd cut.  For the even cuts it builds one Gomory-Hu tree
 of the graph with t merged into s and computes a min cut only for the
 vertex pairs whose tree connectivity is below 2, so a feasible point costs
-n flows; the most violated even cut is a global min cut and so one of
-these.  Separation thus returns a most violated cut whenever one exists.
-A pair flow is skipped when an earlier flow from the same source already
-returned its answer (see separate), which drops most of the pair flows.
+n - 1 flows (the s-t flow and the tree's n - 2); the most violated even
+cut is a global min cut and so one of these.  Separation thus returns a
+most violated cut whenever one exists.  A pair flow is skipped when an
+earlier flow from the same source already returned its answer (see
+separate), which drops most of the pair flows.
 
-The cut rows are built on ints: delta(U) comes from a vertex-pair table
-of columns (simplex.delta_rows) as int coefficients.
+Separation runs on ints: it scales x by the lcm D of its denominators
+once, so the flow values, tree values and candidate loads are ints over D,
+compared against the requirements times D; a Fraction is made only for
+the load of a violated cut.  The cut rows are built on ints too: delta(U)
+comes from a vertex-pair table of columns (simplex.delta_rows) as int
+coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cuts import gomory_hu_tree, load_of_mask
+from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import (ONE, TWO, ZERO, Instance, complete_edges, edge,
-                       format_rational, parse_rational, vector_cost)
+from .instance import (Instance, complete_edges, edge, format_rational,
+                       parse_rational, vector_cost)
 from .simplex import ExactSimplex, delta_rows
+from .tree_decomp import is_spanning_tree
 
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
 MAX_ROUNDS = 200     # separation rounds before solve_lp gives up
@@ -69,7 +79,10 @@ def separate(x: dict, inst: Instance):
     lambda(a, b), which is asserted.
     """
     n, s, t = inst.n, inst.s, inst.t
-    cap = {e: v for e, v in x.items() if v != 0}
+    # x on ints: scale every value by the lcm D of the denominators
+    ratios = [(e, v.as_integer_ratio()) for e, v in x.items() if v != 0]
+    scale = lcm(*{d for _, (_, d) in ratios})
+    cap = {e: num * (scale // d) for e, (num, d) in ratios}
     full = (1 << n) - 1
     found = {}  # canonical mask (vertex 0 inside) -> its violated cut
 
@@ -77,32 +90,34 @@ def separate(x: dict, inst: Instance):
         if not side & 1:
             side ^= full
         if side not in found:
-            load = load_of_mask(cap, side)
-            if load < required:
+            load = sum(c for (u, v), c in cap.items()
+                       if ((side >> u) ^ (side >> v)) & 1)
+            if load < required * scale:
                 U = tuple(v for v in range(n) if (side >> v) & 1)
                 found[side] = (U, required, load)
 
-    # odd cuts: a min s-t cut is itself odd, so one flow suffices
+    # odd cuts: a min s-t cut is itself odd, so one flow suffices; cap is
+    # on ints, so each network's den is 1 and a flow value is a load times D
     val, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
-    if val < 1:
-        consider(sum(1 << v for v in side), ONE)
+    if val < scale:
+        consider(sum(1 << v for v in side), 1)
     # even cuts: merge t into s, then every pair whose connectivity is
     # below 2, all on one network
     merged = {}
     for (u, v), c in cap.items():
         u, v = (s if u == t else u), (s if v == t else v)
         if u != v:
-            merged[u, v] = merged.get((u, v), ZERO) + c
+            merged[u, v] = merged.get((u, v), 0) + c
     cnet = FlowNetwork(merged, n)
     # The pairs run in the string order of the vertex names with the merged
     # vertex last: which flows run, and so the cut lists, the LP path and
     # the recorded report digests, depend on that order.
     nodes = sorted((v for v in range(n) if v not in (s, t)), key=str) + [s]
-    # the narrow tree edges, least value first, as ints over cnet.den; bit
-    # k of bits[u] says whether u lies below narrow edge k
-    narrow = sorted(((value.numerator * (cnet.den // value.denominator), cut)
+    # the narrow tree edges, least value first; bit k of bits[u] says
+    # whether u lies below narrow edge k
+    narrow = sorted(((value, cut)
                      for cut, value in gomory_hu_tree(cnet, nodes)
-                     if value < 2), key=lambda item: item[0])
+                     if value < 2 * scale), key=lambda item: item[0])
     bits = {u: sum(1 << k for k, (_, cut) in enumerate(narrow)
                    if (cut >> u) & 1)
             for u in nodes}
@@ -118,11 +133,12 @@ def separate(x: dict, inst: Instance):
             if any(not (S >> b) & 1 for S in kept.get(lam, ())):
                 continue  # the flow would return one of these sides
             val, side = max_flow_min_cut(cnet, a, b)
-            assert val * cnet.den == lam, "flow value is not the tree's"
+            assert val == lam, "flow value is not the tree's"
             side = sum(1 << v for v in side)
             kept.setdefault(lam, []).append(side)
-            consider(side | (1 << t) if (side >> s) & 1 else side, TWO)
-    return sorted(found.values(), key=lambda r: (r[2] - r[1], r[0]))
+            consider(side | (1 << t) if (side >> s) & 1 else side, 2)
+    cuts = sorted(found.values(), key=lambda r: (r[2] - r[1] * scale, r[0]))
+    return [(U, Fraction(req), Fraction(load, scale)) for U, req, load in cuts]
 
 
 # ----- the solver -----
@@ -145,6 +161,11 @@ def solve_lp(inst: Instance) -> LpSolution:
         # the edges are columns 0..len(edges) - 1, in order
         xcur = {edges[j]: v for j, v in sorted(sx.solution().items())
                 if j < len(edges)}
+        # 1 on a spanning tree, under the degree rows: a Hamiltonian s-t
+        # path, which crosses every cut as often as it requires
+        if all(v == 1 for v in xcur.values()) \
+                and is_spanning_tree(xcur, n):
+            break
         cuts = separate(xcur, inst)
         if not cuts:
             break

@@ -386,16 +386,19 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
     full = (1 << n) - 1
     t_mask = sum(1 << v for v in t_set)
     out = []
-    for side, value in gomory_hu_tree(FlowNetwork(cap, n), sorted(t_set)):
-        if value >= 1 or side.bit_count() % 2 == 0:
+    net = FlowNetwork(cap, n)
+    for side, value in gomory_hu_tree(net, sorted(t_set)):
+        if value >= net.den or side.bit_count() % 2 == 0:
             continue
         if t_mask != full:
             big = sum(cap.values(), 1)  # above any cut's load
             ties = dict(cap)
             for v in t_set:
                 ties[n if (side >> v) & 1 else n + 1, v] = big
-            flow, cut = max_flow_min_cut(FlowNetwork(ties, n + 2), n, n + 1)
-            assert flow == value, "the split's cut is not the tree edge's"
+            tnet = FlowNetwork(ties, n + 2)
+            flow, cut = max_flow_min_cut(tnet, n, n + 1)
+            assert flow * net.den == value * tnet.den, \
+                "the split's cut is not the tree edge's"
             side = sum(1 << v for v in cut if v < n)
         if not side & 1:
             side ^= full

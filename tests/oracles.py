@@ -165,7 +165,7 @@ def narrow_sets_all_pairs(x, inst):
     found = set()
     for a, b in combinations(range(inst.n), 2):
         value, side = max_flow_min_cut(net, a, b)
-        if value < 2:
+        if Fraction(value, net.den) < 2:
             found.add(side if inst.s in side else everything - side)
     return found
 
@@ -198,8 +198,9 @@ def _separate_by_pairs(x, inst, pruned):
         return tuple(sorted(U))
 
     found = {}
-    value, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
-    if value < 1:
+    odd = FlowNetwork(cap, n)
+    value, side = max_flow_min_cut(odd, s, t)
+    if Fraction(value, odd.den) < 1:
         U = canonical(side)
         found[U] = (U, Fraction(1), cut_value(x, U))
     merged = {}
@@ -213,12 +214,12 @@ def _separate_by_pairs(x, inst, pruned):
     pairs = combinations(nodes, 2)
     if pruned:
         narrow = [members(cut) for cut, value in gomory_hu_tree(net, nodes)
-                  if value < 2]
+                  if Fraction(value, net.den) < 2]
         group = {u: tuple(u in cut for cut in narrow) for u in nodes}
         pairs = [(a, b) for a, b in pairs if group[a] != group[b]]
     for a, b in pairs:
         value, side = max_flow_min_cut(net, a, b)
-        if value < 2:
+        if Fraction(value, net.den) < 2:
             U = canonical(side | {t} if s in side else side)
             need = Fraction(1 if (s in U) != (t in U) else 2)
             load = cut_value(x, U)

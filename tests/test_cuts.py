@@ -111,7 +111,9 @@ def rational_graphs(draw):
 @given(rational_graphs())
 def test_gomory_hu_tree_against_brute_force(graph):
     n, cap = graph
-    tree = gomory_hu_tree(FlowNetwork(cap, n), range(n))
+    net = FlowNetwork(cap, n)
+    tree = [(side, Fraction(value, net.den))
+            for side, value in gomory_hu_tree(net, range(n))]
     assert len(tree) == n - 1
     for side, value in tree:
         assert isinstance(side, int) and 0 < side < 1 << n
@@ -134,7 +136,9 @@ def test_gomory_hu_tree_against_brute_force(graph):
 def test_gomory_hu_tree_on_terminals_against_brute_force(graph, data):
     n, cap = graph
     T = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-    tree = gomory_hu_tree(FlowNetwork(cap, n), T)
+    net = FlowNetwork(cap, n)
+    tree = [(side, Fraction(value, net.den))
+            for side, value in gomory_hu_tree(net, T)]
     assert len(tree) == max(len(T) - 1, 0)
     t_mask = sum(1 << v for v in T)
     loads = [cut_value(cap, members(U)) for U in range(1 << n)]

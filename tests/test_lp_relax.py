@@ -15,6 +15,7 @@ from pathtsp.instance import (
     random_metric_instance,
 )
 from pathtsp.cuts import load_of_mask
+from pathtsp.tree_decomp import is_spanning_tree
 from pathtsp.lp_relax import (
     parse_solution,
     emit_solution,
@@ -23,6 +24,7 @@ from pathtsp.lp_relax import (
 )
 
 from . import oracles
+from .conftest import lp_path
 from .oracles import (
     cut_value,
     full_path_lp_value,
@@ -45,19 +47,29 @@ def path_incidence(seq):
     return {edge(a, b): Fraction(1) for a, b in zip(seq, seq[1:])}
 
 
-def test_separate_accepts_hamiltonian_path():
-    inst = uniform_instance(6)
-    x = path_incidence((0, 2, 4, 1, 3, 5))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda n: st.permutations(range(n))))
+def test_separate_accepts_hamiltonian_path(order):
+    # solve_lp stops without separating at a point that is 1 on the edges
+    # of a spanning tree; under the degree rows that is a Hamiltonian s-t
+    # path, which this holds to violate no cut
+    n = len(order)
+    inst = uniform_instance(n, s=order[0], t=order[-1])
+    x = path_incidence(order)
+    assert all(v == 1 for v in x.values()) and is_spanning_tree(x, n)
     assert separate(x, inst) == []
 
 
+# a triangle floating next to an s-t path: degrees are fine, but the path
+# side and the triangle side both violate their cut constraints
+PLANTED_GAP = {edge(1, 2): Fraction(1), edge(1, 3): Fraction(1),
+               edge(2, 3): Fraction(1), edge(0, 4): Fraction(1),
+               edge(4, 5): Fraction(1)}
+
+
 def test_separate_agrees_with_enumeration_on_a_planted_gap():
-    # a triangle floating next to an s-t path: degrees are fine, but the
-    # path side and the triangle side both violate their cut constraints
     inst = uniform_instance(6)
-    x = {edge(1, 2): Fraction(1), edge(1, 3): Fraction(1),
-         edge(2, 3): Fraction(1), edge(0, 4): Fraction(1),
-         edge(4, 5): Fraction(1)}
+    x = PLANTED_GAP
     found = separate(x, inst)
     brute = {U for U, _ in violated_cuts(x, inst)}
     assert found and brute
@@ -66,6 +78,35 @@ def test_separate_agrees_with_enumeration_on_a_planted_gap():
         assert side in brute
         assert load_of_mask(x, mask_of(U)) == load < need
     assert frozenset({0, 4, 5}) in brute
+
+
+def test_the_path_exit_needs_a_spanning_tree():
+    # every value is 1 and every degree is right, but the support is not
+    # connected: solve_lp must separate this point, not stop at it
+    assert all(v == 1 for v in PLANTED_GAP.values())
+    assert not is_spanning_tree(PLANTED_GAP, 6)
+    assert separate(PLANTED_GAP, uniform_instance(6))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_path_vertex_costs_no_separation_round(monkeypatch, seed):
+    # the random-n26 benchmark corpus: six of its eight LP optima are
+    # Hamiltonian s-t paths
+    inst = random_metric_instance(26, seed)
+    _, sol, points = lp_path(inst)
+    monkeypatch.setattr(lp_relax, "is_spanning_tree", lambda edges, n: False)
+    _, full, full_points = lp_path(inst)
+    assert (sol.x, sol.value) == (full.x, full.value)
+    assert full_points[:len(points)] == points
+    assert len(full_points) - len(points) == (0 if seed in (1, 3) else 1)
+
+
+@pytest.mark.parametrize("path", ["lp20", "lp26", "lp40"])
+def test_the_lp_fixtures_end_on_a_separated_point(path, request):
+    # their optima are fractional, so each path records its last point
+    _, sol, points = request.getfixturevalue(path)
+    assert points[-1] == sol.x
+    assert any(v != 1 for v in sol.x.values())
 
 
 @pytest.mark.parametrize("n", [6, 24])

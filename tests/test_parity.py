@@ -364,8 +364,10 @@ def test_padberg_rao_against_enumeration(graph, data):
     for U in fast:
         assert U[0] == 0 and cut_value(y, U) < 1
     # a minimum T-odd cut is a T-odd fundamental cut of the tree
-    tree = gomory_hu_tree(FlowNetwork(y, n), range(n))
-    odd = [value for side, value in tree if len(members(side) & T) % 2]
+    net = FlowNetwork(y, n)
+    tree = gomory_hu_tree(net, range(n))
+    odd = [Fraction(value, net.den) for side, value in tree
+           if len(members(side) & T) % 2]
     subsets = [{0, *extra} for r in range(n - 1)
                for extra in combinations(range(1, n), r)]
     odd_loads = [cut_value(y, U) for U in subsets if len(U & T) % 2]
