@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .instance import (ZERO, Instance, complete_edges, edge, edges_cost,
-                       format_rational)
+                       format_rational, over_lcm)
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, delta_rows
 from .tree_decomp import tree_key
@@ -182,10 +181,10 @@ def held_karp_opt(inst: Instance) -> Fraction:
                          f"{HELD_KARP_LIMIT}")
     others = [v for v in range(n) if v != inst.s]
     k = len(others)
-    scale = lcm(*[c.denominator for c in inst.cost.values()])
+    cost, scale = over_lcm(inst.cost)
     w = [[0] * n for _ in range(n)]
-    for (u, v), c in inst.cost.items():
-        w[u][v] = w[v][u] = int(c * scale)
+    for (u, v), c in cost.items():
+        w[u][v] = w[v][u] = c
 
     size = 1 << k
     INF = float("inf")

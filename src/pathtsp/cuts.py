@@ -54,12 +54,9 @@ def crossing_edges(tree, mask: int) -> list:
     return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
 
 
-def load_of_mask(x: dict, mask: int) -> Fraction:
-    total = ZERO
-    for (u, v), val in x.items():
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            total += val
-    return total
+def load_of_mask(x: dict, mask: int):
+    """x(delta(mask)), in the type of x's values (ints or Fractions)."""
+    return sum(v for (a, b), v in x.items() if ((mask >> a) ^ (mask >> b)) & 1)
 
 
 @dataclass(frozen=True)

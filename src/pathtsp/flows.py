@@ -10,11 +10,10 @@ tree, and the per-pair flows of separation.  Each max_flow_min_cut query
 copies the network's capacity list into fresh residuals, so no flow is
 left behind for the next query.
 
-Integer scaling.  The network multiplies every capacity by `den`, the lcm
-of the capacity denominators, so the flow runs on exact ints, and the
-value is returned as that int: the flow value times net.den.  No Fraction
-is created, and callers compare the int against their own thresholds
-scaled by net.den.
+Integer scaling.  The network reads its capacities as ints over `den`, the
+lcm of their denominators (instance.over_lcm), and returns the flow value
+as the int it computes: the value times net.den.  No Fraction is created;
+callers compare the int against their own thresholds times net.den.
 
 Arc arrays.  Vertices are the ints 0..n-1 and number themselves, so a
 side is a set of the caller's own vertex ids and an edgeless vertex is
@@ -34,7 +33,7 @@ never sets, so the work done does not depend on hashing either.
 
 from __future__ import annotations
 
-from math import lcm
+from .instance import over_lcm
 
 
 class FlowNetwork:
@@ -46,16 +45,14 @@ class FlowNetwork:
     """
 
     def __init__(self, capacity: dict, n: int):
-        ratios = [cap.as_integer_ratio() for cap in capacity.values()]
-        if any(num < 0 for num, _ in ratios):
+        scaled, self.den = over_lcm(capacity)
+        if any(c < 0 for c in scaled.values()):
             raise ValueError("negative capacity")
-        self.den = lcm(*{d for _, d in ratios})
         self.adj = [[] for _ in range(n)]  # adj[u]: the arcs leaving u
         self.head = []    # head[a]: the vertex arc a points to; a ^ 1 reverses
         self.cap = []     # cap[a]: capacity of arc a, scaled by den
         arc = {}          # (u, v) -> the arc from u to v
-        for (u, v), (num, d) in zip(capacity, ratios):
-            c = num * (self.den // d)
+        for (u, v), c in scaled.items():
             a = arc.get((u, v))
             if a is not None:
                 self.cap[a] += c

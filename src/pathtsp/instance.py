@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 # the package's shared constants, defined here once
 ZERO = Fraction(0)
@@ -43,6 +44,15 @@ def parse_rational(tok: str) -> Fraction:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {tok!r}") from None
+
+
+def over_lcm(values: dict):
+    """(nums, den): the dict's int or Fraction values as ints over den, the
+    lcm of their denominators (1 when there are none), so that values[k] ==
+    Fraction(nums[k], den) and the ints compare and add as the values do."""
+    ratios = {k: v.as_integer_ratio() for k, v in values.items()}
+    den = lcm(*{d for _, d in ratios.values()})
+    return {k: num * (den // d) for k, (num, d) in ratios.items()}, den
 
 
 def format_rational(q) -> str:

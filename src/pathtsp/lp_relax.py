@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
-                       parse_rational, vector_cost)
+                       over_lcm, parse_rational, vector_cost)
 from .simplex import ExactSimplex, delta_rows
 from .tree_decomp import is_spanning_tree
 
@@ -80,9 +79,8 @@ def separate(x: dict, inst: Instance):
     """
     n, s, t = inst.n, inst.s, inst.t
     # x on ints: scale every value by the lcm D of the denominators
-    ratios = [(e, v.as_integer_ratio()) for e, v in x.items() if v != 0]
-    scale = lcm(*{d for _, (_, d) in ratios})
-    cap = {e: num * (scale // d) for e, (num, d) in ratios}
+    nums, scale = over_lcm(x)
+    cap = {e: c for e, c in nums.items() if c}
     full = (1 << n) - 1
     found = {}  # canonical mask (vertex 0 inside) -> its violated cut
 

@@ -27,21 +27,25 @@ tops up even narrow cuts on their cheapest edge e_C, and
 y^S = beta x* + (1-2beta) chi^{J_S} + z^S must hit every T_S-cut with load
 at least 1, verified at every n by Padberg-Rao: a minimum T_S-odd cut is a
 fundamental cut of a Gomory-Hu tree of y^S on the terminals T_S, built
-from |T_S| - 1 flows.  certify_bound checks that
-membership for every y^S and re-verifies the full cost chain instead of
-trusting it.
+from |T_S| - 1 flows.  certify_bound checks that membership for every y^S
+and re-verifies the full cost chain instead of trusting it.
+
+The audit, z^S, y^S and the verdict's costs run on ints over one lcm
+(instance.over_lcm), gammas converted only where read.  A Fraction is made
+only for a returned value (CutAudit, z^S, y^S, the costs) and for eq17 and
+the eq-18 test at critical cuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor
 
 from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import (HALF, ZERO, Instance, complete_edges, edge, edges_cost,
-                       format_rational, vector_cost)
+from .instance import (HALF, ZERO, Instance, complete_edges, edge,
+                       format_rational, over_lcm)
 from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import tree_path
 
@@ -171,15 +175,21 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams):
 
 # ----- benefits and the per-cut audit -----
 
-def benefit(parity: TreeParity, k_cross: int, ci: int,
-            cap: Fraction) -> Fraction:
-    """The benefit of the tree at chain level ci, crossed k_cross times;
-    cap = beta(2 - x(C))/(1 - 2beta) at that level."""
-    if k_cross % 2 == 0:
-        return min(cap, parity.gamma[parity.e_path[ci]])
-    if k_cross == 1:
-        return 1 - parity.gamma[parity.e_path[ci]]
-    return ZERO
+def _over_one_den(dist, chain: CutChain, parities, params: GammaParams):
+    """(weights, wden, g, nu - 1/2, caps, gammas): the weights as ints over
+    their lcm wden, the rest over one lcm g, with caps[ci] = beta(2 - x(C))
+    / (1 - 2beta) and gammas[ai][ci] the atom's gamma at e^S_C."""
+    wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
+    w1 = 1 - 2 * params.beta
+    terms = {"nu": params.nu - HALF}
+    terms.update((ci, params.beta * (2 - load) / w1)
+                 for ci, load in enumerate(chain.loads))
+    terms.update(((ai, e), par.gamma[e]) for ai, par in enumerate(parities)
+                 for e in par.e_path)
+    num, g = over_lcm(terms)
+    return (wts, wden, g, num["nu"], [num[ci] for ci in range(len(chain))],
+            [[num[ai, e] for e in par.e_path]
+             for ai, par in enumerate(parities)])
 
 
 # census pair (the type-mix pairs, in order) and l,m,r combination per
@@ -221,81 +231,82 @@ def benefits(dist, chain: CutChain, parities,
     not a legitimately failing instance.  They are consequences of the
     rule-based gamma, so under params.uniform_half the case machinery is
     skipped and the margins alone decide."""
-    beta, xi, eps = params.beta, params.xi, params.eps
-    w1 = 1 - 2 * beta
-    nu = params.nu
-    nu_half, nu_many = nu - HALF, 4 * nu - 1
+    xi, eps = params.xi, params.eps
+    nu_half, nu_many = params.nu - HALF, 4 * params.nu - 1
+    wts, wden, g, nh, caps, gammas = _over_one_den(dist, chain, parities,
+                                                   params)
+    nm = 4 * nh + g           # 4 nu - 1 over g
+    eps_w = floor(eps * wden)  # an int over wden is <= eps iff <= eps_w
     # chain index -> xi-position, at the internal xi-narrow cuts
     internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
     counts = [chain.profile(atom.tree).counts for atom in dist]
     per_cut = []
     for ci, load in enumerate(chain.loads):
-        cap = beta * (2 - load) / w1
-        total = ZERO
-        p_even = ZERO
+        cap = caps[ci]
+        total = p_even = 0    # over g * wden and wden
         bens = []
-        for ai, atom in enumerate(dist):
-            k = counts[ai][ci]
-            b = benefit(parities[ai], k, ci, cap)
+        for ai, w in wts.items():
+            k, gam = counts[ai][ci], gammas[ai][ci]
+            b = min(cap, gam) if k % 2 == 0 else g - gam if k == 1 else 0
             bens.append(b)
-            total += atom.weight * b
+            total += w * b
             if k % 2 == 0:
-                p_even += atom.weight
+                p_even += w
         required = cap * p_even
-        margin = total - required
+        ln, ld = load.as_integer_ratio()
+        fx = cap * (ln - ld)   # f(x(C)) = cap (x(C) - 1), over g * ld
+        total_q = Fraction(total, g * wden)
 
-        f = params.f(load)
-        case = "less_critical" if f <= HALF else "none"
-        eq17 = None
-        eq18_ok = None
+        case = "less_critical" if 2 * fx <= g * ld else "none"
+        eq17 = eq18_ok = None
         pos = internal.get(ci)
         # a critical cut, whose case analysis reads the tree types; with
         # default constants its load sits in a small window around 3/2, in
         # particular below xi and off the chain ends, so it is internal.
         # Exotic (but validated) parameters can break that, in which case
         # no case applies and the margin alone decides the verdict.
-        if f > HALF and not params.uniform_half and pos is not None:
-            data = [(ai, atom.weight, *type_data(atom.tree, chain, pos),
+        if case == "none" and not params.uniform_half and pos is not None:
+            data = [(ai, wts[ai], *type_data(atom.tree, chain, pos),
                      bens[ai]) for ai, atom in enumerate(dist)]
-            census = {}
-            p_many = ZERO
+            census = {}       # over wden
+            p_many = 0
             for _, w, code, _, m, _, _ in data:
-                census[code] = census.get(code, ZERO) + w
+                census[code] = census.get(code, 0) + w
                 p_many += w * ((m - 1) // 2)
-            good = census.get("GOOD", ZERO)
+            good = census.get("GOOD", 0)
             for label, pair, combine in CASE_SPECS:
-                pair_mass = sum((census.get(c, ZERO) for c in pair), ZERO)
-                if pair_mass <= good + eps:
+                pair_mass = sum(census.get(c, 0) for c in pair)
+                if pair_mass - good <= eps_w:
                     case = label
-                    a_sum = ZERO
+                    a_sum = 0
                     for ai, w, code, l, m, r, b in data:
                         a = 1 if code in pair else (-1 if code == "GOOD"
                                                     else 0)
                         a_sum += w * a
                         many = (m - 1) // 2
                         if m >= 3:
-                            lhs = (2 * b - (m + 1) * nu_half
-                                   + nu_many * many)
+                            lhs = 2 * b - (m + 1) * nh + nm * many
                         else:
-                            lhs = (2 * b + combine(l, m, r, a) * nu_half
-                                   + nu_many * many)
-                        assert lhs >= 1, (
+                            lhs = (2 * b + combine(l, m, r, a) * nh
+                                   + nm * many)
+                        assert lhs >= g, (
                             f"per-tree case-{label} inequality failed: "
                             f"atom {ai}, cut {ci}, type {code}, "
-                            f"lhs {lhs}")
-                    assert a_sum <= eps, "sum p_S a_S exceeded eps"
+                            f"lhs {Fraction(lhs, g)}")
+                    assert a_sum <= eps_w, "sum p_S a_S exceeded eps"
                     break
             base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
                     * nu_half)
-            eq17 = base - nu_many * p_many
-            eq18_ok = base >= 2 * f
+            eq17 = base - nu_many * Fraction(p_many, wden)
+            eq18_ok = base >= 2 * Fraction(fx, g * ld)
             if case != "none" and load >= 2 - xi / 3:
-                assert 2 * total >= eq17, "weighted-sum bound failed"
+                assert 2 * total_q >= eq17, "weighted-sum bound failed"
 
         per_cut.append(CutAudit(
-            cut_index=ci, load=load, case=case, total=total,
-            required=required, margin=margin, eq17_bound=eq17,
-            eq18_ok=eq18_ok, status="OK" if margin >= 0 else "FAIL"))
+            cut_index=ci, load=load, case=case, total=total_q,
+            required=Fraction(required, g * wden),
+            margin=Fraction(total - required, g * wden), eq17_bound=eq17,
+            eq18_ok=eq18_ok, status="OK" if total >= required else "FAIL"))
     return BenefitAudit(chain=chain, parities=parities, per_cut=per_cut,
                         all_ok=all(c.status == "OK" for c in per_cut))
 
@@ -315,16 +326,13 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
 
     One pass over the edges in (cost, edge) order: each edge fills every
     level of its layer interval that no earlier edge has filled.  The sort
-    compares costs as ints over their common denominator, the same order
-    as comparing the Fractions, only cheaper."""
+    compares the costs as ints over their lcm."""
     inst, layer = chain.inst, chain.layer
-    edges = complete_edges(inst.n)
-    den = lcm(*(inst.cost[e].denominator for e in edges))
+    cost, _ = over_lcm(inst.cost)
     size = len(chain.masks)
     cheap = [None] * size
     unfilled = size
-    for e in sorted(edges, key=lambda e: (inst.cost[e].numerator * (
-            den // inst.cost[e].denominator), e)):
+    for e in sorted(complete_edges(inst.n), key=lambda e: (cost[e], e)):
         lo, hi = sorted((layer[e[0]], layer[e[1]]))
         for ci in range(lo, hi):
             if cheap[ci] is None:
@@ -339,36 +347,39 @@ def correction_vectors(dist, chain: CutChain, parities,
                        params: GammaParams) -> CorrectionVectors:
     """z^S and y^S per atom, asserting the even-cut floor of z^S;
     certify_bound checks that each y^S is in the T_S-join dominant."""
-    beta = params.beta
-    w1 = 1 - 2 * beta
+    bn, bd = params.beta.as_integer_ratio()   # 1 - 2beta = w1 / bd
+    w1 = bd - 2 * bn
     e_cheap = cheapest_cut_edges(chain)
-    floor = [beta * (2 - load) for load in chain.loads]  # per level
-    beta_x = {e: beta * v for e, v in chain.x.items()}
+    terms = {("x", e): v for e, v in chain.x.items()}
+    terms.update((("load", ci), load) for ci, load in enumerate(chain.loads))
+    for ai, par in enumerate(parities):
+        terms.update(((ai, e), par.gamma[e]) for e in par.i_edges)
+    num, lden = over_lcm(terms)
+    den = bd * lden   # of z^S and y^S; over it, beta(2 - x(C)) and beta x*
+    floors = [bn * (2 * lden - num["load", ci]) for ci in range(len(chain))]
+    beta_x = {e: bn * num["x", e] for e in chain.x}
     zs, ys = [], []
-    for atom, par in zip(dist, parities):
-        z = {}
-        for e in par.i_edges:
-            z[e] = z.get(e, ZERO) + w1 * par.gamma[e]
+    for ai, (atom, par) in enumerate(zip(dist, parities)):
+        z = {e: w1 * num[ai, e] for e in par.i_edges}
         counts = chain.profile(atom.tree).counts
         for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = floor[ci] - w1 * par.gamma[par.e_path[ci]]
+                top = floors[ci] - w1 * num[ai, par.e_path[ci]]
                 if top > 0:
-                    ec = e_cheap[ci]
-                    z[ec] = z.get(ec, ZERO) + top
+                    z[e_cheap[ci]] = z.get(e_cheap[ci], 0) + top
         assert all(v >= 0 for v in z.values())
         # even narrow cuts now carry z-mass at least beta(2 - load)
         for ci, mask in enumerate(chain.masks):
             if counts[ci] % 2 == 0:
-                assert load_of_mask(z, mask) >= floor[ci], \
+                assert load_of_mask(z, mask) >= floors[ci], \
                     "even-cut correction requirement failed"
         y = dict(beta_x)
         for e in par.j_edges:
-            y[e] = y.get(e, ZERO) + w1
+            y[e] = y.get(e, 0) + w1 * lden
         for e, v in z.items():
-            y[e] = y.get(e, ZERO) + v
-        zs.append(z)
-        ys.append(y)
+            y[e] = y.get(e, 0) + v
+        zs.append({e: Fraction(v, den) for e, v in z.items()})
+        ys.append({e: Fraction(v, den) for e, v in y.items()})
     return CorrectionVectors(z=zs, y=ys, e_cheap=e_cheap)
 
 
@@ -439,13 +450,17 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     check_join_membership(cv, parities, inst.n)
     beta = params.beta
     w1 = 1 - 2 * beta
-    z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
-                  for ai, atom in enumerate(dist)), ZERO)
-    path_cost = sum((atom.weight * edges_cost(parities[ai].i_edges, inst)
-                     for ai, atom in enumerate(dist)), ZERO)
+    wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
+    cost, cden = over_lcm(inst.cost)
+    zs, zden = over_lcm({(ai, e): v for ai in wts
+                         for e, v in cv.z[ai].items()})
+    z_cost = Fraction(sum(wts[ai] * v * cost[e]
+                          for (ai, e), v in zs.items()), wden * zden * cden)
+    path_cost = Fraction(sum(w * sum(cost[e] for e in parities[ai].i_edges)
+                             for ai, w in wts.items()), wden * cden)
     if audit.all_ok:
         _verify_cost_chain(dist, chain, parities, params, cv,
-                           z_cost, path_cost)
+                           z_cost, path_cost, cost)
     certified = audit.all_ok and z_cost <= w1 * path_cost
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
@@ -453,30 +468,30 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
                    beta=beta, z_cost=z_cost, path_cost=path_cost)
 
 
-def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
-    """The Lemma-6-style derivation, every step numerical."""
-    beta = params.beta
-    w1 = 1 - 2 * beta
+def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost,
+                       cost):
+    """The Lemma-6-style derivation, every step numerical, on the ints of
+    _over_one_den and cost, the instance's costs over their lcm."""
+    wts, _, g, _, caps, gammas = _over_one_den(dist, chain, parities, params)
+    w1 = 1 - 2 * params.beta
     # per cut: the top-up mass is covered by the single-crossing slack
     # (this is exactly the benefit inequality restated), and the cheap
     # edge never costs more than the designated path edge, which is the
-    # lone edge of a cut crossed once
+    # lone edge of a cut crossed once.  A top-up is w1 (cap - gamma): the
+    # factor w1 > 0 of tops <= w1 * slack is divided out.
     profiles = [chain.profile(atom.tree) for atom in dist]
-    for ci, load in enumerate(chain.loads):
-        tops = ZERO
-        slack = ZERO
-        for atom, prof, par in zip(dist, profiles, parities):
+    for ci, cap in enumerate(caps):
+        tops = slack = 0
+        for ai, (prof, par) in enumerate(zip(profiles, parities)):
             k = prof.counts[ci]
             esc = par.e_path[ci]
             if k % 2 == 0:
-                top = max(ZERO, beta * (2 - load) - w1 * par.gamma[esc])
-                tops += atom.weight * top
+                tops += wts[ai] * max(0, cap - gammas[ai][ci])
             elif k == 1:
                 assert prof.single[ci] == esc
-                slack += atom.weight * (1 - par.gamma[esc])
-                assert chain.inst.cost[cv.e_cheap[ci]] \
-                    <= chain.inst.cost[esc]
-        assert tops <= w1 * slack, f"stepping stone failed at cut {ci}"
+                slack += wts[ai] * (g - gammas[ai][ci])
+                assert cost[cv.e_cheap[ci]] <= cost[esc]
+        assert tops <= slack, f"stepping stone failed at cut {ci}"
     # per atom: narrow cuts crossed once are defined by distinct path edges
     check_packing(dist, chain)
     assert z_cost <= w1 * path_cost, "cost chain conclusion failed"

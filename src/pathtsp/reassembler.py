@@ -16,8 +16,9 @@ those exchanges across the chain until one of the two type classes is
 exhausted at every cut.  Direction "left" mirrors both (021 with 110,
 right to left); SWEEPS holds what differs.  The reassemble driver
 takes a tree distribution and the narrow-cut chain of the point it
-decomposes, rounds weights onto the eps/n^2 grid, sweeps left then right,
-and returns the residual mass to the pot, so the final distribution
+decomposes, rounds weights onto the eps/n^2 grid, sweeps left then right
+(the sweep keeps each tree's weight as an int count of grid steps), and
+adds the residual mass back, so the final distribution
 satisfies the four-way type-mix bound within eps at every internal
 xi-narrow cut.
 
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import floor
 
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
 from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
-from .instance import ZERO
+from .instance import over_lcm
 from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
                           reconstruct, round_distribution, total_weight,
                           tree_key)
@@ -79,13 +81,20 @@ def classify(tree, chain: CutChain, i: int) -> str:
     return type_data(tree, chain, i)[0]
 
 
-def type_census(dist, chain: CutChain, i: int) -> dict:
-    """Total weight per type code at internal xi-cut i."""
+def _census(trees, weights, chain: CutChain, i: int) -> dict:
+    """Total of the int weights per type code at internal xi-cut i."""
     census = {}
-    for atom in dist:
-        code = classify(atom.tree, chain, i)
-        census[code] = census.get(code, ZERO) + atom.weight
+    for tree, w in zip(trees, weights):
+        code = classify(tree, chain, i)
+        census[code] = census.get(code, 0) + w
     return census
+
+
+def type_census(dist, chain: CutChain, i: int) -> dict:
+    """Total weight per type code at internal xi-cut i, summed as ints."""
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    census = _census((a.tree for a in dist), nums.values(), chain, i)
+    return {code: Fraction(w, den) for code, w in census.items()}
 
 
 # ----- the two-edge exchange -----
@@ -171,20 +180,23 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
     for "right" and right to left for "left", with every weight on the
     grid of step quantum; returns (new distribution, exchange records)."""
     quantum = Fraction(quantum)
-    if quantum <= 0 or any((a.weight / quantum).denominator != 1
-                           for a in dist):
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    qn, qd = quantum.as_integer_ratio()
+    if qn <= 0 or any(w * qd % (den * qn) for w in nums.values()):
         raise ValueError("weights not on the eps/n^2 grid")
+    units = [w * qd // (den * qn) for w in nums.values()]  # w / quantum
     last = len(chain.xi_indices) - 1
     (want1, want2), fragile = SWEEPS[direction]
 
-    # weights keyed by tree, in canonical order; tree_of keeps each key's
-    # first frozenset, so the chain's profile cache hashes no new one
+    # grid units keyed by tree, in canonical order; tree_of keeps each
+    # key's first frozenset, so the chain's profile cache hashes no new one
     pot, tree_of = {}, {}
-    for a in dist:
+    for a, w in zip(dist, units):
         key = tree_key(a.tree)
-        pot[key] = pot.get(key, ZERO) + a.weight
+        pot[key] = pot.get(key, 0) + w
         tree_of.setdefault(key, a.tree)
-    before = {i: type_census(dist, chain, i) for i in range(1, last)}
+    before = {i: _census((a.tree for a in dist), units, chain, i)
+              for i in range(1, last)}
 
     records = []
     order = range(1, last) if direction == "right" else range(last - 1, 0, -1)
@@ -203,25 +215,25 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
             rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
-            records.append(replace(rec, delta=delta))
+            records.append(replace(rec, delta=delta * quantum))
             for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
                 pot[key] -= delta
                 if pot[key] == 0:
                     del pot[key]
                 nk = tree_key(tree)
-                pot[nk] = pot.get(nk, ZERO) + delta
+                pot[nk] = pot.get(nk, 0) + delta
                 tree_of.setdefault(nk, tree)
 
-    out = [Atom(tree_of[k], w) for k, w in sorted(pot.items())]
+    out = [Atom(tree_of[k], w * quantum) for k, w in sorted(pot.items())]
     assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     for i in range(1, last):
-        after = type_census(out, chain, i)
-        assert min(after.get(want1, ZERO), after.get(want2, ZERO)) == 0
-        good = after.get("GOOD", ZERO)
+        after = _census(map(tree_of.get, pot), pot.values(), chain, i)
+        assert min(after.get(want1, 0), after.get(want2, 0)) == 0
+        good = after.get("GOOD", 0)
         for f in fragile:
-            assert after.get(f, ZERO) <= before[i].get(f, ZERO) + good
+            assert after.get(f, 0) <= before[i].get(f, 0) + good
     return out, records
 
 
@@ -231,10 +243,12 @@ def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     """min over the four two-type sums <= p_GOOD + eps at every internal
     xi-narrow cut."""
     last = len(chain.xi_indices) - 1
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    eps_w = floor(eps * den)  # an int over den is > eps iff > eps_w
     for i in range(1, last):
-        census = type_census(dist, chain, i)
-        p = lambda c: census.get(c, ZERO)
-        if min(p(a) + p(b) for a, b in MIX_PAIRS) > p("GOOD") + eps:
+        census = _census((a.tree for a in dist), nums.values(), chain, i)
+        p = lambda c: census.get(c, 0)
+        if min(p(a) + p(b) for a, b in MIX_PAIRS) > p("GOOD") + eps_w:
             return False
     return True
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .instance import (ONE, ZERO, Instance, edge, edges_cost,
-                       format_rational, parse_rational, support)
+                       format_rational, over_lcm, parse_rational, support)
 from .simplex import ExactSimplex
 
 
@@ -72,9 +71,7 @@ def max_weight_spanning_tree(n, weights: dict):
     Returns (frozenset of edges, total weight), or None if the edges of
     weights do not connect all n vertices.
     """
-    ratios = {e: w.as_integer_ratio() for e, w in weights.items()}
-    den = lcm(*{d for _, d in ratios.values()})
-    scaled = {e: num * (den // d) for e, (num, d) in ratios.items()}
+    scaled, den = over_lcm(weights)
     uf = UnionFind(n)
     picked = []
     total = 0
@@ -115,16 +112,19 @@ def tree_path(tree, start, goal):
 # ----- distributions -----
 
 def reconstruct(dist) -> dict:
-    """Sum of weight * tree incidence, as an exact edge vector."""
+    """Sum of weight * tree incidence, as an exact edge vector of Fractions,
+    summed as ints over the lcm of the weights' denominators."""
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     x = {}
-    for atom in dist:
+    for atom, w in zip(dist, nums.values()):
         for e in atom.tree:
-            x[e] = x.get(e, ZERO) + atom.weight
-    return {e: v for e, v in x.items() if v != 0}
+            x[e] = x.get(e, 0) + w
+    return {e: Fraction(v, den) for e, v in x.items() if v != 0}
 
 
 def total_weight(dist) -> Fraction:
-    return sum((a.weight for a in dist), ZERO)
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    return Fraction(sum(nums.values()), den)
 
 
 def check_reconstruction(x: dict, dist):

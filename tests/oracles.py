@@ -10,10 +10,16 @@ which tests hold to every-pair flows, and the table of type codes, so an
 agreement between a fast routine and its oracle is evidence, not
 circularity.
 
-The checkers at the end are not agreement oracles: they restate what a
+The checkers near the end are not agreement oracles: they restate what a
 result must satisfy (a metric, a tight-cut basis of the wall fixture, an
 exchange's promises) and use the package's classify, is_spanning_tree,
 sweep table and wall fixture to do so.
+
+Last come the certificate's stages (benefits, correction vectors, the
+verdict and its cost chain, reconstruction, the type census) as they were
+written on Fractions.  They share the package's inputs to those stages
+(parities, crossing profiles, tree types, cheap edges, the membership and
+packing checks) and hold only its int arithmetic to the Fraction one.
 """
 
 from collections import deque
@@ -23,13 +29,19 @@ from math import lcm
 
 import numpy as np
 
-from pathtsp.cuts import gomory_hu_tree
+from pathtsp.cuts import CutChain, gomory_hu_tree, load_of_mask
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
-from pathtsp.instance import build_appendix_instance, edge
-from pathtsp.reassembler import SWEEPS, TYPE_CODES, classify
+from pathtsp.instance import (build_appendix_instance, edge, edges_cost,
+                              vector_cost)
+from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
+                            CutAudit, GammaParams, TreeParity, Verdict,
+                            check_join_membership, check_packing,
+                            cheapest_cut_edges)
+from pathtsp.reassembler import SWEEPS, TYPE_CODES, classify, type_data
 from pathtsp.tree_decomp import is_spanning_tree
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 
 
 def cut_value(x, U):
@@ -957,3 +969,223 @@ def validate_exchange_record(rec, chain):
                 bad.append(f"(d) s2_new acquired fragile type {tj} at "
                            f"cut {j} without s1_new GOOD cover")
     return bad
+
+
+# ----- the certificate's stages in Fractions -----
+# The package runs these stages on ints over common denominators; here
+# they are kept as they were written on Fractions, line for line, so the
+# tests can hold the int versions to the same values, verdicts and
+# assertion messages.  They read the parities, profiles, types and cheap
+# edges from the package, as the int versions do.
+
+def benefit(parity: TreeParity, k_cross: int, ci: int,
+            cap: Fraction) -> Fraction:
+    """The benefit of the tree at chain level ci, crossed k_cross times;
+    cap = beta(2 - x(C))/(1 - 2beta) at that level."""
+    if k_cross % 2 == 0:
+        return min(cap, parity.gamma[parity.e_path[ci]])
+    if k_cross == 1:
+        return 1 - parity.gamma[parity.e_path[ci]]
+    return ZERO
+
+
+def benefits_fraction(dist, chain: CutChain, parities,
+                      params: GammaParams) -> BenefitAudit:
+    """Per-narrow-cut benefit audit of parities (from assign_gamma with the
+    same params); margins may be negative (reported, never raised).  The
+    per-tree invariants of the critical-cut case analysis are asserted
+    wherever an active case exists — their failure would mean a code bug,
+    not a legitimately failing instance.  They are consequences of the
+    rule-based gamma, so under params.uniform_half the case machinery is
+    skipped and the margins alone decide."""
+    beta, xi, eps = params.beta, params.xi, params.eps
+    w1 = 1 - 2 * beta
+    nu = params.nu
+    nu_half, nu_many = nu - HALF, 4 * nu - 1
+    # chain index -> xi-position, at the internal xi-narrow cuts
+    internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
+    counts = [chain.profile(atom.tree).counts for atom in dist]
+    per_cut = []
+    for ci, load in enumerate(chain.loads):
+        cap = beta * (2 - load) / w1
+        total = ZERO
+        p_even = ZERO
+        bens = []
+        for ai, atom in enumerate(dist):
+            k = counts[ai][ci]
+            b = benefit(parities[ai], k, ci, cap)
+            bens.append(b)
+            total += atom.weight * b
+            if k % 2 == 0:
+                p_even += atom.weight
+        required = cap * p_even
+        margin = total - required
+
+        f = params.f(load)
+        case = "less_critical" if f <= HALF else "none"
+        eq17 = None
+        eq18_ok = None
+        pos = internal.get(ci)
+        # a critical cut, whose case analysis reads the tree types; with
+        # default constants its load sits in a small window around 3/2, in
+        # particular below xi and off the chain ends, so it is internal.
+        # Exotic (but validated) parameters can break that, in which case
+        # no case applies and the margin alone decides the verdict.
+        if f > HALF and not params.uniform_half and pos is not None:
+            data = [(ai, atom.weight, *type_data(atom.tree, chain, pos),
+                     bens[ai]) for ai, atom in enumerate(dist)]
+            census = {}
+            p_many = ZERO
+            for _, w, code, _, m, _, _ in data:
+                census[code] = census.get(code, ZERO) + w
+                p_many += w * ((m - 1) // 2)
+            good = census.get("GOOD", ZERO)
+            for label, pair, combine in CASE_SPECS:
+                pair_mass = sum((census.get(c, ZERO) for c in pair), ZERO)
+                if pair_mass <= good + eps:
+                    case = label
+                    a_sum = ZERO
+                    for ai, w, code, l, m, r, b in data:
+                        a = 1 if code in pair else (-1 if code == "GOOD"
+                                                    else 0)
+                        a_sum += w * a
+                        many = (m - 1) // 2
+                        if m >= 3:
+                            lhs = (2 * b - (m + 1) * nu_half
+                                   + nu_many * many)
+                        else:
+                            lhs = (2 * b + combine(l, m, r, a) * nu_half
+                                   + nu_many * many)
+                        assert lhs >= 1, (
+                            f"per-tree case-{label} inequality failed: "
+                            f"atom {ai}, cut {ci}, type {code}, "
+                            f"lhs {lhs}")
+                    assert a_sum <= eps, "sum p_S a_S exceeded eps"
+                    break
+            base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
+                    * nu_half)
+            eq17 = base - nu_many * p_many
+            eq18_ok = base >= 2 * f
+            if case != "none" and load >= 2 - xi / 3:
+                assert 2 * total >= eq17, "weighted-sum bound failed"
+
+        per_cut.append(CutAudit(
+            cut_index=ci, load=load, case=case, total=total,
+            required=required, margin=margin, eq17_bound=eq17,
+            eq18_ok=eq18_ok, status="OK" if margin >= 0 else "FAIL"))
+    return BenefitAudit(chain=chain, parities=parities, per_cut=per_cut,
+                        all_ok=all(c.status == "OK" for c in per_cut))
+
+
+def correction_vectors_fraction(dist, chain: CutChain, parities,
+                                params: GammaParams) -> CorrectionVectors:
+    """z^S and y^S per atom, asserting the even-cut floor of z^S;
+    certify_bound checks that each y^S is in the T_S-join dominant."""
+    beta = params.beta
+    w1 = 1 - 2 * beta
+    e_cheap = cheapest_cut_edges(chain)
+    floor = [beta * (2 - load) for load in chain.loads]  # per level
+    beta_x = {e: beta * v for e, v in chain.x.items()}
+    zs, ys = [], []
+    for atom, par in zip(dist, parities):
+        z = {}
+        for e in par.i_edges:
+            z[e] = z.get(e, ZERO) + w1 * par.gamma[e]
+        counts = chain.profile(atom.tree).counts
+        for ci, k in enumerate(counts):
+            if k % 2 == 0:
+                top = floor[ci] - w1 * par.gamma[par.e_path[ci]]
+                if top > 0:
+                    ec = e_cheap[ci]
+                    z[ec] = z.get(ec, ZERO) + top
+        assert all(v >= 0 for v in z.values())
+        # even narrow cuts now carry z-mass at least beta(2 - load)
+        for ci, mask in enumerate(chain.masks):
+            if counts[ci] % 2 == 0:
+                assert load_of_mask(z, mask) >= floor[ci], \
+                    "even-cut correction requirement failed"
+        y = dict(beta_x)
+        for e in par.j_edges:
+            y[e] = y.get(e, ZERO) + w1
+        for e, v in z.items():
+            y[e] = y.get(e, ZERO) + v
+        zs.append(z)
+        ys.append(y)
+    return CorrectionVectors(z=zs, y=ys, e_cheap=e_cheap)
+
+
+def certify_bound_fraction(dist, audit: BenefitAudit,
+                           cv: CorrectionVectors,
+                           params: GammaParams) -> Verdict:
+    """Certified iff every narrow cut passed the benefit audit AND the
+    correction vectors cv (built by correction_vectors for the same dist,
+    chain and parities) are cheap enough:
+        sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
+    Every y^S is checked for T_S-join membership on every call, and when
+    the audit passed, the whole cost chain behind that implication is
+    re-derived step by step (any failure is a bug, hence an assertion)."""
+    chain, parities = audit.chain, audit.parities
+    inst = chain.inst
+    check_join_membership(cv, parities, inst.n)
+    beta = params.beta
+    w1 = 1 - 2 * beta
+    z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
+                  for ai, atom in enumerate(dist)), ZERO)
+    path_cost = sum((atom.weight * edges_cost(parities[ai].i_edges, inst)
+                     for ai, atom in enumerate(dist)), ZERO)
+    if audit.all_ok:
+        _verify_cost_chain_fraction(dist, chain, parities, params, cv,
+                                    z_cost, path_cost)
+    certified = audit.all_ok and z_cost <= w1 * path_cost
+    return Verdict(certified=certified,
+                   label="certified" if certified else "fallback",
+                   bound=(2 - beta) if certified else Fraction(5, 3),
+                   beta=beta, z_cost=z_cost, path_cost=path_cost)
+
+
+def _verify_cost_chain_fraction(dist, chain, parities, params, cv, z_cost,
+                                path_cost):
+    """The Lemma-6-style derivation, every step numerical."""
+    beta = params.beta
+    w1 = 1 - 2 * beta
+    # per cut: the top-up mass is covered by the single-crossing slack
+    # (this is exactly the benefit inequality restated), and the cheap
+    # edge never costs more than the designated path edge, which is the
+    # lone edge of a cut crossed once
+    profiles = [chain.profile(atom.tree) for atom in dist]
+    for ci, load in enumerate(chain.loads):
+        tops = ZERO
+        slack = ZERO
+        for atom, prof, par in zip(dist, profiles, parities):
+            k = prof.counts[ci]
+            esc = par.e_path[ci]
+            if k % 2 == 0:
+                top = max(ZERO, beta * (2 - load) - w1 * par.gamma[esc])
+                tops += atom.weight * top
+            elif k == 1:
+                assert prof.single[ci] == esc
+                slack += atom.weight * (1 - par.gamma[esc])
+                assert chain.inst.cost[cv.e_cheap[ci]] \
+                    <= chain.inst.cost[esc]
+        assert tops <= w1 * slack, f"stepping stone failed at cut {ci}"
+    # per atom: narrow cuts crossed once are defined by distinct path edges
+    check_packing(dist, chain)
+    assert z_cost <= w1 * path_cost, "cost chain conclusion failed"
+
+
+def reconstruct_fraction(dist) -> dict:
+    """Sum of weight * tree incidence, as an exact edge vector."""
+    x = {}
+    for atom in dist:
+        for e in atom.tree:
+            x[e] = x.get(e, ZERO) + atom.weight
+    return {e: v for e, v in x.items() if v != 0}
+
+
+def type_census_fraction(dist, chain: CutChain, i: int) -> dict:
+    """Total weight per type code at internal xi-cut i."""
+    census = {}
+    for atom in dist:
+        code = classify(atom.tree, chain, i)
+        census[code] = census.get(code, ZERO) + atom.weight
+    return census

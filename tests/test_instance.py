@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from pathtsp.instance import (
     format_rational,
     instance_digest,
     metric_closure,
+    over_lcm,
     parse_instance,
     parse_rational,
     random_metric_instance,
@@ -61,6 +63,27 @@ def test_an_instance_cost_with_a_zero_denominator_is_rejected():
     (Fraction(-7, 4), "-7/4"), (Fraction(6, 4), "3/2")])
 def test_format_rational(q, text):
     assert format_rational(q) == text
+
+
+def test_over_lcm_edge_cases():
+    assert over_lcm({}) == ({}, 1)
+    ints = {"a": 3, "b": -2, "c": 0}
+    assert over_lcm(ints) == (ints, 1)
+    assert over_lcm({"a": Fraction(-1, 4), "b": Fraction(5, 6), "c": 2}) == (
+        {"a": -3, "b": 10, "c": 24}, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 20), st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=60).filter(lambda q: abs(q) < 100))))
+def test_over_lcm_keeps_every_value_and_sign(values):
+    nums, den = over_lcm(values)
+    assert den == lcm(*(Fraction(v).denominator for v in values.values()))
+    assert nums.keys() == values.keys()
+    for k, v in values.items():
+        assert type(nums[k]) is int and Fraction(nums[k], den) == v
+        assert (nums[k] > 0) == (v > 0) and (nums[k] < 0) == (v < 0)
 
 
 def test_instance_rejects_bad_endpoints():

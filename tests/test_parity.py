@@ -23,7 +23,6 @@ from pathtsp.parity import (
     XI_DEFAULT,
     GammaParams,
     assign_gamma,
-    benefit,
     benefits,
     certify_bound,
     cheapest_cut_edges,
@@ -36,7 +35,7 @@ from pathtsp.parity import (
 from pathtsp.reassembler import reassemble, type_census
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import (cheapest_cut_edge, cut_value, members,
+from .oracles import (benefit, cheapest_cut_edge, cut_value, members,
                       path_edge_at_cut, tjoin_violations_enumerate)
 from .test_cuts import random_chain, rational_graphs, trees_on_chains
 

@@ -199,6 +199,20 @@ def test_sweep_without_applicable_pairs_is_identity():
     assert recs == [] and out == dist
 
 
+def test_sweep_rejects_a_weight_off_the_grid(appendix0, appendix0_chain):
+    _, _, p4 = appendix0
+    quantum = EPS / 400
+    on_grid = [Atom(a.tree, a.weight - quantum) for a in p4]
+    sweep(on_grid, appendix0_chain, "left", quantum)
+    for weight in (Fraction(1, 4) - quantum / 2, Fraction(1, 3)):
+        off = on_grid[:3] + [Atom(p4[3].tree, weight)]
+        with pytest.raises(ValueError, match="^weights not on the eps/n"):
+            sweep(off, appendix0_chain, "left", quantum)
+    for bad in (0, -quantum):
+        with pytest.raises(ValueError, match="^weights not on the eps/n"):
+            sweep(on_grid, appendix0_chain, "left", bad)
+
+
 def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
     inst, xstar, p4 = appendix0
     chain = appendix0_chain

@@ -174,3 +174,16 @@ def test_check_reconstruction():
     with pytest.raises(ValueError, match="^distribution does not "
                        "reconstruct the solution$"):
         check_reconstruction(x, [dist[0], Atom(dist[0].tree, Fraction(1, 2))])
+
+
+def test_int_weights_reconstruct_to_fractions():
+    tree = path_tree((0, 1, 2))
+    for dist in ([Atom(tree, 1)], [Atom(tree, Fraction(1, 3)), Atom(tree, 0),
+                                   Atom(tree, Fraction(2, 3))]):
+        x = reconstruct(dist)
+        assert x == {edge(0, 1): 1, edge(1, 2): 1}
+        assert all(type(v) is Fraction for v in x.values())
+        assert total_weight(dist) == 1 and type(total_weight(dist)) is Fraction
+        check_reconstruction(x, dist)
+    with pytest.raises(ValueError, match="^total weight is not 1$"):
+        check_reconstruction(x, [Atom(tree, 2)])
