@@ -10,8 +10,10 @@ the support of a distribution.
 In a metric instance a minimum T-join is a minimum perfect matching on T
 using direct edges.  It is computed exactly, at any |T|, as the optimal
 vertex of the perfect-matching LP on the complete graph over T: the exact
-simplex solves the degree rows, then odd-set rows separated by Padberg-Rao
-on one Gomory-Hu tree are added warm until none is violated.  By Edmonds'
+simplex solves the degree rows, which go into the tableau in one step as
+int rows, then odd-set rows separated by Padberg-Rao on one Gomory-Hu tree
+are added warm until none is violated.  Each round reads the LP vertex on
+ints and makes a Fraction only for a fractional pair value.  By Edmonds'
 perfect-matching polytope theorem that vertex is 0/1, which is asserted;
 no blossom code is needed.
 """
@@ -41,14 +43,19 @@ def min_tjoin(T, inst: Instance):
     edges), from the exact matching LP on the complete graph over T.
 
     The LP starts with the degree rows y(delta(v)) = 1, each as a pair of
-    inequalities, and gains odd-set rows y(delta(U)) >= 1 in warm rounds,
-    each round adding every cut that Padberg-Rao separation returns.  When
-    none is left, the vertex satisfies Edmonds' description of the
-    perfect-matching polytope, so it is a vertex of that polytope: a 0/1
-    perfect matching.  Conversely, a vertex whose pair values are all 1 is
-    a perfect matching by the degree rows; it crosses every odd set, so it
-    ends the loop without a separation round, and every round that runs on
-    a fractional vertex adds at least one cut."""
+    inequalities, all 2|T| appended in one step as int rows, and gains
+    odd-set rows y(delta(U)) >= 1 in warm rounds, each round adding every
+    cut that Padberg-Rao separation returns.  When none is left, the
+    vertex satisfies Edmonds' description of the perfect-matching
+    polytope, so it is a vertex of that polytope: a 0/1 perfect matching.
+    Conversely, a vertex whose pair values are all 1 is a perfect matching
+    by the degree rows; it crosses every odd set, so it ends the loop
+    without a separation round, and every round that runs on a fractional
+    vertex adds at least one cut.
+
+    Each round reads the vertex on ints: a basic pair is at num / den, so
+    it is at 1 exactly when num == den, and only a fractional value
+    becomes a Fraction, for the separation."""
     verts = sorted(T)
     k = len(verts)
     if k % 2:
@@ -60,24 +67,32 @@ def min_tjoin(T, inst: Instance):
     var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
               for i, j in pairs}
     delta_coeffs = delta_rows(var_of, k)
+    star = [[] for _ in range(k)]
+    for (i, j), col in var_of.items():
+        star[i].append(col)
+        star[j].append(col)
 
-    # Each degree equality goes in as two warm rows, >= 1 and <= 1, so the
-    # dual simplex starts from y = 0, which the costs (>= 0) keep dual
-    # feasible.  As equalities they would start a primal phase 2 on the
-    # highly degenerate fractional matching polytope, which took about
-    # 98,000 pivots on one parity set (|T| = 70) of the raw wall at k = 30.
+    # Each degree equality goes in as two rows, >= 1 and <= 1, so the dual
+    # simplex starts from y = 0, which the costs (>= 0) keep dual feasible.
+    # As equalities they would start a primal phase 2 on the highly
+    # degenerate fractional matching polytope, which took about 98,000
+    # pivots on one parity set (|T| = 70) of the raw wall at k = 30.  The
+    # tableau has no rows before them, so all 2k go in through one
+    # add_cut_rows call as ints over 1: +1 (or -1) on the star of v, and
+    # rhs 1 (or -1).
     sx.solve()
-    for v in range(k):
-        sx.add_cut_row(delta_coeffs({v}), 1)
-        sx.add_cut_row(delta_coeffs({v}, -1), -1)
+    sx.add_cut_rows([row for cols in star
+                     for row in ((dict.fromkeys(cols, 1), 1, 1),
+                                 (dict.fromkeys(cols, -1), -1, 1))])
     sx.solve()
     seen = set()  # vertex sets of the odd-set rows
+    npairs = len(pairs)
     while True:
-        # the pairs are columns 0..len(pairs) - 1, in order
-        y = {pairs[j]: v for j, v in sorted(sx.solution().items())
-             if j < len(pairs)}
-        if all(val == 1 for val in y.values()):
+        # the pairs are columns 0..npairs - 1, each at b / d
+        at = sorted(v for v in sx.basic_values() if v[0] < npairs)
+        if all(b == d for _, b, d in at):
             break
+        y = {pairs[j]: 1 if b == d else Fraction(b, d) for j, b, d in at}
         cuts = tjoin_cut_violations(y, range(k), k)
         assert cuts, "separation found no cut at a fractional vertex"
         for U in cuts:
@@ -87,13 +102,14 @@ def min_tjoin(T, inst: Instance):
         sx.solve()
 
     sx.assert_optimal()
-    assert all(val == 1 for val in y.values()), "matching LP vertex is not 0/1"
+    assert all(b == d for _, b, d in at), "matching LP vertex is not 0/1"
+    matched = [pairs[j] for j, _, _ in at]
     deg = [0] * k
-    for i, j in y:
+    for i, j in matched:
         deg[i] += 1
         deg[j] += 1
     assert deg == [1] * k, "matching LP vertex is not a perfect matching"
-    return frozenset(edge(verts[i], verts[j]) for i, j in y)
+    return frozenset(edge(verts[i], verts[j]) for i, j in matched)
 
 
 def euler_walk(edges, start, n):

@@ -353,13 +353,7 @@ def _add_param_flags(sp, beta=True):
                         help="uniform gamma = 1/2 (use with --beta 2/5)")
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="pathtsp",
-        description="exact-arithmetic laboratory for best-of-many "
-                    "Christofides on the s-t path TSP")
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_gen(sub):
     sp = sub.add_parser("gen", help="generate instance files")
     gsub = sp.add_subparsers(dest="target", required=True)
     gr = gsub.add_parser("random")
@@ -373,12 +367,16 @@ def build_parser():
     ga.add_argument("--dist", help="also write the four-tree distribution")
     sp.set_defaults(fn=cmd_gen)
 
+
+def _add_solve_lp(sub):
     sp = sub.add_parser("solve-lp", help="solve the relaxation exactly")
     sp.add_argument("instance")
     sp.add_argument("-o", "--output", help="solution file to write")
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_solve_lp)
 
+
+def _add_decompose(sub):
     sp = sub.add_parser("decompose",
                         help="write the solution as a tree distribution")
     sp.add_argument("instance")
@@ -387,6 +385,8 @@ def build_parser():
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_decompose)
 
+
+def _add_reassemble(sub):
     sp = sub.add_parser("reassemble",
                         help="exchange edges until the type mix is safe")
     sp.add_argument("instance")
@@ -398,6 +398,8 @@ def build_parser():
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_reassemble)
 
+
+def _add_audit(sub):
     sp = sub.add_parser("audit", help="benefit audit and certification")
     sp.add_argument("instance")
     sp.add_argument("solution")
@@ -407,6 +409,8 @@ def build_parser():
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_audit)
 
+
+def _add_tour(sub):
     sp = sub.add_parser("tour", help="best-of-many tour construction")
     sp.add_argument("instance")
     sp.add_argument("dist")
@@ -414,6 +418,8 @@ def build_parser():
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_tour)
 
+
+def _add_verify(sub):
     sp = sub.add_parser("verify",
                         help="run every invariant suite on a triple")
     sp.add_argument("dist")
@@ -424,6 +430,8 @@ def build_parser():
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_verify)
 
+
+def _add_run(sub):
     sp = sub.add_parser("run", help="full pipeline on one instance")
     sp.add_argument("target",
                     help="instance path, or the word 'appendix'/'random'")
@@ -437,12 +445,42 @@ def build_parser():
     _add_param_flags(sp)
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_run)
+
+
+# each subcommand's parser builder, in the order `pathtsp -h` lists them
+SUBCOMMANDS = {"gen": _add_gen, "solve-lp": _add_solve_lp,
+               "decompose": _add_decompose, "reassemble": _add_reassemble,
+               "audit": _add_audit, "tour": _add_tour, "verify": _add_verify,
+               "run": _add_run}
+
+
+def build_parser(command=None):
+    """The argument parser.  For a known subcommand name, only that
+    subcommand's parser is built, which parses its arguments, prints its
+    help and reports its errors as the full parser does; the usage line
+    still lists every subcommand.  Otherwise every subparser is built."""
+    p = argparse.ArgumentParser(
+        prog="pathtsp",
+        description="exact-arithmetic laboratory for best-of-many "
+                    "Christofides on the s-t path TSP")
+    if command in SUBCOMMANDS:
+        # the metavar names the argument in errors, so it is set only here,
+        # where no error can be about the subcommand itself
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(SUBCOMMANDS) + "}")
+        SUBCOMMANDS[command](sub)
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        for add in SUBCOMMANDS.values():
+            add(sub)
     return p
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
     except StageFailure as exc:
         print(f"pathtsp: error {exc}", file=sys.stderr)

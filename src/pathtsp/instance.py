@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 # the package's shared constants, defined here once
@@ -94,36 +95,33 @@ def support(x: dict):
 
 
 def metric_closure(n, weighted_edges):
-    """All-pairs shortest path distances of a connected weighted graph.
+    """All-pairs shortest path distances of a connected weighted graph, by
+    Dijkstra from each vertex over the given edges.
 
     weighted_edges: dict Edge -> nonnegative length. Returns a full cost dict.
     """
-    INF = None
-    dist = [[INF] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = 0
+    adj = [[] for _ in range(n)]
     for (u, v), w in weighted_edges.items():
-        if dist[u][v] is None or w < dist[u][v]:
-            dist[u][v] = dist[v][u] = w
-    for m in range(n):
-        dm = dist[m]
-        for u in range(n):
-            dum = dist[u][m]
-            if dum is None:
-                continue
-            du = dist[u]
-            for v in range(n):
-                if dm[v] is None:
-                    continue
-                alt = dum + dm[v]
-                if du[v] is None or alt < du[v]:
-                    du[v] = alt
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     out = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if dist[u][v] is None:
-                raise ValueError("support graph is disconnected")
-            out[(u, v)] = Fraction(dist[u][v])
+    for src in range(n):
+        dist = [None] * n
+        dist[src] = 0
+        heap = [(0, src)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue  # a stale entry: u was reached cheaper since
+            for v, w in adj[u]:
+                alt = d + w
+                if dist[v] is None or alt < dist[v]:
+                    dist[v] = alt
+                    heappush(heap, (alt, v))
+        if None in dist:
+            raise ValueError("support graph is disconnected")
+        for v in range(src + 1, n):
+            out[(src, v)] = Fraction(dist[v])
     return out
 
 

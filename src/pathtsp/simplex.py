@@ -13,10 +13,12 @@ their own denominators `zden` and `z1den`.  A pivot divides the pivot row
 by its pivot entry, which cancels that row's denominator, and eliminates
 the entering column from every other row fraction-free, in the spirit of
 Bareiss (1968), touching only the pivot row's nonzeros.  Inputs, ints or
-Fractions, are read as int ratios (as_integer_ratio()) on entry, and costs
-are stored as given.  Fractions appear only in the readers: the solution,
-the objective and the phase-1 objective.  The duals are read back as ints
-over their cost row's denominator, the form pricing uses.
+Fractions, are read as int ratios (as_integer_ratio(), or numerator and
+denominator) on entry, and costs are stored as given.  Fractions appear
+only in the readers: the solution, the objective and the phase-1
+objective.  The duals are read back as ints over their cost row's
+denominator, the form pricing uses, and the solution can be read the same
+way, as each basic column's rhs over its row's denominator.
 
 Normalisation is lazy.  The pivot row and each new cut row are divided by
 the gcd of their numerators, rhs and denominator.  Any other row is divided
@@ -44,6 +46,10 @@ rationals, here by cross-multiplying ints:
 Two usage patterns:
   * cutting-plane solver: add_variable/add_constraint, solve(), then
     add_cut_row() + solve() repeatedly (dual simplex repairs the basis);
+    add_cut_rows() appends many rows in one step, each given as ints over
+    one denominator, and builds the tableau that one add_cut_row() call per
+    row builds.  Read the vertex with solution(), or with basic_values()
+    on ints;
   * column-generation master: solve_phase1(), read duals("z1"),
     add_column(), repeat until the phase-1 objective hits zero.
 """
@@ -369,43 +375,61 @@ class ExactSimplex:
     def add_cut_row(self, coeffs: dict, rhs):
         """Append a (typically violated) row coeffs.x >= rhs; solve()
         repairs the basis.  Coefficients and rhs are ints or Fractions."""
-        assert self.model is None and self.z1 is None
         b, bd = rhs.as_integer_ratio()
-        coeffs = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
-        sp = self._new_column(0)
+        d = lcm(bd, *{c.denominator for c in coeffs.values()})
+        nums = {j: c.numerator * (d // c.denominator)
+                for j, c in coeffs.items() if c}
+        return self.add_cut_rows([(nums, b * (d // bd), d)])[0]
+
+    def add_cut_rows(self, cuts) -> list:
+        """Append one row coeffs.x >= b / d per (coeffs, b, d) in cuts, in
+        int form: coeffs maps columns to int numerators over the positive
+        int d.  Returns the rows' ids; solve() repairs the basis.
+
+        The tableau is the one that adding the rows one at a time builds:
+        the surplus columns are all appended first, and each row is
+        expressed in the basis of the rows before it.  The cuts use only
+        columns that exist before the call."""
+        assert self.model is None and self.z1 is None
+        first_sp = len(self.costs)
+        for _ in cuts:
+            self._new_column(0)
+        pad = [0] * len(cuts)
         for row in self.rows:
-            row.append(0)
-        self.z.append(0)
-        # express the new row in the current basis: subtract coeffs[basis[i]]
-        # times row i, over the common denominator d_in * d_rows, at row i's
-        # nonzeros; the row is kept negated, so that the surplus enters the
-        # basis with coefficient +1
-        used = [(i, coeffs[j]) for i, j in enumerate(self.basis)
-                if j in coeffs]
-        d_in = lcm(bd, *(q for _, q in coeffs.values()))
-        d_rows = lcm(*(self.den[i] for i, _ in used))
-        d = d_in * d_rows
-        raw = [0] * len(self.costs)
-        for j, (p, q) in coeffs.items():
-            raw[j] = -p * (d // q)
-        raw[sp] = d
-        new_rhs = -b * (d // bd)
-        for i, (p, q) in used:
-            k = p * (d_in // q) * (d_rows // self.den[i])
-            row = self.rows[i]
-            for jj in compress(count(), row):
-                raw[jj] += k * row[jj]
-            new_rhs += k * self.rhs[i]
-        assert raw[sp] == d
-        raw, new_rhs, d = _reduced(raw, new_rhs, d)
-        row_id = len(self.rows)
-        self.rows.append(raw)
-        self.rhs.append(new_rhs)
-        self.den.append(d)
-        self.basis.append(sp)
-        self.art_of_row.append(-1)
-        self.sp_of_row[row_id] = sp
-        return row_id
+            row.extend(pad)
+        self.z.extend(pad)
+        ncols = len(self.costs)
+        rows, rhs, den = self.rows, self.rhs, self.den
+        first = len(rows)
+        for sp, (coeffs, b, d_in) in enumerate(cuts, first_sp):
+            # express the row in the current basis: subtract coeffs[basis[i]]
+            # times row i, over the common denominator d_in * d_rows, at row
+            # i's nonzeros; the row is kept negated, so that the surplus
+            # enters the basis with coefficient +1
+            used = [(i, coeffs[j]) for i, j in enumerate(self.basis)
+                    if j in coeffs]
+            d_rows = lcm(*(den[i] for i, _ in used))
+            d = d_in * d_rows
+            raw = [0] * ncols
+            for j, p in coeffs.items():
+                raw[j] = -p * d_rows
+            raw[sp] = d
+            new_rhs = -b * d_rows
+            for i, p in used:
+                k = p * (d_rows // den[i])
+                row = rows[i]
+                for jj in compress(count(), row):
+                    raw[jj] += k * row[jj]
+                new_rhs += k * rhs[i]
+            assert raw[sp] == d
+            raw, new_rhs, d = _reduced(raw, new_rhs, d)
+            self.sp_of_row[len(rows)] = sp
+            rows.append(raw)
+            rhs.append(new_rhs)
+            den.append(d)
+            self.basis.append(sp)
+            self.art_of_row.append(-1)
+        return list(range(first, len(rows)))
 
     def add_column(self, cost, coeffs: dict) -> int:
         """Append a structural column given its ORIGINAL-row coefficients.
@@ -449,11 +473,15 @@ class ExactSimplex:
     # ----- reading results -----
 
     def solution(self) -> dict:
-        out = {}
-        for b, d, j in zip(self.rhs, self.den, self.basis):
-            if b:
-                out[j] = out.get(j, 0) + Fraction(b, d)
-        return out
+        return {j: Fraction(b, d) for j, b, d in self.basic_values()}
+
+    def basic_values(self) -> list:
+        """The solution as ints: (column, num, den) for each basic column
+        at a nonzero value num / den, in row order.  den > 0, and the ratio
+        need not be in lowest terms, so the value is 1 exactly when
+        num == den."""
+        return [(j, b, d) for j, b, d in zip(self.basis, self.rhs, self.den)
+                if b]
 
     def duals(self, zrow_name="z"):
         """One multiplier per row, in row order, for the rows as given, as

@@ -8,13 +8,17 @@ Each case times one min_tjoin call on the largest parity set T_S among the
 trees of a wall's four-tree distribution: |T| = 20 at k = 5, the longest
 wall that the `wall` benchmark workload runs, and |T| = 34 at k = 12.
 `subset_dp` times the 2^|T| reference in tests/oracles.py on the first set.
+`best_of_many` times the whole tour stage of `pathtsp run` on the
+reassembled k = 5 wall: one T-join and one tree-plus-join per atom, then
+the shortcut of the cheapest.
 """
 
 import pytest
 
-from pathtsp import build_appendix_instance
-from pathtsp.bomc import min_tjoin
-from pathtsp.parity import split_path_join
+from pathtsp import build_appendix_instance, narrow_cuts
+from pathtsp.bomc import best_of_many, min_tjoin
+from pathtsp.parity import GammaParams, split_path_join
+from pathtsp.reassembler import reassemble
 
 from .oracles import tjoin_subset_dp
 
@@ -40,3 +44,12 @@ def test_subset_dp_wall5(benchmark):
     join = benchmark.pedantic(tjoin_subset_dp, (T, inst), rounds=10,
                               iterations=1)
     assert len(join) == 10
+
+
+def test_best_of_many_wall(benchmark):
+    inst, xstar, dist = build_appendix_instance(5)
+    final, _ = reassemble(dist, narrow_cuts(xstar, inst), GammaParams().eps)
+    rows, tour, bomc = benchmark.pedantic(best_of_many, (final, inst),
+                                          rounds=30, iterations=1,
+                                          warmup_rounds=2)
+    assert len(rows) == len(final) and tour.cost <= bomc

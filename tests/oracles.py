@@ -20,6 +20,10 @@ verdict and its cost chain, reconstruction, the type census) as they were
 written on Fractions.  They share the package's inputs to those stages
 (parities, crossing profiles, tree types, cheap edges, the membership and
 packing checks) and hold only its int arithmetic to the Fraction one.
+
+The last is the minimum T-join with its degree rows added one call at a
+time, on the package's simplex and separation: it holds the one-step
+degree rows and the int reading of the LP vertex to the row-by-row build.
 """
 
 from collections import deque
@@ -31,13 +35,14 @@ import numpy as np
 
 from pathtsp.cuts import CutChain, gomory_hu_tree, load_of_mask
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
-from pathtsp.instance import (build_appendix_instance, edge, edges_cost,
-                              vector_cost)
+from pathtsp.instance import (build_appendix_instance, complete_edges, edge,
+                              edges_cost, vector_cost)
 from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
                             CutAudit, GammaParams, TreeParity, Verdict,
                             check_join_membership, check_packing,
-                            cheapest_cut_edges)
+                            cheapest_cut_edges, tjoin_cut_violations)
 from pathtsp.reassembler import SWEEPS, TYPE_CODES, classify, type_data
+from pathtsp.simplex import ExactSimplex, delta_rows
 from pathtsp.tree_decomp import is_spanning_tree
 
 ZERO = Fraction(0)
@@ -438,8 +443,9 @@ def rational_rank(rows):
 # Fraction.  Kept as it was, except that, like ExactSimplex, it records the
 # rows add_constraint negates and flips them back in add_column and duals,
 # and it takes and returns what ExactSimplex does: add_cut_row appends a >=
-# row, and duals returns (values, 1).  The integer-row tableau must pick the
-# same pivots and return the same values.
+# row, add_cut_rows appends >= rows given as ints over a denominator, and
+# basic_values and duals return values over the denominator 1.  The integer-row tableau must pick the same
+# pivots and return the same values.
 
 ONE = Fraction(1)
 
@@ -728,6 +734,12 @@ class FractionSimplex:
         self.sp_of_row[row_id] = sp
         return row_id
 
+    def add_cut_rows(self, cuts) -> list:
+        """ExactSimplex.add_cut_rows: one add_cut_row per (coeffs, b, d),
+        the row coeffs.x >= b over d."""
+        return [self.add_cut_row({j: Fraction(p, d) for j, p in coeffs.items()},
+                                 Fraction(b, d)) for coeffs, b, d in cuts]
+
     def add_column(self, cost, coeffs: dict) -> int:
         """Append a structural column given its ORIGINAL-row coefficients.
 
@@ -773,6 +785,12 @@ class FractionSimplex:
             if self.rhs[i] != 0:
                 out[j] = out.get(j, ZERO) + self.rhs[i]
         return out
+
+    def basic_values(self) -> list:
+        """(column, value, 1) for each basic column at a nonzero value, in
+        row order: the Fraction values over the denominator 1, in
+        ExactSimplex's form."""
+        return [(j, b, 1) for j, b in zip(self.basis, self.rhs) if b]
 
     def duals(self, zrow_name="z"):
         """One multiplier per row, in row order, as (values, 1): the
@@ -881,6 +899,38 @@ def fraction_max_flow_min_cut(capacity: dict, source, sink):
             residual[(v, u)] = residual.get((v, u), ZERO) + bottleneck
             v = u
         value += bottleneck
+
+
+def metric_closure_floyd_warshall(n, weighted_edges):
+    """instance.metric_closure as it was, by Floyd-Warshall on an n x n
+    table: the same distances, key order and disconnection error."""
+    INF = None
+    dist = [[INF] * n for _ in range(n)]
+    for v in range(n):
+        dist[v][v] = 0
+    for (u, v), w in weighted_edges.items():
+        if dist[u][v] is None or w < dist[u][v]:
+            dist[u][v] = dist[v][u] = w
+    for m in range(n):
+        dm = dist[m]
+        for u in range(n):
+            dum = dist[u][m]
+            if dum is None:
+                continue
+            du = dist[u]
+            for v in range(n):
+                if dm[v] is None:
+                    continue
+                alt = dum + dm[v]
+                if du[v] is None or alt < du[v]:
+                    du[v] = alt
+    out = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if dist[u][v] is None:
+                raise ValueError("support graph is disconnected")
+            out[(u, v)] = Fraction(dist[u][v])
+    return out
 
 
 # ----- checkers: what a result must satisfy -----
@@ -1189,3 +1239,48 @@ def type_census_fraction(dist, chain: CutChain, i: int) -> dict:
         code = classify(atom.tree, chain, i)
         census[code] = census.get(code, ZERO) + atom.weight
     return census
+
+
+# ----- the minimum T-join with its degree rows added one at a time -----
+#
+# bomc.min_tjoin as it was before its 2|T| degree rows went into the tableau
+# in one step: each row is its own add_cut_row call, and each round reads
+# the LP vertex through solution(), one Fraction per basic column.  It runs
+# the package's ExactSimplex, so the two must give the same tableau, the
+# same pivots and the same join.
+
+def degree_rows_one_at_a_time(T, inst):
+    """(ExactSimplex, pairs, delta) of the matching LP on T just after its
+    degree rows went in, each as two add_cut_row calls."""
+    verts = sorted(T)
+    k = len(verts)
+    pairs = complete_edges(k)
+    sx = ExactSimplex()
+    var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
+              for i, j in pairs}
+    delta_coeffs = delta_rows(var_of, k)
+    sx.solve()
+    for v in range(k):
+        sx.add_cut_row(delta_coeffs({v}), 1)
+        sx.add_cut_row(delta_coeffs({v}, -1), -1)
+    return sx, pairs, delta_coeffs
+
+
+def min_tjoin_one_row_at_a_time(T, inst):
+    """(join, pivots): the minimum T-join and the pivots it took."""
+    verts = sorted(T)
+    k = len(verts)
+    assert k % 2 == 0
+    if not verts:
+        return frozenset(), 0
+    sx, pairs, delta_coeffs = degree_rows_one_at_a_time(T, inst)
+    sx.solve()
+    while True:
+        y = {pairs[j]: v for j, v in sorted(sx.solution().items())
+             if j < len(pairs)}
+        if all(val == 1 for val in y.values()):
+            break
+        for U in tjoin_cut_violations(y, range(k), k):
+            sx.add_cut_row(delta_coeffs(U), 1)
+        sx.solve()
+    return frozenset(edge(verts[i], verts[j]) for i, j in y), sx.pivots

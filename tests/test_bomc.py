@@ -1,12 +1,13 @@
 import random
 import re
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtsp import bomc, build_appendix_instance
+from pathtsp import bomc, build_appendix_instance, narrow_cuts
 from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
@@ -20,13 +21,16 @@ from pathtsp.instance import (
     random_metric_instance,
 )
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import split_path_join, tjoin_cut_violations
+from pathtsp.parity import GammaParams, split_path_join, tjoin_cut_violations
+from pathtsp.reassembler import reassemble
 from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import Atom, decompose
 
 from .oracles import (
+    degree_rows_one_at_a_time,
     matching_min_cost,
     min_cost_spanning_tree,
+    min_tjoin_one_row_at_a_time,
     path_min_cost,
     tjoin_subset_dp,
 )
@@ -147,17 +151,66 @@ def test_tjoin_matches_the_subset_dp_on_the_wall(k):
         assert_perfect_matching_on(join, T)
 
 
-def test_tjoin_pivots_stay_few_on_the_raw_wall(monkeypatch):
-    # with the degree rows as equalities, phase 2 took about 98,000
-    # pivots on one of these parity sets (|T| = 70)
+def recorded_simplices(monkeypatch):
+    """The list of every ExactSimplex that min_tjoin makes from now on,
+    each with `degree_state`, a copy of what it stored just after its
+    first add_cut_rows call (the degree rows)."""
     made = []
 
     class Recording(ExactSimplex):
+        degree_state = None
+
         def __init__(self):
             super().__init__()
             made.append(self)
 
+        def add_cut_rows(self, cuts):
+            row_ids = super().add_cut_rows(cuts)
+            if self.degree_state is None:
+                self.degree_state = deepcopy(vars(self))
+            return row_ids
+
     monkeypatch.setattr("pathtsp.bomc.ExactSimplex", Recording)
+    return made
+
+
+@pytest.mark.parametrize("size", range(2, 25, 2))
+def test_the_one_step_degree_rows_equal_the_rows_one_at_a_time(size, monkeypatch):
+    # the same columns, rows, dens, basis, cost rows and row maps as 2|T|
+    # add_cut_row calls, entry for entry
+    made = recorded_simplices(monkeypatch)
+    inst = random_metric_instance(30, size)
+    T = random.Random(size).sample(range(30), size)
+    min_tjoin(T, inst)
+    sx, _, _ = degree_rows_one_at_a_time(T, inst)
+    assert made[0].degree_state == vars(sx)
+    assert len(sx.rows) == 2 * size and sx.pivots == 0
+
+
+def wall_parity_sets():
+    """(inst, T) for every tree of the raw and the reassembled walls
+    k = 0..8."""
+    for k in range(9):
+        inst, xstar, dist = build_appendix_instance(k)
+        final, _ = reassemble(dist, narrow_cuts(xstar, inst),
+                              GammaParams().eps)
+        for atom in dist + final:
+            yield inst, split_path_join(atom.tree, inst).t_set
+
+
+def test_tjoin_takes_the_row_by_row_pivots_on_the_walls(monkeypatch):
+    made = recorded_simplices(monkeypatch)
+    cases = list(wall_parity_sets())
+    for inst, T in cases:
+        join = min_tjoin(T, inst)
+        assert (join, made[-1].pivots) == min_tjoin_one_row_at_a_time(T, inst)
+    assert len(made) == len(cases) > 36
+
+
+def test_tjoin_pivots_stay_few_on_the_raw_wall(monkeypatch):
+    # with the degree rows as equalities, phase 2 took about 98,000
+    # pivots on one of these parity sets (|T| = 70)
+    made = recorded_simplices(monkeypatch)
     inst, _, dist = build_appendix_instance(30)
     for atom in dist:
         T = split_path_join(atom.tree, inst).t_set

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pathtsp import lp_relax
-from pathtsp.cli import main
+from pathtsp.cli import SUBCOMMANDS, build_parser, main
 
 
 def strip_timings(path):
@@ -431,3 +431,44 @@ def test_run_trace_prints_the_exchanges_of_reassemble(tmp_path, capsys):
     assert len(reports[0]) == 6
     assert all(re.fullmatch(r"  cut=\d+ dir=(left|right) delta=\S+ "
                             r"h=\d+ k=\d+", ln) for ln in reports[0])
+
+
+def parse_exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+HELP = [["-h"], ["--help"], ["gen", "random", "-h"],
+        ["gen", "appendix", "-h"]] + [[cmd, "-h"] for cmd in SUBCOMMANDS]
+USAGE_ERRORS = [
+    [], ["bogus"], ["-x"], ["gen"], ["gen", "bogus"], ["gen", "random"],
+    ["gen", "appendix", "--k", "two", "-o", "f"], ["solve-lp"],
+    ["decompose", "i", "s"], ["reassemble", "i", "s"], ["audit", "i", "s"],
+    ["tour", "i"], ["verify", "d", "i"], ["run"],
+    ["run", "appendix", "--k", "x"], ["run", "appendix", "--bogus"],
+    ["run", "appendix", "extra"], ["tour", "i", "d", "--xi", "1/2"],
+    ["audit", "i", "s", "d", "--beta", "1/0"],
+    ["reassemble", "i", "s", "-o", "f", "--beta", "1/2"]]
+
+
+@pytest.mark.parametrize("argv", HELP + USAGE_ERRORS)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the subparser that argv[0] names; its help, usage
+    # lines and errors match the parser with every subcommand, byte for
+    # byte, also where the top-level usage line lists the subcommands
+    # (an unrecognized argument after a known one)
+    want = parse_exit(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert parse_exit(main, argv, capsys) == want
+    assert want[0] == (0 if argv in HELP else 2)
+
+
+def test_a_subcommand_parser_holds_that_subcommand_alone(capsys):
+    code, _, err = parse_exit(build_parser("run").parse_args,
+                              ["tour", "i", "d"], capsys)
+    assert code == 2
+    assert "invalid choice: 'tour' (choose from 'run')" in err
+    args = build_parser("tour").parse_args(["tour", "i", "d"])
+    assert (args.command, args.instance, args.dist) == ("tour", "i", "d")

@@ -23,7 +23,8 @@ from pathtsp.instance import (
 )
 from pathtsp.lp_relax import separate
 
-from .oracles import (appendix_certificate_sets, mask_of, rational_rank,
+from .oracles import (appendix_certificate_sets, mask_of,
+                      metric_closure_floyd_warshall, rational_rank,
                       validate_metric)
 
 
@@ -118,6 +119,43 @@ def test_metric_closure_is_metric():
     assert cost[edge(0, 3)] == 6  # shortest path wins over the direct edge
     inst = Instance(n=4, s=0, t=3, cost=cost)
     assert validate_metric(inst) == []
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(n, {edge: length}) with int and Fraction lengths, zeros included;
+    connected or not."""
+    n = draw(st.integers(1, 9))
+    length = st.one_of(st.integers(0, 20),
+                       st.fractions(0, 20, max_denominator=12))
+    pairs = draw(st.lists(st.sampled_from(complete_edges(n)), unique=True)
+                 if n > 1 else st.just([]))
+    return n, {e: draw(length) for e in pairs}
+
+
+def closure_or_error(closure, n, weighted):
+    try:
+        return list(closure(n, weighted).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_metric_closure_matches_floyd_warshall(graph):
+    # the same distances as Fractions, in the same key order, or the same
+    # error on a disconnected graph
+    n, weighted = graph
+    got = closure_or_error(metric_closure, n, weighted)
+    assert got == closure_or_error(metric_closure_floyd_warshall, n,
+                                   weighted)
+    assert isinstance(got, str) or all(type(d) is Fraction for _, d in got)
+
+
+def test_closure_rejects_a_disconnected_graph_with_enough_edges():
+    # n - 1 edges pass the early count, but vertex 3 is isolated
+    with pytest.raises(ValueError, match="support graph is disconnected"):
+        parse_instance("4 0 3\n0 1 1\n1 2 1\n0 2 1\n", closure=True)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -317,6 +317,31 @@ def test_cutting_plane_path_matches_the_fraction_tableau(run):
         assert_same_state(pair)
         pair[0].assert_optimal()
         assert_strong_duality(pair[0], rhs_given)
+
+
+def int_row(coefs, rhs):
+    """(coeffs, b, d): the row coefs.x >= rhs as ints over their lcm d."""
+    ratios = [(j, Fraction(c)) for j, c in enumerate(coefs) if c]
+    d = lcm(Fraction(rhs).denominator, *(c.denominator for _, c in ratios))
+    return {j: int(c * d) for j, c in ratios}, int(rhs * d), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(cutting_plane_runs())
+def test_a_batch_of_cut_rows_is_the_rows_one_at_a_time(run):
+    costs, rows, cuts = run
+    one, batch = ExactSimplex(), ExactSimplex()
+    for sx in (one, batch):
+        build_model(costs, rows)(sx)
+        try:
+            sx.solve()
+        except (Infeasible, Unbounded):
+            return
+    for coefs, rhs in cuts:
+        one.add_cut_row(dict(enumerate(coefs)), rhs)
+    row_ids = batch.add_cut_rows([int_row(coefs, rhs) for coefs, rhs in cuts])
+    assert row_ids == list(range(len(rows), len(rows) + len(cuts)))
+    assert vars(batch) == vars(one)
 
 
 def degenerate_model(seed):
