@@ -44,10 +44,11 @@ def min_tjoin(T, inst: Instance):
 
     The LP starts with the degree rows y(delta(v)) = 1, each as a pair of
     inequalities, all 2|T| appended in one step as int rows, and gains
-    odd-set rows y(delta(U)) >= 1 in warm rounds, each round adding every
-    cut that Padberg-Rao separation returns.  When none is left, the
-    vertex satisfies Edmonds' description of the perfect-matching
-    polytope, so it is a vertex of that polytope: a 0/1 perfect matching.
+    odd-set rows y(delta(U)) >= 1 in warm rounds, each round appending
+    every cut that Padberg-Rao separation returns in one step.  When none
+    is left, the vertex satisfies Edmonds' description of the
+    perfect-matching polytope, so it is a vertex of that polytope: a 0/1
+    perfect matching.
     Conversely, a vertex whose pair values are all 1 is a perfect matching
     by the degree rows; it crosses every odd set, so it ends the loop
     without a separation round, and every round that runs on a fractional
@@ -98,7 +99,7 @@ def min_tjoin(T, inst: Instance):
         for U in cuts:
             assert U not in seen, "separated a cut already in the model"
             seen.add(U)
-            sx.add_cut_row(delta_coeffs(U), 1)
+        sx.add_cut_rows([(delta_coeffs(U), 1, 1) for U in cuts])
         sx.solve()
 
     sx.assert_optimal()

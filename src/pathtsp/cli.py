@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from .cuts import XI_DEFAULT
 from .instance import (ZERO, build_appendix_instance, format_rational,
-                       instance_digest, parse_rational,
+                       instance_digest, over_lcm, parse_rational,
                        random_metric_instance, read_instance, vector_cost,
                        write_instance)
 from .parity import BETA_DEFAULT, EPS_DEFAULT
@@ -135,11 +136,13 @@ def gamma_params(args):
 
 
 def census_lines(dist, chain):
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     out = []
     for pos in range(1, len(chain.xi_indices) - 1):
-        census = reassembler.type_census(dist, chain, pos)
-        cells = " ".join(f"{code}={format_rational(mass)}"
-                         for code, mass in sorted(census.items()))
+        mass = reassembler.census((a.tree for a in dist), nums.values(),
+                                  chain, pos)
+        cells = " ".join(f"{code}={format_rational(Fraction(w, den))}"
+                         for code, w in sorted(mass.items()))
         out.append(f"  cut={chain.xi_indices[pos]} {cells}")
     return out
 

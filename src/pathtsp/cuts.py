@@ -200,8 +200,8 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     for s in nodes[1:]:
         t = parent[s]
         flow, side = max_flow_min_cut(net, s, t)
-        for v in nodes:
-            if v != s and v in side and parent[v] == t:
+        for v in side:  # side may hold non-nodes, which have no parent
+            if v != s and parent.get(v) == t:
                 parent[v] = s
         value[s] = flow
         # the swap keeps every subtree a minimum cut, not just flow-equivalent

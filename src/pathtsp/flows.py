@@ -1,8 +1,11 @@
 """Exact max-flow / min-cut on small undirected graphs.
 
-Edmonds-Karp on Python ints.  The Gomory-Hu cut tree in `cuts` is built
-from these flows, and LP separation runs them for the vertex pairs that
-tree cannot rule out.
+Edmonds-Karp on Python ints, with every breadth-first search used for
+more than one path: once it labels the sink t, flow is pushed along the
+search tree's path to each labelled neighbour w of t and on over the arc
+w -> t, as long as that path has residual capacity left.  The Gomory-Hu
+cut tree in `cuts` is built from these flows, and LP separation runs them
+for the vertex pairs that tree cannot rule out.
 
 Build once, query many times.  A FlowNetwork is built once per capacity
 dict and answers every flow asked of that dict: the n - 1 flows of a cut
@@ -81,21 +84,38 @@ def max_flow_min_cut(net: FlowNetwork, s: int, t: int):
         queue = [s]
         for u in queue:
             for a in adj[u]:
-                if res[a] and parent[head[a]] is None:
-                    parent[head[a]] = a
-                    queue.append(head[a])
+                if res[a]:
+                    v = head[a]
+                    if parent[v] is None:
+                        parent[v] = a
+                        queue.append(v)
             if parent[t] is not None:
                 break
         else:
             return value, frozenset(queue)
-        path = []
-        v = t
-        while v != s:
-            a = parent[v]
-            path.append(a)
-            v = head[a ^ 1]
-        bottleneck = min(res[a] for a in path)
-        for a in path:
-            res[a] -= bottleneck
-            res[a ^ 1] += bottleneck
-        value += bottleneck
+        # push flow along the tree path to each labelled w and over the
+        # arc w -> t, the path that reached t among them; each path is
+        # walked back twice, for its bottleneck and then to push that much
+        # flow, which may leave a later path with none
+        for b in adj[t]:
+            w, last = head[b], b ^ 1
+            bottleneck = res[last]
+            if not bottleneck or parent[w] is None:
+                continue
+            v = w
+            while v != s:
+                a = parent[v]
+                if res[a] < bottleneck:
+                    bottleneck = res[a]
+                v = head[a ^ 1]
+            if not bottleneck:
+                continue
+            res[last] -= bottleneck
+            res[b] += bottleneck
+            v = w
+            while v != s:
+                a = parent[v]
+                res[a] -= bottleneck
+                res[a ^ 1] += bottleneck
+                v = head[a ^ 1]
+            value += bottleneck

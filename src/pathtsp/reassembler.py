@@ -81,20 +81,20 @@ def classify(tree, chain: CutChain, i: int) -> str:
     return type_data(tree, chain, i)[0]
 
 
-def _census(trees, weights, chain: CutChain, i: int) -> dict:
+def census(trees, weights, chain: CutChain, i: int) -> dict:
     """Total of the int weights per type code at internal xi-cut i."""
-    census = {}
+    mass = {}
     for tree, w in zip(trees, weights):
         code = classify(tree, chain, i)
-        census[code] = census.get(code, 0) + w
-    return census
+        mass[code] = mass.get(code, 0) + w
+    return mass
 
 
 def type_census(dist, chain: CutChain, i: int) -> dict:
     """Total weight per type code at internal xi-cut i, summed as ints."""
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    census = _census((a.tree for a in dist), nums.values(), chain, i)
-    return {code: Fraction(w, den) for code, w in census.items()}
+    mass = census((a.tree for a in dist), nums.values(), chain, i)
+    return {code: Fraction(w, den) for code, w in mass.items()}
 
 
 # ----- the two-edge exchange -----
@@ -195,7 +195,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
         key = tree_key(a.tree)
         pot[key] = pot.get(key, 0) + w
         tree_of.setdefault(key, a.tree)
-    before = {i: _census((a.tree for a in dist), units, chain, i)
+    before = {i: census((a.tree for a in dist), units, chain, i)
               for i in range(1, last)}
 
     records = []
@@ -229,7 +229,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     for i in range(1, last):
-        after = _census(map(tree_of.get, pot), pot.values(), chain, i)
+        after = census(map(tree_of.get, pot), pot.values(), chain, i)
         assert min(after.get(want1, 0), after.get(want2, 0)) == 0
         good = after.get("GOOD", 0)
         for f in fragile:
@@ -246,8 +246,8 @@ def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     eps_w = floor(eps * den)  # an int over den is > eps iff > eps_w
     for i in range(1, last):
-        census = _census((a.tree for a in dist), nums.values(), chain, i)
-        p = lambda c: census.get(c, 0)
+        mass = census((a.tree for a in dist), nums.values(), chain, i)
+        p = lambda c: mass.get(c, 0)
         if min(p(a) + p(b) for a, b in MIX_PAIRS) > p("GOOD") + eps_w:
             return False
     return True

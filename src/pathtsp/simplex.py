@@ -26,7 +26,9 @@ by its gcd only by a step that scales its denominator: an elimination whose
 multiple f / pd of the pivot row is not over the row's own denominator, or
 an appended entry whose denominator does not divide it.  Most eliminations
 leave the denominator as it is; they change only the pivot row's columns
-and skip the gcd pass over the whole row.  So a row's denominator is always
+and skip the gcd pass over the whole row.  Normalisation and scaling touch
+only a row's nonzeros, in place: its gcd is its nonzeros' gcd, and a zero
+stays zero when it is scaled or divided.  So a row's denominator is always
 the least one its values had just after it was last scaled, and the stored
 ints are its values times that number: they cannot compound.  A row need
 not be in lowest terms, and no choice depends on whether it is.
@@ -71,27 +73,34 @@ class Unbounded(Exception):
     pass
 
 
-def _reduced(row, b, d):
+def _reduced(row, b, d, nz=None):
     """Divide (row, b, d) by the gcd of all its entries, taken with the sign
-    of d, so that the denominator comes out positive."""
+    of d, so that the denominator comes out positive.  The row is divided
+    in place at its nonzero columns nz, listed here when not given."""
     if d == 1:
         return row, b, d
-    g = gcd(d, b, *row)
+    if nz is None:
+        nz = list(compress(range(len(row)), row))
+    g = gcd(d, b, *[row[j] for j in nz])
     if d < 0:
         g = -g
     if g == 1:
         return row, b, d
-    return [c // g for c in row], b // g, d // g
+    for j in nz:
+        row[j] //= g
+    return row, b // g, d // g
 
 
 def _eliminate(row, b, d, f, pivot_nz, pb, pd):
     """(row, b) / d minus f / d times the pivot row, whose nonzeros are
     pivot_nz = [(column, numerator)] and whose rhs is pb, both over pd.
-    Reduced only when d had to be scaled."""
+    The row is changed in place, and reduced only when d had to be
+    scaled."""
     g = gcd(f, pd)
     s, f = pd // g, f // g
     if s != 1:
-        row = [c * s for c in row]
+        for jj in compress(range(len(row)), row):
+            row[jj] *= s
     for jj, p in pivot_nz:
         row[jj] -= f * p
     if s == 1:
@@ -221,11 +230,14 @@ class ExactSimplex:
 
     def _pivot(self, r, j):
         rows, rhs, den = self.rows, self.rhs, self.den
-        pd = rows[r][j]
+        prow = rows[r]
+        pd = prow[j]
         assert pd != 0
+        nz = list(compress(range(len(prow)), prow))
         # dividing by the pivot entry pd / den[r] leaves the row over pd
-        rows[r], rhs[r], den[r] = prow, pb, pd = _reduced(rows[r], rhs[r], pd)
-        pivot_nz = list(zip(compress(count(), prow), filter(None, prow)))
+        _, pb, pd = _reduced(prow, rhs[r], pd, nz)
+        rhs[r], den[r] = pb, pd
+        pivot_nz = [(jj, prow[jj]) for jj in nz]
         for i, row in enumerate(rows):
             f = row[j]
             if f and i != r:

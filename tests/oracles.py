@@ -21,15 +21,19 @@ written on Fractions.  They share the package's inputs to those stages
 (parities, crossing profiles, tree types, cheap edges, the membership and
 packing checks) and hold only its int arithmetic to the Fraction one.
 
-The last is the minimum T-join with its degree rows added one call at a
+Then comes the minimum T-join with its degree rows added one call at a
 time, on the package's simplex and separation: it holds the one-step
 degree rows and the int reading of the LP vertex to the row-by-row build.
+
+Last come two earlier forms of package code that tests hold the current
+ones to: the simplex pivot on dense int rows, and Gusfield's cut tree
+re-hanging over every node.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -1284,3 +1288,92 @@ def min_tjoin_one_row_at_a_time(T, inst):
             sx.add_cut_row(delta_coeffs(U), 1)
         sx.solve()
     return frozenset(edge(verts[i], verts[j]) for i, j in y), sx.pivots
+
+
+# ----- the simplex pivot on dense int rows -----
+#
+# simplex._reduced, simplex._eliminate and ExactSimplex._pivot as they were
+# before they touched only a row's nonzeros: every entry is scanned, scaled
+# and divided, and a scaled or divided row is a new list.  A row's gcd is
+# the gcd of its nonzeros, so both must store the same ints.
+
+def reduced_dense(row, b, d):
+    """(row, b, d) divided by the gcd of all its entries, taken with the
+    sign of d; a new row when that gcd is not 1."""
+    if d == 1:
+        return row, b, d
+    g = gcd(d, b, *row)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return row, b, d
+    return [c // g for c in row], b // g, d // g
+
+
+def eliminate_dense(row, b, d, f, pivot_nz, pb, pd):
+    """(row, b) / d minus f / d times the pivot row (pivot_nz, pb) / pd, on
+    a copy of row."""
+    g = gcd(f, pd)
+    s, f = pd // g, f // g
+    row = [c * s for c in row]
+    for jj, p in pivot_nz:
+        row[jj] -= f * p
+    if s == 1:
+        return row, b - f * pb, d
+    return reduced_dense(row, b * s - f * pb, d * s)
+
+
+def pivot_dense(rows, rhs, den, z, zden, r, j):
+    """(rows, rhs, den, z, zden) after a pivot on row r, column j, as new
+    lists: the pivot row over its pivot entry, reduced, and the column
+    eliminated from every other row and from the cost row z."""
+    rows, rhs, den = [list(row) for row in rows], list(rhs), list(den)
+    rows[r], rhs[r], den[r] = prow, pb, pd = reduced_dense(rows[r], rhs[r],
+                                                           rows[r][j])
+    pivot_nz = [(jj, p) for jj, p in enumerate(prow) if p]
+    for i, row in enumerate(rows):
+        if row[j] and i != r:
+            rows[i], rhs[i], den[i] = eliminate_dense(row, rhs[i], den[i],
+                                                      row[j], pivot_nz, pb, pd)
+    if z[j]:
+        z, _, zden = eliminate_dense(z, 0, zden, z[j], pivot_nz, 0, pd)
+    return rows, rhs, den, list(z), zden
+
+
+# ----- Gusfield's cut tree, re-hanging over every node -----
+#
+# cuts.gomory_hu_tree as it was before its re-hanging loop went over the
+# flow's side alone: it scans every node for the ones on the side that hang
+# from t.  Separation's cut lists depend on the exact tree, so the two must
+# return the same list.
+
+def gomory_hu_tree_all_nodes(net: FlowNetwork, nodes) -> list:
+    """One (side, value) pair per tree edge, as cuts.gomory_hu_tree."""
+    nodes = list(nodes)
+    if len(nodes) < 2:
+        return []
+    root = nodes[0]
+    parent = {v: root for v in nodes}
+    value = {}
+    for s in nodes[1:]:
+        t = parent[s]
+        flow, side = max_flow_min_cut(net, s, t)
+        for v in nodes:
+            if v != s and v in side and parent[v] == t:
+                parent[v] = s
+        value[s] = flow
+        if parent[t] in side:
+            parent[s] = parent[t]
+            parent[t] = s
+            value[s] = value[t]
+            value[t] = flow
+    children = {v: [] for v in nodes}
+    for v in nodes[1:]:
+        children[parent[v]].append(v)
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    below = {v: 1 << v for v in nodes}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return [(below[v], value[v]) for v in nodes[1:]]

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from pathtsp import lp_relax
-from pathtsp.cli import SUBCOMMANDS, build_parser, main
+from pathtsp import build_appendix_instance, lp_relax, narrow_cuts
+from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
+from pathtsp.instance import format_rational
+from pathtsp.parity import EPS_DEFAULT
+from pathtsp.reassembler import reassemble, type_census
 
 
 def strip_timings(path):
@@ -44,6 +47,20 @@ def test_run_appendix_is_certified_and_deterministic(tmp_path):
     assert any(ln.startswith("bomc_bound=") and ln.endswith("status=OK")
                for ln in body)
     assert "types_before:" in body and "types_after:" in body
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_census_lines_print_the_type_census(k):
+    inst, xstar, dist = build_appendix_instance(k)
+    chain = narrow_cuts(xstar, inst)
+    for d in (dist, reassemble(dist, chain, EPS_DEFAULT)[0]):
+        lines = census_lines(d, chain)
+        assert lines == [
+            f"  cut={chain.xi_indices[pos]} " + " ".join(
+                f"{code}={format_rational(mass)}"
+                for code, mass in sorted(type_census(d, chain, pos).items()))
+            for pos in range(1, len(chain.xi_indices) - 1)]
+        assert any("/" in line for line in lines)
 
 
 def test_run_appendix_without_reassembly_fails(tmp_path):

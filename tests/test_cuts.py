@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtsp.cuts import (
@@ -33,6 +33,7 @@ from .oracles import (
     crossing_edges,
     crossings,
     cut_value,
+    gomory_hu_tree_all_nodes,
     members,
     narrow_sets,
     narrow_sets_all_pairs,
@@ -149,6 +150,25 @@ def test_gomory_hu_tree_on_terminals_against_brute_force(graph, data):
         split = min(load for U, load in enumerate(loads)
                     if U & t_mask == side)
         assert split == value
+
+
+@st.composite
+def graphs_with_terminals(draw):
+    n, cap = draw(rational_graphs())
+    return n, cap, sorted(draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_terminals())
+# the first flow, from 2 to 0, has the side {1, 2}: it holds the
+# non-terminal 1, which is not in the tree
+@example((3, {(0, 1): ONE, (1, 2): 2 * ONE}, [0, 2]))
+def test_gomory_hu_tree_is_the_tree_that_rehangs_over_every_node(graph):
+    n, cap, T = graph
+    net = FlowNetwork(cap, n)
+    for nodes in (range(n), T):
+        assert gomory_hu_tree(net, nodes) == \
+            gomory_hu_tree_all_nodes(net, nodes)
 
 
 @pytest.mark.parametrize("nodes", [[], [3]])

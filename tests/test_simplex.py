@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pathtsp import bomc, build_appendix_instance, lp_relax, tree_decomp
 from pathtsp.parity import split_path_join
-from pathtsp.simplex import STALL_LIMIT, ExactSimplex, Infeasible, Unbounded
+from pathtsp.simplex import (STALL_LIMIT, ExactSimplex, Infeasible, Unbounded,
+                             _reduced)
 
 from . import oracles
 
@@ -342,6 +343,66 @@ def test_a_batch_of_cut_rows_is_the_rows_one_at_a_time(run):
     row_ids = batch.add_cut_rows([int_row(coefs, rhs) for coefs, rhs in cuts])
     assert row_ids == list(range(len(rows), len(rows) + len(cuts)))
     assert vars(batch) == vars(one)
+
+
+# sparse int rows: about two entries in three are 0, and a common factor
+# g >= 1 leaves rows with a gcd of 1 and rows with a larger one
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def scaled_rows(draw, ncols, positive_den=True):
+    """(row, b, d): a sparse int row of ncols entries, all-zero rows
+    included, its rhs and its denominator, all times one factor g >= 1,
+    except a denominator of 1, which about half the draws give."""
+    g = draw(st.integers(1, 4))
+    row = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+    d = draw(st.one_of(st.just(1), st.integers(1, 6) if positive_den
+                       else st.integers(-6, 6).filter(bool)))
+    return ([g * c for c in row], g * draw(st.integers(-9, 9)),
+            d if d == 1 else g * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: scaled_rows(n, False)))
+def test_reduced_touches_only_nonzeros(triple):
+    row, b, d = triple
+    want = oracles.reduced_dense(list(row), b, d)
+    assert _reduced(list(row), b, d) == want
+    nz = [j for j, c in enumerate(row) if c]
+    assert _reduced(list(row), b, d, nz) == want
+
+
+@st.composite
+def pivot_cases(draw):
+    """A tableau of sparse int rows over positive denominators, a sparse
+    cost row, and a pivot (r, j) on a nonzero entry of either sign."""
+    ncols = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 5))
+    rows, rhs, den = zip(*(draw(scaled_rows(ncols)) for _ in range(m)))
+    z, _, zden = draw(scaled_rows(ncols))
+    r = draw(st.integers(0, m - 1))
+    j = draw(st.integers(0, ncols - 1))
+    rows = [list(row) for row in rows]
+    if not rows[r][j]:
+        rows[r][j] = draw(st.integers(-9, 9).filter(bool))
+    return rows, list(rhs), list(den), z, zden, r, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_cases())
+def test_pivot_on_nonzeros_stores_the_dense_ints(case):
+    rows, rhs, den, z, zden, r, j = case
+    sx = ExactSimplex()
+    for _ in z:
+        sx.add_variable(0)
+    sx.model = None
+    sx.rows, sx.rhs, sx.den = [list(row) for row in rows], list(rhs), list(den)
+    sx.z, sx.zden = list(z), zden
+    sx.basis = [0] * len(rows)  # not artificial, so nothing is banned
+    sx._pivot(r, j)
+    assert (sx.rows, sx.rhs, sx.den, sx.z, sx.zden) == \
+        oracles.pivot_dense(rows, rhs, den, z, zden, r, j)
 
 
 def degenerate_model(seed):
