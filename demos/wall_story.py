@@ -14,22 +14,22 @@ from fractions import Fraction
 
 from pathtsp.bomc import best_of_many, format_tour_report
 from pathtsp.cuts import format_cut_report, narrow_cuts
-from pathtsp.instance import (appendix_wall_cut_indices,
-                              build_appendix_instance, format_rational,
+from pathtsp.instance import (build_appendix_instance, format_rational,
                               vector_cost)
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors,
                             format_audit_lines)
-from pathtsp.reassembler import reassemble, type_census
+from pathtsp.reassembler import census, reassemble
 
 RULE = "-" * 72
 
 
 def show_census(dist, chain, indices):
     for i in indices:
-        census = type_census(dist, chain, i)
+        mass = census((a.tree for a in dist), (a.weight for a in dist),
+                      chain, i)
         parts = ", ".join(f"{code}:{format_rational(w)}"
-                          for code, w in sorted(census.items()))
+                          for code, w in sorted(mass.items()))
         print(f"  cut {i}: {parts}")
 
 
@@ -41,7 +41,7 @@ def main():
           f"lp point cost {format_rational(vector_cost(xstar, inst))}")
 
     chain = narrow_cuts(xstar, inst)
-    wall = appendix_wall_cut_indices(0)
+    wall = list(range(5, 9))  # the wall cuts' chain indices at k = 0
     print(f"narrow-cut chain: {len(chain)} cuts, all below 173/100; "
           f"wall cuts are {wall}")
     for line in format_cut_report(chain)[:3]:

@@ -68,10 +68,6 @@ def min_tjoin(T, inst: Instance):
     var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
               for i, j in pairs}
     delta_coeffs = delta_rows(var_of, k)
-    star = [[] for _ in range(k)]
-    for (i, j), col in var_of.items():
-        star[i].append(col)
-        star[j].append(col)
 
     # Each degree equality goes in as two rows, >= 1 and <= 1, so the dual
     # simplex starts from y = 0, which the costs (>= 0) keep dual feasible.
@@ -79,12 +75,12 @@ def min_tjoin(T, inst: Instance):
     # degenerate fractional matching polytope, which took about 98,000
     # pivots on one parity set (|T| = 70) of the raw wall at k = 30.  The
     # tableau has no rows before them, so all 2k go in through one
-    # add_cut_rows call as ints over 1: +1 (or -1) on the star of v, and
-    # rhs 1 (or -1).
+    # add_cut_rows call as ints over 1: delta({v}) with rhs 1, and its
+    # negation with rhs -1, the same delta builder as the odd-set rows.
     sx.solve()
-    sx.add_cut_rows([row for cols in star
-                     for row in ((dict.fromkeys(cols, 1), 1, 1),
-                                 (dict.fromkeys(cols, -1), -1, 1))])
+    stars = [delta_coeffs({v}) for v in range(k)]
+    sx.add_cut_rows([row for star in stars for row in (
+        (star, 1, 1), (dict.fromkeys(star, -1), -1, 1))])
     sx.solve()
     seen = set()  # vertex sets of the odd-set rows
     npairs = len(pairs)

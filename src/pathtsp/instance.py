@@ -18,7 +18,6 @@ from math import lcm
 # the package's shared constants, defined here once
 ZERO = Fraction(0)
 ONE = Fraction(1)
-TWO = Fraction(2)
 HALF = Fraction(1, 2)
 
 
@@ -299,8 +298,3 @@ def build_appendix_instance(k: int = 0):
         assert len(atom.tree) == n - 1
     assert reconstruct(p4) == xstar, "four-tree average must reproduce xstar"
     return inst, xstar, p4
-
-
-def appendix_wall_cut_indices(k: int = 0):
-    """Chain indices (0-based, in the full narrow-cut chain) of the wall cuts."""
-    return list(range(5, 9 + 2 * k))

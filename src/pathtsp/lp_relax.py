@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import gomory_hu_tree
+from .cuts import gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        over_lcm, parse_rational, vector_cost)
@@ -88,8 +88,7 @@ def separate(x: dict, inst: Instance):
         if not side & 1:
             side ^= full
         if side not in found:
-            load = sum(c for (u, v), c in cap.items()
-                       if ((side >> u) ^ (side >> v)) & 1)
+            load = load_of_mask(cap, side)
             if load < required * scale:
                 U = tuple(v for v in range(n) if (side >> v) & 1)
                 found[side] = (U, required, load)
@@ -150,7 +149,7 @@ def solve_lp(inst: Instance) -> LpSolution:
 
     for v in range(n):
         rhs = 1 if v in (inst.s, inst.t) else 2
-        sx.add_constraint(delta_coeffs({v}), "=", rhs)
+        sx.add_constraint(delta_coeffs({v}), rhs)
     seen = set()  # canonical vertex sets of the cut rows
     sx.solve()
 

@@ -82,19 +82,12 @@ def classify(tree, chain: CutChain, i: int) -> str:
 
 
 def census(trees, weights, chain: CutChain, i: int) -> dict:
-    """Total of the int weights per type code at internal xi-cut i."""
+    """Total weight per type code at internal xi-cut i, ints or Fractions."""
     mass = {}
     for tree, w in zip(trees, weights):
         code = classify(tree, chain, i)
         mass[code] = mass.get(code, 0) + w
     return mass
-
-
-def type_census(dist, chain: CutChain, i: int) -> dict:
-    """Total weight per type code at internal xi-cut i, summed as ints."""
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    mass = census((a.tree for a in dist), nums.values(), chain, i)
-    return {code: Fraction(w, den) for code, w in mass.items()}
 
 
 # ----- the two-edge exchange -----

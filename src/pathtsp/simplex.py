@@ -45,15 +45,16 @@ rationals, here by cross-multiplying ints:
     so it leaves the objective unchanged (a stall) exactly when the leaving
     row's rhs is 0.
 
-Two usage patterns:
-  * cutting-plane solver: add_variable/add_constraint, solve(), then
-    add_cut_row() + solve() repeatedly (dual simplex repairs the basis);
-    add_cut_rows() appends many rows in one step, each given as ints over
-    one denominator, and builds the tableau that one add_cut_row() call per
-    row builds.  Read the vertex with solution(), or with basic_values()
-    on ints;
-  * column-generation master: solve_phase1(), read duals("z1"),
-    add_column(), repeat until the phase-1 objective hits zero.
+Three usage patterns, whose model rows are equalities with rhs >= 0:
+  * path LP: add_variable/add_constraint, solve(), then add_cut_row() or
+    add_cut_rows() + solve() repeatedly (dual simplex repairs the basis);
+    add_cut_rows() appends many rows, each as ints over one denominator,
+    in one step, building the tableau one add_cut_row() per row builds.
+    Read the vertex with solution(), or with basic_values() on ints;
+  * decomposition master: equality rows, solve_phase1(), read duals("z1"),
+    add_column(), repeat with phase 1 open until its objective is zero;
+  * T-join matching LP: an empty model, solve(), then every row through
+    add_cut_rows() + solve().
 """
 
 from __future__ import annotations
@@ -125,16 +126,16 @@ def _appended(row, b, d, num, nden):
 def delta_rows(var_of: dict, n: int):
     """The cut-row builder of an LP with one column per vertex pair:
     var_of maps each pair (u, v) of 0..n-1 to its column.  Returns
-    delta(U, sign=1) -> {column: sign} over the pairs with exactly one end
-    in U, read from an n x n table in |U| (n - |U|) steps."""
+    delta(U) -> {column: 1} over the pairs with exactly one end in U, read
+    from an n x n table in |U| (n - |U|) steps."""
     table = [[0] * n for _ in range(n)]
     for (u, v), j in var_of.items():
         table[u][v] = table[v][u] = j
 
-    def delta(U, sign=1):
+    def delta(U):
         inside = set(U)
         outside = [v for v in range(n) if v not in inside]
-        return {table[u][v]: sign for u in inside for v in outside}
+        return {table[u][v]: 1 for u in inside for v in outside}
 
     return delta
 
@@ -152,8 +153,7 @@ class ExactSimplex:
         self.den = []
         self.basis = []          # basic column per row
         self.art_of_row = []     # artificial column per original row (-1: none)
-        self.sp_of_row = {}      # surplus column of a row, where one exists
-        self.negated = set()     # rows stored times -1 to make rhs >= 0
+        self.sp_of_row = {}      # surplus column of each cut row
         self.z = None            # phase-2 reduced-cost row, over zden
         self.zden = 1
         self.z1 = None           # phase-1 row over z1den; None once closed
@@ -173,23 +173,15 @@ class ExactSimplex:
             "add_variable only before the first solve"
         return self._new_column(cost)
 
-    def add_constraint(self, coeffs: dict, sense: str, rhs):
-        """coeffs: {col: coef}; sense '=' or '>='.  Coefficients and rhs
-        are ints or Fractions."""
+    def add_constraint(self, coeffs: dict, rhs):
+        """The equality row coeffs.x = rhs, coeffs: {col: coef}, rhs >= 0.
+        Coefficients and rhs are ints or Fractions."""
         assert self.model is not None, \
             "add_constraint only before the first solve"
         b, bd = rhs.as_integer_ratio()
-        row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
-        if sense == ">=":
-            sp = self.add_variable(0)
-            row[sp] = (-1, 1)
-            self.sp_of_row[len(self.model)] = sp
-        elif sense != "=":
-            raise ValueError(f"unknown sense {sense!r}")
         if b < 0:
-            row = {j: (-p, q) for j, (p, q) in row.items()}
-            b = -b
-            self.negated.add(len(self.model))
+            raise ValueError(f"model row rhs {rhs} < 0")
+        row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
         self.model.append((row, b, bd))
 
     def _setup(self):
@@ -452,15 +444,13 @@ class ExactSimplex:
         assert self.model is None
         coeffs = {i0: a.as_integer_ratio() for i0, a in coeffs.items()
                   if a != 0}
-        # tableau column = B^-1 a, read off the artificial columns, with a
-        # taken on the stored rows (negated where the rhs was < 0)
+        # tableau column = B^-1 a, read off the artificial columns
         d_in = lcm(*(q for _, q in coeffs.values()))
         weights = []
         for i0, (p, q) in coeffs.items():
             acol = self.art_of_row[i0]
             assert acol >= 0, "add_column needs the row's artificial column"
-            k = p * (d_in // q)
-            weights.append((acol, -k if i0 in self.negated else k))
+            weights.append((acol, p * (d_in // q)))
         j = self._new_column(cost)
         rows, rhs, den = self.rows, self.rhs, self.den
         for i, row in enumerate(rows):
@@ -503,8 +493,7 @@ class ExactSimplex:
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
         the negated reduced cost; for a surplus (-1 entry, cost 0) y_i is
-        the reduced cost itself.  That is the multiplier of the stored row,
-        so it changes sign on a row that add_constraint negated.
+        the reduced cost itself.
         """
         phase1 = zrow_name == "z1"
         assert not phase1 or self.z1 is not None
@@ -512,12 +501,11 @@ class ExactSimplex:
         out = []
         for i, acol in enumerate(self.art_of_row):
             if phase1:
-                y = den - zrow[acol]
+                out.append(den - zrow[acol])
             elif acol >= 0:
-                y = -zrow[acol]
+                out.append(-zrow[acol])
             else:
-                y = zrow[self.sp_of_row[i]]
-            out.append(-y if i in self.negated else y)
+                out.append(zrow[self.sp_of_row[i]])
         return out, den
 
     def assert_optimal(self):

@@ -164,8 +164,8 @@ def decompose(x: dict, inst: Instance):
         columns[sx.add_column(ZERO, coeffs)] = tree
 
     for e in edges:
-        sx.add_constraint({}, "=", x[e])
-    sx.add_constraint({}, "=", ONE)
+        sx.add_constraint({}, x[e])
+    sx.add_constraint({}, ONE)
     sx.solve_phase1()  # sets up the all-artificial basis
 
     seeded = max_weight_spanning_tree(n, {e: x[e] for e in edges})

@@ -444,12 +444,15 @@ def rational_rank(rows):
 # ----- the exact simplex on a Fraction tableau -----
 #
 # The tableau that pathtsp.simplex.ExactSimplex replaced: every entry a
-# Fraction.  Kept as it was, except that, like ExactSimplex, it records the
-# rows add_constraint negates and flips them back in add_column and duals,
-# and it takes and returns what ExactSimplex does: add_cut_row appends a >=
-# row, add_cut_rows appends >= rows given as ints over a denominator, and
-# basic_values and duals return values over the denominator 1.  The integer-row tableau must pick the same
-# pivots and return the same values.
+# Fraction.  Kept as it was, except that it records the rows add_constraint
+# negates and flips them back in add_column and duals, and it takes and
+# returns what ExactSimplex does: add_cut_row appends a >= row, add_cut_rows
+# appends >= rows given as ints over a denominator, and basic_values and
+# duals return values over the denominator 1.  Its add_constraint still
+# takes a sense and a rhs of either sign; ExactSimplex takes only the
+# equality rows with rhs >= 0 that its callers build, so the tests hand both
+# the same equality.  The integer-row tableau must pick the same pivots and
+# return the same values.
 
 ONE = Fraction(1)
 
@@ -968,6 +971,12 @@ def appendix_certificate_sets(k=0):
     return sets
 
 
+def appendix_wall_cut_indices(k=0):
+    """Chain indices (0-based, in the full narrow-cut chain) of the wall
+    fixture's wall cuts."""
+    return list(range(5, 9 + 2 * k))
+
+
 def validate_exchange_record(rec, chain):
     """Re-check everything the exchange promises; returns violation strings."""
     bad = []
@@ -1266,7 +1275,7 @@ def degree_rows_one_at_a_time(T, inst):
     sx.solve()
     for v in range(k):
         sx.add_cut_row(delta_coeffs({v}), 1)
-        sx.add_cut_row(delta_coeffs({v}, -1), -1)
+        sx.add_cut_row(dict.fromkeys(delta_coeffs({v}), -1), -1)
     return sx, pairs, delta_coeffs
 
 

@@ -14,15 +14,14 @@ import pytest
 from pathtsp import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from pathtsp.cli import check_lp_point, main
 from pathtsp.instance import (
-    appendix_wall_cut_indices,
     build_appendix_instance,
     random_metric_instance,
     vector_cost,
 )
 
-from .oracles import (appendix_certificate_sets, crossings, mask_of,
-                      matching_min_cost, path_min_cost, rational_rank,
-                      validate_exchange_record, violated_cuts)
+from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
+                      crossings, mask_of, matching_min_cost, path_min_cost,
+                      rational_rank, validate_exchange_record, violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)

@@ -18,7 +18,6 @@ from pathtsp.cuts import (
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
     Instance,
-    appendix_wall_cut_indices,
     build_appendix_instance,
     complete_edges,
     edge,
@@ -30,6 +29,7 @@ from pathtsp.reassembler import type_data
 from pathtsp.tree_decomp import Atom, decompose
 
 from .oracles import (
+    appendix_wall_cut_indices,
     crossing_edges,
     crossings,
     cut_value,

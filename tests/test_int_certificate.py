@@ -1,7 +1,7 @@
 """The certificate's int arithmetic against its Fraction reference.
 
 benefits, correction_vectors, certify_bound (with its cost chain),
-reconstruct and type_census run on ints over common denominators; the
+reconstruct and the type census run on ints over common denominators; the
 versions written on Fractions are kept in tests/oracles.py.  Every case
 runs both and asks for the same CutAudits, z^S, y^S, cheap edges, verdict,
 census and reconstruction, or for the same AssertionError message when a
@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from pathtsp import build_appendix_instance, narrow_cuts
 from pathtsp.cuts import CutChain
-from pathtsp.instance import Instance, complete_edges, edge
+from pathtsp.instance import Instance, complete_edges, edge, over_lcm
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
-from pathtsp.reassembler import reassemble, type_census
+from pathtsp.reassembler import census, reassemble
 from pathtsp.tree_decomp import Atom, decompose, reconstruct
 
 from .oracles import (benefits_fraction, certify_bound_fraction,
@@ -68,10 +68,11 @@ def assert_stages_agree(dist, chain, params):
 def assert_sums_agree(dist, chain):
     x = reconstruct(dist)
     assert x == reconstruct_fraction(dist) and all_fractions(x.values())
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     for i in range(1, len(chain.xi_indices) - 1):
-        census = type_census(dist, chain, i)
-        assert census == type_census_fraction(dist, chain, i)
-        assert all_fractions(census.values())
+        mass = census((a.tree for a in dist), nums.values(), chain, i)
+        assert {code: Fraction(w, den) for code, w in mass.items()} \
+            == type_census_fraction(dist, chain, i)
 
 
 @pytest.mark.parametrize("reassembled", [False, True], ids=["raw", "final"])

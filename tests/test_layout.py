@@ -9,20 +9,26 @@ SHARED = ("ZERO", "ONE", "TWO", "HALF")
 PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
 
 
+def statement_names(node):
+    """The names one module-level statement defines: a function or class
+    name, or the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)}
+
+
 def module_assignments(path):
     """The names assigned at module level in one source file."""
-    names = set()
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            names.update(n.id for n in ast.walk(target)
-                         if isinstance(n, ast.Name))
-    return names
+    return {name for node in ast.parse(path.read_text()).body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for name in statement_names(node)}
 
 
 def test_shared_constants_are_defined_once():
@@ -71,9 +77,8 @@ def test_no_placeholder_in_a_plain_string():
 def top_level_definitions(path):
     """The names a module defines at top level: assignments, functions and
     classes, not the names it imports."""
-    defs = {node.name for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    return defs | module_assignments(path)
+    return {name for node in ast.parse(path.read_text()).body
+            for name in statement_names(node)}
 
 
 def test_names_are_imported_from_their_defining_module():
@@ -112,3 +117,36 @@ def test_simplex_builds_fractions_only_in_its_readers():
     extra = fraction_callers(SRC / "simplex.py") - {
         "solution", "objective", "_phase1_objective"}
     assert not extra, f"Fraction( called outside the readers: {extra}"
+
+
+def names_read(node, modules):
+    """The names one syntax tree reads: loaded names, names imported from
+    a package module, and module.name attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 1:
+            out.update(a.name for a in sub.names)
+        elif isinstance(sub, ast.Attribute) and \
+                isinstance(sub.value, ast.Name) and sub.value.id in modules:
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_is_read_in_the_package():
+    # code with no caller is deleted; helpers only tests use live in tests/
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    reads = [(stem, stmt, names_read(stmt, modules))
+             for stem, tree in modules.items() for stmt in tree.body]
+    unread = []
+    for stem, tree in modules.items():
+        if stem == "__init__":
+            continue
+        for stmt in tree.body:
+            for name in statement_names(stmt):
+                if not any(name in names and other is not stmt
+                           for _, other, names in reads):
+                    unread.append(f"{stem}.{name}")
+    assert not unread, f"definitions nothing in the package reads: {unread}"

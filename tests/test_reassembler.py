@@ -4,21 +4,22 @@ from fractions import Fraction
 import pytest
 
 from pathtsp.cuts import CutChain, load_of_mask, narrow_cuts
-from pathtsp.instance import Instance, appendix_wall_cut_indices, complete_edges, edge
+from pathtsp.instance import Instance, complete_edges, edge
 from pathtsp.reassembler import (
     TYPE_CODES,
     ExchangeError,
+    census,
     classify,
     exchange,
     reassemble,
     sweep,
-    type_census,
     type_data,
     type_mix_bound_holds,
 )
 from pathtsp.tree_decomp import Atom, decompose, reconstruct, total_weight
 
-from .oracles import validate_exchange_record
+from .oracles import (appendix_wall_cut_indices, type_census_fraction,
+                      validate_exchange_record)
 
 HALF = Fraction(1, 2)
 XI = Fraction(173, 100)
@@ -104,8 +105,7 @@ def test_type_queries_only_at_internal_cuts(six_chain):
 
 
 def test_type_census(six_chain):
-    dist = [Atom(S1, HALF), Atom(S2, HALF)]
-    assert type_census(dist, six_chain, 2) == {"120": HALF, "011": HALF}
+    assert census([S1, S2], [1, 1], six_chain, 2) == {"120": 1, "011": 1}
 
 
 def test_exchange_on_the_two_tree_fixture(six_chain):
@@ -165,23 +165,23 @@ def test_sweeps_on_the_wall_distribution(appendix0, appendix0_chain):
     inst, xstar, p4 = appendix0
     chain = appendix0_chain
     for i in appendix_wall_cut_indices(0):
-        census = type_census(p4, chain, i)
-        assert census == {"011": Fraction(1, 4), "110": Fraction(1, 4),
-                          "021": Fraction(1, 4), "120": Fraction(1, 4)}
+        mass = type_census_fraction(p4, chain, i)
+        assert mass == {"011": Fraction(1, 4), "110": Fraction(1, 4),
+                        "021": Fraction(1, 4), "120": Fraction(1, 4)}
     quantum = EPS / inst.n ** 2   # the grid reassemble sweeps on
     swept, recs = sweep(p4, chain, "right", quantum)
     assert recs and reconstruct(swept) == xstar
     assert total_weight(swept) == 1
     for i in range(1, len(chain) - 1):
-        census = type_census(swept, chain, i)
-        assert min(census.get("120", Fraction(0)),
-                   census.get("011", Fraction(0))) == 0
+        mass = type_census_fraction(swept, chain, i)
+        assert min(mass.get("120", Fraction(0)),
+                   mass.get("011", Fraction(0))) == 0
     swept2, recs2 = sweep(swept, chain, "left", quantum)
     assert reconstruct(swept2) == xstar
     for i in range(1, len(chain) - 1):
-        census = type_census(swept2, chain, i)
-        assert min(census.get("021", Fraction(0)),
-                   census.get("110", Fraction(0))) == 0
+        mass = type_census_fraction(swept2, chain, i)
+        assert min(mass.get("021", Fraction(0)),
+                   mass.get("110", Fraction(0))) == 0
     for rec in recs + recs2:
         assert validate_exchange_record(rec, chain) == []
         assert rec.delta > 0

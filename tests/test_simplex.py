@@ -30,8 +30,8 @@ def dual_values(sx, zrow_name="z"):
 
 def test_equality_system_solves_exactly():
     sx, (x, y) = build([1, 2])
-    sx.add_constraint({x: 1, y: 1}, "=", 3)
-    sx.add_constraint({x: 1, y: -1}, "=", 1)
+    sx.add_constraint({x: 1, y: 1}, 3)
+    sx.add_constraint({x: 1, y: -1}, 1)
     sx.solve()
     assert sx.objective() == 4
     assert sx.solution()[x] == 2
@@ -41,8 +41,10 @@ def test_equality_system_solves_exactly():
 
 def test_surplus_rows_and_strong_duality():
     sx, (x, y) = build([2, 3])
-    sx.add_constraint({x: 1, y: 1}, ">=", 4)
-    sx.add_constraint({x: 1}, ">=", 1)
+    s1 = sx.add_variable(0)
+    sx.add_constraint({x: 1, y: 1, s1: -1}, 4)
+    s2 = sx.add_variable(0)
+    sx.add_constraint({x: 1, s2: -1}, 1)
     sx.solve()
     assert sx.objective() == 8
     y_row = dual_values(sx)
@@ -52,35 +54,52 @@ def test_surplus_rows_and_strong_duality():
 
 def test_fractional_rhs_stays_exact():
     sx, (x,) = build([1])
-    sx.add_constraint({x: 7}, "=", 3)
+    sx.add_constraint({x: 7}, 3)
     sx.solve()
     assert sx.solution()[x] == Fraction(3, 7)
     assert isinstance(sx.objective(), Fraction)
 
 
+def test_model_rows_reject_a_negative_rhs():
+    sx, (x,) = build([1])
+    for rhs in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            sx.add_constraint({x: -1}, rhs)
+    assert sx.model == []
+    sx.add_constraint({x: 1}, 0)
+    sx.solve()
+    assert sx.objective() == 0
+
+
 def test_infeasible_system_raises():
     sx, (x,) = build([1])
-    sx.add_constraint({x: 1}, "=", 1)
-    sx.add_constraint({x: 1}, ">=", 2)
+    sx.add_constraint({x: 1}, 1)
+    sp = sx.add_variable(0)
+    sx.add_constraint({x: 1, sp: -1}, 2)
     with pytest.raises(Infeasible):
         sx.solve()
 
 
 def test_unbounded_objective_raises():
     sx, (x,) = build([-1])
-    sx.add_constraint({x: 1}, ">=", 1)
+    sp = sx.add_variable(0)
+    sx.add_constraint({x: 1, sp: -1}, 1)
     with pytest.raises(Unbounded):
         sx.solve()
 
 
 def test_beale_cycling_example_terminates():
-    # the classic degenerate tableau that cycles under naive Dantzig
+    # the classic degenerate tableau that cycles under naive Dantzig; each
+    # >= row gets its surplus column, and x6 <= 1 its slack
     sx, (x4, x5, x6, x7) = build([Fraction(-3, 4), 150, Fraction(-1, 50), 6])
+    s1 = sx.add_variable(0)
     sx.add_constraint({x4: Fraction(-1, 4), x5: 60, x6: Fraction(1, 25),
-                       x7: -9}, ">=", 0)
+                       x7: -9, s1: -1}, 0)
+    s2 = sx.add_variable(0)
     sx.add_constraint({x4: Fraction(-1, 2), x5: 90, x6: Fraction(1, 50),
-                       x7: -3}, ">=", 0)
-    sx.add_constraint({x6: -1}, ">=", -1)
+                       x7: -3, s2: -1}, 0)
+    s3 = sx.add_variable(0)
+    sx.add_constraint({x6: 1, s3: 1}, 1)
     sx.solve()
     assert sx.objective() == Fraction(-1, 20)
     sx.assert_optimal()
@@ -88,7 +107,8 @@ def test_beale_cycling_example_terminates():
 
 def test_warm_cut_rows_reprice_the_optimum():
     sx, (x, y) = build([1, 1])
-    sx.add_constraint({x: 1, y: 1}, ">=", 1)
+    sp = sx.add_variable(0)
+    sx.add_constraint({x: 1, y: 1, sp: -1}, 1)
     sx.solve()
     assert sx.objective() == 1
     sx.add_cut_row({x: 1}, Fraction(3, 4))
@@ -104,8 +124,8 @@ def test_column_generation_master_loop():
     # miniature of the decomposition master: fix a target point, price in
     # columns until the phase-1 residual hits zero
     sx = ExactSimplex()
-    sx.add_constraint({}, "=", Fraction(1, 2))
-    sx.add_constraint({}, "=", 1)
+    sx.add_constraint({}, Fraction(1, 2))
+    sx.add_constraint({}, 1)
     gap = sx.solve_phase1()
     assert gap == Fraction(3, 2)
     a = sx.add_column(0, {0: 1, 1: 1})
@@ -118,36 +138,23 @@ def test_column_generation_master_loop():
     assert sx.solution()[b] == Fraction(1, 2)
 
 
-def test_add_column_on_a_negative_rhs_row():
-    # add_constraint stores a row with rhs < 0 negated; a column priced in
-    # later enters with its coefficient on that row negated too
-    sx = ExactSimplex()
-    sx.add_constraint({}, "=", -1)
-    sx.add_constraint({}, "=", 2)
-    assert sx.solve_phase1() == 3
-    j = sx.add_column(0, {0: -1, 1: 2})
-    assert sx.solve_phase1() == 0
-    assert sx.solution()[j] == 1
-
-
 def test_duals_belong_to_the_rows_as_given():
-    # add_constraint stores -x = -1 as x = 1; the dual belongs to the row
-    # as given, so sum y_i b_i = -1 * -1 equals the objective 1
+    # x <= 3 as x + s1 = 3 and x >= 1 as x - s2 = 1: only the second row
+    # binds, and sum y_i b_i = 1 equals the objective
     sx, (x,) = build([1])
-    sx.add_constraint({x: -1}, "=", -1)
+    s1 = sx.add_variable(0)
+    sx.add_constraint({x: 1, s1: 1}, 3)
+    s2 = sx.add_variable(0)
+    sx.add_constraint({x: 1, s2: -1}, 1)
     sx.solve()
     assert sx.objective() == 1
-    assert dual_values(sx) == [-1]
-    sx, (x,) = build([1])
-    sx.add_constraint({x: -1}, ">=", -3)
-    sx.add_constraint({x: 1}, ">=", 1)
-    sx.solve()
     assert dual_values(sx) == [0, 1]
 
 
 def test_solution_maps_only_nonzero_basics():
     sx, (x, y) = build([1, 1])
-    sx.add_constraint({x: 1, y: 1}, ">=", 2)
+    sp = sx.add_variable(0)
+    sx.add_constraint({x: 1, y: 1, sp: -1}, 2)
     sx.solve()
     sol = sx.solution()
     assert sum(sol.values(), Fraction(0)) == 2
@@ -206,7 +213,15 @@ class IntegerTableau(PivotPath, ExactSimplex):
                 assert gcd(d, b, *row) == 1
 
 
-class StallRecorder(PivotPath, oracles.FractionSimplex):
+class FractionEqualities(oracles.FractionSimplex):
+    """The Fraction tableau, taking model rows as ExactSimplex does: the
+    equality coeffs.x = rhs."""
+
+    def add_constraint(self, coeffs, rhs):
+        super().add_constraint(coeffs, "=", rhs)
+
+
+class StallRecorder(PivotPath, FractionEqualities):
     """The oracle, recording its pivots and its longest run of degenerate
     pivots."""
     streak = longest = 0
@@ -276,10 +291,18 @@ def assert_same_state(pair, phase1=False):
 
 
 def build_model(costs, rows):
+    """Each row (coefs, sense, rhs) goes in as an equality with rhs >= 0: a
+    >= row gets a surplus column, added just before it with coefficient
+    -1, and a row with rhs < 0 is negated."""
     def build(sx):
         cols = [sx.add_variable(c) for c in costs]
         for coefs, sense, rhs in rows:
-            sx.add_constraint(dict(zip(cols, coefs)), sense, rhs)
+            coeffs = dict(zip(cols, coefs))
+            if sense == ">=":
+                coeffs[sx.add_variable(0)] = -1
+            if rhs < 0:
+                coeffs = {j: -c for j, c in coeffs.items()}
+            sx.add_constraint(coeffs, abs(rhs))
     return build
 
 
@@ -301,7 +324,7 @@ def cutting_plane_runs(draw):
 @given(cutting_plane_runs())
 def test_cutting_plane_path_matches_the_fraction_tableau(run):
     costs, rows, cuts = run
-    rhs_given = [Fraction(rhs) for _, _, rhs in rows]
+    rhs_given = [abs(Fraction(rhs)) for _, _, rhs in rows]
     pair = both(build_model(costs, rows))
     if not same_call(pair, "solve"):
         return
@@ -436,7 +459,8 @@ def test_degenerate_path_matches_the_fraction_tableau(seed):
 @st.composite
 def master_runs(draw):
     """A column-generation master: = rows with rational rhs of any sign
-    and no variables, then columns priced in one at a time."""
+    and no variables, then columns priced in one at a time.  A row with
+    rhs < 0 goes in negated, with its entry in every column."""
     m = draw(st.integers(1, 5))
     rhs = draw(st.lists(rationals, min_size=m, max_size=m))
     columns = draw(st.lists(st.tuples(
@@ -456,14 +480,15 @@ def test_master_path_matches_the_fraction_tableau(run):
 
     def build(sx):
         for b in rhs:
-            sx.add_constraint({}, "=", b)
+            sx.add_constraint({}, abs(b))
 
     pair = both(build)
     assert same_call(pair, "solve_phase1")
     assert_same_state(pair, phase1=True)
     for cost, coefs in columns:
         for sx in pair:
-            sx.add_column(cost, dict(enumerate(coefs)))
+            sx.add_column(cost, {i: -a if b < 0 else a for i, (a, b)
+                                 in enumerate(zip(coefs, rhs))})
         assert_same_tableau(pair)
         assert same_call(pair, "solve_phase1")
         assert_same_state(pair, phase1=True)
@@ -476,7 +501,7 @@ def same_pivots_as_fractions(monkeypatch, module, run):
     place: both return the same result through the same pivots.  Returns
     that result and the pivots."""
     results, paths = [], []
-    for base in (ExactSimplex, oracles.FractionSimplex):
+    for base in (ExactSimplex, FractionEqualities):
         path = []
 
         class Recording(base):
