@@ -10,12 +10,16 @@ the support of a distribution.
 In a metric instance a minimum T-join is a minimum perfect matching on T
 using direct edges.  It is computed exactly, at any |T|, as the optimal
 vertex of the perfect-matching LP on the complete graph over T: the exact
-simplex solves the degree rows, which go into the tableau in one step as
-int rows, then odd-set rows separated by Padberg-Rao on one Gomory-Hu tree
-are added warm until none is violated.  Each round reads the LP vertex on
-ints and makes a Fraction only for a fractional pair value.  By Edmonds'
-perfect-matching polytope theorem that vertex is 0/1, which is asserted;
-no blossom code is needed.
+simplex solves |T| + 1 degree rows (every star >= 1 and the pair total
+<= |T|/2, which together hold each degree at 1 but, unlike equality rows,
+let the dual simplex start from the all-slack basis with no primal
+phase), which go into the tableau in one step as int rows, then odd-set
+rows are added warm until none is violated.  Each round adds every T-odd
+connected component of the LP support at once, and the cuts of
+Padberg-Rao on one Gomory-Hu tree only when there is none.  Each round
+reads the LP vertex on ints and makes a Fraction only for a fractional
+pair value.  By Edmonds' perfect-matching polytope theorem that vertex is
+0/1, which is asserted; no blossom code is needed.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ def min_tjoin(T, inst: Instance):
     """Minimum-cost T-join as a minimum perfect matching on T (direct
     edges), from the exact matching LP on the complete graph over T.
 
-    The LP starts with the degree rows y(delta(v)) = 1, each as a pair of
-    inequalities, all 2|T| appended in one step as int rows, and gains
-    odd-set rows y(delta(U)) >= 1 in warm rounds, each round appending
-    every cut that Padberg-Rao separation returns in one step.  When none
-    is left, the vertex satisfies Edmonds' description of the
-    perfect-matching polytope, so it is a vertex of that polytope: a 0/1
-    perfect matching.
+    The LP starts with k + 1 degree rows, y(delta(v)) >= 1 for every v
+    and -y(E) >= -k/2, all appended in one step as int rows; together they
+    hold every degree at exactly 1.  It gains odd-set rows
+    y(delta(U)) >= 1 in warm rounds, each round appending in one step
+    every cut that tjoin_cut_violations returns: all T-odd connected
+    components of the support when there are any (each has load 0), else
+    the violated cuts of Padberg-Rao separation.  When none is left, the
+    vertex satisfies Edmonds' description of the perfect-matching
+    polytope, so it is a vertex of that polytope: a 0/1 perfect matching.
     Conversely, a vertex whose pair values are all 1 is a perfect matching
     by the degree rows; it crosses every odd set, so it ends the loop
     without a separation round, and every round that runs on a fractional
@@ -69,18 +75,16 @@ def min_tjoin(T, inst: Instance):
               for i, j in pairs}
     delta_coeffs = delta_rows(var_of, k)
 
-    # Each degree equality goes in as two rows, >= 1 and <= 1, so the dual
-    # simplex starts from y = 0, which the costs (>= 0) keep dual feasible.
-    # As equalities they would start a primal phase 2 on the highly
-    # degenerate fractional matching polytope, which took about 98,000
-    # pivots on one parity set (|T| = 70) of the raw wall at k = 30.  The
-    # tableau has no rows before them, so all 2k go in through one
-    # add_cut_rows call as ints over 1: delta({v}) with rhs 1, and its
-    # negation with rhs -1, the same delta builder as the odd-set rows.
+    # The stars and the total force every degree to exactly 1 (the degrees
+    # sum to 2 y(E) <= k).  As inequalities they let the dual simplex start
+    # from y = 0, which the costs (>= 0) keep dual feasible; as equalities
+    # they would start a primal phase 2 on the highly degenerate fractional
+    # matching polytope, which took about 98,000 pivots on one parity set
+    # (|T| = 70) of the raw wall at k = 30.  The tableau has no rows before
+    # them, so all k + 1 go in through one add_cut_rows call as ints over 1.
     sx.solve()
-    stars = [delta_coeffs({v}) for v in range(k)]
-    sx.add_cut_rows([row for star in stars for row in (
-        (star, 1, 1), (dict.fromkeys(star, -1), -1, 1))])
+    sx.add_cut_rows([(delta_coeffs({v}), 1, 1) for v in range(k)]
+                    + [(dict.fromkeys(var_of.values(), -1), -(k // 2), 1)])
     sx.solve()
     seen = set()  # vertex sets of the odd-set rows
     npairs = len(pairs)

@@ -47,7 +47,7 @@ from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, edge,
                        format_rational, over_lcm)
 from .reassembler import MIX_PAIRS, type_data
-from .tree_decomp import tree_path
+from .tree_decomp import UnionFind, tree_path
 
 BETA_DEFAULT = Fraction(401, 1000)
 EPS_DEFAULT = Fraction(1, 100)
@@ -384,37 +384,52 @@ def correction_vectors(dist, chain: CutChain, parities,
 
 
 def tjoin_cut_violations(y: dict, t_set, n: int):
-    """T-odd cuts with y(delta(U)) < 1, as vertex tuples containing 0.
+    """T-odd cuts with y(delta(U)) < 1, as distinct vertex tuples
+    containing 0.
 
-    Padberg-Rao on a Gomory-Hu tree of y over the terminals T alone,
-    |T| - 1 flows: each tree edge splits T, and its value is the least
-    load of a cut with that split.  The edges whose side is odd include a
-    minimum T-odd cut, so the list is empty exactly when every T-odd cut
-    has load at least 1.  When T = V an edge's side is its cut; otherwise
-    one more flow per violated edge, between two added vertices tied to
-    the terminals of each side, turns the split into a vertex set."""
+    First the connected components of y's support: a component C with
+    |C cap T| odd is a T-odd cut of load 0, so every such C is returned at
+    once, by its side holding 0 (two components give one cut, C1 and
+    V - C2 being the same set).  Only when there is none does the exact
+    separation run: Padberg-Rao on a Gomory-Hu tree of y over the
+    terminals T alone, |T| - 1 flows.  Each tree edge splits T, and its
+    value is the least load of a cut with that split.  The edges whose
+    side is odd include a minimum T-odd cut, so the list is empty exactly
+    when every T-odd cut has load at least 1.  When T = V an edge's side
+    is its cut; otherwise one more flow per violated edge, between two
+    added vertices tied to the terminals of each side, turns the split
+    into a vertex set."""
     cap = {e: v for e, v in y.items() if v != 0}
     full = (1 << n) - 1
     t_mask = sum(1 << v for v in t_set)
-    out = []
-    net = FlowNetwork(cap, n)
-    for side, value in gomory_hu_tree(net, sorted(t_set)):
-        if value >= net.den or side.bit_count() % 2 == 0:
-            continue
-        if t_mask != full:
-            big = sum(cap.values(), 1)  # above any cut's load
-            ties = dict(cap)
-            for v in t_set:
-                ties[n if (side >> v) & 1 else n + 1, v] = big
-            tnet = FlowNetwork(ties, n + 2)
-            flow, cut = max_flow_min_cut(tnet, n, n + 1)
-            assert flow * net.den == value * tnet.den, \
-                "the split's cut is not the tree edge's"
-            side = sum(1 << v for v in cut if v < n)
-        if not side & 1:
-            side ^= full
-        out.append(tuple(v for v in range(n) if (side >> v) & 1))
-    return out
+    uf = UnionFind(n)
+    for u, v in cap:
+        uf.union(u, v)
+    comps = {}
+    for v in range(n):
+        root = uf.find(v)
+        comps[root] = comps.get(root, 0) | 1 << v
+    sides = [side for side in comps.values()
+             if (side & t_mask).bit_count() % 2]
+    if not sides:
+        net = FlowNetwork(cap, n)
+        for side, value in gomory_hu_tree(net, sorted(t_set)):
+            if value >= net.den or side.bit_count() % 2 == 0:
+                continue
+            if t_mask != full:
+                big = sum(cap.values(), 1)  # above any cut's load
+                ties = dict(cap)
+                for v in t_set:
+                    ties[n if (side >> v) & 1 else n + 1, v] = big
+                tnet = FlowNetwork(ties, n + 2)
+                flow, cut = max_flow_min_cut(tnet, n, n + 1)
+                assert flow * net.den == value * tnet.den, \
+                    "the split's cut is not the tree edge's"
+                side = sum(1 << v for v in cut if v < n)
+            sides.append(side)
+    return [tuple(v for v in range(n) if (side >> v) & 1)
+            for side in dict.fromkeys(s if s & 1 else s ^ full
+                                      for s in sides)]
 
 
 def check_join_membership(cv: CorrectionVectors, parities, n: int):

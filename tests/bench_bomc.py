@@ -4,9 +4,13 @@ Outside the default test run, which collects only test_*.py; run with
 
     PYTHONPATH=src python -m pytest tests/bench_bomc.py
 
-Each case times one min_tjoin call on the largest parity set T_S among the
-trees of a wall's four-tree distribution: |T| = 20 at k = 5, the longest
-wall that the `wall` benchmark workload runs, and |T| = 34 at k = 12.
+Each `min_tjoin_wall` case times one min_tjoin call on the first parity set
+T_S of the given size among the trees of a wall's distribution: on the raw
+four-tree distribution, |T| = 20 at k = 5, the longest wall that the `wall`
+benchmark workload runs, and |T| = 34 at k = 12; on the reassembled k = 20
+wall, a |T| = 48 set that took 57 separation rounds (about 0.6-0.8 s) while
+each round added one Gomory-Hu side, and takes 2 now that a round adds
+every T-odd component of the LP support; it runs fewer rounds.
 `subset_dp` times the 2^|T| reference in tests/oracles.py on the first set.
 `best_of_many` times the whole tour stage of `pathtsp run` on the
 reassembled k = 5 wall: one T-join and one tree-plus-join per atom, then
@@ -23,24 +27,28 @@ from pathtsp.reassembler import reassemble
 from .oracles import tjoin_subset_dp
 
 
-def largest_parity_set(k):
-    inst, _, dist = build_appendix_instance(k)
-    T = max((split_path_join(atom.tree, inst).t_set for atom in dist),
-            key=len)
+def parity_set(k, size, reassembled=False):
+    """(T, inst): the first T_S with |T_S| = size on the wall at k."""
+    inst, xstar, dist = build_appendix_instance(k)
+    if reassembled:
+        dist, _ = reassemble(dist, narrow_cuts(xstar, inst),
+                             GammaParams().eps)
+    T = next(T for T in (split_path_join(atom.tree, inst).t_set
+                         for atom in dist) if len(T) == size)
     return T, inst
 
 
-@pytest.mark.parametrize("k, size", [(5, 20), (12, 34)])
-def test_min_tjoin_wall(benchmark, k, size):
-    T, inst = largest_parity_set(k)
-    assert len(T) == size
-    join = benchmark.pedantic(min_tjoin, (T, inst), rounds=30, iterations=1,
-                              warmup_rounds=2)
+@pytest.mark.parametrize("k, size, reassembled, rounds", [
+    (5, 20, False, 30), (12, 34, False, 30), (20, 48, True, 8)])
+def test_min_tjoin_wall(benchmark, k, size, reassembled, rounds):
+    T, inst = parity_set(k, size, reassembled)
+    join = benchmark.pedantic(min_tjoin, (T, inst), rounds=rounds,
+                              iterations=1, warmup_rounds=2)
     assert len(join) == size // 2
 
 
 def test_subset_dp_wall5(benchmark):
-    T, inst = largest_parity_set(5)
+    T, inst = parity_set(5, 20)
     join = benchmark.pedantic(tjoin_subset_dp, (T, inst), rounds=10,
                               iterations=1)
     assert len(join) == 10

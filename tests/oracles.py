@@ -1264,7 +1264,8 @@ def type_census_fraction(dist, chain: CutChain, i: int) -> dict:
 
 def degree_rows_one_at_a_time(T, inst):
     """(ExactSimplex, pairs, delta) of the matching LP on T just after its
-    degree rows went in, each as two add_cut_row calls."""
+    |T| + 1 degree rows went in, one add_cut_row call each: every star
+    >= 1, then -y(E) >= -|T|/2."""
     verts = sorted(T)
     k = len(verts)
     pairs = complete_edges(k)
@@ -1275,7 +1276,7 @@ def degree_rows_one_at_a_time(T, inst):
     sx.solve()
     for v in range(k):
         sx.add_cut_row(delta_coeffs({v}), 1)
-        sx.add_cut_row(dict.fromkeys(delta_coeffs({v}), -1), -1)
+    sx.add_cut_row(dict.fromkeys(var_of.values(), -1), -(k // 2))
     return sx, pairs, delta_coeffs
 
 

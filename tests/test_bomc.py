@@ -154,11 +154,13 @@ def test_tjoin_matches_the_subset_dp_on_the_wall(k):
 def recorded_simplices(monkeypatch):
     """The list of every ExactSimplex that min_tjoin makes from now on,
     each with `degree_state`, a copy of what it stored just after its
-    first add_cut_rows call (the degree rows)."""
+    first add_cut_rows call (the degree rows), and `rounds`, the number of
+    add_cut_rows calls after that one (the separation rounds)."""
     made = []
 
     class Recording(ExactSimplex):
         degree_state = None
+        rounds = 0
 
         def __init__(self):
             super().__init__()
@@ -168,6 +170,8 @@ def recorded_simplices(monkeypatch):
             row_ids = super().add_cut_rows(cuts)
             if self.degree_state is None:
                 self.degree_state = deepcopy(vars(self))
+            else:
+                self.rounds += 1
             return row_ids
 
     monkeypatch.setattr("pathtsp.bomc.ExactSimplex", Recording)
@@ -176,15 +180,15 @@ def recorded_simplices(monkeypatch):
 
 @pytest.mark.parametrize("size", range(2, 25, 2))
 def test_the_one_step_degree_rows_equal_the_rows_one_at_a_time(size, monkeypatch):
-    # the same columns, rows, dens, basis, cost rows and row maps as 2|T|
-    # add_cut_row calls, entry for entry
+    # the same columns, rows, dens, basis, cost rows and row maps as
+    # |T| + 1 add_cut_row calls, entry for entry
     made = recorded_simplices(monkeypatch)
     inst = random_metric_instance(30, size)
     T = random.Random(size).sample(range(30), size)
     min_tjoin(T, inst)
     sx, _, _ = degree_rows_one_at_a_time(T, inst)
     assert made[0].degree_state == vars(sx)
-    assert len(sx.rows) == 2 * size and sx.pivots == 0
+    assert len(sx.rows) == size + 1 and sx.pivots == 0
 
 
 def wall_parity_sets():
@@ -205,6 +209,30 @@ def test_tjoin_takes_the_row_by_row_pivots_on_the_walls(monkeypatch):
         join = min_tjoin(T, inst)
         assert (join, made[-1].pivots) == min_tjoin_one_row_at_a_time(T, inst)
     assert len(made) == len(cases) > 36
+
+
+def reassembled_parity_sets(k):
+    """(inst, the T_S of every tree of the reassembled wall at k)."""
+    inst, xstar, dist = build_appendix_instance(k)
+    final, _ = reassemble(dist, narrow_cuts(xstar, inst), GammaParams().eps)
+    return inst, [split_path_join(atom.tree, inst).t_set for atom in final]
+
+
+def test_tjoin_rounds_cut_every_odd_component_at_once(monkeypatch):
+    # with one Gomory-Hu side per round, one k = 5 set took 14 rounds, the
+    # walls k = 0, 2..5 (the `wall` benchmark pass) 37, and the reassembled
+    # k = 20 wall 60, 57 of them on one |T| = 48 set
+    made = recorded_simplices(monkeypatch)
+    rounds = {}
+    for k in (0, 2, 3, 4, 5, 20):
+        inst, sets = reassembled_parity_sets(k)
+        for T in sets:
+            assert_perfect_matching_on(min_tjoin(T, inst), T)
+        rounds[k] = [sx.rounds for sx in made[-len(sets):]]
+    assert len(made) == 24
+    assert max(rounds[5]) <= 2
+    assert sum(sum(rounds[k]) for k in (0, 2, 3, 4, 5)) <= 20
+    assert sum(rounds[20]) <= 5
 
 
 def test_tjoin_pivots_stay_few_on_the_raw_wall(monkeypatch):

@@ -350,6 +350,38 @@ def test_correction_vectors_on_the_wall(raw_audit, appendix0,
                 ^ (appendix0_chain.masks[ci] >> e[1])) & 1
 
 
+def half_triangles(count):
+    """y = 1/2 on the edges of `count` disjoint triangles 3i, 3i+1, 3i+2."""
+    return {edge(3 * i + a, 3 * i + b): HALF
+            for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))}
+
+
+def test_odd_components_are_cut_before_any_flow(monkeypatch):
+    calls = []
+    flow = cuts.max_flow_min_cut
+
+    def counted(net, s, t):
+        calls.append((s, t))
+        return flow(net, s, t)
+
+    monkeypatch.setattr(cuts, "max_flow_min_cut", counted)
+    # two components are one cut: {0, 1, 2} is V minus the other
+    assert tjoin_cut_violations(half_triangles(2), range(6), 6) == [(0, 1, 2)]
+    # a component even in T is no cut, but it sets the two sides apart
+    y = {**half_triangles(2), (6, 7): Fraction(1)}
+    assert tjoin_cut_violations(y, range(6), 8) == [(0, 1, 2),
+                                                    (0, 1, 2, 6, 7)]
+    # with four odd components each is its own cut, by the side holding 0
+    got = tjoin_cut_violations(half_triangles(4), range(12), 12)
+    assert got == [(0, 1, 2)] + [
+        tuple(v for v in range(12) if v // 3 != i) for i in (1, 2, 3)]
+    assert calls == []
+    # joined by an edge, the support is connected: Padberg-Rao, 5 flows
+    joined = {**half_triangles(2), (2, 3): HALF}
+    assert tjoin_cut_violations(joined, range(6), 6) == [(0, 1, 2)]
+    assert len(calls) == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_graphs(), st.data())
 def test_padberg_rao_against_enumeration(graph, data):
@@ -359,6 +391,7 @@ def test_padberg_rao_against_enumeration(graph, data):
         T = T ^ {0}
     fast = tjoin_cut_violations(y, T, n)
     brute = tjoin_violations_enumerate(y, T, n)
+    assert len(set(fast)) == len(fast)
     assert set(fast) <= set(brute)
     assert bool(fast) == bool(brute)
     for U in fast:
