@@ -17,17 +17,18 @@ phase), which go into the tableau in one step as int rows, then odd-set
 rows are added warm until none is violated.  Each round adds every T-odd
 connected component of the LP support at once, and the cuts of
 Padberg-Rao on one Gomory-Hu tree only when there is none.  Each round
-reads the LP vertex on ints and makes a Fraction only for a fractional
-pair value.  By Edmonds' perfect-matching polytope theorem that vertex is
-0/1, which is asserted; no blossom code is needed.
+reads the LP vertex on ints and hands it to the separation as ints over
+the lcm of the basic denominators.  By Edmonds' perfect-matching polytope
+theorem that vertex is 0/1, which is asserted; no blossom code is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .instance import (ZERO, Instance, complete_edges, edge, edges_cost,
+from .instance import (Instance, complete_edges, edge, edges_cost,
                        format_rational, over_lcm)
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, delta_rows
@@ -61,8 +62,8 @@ def min_tjoin(T, inst: Instance):
     vertex adds at least one cut.
 
     Each round reads the vertex on ints: a basic pair is at num / den, so
-    it is at 1 exactly when num == den, and only a fractional value
-    becomes a Fraction, for the separation."""
+    it is at 1 exactly when num == den, and the separation gets every
+    pair value as an int over the lcm of the basic pairs' dens."""
     verts = sorted(T)
     k = len(verts)
     if k % 2:
@@ -71,7 +72,8 @@ def min_tjoin(T, inst: Instance):
         return frozenset()
     pairs = complete_edges(k)   # over the positions 0..k-1 in verts
     sx = ExactSimplex()
-    var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
+    # verts is sorted, so (verts[i], verts[j]) is an edge for i < j
+    var_of = {(i, j): sx.add_variable(inst.cost[verts[i], verts[j]])
               for i, j in pairs}
     delta_coeffs = delta_rows(var_of, k)
 
@@ -93,8 +95,9 @@ def min_tjoin(T, inst: Instance):
         at = sorted(v for v in sx.basic_values() if v[0] < npairs)
         if all(b == d for _, b, d in at):
             break
-        y = {pairs[j]: 1 if b == d else Fraction(b, d) for j, b, d in at}
-        cuts = tjoin_cut_violations(y, range(k), k)
+        den = lcm(*{d for _, _, d in at})
+        y = {pairs[j]: b * (den // d) for j, b, d in at}
+        cuts = tjoin_cut_violations(y, range(k), k, den)
         assert cuts, "separation found no cut at a fractional vertex"
         for U in cuts:
             assert U not in seen, "separated a cut already in the model"
@@ -162,7 +165,7 @@ def _shortcut(tree, join, inst: Instance):
             seq.append(v)
     seq.append(inst.t)
     assert len(seq) == inst.n and seq[0] == inst.s
-    cost = sum((inst.cost[edge(a, b)] for a, b in zip(seq, seq[1:])), ZERO)
+    cost = edges_cost([edge(a, b) for a, b in zip(seq, seq[1:])], inst)
     return Tour(vertices=tuple(seq), cost=cost)
 
 

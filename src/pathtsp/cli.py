@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from .cuts import XI_DEFAULT
-from .instance import (ZERO, build_appendix_instance, format_rational,
+from .instance import (build_appendix_instance, format_rational,
                        instance_digest, over_lcm, parse_rational,
                        random_metric_instance, read_instance, vector_cost,
                        write_instance)
@@ -77,12 +77,14 @@ class Runner:
 
 def check_lp_point(x, inst):
     """Vertex range, degree/nonnegativity plus cut separation; works at
-    every size."""
+    every size.  The degrees are summed as ints over the lcm of x's
+    values."""
     bad = []
-    deg = {v: ZERO for v in range(inst.n)}
+    nums, den = over_lcm(x)
+    deg = [0] * inst.n   # over den
     inside = {}  # the edges of x between vertices of inst
     for (u, v), val in x.items():
-        outside = [w for w in (u, v) if w not in deg]
+        outside = [w for w in (u, v) if not 0 <= w < inst.n]
         bad.extend(f"vertex {w} of edge {u},{v} is not in 0..{inst.n - 1}"
                    for w in outside)
         if val < 0:
@@ -90,12 +92,13 @@ def check_lp_point(x, inst):
         if outside:
             continue
         inside[u, v] = val
-        deg[u] += val
-        deg[v] += val
+        deg[u] += nums[u, v]
+        deg[v] += nums[u, v]
     for v in range(inst.n):
         want = 1 if v in (inst.s, inst.t) else 2
-        if deg[v] != want:
-            bad.append(f"degree {deg[v]} at vertex {v}, expected {want}")
+        if deg[v] != want * den:
+            bad.append(f"degree {format_rational(Fraction(deg[v], den))} "
+                       f"at vertex {v}, expected {want}")
     bad.extend(f"cut {U} load {format_rational(load)} < "
                f"{format_rational(req)}"
                for U, req, load in lp_relax.separate(inside, inst))

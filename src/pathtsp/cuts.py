@@ -24,7 +24,11 @@ an edge crosses exactly the levels from the lower of its endpoints' layers
 up to, not including, the higher one.  So one pass over a tree's edges,
 with difference arrays over those level intervals, gives everything the
 later stages ask about the tree: its crossing profile, built once per tree
-and kept on the chain.
+and kept on the chain, with the tree's type code at every internal
+xi-narrow cut (the rule is in `reassembler`'s docstring).
+
+A level's load is the flow value of the cut-tree edge that gives it, so the
+chain reads every load off the tree, one Fraction per level.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ from .instance import ZERO, Instance, format_rational
 from .tree_decomp import total_weight
 
 XI_DEFAULT = Fraction(173, 100)
+
+# the type codes a tree can have at an internal xi-narrow cut
+TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
+              "022", "220", "121", "GOOD")
+# (l, m, r) -> its code "lmr", one string shared by every profile
+CODE_OF = {tuple(map(int, c)): c for c in TYPE_CODES if c != "GOOD"}
 
 
 class ChainError(Exception):
@@ -70,10 +80,13 @@ class CrossingProfile:
                previous and the next xi-narrow cut (0 at the two ends), and
                defined says whether some xi-narrow cut C' has S cap C' = {e}
                for an edge e of S cap C.
+    codes[p]   the type code of S at the p-th xi-narrow cut when it is
+               internal (0 < p < the last position), else None.
     """
     counts: list
     single: list
     types: list
+    codes: list
 
 
 @dataclass
@@ -166,12 +179,22 @@ class CutChain:
         for p in range(npos + 1):
             run += both[p]
             shared.append(run)
-        types = []
+        types, codes = [], []
         mark = 0
         for p, ci in enumerate(xi):
             mark += marked[p]
-            types.append((shared[p], counts[ci], shared[p + 1], mark > 0))
-        return CrossingProfile(counts=counts, single=single, types=types)
+            l, m, r, defined = shared[p], counts[ci], shared[p + 1], mark > 0
+            types.append((l, m, r, defined))
+            if not 0 < p < npos - 1:
+                code = None
+            elif m >= 3 or l + r >= 3 or (l + r >= 1 and not defined):
+                code = "GOOD"
+            else:
+                code = CODE_OF.get((l, m, r))
+                assert code is not None, f"impossible type {l}{m}{r}"
+            codes.append(code)
+        return CrossingProfile(counts=counts, single=single, types=types,
+                               codes=codes)
 
 
 def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
@@ -232,7 +255,7 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
 
     full = (1 << n) - 1
     net = FlowNetwork(cap, n)
-    oriented = set()
+    oriented = {}   # s-side -> the load of its cut, over net.den
     for mask, value in gomory_hu_tree(net, range(n)):
         if value >= 2 * net.den:
             continue
@@ -240,14 +263,14 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
             mask ^= full
         if (mask >> t) & 1:
             raise ChainError("narrow cut contains both path ends")
-        oriented.add(mask)
+        oriented[mask] = value
     levels = sorted(oriented, key=lambda m: (bin(m).count("1"), m))
     if not levels or levels[0] != 1 << s:
         raise ChainError(f"chain does not start at {{{s}}}")
     if levels[-1] != full ^ (1 << t):
         raise ChainError(f"chain does not end at V-{{{t}}}")
 
-    loads = [load_of_mask(x, m) for m in levels]
+    loads = [Fraction(oriented[m], net.den) for m in levels]
     if loads[0] != 1 or loads[-1] != 1:
         raise ChainError("end cuts must have load 1")
     assert all(lo < 2 for lo in loads)

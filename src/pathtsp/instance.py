@@ -2,8 +2,11 @@
 
 Conventions used across the package:
   * an Edge is a canonical tuple (u, v) with u < v (use edge() to build one);
-  * an edge vector is a plain dict Edge -> Fraction, missing entries meaning 0;
-  * all arithmetic is exact (fractions.Fraction), never floats.
+  * an edge vector is a plain dict Edge -> int or Fraction, missing entries
+    meaning 0, and an instance's costs are ints or Fractions too: the wall
+    fixture's are ints, a file's are Fractions.  Readers take either through
+    as_integer_ratio() or over_lcm;
+  * all arithmetic is exact (ints and fractions.Fraction), never floats.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class Instance:
     n: int
     s: int
     t: int
-    cost: dict = field(compare=True)  # Edge -> Fraction, all n*(n-1)/2 pairs
+    # Edge -> int or Fraction, all n*(n-1)/2 pairs
+    cost: dict = field(compare=True)
 
     def __post_init__(self):
         if self.n < 2:
@@ -80,12 +84,18 @@ class Instance:
 
 
 def vector_cost(x: dict, inst: Instance) -> Fraction:
-    """c(x) = sum of x_e * cost(e)."""
-    return sum((q * inst.cost[e] for e, q in x.items()), ZERO)
+    """c(x) = sum of x_e * cost(e), summed as ints over the lcms of x's
+    values and of their edges' costs."""
+    xs, xden = over_lcm(x)
+    cost, cden = over_lcm({e: inst.cost[e] for e in x})
+    return Fraction(sum(v * cost[e] for e, v in xs.items()), xden * cden)
 
 
 def edges_cost(edges, inst: Instance) -> Fraction:
-    return sum((inst.cost[e] for e in edges), ZERO)
+    """The total cost of an edge collection, repeats counted, summed as
+    ints over the lcm of the costs' denominators."""
+    nums, den = over_lcm(dict(enumerate(inst.cost[e] for e in edges)))
+    return Fraction(sum(nums.values()), den)
 
 
 def support(x: dict):
@@ -97,7 +107,9 @@ def metric_closure(n, weighted_edges):
     """All-pairs shortest path distances of a connected weighted graph, by
     Dijkstra from each vertex over the given edges.
 
-    weighted_edges: dict Edge -> nonnegative length. Returns a full cost dict.
+    weighted_edges: dict Edge -> nonnegative length, ints or Fractions.
+    Returns a full cost dict of the path lengths as summed: all ints when
+    every length is an int.
     """
     adj = [[] for _ in range(n)]
     for (u, v), w in weighted_edges.items():
@@ -120,7 +132,7 @@ def metric_closure(n, weighted_edges):
         if None in dist:
             raise ValueError("support graph is disconnected")
         for v in range(src + 1, n):
-            out[(src, v)] = Fraction(dist[v])
+            out[(src, v)] = dist[v]
     return out
 
 

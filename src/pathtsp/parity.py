@@ -31,9 +31,12 @@ from |T_S| - 1 flows.  certify_bound checks that membership for every y^S
 and re-verifies the full cost chain instead of trusting it.
 
 The audit, z^S, y^S and the verdict's costs run on ints over one lcm
-(instance.over_lcm), gammas converted only where read.  A Fraction is made
-only for a returned value (CutAudit, z^S, y^S, the costs) and for eq17 and
-the eq-18 test at critical cuts.
+(instance.over_lcm), gammas converted only where read.  z^S and y^S are
+returned as ints over one denominator, CorrectionVectors.den, and read
+that way by the membership check and the verdict.  A Fraction is made only
+for a returned value (gamma, CutAudit, the costs), for f(x(C)) and the cap
+beta(2 - x(C))/(1 - 2beta) of each narrow cut, each built once from the
+load's int ratio, and for eq17 and the eq-18 test at critical cuts.
 """
 
 from __future__ import annotations
@@ -53,8 +56,12 @@ BETA_DEFAULT = Fraction(401, 1000)
 EPS_DEFAULT = Fraction(1, 100)
 
 
-def f_value(beta: Fraction, x: Fraction) -> Fraction:
-    return beta * (2 - x) * (x - 1) / (1 - 2 * beta)
+def f_value(beta: Fraction, x) -> Fraction:
+    """beta(2 - x)(x - 1)/(1 - 2beta), as one Fraction of the int ratios of
+    beta and of x (an int or a Fraction)."""
+    bn, bd = beta.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    return Fraction(bn * (2 * xd - xn) * (xn - xd), xd * xd * (bd - 2 * bn))
 
 
 @dataclass
@@ -78,7 +85,7 @@ class GammaParams:
             raise ValueError(f"nu = {self.nu} must exceed 1/2")
 
     def f(self, x) -> Fraction:
-        return f_value(self.beta, Fraction(x))
+        return f_value(self.beta, x)
 
     @property
     def nu(self) -> Fraction:
@@ -180,10 +187,11 @@ def _over_one_den(dist, chain: CutChain, parities, params: GammaParams):
     their lcm wden, the rest over one lcm g, with caps[ci] = beta(2 - x(C))
     / (1 - 2beta) and gammas[ai][ci] the atom's gamma at e^S_C."""
     wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
-    w1 = 1 - 2 * params.beta
+    bn, bd = params.beta.as_integer_ratio()
     terms = {"nu": params.nu - HALF}
-    terms.update((ci, params.beta * (2 - load) / w1)
-                 for ci, load in enumerate(chain.loads))
+    for ci, load in enumerate(chain.loads):
+        ln, ld = load.as_integer_ratio()
+        terms[ci] = Fraction(bn * (2 * ld - ln), ld * (bd - 2 * bn))
     terms.update(((ai, e), par.gamma[e]) for ai, par in enumerate(parities)
                  for e in par.e_path)
     num, g = over_lcm(terms)
@@ -315,8 +323,11 @@ def benefits(dist, chain: CutChain, parities,
 
 @dataclass
 class CorrectionVectors:
+    """z^S and y^S per atom, as edge vectors of ints over den: the value
+    on edge e is z[ai][e] / den."""
     z: list         # per atom: edge vector
     y: list         # per atom: beta x* + (1-2beta) chi^{J_S} + z^S
+    den: int        # of every value of z and y
     e_cheap: dict   # narrow-cut index -> cheapest complete-graph edge e_C
 
 
@@ -345,8 +356,9 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
 
 def correction_vectors(dist, chain: CutChain, parities,
                        params: GammaParams) -> CorrectionVectors:
-    """z^S and y^S per atom, asserting the even-cut floor of z^S;
-    certify_bound checks that each y^S is in the T_S-join dominant."""
+    """z^S and y^S per atom, as ints over one den, asserting the even-cut
+    floor of z^S; certify_bound checks that each y^S is in the T_S-join
+    dominant."""
     bn, bd = params.beta.as_integer_ratio()   # 1 - 2beta = w1 / bd
     w1 = bd - 2 * bn
     e_cheap = cheapest_cut_edges(chain)
@@ -378,14 +390,15 @@ def correction_vectors(dist, chain: CutChain, parities,
             y[e] = y.get(e, 0) + w1 * lden
         for e, v in z.items():
             y[e] = y.get(e, 0) + v
-        zs.append({e: Fraction(v, den) for e, v in z.items()})
-        ys.append({e: Fraction(v, den) for e, v in y.items()})
-    return CorrectionVectors(z=zs, y=ys, e_cheap=e_cheap)
+        zs.append(z)
+        ys.append(y)
+    return CorrectionVectors(z=zs, y=ys, den=den, e_cheap=e_cheap)
 
 
-def tjoin_cut_violations(y: dict, t_set, n: int):
+def tjoin_cut_violations(y: dict, t_set, n: int, den: int):
     """T-odd cuts with y(delta(U)) < 1, as distinct vertex tuples
-    containing 0.
+    containing 0, for the edge vector whose value on e is y[e] / den
+    (y's values are ints, or Fractions with den 1).
 
     First the connected components of y's support: a component C with
     |C cap T| odd is a T-odd cut of load 0, so every such C is returned at
@@ -414,7 +427,7 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
     if not sides:
         net = FlowNetwork(cap, n)
         for side, value in gomory_hu_tree(net, sorted(t_set)):
-            if value >= net.den or side.bit_count() % 2 == 0:
+            if value >= net.den * den or side.bit_count() % 2 == 0:
                 continue
             if t_mask != full:
                 big = sum(cap.values(), 1)  # above any cut's load
@@ -435,7 +448,7 @@ def tjoin_cut_violations(y: dict, t_set, n: int):
 def check_join_membership(cv: CorrectionVectors, parities, n: int):
     """Assert that every y^S lies in the T_S-join dominant."""
     for ai, (y, par) in enumerate(zip(cv.y, parities)):
-        bad = tjoin_cut_violations(y, par.t_set, n)
+        bad = tjoin_cut_violations(y, par.t_set, n, cv.den)
         assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
 
 
@@ -467,10 +480,9 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     w1 = 1 - 2 * beta
     wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
     cost, cden = over_lcm(inst.cost)
-    zs, zden = over_lcm({(ai, e): v for ai in wts
-                         for e, v in cv.z[ai].items()})
-    z_cost = Fraction(sum(wts[ai] * v * cost[e]
-                          for (ai, e), v in zs.items()), wden * zden * cden)
+    z_cost = Fraction(sum(wts[ai] * v * cost[e] for ai in wts
+                          for e, v in cv.z[ai].items()),
+                      wden * cv.den * cden)
     path_cost = Fraction(sum(w * sum(cost[e] for e in parities[ai].i_edges)
                              for ai, w in wts.items()), wden * cden)
     if audit.all_ok:

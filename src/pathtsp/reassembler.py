@@ -23,10 +23,11 @@ satisfies the four-way type-mix bound within eps at every internal
 xi-narrow cut.
 
 Every type is read from the tree's crossing profile on the chain
-(CutChain.profile), built once per tree from the chain's layers and kept,
-so an exchange costs the profiles of the two trees it creates and nothing
-is rescanned; the exchange and the sweeps still re-check every type they
-promise.
+(CutChain.profile), built once per tree from the chain's layers and kept
+with the tree's code at every internal xi-narrow cut, so classify is a
+lookup, an exchange costs the profiles of the two trees it creates and
+nothing is rescanned; the exchange and the sweeps still re-check every
+type they promise.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ from math import floor
 from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
 from .instance import over_lcm
 from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
-                          reconstruct, round_distribution, total_weight,
-                          tree_key)
-
-TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
-              "022", "220", "121", "GOOD")
+                          round_distribution, tree_key)
 
 # the four type pairs of the type-mix bound: after reassembly, at every
 # internal xi-narrow cut, the mass of one of them is at most p_GOOD + eps
@@ -59,26 +56,26 @@ class ExchangeError(Exception):
     pass
 
 
-def type_data(tree, chain: CutChain, i: int):
-    """(code, l, m, r) of the tree at the i-th xi-narrow cut (0 < i < l'),
-    read from the tree's crossing profile."""
+def _check_internal(chain: CutChain, i: int):
     last = len(chain.xi_indices) - 1
     if not 0 < i < last:
         raise ValueError(f"type queries are only defined at internal "
                          f"xi-narrow cuts, got index {i} of 0..{last}")
-    l, m, r, defined = chain.profile(tree).types[i]
-    if m >= 3 or l + r >= 3:
-        return "GOOD", l, m, r
-    if l + r >= 1 and not defined:
-        return "GOOD", l, m, r
-    code = f"{l}{m}{r}"
-    assert code in TYPE_CODES, f"impossible type {code}"
-    return code, l, m, r
+
+
+def type_data(tree, chain: CutChain, i: int):
+    """(code, l, m, r) of the tree at the i-th xi-narrow cut (0 < i < l'),
+    read from the tree's crossing profile."""
+    _check_internal(chain, i)
+    prof = chain.profile(tree)
+    l, m, r, _ = prof.types[i]
+    return prof.codes[i], l, m, r
 
 
 def classify(tree, chain: CutChain, i: int) -> str:
     """Type code of the tree at the i-th xi-narrow cut."""
-    return type_data(tree, chain, i)[0]
+    _check_internal(chain, i)
+    return chain.profile(tree).codes[i]
 
 
 def census(trees, weights, chain: CutChain, i: int) -> dict:
@@ -269,8 +266,7 @@ def reassemble(dist, chain: CutChain, eps):
     final = swept + residual
     records = rec_l + rec_r
 
-    assert reconstruct(final) == chain.x
-    assert total_weight(final) == 1
+    check_reconstruction(chain.x, final)
     assert len(final) < n * n / eps + n * n
     assert type_mix_bound_holds(final, chain, eps)
     return final, records

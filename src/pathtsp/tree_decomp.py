@@ -111,15 +111,24 @@ def tree_path(tree, start, goal):
 
 # ----- distributions -----
 
-def reconstruct(dist) -> dict:
-    """Sum of weight * tree incidence, as an exact edge vector of Fractions,
-    summed as ints over the lcm of the weights' denominators."""
+def _incidence(dist):
+    """(x, den, total): the sum of weight * tree incidence as ints over den,
+    the lcm of the weights' denominators, without its zero entries, and
+    the total weight over den."""
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     x = {}
     for atom, w in zip(dist, nums.values()):
         for e in atom.tree:
             x[e] = x.get(e, 0) + w
-    return {e: Fraction(v, den) for e, v in x.items() if v != 0}
+    return ({e: v for e, v in x.items() if v != 0}, den,
+            sum(nums.values()))
+
+
+def reconstruct(dist) -> dict:
+    """Sum of weight * tree incidence, as an exact edge vector of Fractions,
+    summed as ints over the lcm of the weights' denominators."""
+    x, den, _ = _incidence(dist)
+    return {e: Fraction(v, den) for e, v in x.items()}
 
 
 def total_weight(dist) -> Fraction:
@@ -128,10 +137,14 @@ def total_weight(dist) -> Fraction:
 
 
 def check_reconstruction(x: dict, dist):
-    """The distribution's weights sum to 1 and its trees average to x."""
-    if total_weight(dist) != 1:
+    """The distribution's weights sum to 1 and its trees average to x,
+    compared as ints: the tree sum over its den against x over its lcm."""
+    sums, den, total = _incidence(dist)
+    if total != den:
         raise ValueError("total weight is not 1")
-    if reconstruct(dist) != {e: v for e, v in x.items() if v != 0}:
+    xs, xden = over_lcm({e: v for e, v in x.items() if v != 0})
+    if sums.keys() != xs.keys() or any(v * xden != xs[e] * den
+                                       for e, v in sums.items()):
         raise ValueError("distribution does not reconstruct the solution")
 
 

@@ -10,8 +10,9 @@ membership check of every y^S.  The chain keeps the crossing profiles that
 reassembly built, as it does in `pathtsp run`.  Also times two stages
 alone on the reassembled k = 5 wall, the longest wall of the `wall`
 benchmark workload: `benefits`, the per-cut audit with the case analysis
-at every critical cut, and the membership check `check_join_membership`,
-one Padberg-Rao pass per atom.
+at every critical cut, `correction_vectors`, z^S and y^S of every atom as
+ints over one denominator, and the membership check
+`check_join_membership`, one Padberg-Rao pass per atom.
 """
 
 from pathtsp import build_appendix_instance, narrow_cuts
@@ -47,6 +48,18 @@ def test_benefits_reassembled_wall5(benchmark):
     assert audit.all_ok and any(c.case == "1" for c in audit.per_cut)
     benchmark.pedantic(benefits, (final, chain, parities, params),
                        rounds=30, iterations=1, warmup_rounds=2)
+
+
+def test_correction_vectors_reassembled_wall5(benchmark):
+    params = GammaParams()
+    inst, xstar, dist = build_appendix_instance(5)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+    parities = assign_gamma(final, chain, params)
+    cv = benchmark.pedantic(correction_vectors,
+                            (final, chain, parities, params), rounds=30,
+                            iterations=1, warmup_rounds=2)
+    assert len(cv.z) == len(cv.y) == len(final)
 
 
 def test_join_membership_reassembled_wall5(benchmark):

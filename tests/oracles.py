@@ -20,6 +20,8 @@ verdict and its cost chain, reconstruction, the type census) as they were
 written on Fractions.  They share the package's inputs to those stages
 (parities, crossing profiles, tree types, cheap edges, the membership and
 packing checks) and hold only its int arithmetic to the Fraction one.
+correction_fractions is the one Fraction view of the package's z^S and
+y^S, which it returns as ints over one denominator.
 
 Then comes the minimum T-join with its degree rows added one call at a
 time, on the package's simplex and separation: it holds the one-step
@@ -37,7 +39,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from pathtsp.cuts import CutChain, gomory_hu_tree, load_of_mask
+from pathtsp.cuts import TYPE_CODES, CutChain, gomory_hu_tree, load_of_mask
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
 from pathtsp.instance import (build_appendix_instance, complete_edges, edge,
                               edges_cost, vector_cost)
@@ -45,7 +47,7 @@ from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
                             CutAudit, GammaParams, TreeParity, Verdict,
                             check_join_membership, check_packing,
                             cheapest_cut_edges, tjoin_cut_violations)
-from pathtsp.reassembler import SWEEPS, TYPE_CODES, classify, type_data
+from pathtsp.reassembler import SWEEPS, classify, type_data
 from pathtsp.simplex import ExactSimplex, delta_rows
 from pathtsp.tree_decomp import is_spanning_tree
 
@@ -1140,10 +1142,21 @@ def benefits_fraction(dist, chain: CutChain, parities,
                         all_ok=all(c.status == "OK" for c in per_cut))
 
 
+def correction_fractions(cv: CorrectionVectors) -> CorrectionVectors:
+    """cv with z^S and y^S as Fraction edge vectors over den 1: the form
+    correction_vectors_fraction returns and the tests read."""
+    def view(vecs):
+        return [{e: Fraction(v, cv.den) for e, v in vec.items()}
+                for vec in vecs]
+    return CorrectionVectors(z=view(cv.z), y=view(cv.y), den=1,
+                             e_cheap=cv.e_cheap)
+
+
 def correction_vectors_fraction(dist, chain: CutChain, parities,
                                 params: GammaParams) -> CorrectionVectors:
-    """z^S and y^S per atom, asserting the even-cut floor of z^S;
-    certify_bound checks that each y^S is in the T_S-join dominant."""
+    """z^S and y^S per atom as Fractions over den 1, asserting the even-cut
+    floor of z^S; certify_bound checks that each y^S is in the T_S-join
+    dominant."""
     beta = params.beta
     w1 = 1 - 2 * beta
     e_cheap = cheapest_cut_edges(chain)
@@ -1174,7 +1187,7 @@ def correction_vectors_fraction(dist, chain: CutChain, parities,
             y[e] = y.get(e, ZERO) + v
         zs.append(z)
         ys.append(y)
-    return CorrectionVectors(z=zs, y=ys, e_cheap=e_cheap)
+    return CorrectionVectors(z=zs, y=ys, den=1, e_cheap=e_cheap)
 
 
 def certify_bound_fraction(dist, audit: BenefitAudit,
@@ -1182,7 +1195,7 @@ def certify_bound_fraction(dist, audit: BenefitAudit,
                            params: GammaParams) -> Verdict:
     """Certified iff every narrow cut passed the benefit audit AND the
     correction vectors cv (built by correction_vectors for the same dist,
-    chain and parities) are cheap enough:
+    chain and parities, in their Fraction view) are cheap enough:
         sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
     Every y^S is checked for T_S-join membership on every call, and when
     the audit passed, the whole cost chain behind that implication is
@@ -1294,7 +1307,7 @@ def min_tjoin_one_row_at_a_time(T, inst):
              if j < len(pairs)}
         if all(val == 1 for val in y.values()):
             break
-        for U in tjoin_cut_violations(y, range(k), k):
+        for U in tjoin_cut_violations(y, range(k), k, 1):
             sx.add_cut_row(delta_coeffs(U), 1)
         sx.solve()
     return frozenset(edge(verts[i], verts[j]) for i, j in y), sx.pivots

@@ -20,8 +20,9 @@ from pathtsp.instance import (
 )
 
 from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
-                      crossings, mask_of, matching_min_cost, path_min_cost,
-                      rational_rank, validate_exchange_record, violated_cuts)
+                      correction_fractions, crossings, mask_of,
+                      matching_min_cost, path_min_cost, rational_rank,
+                      validate_exchange_record, violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)
@@ -173,10 +174,11 @@ def property_results(params, legacy_params):
         parities = parity.assign_gamma(final, chain, params)
         cv = parity.correction_vectors(final, chain, parities, params)
         parity.check_join_membership(cv, parities, inst.n)
+        zs = correction_fractions(cv).z
         for ai in range(len(final)):
             for ci, mask in enumerate(chain.masks):
                 if crossings(final[ai].tree, mask) % 2 == 0:
-                    zc = sum((v for e, v in cv.z[ai].items()
+                    zc = sum((v for e, v in zs[ai].items()
                               if ((mask >> e[0]) ^ (mask >> e[1])) & 1),
                              ZERO)
                     assert zc >= BETA * (2 - chain.loads[ci])

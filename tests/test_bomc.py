@@ -101,11 +101,17 @@ def assert_perfect_matching_on(join, T):
 
 def separating_min_tjoin(T, inst):
     """min_tjoin(T, inst), asserting that every separation round it runs
-    returns at least one cut: an integral vertex ends the loop unseparated."""
+    returns at least one cut: an integral vertex ends the loop unseparated.
+    Each round's vertex, as ints over den, has every degree exactly 1."""
     found = []
 
-    def recording(y, t_set, n):
-        cuts = tjoin_cut_violations(y, t_set, n)
+    def recording(y, t_set, n, den):
+        deg = [0] * n
+        for (i, j), v in y.items():
+            deg[i] += v
+            deg[j] += v
+        assert deg == [den] * n
+        cuts = tjoin_cut_violations(y, t_set, n, den)
         found.append(len(cuts))
         return cuts
 

@@ -383,6 +383,25 @@ def test_an_edge_outside_the_instance_is_a_violation(tmp_path, capsys,
         assert f"stage check-lp-point: {detail}; " in capsys.readouterr().err
 
 
+def test_a_wrong_degree_is_printed_as_a_rational(tmp_path, capsys):
+    # the degrees are summed as ints over one lcm; each wrong one is still
+    # printed as the rational it is, in vertex order
+    inst, sol, dist = infeasible_triple(tmp_path)
+    sol.write_text("0 1 1\n0 3 1\n1 3 1\n2 4 1\n4 5 1/2\n2 3 1\n")
+    detail = ("degree 2 at vertex 2, expected 1; "
+              "degree 3 at vertex 3, expected 2; "
+              "degree 3/2 at vertex 4, expected 2; "
+              "degree 1/2 at vertex 5, expected 1")
+    out = tmp_path / "verify.txt"
+    assert main(["verify", str(dist), str(inst), str(sol),
+                 "-o", str(out)]) == 1
+    assert strip_timings(out)[0].startswith(
+        f"check=lp_point status=FAIL detail={detail}; ")
+    capsys.readouterr()
+    assert main(["audit", str(inst), str(sol), str(dist)]) == 2
+    assert f"stage check-lp-point: {detail}; " in capsys.readouterr().err
+
+
 CHECKS = ("lp_point", "reconstruction", "narrow_cuts", "cut_stats",
           "packing", "correction_floor", "join_membership",
           "benefit_margins", "type_mix")

@@ -3,9 +3,10 @@
 benefits, correction_vectors, certify_bound (with its cost chain),
 reconstruct and the type census run on ints over common denominators; the
 versions written on Fractions are kept in tests/oracles.py.  Every case
-runs both and asks for the same CutAudits, z^S, y^S, cheap edges, verdict,
-census and reconstruction, or for the same AssertionError message when a
-check fails, since `verify` prints that message.
+runs both and asks for the same CutAudits, z^S, y^S (read through their
+Fraction view), cheap edges, verdict, census and reconstruction, or for the
+same AssertionError message when a check fails, since `verify` prints that
+message.
 """
 
 from fractions import Fraction
@@ -16,15 +17,16 @@ from hypothesis import strategies as st
 
 from pathtsp import build_appendix_instance, narrow_cuts
 from pathtsp.cuts import CutChain
-from pathtsp.instance import Instance, complete_edges, edge, over_lcm
+from pathtsp.instance import (Instance, complete_edges, edge, metric_closure,
+                              over_lcm)
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import census, reassemble
 from pathtsp.tree_decomp import Atom, decompose, reconstruct
 
 from .oracles import (benefits_fraction, certify_bound_fraction,
-                      correction_vectors_fraction, reconstruct_fraction,
-                      type_census_fraction)
+                      correction_fractions, correction_vectors_fraction,
+                      reconstruct_fraction, type_census_fraction)
 from .test_cuts import random_chain
 
 # the defaults, Sebo's 8/5 audit, and the beta window GammaParams admits
@@ -51,18 +53,55 @@ def assert_stages_agree(dist, chain, params):
     audit = outcome(benefits, dist, chain, parities, params)
     assert audit == outcome(benefits_fraction, dist, chain, parities, params)
     cv = outcome(correction_vectors, dist, chain, parities, params)
-    assert cv == outcome(correction_vectors_fraction, dist, chain, parities,
-                         params)
+    ref = outcome(correction_vectors_fraction, dist, chain, parities, params)
+    if isinstance(cv, tuple):
+        assert cv == ref
+    else:
+        assert correction_fractions(cv) == ref
     if isinstance(audit, tuple) or isinstance(cv, tuple):
         return
     for c in audit.per_cut:
         assert all_fractions((c.total, c.required, c.margin))
         assert c.eq17_bound is None or type(c.eq17_bound) is Fraction
-    assert all(all_fractions(v.values()) for v in cv.z + cv.y)
+    assert all(type(v) is int for vec in cv.z + cv.y for v in vec.values())
     verdict = outcome(certify_bound, dist, audit, cv, params)
-    assert verdict == outcome(certify_bound_fraction, dist, audit, cv, params)
+    assert verdict == outcome(certify_bound_fraction, dist, audit,
+                              correction_fractions(cv), params)
     if not isinstance(verdict, tuple):
         assert all_fractions((verdict.z_cost, verdict.path_cost))
+
+
+def fractions_made(monkeypatch, fn, *args):
+    """(fn's result, the number of Fractions it constructed)."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *a, **kw):
+        made.append(cls)
+        return new(cls, *a, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        result = fn(*args)
+    return result, len(made)
+
+
+def test_the_wall_closure_and_correction_vectors_make_no_fraction(
+        monkeypatch):
+    params = GammaParams()
+    inst, xstar, dist = build_appendix_instance(5)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+    parities = assign_gamma(final, chain, params)
+    cost, made = fractions_made(monkeypatch, metric_closure, inst.n,
+                                dict.fromkeys(xstar, 1))
+    assert made == 0 and cost == inst.cost
+    assert all(type(c) is int for c in cost.values())
+    cv, made = fractions_made(monkeypatch, correction_vectors, final, chain,
+                              parities, params)
+    assert made == 0
+    assert correction_fractions(cv) == correction_vectors_fraction(
+        final, chain, parities, params)
 
 
 def assert_sums_agree(dist, chain):

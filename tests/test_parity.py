@@ -15,6 +15,7 @@ from pathtsp.instance import (
     build_appendix_instance,
     complete_edges,
     edge,
+    over_lcm,
     random_metric_instance,
 )
 from pathtsp.parity import (
@@ -35,9 +36,9 @@ from pathtsp.parity import (
 from pathtsp.reassembler import reassemble
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import (benefit, cheapest_cut_edge, cut_value, members,
-                      path_edge_at_cut, tjoin_violations_enumerate,
-                      type_census_fraction)
+from .oracles import (benefit, cheapest_cut_edge, correction_fractions,
+                      cut_value, members, path_edge_at_cut,
+                      tjoin_violations_enumerate, type_census_fraction)
 from .test_cuts import random_chain, rational_graphs, trees_on_chains
 
 HALF = Fraction(1, 2)
@@ -241,11 +242,12 @@ def test_certify_bound_checks_join_membership(reassembled, appendix0,
     cv = correction_vectors(final, appendix0_chain, audit.parities, params)
     assert certify_bound(final, audit, cv, params).certified
     # without its J_S part y^S is no longer in the T_S-join dominant
+    cv = correction_fractions(cv)
     par = audit.parities[0]
     w1 = 1 - 2 * params.beta
     for e in par.j_edges:
         cv.y[0][e] -= w1
-    assert tjoin_cut_violations(cv.y[0], par.t_set, inst.n)
+    assert tjoin_cut_violations(cv.y[0], par.t_set, inst.n, 1)
     with pytest.raises(AssertionError, match=r"atom 0: y\^S misses"):
         certify_bound(final, audit, cv, params)
 
@@ -267,7 +269,7 @@ def test_join_membership_runs_one_flow_per_terminal_tree_edge(
     monkeypatch.setattr(cuts, "max_flow_min_cut", counted)
     for y, par in zip(cv.y, parities):
         calls.clear()
-        assert tjoin_cut_violations(y, par.t_set, inst.n) == []
+        assert tjoin_cut_violations(y, par.t_set, inst.n, cv.den) == []
         assert len(calls) == len(par.t_set) - 1 < inst.n - 1
 
 
@@ -325,7 +327,8 @@ def test_correction_vectors_on_the_wall(raw_audit, appendix0,
                                         appendix0_chain, params):
     inst, xstar, p4 = appendix0
     _, parities, _ = raw_audit
-    cv = correction_vectors(p4, appendix0_chain, parities, params)
+    cv = correction_fractions(correction_vectors(p4, appendix0_chain,
+                                                 parities, params))
     assert len(cv.z) == len(cv.y) == len(p4)
     w1 = 1 - 2 * params.beta
     for ai, atom in enumerate(p4):
@@ -337,11 +340,11 @@ def test_correction_vectors_on_the_wall(raw_audit, appendix0,
             rebuilt[e] = rebuilt.get(e, Fraction(0)) + v
         assert rebuilt == cv.y[ai]
         T = parities[ai].t_set
-        assert tjoin_cut_violations(cv.y[ai], T, inst.n) == []
+        assert tjoin_cut_violations(cv.y[ai], T, inst.n, 1) == []
         assert tjoin_violations_enumerate(cv.y[ai], T, inst.n) == []
         # at half weight some T_S-cuts fall below 1
         half = {e: v / 2 for e, v in cv.y[ai].items()}
-        fast = tjoin_cut_violations(half, T, inst.n)
+        fast = tjoin_cut_violations(half, T, inst.n, 1)
         assert fast and set(fast) <= set(
             tjoin_violations_enumerate(half, T, inst.n))
     for ci in range(len(appendix0_chain)):
@@ -366,19 +369,20 @@ def test_odd_components_are_cut_before_any_flow(monkeypatch):
 
     monkeypatch.setattr(cuts, "max_flow_min_cut", counted)
     # two components are one cut: {0, 1, 2} is V minus the other
-    assert tjoin_cut_violations(half_triangles(2), range(6), 6) == [(0, 1, 2)]
+    assert tjoin_cut_violations(half_triangles(2), range(6), 6, 1) == [
+        (0, 1, 2)]
     # a component even in T is no cut, but it sets the two sides apart
     y = {**half_triangles(2), (6, 7): Fraction(1)}
-    assert tjoin_cut_violations(y, range(6), 8) == [(0, 1, 2),
-                                                    (0, 1, 2, 6, 7)]
+    assert tjoin_cut_violations(y, range(6), 8, 1) == [(0, 1, 2),
+                                                       (0, 1, 2, 6, 7)]
     # with four odd components each is its own cut, by the side holding 0
-    got = tjoin_cut_violations(half_triangles(4), range(12), 12)
+    got = tjoin_cut_violations(half_triangles(4), range(12), 12, 1)
     assert got == [(0, 1, 2)] + [
         tuple(v for v in range(12) if v // 3 != i) for i in (1, 2, 3)]
     assert calls == []
     # joined by an edge, the support is connected: Padberg-Rao, 5 flows
     joined = {**half_triangles(2), (2, 3): HALF}
-    assert tjoin_cut_violations(joined, range(6), 6) == [(0, 1, 2)]
+    assert tjoin_cut_violations(joined, range(6), 6, 1) == [(0, 1, 2)]
     assert len(calls) == 5
 
 
@@ -389,7 +393,10 @@ def test_padberg_rao_against_enumeration(graph, data):
     T = data.draw(st.sets(st.integers(0, n - 1)))
     if len(T) % 2:
         T = T ^ {0}
-    fast = tjoin_cut_violations(y, T, n)
+    fast = tjoin_cut_violations(y, T, n, 1)
+    # the same cuts from the values as ints over their lcm
+    nums, den = over_lcm(y)
+    assert tjoin_cut_violations(nums, T, n, den) == fast
     brute = tjoin_violations_enumerate(y, T, n)
     assert len(set(fast)) == len(fast)
     assert set(fast) <= set(brute)

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pathtsp.cuts import CutChain, load_of_mask, narrow_cuts
+from pathtsp.cuts import TYPE_CODES, CutChain, load_of_mask, narrow_cuts
 from pathtsp.instance import Instance, complete_edges, edge
 from pathtsp.reassembler import (
-    TYPE_CODES,
     ExchangeError,
     census,
     classify,
