@@ -1,7 +1,7 @@
 """Exact-arithmetic laboratory for best-of-many Christofides on the
 metric s-t path TSP: relaxation solving, spanning-tree decompositions,
 narrow-cut analysis, distribution reassembly, benefit audits, and tour
-construction — every number a Fraction."""
+construction — every number exact: ints and Fractions."""
 
 from .bomc import best_of_many, held_karp_opt, min_tjoin
 from .cuts import CutChain, cut_stats, narrow_cuts

@@ -75,11 +75,9 @@ class CrossingProfile:
 
     counts[c]  |S cap C| at chain level c;
     single[c]  the edge e when S cap C = {e} at level c, else None;
-    types[p]   (l, m, r, defined) at the p-th xi-narrow cut C: m = |S cap C|,
+    types[p]   (l, m, r) at the p-th xi-narrow cut C: m = |S cap C|, and
                l and r count the edges of S cap C that also cross the
-               previous and the next xi-narrow cut (0 at the two ends), and
-               defined says whether some xi-narrow cut C' has S cap C' = {e}
-               for an edge e of S cap C.
+               previous and the next xi-narrow cut (0 at the two ends).
     codes[p]   the type code of S at the p-th xi-narrow cut when it is
                internal (0 < p < the last position), else None.
     """
@@ -180,14 +178,16 @@ class CutChain:
             run += both[p]
             shared.append(run)
         types, codes = [], []
+        # mark > 0 at the p-th xi-narrow cut C when some xi-narrow cut C'
+        # has S cap C' = {e} for an edge e of S cap C
         mark = 0
         for p, ci in enumerate(xi):
             mark += marked[p]
-            l, m, r, defined = shared[p], counts[ci], shared[p + 1], mark > 0
-            types.append((l, m, r, defined))
+            l, m, r = shared[p], counts[ci], shared[p + 1]
+            types.append((l, m, r))
             if not 0 < p < npos - 1:
                 code = None
-            elif m >= 3 or l + r >= 3 or (l + r >= 1 and not defined):
+            elif m >= 3 or l + r >= 3 or (l + r >= 1 and not mark):
                 code = "GOOD"
             else:
                 code = CODE_OF.get((l, m, r))

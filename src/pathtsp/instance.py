@@ -235,7 +235,8 @@ def build_appendix_instance(k: int = 0):
     per step.  Costs are the metric closure of the support graph with unit
     edge lengths; the fixture is structural, not cost-optimal.
     """
-    from .tree_decomp import Atom, reconstruct  # local: avoids a module cycle
+    # local: avoids a module cycle
+    from .tree_decomp import Atom, check_reconstruction
 
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -308,5 +309,5 @@ def build_appendix_instance(k: int = 0):
     p4 = [Atom(tree=t, weight=Q) for t in (t1, t2, t3, t4)]
     for atom in p4:
         assert len(atom.tree) == n - 1
-    assert reconstruct(p4) == xstar, "four-tree average must reproduce xstar"
+    check_reconstruction(xstar, p4)
     return inst, xstar, p4

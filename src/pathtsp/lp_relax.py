@@ -24,11 +24,11 @@ earlier flow from the same source already returned its answer (see
 separate), which drops most of the pair flows.
 
 Separation runs on ints: it scales x by the lcm D of its denominators
-once, so the flow values, tree values and candidate loads are ints over D,
-compared against the requirements times D; a Fraction is made only for
-the load of a violated cut.  The cut rows are built on ints too: delta(U)
-comes from a vertex-pair table of columns (simplex.delta_rows) as int
-coefficients.
+once, so the flow values and tree values are ints over D, compared against
+the requirements times D.  A candidate cut's load is the value of the flow
+that found it, and a Fraction is made only for the load of a violated cut.
+The cut rows are built on ints too: delta(U) comes from a vertex-pair
+table of columns (simplex.delta_rows) as int coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import gomory_hu_tree, load_of_mask
+from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        over_lcm, parse_rational, vector_cost)
@@ -84,20 +84,20 @@ def separate(x: dict, inst: Instance):
     full = (1 << n) - 1
     found = {}  # canonical mask (vertex 0 inside) -> its violated cut
 
-    def consider(side, required):
+    def consider(side, required, load):
+        # load: the value of the flow that returned side, x(delta(side))
+        # times D
         if not side & 1:
             side ^= full
-        if side not in found:
-            load = load_of_mask(cap, side)
-            if load < required * scale:
-                U = tuple(v for v in range(n) if (side >> v) & 1)
-                found[side] = (U, required, load)
+        if side not in found and load < required * scale:
+            U = tuple(v for v in range(n) if (side >> v) & 1)
+            found[side] = (U, required, load)
 
     # odd cuts: a min s-t cut is itself odd, so one flow suffices; cap is
     # on ints, so each network's den is 1 and a flow value is a load times D
     val, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
     if val < scale:
-        consider(sum(1 << v for v in side), 1)
+        consider(sum(1 << v for v in side), 1, val)
     # even cuts: merge t into s, then every pair whose connectivity is
     # below 2, all on one network
     merged = {}
@@ -133,7 +133,9 @@ def separate(x: dict, inst: Instance):
             assert val == lam, "flow value is not the tree's"
             side = sum(1 << v for v in side)
             kept.setdefault(lam, []).append(side)
-            consider(side | (1 << t) if (side >> s) & 1 else side, 2)
+            # the merged network's cut, with t beside s, crosses exactly
+            # the edges of cap that the original cut does
+            consider(side | (1 << t) if (side >> s) & 1 else side, 2, val)
     cuts = sorted(found.values(), key=lambda r: (r[2] - r[1] * scale, r[0]))
     return [(U, Fraction(req), Fraction(load, scale)) for U, req, load in cuts]
 

@@ -30,11 +30,13 @@ fundamental cut of a Gomory-Hu tree of y^S on the terminals T_S, built
 from |T_S| - 1 flows.  certify_bound checks that membership for every y^S
 and re-verifies the full cost chain instead of trusting it.
 
-The audit, z^S, y^S and the verdict's costs run on ints over one lcm
-(instance.over_lcm), gammas converted only where read.  z^S and y^S are
-returned as ints over one denominator, CorrectionVectors.den, and read
-that way by the membership check and the verdict.  A Fraction is made only
-for a returned value (gamma, CutAudit, the costs), for f(x(C)) and the cap
+The audit, z^S and y^S run on ints over one lcm (instance.over_lcm),
+gammas converted only where read.  z^S and y^S are returned as ints over
+one denominator, CorrectionVectors.den, and read that way by the
+membership check and the verdict.  The verdict's costs c(z^S) and c(I_S)
+come from instance.vector_cost and edges_cost, which scale only the costs
+of the edges they read.  A Fraction is made only for a returned value
+(gamma, CutAudit, the costs), for f(x(C)) and the cap
 beta(2 - x(C))/(1 - 2beta) of each narrow cut, each built once from the
 load's int ratio, and for eq17 and the eq-18 test at critical cuts.
 """
@@ -48,7 +50,7 @@ from math import floor
 from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, edge,
-                       format_rational, over_lcm)
+                       edges_cost, format_rational, over_lcm, vector_cost)
 from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import UnionFind, tree_path
 
@@ -478,16 +480,13 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
     check_join_membership(cv, parities, inst.n)
     beta = params.beta
     w1 = 1 - 2 * beta
-    wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
-    cost, cden = over_lcm(inst.cost)
-    z_cost = Fraction(sum(wts[ai] * v * cost[e] for ai in wts
-                          for e, v in cv.z[ai].items()),
-                      wden * cv.den * cden)
-    path_cost = Fraction(sum(w * sum(cost[e] for e in parities[ai].i_edges)
-                             for ai, w in wts.items()), wden * cden)
+    z_cost = sum((a.weight * vector_cost(z, inst)
+                  for a, z in zip(dist, cv.z)), ZERO) / cv.den
+    path_cost = sum((a.weight * edges_cost(par.i_edges, inst)
+                     for a, par in zip(dist, parities)), ZERO)
     if audit.all_ok:
         _verify_cost_chain(dist, chain, parities, params, cv,
-                           z_cost, path_cost, cost)
+                           z_cost, path_cost)
     certified = audit.all_ok and z_cost <= w1 * path_cost
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
@@ -495,10 +494,9 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
                    beta=beta, z_cost=z_cost, path_cost=path_cost)
 
 
-def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost,
-                       cost):
+def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
     """The Lemma-6-style derivation, every step numerical, on the ints of
-    _over_one_den and cost, the instance's costs over their lcm."""
+    _over_one_den and the instance's costs as it holds them."""
     wts, _, g, _, caps, gammas = _over_one_den(dist, chain, parities, params)
     w1 = 1 - 2 * params.beta
     # per cut: the top-up mass is covered by the single-crossing slack
@@ -506,6 +504,7 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost,
     # edge never costs more than the designated path edge, which is the
     # lone edge of a cut crossed once.  A top-up is w1 (cap - gamma): the
     # factor w1 > 0 of tops <= w1 * slack is divided out.
+    cost = chain.inst.cost
     profiles = [chain.profile(atom.tree) for atom in dist]
     for ci, cap in enumerate(caps):
         tops = slack = 0

@@ -68,8 +68,7 @@ def type_data(tree, chain: CutChain, i: int):
     read from the tree's crossing profile."""
     _check_internal(chain, i)
     prof = chain.profile(tree)
-    l, m, r, _ = prof.types[i]
-    return prof.codes[i], l, m, r
+    return (prof.codes[i], *prof.types[i])
 
 
 def classify(tree, chain: CutChain, i: int) -> str:

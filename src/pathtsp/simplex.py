@@ -145,8 +145,9 @@ class ExactSimplex:
 
     def __init__(self):
         self.costs = []          # phase-2 cost per column, as given
-        self.is_artificial = []
-        self.enterable = []      # artificials are banned once they leave
+        # False for an artificial column, which never enters: it starts
+        # basic, so at reduced cost 0, and is banned once it leaves
+        self.structural = []
         self.model = []          # ({col: (p, q)}, b, bd) per row until set up
         self.rows = []           # tableau: rows[i][j] / den[i]
         self.rhs = []            # rhs[i] / den[i]
@@ -162,10 +163,9 @@ class ExactSimplex:
 
     # ----- model building (before setup) -----
 
-    def _new_column(self, cost, artificial=False) -> int:
+    def _new_column(self, cost, structural=True) -> int:
         self.costs.append(cost)
-        self.is_artificial.append(artificial)
-        self.enterable.append(True)
+        self.structural.append(structural)
         return len(self.costs) - 1
 
     def add_variable(self, cost) -> int:
@@ -185,7 +185,7 @@ class ExactSimplex:
         self.model.append((row, b, bd))
 
     def _setup(self):
-        self.art_of_row = [self._new_column(0, artificial=True)
+        self.art_of_row = [self._new_column(0, structural=False)
                            for _ in self.model]
         ncols = len(self.costs)
         for (coeffs, b, bd), a in zip(self.model, self.art_of_row):
@@ -241,15 +241,12 @@ class ExactSimplex:
         if self.z1 is not None and self.z1[j]:
             self.z1, _, self.z1den = _eliminate(self.z1, 0, self.z1den,
                                                 self.z1[j], pivot_nz, 0, pd)
-        leaving = self.basis[r]
-        if self.is_artificial[leaving]:
-            self.enterable[leaving] = False  # never let artificials back in
         self.basis[r] = j
         self.pivots += 1
 
     def _phase1_objective(self) -> Fraction:
         terms = [(b, d) for b, d, j in zip(self.rhs, self.den, self.basis)
-                 if b and self.is_artificial[j]]
+                 if b and not self.structural[j]]
         den = lcm(*(d for _, d in terms))
         return Fraction(sum(b * (den // d) for b, d in terms), den)
 
@@ -261,18 +258,18 @@ class ExactSimplex:
         """Primal simplex to optimality on the chosen objective row."""
         phase1 = zrow_name == "z1"
         rows, rhs, basis = self.rows, self.rhs, self.basis
-        enterable, is_artificial = self.enterable, self.is_artificial
+        structural = self.structural
         stall = 0
         bland = False
         while True:
             zrow = self.z1 if phase1 else self.z
             if bland:
-                enter = next((j for j in compress(count(), enterable)
+                enter = next((j for j in compress(count(), structural)
                               if zrow[j] < 0), -1)
-            else:  # the first enterable column of the least reduced cost
-                best = min(compress(zrow, enterable), default=0)
+            else:  # the first structural column of the least reduced cost
+                best = min(compress(zrow, structural), default=0)
                 enter = zrow.index(best) if best < 0 else -1
-                while enter >= 0 and not enterable[enter]:
+                while enter >= 0 and not structural[enter]:
                     enter = zrow.index(best, enter + 1)
             if enter < 0:
                 return
@@ -288,7 +285,7 @@ class ExactSimplex:
                 if not a:
                     continue
                 b = rhs[i]
-                if b == 0 and is_artificial[basis[i]]:
+                if b == 0 and not structural[basis[i]]:
                     leave = i
                     break
                 if a > 0:
@@ -313,14 +310,11 @@ class ExactSimplex:
         val = self._phase1_objective()
         if val != 0:
             raise Infeasible(f"phase-1 optimum {val} > 0")
-        for j, isa in enumerate(self.is_artificial):
-            if isa:
-                self.enterable[j] = False
         # pivot zero-level artificials out of the basis where possible
         for i in range(len(self.rows)):
-            if self.is_artificial[self.basis[i]] and self.rhs[i] == 0:
+            if not self.structural[self.basis[i]] and self.rhs[i] == 0:
                 for j, c in enumerate(self.rows[i]):
-                    if c != 0 and not self.is_artificial[j]:
+                    if c != 0 and self.structural[j]:
                         self._pivot(i, j)
                         break
         self.z1 = None
@@ -328,7 +322,7 @@ class ExactSimplex:
     def _dual_steps(self):
         """Restore primal feasibility after violated rows were appended."""
         rows, rhs, den = self.rows, self.rhs, self.den
-        enterable = self.enterable
+        structural = self.structural
         while True:
             # leave on the most negative rhs_i / den_i, the first one on ties
             leave = -1
@@ -345,7 +339,7 @@ class ExactSimplex:
             row = rows[leave]
             for j in compress(count(), row):
                 a = row[j]
-                if a < 0 and enterable[j]:
+                if a < 0 and structural[j]:
                     if enter < 0 or z[j] * ba < bz * -a:
                         bz, ba, enter = z[j], -a, j
             if enter < 0:
@@ -510,5 +504,6 @@ class ExactSimplex:
 
     def assert_optimal(self):
         assert all(b >= 0 for b in self.rhs), "primal infeasible tableau"
-        bad = [j for j, rc in enumerate(self.z) if rc < 0 and self.enterable[j]]
+        bad = [j for j, rc in enumerate(self.z)
+               if rc < 0 and self.structural[j]]
         assert not bad, f"negative reduced costs remain: {bad[:5]}"

@@ -7,8 +7,10 @@ dual weights, restricted to the support graph.  The duals are read as ints
 over one positive denominator, which orders the edges as the rationals
 would.  Everything is exact.
 
-A distribution is a plain list of Atom records; helper functions implement
-reconstruction, rounding to a weight grid, and the canonical file format.
+A distribution is a plain list of Atom records; helper functions give its
+total weight, check that it reconstructs a point (check_reconstruction, on
+ints: the one check that decompose, reassemble, audit and verify share),
+round it to a weight grid, and read and write the canonical file format.
 """
 
 from __future__ import annotations
@@ -111,26 +113,6 @@ def tree_path(tree, start, goal):
 
 # ----- distributions -----
 
-def _incidence(dist):
-    """(x, den, total): the sum of weight * tree incidence as ints over den,
-    the lcm of the weights' denominators, without its zero entries, and
-    the total weight over den."""
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    x = {}
-    for atom, w in zip(dist, nums.values()):
-        for e in atom.tree:
-            x[e] = x.get(e, 0) + w
-    return ({e: v for e, v in x.items() if v != 0}, den,
-            sum(nums.values()))
-
-
-def reconstruct(dist) -> dict:
-    """Sum of weight * tree incidence, as an exact edge vector of Fractions,
-    summed as ints over the lcm of the weights' denominators."""
-    x, den, _ = _incidence(dist)
-    return {e: Fraction(v, den) for e, v in x.items()}
-
-
 def total_weight(dist) -> Fraction:
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     return Fraction(sum(nums.values()), den)
@@ -138,10 +120,16 @@ def total_weight(dist) -> Fraction:
 
 def check_reconstruction(x: dict, dist):
     """The distribution's weights sum to 1 and its trees average to x,
-    compared as ints: the tree sum over its den against x over its lcm."""
-    sums, den, total = _incidence(dist)
-    if total != den:
+    compared as ints: the weights and the sum of weight * tree incidence
+    over the weights' lcm den, x over its own lcm."""
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    if sum(nums.values()) != den:
         raise ValueError("total weight is not 1")
+    sums = {}
+    for atom, w in zip(dist, nums.values()):
+        for e in atom.tree:
+            sums[e] = sums.get(e, 0) + w
+    sums = {e: v for e, v in sums.items() if v != 0}
     xs, xden = over_lcm({e: v for e, v in x.items() if v != 0})
     if sums.keys() != xs.keys() or any(v * xden != xs[e] * den
                                        for e, v in sums.items()):
@@ -213,8 +201,7 @@ def decompose(x: dict, inst: Instance):
             raise DecompositionError("negative weight in master solution")
         if w > 0:
             dist.append(Atom(tree, w))
-    assert total_weight(dist) == 1
-    assert reconstruct(dist) == {e: v for e, v in x.items() if v != 0}
+    check_reconstruction(x, dist)
     assert len(dist) < n * n
     for atom in dist:
         assert is_spanning_tree(atom.tree, n)

@@ -13,7 +13,9 @@ optimum.
 
 from pathtsp.instance import random_metric_instance
 from pathtsp.lp_relax import solve_lp
-from pathtsp.tree_decomp import decompose, reconstruct
+from pathtsp.tree_decomp import decompose
+
+from .oracles import reconstruct
 
 
 def test_solve_lp_n26(benchmark):

@@ -1249,8 +1249,9 @@ def _verify_cost_chain_fraction(dist, chain, parities, params, cv, z_cost,
     assert z_cost <= w1 * path_cost, "cost chain conclusion failed"
 
 
-def reconstruct_fraction(dist) -> dict:
-    """Sum of weight * tree incidence, as an exact edge vector."""
+def reconstruct(dist) -> dict:
+    """Sum of weight * tree incidence, as an exact edge vector of Fractions
+    without its zero entries."""
     x = {}
     for atom in dist:
         for e in atom.tree:

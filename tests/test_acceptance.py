@@ -22,7 +22,7 @@ from pathtsp.instance import (
 from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
                       correction_fractions, crossings, mask_of,
                       matching_min_cost, path_min_cost, rational_rank,
-                      validate_exchange_record, violated_cuts)
+                      reconstruct, validate_exchange_record, violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)
@@ -57,7 +57,7 @@ def test_criterion_1(appendix0, appendix0_chain):
     assert len(xstar) == 30
     chain = appendix0_chain
     assert all(load == Fraction(3, 2) for load in chain.loads[1:-1])
-    assert tree_decomp.reconstruct(p4) == xstar
+    assert reconstruct(p4) == xstar
     sets = appendix_certificate_sets(0)
     assert len(sets) == 30
     support = sorted(xstar)
@@ -152,18 +152,18 @@ def property_results(params, legacy_params):
 
         # (a) reconstruction after every stage
         dist0 = tree_decomp.decompose(x, inst)
-        assert tree_decomp.reconstruct(dist0) == x
+        assert reconstruct(dist0) == x
         rounded, residual = tree_decomp.round_distribution(dist0, EPS,
                                                            inst.n)
-        assert tree_decomp.reconstruct(rounded + residual) == x
+        assert reconstruct(rounded + residual) == x
         quantum = EPS / (inst.n * inst.n)
         stage1, _ = reassembler.sweep(rounded, chain, "left", quantum)
-        assert tree_decomp.reconstruct(stage1 + residual) == x
+        assert reconstruct(stage1 + residual) == x
         stage2, _ = reassembler.sweep(stage1, chain, "right", quantum)
-        assert tree_decomp.reconstruct(stage2 + residual) == x
+        assert reconstruct(stage2 + residual) == x
 
         final, records = reassembler.reassemble(dist0, chain, EPS)
-        assert tree_decomp.reconstruct(final) == x
+        assert reconstruct(final) == x
 
         # (b) per-cut crossing inequalities and the packing bound
         cuts.cut_stats(chain, final)

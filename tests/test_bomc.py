@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from copy import deepcopy
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtsp import bomc, build_appendix_instance, narrow_cuts
+from pathtsp import bomc, build_appendix_instance, narrow_cuts, parity
 from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
     held_karp_opt,
     min_tjoin,
 )
+from pathtsp.cuts import gomory_hu_tree
 from pathtsp.instance import (
     Instance,
     complete_edges,
@@ -250,6 +252,42 @@ def test_tjoin_pivots_stay_few_on_the_raw_wall(monkeypatch):
         T = split_path_join(atom.tree, inst).t_set
         assert_perfect_matching_on(min_tjoin(T, inst), T)
     assert len(made) == 4 and max(sx.pivots for sx in made) < 1000
+
+
+def test_tjoin_reaches_padberg_rao(monkeypatch):
+    # 16 random points in the unit square, T = all of them: the only seed
+    # in 0..399 at |T| = 16, 20 and 24 where a round of min_tjoin finds no
+    # T-odd component of the support, so that its cut comes from the
+    # Gomory-Hu tree on the terminals
+    rng = random.Random(154)
+    points = [(rng.random(), rng.random()) for _ in range(16)]
+    inst = Instance(n=16, s=0, t=15, cost={
+        (u, v): int(1000 * math.dist(points[u], points[v])) + 1
+        for u, v in complete_edges(16)})
+    trees = []   # the node list of every Gomory-Hu tree the rounds build
+    rounds = []  # (cuts, Gomory-Hu trees built) per separation round
+
+    def building(net, nodes):
+        trees.append(nodes)
+        return gomory_hu_tree(net, nodes)
+
+    def recording(y, t_set, n, den):
+        built = len(trees)
+        cuts = tjoin_cut_violations(y, t_set, n, den)
+        rounds.append((len(cuts), len(trees) - built))
+        return cuts
+
+    monkeypatch.setattr(parity, "gomory_hu_tree", building)
+    monkeypatch.setattr(bomc, "tjoin_cut_violations", recording)
+    made = recorded_simplices(monkeypatch)
+    join = min_tjoin(range(16), inst)
+    assert rounds == [(2, 0), (2, 0), (2, 0), (2, 0), (1, 1)]
+    assert trees == [list(range(16))]
+    assert_perfect_matching_on(join, range(16))
+    assert (join, made[-1].pivots) == min_tjoin_one_row_at_a_time(
+        range(16), inst)
+    assert cost_of(join, inst) == cost_of(tjoin_subset_dp(range(16), inst),
+                                          inst) == 1334
 
 
 def test_best_of_many_solves_one_join_per_atom(monkeypatch):

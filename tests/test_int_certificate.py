@@ -1,12 +1,13 @@
 """The certificate's int arithmetic against its Fraction reference.
 
 benefits, correction_vectors, certify_bound (with its cost chain),
-reconstruct and the type census run on ints over common denominators; the
-versions written on Fractions are kept in tests/oracles.py.  Every case
-runs both and asks for the same CutAudits, z^S, y^S (read through their
-Fraction view), cheap edges, verdict, census and reconstruction, or for the
-same AssertionError message when a check fails, since `verify` prints that
-message.
+check_reconstruction and the type census run on ints over common
+denominators; the versions written on Fractions are kept in
+tests/oracles.py.  Every case runs both and asks for the same CutAudits,
+z^S, y^S (read through their Fraction view), cheap edges, verdict and
+census, for the int check to accept the Fraction reconstruction, or for
+the same AssertionError message when a check fails, since `verify` prints
+that message.
 """
 
 from fractions import Fraction
@@ -22,11 +23,11 @@ from pathtsp.instance import (Instance, complete_edges, edge, metric_closure,
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import census, reassemble
-from pathtsp.tree_decomp import Atom, decompose, reconstruct
+from pathtsp.tree_decomp import Atom, check_reconstruction, decompose
 
 from .oracles import (benefits_fraction, certify_bound_fraction,
                       correction_fractions, correction_vectors_fraction,
-                      reconstruct_fraction, type_census_fraction)
+                      reconstruct, type_census_fraction)
 from .test_cuts import random_chain
 
 # the defaults, Sebo's 8/5 audit, and the beta window GammaParams admits
@@ -105,8 +106,11 @@ def test_the_wall_closure_and_correction_vectors_make_no_fraction(
 
 
 def assert_sums_agree(dist, chain):
-    x = reconstruct(dist)
-    assert x == reconstruct_fraction(dist) and all_fractions(x.values())
+    # the int reconstruction check accepts the Fraction sum, on the
+    # weights scaled to total 1
+    total = Fraction(sum(a.weight for a in dist))
+    unit = [Atom(a.tree, a.weight / total) for a in dist]
+    check_reconstruction(reconstruct(unit), unit)
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     for i in range(1, len(chain.xi_indices) - 1):
         mass = census((a.tree for a in dist), nums.values(), chain, i)
@@ -164,7 +168,7 @@ def distributions_on_chains(draw):
     chain = CutChain(masks=chain.masks,
                      loads=[draw(load) for _ in chain.masks], xi=chain.xi,
                      xi_indices=chain.xi_indices, inst=inst,
-                     x=reconstruct_fraction(dist))
+                     x=reconstruct(dist))
     return dist, chain
 
 

@@ -150,3 +150,33 @@ def test_every_definition_is_read_in_the_package():
                            for _, other, names in reads):
                     unread.append(f"{stem}.{name}")
     assert not unread, f"definitions nothing in the package reads: {unread}"
+
+
+def imported_names(tree):
+    """The names the imports of one syntax tree bind, at any depth;
+    `from __future__` imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+# imported and never read, on purpose: perfbench/tracing.py wraps it there
+UNREAD_IMPORTS = {"reassembler.narrow_cuts"}
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in imported_names(tree)
+                   if name not in loaded
+                   and f"{path.stem}.{name}" not in UNREAD_IMPORTS]
+    assert not unread, f"imported names their module never reads: {unread}"

@@ -15,10 +15,10 @@ from pathtsp.reassembler import (
     type_data,
     type_mix_bound_holds,
 )
-from pathtsp.tree_decomp import Atom, decompose, reconstruct, total_weight
+from pathtsp.tree_decomp import Atom, decompose, total_weight
 
-from .oracles import (appendix_wall_cut_indices, type_census_fraction,
-                      validate_exchange_record)
+from .oracles import (appendix_wall_cut_indices, reconstruct,
+                      type_census_fraction, validate_exchange_record)
 
 HALF = Fraction(1, 2)
 XI = Fraction(173, 100)

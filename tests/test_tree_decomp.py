@@ -12,13 +12,12 @@ from pathtsp.tree_decomp import (
     emit_distribution,
     is_spanning_tree,
     parse_distribution,
-    reconstruct,
     round_distribution,
     total_weight,
     tree_path,
 )
 
-from .oracles import spans
+from .oracles import reconstruct, spans
 
 
 def path_tree(seq):
