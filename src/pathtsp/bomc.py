@@ -14,24 +14,24 @@ simplex solves |T| + 1 degree rows (every star >= 1 and the pair total
 <= |T|/2, which together hold each degree at 1 but, unlike equality rows,
 let the dual simplex start from the all-slack basis with no primal
 phase), which go into the tableau in one step as int rows, then odd-set
-rows are added warm until none is violated.  Each round adds every T-odd
-connected component of the LP support at once, and the cuts of
-Padberg-Rao on one Gomory-Hu tree only when there is none.  Each round
-reads the LP vertex on ints and hands it to the separation as ints over
-the lcm of the basic denominators.  By Edmonds' perfect-matching polytope
-theorem that vertex is 0/1, which is asserted; no blossom code is needed.
+rows are added warm until none is violated, by simplex.cutting_planes,
+the loop the path LP shares.  Each round adds every T-odd connected
+component of the LP support at once, and the cuts of Padberg-Rao on one
+Gomory-Hu tree only when there is none.  Each round reads the LP vertex on
+ints and hands it to the separation as ints over the lcm of the basic
+denominators.  By Edmonds' perfect-matching polytope theorem the last
+vertex is 0/1, which is asserted; no blossom code is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .instance import (Instance, complete_edges, edge, edges_cost,
                        format_rational, over_lcm)
 from .parity import split_path_join, tjoin_cut_violations
-from .simplex import ExactSimplex, delta_rows
+from .simplex import ExactSimplex, cutting_planes, delta_rows
 from .tree_decomp import tree_key
 
 HELD_KARP_LIMIT = 18
@@ -58,12 +58,12 @@ def min_tjoin(T, inst: Instance):
     polytope, so it is a vertex of that polytope: a 0/1 perfect matching.
     Conversely, a vertex whose pair values are all 1 is a perfect matching
     by the degree rows; it crosses every odd set, so it ends the loop
-    without a separation round, and every round that runs on a fractional
-    vertex adds at least one cut.
+    without a separation round.  A fractional vertex at which separation
+    found no cut would end the loop too, and fail the 0/1 assert.
 
-    Each round reads the vertex on ints: a basic pair is at num / den, so
-    it is at 1 exactly when num == den, and the separation gets every
-    pair value as an int over the lcm of the basic pairs' dens."""
+    The rounds are simplex.cutting_planes: each reads the vertex on ints,
+    every pair value as an int over the lcm den of the basic pairs' dens,
+    so a pair is at 1 exactly when its int is den."""
     verts = sorted(T)
     k = len(verts)
     if k % 2:
@@ -73,9 +73,9 @@ def min_tjoin(T, inst: Instance):
     pairs = complete_edges(k)   # over the positions 0..k-1 in verts
     sx = ExactSimplex()
     # verts is sorted, so (verts[i], verts[j]) is an edge for i < j
-    var_of = {(i, j): sx.add_variable(inst.cost[verts[i], verts[j]])
-              for i, j in pairs}
-    delta_coeffs = delta_rows(var_of, k)
+    for i, j in pairs:
+        sx.add_variable(inst.cost[verts[i], verts[j]])
+    delta_coeffs = delta_rows(pairs, k)
 
     # The stars and the total force every degree to exactly 1 (the degrees
     # sum to 2 y(E) <= k).  As inequalities they let the dual simplex start
@@ -86,34 +86,21 @@ def min_tjoin(T, inst: Instance):
     # them, so all k + 1 go in through one add_cut_rows call as ints over 1.
     sx.solve()
     sx.add_cut_rows([(delta_coeffs({v}), 1, 1) for v in range(k)]
-                    + [(dict.fromkeys(var_of.values(), -1), -(k // 2), 1)])
-    sx.solve()
-    seen = set()  # vertex sets of the odd-set rows
-    npairs = len(pairs)
-    while True:
-        # the pairs are columns 0..npairs - 1, each at b / d
-        at = sorted(v for v in sx.basic_values() if v[0] < npairs)
-        if all(b == d for _, b, d in at):
-            break
-        den = lcm(*{d for _, _, d in at})
-        y = {pairs[j]: b * (den // d) for j, b, d in at}
-        cuts = tjoin_cut_violations(y, range(k), k, den)
-        assert cuts, "separation found no cut at a fractional vertex"
-        for U in cuts:
-            assert U not in seen, "separated a cut already in the model"
-            seen.add(U)
-        sx.add_cut_rows([(delta_coeffs(U), 1, 1) for U in cuts])
-        sx.solve()
+                    + [(dict.fromkeys(range(len(pairs)), -1), -(k // 2), 1)])
 
-    sx.assert_optimal()
-    assert all(b == d for _, b, d in at), "matching LP vertex is not 0/1"
-    matched = [pairs[j] for j, _, _ in at]
+    def oracle(y, den):
+        if all(v == den for v in y.values()):
+            return []
+        return [(U, 1) for U in tjoin_cut_violations(y, range(k), k, den)]
+
+    y, den = cutting_planes(sx, pairs, delta_coeffs, oracle)
+    assert all(v == den for v in y.values()), "matching LP vertex is not 0/1"
     deg = [0] * k
-    for i, j in matched:
+    for i, j in y:
         deg[i] += 1
         deg[j] += 1
     assert deg == [1] * k, "matching LP vertex is not a perfect matching"
-    return frozenset(edge(verts[i], verts[j]) for i, j in matched)
+    return frozenset(edge(verts[i], verts[j]) for i, j in y)
 
 
 def euler_walk(edges, start, n):

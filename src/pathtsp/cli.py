@@ -91,7 +91,7 @@ def check_lp_point(x, inst):
             bad.append(f"negative weight on {u},{v}")
         if outside:
             continue
-        inside[u, v] = val
+        inside[u, v] = nums[u, v]
         deg[u] += nums[u, v]
         deg[v] += nums[u, v]
     for v in range(inst.n):
@@ -101,7 +101,7 @@ def check_lp_point(x, inst):
                        f"at vertex {v}, expected {want}")
     bad.extend(f"cut {U} load {format_rational(load)} < "
                f"{format_rational(req)}"
-               for U, req, load in lp_relax.separate(inside, inst))
+               for U, req, load in lp_relax.separate(inside, inst, den))
     if bad:
         raise ValueError("; ".join(bad))
     return True

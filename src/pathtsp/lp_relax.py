@@ -23,12 +23,14 @@ most violated cut whenever one exists.  A pair flow is skipped when an
 earlier flow from the same source already returned its answer (see
 separate), which drops most of the pair flows.
 
-Separation runs on ints: it scales x by the lcm D of its denominators
-once, so the flow values and tree values are ints over D, compared against
-the requirements times D.  A candidate cut's load is the value of the flow
-that found it, and a Fraction is made only for the load of a violated cut.
-The cut rows are built on ints too: delta(U) comes from a vertex-pair
-table of columns (simplex.delta_rows) as int coefficients.
+The loop is simplex.cutting_planes, the driver the T-join's matching LP
+shares.  Each round reads the vertex as ints over the lcm D of the basic
+denominators and hands them to separate as they are, so the flow values and
+tree values are ints over D, compared against the requirements times D.  A
+candidate cut's load is the value of the flow that found it, and a Fraction
+is made only for the load of a violated cut.  Each round appends its (at
+most ADD_PER_ROUND) cuts in one step, as int rows from a vertex-pair table
+of columns (simplex.delta_rows); x is built as Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (Instance, complete_edges, edge, format_rational,
                        over_lcm, parse_rational, vector_cost)
-from .simplex import ExactSimplex, delta_rows
+from .simplex import ExactSimplex, cutting_planes, delta_rows
 from .tree_decomp import is_spanning_tree
 
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
-MAX_ROUNDS = 200     # separation rounds before solve_lp gives up
 
 
 @dataclass
@@ -55,9 +56,10 @@ class LpSolution:
 
 # ----- separation -----
 
-def separate(x: dict, inst: Instance):
-    """Violated cuts as (U, required, load), U canonical (contains vertex 0),
-    sorted by decreasing deficit then by vertex set.
+def separate(x: dict, inst: Instance, den: int):
+    """Violated cuts of the point x[e] / den (ints, or Fractions with den
+    1) as (U, required, load), U canonical (contains vertex 0), required
+    an int, sorted by decreasing deficit then by vertex set.
 
     Every returned cut is violated and carries its exact load and
     requirement.  The list is empty exactly when x violates no cut
@@ -78,8 +80,9 @@ def separate(x: dict, inst: Instance):
     lambda(a, b), which is asserted.
     """
     n, s, t = inst.n, inst.s, inst.t
-    # x on ints: scale every value by the lcm D of the denominators
+    # x on ints over D = den times the lcm of x's own denominators
     nums, scale = over_lcm(x)
+    scale *= den
     cap = {e: c for e, c in nums.items() if c}
     full = (1 << n) - 1
     found = {}  # canonical mask (vertex 0 inside) -> its violated cut
@@ -137,7 +140,7 @@ def separate(x: dict, inst: Instance):
             # the edges of cap that the original cut does
             consider(side | (1 << t) if (side >> s) & 1 else side, 2, val)
     cuts = sorted(found.values(), key=lambda r: (r[2] - r[1] * scale, r[0]))
-    return [(U, Fraction(req), Fraction(load, scale)) for U, req, load in cuts]
+    return [(U, req, Fraction(load, scale)) for U, req, load in cuts]
 
 
 # ----- the solver -----
@@ -146,42 +149,25 @@ def solve_lp(inst: Instance) -> LpSolution:
     n = inst.n
     edges = complete_edges(n)
     sx = ExactSimplex()
-    var_of = {e: sx.add_variable(inst.cost[e]) for e in edges}
-    delta_coeffs = delta_rows(var_of, n)
-
+    for e in edges:
+        sx.add_variable(inst.cost[e])
+    delta_coeffs = delta_rows(edges, n)
     for v in range(n):
-        rhs = 1 if v in (inst.s, inst.t) else 2
-        sx.add_constraint(delta_coeffs({v}), rhs)
-    seen = set()  # canonical vertex sets of the cut rows
-    sx.solve()
+        sx.add_constraint(delta_coeffs({v}), 1 if v in (inst.s, inst.t) else 2)
 
-    rounds = 0
-    while True:
-        # the edges are columns 0..len(edges) - 1, in order
-        xcur = {edges[j]: v for j, v in sorted(sx.solution().items())
-                if j < len(edges)}
+    def oracle(y, den):
         # 1 on a spanning tree, under the degree rows: a Hamiltonian s-t
         # path, which crosses every cut as often as it requires
-        if all(v == 1 for v in xcur.values()) \
-                and is_spanning_tree(xcur, n):
-            break
-        cuts = separate(xcur, inst)
-        if not cuts:
-            break
-        if rounds >= MAX_ROUNDS:
-            raise RuntimeError(f"separation did not close after "
-                               f"{MAX_ROUNDS} rounds")
-        for (U, req, _load) in cuts[:ADD_PER_ROUND]:
-            assert U not in seen, "separated a cut already in the model"
-            seen.add(U)
-            sx.add_cut_row(delta_coeffs(U), req)
-        sx.solve()
-        rounds += 1
+        if all(v == den for v in y.values()) and is_spanning_tree(y, n):
+            return []
+        cuts = separate(y, inst, den)[:ADD_PER_ROUND]
+        return [(U, req) for U, req, _ in cuts]
 
-    sx.assert_optimal()
+    y, den = cutting_planes(sx, edges, delta_coeffs, oracle)
+    x = {e: Fraction(v, den) for e, v in y.items()}
     value = sx.objective()
-    assert value == vector_cost(xcur, inst)
-    return LpSolution(x=xcur, value=value)
+    assert value == vector_cost(x, inst)
+    return LpSolution(x=x, value=value)
 
 
 # ----- solution files -----

@@ -45,16 +45,15 @@ rationals, here by cross-multiplying ints:
     so it leaves the objective unchanged (a stall) exactly when the leaving
     row's rhs is 0.
 
-Three usage patterns, whose model rows are equalities with rhs >= 0:
-  * path LP: add_variable/add_constraint, solve(), then add_cut_row() or
-    add_cut_rows() + solve() repeatedly (dual simplex repairs the basis);
-    add_cut_rows() appends many rows, each as ints over one denominator,
-    in one step, building the tableau one add_cut_row() per row builds.
-    Read the vertex with solution(), or with basic_values() on ints;
+Two usage patterns, whose model rows are equalities with rhs >= 0:
+  * the pair LPs (the path LP, and the T-join matching LP, which starts
+    from an empty model, solve() and its rows through add_cut_rows()):
+    cutting_planes() solves, reads the vertex with basic_values() on ints
+    and appends each round of cuts in one add_cut_rows() step, whose
+    tableau is the one that one add_cut_row() per row builds (dual simplex
+    repairs the basis);
   * decomposition master: equality rows, solve_phase1(), read duals("z1"),
-    add_column(), repeat with phase 1 open until its objective is zero;
-  * T-join matching LP: an empty model, solve(), then every row through
-    add_cut_rows() + solve().
+    add_column(), repeat with phase 1 open until its objective is zero.
 """
 
 from __future__ import annotations
@@ -123,13 +122,13 @@ def _appended(row, b, d, num, nden):
     return _reduced(row, b * s, d * s)
 
 
-def delta_rows(var_of: dict, n: int):
+def delta_rows(pairs, n: int):
     """The cut-row builder of an LP with one column per vertex pair:
-    var_of maps each pair (u, v) of 0..n-1 to its column.  Returns
-    delta(U) -> {column: 1} over the pairs with exactly one end in U, read
-    from an n x n table in |U| (n - |U|) steps."""
+    column j is the pair pairs[j] of 0..n-1.  Returns delta(U) ->
+    {column: 1} over the pairs with exactly one end in U, read from an
+    n x n table in |U| (n - |U|) steps."""
     table = [[0] * n for _ in range(n)]
-    for (u, v), j in var_of.items():
+    for j, (u, v) in enumerate(pairs):
         table[u][v] = table[v][u] = j
 
     def delta(U):
@@ -138,6 +137,32 @@ def delta_rows(var_of: dict, n: int):
         return {table[u][v]: 1 for u in inside for v in outside}
 
     return delta
+
+
+def cutting_planes(sx, pairs, delta, oracle):
+    """The cut loop of an LP whose columns 0..len(pairs) - 1 are the
+    vertex pairs, with delta from delta_rows; the caller builds sx and its
+    start rows.  Each round solves, reads the vertex as ints y[pair] over
+    den, the lcm of the basic pairs' dens (pairs at 0 left out), and
+    appends the rows delta(U).x >= required of oracle(y, den), a list
+    [(U, required)] of ints, in one add_cut_rows call.  No U may be a cut
+    row already, so the loop ends.  At no cut, it asserts optimality and
+    returns (y, den): the stop test is the oracle's."""
+    npairs = len(pairs)
+    seen = set()  # vertex sets of the cut rows
+    while True:
+        sx.solve()
+        at = sorted(v for v in sx.basic_values() if v[0] < npairs)
+        den = lcm(*{d for _, _, d in at})
+        y = {pairs[j]: b * (den // d) for j, b, d in at}
+        cuts = oracle(y, den)
+        if not cuts:
+            sx.assert_optimal()
+            return y, den
+        for U, _ in cuts:
+            assert U not in seen, "separated a cut already in the model"
+            seen.add(U)
+        sx.add_cut_rows([(delta(U), required, 1) for U, required in cuts])
 
 
 class ExactSimplex:
@@ -349,7 +374,7 @@ class ExactSimplex:
     # ----- solving -----
 
     def solve(self):
-        """Two-phase solve; warm after add_cut_row via dual repair."""
+        """Two-phase solve; warm after add_cut_rows via dual repair."""
         self._ensure_setup()
         if self.z1 is not None:
             self._primal_steps("z1")

@@ -67,7 +67,7 @@ def test_separate_lp26_points(benchmark, lp26):
     inst, _, points = lp26
 
     def separate_all():
-        return [separate(x, inst) for x in points]
+        return [separate(x, inst, 1) for x in points]
 
     found = benchmark.pedantic(separate_all, rounds=5, iterations=1)
     assert found[-1] == [] and all(found[:-1])

@@ -34,7 +34,8 @@ def test_certify_reassembled_wall(benchmark):
         cv = correction_vectors(final, chain, parities, params)
         return certify_bound(final, audit, cv, params)
 
-    verdict = benchmark.pedantic(certify, rounds=30, iterations=1)
+    verdict = benchmark.pedantic(certify, rounds=30, iterations=1,
+                                 warmup_rounds=2)
     assert verdict.certified
 
 

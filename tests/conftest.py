@@ -21,13 +21,13 @@ def appendix0_chain(appendix0):
 
 def lp_path(inst):
     """(Instance, LpSolution, points): points are every x that solve_lp
-    handed to separate on the way."""
+    handed to separate on the way, as Fractions."""
     points = []
     separate = lp_relax.separate
 
-    def recording(x, inst):
-        points.append(dict(x))
-        return separate(x, inst)
+    def recording(x, inst, den):
+        points.append({e: Fraction(v, den) for e, v in x.items()})
+        return separate(x, inst, den)
 
     lp_relax.separate = recording
     try:

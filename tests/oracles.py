@@ -1284,13 +1284,13 @@ def degree_rows_one_at_a_time(T, inst):
     k = len(verts)
     pairs = complete_edges(k)
     sx = ExactSimplex()
-    var_of = {(i, j): sx.add_variable(inst.cost[edge(verts[i], verts[j])])
-              for i, j in pairs}
-    delta_coeffs = delta_rows(var_of, k)
+    for i, j in pairs:
+        sx.add_variable(inst.cost[edge(verts[i], verts[j])])
+    delta_coeffs = delta_rows(pairs, k)
     sx.solve()
     for v in range(k):
         sx.add_cut_row(delta_coeffs({v}), 1)
-    sx.add_cut_row(dict.fromkeys(var_of.values(), -1), -(k // 2))
+    sx.add_cut_row(dict.fromkeys(range(len(pairs)), -1), -(k // 2))
     return sx, pairs, delta_coeffs
 
 

@@ -100,7 +100,7 @@ def test_every_flow_goes_through_the_module_globals(monkeypatch, lp26):
     assert len(calls) == inst.n - 1
     calls.clear()
     for x in points:
-        lp_relax.separate(x, inst)
+        lp_relax.separate(x, inst, 1)
     # 5 points: 5 s-t flows, 5 cut trees of 24 flows and 108 pair flows
     # (the 715 pairs whose minimal cut is already known run no flow); pair
     # flows that bypassed the module global would leave 125

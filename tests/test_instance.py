@@ -252,7 +252,7 @@ def test_appendix_xstar_is_lp_feasible(appendix0):
         deg[v] += val
     for v in range(inst.n):
         assert deg[v] == (1 if v in (inst.s, inst.t) else 2)
-    assert separate(xstar, inst) == []
+    assert separate(xstar, inst, 1) == []
 
 
 def test_appendix_four_trees_average_to_xstar(appendix0):
@@ -289,7 +289,7 @@ def test_appendix_extension_grows_by_four_and_six():
         for e in atom.tree:
             acc[e] = acc.get(e, Fraction(0)) + atom.weight
     assert acc == xstar
-    assert separate(xstar, inst) == []
+    assert separate(xstar, inst, 1) == []
 
 
 def test_appendix_rejects_negative_k():

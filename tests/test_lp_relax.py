@@ -12,9 +12,11 @@ from pathtsp.instance import (
     complete_edges,
     edge,
     metric_closure,
+    over_lcm,
     random_metric_instance,
 )
 from pathtsp.cuts import load_of_mask
+from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import is_spanning_tree
 from pathtsp.lp_relax import (
     parse_solution,
@@ -57,7 +59,7 @@ def test_separate_accepts_hamiltonian_path(order):
     inst = uniform_instance(n, s=order[0], t=order[-1])
     x = path_incidence(order)
     assert all(v == 1 for v in x.values()) and is_spanning_tree(x, n)
-    assert separate(x, inst) == []
+    assert separate(x, inst, 1) == []
 
 
 # a triangle floating next to an s-t path: degrees are fine, but the path
@@ -70,7 +72,7 @@ PLANTED_GAP = {edge(1, 2): Fraction(1), edge(1, 3): Fraction(1),
 def test_separate_agrees_with_enumeration_on_a_planted_gap():
     inst = uniform_instance(6)
     x = PLANTED_GAP
-    found = separate(x, inst)
+    found = separate(x, inst, 1)
     brute = {U for U, _ in violated_cuts(x, inst)}
     assert found and brute
     for U, need, load in found:
@@ -85,7 +87,7 @@ def test_the_path_exit_needs_a_spanning_tree():
     # connected: solve_lp must separate this point, not stop at it
     assert all(v == 1 for v in PLANTED_GAP.values())
     assert not is_spanning_tree(PLANTED_GAP, 6)
-    assert separate(PLANTED_GAP, uniform_instance(6))
+    assert separate(PLANTED_GAP, uniform_instance(6), 1)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -99,6 +101,30 @@ def test_a_path_vertex_costs_no_separation_round(monkeypatch, seed):
     assert (sol.x, sol.value) == (full.x, full.value)
     assert full_points[:len(points)] == points
     assert len(full_points) - len(points) == (0 if seed in (1, 3) else 1)
+
+
+def test_each_separation_round_is_one_batch_of_rows(monkeypatch):
+    # the random-n26 benchmark corpus: 228 cut rows in 19 add_cut_rows
+    # calls, one per round, where appending them one row per call made 228
+    made = []
+
+    class Recording(ExactSimplex):
+        def __init__(self):
+            super().__init__()
+            self.batches = []
+            made.append(self)
+
+        def add_cut_rows(self, cuts):
+            self.batches.append(len(cuts))
+            return super().add_cut_rows(cuts)
+
+    monkeypatch.setattr(lp_relax, "ExactSimplex", Recording)
+    for seed in range(8):
+        solve_lp(random_metric_instance(26, seed))
+    assert [sx.batches for sx in made] == [
+        [15], [17, 10], [13, 18, 9], [20, 6, 1, 4], [14, 25], [7, 25, 4],
+        [9, 15], [15, 1]]
+    assert sum(map(sum, (sx.batches for sx in made))) == 228
 
 
 @pytest.mark.parametrize("path", ["lp20", "lp26", "lp40"])
@@ -116,7 +142,7 @@ def test_separate_finds_the_merged_ends_above_the_enumeration_limit(n):
     inst = uniform_instance(n)
     x = path_incidence((0, n - 1))
     x.update(path_incidence(tuple(range(1, n - 1)) + (1,)))
-    assert separate(x, inst) == [((0, n - 1), 2, 0)]
+    assert separate(x, inst, 1) == [((0, n - 1), 2, 0)]
     assert separate_all_pairs(x, inst) == [((0, n - 1), 2, 0)]
 
 
@@ -125,8 +151,8 @@ def test_separate_matches_all_pairs_along_the_lp_path(path, request):
     inst, sol, points = request.getfixturevalue(path)
     assert len(points) > 1
     for x in points:
-        assert separate(x, inst) == separate_all_pairs(x, inst)
-    assert separate(sol.x, inst) == []
+        assert separate(x, inst, 1) == separate_all_pairs(x, inst)
+    assert separate(sol.x, inst, 1) == []
 
 
 def test_pair_flows_run_in_name_order_with_the_merged_vertex_last(
@@ -150,7 +176,7 @@ def test_pair_flows_run_in_name_order_with_the_merged_vertex_last(
     pair_flows = 0
     for x in points:
         calls.clear()
-        separate(x, inst)
+        separate(x, inst, 1)
         assert calls[0] == (s, t)  # the odd cuts' one s-t flow
         ranks = [(rank[a], rank[b]) for a, b in calls[1:]]
         assert all(i < j for i, j in ranks)
@@ -159,8 +185,8 @@ def test_pair_flows_run_in_name_order_with_the_merged_vertex_last(
     assert pair_flows == 108
 
 
-def flow_results(module, separator, x, inst):
-    """separator(x, inst), and the set of (source, side) results of the
+def flow_results(module, separator, *args):
+    """separator(*args), and the set of (source, side) results of the
     flows it ran through module.max_flow_min_cut."""
     flow = module.max_flow_min_cut
     results = set()
@@ -172,7 +198,7 @@ def flow_results(module, separator, x, inst):
 
     module.max_flow_min_cut = recording
     try:
-        return separator(x, inst), results
+        return separator(*args), results
     finally:
         module.max_flow_min_cut = flow
 
@@ -181,7 +207,7 @@ def assert_skips_change_nothing(x, inst):
     """separate returns every-pair separation's list, and each flow it
     skips would have returned a side that a flow from the same source
     returned."""
-    assert flow_results(lp_relax, separate, x, inst) \
+    assert flow_results(lp_relax, separate, x, inst, 1) \
         == flow_results(oracles, separate_every_pair, x, inst)
 
 
@@ -237,7 +263,12 @@ def test_separate_returns_violated_cuts_and_a_most_violated_one(point):
     inst, x = point
     everything = frozenset(range(inst.n))
     deficit = {U: need - cut_value(x, U) for U, need in violated_cuts(x, inst)}
-    found = separate(x, inst)
+    found = separate(x, inst, 1)
+    # the same list from x as ints over twice the lcm of its denominators,
+    # as the LP loop hands it over (a basic den need not be the least)
+    nums, den = over_lcm(x)
+    assert separate({e: 2 * v for e, v in nums.items()}, inst, 2 * den) \
+        == found
     assert bool(found) == bool(deficit)
     assert found == sorted(found, key=lambda r: (r[2] - r[1], r[0]))
     for U, need, load in found:
@@ -252,7 +283,7 @@ def test_separate_returns_violated_cuts_and_a_most_violated_one(point):
 def test_solve_lp_uniform_triangle():
     sol = solve_lp(uniform_instance(3, s=0, t=2))
     assert sol.value == 2
-    assert separate(sol.x, uniform_instance(3, s=0, t=2)) == []
+    assert separate(sol.x, uniform_instance(3, s=0, t=2), 1) == []
 
 
 def test_solve_lp_unit_circuit_matches_brute_force():

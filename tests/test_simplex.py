@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtsp import bomc, build_appendix_instance, lp_relax, tree_decomp
+from pathtsp.instance import complete_edges
 from pathtsp.parity import split_path_join
 from pathtsp.simplex import (STALL_LIMIT, ExactSimplex, Infeasible, Unbounded,
-                             _reduced)
+                             _reduced, cutting_planes, delta_rows)
 
 from . import oracles
 
@@ -159,6 +160,53 @@ def test_solution_maps_only_nonzero_basics():
     sol = sx.solution()
     assert sum(sol.values(), Fraction(0)) == 2
     assert all(v > 0 for v in sol.values())
+
+
+# ----- the cut loop of the pair LPs -----
+
+class CountingSimplex(ExactSimplex):
+    solves = 0
+
+    def solve(self):
+        self.solves += 1
+        super().solve()
+
+
+def two_triangle_matching_lp():
+    """(sx, pairs, delta): the degree rows x(delta(v)) = 1 on six vertices,
+    with the pairs inside {0, 1, 2} and inside {3, 4, 5} at cost 1 and the
+    others at cost 10.  Its optimum, 3, is 1/2 on each triangle pair."""
+    pairs = complete_edges(6)
+    sx = CountingSimplex()
+    for u, v in pairs:
+        sx.add_variable(1 if (u < 3) == (v < 3) else 10)
+    delta = delta_rows(pairs, 6)
+    for v in range(6):
+        sx.add_constraint(delta({v}), 1)
+    return sx, pairs, delta
+
+
+def test_cutting_planes_stops_after_one_solve_when_no_cut_comes():
+    sx, pairs, delta = two_triangle_matching_lp()
+    calls = []
+
+    def oracle(y, den):
+        calls.append((dict(y), den))
+        return []
+
+    y, den = cutting_planes(sx, pairs, delta, oracle)
+    assert calls == [(y, den)]
+    assert (sx.solves, len(sx.rows)) == (1, 6)
+    assert {e: Fraction(v, den) for e, v in y.items()} == {
+        (u, v): Fraction(1, 2) for u, v in pairs if (u < 3) == (v < 3)}
+
+
+def test_cutting_planes_rejects_a_cut_already_in_the_model():
+    sx, pairs, delta = two_triangle_matching_lp()
+    rounds = iter([[((0, 1, 2), 1)]] * 2)  # the same cut twice, then none
+    with pytest.raises(AssertionError, match="already in the model"):
+        cutting_planes(sx, pairs, delta, lambda y, den: next(rounds, []))
+    assert (sx.solves, len(sx.rows)) == (2, 7)
 
 
 # ----- the integer tableau against the Fraction tableau -----
@@ -563,10 +611,10 @@ def test_tableau_ints_stay_small_along_the_lp40_path(lp40, monkeypatch):
             super()._pivot(r, j)
             largest_bits(self)
 
-        def add_cut_row(self, coeffs, rhs):
-            row_id = super().add_cut_row(coeffs, rhs)
+        def add_cut_rows(self, cuts):
+            row_ids = super().add_cut_rows(cuts)
             largest_bits(self)
-            return row_id
+            return row_ids
 
     monkeypatch.setattr(lp_relax, "ExactSimplex", Watched)
     got = lp_relax.solve_lp(inst)
