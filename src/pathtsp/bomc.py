@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import (Instance, complete_edges, edge, edges_cost,
+from .instance import (Instance, complete_edges, degrees, edge, edges_cost,
                        format_rational, over_lcm)
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, cutting_planes, delta_rows
@@ -95,11 +95,8 @@ def min_tjoin(T, inst: Instance):
 
     y, den = cutting_planes(sx, pairs, delta_coeffs, oracle)
     assert all(v == den for v in y.values()), "matching LP vertex is not 0/1"
-    deg = [0] * k
-    for i, j in y:
-        deg[i] += 1
-        deg[j] += 1
-    assert deg == [1] * k, "matching LP vertex is not a perfect matching"
+    assert degrees(y, k) == [1] * k, \
+        "matching LP vertex is not a perfect matching"
     return frozenset(edge(verts[i], verts[j]) for i, j in y)
 
 
@@ -134,11 +131,7 @@ def euler_walk(edges, start, n):
 def _shortcut(tree, join, inst: Instance):
     """The {s,t}-tour tree + join and its Eulerian walk, shortcut."""
     multiset = tuple(sorted(list(tree) + list(join)))
-    deg = {v: 0 for v in range(inst.n)}
-    for u, v in multiset:
-        deg[u] += 1
-        deg[v] += 1
-    for v, d in deg.items():
+    for v, d in enumerate(degrees(multiset, inst.n)):
         assert (d % 2 == 1) == (v in (inst.s, inst.t)), \
             "parity correction left a wrong-degree vertex"
 

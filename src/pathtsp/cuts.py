@@ -21,11 +21,14 @@ and the chain derives its levels' sorted vertex tuples for the reports.
 Because the levels are nested, each vertex also has a layer, the first
 level that contains it (t has none, so its layer is the chain length), and
 an edge crosses exactly the levels from the lower of its endpoints' layers
-up to, not including, the higher one.  So one pass over a tree's edges,
-with difference arrays over those level intervals, gives everything the
-later stages ask about the tree: its crossing profile, built once per tree
-and kept on the chain, with the tree's type code at every internal
-xi-narrow cut (the rule is in `reassembler`'s docstring).
+up to, not including, the higher one.  That is the one crossing rule:
+CutChain.levels_crossed applies it, and every module that asks which
+levels an edge crosses asks that method, so only this module reads the
+layers.  One pass over a tree's edges, with difference arrays over those
+level intervals, gives everything the later stages ask about the tree:
+its crossing profile, built once per tree and kept on the chain, with the
+tree's type code at every internal xi-narrow cut (the rule is in
+`reassembler`'s docstring).
 
 A level's load is the flow value of the cut-tree edge that gives it, so the
 chain reads every load off the tree, one Fraction per level.
@@ -53,15 +56,6 @@ CODE_OF = {tuple(map(int, c)): c for c in TYPE_CODES if c != "GOOD"}
 class ChainError(Exception):
     """No LP-feasible x has these load<2 cuts: one holds both path ends,
     they do not run from {s} to V-{t}, or an end cut's load is not 1."""
-
-
-def crossing_mask(mask: int, u: int, v: int) -> bool:
-    return ((mask >> u) & 1) != ((mask >> v) & 1)
-
-
-def crossing_edges(tree, mask: int) -> list:
-    """The edges of tree that cross the cut of mask, in the tree's order."""
-    return [e for e in tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
 
 
 def load_of_mask(x: dict, mask: int):
@@ -126,6 +120,13 @@ class CutChain:
     def __len__(self):
         return len(self.levels)
 
+    def levels_crossed(self, u: int, v: int):
+        """(lo, hi): the edge uv crosses exactly the levels lo..hi - 1, the
+        lower of its endpoints' layers up to the higher; lo == hi when it
+        crosses none."""
+        a, b = self.layer[u], self.layer[v]
+        return (a, b) if a <= b else (b, a)
+
     def profile(self, tree) -> CrossingProfile:
         """The crossing profile of tree (a frozenset of edges), built on
         first request and kept for the chain's lifetime."""
@@ -143,11 +144,9 @@ class CutChain:
         ids = [0] * (size + 1)
         both = [0] * (npos + 1)  # xi-cuts p - 1 and p both crossed
         for e in tree:
-            a, b = self.layer[e[0]], self.layer[e[1]]
+            a, b = self.levels_crossed(*e)
             if a == b:
                 continue
-            if a > b:
-                a, b = b, a
             k = len(edges)
             edges.append(e)
             count[a] += 1

@@ -98,6 +98,16 @@ def edges_cost(edges, inst: Instance) -> Fraction:
     return Fraction(sum(nums.values()), den)
 
 
+def degrees(edges, n) -> list:
+    """deg[v] for v in 0..n-1: the edges of the collection at v, repeats
+    counted."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def support(x: dict):
     """Sorted edges carrying nonzero value."""
     return sorted(e for e, q in x.items() if q != 0)

@@ -49,7 +49,7 @@ from math import floor
 
 from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import (HALF, ZERO, Instance, complete_edges, edge,
+from .instance import (HALF, ZERO, Instance, complete_edges, degrees, edge,
                        edges_cost, format_rational, over_lcm, vector_cost)
 from .reassembler import MIX_PAIRS, type_data
 from .tree_decomp import UnionFind, tree_path
@@ -109,25 +109,12 @@ def split_path_join(tree, inst: Instance) -> TreeParity:
     verts = tree_path(tree, inst.s, inst.t)
     i_edges = frozenset(edge(a, b) for a, b in zip(verts, verts[1:]))
     j_edges = frozenset(tree) - i_edges
-    deg = {}
-    for (u, v) in tree:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    t_set = set()
-    for v, d in deg.items():
-        if v in (inst.s, inst.t):
-            if d % 2 == 0:
-                t_set.add(v)
-        elif d % 2 == 1:
-            t_set.add(v)
+    # wrong parity: odd degree inside the path, even degree at s or t
+    t_set = {v for v, d in enumerate(degrees(tree, inst.n))
+             if (d % 2 == 1) != (v in (inst.s, inst.t))}
     assert len(t_set) % 2 == 0, "odd-size parity set is impossible"
-    jdeg = {}
-    for (u, v) in j_edges:
-        jdeg[u] = jdeg.get(u, 0) + 1
-        jdeg[v] = jdeg.get(v, 0) + 1
-    for v in range(inst.n):
-        assert (jdeg.get(v, 0) % 2 == 1) == (v in t_set), \
-            "J_S is not a T_S-join"
+    for v, d in enumerate(degrees(j_edges, inst.n)):
+        assert (d % 2 == 1) == (v in t_set), "J_S is not a T_S-join"
     return TreeParity(path_vertices=tuple(verts),
                       i_edges=i_edges, j_edges=j_edges,
                       t_set=frozenset(t_set))
@@ -138,10 +125,9 @@ def first_path_edges(parity: TreeParity, chain: CutChain) -> list:
     from s, that crosses the level.  The path leaves level c on the first
     edge to reach a vertex of layer above c, so one walk with a high-water
     mark over the layers fills the levels in order."""
-    layer = chain.layer
     out = []
     for a, b in zip(parity.path_vertices, parity.path_vertices[1:]):
-        top = max(layer[a], layer[b])
+        _, top = chain.levels_crossed(a, b)
         if top > len(out):
             out.extend([edge(a, b)] * (top - len(out)))
     return out
@@ -163,10 +149,7 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams):
             for e in par.i_edges:
                 one_cuts = []
                 even_cuts = []
-                # the levels e crosses: from the lower layer of its ends
-                # up to, not including, the higher one
-                lo, hi = sorted((chain.layer[e[0]], chain.layer[e[1]]))
-                for ci in range(lo, hi):
+                for ci in range(*chain.levels_crossed(*e)):
                     k = cross_count[ci]
                     if k == 1:
                         one_cuts.append(f_at[ci])
@@ -338,16 +321,15 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
     that narrow cut; ties go to the lexicographically smallest edge.
 
     One pass over the edges in (cost, edge) order: each edge fills every
-    level of its layer interval that no earlier edge has filled.  The sort
+    level it crosses that no earlier edge has filled.  The sort
     compares the costs as ints over their lcm."""
-    inst, layer = chain.inst, chain.layer
+    inst = chain.inst
     cost, _ = over_lcm(inst.cost)
     size = len(chain.masks)
     cheap = [None] * size
     unfilled = size
     for e in sorted(complete_edges(inst.n), key=lambda e: (cost[e], e)):
-        lo, hi = sorted((layer[e[0]], layer[e[1]]))
-        for ci in range(lo, hi):
+        for ci in range(*chain.levels_crossed(*e)):
             if cheap[ci] is None:
                 cheap[ci] = e
                 unfilled -= 1

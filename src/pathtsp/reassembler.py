@@ -27,7 +27,9 @@ Every type is read from the tree's crossing profile on the chain
 with the tree's code at every internal xi-narrow cut, so classify is a
 lookup, an exchange costs the profiles of the two trees it creates and
 nothing is rescanned; the exchange and the sweeps still re-check every
-type they promise.
+type they promise.  Which xi-narrow cuts an edge crosses, the exchange
+asks the chain (CutChain.levels_crossed), as every crossing question in
+the package is asked.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from math import floor
 
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
-from .cuts import CutChain, crossing_edges, crossing_mask, narrow_cuts
+from .cuts import CutChain, narrow_cuts
 from .instance import over_lcm
 from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
                           round_distribution, tree_key)
@@ -108,8 +110,8 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
     """Swap one edge between s1 and s2 at the i-th xi-narrow cut: (120, 011)
     -> (121, 010) for direction "right", (021, 110) -> (121, 010) for its
     mirror image "left".  Returns the ExchangeRecord."""
-    masks = [chain.masks[j] for j in chain.xi_indices]
-    last = len(masks) - 1
+    xi = chain.xi_indices
+    last = len(xi) - 1
     mirrored = direction == "left"
     want1, want2 = SWEEPS[direction][0]
     t1 = classify(s1, chain, i)
@@ -117,8 +119,14 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
     if t1 != want1 or t2 != want2:
         raise ExchangeError(f"need types ({want1},{want2}) at cut {i}, "
                             f"got ({t1},{t2})")
-    cut1 = crossing_edges(s1, masks[i])
-    cut2 = crossing_edges(s2, masks[i])
+
+    def crosses(e, j):
+        """Whether edge e crosses the j-th xi-narrow cut."""
+        lo, hi = chain.levels_crossed(*e)
+        return lo <= xi[j] < hi
+
+    cut1 = [e for e in s1 if crosses(e, i)]
+    cut2 = [e for e in s2 if crosses(e, i)]
     assert len(cut1) == 2 and len(cut2) == 1
     e2 = cut2[0]
 
@@ -126,14 +134,14 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
     # neighbor; the other edge e1 crosses no xi-cut except C_i itself.
     if mirrored:
         hunt = range(i + 1, last + 1)
-        neighbor = masks[i + 1]
+        neighbor = i + 1
     else:
         hunt = range(i - 1, -1, -1)
-        neighbor = masks[i - 1]
+        neighbor = i - 1
     single = chain.profile(s1).single
     e0 = h = None
     for j in hunt:
-        e = single[chain.xi_indices[j]]
+        e = single[xi[j]]
         if e is not None and e in cut1:
             e0, h = e, j
             break
@@ -141,12 +149,12 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
         raise ExchangeError(f"no singleton-defining cut for the type-{want1} "
                             f"tree at cut {i}")
     (e1,) = [e for e in cut1 if e != e0]
-    assert crossing_mask(neighbor, *e0), "e0 must be the neighbor-crossing edge"
-    assert not crossing_mask(masks[i - 1], *e1)
-    assert not crossing_mask(masks[i + 1], *e1)
+    assert crosses(e0, neighbor), "e0 must be the neighbor-crossing edge"
+    assert not crosses(e1, i - 1)
+    assert not crosses(e1, i + 1)
     assert e1 != e2
 
-    krange = [j for j, mk in enumerate(masks) if crossing_mask(mk, *e2)]
+    krange = [j for j in range(last + 1) if crosses(e2, j)]
     k = min(krange) if mirrored else max(krange)
 
     s1_new = frozenset(s1 - {e1} | {e2})

@@ -174,12 +174,10 @@ def decompose(x: dict, inst: Instance):
         raise DecompositionError("support graph is not connected")
     add_tree(seeded[0])
 
+    # every round adds a tree that pricing proves improving and that is
+    # new, and there are finitely many trees, so the loop ends
     seen = {seeded[0]}
-    limit = 20 * n * n + 200
-    for _ in range(limit):
-        gap = sx.solve_phase1()
-        if gap == 0:
-            break
+    while (gap := sx.solve_phase1()) != 0:
         y, _ = sx.duals("z1")  # over a den > 0: same order, same sign
         weights = {e: y[row_of[e]] for e in edges}
         best = max_weight_spanning_tree(n, weights)
@@ -190,8 +188,6 @@ def decompose(x: dict, inst: Instance):
         assert tree not in seen, "pricing returned a known tree"
         seen.add(tree)
         add_tree(tree)
-    else:
-        raise DecompositionError("column generation did not converge")
 
     dist = []
     sol = sx.solution()

@@ -353,6 +353,13 @@ def test_profile_matches_the_scanning_oracle(case):
     for v in range(chain.inst.n):
         inside = [i for i, m in enumerate(chain.masks) if (m >> v) & 1]
         assert chain.layer[v] == (inside[0] if inside else size)
+    # the one crossing rule: uv crosses exactly the levels that separate
+    # u from v, in either endpoint order
+    for u, v in combinations(range(chain.inst.n), 2):
+        apart = [i for i, m in enumerate(chain.masks)
+                 if (m >> u) & 1 != (m >> v) & 1]
+        assert list(range(*chain.levels_crossed(u, v))) == apart
+        assert chain.levels_crossed(v, u) == chain.levels_crossed(u, v)
     prof = chain.profile(tree)
     assert chain.profile(tree) is prof
     assert prof.counts == [crossings(tree, m) for m in chain.masks]

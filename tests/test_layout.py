@@ -119,6 +119,16 @@ def test_simplex_builds_fractions_only_in_its_readers():
     assert not extra, f"Fraction( called outside the readers: {extra}"
 
 
+def test_only_cuts_reads_the_chain_layers():
+    # which chain levels an edge crosses is decided once, by
+    # CutChain.levels_crossed; every other module asks it
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py")) if path.stem != "cuts"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "layer"]
+    assert not readers, f"chain layers read outside cuts: {readers}"
+
+
 def names_read(node, modules):
     """The names one syntax tree reads: loaded names, names imported from
     a package module, and module.name attributes."""

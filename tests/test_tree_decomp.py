@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathtsp.instance import edge, random_metric_instance
+from pathtsp.instance import (Instance, complete_edges, edge,
+                              random_metric_instance)
 from pathtsp.tree_decomp import (
     Atom,
+    DecompositionError,
     check_reconstruction,
     decompose,
     emit_distribution,
@@ -70,6 +72,17 @@ def test_decompose_two_tree_mixture():
     assert reconstruct(dist) == x
     assert total_weight(dist) == 1
     assert all(is_spanning_tree(a.tree, 4) for a in dist)
+
+
+def test_decompose_reports_a_point_outside_the_spanning_tree_polytope():
+    # x sums to n - 1 = 3, but the triangle 0-1-2 carries 5/2 > 2
+    inst = Instance(n=4, s=0, t=3,
+                    cost={e: Fraction(1) for e in complete_edges(4)})
+    x = {(0, 1): Fraction(5, 6), (1, 2): Fraction(5, 6),
+         (0, 2): Fraction(5, 6), (2, 3): Fraction(1, 2)}
+    with pytest.raises(DecompositionError, match=re.escape(
+            "pricing found no improving tree; residual gap 2")):
+        decompose(x, inst)
 
 
 def test_decompose_appendix(appendix0):
