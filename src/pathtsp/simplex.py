@@ -20,18 +20,23 @@ objective.  The duals are read back as ints over their cost row's
 denominator, the form pricing uses, and the solution can be read the same
 way, as each basic column's rhs over its row's denominator.
 
-Normalisation is lazy.  The pivot row and each new cut row are divided by
-the gcd of their numerators, rhs and denominator.  Any other row is divided
-by its gcd only by a step that scales its denominator: an elimination whose
-multiple f / pd of the pivot row is not over the row's own denominator, or
-an appended entry whose denominator does not divide it.  Most eliminations
-leave the denominator as it is; they change only the pivot row's columns
-and skip the gcd pass over the whole row.  Normalisation and scaling touch
-only a row's nonzeros, in place: its gcd is its nonzeros' gcd, and a zero
-stays zero when it is scaled or divided.  So a row's denominator is always
-the least one its values had just after it was last scaled, and the stored
-ints are its values times that number: they cannot compound.  A row need
-not be in lowest terms, and no choice depends on whether it is.
+Normalisation is lazy.  The pivot row is divided by the gcd of its
+numerators, rhs and denominator on every pivot.  Any other row keeps its
+ints as they are until a step scales its denominator d by some s: an
+elimination whose multiple f / pd of the pivot row is not over the row's
+own denominator, an appended entry whose denominator does not divide it, or
+a new cut row, over the cut's denominator times the lcm of the rows it is
+expressed through.  The row then stays over d * s, unreduced, while d * s <
+DEN_LIMIT, and is divided by its gcd once d * s reaches DEN_LIMIT.  Most
+eliminations leave the denominator as it is; they change only the pivot
+row's columns.  Normalisation and scaling touch only a row's nonzeros, in
+place: its gcd is its nonzeros' gcd, and a zero stays zero when it is
+scaled or divided.  Unreduced scalings compound, each multiplying the
+stored ints by its s, so the cap is what bounds them: a row's denominator
+is below DEN_LIMIT (one 30-bit CPython digit), or it was the least one the
+row's values had when the denominator last changed, and the stored ints are
+the values times it.  A row need not be in lowest terms, and no choice
+depends on whether it is.
 
 The pivots are exactly those of the same tableau held in Fractions (kept as
 the reference in tests/oracles.py), because every choice compares exact
@@ -63,6 +68,7 @@ from itertools import compress, count
 from math import gcd, lcm
 
 STALL_LIMIT = 12  # degenerate pivots in a row before switching to Bland
+DEN_LIMIT = 1 << 30  # a rescaled row is put in lowest terms from here on
 
 
 class Infeasible(Exception):
@@ -91,11 +97,19 @@ def _reduced(row, b, d, nz=None):
     return row, b // g, d // g
 
 
+def _rescaled(row, b, d):
+    """(row, b, d) just after its denominator was scaled up to d > 0: kept
+    as it is below DEN_LIMIT, reduced at or above it."""
+    if d < DEN_LIMIT:
+        return row, b, d
+    return _reduced(row, b, d)
+
+
 def _eliminate(row, b, d, f, pivot_nz, pb, pd):
     """(row, b) / d minus f / d times the pivot row, whose nonzeros are
     pivot_nz = [(column, numerator)] and whose rhs is pb, both over pd.
-    The row is changed in place, and reduced only when d had to be
-    scaled."""
+    The row is changed in place; when d had to be scaled, the result
+    goes through _rescaled."""
     g = gcd(f, pd)
     s, f = pd // g, f // g
     if s != 1:
@@ -105,12 +119,12 @@ def _eliminate(row, b, d, f, pivot_nz, pb, pd):
         row[jj] -= f * p
     if s == 1:
         return row, b - f * pb, d
-    return _reduced(row, b * s - f * pb, d * s)
+    return _rescaled(row, b * s - f * pb, d * s)
 
 
 def _appended(row, b, d, num, nden):
-    """(row, b) / d with num / nden appended to the row.  Reduced only when
-    d had to be scaled."""
+    """(row, b) / d with num / nden appended to the row.  When d had to be
+    scaled, the result goes through _rescaled."""
     g = gcd(num, nden)
     num, nden = num // g, nden // g
     s = nden // gcd(d, nden)
@@ -119,7 +133,7 @@ def _appended(row, b, d, num, nden):
         return row, b, d
     row = [c * s for c in row]
     row.append(num * (d * s // nden))
-    return _reduced(row, b * s, d * s)
+    return _rescaled(row, b * s, d * s)
 
 
 def delta_rows(pairs, n: int):
@@ -445,7 +459,7 @@ class ExactSimplex:
                     raw[jj] += k * row[jj]
                 new_rhs += k * rhs[i]
             assert raw[sp] == d
-            raw, new_rhs, d = _reduced(raw, new_rhs, d)
+            raw, new_rhs, d = _rescaled(raw, new_rhs, d)
             self.sp_of_row[len(rows)] = sp
             rows.append(raw)
             rhs.append(new_rhs)

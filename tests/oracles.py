@@ -48,7 +48,7 @@ from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
                             check_join_membership, check_packing,
                             cheapest_cut_edges, tjoin_cut_violations)
 from pathtsp.reassembler import SWEEPS, classify, type_data
-from pathtsp.simplex import ExactSimplex, delta_rows
+from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
 from pathtsp.tree_decomp import is_spanning_tree
 
 ZERO = Fraction(0)
@@ -1319,7 +1319,8 @@ def min_tjoin_one_row_at_a_time(T, inst):
 # simplex._reduced, simplex._eliminate and ExactSimplex._pivot as they were
 # before they touched only a row's nonzeros: every entry is scanned, scaled
 # and divided, and a scaled or divided row is a new list.  A row's gcd is
-# the gcd of its nonzeros, so both must store the same ints.
+# the gcd of its nonzeros, so both must store the same ints.  Both keep a
+# rescaled row unreduced while its denominator is below DEN_LIMIT.
 
 def reduced_dense(row, b, d):
     """(row, b, d) divided by the gcd of all its entries, taken with the
@@ -1336,15 +1337,16 @@ def reduced_dense(row, b, d):
 
 def eliminate_dense(row, b, d, f, pivot_nz, pb, pd):
     """(row, b) / d minus f / d times the pivot row (pivot_nz, pb) / pd, on
-    a copy of row."""
+    a copy of row; reduced when d was scaled to DEN_LIMIT or more."""
     g = gcd(f, pd)
     s, f = pd // g, f // g
     row = [c * s for c in row]
     for jj, p in pivot_nz:
         row[jj] -= f * p
-    if s == 1:
-        return row, b - f * pb, d
-    return reduced_dense(row, b * s - f * pb, d * s)
+    b, d = b * s - f * pb, d * s
+    if s == 1 or d < DEN_LIMIT:
+        return row, b, d
+    return reduced_dense(row, b, d)
 
 
 def pivot_dense(rows, rhs, den, z, zden, r, j):

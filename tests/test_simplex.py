@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtsp import bomc, build_appendix_instance, lp_relax, tree_decomp
-from pathtsp.instance import complete_edges
+from pathtsp.instance import complete_edges, random_metric_instance
 from pathtsp.parity import split_path_join
-from pathtsp.simplex import (STALL_LIMIT, ExactSimplex, Infeasible, Unbounded,
-                             _reduced, cutting_planes, delta_rows)
+from pathtsp.simplex import (DEN_LIMIT, STALL_LIMIT, ExactSimplex, Infeasible,
+                             Unbounded, _reduced, cutting_planes, delta_rows)
 
 from . import oracles
 
@@ -112,6 +113,11 @@ def test_warm_cut_rows_reprice_the_optimum():
     sx.add_constraint({x: 1, y: 1, sp: -1}, 1)
     sx.solve()
     assert sx.objective() == 1
+    # y >= 0 as 2y / d >= 0: y is not basic, so each row is stored as
+    # (-2 at y, d at its surplus) over d until d reaches DEN_LIMIT
+    sx.add_cut_rows([({y: 2}, 0, d) for d in
+                     (DEN_LIMIT // 2, DEN_LIMIT, 2 * DEN_LIMIT)])
+    assert sx.den[1:] == [DEN_LIMIT // 2, DEN_LIMIT // 2, DEN_LIMIT]
     sx.add_cut_row({x: 1}, Fraction(3, 4))
     sx.add_cut_row({y: 1}, Fraction(1, 2))
     sx.solve()
@@ -241,11 +247,13 @@ def stored_rows(sx):
 
 class IntegerTableau(PivotPath, ExactSimplex):
     """Checks the lazy normalisation after every pivot and appended column:
-    a row whose denominator changed is in lowest terms."""
+    the pivot row is in lowest terms, and a row whose denominator changed
+    is in lowest terms or over a denominator below DEN_LIMIT."""
 
     def _pivot(self, r, j):
         before = [d for _, _, d in stored_rows(self)]
         super()._pivot(r, j)
+        assert gcd(self.den[r], self.rhs[r], *self.rows[r]) == 1
         self.assert_rescaled_rows_reduced(before)
 
     def add_column(self, cost, coeffs):
@@ -258,7 +266,7 @@ class IntegerTableau(PivotPath, ExactSimplex):
         for (row, b, d), d0 in zip(stored_rows(self), before, strict=True):
             assert d > 0
             if d != d0:
-                assert gcd(d, b, *row) == 1
+                assert d < DEN_LIMIT or gcd(d, b, *row) == 1
 
 
 class FractionEqualities(oracles.FractionSimplex):
@@ -419,17 +427,21 @@ def test_a_batch_of_cut_rows_is_the_rows_one_at_a_time(run):
 # sparse int rows: about two entries in three are 0, and a common factor
 # g >= 1 leaves rows with a gcd of 1 and rows with a larger one
 sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+# denominators up to 64 times below DEN_LIMIT, and just above it: a row
+# over one of them, scaled by an elimination, often reaches the cap
+near_cap = st.builds(lambda k, e: (DEN_LIMIT >> k) + e, st.integers(0, 6),
+                     st.integers(-1, 1))
 
 
 @st.composite
 def scaled_rows(draw, ncols, positive_den=True):
     """(row, b, d): a sparse int row of ncols entries, all-zero rows
     included, its rhs and its denominator, all times one factor g >= 1,
-    except a denominator of 1, which about half the draws give."""
+    except a denominator of 1, which about a third of the draws give."""
     g = draw(st.integers(1, 4))
     row = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
     d = draw(st.one_of(st.just(1), st.integers(1, 6) if positive_den
-                       else st.integers(-6, 6).filter(bool)))
+                       else st.integers(-6, 6).filter(bool), near_cap))
     return ([g * c for c in row], g * draw(st.integers(-9, 9)),
             d if d == 1 else g * d)
 
@@ -597,8 +609,9 @@ def test_decomposition_path_matches_the_fraction_tableau(lp26, monkeypatch):
 
 def test_tableau_ints_stay_small_along_the_lp40_path(lp40, monkeypatch):
     # lazy normalisation leaves rows with a common factor; it must not let
-    # the stored ints compound (they peak at 6 bits here, as they do when
-    # every row is kept in lowest terms, and at 14 bits when none is)
+    # the stored ints compound (they peak at 6 bits here with the DEN_LIMIT
+    # cap, as they do when every rescaled row is reduced and with no cap,
+    # and at 14 bits when the pivot row is not reduced either)
     inst, sol, _ = lp40
     peak = []
 
@@ -620,3 +633,23 @@ def test_tableau_ints_stay_small_along_the_lp40_path(lp40, monkeypatch):
     got = lp_relax.solve_lp(inst)
     assert (got.x, got.value) == (sol.x, sol.value)
     assert peak and max(peak) <= 10
+
+
+def test_tableau_ints_stay_small_along_the_lp80_master_path(monkeypatch):
+    # the master on this point rescales its rows again and again: its stored
+    # ints peak at 41 bits with the DEN_LIMIT cap (20 when every rescaled
+    # row is reduced), and at 425 bits with no cap
+    x, _ = lp_relax.read_solution(Path(__file__).parent / "data"
+                                  / "lp80_seed0.sol")
+    peak = []
+
+    class Watched(ExactSimplex):
+        def _pivot(self, r, j):
+            super()._pivot(r, j)
+            peak.append(max(abs(c) for ints, b, d in stored_rows(self)
+                            for c in (*ints, b, d)).bit_length())
+
+    monkeypatch.setattr(tree_decomp, "ExactSimplex", Watched)
+    dist = tree_decomp.decompose(x, random_metric_instance(80, 0))
+    assert oracles.reconstruct(dist) == x
+    assert peak and max(peak) <= 44
