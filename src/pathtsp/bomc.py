@@ -71,10 +71,8 @@ def min_tjoin(T, inst: Instance):
     if not verts:
         return frozenset()
     pairs = complete_edges(k)   # over the positions 0..k-1 in verts
-    sx = ExactSimplex()
     # verts is sorted, so (verts[i], verts[j]) is an edge for i < j
-    for i, j in pairs:
-        sx.add_variable(inst.cost[verts[i], verts[j]])
+    sx = ExactSimplex([inst.cost[verts[i], verts[j]] for i, j in pairs])
     delta_coeffs = delta_rows(pairs, k)
 
     # The stars and the total force every degree to exactly 1 (the degrees
@@ -84,7 +82,6 @@ def min_tjoin(T, inst: Instance):
     # matching polytope, which took about 98,000 pivots on one parity set
     # (|T| = 70) of the raw wall at k = 30.  The tableau has no rows before
     # them, so all k + 1 go in through one add_cut_rows call as ints over 1.
-    sx.solve()
     sx.add_cut_rows([(delta_coeffs({v}), 1, 1) for v in range(k)]
                     + [(dict.fromkeys(range(len(pairs)), -1), -(k // 2), 1)])
 

@@ -4,8 +4,9 @@ Conventions used across the package:
   * an Edge is a canonical tuple (u, v) with u < v (use edge() to build one);
   * an edge vector is a plain dict Edge -> int or Fraction, missing entries
     meaning 0, and an instance's costs are ints or Fractions too: the wall
-    fixture's are ints, a file's are Fractions.  Readers take either through
-    as_integer_ratio() or over_lcm;
+    fixture's and a random instance's are ints, and a file's are ints where
+    its tokens are plain digits, Fractions elsewhere.  Readers take either
+    through as_integer_ratio() or over_lcm;
   * all arithmetic is exact (ints and fractions.Fraction), never floats.
 """
 
@@ -197,7 +198,8 @@ def parse_instance(text: str, closure: bool = False) -> Instance:
         e = edge(u, v)
         if e in given:
             raise ValueError(f"duplicate edge {e}")
-        q = parse_rational(parts[2])
+        tok = parts[2]  # a plain digit token is kept as an int
+        q = int(tok) if tok.isascii() and tok.isdigit() else parse_rational(tok)
         if q < 0:
             raise ValueError(f"negative cost in {ln!r}")
         given[e] = q

@@ -148,12 +148,10 @@ def separate(x: dict, inst: Instance, den: int):
 def solve_lp(inst: Instance) -> LpSolution:
     n = inst.n
     edges = complete_edges(n)
-    sx = ExactSimplex()
-    for e in edges:
-        sx.add_variable(inst.cost[e])
     delta_coeffs = delta_rows(edges, n)
-    for v in range(n):
-        sx.add_constraint(delta_coeffs({v}), 1 if v in (inst.s, inst.t) else 2)
+    sx = ExactSimplex([inst.cost[e] for e in edges],
+                      [(delta_coeffs({v}), 1 if v in (inst.s, inst.t) else 2, 1)
+                       for v in range(n)])
 
     def oracle(y, den):
         # 1 on a spanning tree, under the degree rows: a Hamiltonian s-t

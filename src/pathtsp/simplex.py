@@ -12,7 +12,8 @@ rows[i][j] / den[i].  The reduced-cost rows `z` and `z1` are int lists over
 their own denominators `zden` and `z1den`.  A pivot divides the pivot row
 by its pivot entry, which cancels that row's denominator, and eliminates
 the entering column from every other row fraction-free, in the spirit of
-Bareiss (1968), touching only the pivot row's nonzeros.  Inputs, ints or
+Bareiss (1968), touching only the pivot row's nonzeros.  Start rows and
+add_cut_rows() rows come as ints; costs and the other inputs, ints or
 Fractions, are read as int ratios (as_integer_ratio(), or numerator and
 denominator) on entry, and costs are stored as given.  Fractions appear
 only in the readers: the solution, the objective and the phase-1
@@ -50,15 +51,18 @@ rationals, here by cross-multiplying ints:
     so it leaves the objective unchanged (a stall) exactly when the leaving
     row's rhs is 0.
 
-Two usage patterns, whose model rows are equalities with rhs >= 0:
-  * the pair LPs (the path LP, and the T-join matching LP, which starts
-    from an empty model, solve() and its rows through add_cut_rows()):
-    cutting_planes() solves, reads the vertex with basic_values() on ints
-    and appends each round of cuts in one add_cut_rows() step, whose
-    tableau is the one that one add_cut_row() per row builds (dual simplex
-    repairs the basis);
-  * decomposition master: equality rows, solve_phase1(), read duals("z1"),
-    add_column(), repeat with phase 1 open until its objective is zero.
+Each LP is built in one constructor call, ExactSimplex(costs, rows): its
+start rows are equalities with rhs >= 0 in the int form (coeffs, b, d) that
+add_cut_rows() takes.  Two usage patterns:
+  * the pair LPs: the path LP starts from its degree rows, and the T-join
+    matching LP from none, so its phase 1 is closed at once and its degree
+    rows go in through add_cut_rows().  cutting_planes() then solves, reads
+    the vertex with basic_values() on ints and appends each round of cuts
+    in one add_cut_rows() step, whose tableau is the one that one
+    add_cut_row() per row builds (dual simplex repairs the basis);
+  * decomposition master: start rows on no columns, then solve_phase1(),
+    read duals("z1"), add_column(), repeat with phase 1 open until its
+    objective is zero.
 """
 
 from __future__ import annotations
@@ -182,80 +186,59 @@ def cutting_planes(sx, pairs, delta, oracle):
 class ExactSimplex:
     """min cost.x  s.t.  rows (=, >=),  x >= 0 — all exact rationals."""
 
-    def __init__(self):
-        self.costs = []          # phase-2 cost per column, as given
+    def __init__(self, costs=(), rows=()):
+        """The tableau of min costs.x subject to one equality coeffs.x =
+        b / d per row (coeffs, b, d) of rows, x >= 0, in int form: coeffs
+        maps columns to int numerators over the int d > 0, and b >= 0.  It
+        starts on the all-artificial basis with phase 1 open; with no rows,
+        phase 1 is closed at once, so add_cut_rows() may follow."""
+        self.costs = list(costs)  # phase-2 cost per column, as given
         # False for an artificial column, which never enters: it starts
         # basic, so at reduced cost 0, and is banned once it leaves
-        self.structural = []
-        self.model = []          # ({col: (p, q)}, b, bd) per row until set up
+        self.structural = [True] * len(self.costs)
         self.rows = []           # tableau: rows[i][j] / den[i]
         self.rhs = []            # rhs[i] / den[i]
         self.den = []
-        self.basis = []          # basic column per row
         self.art_of_row = []     # artificial column per original row (-1: none)
         self.sp_of_row = {}      # surplus column of each cut row
-        self.z = None            # phase-2 reduced-cost row, over zden
-        self.zden = 1
-        self.z1 = None           # phase-1 row over z1den; None once closed
-        self.z1den = 1
         self.pivots = 0
-
-    # ----- model building (before setup) -----
+        ncols = len(self.costs) + len(rows)
+        for coeffs, b, d in rows:
+            if b < 0:
+                raise ValueError(f"row rhs {b}/{d} < 0")
+            a = self._new_column(0, structural=False)
+            row = [0] * ncols
+            for j, p in coeffs.items():
+                row[j] = p
+            row[a] = d
+            self.rows.append(row)
+            self.rhs.append(b)
+            self.den.append(d)
+            self.art_of_row.append(a)
+        self.basis = list(self.art_of_row)  # basic column per row
+        # phase-2 reduced costs over zden: the all-artificial basis has
+        # zero cost
+        ratios = [c.as_integer_ratio() for c in self.costs]
+        self.zden = lcm(*(q for _, q in ratios))
+        self.z = [p * (self.zden // q) for p, q in ratios]
+        # phase-1 reduced costs over z1den (minimize the sum of
+        # artificials, basis = I); None once phase 1 is closed
+        self.z1, self.z1den = None, 1
+        if self.rows:
+            z1den = lcm(*self.den)
+            z1 = [0] * ncols
+            for row, d in zip(self.rows, self.den):
+                k = z1den // d
+                for j in compress(count(), row):
+                    z1[j] -= k * row[j]
+            for a in self.art_of_row:
+                z1[a] = 0
+            self.z1, _, self.z1den = _reduced(z1, 0, z1den)
 
     def _new_column(self, cost, structural=True) -> int:
         self.costs.append(cost)
         self.structural.append(structural)
         return len(self.costs) - 1
-
-    def add_variable(self, cost) -> int:
-        assert self.model is not None, \
-            "add_variable only before the first solve"
-        return self._new_column(cost)
-
-    def add_constraint(self, coeffs: dict, rhs):
-        """The equality row coeffs.x = rhs, coeffs: {col: coef}, rhs >= 0.
-        Coefficients and rhs are ints or Fractions."""
-        assert self.model is not None, \
-            "add_constraint only before the first solve"
-        b, bd = rhs.as_integer_ratio()
-        if b < 0:
-            raise ValueError(f"model row rhs {rhs} < 0")
-        row = {j: c.as_integer_ratio() for j, c in coeffs.items() if c != 0}
-        self.model.append((row, b, bd))
-
-    def _setup(self):
-        self.art_of_row = [self._new_column(0, structural=False)
-                           for _ in self.model]
-        ncols = len(self.costs)
-        for (coeffs, b, bd), a in zip(self.model, self.art_of_row):
-            d = lcm(bd, *(q for _, q in coeffs.values()))
-            row = [0] * ncols
-            for j, (p, q) in coeffs.items():
-                row[j] = p * (d // q)
-            row[a] = d
-            self.rows.append(row)
-            self.rhs.append(b * (d // bd))
-            self.den.append(d)
-        self.model = None
-        self.basis = list(self.art_of_row)
-        # phase-1 reduced costs (minimize the sum of artificials, basis = I)
-        z1den = lcm(*self.den)
-        z1 = [0] * ncols
-        for row, d in zip(self.rows, self.den):
-            k = z1den // d
-            for j in compress(count(), row):
-                z1[j] -= k * row[j]
-        for a in self.art_of_row:
-            z1[a] = 0
-        self.z1, _, self.z1den = _reduced(z1, 0, z1den)
-        # phase-2 reduced costs: the all-artificial basis has zero cost
-        ratios = [c.as_integer_ratio() for c in self.costs]
-        self.zden = lcm(*(q for _, q in ratios))
-        self.z = [p * (self.zden // q) for p, q in ratios]
-
-    def _ensure_setup(self):
-        if self.model is not None:
-            self._setup()
 
     # ----- pivoting -----
 
@@ -389,7 +372,6 @@ class ExactSimplex:
 
     def solve(self):
         """Two-phase solve; warm after add_cut_rows via dual repair."""
-        self._ensure_setup()
         if self.z1 is not None:
             self._primal_steps("z1")
             self._close_phase1()
@@ -402,7 +384,6 @@ class ExactSimplex:
         Leaves phase 1 open so the caller can add_column() and call again:
         this is the column-generation master loop.
         """
-        self._ensure_setup()
         assert self.z1 is not None, "phase 1 already closed"
         self._primal_steps("z1")
         return self._phase1_objective()
@@ -427,7 +408,7 @@ class ExactSimplex:
         the surplus columns are all appended first, and each row is
         expressed in the basis of the rows before it.  The cuts use only
         columns that exist before the call."""
-        assert self.model is None and self.z1 is None
+        assert self.z1 is None
         first_sp = len(self.costs)
         for _ in cuts:
             self._new_column(0)
@@ -474,7 +455,6 @@ class ExactSimplex:
         Valid while every row still carries its artificial column (true for
         the decomposition master, which never appends rows).
         """
-        assert self.model is None
         coeffs = {i0: a.as_integer_ratio() for i0, a in coeffs.items()
                   if a != 0}
         # tableau column = B^-1 a, read off the artificial columns

@@ -156,18 +156,14 @@ def decompose(x: dict, inst: Instance):
 
     row_of = {e: i for i, e in enumerate(edges)}
     conv = len(edges)  # convexity row id
-    sx = ExactSimplex()
+    sx = ExactSimplex(rows=[({}, *x[e].as_integer_ratio()) for e in edges]
+                      + [({}, 1, 1)])
     columns = {}       # simplex column id -> tree
 
     def add_tree(tree):
         coeffs = {row_of[e]: ONE for e in tree}
         coeffs[conv] = ONE
         columns[sx.add_column(ZERO, coeffs)] = tree
-
-    for e in edges:
-        sx.add_constraint({}, x[e])
-    sx.add_constraint({}, ONE)
-    sx.solve_phase1()  # sets up the all-artificial basis
 
     seeded = max_weight_spanning_tree(n, {e: x[e] for e in edges})
     if seeded is None:

@@ -450,11 +450,13 @@ def rational_rank(rows):
 # negates and flips them back in add_column and duals, and it takes and
 # returns what ExactSimplex does: add_cut_row appends a >= row, add_cut_rows
 # appends >= rows given as ints over a denominator, and basic_values and
-# duals return values over the denominator 1.  Its add_constraint still
-# takes a sense and a rhs of either sign; ExactSimplex takes only the
-# equality rows with rhs >= 0 that its callers build, so the tests hand both
-# the same equality.  The integer-row tableau must pick the same pivots and
-# return the same values.
+# duals return values over the denominator 1.  It keeps its staged model:
+# add_variable, then add_constraint, which still takes a sense and a rhs of
+# either sign, set up on the first solve.  ExactSimplex takes its costs and
+# its equality rows with rhs >= 0 in its constructor; the tests build this
+# tableau from the same equalities (tests/test_simplex.py,
+# FractionEqualities).  The integer-row tableau must pick the same pivots
+# and return the same values.
 
 ONE = Fraction(1)
 
@@ -1283,11 +1285,8 @@ def degree_rows_one_at_a_time(T, inst):
     verts = sorted(T)
     k = len(verts)
     pairs = complete_edges(k)
-    sx = ExactSimplex()
-    for i, j in pairs:
-        sx.add_variable(inst.cost[edge(verts[i], verts[j])])
+    sx = ExactSimplex([inst.cost[edge(verts[i], verts[j])] for i, j in pairs])
     delta_coeffs = delta_rows(pairs, k)
-    sx.solve()
     for v in range(k):
         sx.add_cut_row(delta_coeffs({v}), 1)
     sx.add_cut_row(dict.fromkeys(range(len(pairs)), -1), -(k // 2))

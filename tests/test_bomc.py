@@ -170,8 +170,8 @@ def recorded_simplices(monkeypatch):
         degree_state = None
         rounds = 0
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
         def add_cut_rows(self, cuts):

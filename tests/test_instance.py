@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathtsp import instance
+from pathtsp.cli import main
 from pathtsp.cuts import load_of_mask
 from pathtsp.instance import (
     Instance,
@@ -167,6 +168,29 @@ def test_instance_file_round_trip(n, seed):
     again = parse_instance(emit_instance(inst))
     assert again == inst
     assert emit_instance(again) == emit_instance(inst)
+
+
+def test_an_integer_file_keeps_int_costs(tmp_path):
+    # the same costs written as "c" parse to ints and as "c/1" to
+    # Fractions: the two instances, digests and run reports are equal
+    inst = random_metric_instance(26, 0)
+    text = emit_instance(inst)
+    head, edges = text.split("\n", 1)
+    as_ratios = head + "\n" + re.sub(r" (\d+)$", r" \1/1", edges, flags=re.M)
+    parsed, fractions = parse_instance(text), parse_instance(as_ratios)
+    assert {type(c) for c in parsed.cost.values()} == {int}
+    assert {type(c) for c in fractions.cost.values()} == {Fraction}
+    assert parsed == fractions == inst
+    assert instance_digest(parsed) == instance_digest(fractions)
+    reports = []
+    for name, body in (("int.txt", text), ("fraction.txt", as_ratios)):
+        (tmp_path / name).write_text(body)
+        out = tmp_path / f"{name}.report"
+        assert main(["run", str(tmp_path / name), "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        reports.append(lines[:lines.index("# timings")])
+    assert reports[0] == reports[1]
+    assert reports[0][0].startswith(f"instance={instance_digest(inst)} ")
 
 
 def test_random_metric_instance_is_deterministic_and_metric():

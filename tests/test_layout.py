@@ -129,6 +129,35 @@ def test_only_cuts_reads_the_chain_layers():
     assert not readers, f"chain layers read outside cuts: {readers}"
 
 
+# fields that only the tableau has: its cost-row forms, basis and row maps
+TABLEAU_FIELDS = {"z1", "zden", "z1den", "art_of_row", "sp_of_row", "basis"}
+
+
+def tableau_field_uses(source):
+    """The lines of one source text that read or assign an attribute named
+    after a tableau field."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in TABLEAU_FIELDS)
+
+
+def test_only_simplex_reads_the_tableau_fields():
+    # the tableau's form is simplex's own; every other module goes through
+    # its constructor, its warm modifications and its readers
+    users = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.stem != "simplex"
+             for line in tableau_field_uses(path.read_text())]
+    assert not users, f"tableau fields used outside simplex: {users}"
+
+
+def test_the_tableau_rule_catches_a_planted_use():
+    planted = ("def f(sx):\n"
+               "    r = sx.basis.index(0)\n"
+               "    sx.z1den = 1\n"
+               "    return sx.art_of_row[r], sx.rows, sx.den\n")
+    assert tableau_field_uses(planted) == [2, 3, 4]
+
+
 def names_read(node, modules):
     """The names one syntax tree reads: loaded names, names imported from
     a package module, and module.name attributes."""

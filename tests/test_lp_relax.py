@@ -109,8 +109,8 @@ def test_each_separation_round_is_one_batch_of_rows(monkeypatch):
     made = []
 
     class Recording(ExactSimplex):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             self.batches = []
             made.append(self)
 

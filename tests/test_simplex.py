@@ -17,10 +17,19 @@ from pathtsp.simplex import (DEN_LIMIT, STALL_LIMIT, ExactSimplex, Infeasible,
 from . import oracles
 
 
-def build(costs):
-    sx = ExactSimplex()
-    cols = [sx.add_variable(c) for c in costs]
-    return sx, cols
+def int_row(coeffs, rhs):
+    """(coeffs, b, d): the row coeffs.x = rhs (or >= rhs), ints or
+    Fractions, as ints over their lcm d, the form the constructor and
+    add_cut_rows take; zero coefficients are left out."""
+    ratios = [(j, Fraction(c)) for j, c in coeffs.items() if c]
+    d = lcm(Fraction(rhs).denominator, *(c.denominator for _, c in ratios))
+    return {j: int(c * d) for j, c in ratios}, int(rhs * d), d
+
+
+def build(costs, rows):
+    """The ExactSimplex of costs and one equality coeffs.x = rhs per
+    (coeffs, rhs) in rows, ints or Fractions."""
+    return ExactSimplex(costs, [int_row(coeffs, rhs) for coeffs, rhs in rows])
 
 
 def dual_values(sx, zrow_name="z"):
@@ -31,9 +40,8 @@ def dual_values(sx, zrow_name="z"):
 
 
 def test_equality_system_solves_exactly():
-    sx, (x, y) = build([1, 2])
-    sx.add_constraint({x: 1, y: 1}, 3)
-    sx.add_constraint({x: 1, y: -1}, 1)
+    x, y = 0, 1
+    sx = build([1, 2], [({x: 1, y: 1}, 3), ({x: 1, y: -1}, 1)])
     sx.solve()
     assert sx.objective() == 4
     assert sx.solution()[x] == 2
@@ -42,11 +50,8 @@ def test_equality_system_solves_exactly():
 
 
 def test_surplus_rows_and_strong_duality():
-    sx, (x, y) = build([2, 3])
-    s1 = sx.add_variable(0)
-    sx.add_constraint({x: 1, y: 1, s1: -1}, 4)
-    s2 = sx.add_variable(0)
-    sx.add_constraint({x: 1, s2: -1}, 1)
+    x, y, s1, s2 = range(4)
+    sx = build([2, 3, 0, 0], [({x: 1, y: 1, s1: -1}, 4), ({x: 1, s2: -1}, 1)])
     sx.solve()
     assert sx.objective() == 8
     y_row = dual_values(sx)
@@ -55,37 +60,34 @@ def test_surplus_rows_and_strong_duality():
 
 
 def test_fractional_rhs_stays_exact():
-    sx, (x,) = build([1])
-    sx.add_constraint({x: 7}, 3)
+    x = 0
+    sx = build([1], [({x: 7}, 3)])
     sx.solve()
     assert sx.solution()[x] == Fraction(3, 7)
     assert isinstance(sx.objective(), Fraction)
 
 
 def test_model_rows_reject_a_negative_rhs():
-    sx, (x,) = build([1])
-    for rhs in (-1, Fraction(-1, 2)):
-        with pytest.raises(ValueError):
-            sx.add_constraint({x: -1}, rhs)
-    assert sx.model == []
-    sx.add_constraint({x: 1}, 0)
+    # b = -1 over d = 1 and 2, as the only row and after a valid one
+    for b, d in ((-1, 1), (-1, 2)):
+        for rows in ([({0: -1}, b, d)], [({0: 1}, 0, 1), ({0: -1}, b, d)]):
+            with pytest.raises(ValueError):
+                ExactSimplex([1], rows)
+    sx = ExactSimplex([1], [({0: 1}, 0, 1)])
     sx.solve()
     assert sx.objective() == 0
 
 
 def test_infeasible_system_raises():
-    sx, (x,) = build([1])
-    sx.add_constraint({x: 1}, 1)
-    sp = sx.add_variable(0)
-    sx.add_constraint({x: 1, sp: -1}, 2)
+    x, sp = 0, 1
+    sx = build([1, 0], [({x: 1}, 1), ({x: 1, sp: -1}, 2)])
     with pytest.raises(Infeasible):
         sx.solve()
 
 
 def test_unbounded_objective_raises():
-    sx, (x,) = build([-1])
-    sp = sx.add_variable(0)
-    sx.add_constraint({x: 1, sp: -1}, 1)
+    x, sp = 0, 1
+    sx = build([-1, 0], [({x: 1, sp: -1}, 1)])
     with pytest.raises(Unbounded):
         sx.solve()
 
@@ -93,24 +95,21 @@ def test_unbounded_objective_raises():
 def test_beale_cycling_example_terminates():
     # the classic degenerate tableau that cycles under naive Dantzig; each
     # >= row gets its surplus column, and x6 <= 1 its slack
-    sx, (x4, x5, x6, x7) = build([Fraction(-3, 4), 150, Fraction(-1, 50), 6])
-    s1 = sx.add_variable(0)
-    sx.add_constraint({x4: Fraction(-1, 4), x5: 60, x6: Fraction(1, 25),
-                       x7: -9, s1: -1}, 0)
-    s2 = sx.add_variable(0)
-    sx.add_constraint({x4: Fraction(-1, 2), x5: 90, x6: Fraction(1, 50),
-                       x7: -3, s2: -1}, 0)
-    s3 = sx.add_variable(0)
-    sx.add_constraint({x6: 1, s3: 1}, 1)
+    x4, x5, x6, x7, s1, s2, s3 = range(7)
+    sx = build([Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0], [
+        ({x4: Fraction(-1, 4), x5: 60, x6: Fraction(1, 25), x7: -9, s1: -1},
+         0),
+        ({x4: Fraction(-1, 2), x5: 90, x6: Fraction(1, 50), x7: -3, s2: -1},
+         0),
+        ({x6: 1, s3: 1}, 1)])
     sx.solve()
     assert sx.objective() == Fraction(-1, 20)
     sx.assert_optimal()
 
 
 def test_warm_cut_rows_reprice_the_optimum():
-    sx, (x, y) = build([1, 1])
-    sp = sx.add_variable(0)
-    sx.add_constraint({x: 1, y: 1, sp: -1}, 1)
+    x, y, sp = range(3)
+    sx = build([1, 1, 0], [({x: 1, y: 1, sp: -1}, 1)])
     sx.solve()
     assert sx.objective() == 1
     # y >= 0 as 2y / d >= 0: y is not basic, so each row is stored as
@@ -130,9 +129,7 @@ def test_warm_cut_rows_reprice_the_optimum():
 def test_column_generation_master_loop():
     # miniature of the decomposition master: fix a target point, price in
     # columns until the phase-1 residual hits zero
-    sx = ExactSimplex()
-    sx.add_constraint({}, Fraction(1, 2))
-    sx.add_constraint({}, 1)
+    sx = ExactSimplex(rows=[({}, 1, 2), ({}, 1, 1)])
     gap = sx.solve_phase1()
     assert gap == Fraction(3, 2)
     a = sx.add_column(0, {0: 1, 1: 1})
@@ -148,20 +145,16 @@ def test_column_generation_master_loop():
 def test_duals_belong_to_the_rows_as_given():
     # x <= 3 as x + s1 = 3 and x >= 1 as x - s2 = 1: only the second row
     # binds, and sum y_i b_i = 1 equals the objective
-    sx, (x,) = build([1])
-    s1 = sx.add_variable(0)
-    sx.add_constraint({x: 1, s1: 1}, 3)
-    s2 = sx.add_variable(0)
-    sx.add_constraint({x: 1, s2: -1}, 1)
+    x, s1, s2 = range(3)
+    sx = build([1, 0, 0], [({x: 1, s1: 1}, 3), ({x: 1, s2: -1}, 1)])
     sx.solve()
     assert sx.objective() == 1
     assert dual_values(sx) == [0, 1]
 
 
 def test_solution_maps_only_nonzero_basics():
-    sx, (x, y) = build([1, 1])
-    sp = sx.add_variable(0)
-    sx.add_constraint({x: 1, y: 1, sp: -1}, 2)
+    x, y, sp = range(3)
+    sx = build([1, 1, 0], [({x: 1, y: 1, sp: -1}, 2)])
     sx.solve()
     sol = sx.solution()
     assert sum(sol.values(), Fraction(0)) == 2
@@ -183,12 +176,9 @@ def two_triangle_matching_lp():
     with the pairs inside {0, 1, 2} and inside {3, 4, 5} at cost 1 and the
     others at cost 10.  Its optimum, 3, is 1/2 on each triangle pair."""
     pairs = complete_edges(6)
-    sx = CountingSimplex()
-    for u, v in pairs:
-        sx.add_variable(1 if (u < 3) == (v < 3) else 10)
     delta = delta_rows(pairs, 6)
-    for v in range(6):
-        sx.add_constraint(delta({v}), 1)
+    sx = CountingSimplex([1 if (u < 3) == (v < 3) else 10 for u, v in pairs],
+                         [(delta({v}), 1, 1) for v in range(6)])
     return sx, pairs, delta
 
 
@@ -228,8 +218,8 @@ numbers = st.sampled_from([st.integers(-4, 4), rationals,
 class PivotPath:
     """Records every pivot (row, column) in self.path."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.path = []
 
     def _pivot(self, r, j):
@@ -270,11 +260,20 @@ class IntegerTableau(PivotPath, ExactSimplex):
 
 
 class FractionEqualities(oracles.FractionSimplex):
-    """The Fraction tableau, taking model rows as ExactSimplex does: the
-    equality coeffs.x = rhs."""
+    """The Fraction tableau, built from the constructor arguments that
+    ExactSimplex takes: costs and the equalities coeffs.x = b / d, set up
+    at once, with phase 1 closed when there is no row."""
 
-    def add_constraint(self, coeffs, rhs):
-        super().add_constraint(coeffs, "=", rhs)
+    def __init__(self, costs=(), rows=()):
+        super().__init__()
+        for c in costs:
+            self.add_variable(c)
+        for coeffs, b, d in rows:
+            self.add_constraint({j: Fraction(p, d) for j, p in coeffs.items()},
+                                "=", Fraction(b, d))
+        self._setup()
+        if not rows:
+            self._close_phase1()
 
 
 class StallRecorder(PivotPath, FractionEqualities):
@@ -288,12 +287,10 @@ class StallRecorder(PivotPath, FractionEqualities):
         super()._pivot(r, j)
 
 
-def both(build):
-    """(integer tableau, Fraction tableau), each set up by build(sx)."""
-    pair = IntegerTableau(), StallRecorder()
-    for sx in pair:
-        build(sx)
-    return pair
+def both(costs, rows):
+    """(integer tableau, Fraction tableau), each built from costs and
+    rows."""
+    return IntegerTableau(costs, rows), StallRecorder(costs, rows)
 
 
 def same_call(pair, method, *args):
@@ -347,19 +344,20 @@ def assert_same_state(pair, phase1=False):
 
 
 def build_model(costs, rows):
-    """Each row (coefs, sense, rhs) goes in as an equality with rhs >= 0: a
-    >= row gets a surplus column, added just before it with coefficient
-    -1, and a row with rhs < 0 is negated."""
-    def build(sx):
-        cols = [sx.add_variable(c) for c in costs]
-        for coefs, sense, rhs in rows:
-            coeffs = dict(zip(cols, coefs))
-            if sense == ">=":
-                coeffs[sx.add_variable(0)] = -1
-            if rhs < 0:
-                coeffs = {j: -c for j, c in coeffs.items()}
-            sx.add_constraint(coeffs, abs(rhs))
-    return build
+    """The constructor's (costs, rows): each row (coefs, sense, rhs) goes
+    in as an equality with rhs >= 0, as ints over their lcm.  A >= row gets
+    a surplus column of cost 0 and coefficient -1, appended after the
+    columns before it, and a row with rhs < 0 is negated."""
+    costs, out = list(costs), []
+    for coefs, sense, rhs in rows:
+        coeffs = dict(enumerate(coefs))
+        if sense == ">=":
+            coeffs[len(costs)] = -1
+            costs.append(0)
+        if rhs < 0:
+            coeffs = {j: -c for j, c in coeffs.items()}
+        out.append(int_row(coeffs, abs(rhs)))
+    return costs, out
 
 
 @st.composite
@@ -381,7 +379,7 @@ def cutting_plane_runs(draw):
 def test_cutting_plane_path_matches_the_fraction_tableau(run):
     costs, rows, cuts = run
     rhs_given = [abs(Fraction(rhs)) for _, _, rhs in rows]
-    pair = both(build_model(costs, rows))
+    pair = both(*build_model(costs, rows))
     if not same_call(pair, "solve"):
         return
     assert_same_state(pair)
@@ -399,27 +397,20 @@ def test_cutting_plane_path_matches_the_fraction_tableau(run):
         assert_strong_duality(pair[0], rhs_given)
 
 
-def int_row(coefs, rhs):
-    """(coeffs, b, d): the row coefs.x >= rhs as ints over their lcm d."""
-    ratios = [(j, Fraction(c)) for j, c in enumerate(coefs) if c]
-    d = lcm(Fraction(rhs).denominator, *(c.denominator for _, c in ratios))
-    return {j: int(c * d) for j, c in ratios}, int(rhs * d), d
-
-
 @settings(max_examples=100, deadline=None)
 @given(cutting_plane_runs())
 def test_a_batch_of_cut_rows_is_the_rows_one_at_a_time(run):
     costs, rows, cuts = run
-    one, batch = ExactSimplex(), ExactSimplex()
+    one, batch = (ExactSimplex(*build_model(costs, rows)) for _ in range(2))
     for sx in (one, batch):
-        build_model(costs, rows)(sx)
         try:
             sx.solve()
         except (Infeasible, Unbounded):
             return
     for coefs, rhs in cuts:
         one.add_cut_row(dict(enumerate(coefs)), rhs)
-    row_ids = batch.add_cut_rows([int_row(coefs, rhs) for coefs, rhs in cuts])
+    row_ids = batch.add_cut_rows([int_row(dict(enumerate(coefs)), rhs)
+                                  for coefs, rhs in cuts])
     assert row_ids == list(range(len(rows), len(rows) + len(cuts)))
     assert vars(batch) == vars(one)
 
@@ -476,10 +467,7 @@ def pivot_cases(draw):
 @given(pivot_cases())
 def test_pivot_on_nonzeros_stores_the_dense_ints(case):
     rows, rhs, den, z, zden, r, j = case
-    sx = ExactSimplex()
-    for _ in z:
-        sx.add_variable(0)
-    sx.model = None
+    sx = ExactSimplex([0] * len(z))
     sx.rows, sx.rhs, sx.den = [list(row) for row in rows], list(rhs), list(den)
     sx.z, sx.zden = list(z), zden
     sx.basis = [0] * len(rows)  # not artificial, so nothing is banned
@@ -502,7 +490,7 @@ def degenerate_model(seed):
 
 @pytest.mark.parametrize("seed", [182, 187, 191, 195])
 def test_degenerate_path_through_bland_matches(seed):
-    pair = both(degenerate_model(seed))
+    pair = both(*degenerate_model(seed))
     if same_call(pair, "solve"):
         assert_same_state(pair)
     assert pair[1].longest >= STALL_LIMIT
@@ -511,7 +499,7 @@ def test_degenerate_path_through_bland_matches(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_degenerate_path_matches_the_fraction_tableau(seed):
-    pair = both(degenerate_model(seed))
+    pair = both(*degenerate_model(seed))
     if same_call(pair, "solve"):
         assert_same_state(pair)
 
@@ -538,11 +526,7 @@ def master_runs(draw):
 def test_master_path_matches_the_fraction_tableau(run):
     rhs, columns = run
 
-    def build(sx):
-        for b in rhs:
-            sx.add_constraint({}, abs(b))
-
-    pair = both(build)
+    pair = both((), [int_row({}, abs(b)) for b in rhs])
     assert same_call(pair, "solve_phase1")
     assert_same_state(pair, phase1=True)
     for cost, coefs in columns:
