@@ -12,14 +12,13 @@ from .lp_relax import LpSolution, separate, solve_lp
 from .parity import (GammaParams, assign_gamma, benefits, certify_bound,
                      correction_vectors, split_path_join)
 from .reassembler import classify, exchange, reassemble, sweep
-from .tree_decomp import Atom, decompose, round_distribution
+from .tree_decomp import Atom, decompose
 
 __all__ = [
     "Atom", "CutChain", "GammaParams", "Instance", "LpSolution",
     "assign_gamma", "benefits", "best_of_many", "build_appendix_instance",
     "certify_bound", "classify", "correction_vectors", "cut_stats",
     "decompose", "exchange", "held_karp_opt", "min_tjoin", "narrow_cuts",
-    "random_metric_instance", "read_instance", "reassemble",
-    "round_distribution", "separate", "solve_lp", "split_path_join",
-    "sweep", "write_instance",
+    "random_metric_instance", "read_instance", "reassemble", "separate",
+    "solve_lp", "split_path_join", "sweep", "write_instance",
 ]

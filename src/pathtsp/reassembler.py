@@ -16,9 +16,10 @@ those exchanges across the chain until one of the two type classes is
 exhausted at every cut.  Direction "left" mirrors both (021 with 110,
 right to left); SWEEPS holds what differs.  The reassemble driver
 takes a tree distribution and the narrow-cut chain of the point it
-decomposes, rounds weights onto the eps/n^2 grid, sweeps left then right
-(the sweep keeps each tree's weight as an int count of grid steps), and
-adds the residual mass back, so the final distribution
+decomposes.  It is the one place that knows the eps/n^2 grid: it splits
+each weight once, as an int over the weights' lcm, into whole grid steps
+and a residual below one step, sweeps left then right on one pot of int
+steps by tree, and adds the residual mass back, so the final distribution
 satisfies the four-way type-mix bound within eps at every internal
 xi-narrow cut.
 
@@ -41,8 +42,7 @@ from math import floor
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
 from .cuts import CutChain, narrow_cuts
 from .instance import over_lcm
-from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
-                          round_distribution, tree_key)
+from .tree_decomp import Atom, check_reconstruction, is_spanning_tree, tree_key
 
 # the four type pairs of the type-mix bound: after reassembly, at every
 # internal xi-narrow cut, the mass of one of them is at most p_GOOD + eps
@@ -172,27 +172,15 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
 
 # ----- sweeps -----
 
-def sweep(dist, chain: CutChain, direction: str, quantum):
+def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
     """One pass exchanging the pairs SWEEPS[direction] names, left to right
-    for "right" and right to left for "left", with every weight on the
-    grid of step quantum; returns (new distribution, exchange records)."""
-    quantum = Fraction(quantum)
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    qn, qd = quantum.as_integer_ratio()
-    if qn <= 0 or any(w * qd % (den * qn) for w in nums.values()):
-        raise ValueError("weights not on the eps/n^2 grid")
-    units = [w * qd // (den * qn) for w in nums.values()]  # w / quantum
+    for "right" and right to left for "left", on pot (tree_key -> int count
+    of grid steps of size quantum) in place; tree_of maps each key to its
+    tree and gains the trees the exchanges make.  Returns the exchange
+    records."""
     last = len(chain.xi_indices) - 1
     (want1, want2), fragile = SWEEPS[direction]
-
-    # grid units keyed by tree, in canonical order; tree_of keeps each
-    # key's first frozenset, so the chain's profile cache hashes no new one
-    pot, tree_of = {}, {}
-    for a, w in zip(dist, units):
-        key = tree_key(a.tree)
-        pot[key] = pot.get(key, 0) + w
-        tree_of.setdefault(key, a.tree)
-    before = {i: census((a.tree for a in dist), units, chain, i)
+    before = {i: census(map(tree_of.get, pot), pot.values(), chain, i)
               for i in range(1, last)}
 
     records = []
@@ -221,8 +209,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
                 pot[nk] = pot.get(nk, 0) + delta
                 tree_of.setdefault(nk, tree)
 
-    out = [Atom(tree_of[k], w * quantum) for k, w in sorted(pot.items())]
-    assert len(out) <= 1 / quantum, "support exceeded n^2/eps"
+    assert len(pot) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     for i in range(1, last):
@@ -231,7 +218,7 @@ def sweep(dist, chain: CutChain, direction: str, quantum):
         good = after.get("GOOD", 0)
         for f in fragile:
             assert after.get(f, 0) <= before[i].get(f, 0) + good
-    return out, records
+    return records
 
 
 # ----- the driver -----
@@ -251,8 +238,9 @@ def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
 
 
 def reassemble(dist, chain: CutChain, eps):
-    """Round the tree distribution dist of chain.x to the eps/n^2 grid,
-    sweep left, sweep right, recombine the residual.  Returns
+    """Split each weight of the tree distribution dist of chain.x into whole
+    steps of the eps/n^2 grid and a residual below one step, sweep the
+    steps left, then right, and add the residual back.  Returns
     (distribution, exchange records).
 
     chain is the narrow-cut chain of the LP point dist decomposes, with
@@ -264,14 +252,30 @@ def reassemble(dist, chain: CutChain, eps):
     if not Fraction(3, 2) < chain.xi < 2:
         raise ValueError("xi must lie strictly between 3/2 and 2")
     check_reconstruction(chain.x, dist)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     n = chain.inst.n
 
+    # weight w/den = steps * quantum + rest/(den*qd), with rest/(den*qd)
+    # below one step; pot keeps the steps by tree, tree_of each key's
+    # first frozenset, so the chain's profile cache hashes no new one
     quantum = eps / (n * n)
-    rounded, residual = round_distribution(dist, eps, n)
-    swept, rec_l = sweep(rounded, chain, "left", quantum)
-    swept, rec_r = sweep(swept, chain, "right", quantum)
-    final = swept + residual
-    records = rec_l + rec_r
+    qn, qd = quantum.as_integer_ratio()
+    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    pot, tree_of, rests = {}, {}, []
+    for a, w in zip(dist, nums.values()):
+        steps, rest = divmod(w * qd, den * qn)
+        rests.append(rest)
+        if steps:
+            key = tree_key(a.tree)
+            pot[key] = pot.get(key, 0) + steps
+            tree_of.setdefault(key, a.tree)
+    assert Fraction(sum(rests), den * qd) < eps, "residual mass >= eps"
+    records = sweep(pot, tree_of, chain, "left", quantum)
+    records += sweep(pot, tree_of, chain, "right", quantum)
+    final = [Atom(tree_of[k], w * quantum) for k, w in sorted(pot.items())]
+    final += [Atom(a.tree, Fraction(rest, den * qd))
+              for a, rest in zip(dist, rests) if rest]
 
     check_reconstruction(chain.x, final)
     assert len(final) < n * n / eps + n * n

@@ -10,7 +10,8 @@ would.  Everything is exact.
 A distribution is a plain list of Atom records; helper functions give its
 total weight, check that it reconstructs a point (check_reconstruction, on
 ints: the one check that decompose, reassemble, audit and verify share),
-round it to a weight grid, and read and write the canonical file format.
+and read and write the canonical file format.  Rounding onto the eps/n^2
+weight grid is reassembler.reassemble's.
 """
 
 from __future__ import annotations
@@ -198,30 +199,6 @@ def decompose(x: dict, inst: Instance):
     for atom in dist:
         assert is_spanning_tree(atom.tree, n)
     return dist
-
-
-def round_distribution(dist, eps, n):
-    """Round weights down onto the eps/n^2 grid.
-
-    Returns (rounded, residual): the rounded atoms have weights that are
-    integer multiples of eps/n^2; the residual atoms hold the leftovers,
-    with total mass < eps.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = eps / (n * n)
-    rounded, residual = [], []
-    for atom in dist:
-        steps = atom.weight / grid
-        down = grid * (steps.numerator // steps.denominator)
-        if down > 0:
-            rounded.append(Atom(atom.tree, down))
-        if atom.weight > down:
-            residual.append(Atom(atom.tree, atom.weight - down))
-    mass = total_weight(residual)
-    assert mass < eps, f"residual mass {mass} >= {eps}"
-    return rounded, residual
 
 
 # ----- canonical file format -----

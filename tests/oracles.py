@@ -16,10 +16,11 @@ exchange's promises) and use the package's classify, is_spanning_tree,
 sweep table and wall fixture to do so.
 
 Last come the certificate's stages (benefits, correction vectors, the
-verdict and its cost chain, reconstruction, the type census) as they were
-written on Fractions.  They share the package's inputs to those stages
-(parities, crossing profiles, tree types, cheap edges, the membership and
-packing checks) and hold only its int arithmetic to the Fraction one.
+verdict and its cost chain, reconstruction, the type census) and the
+sweeps' grid pot as they were written on Fractions.  They share the
+package's inputs to those stages (parities, crossing profiles, tree types,
+cheap edges, the membership and packing checks, the canonical tree order)
+and hold only its int arithmetic to the Fraction one.
 correction_fractions is the one Fraction view of the package's z^S and
 y^S, which it returns as ints over one denominator.
 
@@ -49,7 +50,7 @@ from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
                             cheapest_cut_edges, tjoin_cut_violations)
 from pathtsp.reassembler import SWEEPS, classify, type_data
 from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
-from pathtsp.tree_decomp import is_spanning_tree
+from pathtsp.tree_decomp import Atom, is_spanning_tree, tree_key
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -1259,6 +1260,28 @@ def reconstruct(dist) -> dict:
         for e in atom.tree:
             x[e] = x.get(e, ZERO) + atom.weight
     return {e: v for e, v in x.items() if v != 0}
+
+
+def grid_pot(dist, quantum):
+    """(pot, tree_of, residual): dist's weights rounded down onto the grid
+    of step quantum, in Fractions, as sweep reads them.  pot maps each
+    tree_key to its int count of steps, tree_of each key to its first
+    tree; residual holds the leftovers as atoms, in dist's order."""
+    pot, tree_of, residual = {}, {}, []
+    for a in dist:
+        steps = a.weight // quantum
+        if steps:
+            key = tree_key(a.tree)
+            pot[key] = pot.get(key, 0) + steps
+            tree_of.setdefault(key, a.tree)
+        if a.weight > steps * quantum:
+            residual.append(Atom(a.tree, a.weight - steps * quantum))
+    return pot, tree_of, residual
+
+
+def pot_atoms(pot, tree_of, quantum):
+    """A grid pot as atoms, in canonical tree order."""
+    return [Atom(tree_of[k], w * quantum) for k, w in sorted(pot.items())]
 
 
 def type_census_fraction(dist, chain: CutChain, i: int) -> dict:

@@ -20,9 +20,10 @@ from pathtsp.instance import (
 )
 
 from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
-                      correction_fractions, crossings, mask_of,
-                      matching_min_cost, path_min_cost, rational_rank,
-                      reconstruct, validate_exchange_record, violated_cuts)
+                      correction_fractions, crossings, grid_pot, mask_of,
+                      matching_min_cost, path_min_cost, pot_atoms,
+                      rational_rank, reconstruct, validate_exchange_record,
+                      violated_cuts)
 from .test_cuts import packing_holds
 
 BETA = Fraction(401, 1000)
@@ -153,14 +154,13 @@ def property_results(params, legacy_params):
         # (a) reconstruction after every stage
         dist0 = tree_decomp.decompose(x, inst)
         assert reconstruct(dist0) == x
-        rounded, residual = tree_decomp.round_distribution(dist0, EPS,
-                                                           inst.n)
-        assert reconstruct(rounded + residual) == x
         quantum = EPS / (inst.n * inst.n)
-        stage1, _ = reassembler.sweep(rounded, chain, "left", quantum)
-        assert reconstruct(stage1 + residual) == x
-        stage2, _ = reassembler.sweep(stage1, chain, "right", quantum)
-        assert reconstruct(stage2 + residual) == x
+        pot, tree_of, residual = grid_pot(dist0, quantum)
+        assert reconstruct(pot_atoms(pot, tree_of, quantum) + residual) == x
+        for direction in ("left", "right"):
+            reassembler.sweep(pot, tree_of, chain, direction, quantum)
+            stage = pot_atoms(pot, tree_of, quantum)
+            assert reconstruct(stage + residual) == x
 
         final, records = reassembler.reassemble(dist0, chain, EPS)
         assert reconstruct(final) == x

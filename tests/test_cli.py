@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -8,7 +10,8 @@ import pytest
 
 from pathtsp import build_appendix_instance, lp_relax, narrow_cuts
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
-from pathtsp.instance import format_rational
+from pathtsp.instance import (format_rational, random_metric_instance,
+                              write_instance)
 from pathtsp.parity import EPS_DEFAULT
 from pathtsp.reassembler import reassemble
 
@@ -190,6 +193,28 @@ def test_run_random_end_to_end(tmp_path):
                  "-o", str(out)]) == 0
     body = strip_timings(out)
     assert "verdict=certified bound=1599/1000" in body
+
+
+def test_run_reports_match_the_recorded_digests(tmp_path):
+    # perfbench/answers.json holds the sha256 of each benchmark job's report
+    # above its timings; these are the `wall` jobs and the `random-n26`
+    # corpus-0 instances, written as the benchmark's set-up writes them
+    answers = Path(__file__).resolve().parent.parent / "perfbench" \
+        / "answers.json"
+    recorded = json.loads(answers.read_text())
+    jobs = {f"appendix k={k}": ["appendix", "--k", str(k)]
+            for k in (0, 2, 3, 4, 5)}
+    for seed in range(8):
+        path = tmp_path / f"random-n26-{seed}.txt"
+        write_instance(random_metric_instance(26, seed), path)
+        jobs[f"random n=26 seed={seed}"] = [str(path)]
+    out = tmp_path / "report.txt"
+    digests = {}
+    for key, target in jobs.items():
+        assert main(["run", *target, "-o", str(out)]) == 0
+        report = out.read_text().split("# timings")[0]
+        digests[key] = hashlib.sha256(report.encode()).hexdigest()
+    assert digests == {key: recorded[key] for key in jobs}
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -17,8 +17,9 @@ from pathtsp.reassembler import (
 )
 from pathtsp.tree_decomp import Atom, decompose, total_weight
 
-from .oracles import (appendix_wall_cut_indices, reconstruct,
-                      type_census_fraction, validate_exchange_record)
+from .oracles import (appendix_wall_cut_indices, grid_pot, pot_atoms,
+                      reconstruct, type_census_fraction,
+                      validate_exchange_record)
 
 HALF = Fraction(1, 2)
 XI = Fraction(173, 100)
@@ -168,14 +169,18 @@ def test_sweeps_on_the_wall_distribution(appendix0, appendix0_chain):
         assert mass == {"011": Fraction(1, 4), "110": Fraction(1, 4),
                         "021": Fraction(1, 4), "120": Fraction(1, 4)}
     quantum = EPS / inst.n ** 2   # the grid reassemble sweeps on
-    swept, recs = sweep(p4, chain, "right", quantum)
+    pot, tree_of, residual = grid_pot(p4, quantum)
+    assert residual == []
+    recs = sweep(pot, tree_of, chain, "right", quantum)
+    swept = pot_atoms(pot, tree_of, quantum)
     assert recs and reconstruct(swept) == xstar
     assert total_weight(swept) == 1
     for i in range(1, len(chain) - 1):
         mass = type_census_fraction(swept, chain, i)
         assert min(mass.get("120", Fraction(0)),
                    mass.get("011", Fraction(0))) == 0
-    swept2, recs2 = sweep(swept, chain, "left", quantum)
+    recs2 = sweep(pot, tree_of, chain, "left", quantum)
+    swept2 = pot_atoms(pot, tree_of, quantum)
     assert reconstruct(swept2) == xstar
     for i in range(1, len(chain) - 1):
         mass = type_census_fraction(swept2, chain, i)
@@ -192,24 +197,10 @@ def test_sweep_without_applicable_pairs_is_identity():
     chain = narrow_cuts(x, inst)
     dist = decompose(x, inst)
     quantum = EPS / inst.n ** 2
-    out, recs = sweep(dist, chain, "right", quantum)
-    assert recs == [] and out == dist
-    out, recs = sweep(dist, chain, "left", quantum)
-    assert recs == [] and out == dist
-
-
-def test_sweep_rejects_a_weight_off_the_grid(appendix0, appendix0_chain):
-    _, _, p4 = appendix0
-    quantum = EPS / 400
-    on_grid = [Atom(a.tree, a.weight - quantum) for a in p4]
-    sweep(on_grid, appendix0_chain, "left", quantum)
-    for weight in (Fraction(1, 4) - quantum / 2, Fraction(1, 3)):
-        off = on_grid[:3] + [Atom(p4[3].tree, weight)]
-        with pytest.raises(ValueError, match="^weights not on the eps/n"):
-            sweep(off, appendix0_chain, "left", quantum)
-    for bad in (0, -quantum):
-        with pytest.raises(ValueError, match="^weights not on the eps/n"):
-            sweep(on_grid, appendix0_chain, "left", bad)
+    pot, tree_of, _ = grid_pot(dist, quantum)
+    for direction in ("right", "left"):
+        assert sweep(pot, tree_of, chain, direction, quantum) == []
+        assert pot_atoms(pot, tree_of, quantum) == dist
 
 
 def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
@@ -223,7 +214,8 @@ def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
     assert total_weight(final) == 1
     assert all(a.weight > 0 for a in final)
     assert len(final) < inst.n ** 2 / eps + inst.n ** 2
-    assert len(records) == 6
+    # the left sweep runs first
+    assert [rec.direction for rec in records] == ["left"] * 3 + ["right"] * 3
     for rec in records:
         assert validate_exchange_record(rec, chain) == []
 
@@ -235,6 +227,38 @@ def test_reassemble_trivial_on_integral_point():
                                 Fraction(1, 100))
     assert records == []
     assert len(final) == 1 and total_weight(final) == 1
+
+
+def three_paths():
+    """The average of three Hamiltonian 0-4 paths on five vertices, an LP
+    point whose chain has no internal xi-narrow cut, and its distribution
+    with the paths out of canonical order."""
+    inst = uniform_instance(5)
+    paths = [tree((0, 3), (3, 1), (1, 2), (2, 4)),
+             tree((0, 1), (1, 2), (2, 3), (3, 4)),
+             tree((0, 2), (2, 3), (3, 1), (1, 4))]
+    dist = [Atom(p, Fraction(1, 3)) for p in paths]
+    chain = narrow_cuts(reconstruct(dist), inst)
+    assert len(chain.xi_indices) == 2
+    return chain, paths, dist
+
+
+def test_reassemble_rounds_each_weight_down_onto_the_grid():
+    # 1/3 is 833 steps of 1/2500 and 1/7500 over: the grid atoms come in
+    # canonical tree order, then the residual atoms in input order
+    chain, paths, dist = three_paths()
+    final, records = reassemble(dist, chain, EPS)
+    assert records == []
+    grid = [Atom(p, Fraction(833, 2500)) for p in sorted(paths, key=sorted)]
+    assert final == grid + [Atom(p, Fraction(1, 7500)) for p in paths]
+
+
+def test_reassemble_on_the_grid_leaves_no_residual():
+    chain, paths, dist = three_paths()
+    final, records = reassemble(dist, chain, Fraction(1, 12))  # step 1/300
+    assert records == []
+    assert final == [Atom(p, Fraction(1, 3))
+                     for p in sorted(paths, key=sorted)]
 
 
 def test_reassemble_validates_parameters(appendix0, appendix0_chain):

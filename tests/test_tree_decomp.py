@@ -14,7 +14,6 @@ from pathtsp.tree_decomp import (
     emit_distribution,
     is_spanning_tree,
     parse_distribution,
-    round_distribution,
     total_weight,
     tree_path,
 )
@@ -112,28 +111,6 @@ def test_decompose_inverts_random_mixtures(n, seed, k):
     dist = decompose(x, inst)
     assert reconstruct(dist) == x
     assert total_weight(dist) == 1
-
-
-def test_round_distribution_floor_values():
-    atoms = [Atom(frozenset([edge(0, i + 1)]), Fraction(1, 3))
-             for i in range(3)]
-    rounded, residual = round_distribution(atoms, Fraction(1, 100), 4)
-    assert all(a.weight == Fraction(533, 1600) for a in rounded)
-    assert total_weight(residual) == Fraction(1, 1600)
-    merged = rounded + residual
-    assert reconstruct(merged) == reconstruct(atoms)
-
-
-def test_round_distribution_exact_grid_leaves_no_residual():
-    atoms = [Atom(frozenset([edge(0, 1)]), Fraction(1))]
-    rounded, residual = round_distribution(atoms, Fraction(1, 100), 5)
-    assert rounded[0].weight == 1
-    assert residual == []
-
-
-def test_round_distribution_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        round_distribution([], 0, 4)
 
 
 def test_distribution_file_round_trip_and_merge():
