@@ -19,15 +19,17 @@ A vertex set is an int bitmask (bit v for vertex v) from the cut tree up:
 the tree's sides, the chain's levels and load_of_mask all take that form,
 and the chain derives its levels' sorted vertex tuples for the reports.
 Because the levels are nested, each vertex also has a layer, the first
-level that contains it (t has none, so its layer is the chain length), and
-an edge crosses exactly the levels from the lower of its endpoints' layers
-up to, not including, the higher one.  That is the one crossing rule:
-CutChain.levels_crossed applies it, and every module that asks which
-levels an edge crosses asks that method, so only this module reads the
-layers.  One pass over a tree's edges, with difference arrays over those
-level intervals, gives everything the later stages ask about the tree:
-its crossing profile, built once per tree and kept on the chain, with the
-tree's type code at every internal xi-narrow cut (the rule is in
+level whose tuple holds it (t is in none, so its layer is the chain
+length), and an edge crosses exactly the levels from the lower of its
+endpoints' layers up to, not including, the higher one.  That is the one
+crossing rule: CutChain.levels_crossed applies it, and every module that
+asks which levels an edge crosses asks that method, so only this module
+reads the layers.  One pass over a tree's edges gives everything the later
+stages ask about the tree: each edge adds itself to a difference array of
+crossing counts over its level interval and is laid over that interval
+with one list slice, so a level crossed once holds its lone edge.  That is
+the tree's crossing profile, built once per tree and kept on the chain,
+with the tree's type code at every internal xi-narrow cut (the rule is in
 `reassembler`'s docstring).
 
 A level's load is the flow value of the cut-tree edge that gives it, so the
@@ -39,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, pairwise
 
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import ZERO, Instance, format_rational
@@ -100,19 +103,14 @@ class CutChain:
 
     def __post_init__(self):
         size, n = len(self.masks), self.inst.n
+        if any(inner & ~outer for inner, outer in pairwise(self.masks)):
+            raise ValueError("chain levels must be nested")
         self.levels = [tuple(v for v in range(n) if (m >> v) & 1)
                        for m in self.masks]
         self.layer = [size] * n
-        prev = 0
-        for i, mask in enumerate(self.masks):
-            if prev & ~mask:
-                raise ValueError("chain levels must be nested")
-            new = mask & ~prev
-            while new:
-                low = new & -new
-                self.layer[low.bit_length() - 1] = i
-                new ^= low
-            prev = mask
+        for i in reversed(range(size)):  # so the first level holding v wins
+            for v in self.levels[i]:
+                self.layer[v] = i
         self._xi_at = [bisect_left(self.xi_indices, c)
                        for c in range(size + 1)]
         self._profiles = {}
@@ -138,55 +136,40 @@ class CutChain:
     def _build_profile(self, tree) -> CrossingProfile:
         size, xi, xi_at = len(self.masks), self.xi_indices, self._xi_at
         npos = len(xi)
-        edges = []     # the edges that cross some level, numbered
+        count = [0] * (size + 1)  # |S cap C| by level, as a difference array
+        last = [None] * size      # the last crossing edge laid on each level
         spans = {}     # edge -> the xi-positions [pa, pb) it crosses
-        count = [0] * (size + 1)
-        ids = [0] * (size + 1)
-        both = [0] * (npos + 1)  # xi-cuts p - 1 and p both crossed
+        # the edges crossing xi-cuts p - 1 and p, as a difference array
+        both = [0] * (npos + 1)
         for e in tree:
             a, b = self.levels_crossed(*e)
             if a == b:
                 continue
-            k = len(edges)
-            edges.append(e)
             count[a] += 1
             count[b] -= 1
-            ids[a] += k
-            ids[b] -= k
-            pa, pb = xi_at[a], xi_at[b]
-            spans[e] = pa, pb
+            last[a:b] = [e] * (b - a)
+            pa, pb = spans[e] = xi_at[a], xi_at[b]
             if pb - pa >= 2:
                 both[pa + 1] += 1
                 both[pb] -= 1
-        counts, single = [], []
-        c = k = 0
-        for lvl in range(size):
-            c += count[lvl]
-            k += ids[lvl]     # at a level crossed once, the edge's number
-            counts.append(c)
-            single.append(edges[k] if c == 1 else None)
-        marked = [0] * (npos + 1)
+        counts = list(accumulate(count[:size]))
+        # a level crossed once has had one edge laid on it: its lone edge
+        single = [e if c == 1 else None for c, e in zip(counts, last)]
+        shared = list(accumulate(both))  # edges crossing xi-cuts p - 1, p
+        # marked[p] at the p-th xi-narrow cut C when some xi-narrow cut C'
+        # has S cap C' = {e} for an edge e of S cap C
+        marked = [False] * npos
         for ci in xi:
             if single[ci] is not None:
                 pa, pb = spans[single[ci]]
-                marked[pa] += 1
-                marked[pb] -= 1
-        shared = []    # shared[p]: edges crossing xi-cuts p - 1 and p
-        run = 0
-        for p in range(npos + 1):
-            run += both[p]
-            shared.append(run)
+                marked[pa:pb] = [True] * (pb - pa)
         types, codes = [], []
-        # mark > 0 at the p-th xi-narrow cut C when some xi-narrow cut C'
-        # has S cap C' = {e} for an edge e of S cap C
-        mark = 0
         for p, ci in enumerate(xi):
-            mark += marked[p]
             l, m, r = shared[p], counts[ci], shared[p + 1]
             types.append((l, m, r))
             if not 0 < p < npos - 1:
                 code = None
-            elif m >= 3 or l + r >= 3 or (l + r >= 1 and not mark):
+            elif m >= 3 or l + r >= 3 or (l + r >= 1 and not marked[p]):
                 code = "GOOD"
             else:
                 code = CODE_OF.get((l, m, r))

@@ -20,11 +20,13 @@ callers compare the int against their own thresholds times net.den.
 
 Arc arrays.  Vertices are the ints 0..n-1 and number themselves, so a
 side is a set of the caller's own vertex ids and an edgeless vertex is
-just one with no arcs.  Each undirected edge is one arc pair in the flat
-lists `head` and `cap`: arc a and its reverse a ^ 1, both with the edge's
-capacity, where the keys (u, v) and (v, u) add up to one edge.  Every
-vertex keeps a list of its arc ids in capacity-dict order, and the
-breadth-first search records the arc that reached each vertex.
+just one with no arcs.  Each capacity entry is one arc pair in the flat
+lists `head` and `cap`: arc a and its reverse a ^ 1, both with the entry's
+capacity.  Two entries on one vertex pair, such as (u, v) and (v, u), are
+two parallel arc pairs, which a max-flow treats as one edge of their
+summed capacity.  Every vertex keeps a list of its arc ids in
+capacity-dict order, and the breadth-first search records the arc that
+reached each vertex.
 
 The result does not depend on the algorithm.  The returned side is the set
 of vertices reachable from the source in the final residual graph.  For
@@ -54,15 +56,8 @@ class FlowNetwork:
         self.adj = [[] for _ in range(n)]  # adj[u]: the arcs leaving u
         self.head = []    # head[a]: the vertex arc a points to; a ^ 1 reverses
         self.cap = []     # cap[a]: capacity of arc a, scaled by den
-        arc = {}          # (u, v) -> the arc from u to v
         for (u, v), c in scaled.items():
-            a = arc.get((u, v))
-            if a is not None:
-                self.cap[a] += c
-                self.cap[a ^ 1] += c
-                continue
             a = len(self.head)
-            arc[u, v], arc[v, u] = a, a + 1
             self.head += (v, u)
             self.cap += (c, c)
             self.adj[u].append(a)

@@ -321,14 +321,12 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
     that narrow cut; ties go to the lexicographically smallest edge.
 
     One pass over the edges in (cost, edge) order: each edge fills every
-    level it crosses that no earlier edge has filled.  The sort
-    compares the costs as ints over their lcm."""
+    level it crosses that no earlier edge has filled."""
     inst = chain.inst
-    cost, _ = over_lcm(inst.cost)
     size = len(chain.masks)
     cheap = [None] * size
     unfilled = size
-    for e in sorted(complete_edges(inst.n), key=lambda e: (cost[e], e)):
+    for e in sorted(complete_edges(inst.n), key=lambda e: (inst.cost[e], e)):
         for ci in range(*chain.levels_crossed(*e)):
             if cheap[ci] is None:
                 cheap[ci] = e

@@ -345,8 +345,14 @@ def trees_on_chains(draw):
     return frozenset(tree), chain
 
 
+# the path s=0, 1, 2, 3, t=4 cut at every prefix, all xi-narrow: the edge
+# 1-3 crosses xi-cuts 1 and 2 but not 0, so l = 1 at cut 2 and l = 0 at 1
 @settings(max_examples=150, deadline=None)
 @given(trees_on_chains())
+@example((frozenset({(0, 1), (1, 3), (2, 3), (3, 4)}),
+          CutChain(masks=[0b1, 0b11, 0b111, 0b1111], loads=[None] * 4,
+                   xi=XI_DEFAULT, xi_indices=[0, 1, 2, 3],
+                   inst=Instance(n=5, s=0, t=4, cost={}), x={})))
 def test_profile_matches_the_scanning_oracle(case):
     tree, chain = case
     size = len(chain.masks)

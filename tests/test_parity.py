@@ -425,17 +425,31 @@ def metric_instance(n, seed):
     return random_metric_instance(n, seed)
 
 
+@lru_cache(maxsize=None)
+def fraction_instance(n, seed):
+    """metric_instance(n, seed) with its int costs c made distinct
+    non-integer Fractions of mixed denominators, c/3 + 1/(7(i + 2)) on the
+    i-th edge."""
+    inst = metric_instance(n, seed)
+    cost = {e: Fraction(c, 3) + Fraction(1, 7 * (i + 2))
+            for i, (e, c) in enumerate(sorted(inst.cost.items()))}
+    return Instance(n=n, s=inst.s, t=inst.t, cost=cost)
+
+
 @st.composite
 def priced_chains(draw):
-    """A random nested chain on n <= 40 vertices, over the costs of a
-    random metric instance or over all-equal costs, where only the
-    lexicographic tie-break tells the edges apart."""
+    """A random nested chain on n <= 40 vertices, over the int costs of a
+    random metric instance, over those costs made distinct Fractions, or
+    over all-equal costs, where only the lexicographic tie-break tells the
+    edges apart."""
     n = draw(st.integers(3, 40))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("uniform", "int", "fraction")))
+    if kind == "uniform":
         s, t = draw(st.permutations(range(n)))[:2]
         inst = uniform_instance(n, s, t)
     else:
-        inst = metric_instance(n, draw(st.integers(0, 2)))
+        make = metric_instance if kind == "int" else fraction_instance
+        inst = make(n, draw(st.integers(0, 2)))
     return random_chain(draw, inst)[0]
 
 
