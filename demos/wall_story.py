@@ -25,11 +25,10 @@ RULE = "-" * 72
 
 
 def show_census(dist, chain, indices):
+    masses = census((a.tree for a in dist), (a.weight for a in dist), chain)
     for i in indices:
-        mass = census((a.tree for a in dist), (a.weight for a in dist),
-                      chain, i)
         parts = ", ".join(f"{code}:{format_rational(w)}"
-                          for code, w in sorted(mass.items()))
+                          for code, w in sorted(masses[i].items()))
         print(f"  cut {i}: {parts}")
 
 

@@ -140,13 +140,12 @@ def gamma_params(args):
 
 def census_lines(dist, chain):
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    masses = reassembler.census((a.tree for a in dist), nums.values(), chain)
     out = []
-    for pos in range(1, len(chain.xi_indices) - 1):
-        mass = reassembler.census((a.tree for a in dist), nums.values(),
-                                  chain, pos)
+    for ci, mass in zip(chain.xi_indices[1:-1], masses[1:-1]):
         cells = " ".join(f"{code}={format_rational(Fraction(w, den))}"
                          for code, w in sorted(mass.items()))
-        out.append(f"  cut={chain.xi_indices[pos]} {cells}")
+        out.append(f"  cut={ci} {cells}")
     return out
 
 

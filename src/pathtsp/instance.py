@@ -38,12 +38,8 @@ def complete_edges(n):
 
 
 def parse_rational(tok: str) -> Fraction:
-    """The rational that Fraction(tok) reads.  A plain ASCII digit token,
-    as every cost in an integer-cost instance file is, is read by int,
-    which skips Fraction's string parser.  A zero denominator is a
+    """The rational that Fraction(tok) reads.  A zero denominator is a
     ValueError, as is any string Fraction rejects."""
-    if tok.isascii() and tok.isdigit():
-        return Fraction(int(tok))
     try:
         return Fraction(tok)
     except ZeroDivisionError:

@@ -101,13 +101,13 @@ def separate(x: dict, inst: Instance, den: int):
     val, side = max_flow_min_cut(FlowNetwork(cap, n), s, t)
     if val < scale:
         consider(sum(1 << v for v in side), 1, val)
-    # even cuts: merge t into s, then every pair whose connectivity is
-    # below 2, all on one network
+    # even cuts: merge t into s, one entry per vertex pair, then every
+    # pair whose connectivity is below 2, all on one network
     merged = {}
     for (u, v), c in cap.items():
         u, v = (s if u == t else u), (s if v == t else v)
         if u != v:
-            merged[u, v] = merged.get((u, v), 0) + c
+            merged[edge(u, v)] = merged.get(edge(u, v), 0) + c
     cnet = FlowNetwork(merged, n)
     # The pairs run in the string order of the vertex names with the merged
     # vertex last: which flows run, and so the cut lists, the LP path and

@@ -51,7 +51,7 @@ from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, degrees, edge,
                        edges_cost, format_rational, over_lcm, vector_cost)
-from .reassembler import MIX_PAIRS, type_data
+from .reassembler import MIX_PAIRS, census, mix_pair, type_data
 from .tree_decomp import UnionFind, tree_path
 
 BETA_DEFAULT = Fraction(401, 1000)
@@ -185,8 +185,8 @@ def _over_one_den(dist, chain: CutChain, parities, params: GammaParams):
              for ai, par in enumerate(parities)])
 
 
-# census pair (the type-mix pairs, in order) and l,m,r combination per
-# Lemma-14 case
+# census pair (MIX_PAIRS in order, so mix_pair's position is the case)
+# and l,m,r combination per Lemma-14 case
 CASE_SPECS = tuple(zip("1234", MIX_PAIRS, (
     lambda l, m, r, a: l + r - m + a,
     lambda l, m, r, a: l + r + m + a - 3,
@@ -233,6 +233,7 @@ def benefits(dist, chain: CutChain, parities,
     # chain index -> xi-position, at the internal xi-narrow cuts
     internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
     counts = [chain.profile(atom.tree).counts for atom in dist]
+    cells = census((a.tree for a in dist), wts.values(), chain)  # over wden
     per_cut = []
     for ci, load in enumerate(chain.loads):
         cap = caps[ci]
@@ -253,41 +254,32 @@ def benefits(dist, chain: CutChain, parities,
         case = "less_critical" if 2 * fx <= g * ld else "none"
         eq17 = eq18_ok = None
         pos = internal.get(ci)
-        # a critical cut, whose case analysis reads the tree types; with
-        # default constants its load sits in a small window around 3/2, in
-        # particular below xi and off the chain ends, so it is internal.
-        # Exotic (but validated) parameters can break that, in which case
-        # no case applies and the margin alone decides the verdict.
+        # a critical cut, whose case analysis reads the tree types and their
+        # census; with default constants its load sits in a small window
+        # around 3/2, in particular below xi and off the chain ends, so it is
+        # internal.  Exotic (but validated) parameters can break that, in
+        # which case no case applies and the margin alone decides.
         if case == "none" and not params.uniform_half and pos is not None:
             data = [(ai, wts[ai], *type_data(atom.tree, chain, pos),
                      bens[ai]) for ai, atom in enumerate(dist)]
-            census = {}       # over wden
-            p_many = 0
-            for _, w, code, _, m, _, _ in data:
-                census[code] = census.get(code, 0) + w
-                p_many += w * ((m - 1) // 2)
-            good = census.get("GOOD", 0)
-            for label, pair, combine in CASE_SPECS:
-                pair_mass = sum(census.get(c, 0) for c in pair)
-                if pair_mass - good <= eps_w:
-                    case = label
-                    a_sum = 0
-                    for ai, w, code, l, m, r, b in data:
-                        a = 1 if code in pair else (-1 if code == "GOOD"
-                                                    else 0)
-                        a_sum += w * a
-                        many = (m - 1) // 2
-                        if m >= 3:
-                            lhs = 2 * b - (m + 1) * nh + nm * many
-                        else:
-                            lhs = (2 * b + combine(l, m, r, a) * nh
-                                   + nm * many)
-                        assert lhs >= g, (
-                            f"per-tree case-{label} inequality failed: "
-                            f"atom {ai}, cut {ci}, type {code}, "
-                            f"lhs {Fraction(lhs, g)}")
-                    assert a_sum <= eps_w, "sum p_S a_S exceeded eps"
-                    break
+            p_many = sum(w * ((m - 1) // 2) for _, w, _, _, m, _, _ in data)
+            pick = mix_pair(cells[pos], eps_w)
+            if pick is not None:
+                case, pair, combine = CASE_SPECS[pick]
+                a_sum = 0
+                for ai, w, code, l, m, r, b in data:
+                    a = 1 if code in pair else (-1 if code == "GOOD" else 0)
+                    a_sum += w * a
+                    many = (m - 1) // 2
+                    if m >= 3:
+                        lhs = 2 * b - (m + 1) * nh + nm * many
+                    else:
+                        lhs = 2 * b + combine(l, m, r, a) * nh + nm * many
+                    assert lhs >= g, (
+                        f"per-tree case-{case} inequality failed: "
+                        f"atom {ai}, cut {ci}, type {code}, "
+                        f"lhs {Fraction(lhs, g)}")
+                assert a_sum <= eps_w, "sum p_S a_S exceeded eps"
             base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
                     * nu_half)
             eq17 = base - nu_many * Fraction(p_many, wden)

@@ -25,12 +25,16 @@ xi-narrow cut.
 
 Every type is read from the tree's crossing profile on the chain
 (CutChain.profile), built once per tree from the chain's layers and kept
-with the tree's code at every internal xi-narrow cut, so classify is a
-lookup, an exchange costs the profiles of the two trees it creates and
-nothing is rescanned; the exchange and the sweeps still re-check every
-type they promise.  Which xi-narrow cuts an edge crosses, the exchange
-asks the chain (CutChain.levels_crossed), as every crossing question in
-the package is asked.
+with the tree's code at every internal xi-narrow cut.  classify and
+type_data read one cut; census reads every cut of each tree in one pass,
+one weight-by-type dict per xi-position, for the sweeps' contracts, the
+type-mix bound, the reports and parity.benefits.  mix_pair is the one
+type-mix test, read by the bound and by benefits' case choice.  A sweep
+lists its two exchanged types' keys at a cut once: an exchange there makes
+types 121 and 010, so it adds no key to either list.  The exchange and the
+sweeps still re-check every type they promise.  Which xi-narrow cuts an
+edge crosses, the exchange asks the chain (CutChain.levels_crossed), as
+every crossing question in the package is asked.
 """
 
 from __future__ import annotations
@@ -79,13 +83,26 @@ def classify(tree, chain: CutChain, i: int) -> str:
     return chain.profile(tree).codes[i]
 
 
-def census(trees, weights, chain: CutChain, i: int) -> dict:
-    """Total weight per type code at internal xi-cut i, ints or Fractions."""
-    mass = {}
+def census(trees, weights, chain: CutChain) -> list:
+    """Total weight per type code at every xi-position, one dict each, empty
+    at the two ends; ints or Fractions as the weights are.  Reads each
+    tree's crossing profile once."""
+    cells = [{} for _ in chain.xi_indices]
     for tree, w in zip(trees, weights):
-        code = classify(tree, chain, i)
-        mass[code] = mass.get(code, 0) + w
-    return mass
+        for cell, code in zip(cells, chain.profile(tree).codes):
+            if code is not None:
+                cell[code] = cell.get(code, 0) + w
+    return cells
+
+
+def mix_pair(mass: dict, slack):
+    """Position in MIX_PAIRS of the first pair whose mass in the census
+    cell mass is at most the GOOD mass plus slack, or None."""
+    good = mass.get("GOOD", 0) + slack
+    for p, pair in enumerate(MIX_PAIRS):
+        if sum(mass.get(c, 0) for c in pair) <= good:
+            return p
+    return None
 
 
 # ----- the two-edge exchange -----
@@ -177,34 +194,31 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
     for "right" and right to left for "left", on pot (tree_key -> int count
     of grid steps of size quantum) in place; tree_of maps each key to its
     tree and gains the trees the exchanges make.  Returns the exchange
-    records."""
+    records.  At each cut it lists the keys of the two types once, in key
+    order, and pairs the first left of each until a list is empty; a key
+    leaves its list when its steps run out.  The contract is checked on
+    censuses of the pot taken before and after."""
     last = len(chain.xi_indices) - 1
     (want1, want2), fragile = SWEEPS[direction]
-    before = {i: census(map(tree_of.get, pot), pot.values(), chain, i)
-              for i in range(1, last)}
+    before = census(map(tree_of.get, pot), pot.values(), chain)
 
     records = []
     order = range(1, last) if direction == "right" else range(last - 1, 0, -1)
     for i in order:
-        while True:
-            ones = []
-            twos = []
-            for key in sorted(pot):
-                code = classify(tree_of[key], chain, i)
-                if code == want1:
-                    ones.append(key)
-                elif code == want2:
-                    twos.append(key)
-            if not ones or not twos:
-                break
+        code = {key: classify(tree_of[key], chain, i) for key in sorted(pot)}
+        ones = [key for key, c in code.items() if c == want1]
+        twos = [key for key, c in code.items() if c == want2]
+        while ones and twos:
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
             rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
             records.append(replace(rec, delta=delta * quantum))
-            for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
+            for key, tree, keys in ((k1, rec.s1_new, ones),
+                                    (k2, rec.s2_new, twos)):
                 pot[key] -= delta
                 if pot[key] == 0:
                     del pot[key]
+                    keys.pop(0)
                 nk = tree_key(tree)
                 pot[nk] = pot.get(nk, 0) + delta
                 tree_of.setdefault(nk, tree)
@@ -212,12 +226,12 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
     assert len(pot) <= 1 / quantum, "support exceeded n^2/eps"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
-    for i in range(1, last):
-        after = census(map(tree_of.get, pot), pot.values(), chain, i)
-        assert min(after.get(want1, 0), after.get(want2, 0)) == 0
-        good = after.get("GOOD", 0)
+    after = census(map(tree_of.get, pot), pot.values(), chain)
+    for was, now in zip(before, after):
+        assert min(now.get(want1, 0), now.get(want2, 0)) == 0
+        good = now.get("GOOD", 0)
         for f in fragile:
-            assert after.get(f, 0) <= before[i].get(f, 0) + good
+            assert now.get(f, 0) <= was.get(f, 0) + good
     return records
 
 
@@ -226,15 +240,10 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
 def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     """min over the four two-type sums <= p_GOOD + eps at every internal
     xi-narrow cut."""
-    last = len(chain.xi_indices) - 1
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
     eps_w = floor(eps * den)  # an int over den is > eps iff > eps_w
-    for i in range(1, last):
-        mass = census((a.tree for a in dist), nums.values(), chain, i)
-        p = lambda c: mass.get(c, 0)
-        if min(p(a) + p(b) for a, b in MIX_PAIRS) > p("GOOD") + eps_w:
-            return False
-    return True
+    cells = census((a.tree for a in dist), nums.values(), chain)
+    return all(mix_pair(mass, eps_w) is not None for mass in cells[1:-1])
 
 
 def reassemble(dist, chain: CutChain, eps):

@@ -28,12 +28,14 @@ Then comes the minimum T-join with its degree rows added one call at a
 time, on the package's simplex and separation: it holds the one-step
 degree rows and the int reading of the LP vertex to the row-by-row build.
 
-Last come two earlier forms of package code that tests hold the current
-ones to: the simplex pivot on dense int rows, and Gusfield's cut tree
-re-hanging over every node.
+Last come three earlier forms of package code that tests hold the current
+ones to: the simplex pivot on dense int rows, Gusfield's cut tree
+re-hanging over every node, and the sweep that rescans its pot after every
+exchange.
 """
 
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -48,7 +50,7 @@ from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
                             CutAudit, GammaParams, TreeParity, Verdict,
                             check_join_membership, check_packing,
                             cheapest_cut_edges, tjoin_cut_violations)
-from pathtsp.reassembler import SWEEPS, classify, type_data
+from pathtsp.reassembler import SWEEPS, classify, exchange, type_data
 from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
 from pathtsp.tree_decomp import Atom, is_spanning_tree, tree_key
 
@@ -1425,3 +1427,43 @@ def gomory_hu_tree_all_nodes(net: FlowNetwork, nodes) -> list:
     for v in reversed(order[1:]):
         below[parent[v]] |= below[v]
     return [(below[v], value[v]) for v in nodes[1:]]
+
+
+# ----- the sweep that rescans the pot after every exchange -----
+#
+# reassembler.sweep as it was before each cut listed its two exchanged types'
+# keys once: after every exchange it reclassifies the whole pot at the cut
+# and pairs the smallest key of each type.  Which keys pair decides the
+# records and the pot, so the two must give the same ones.
+
+def sweep_rescanning(pot, tree_of, chain: CutChain, direction: str, quantum):
+    """sweep's exchanges on pot and tree_of in place, with no contract
+    check; returns the exchange records."""
+    last = len(chain.xi_indices) - 1
+    (want1, want2), _ = SWEEPS[direction]
+    records = []
+    order = range(1, last) if direction == "right" else range(last - 1, 0, -1)
+    for i in order:
+        while True:
+            ones = []
+            twos = []
+            for key in sorted(pot):
+                code = classify(tree_of[key], chain, i)
+                if code == want1:
+                    ones.append(key)
+                elif code == want2:
+                    twos.append(key)
+            if not ones or not twos:
+                break
+            k1, k2 = ones[0], twos[0]
+            delta = min(pot[k1], pot[k2])
+            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
+            records.append(replace(rec, delta=delta * quantum))
+            for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
+                pot[key] -= delta
+                if pot[key] == 0:
+                    del pot[key]
+                nk = tree_key(tree)
+                pot[nk] = pot.get(nk, 0) + delta
+                tree_of.setdefault(nk, tree)
+    return records

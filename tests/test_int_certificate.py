@@ -112,9 +112,10 @@ def assert_sums_agree(dist, chain):
     unit = [Atom(a.tree, a.weight / total) for a in dist]
     check_reconstruction(reconstruct(unit), unit)
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    masses = census((a.tree for a in dist), nums.values(), chain)
+    assert masses[0] == masses[-1] == {}
     for i in range(1, len(chain.xi_indices) - 1):
-        mass = census((a.tree for a in dist), nums.values(), chain, i)
-        assert {code: Fraction(w, den) for code, w in mass.items()} \
+        assert {code: Fraction(w, den) for code, w in masses[i].items()} \
             == type_census_fraction(dist, chain, i)
 
 

@@ -219,3 +219,26 @@ def test_every_import_is_read_in_its_module():
                    if name not in loaded
                    and f"{path.stem}.{name}" not in UNREAD_IMPORTS]
     assert not unread, f"imported names their module never reads: {unread}"
+
+
+def type_code_reads(source):
+    """The lines of one source text that read an attribute named codes."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "codes")
+
+
+def test_only_reassembler_reads_the_type_codes():
+    # tree types are read through reassembler: in bulk by census, one at a
+    # time by classify and type_data; cuts builds the codes by keyword
+    readers = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+               if path.stem != "reassembler"
+               for line in type_code_reads(path.read_text())]
+    assert not readers, f"type codes read outside reassembler: {readers}"
+
+
+def test_the_type_code_rule_catches_a_planted_use():
+    planted = ("def f(chain, tree):\n"
+               "    prof = CrossingProfile(counts=[], single=[], types=[],\n"
+               "                           codes=[None])\n"
+               "    return chain.profile(tree).codes[1], prof\n")
+    assert type_code_reads(planted) == [4]

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from pathtsp import reassembler
 from pathtsp.cuts import TYPE_CODES, CutChain, load_of_mask, narrow_cuts
-from pathtsp.instance import Instance, complete_edges, edge
+from pathtsp.instance import (Instance, build_appendix_instance,
+                              complete_edges, edge, random_metric_instance)
+from pathtsp.lp_relax import solve_lp
 from pathtsp.reassembler import (
     ExchangeError,
     census,
@@ -18,7 +21,7 @@ from pathtsp.reassembler import (
 from pathtsp.tree_decomp import Atom, decompose, total_weight
 
 from .oracles import (appendix_wall_cut_indices, grid_pot, pot_atoms,
-                      reconstruct, type_census_fraction,
+                      reconstruct, sweep_rescanning, type_census_fraction,
                       validate_exchange_record)
 
 HALF = Fraction(1, 2)
@@ -105,7 +108,9 @@ def test_type_queries_only_at_internal_cuts(six_chain):
 
 
 def test_type_census(six_chain):
-    assert census([S1, S2], [1, 1], six_chain, 2) == {"120": 1, "011": 1}
+    assert census([S1, S2], [1, 1], six_chain) == [
+        {}, {"121": 1, "010": 1}, {"120": 1, "011": 1}, {"010": 1, "121": 1},
+        {}]
 
 
 def test_exchange_on_the_two_tree_fixture(six_chain):
@@ -201,6 +206,65 @@ def test_sweep_without_applicable_pairs_is_identity():
     for direction in ("right", "left"):
         assert sweep(pot, tree_of, chain, direction, quantum) == []
         assert pot_atoms(pot, tree_of, quantum) == dist
+
+
+def sweeps_against_the_reference(inst, dist, chain):
+    """Runs sweep and the rescanning reference side by side on the grid pot
+    of dist, each direction alone and right after left as reassemble runs
+    them, and asserts equal records and equal pots; returns the number of
+    exchanges of the left-right pass."""
+    quantum = EPS / inst.n ** 2   # the grid reassemble sweeps on
+    pot, tree_of, _ = grid_pot(dist, quantum)
+    for directions in (["right"], ["left"], ["left", "right"]):
+        got = dict(pot), dict(tree_of)
+        want = dict(pot), dict(tree_of)
+        made = 0
+        for direction in directions:
+            recs = sweep(*got, chain, direction, quantum)
+            assert recs == sweep_rescanning(*want, chain, direction, quantum)
+            assert got == want
+            made += len(recs)
+    return made
+
+
+@pytest.mark.parametrize("n, seed, exchanges", [(20, 0, 5), (40, 1, 3)])
+def test_sweep_matches_the_rescanning_reference_on_random_points(
+        n, seed, exchanges):
+    # these pots pair out of key order when a sweep takes its largest keys
+    # first
+    inst = random_metric_instance(n, seed)
+    x = solve_lp(inst).x
+    assert sweeps_against_the_reference(
+        inst, decompose(x, inst), narrow_cuts(x, inst)) == exchanges
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_sweep_matches_the_rescanning_reference_on_the_wall(k):
+    inst, xstar, dist = build_appendix_instance(k)
+    assert sweeps_against_the_reference(
+        inst, dist, narrow_cuts(xstar, inst)) > 0
+
+
+def test_the_sweep_contract_catches_a_grown_fragile_type(
+        appendix0, appendix0_chain, monkeypatch):
+    # an exchange that hands both trees' steps to the wall's type-110 tree
+    # grows that fragile type at the first wall cut with no GOOD mass to
+    # cover it, while the targeted pair still annihilates
+    inst, _, p4 = appendix0
+    chain = appendix0_chain
+    i = appendix_wall_cut_indices(0)[0]
+    (t110,) = [a.tree for a in p4 if classify(a.tree, chain, i) == "110"]
+    real = reassembler.exchange
+
+    def to_110(s1, s2, chain, i, direction):
+        return replace(real(s1, s2, chain, i, direction), s1_new=t110,
+                       s2_new=t110)
+
+    monkeypatch.setattr(reassembler, "exchange", to_110)
+    quantum = EPS / inst.n ** 2
+    pot, tree_of, _ = grid_pot(p4, quantum)
+    with pytest.raises(AssertionError):
+        sweep(pot, tree_of, chain, "right", quantum)
 
 
 def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
