@@ -49,10 +49,10 @@ def main():
     fixed, records = reassemble(dist, chain, params.eps)
     print(f"reassembly: {len(records)} exchanges, {len(fixed)} trees")
 
-    parities = assign_gamma(fixed, chain, params)
-    audit = benefits(fixed, chain, parities, params)
-    cv = correction_vectors(fixed, chain, parities, params)
-    verdict = certify_bound(fixed, audit, cv, params)
+    table = assign_gamma(fixed, chain, params)
+    audit = benefits(table)
+    cv = correction_vectors(table)
+    verdict = certify_bound(audit, cv)
     worst = min(c.margin for c in audit.per_cut)
     print(f"audit: {verdict.label}, bound {format_rational(verdict.bound)}, "
           f"worst margin {format_rational(worst)}")

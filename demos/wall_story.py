@@ -54,7 +54,7 @@ def main():
     params = GammaParams()
     flat_params = GammaParams(uniform_half=True)
     flat = assign_gamma(dist, chain, flat_params)
-    audit = benefits(dist, chain, flat, flat_params)
+    audit = benefits(flat)
     bad = [c for c in audit.per_cut if c.margin < 0]
     interior = [c for c in audit.per_cut if c.required > 0]
     print(f"flat gamma=1/2 audit at beta={format_rational(params.beta)}: "
@@ -62,8 +62,8 @@ def main():
     print(f"  every failure: benefit {format_rational(bad[0].total)} "
           f"vs required {format_rational(bad[0].required)} "
           f"(margin {format_rational(bad[0].margin)})")
-    cv = correction_vectors(dist, chain, flat, flat_params)
-    verdict = certify_bound(dist, audit, cv, flat_params)
+    cv = correction_vectors(flat)
+    verdict = certify_bound(audit, cv)
     print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
 
     print(RULE)
@@ -78,10 +78,10 @@ def main():
     show_census(fixed, chain, wall)
 
     print(RULE)
-    parities = assign_gamma(fixed, chain, params)
-    audit = benefits(fixed, chain, parities, params)
-    cv = correction_vectors(fixed, chain, parities, params)
-    verdict = certify_bound(fixed, audit, cv, params)
+    table = assign_gamma(fixed, chain, params)
+    audit = benefits(table)
+    cv = correction_vectors(table)
+    verdict = certify_bound(audit, cv)
     for line in format_audit_lines(audit, verdict):
         print(f"  {line}")
     assert verdict.certified and verdict.bound == Fraction(1599, 1000)

@@ -110,14 +110,10 @@ def check_lp_point(x, inst):
 def certify_stages(r, dist, chain, params):
     """The assign-gamma, benefits, correction-vectors and certify stages;
     adds the audit lines and returns the verdict."""
-    parities = r.stage("assign-gamma", parity.assign_gamma, dist, chain,
-                       params)
-    audit = r.stage("benefits", parity.benefits, dist, chain, parities,
-                    params)
-    cv = r.stage("correction-vectors", parity.correction_vectors, dist,
-                 chain, parities, params)
-    verdict = r.stage("certify", parity.certify_bound, dist, audit, cv,
-                      params)
+    table = r.stage("assign-gamma", parity.assign_gamma, dist, chain, params)
+    audit = r.stage("benefits", parity.benefits, table)
+    cv = r.stage("correction-vectors", parity.correction_vectors, table)
+    verdict = r.stage("certify", parity.certify_bound, audit, cv)
     r.lines.extend(parity.format_audit_lines(audit, verdict))
     return verdict
 
@@ -139,8 +135,8 @@ def gamma_params(args):
 
 
 def census_lines(dist, chain):
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    masses = reassembler.census((a.tree for a in dist), nums.values(), chain)
+    nums, den = tree_decomp.weight_ints(dist)
+    masses = reassembler.census((a.tree for a in dist), nums, chain)
     out = []
     for ci, mass in zip(chain.xi_indices[1:-1], masses[1:-1]):
         cells = " ".join(f"{code}={format_rational(Fraction(w, den))}"
@@ -253,7 +249,7 @@ def cmd_verify(args):
     params = gamma_params(args)
 
     def check_margins():
-        audit = parity.benefits(dist, chain, parities, params)
+        audit = parity.benefits(table)
         bad = [c.cut_index for c in audit.per_cut if c.status != "OK"]
         assert not bad, f"negative margin at cuts {bad}"
 
@@ -268,11 +264,11 @@ def cmd_verify(args):
                               args.xi, ready=point_ok)
     r.check("cut_stats", cuts.cut_stats, chain, dist, ready=chain_ok)
     r.check("packing", parity.check_packing, dist, chain, ready=chain_ok)
-    parities = parity.assign_gamma(dist, chain, params) if chain_ok else None
+    table = parity.assign_gamma(dist, chain, params) if chain_ok else None
     floor_ok, cv = r.check("correction_floor", parity.correction_vectors,
-                           dist, chain, parities, params, ready=chain_ok)
-    r.check("join_membership", parity.check_join_membership, cv, parities,
-            inst.n, ready=floor_ok)
+                           table, ready=chain_ok)
+    r.check("join_membership", parity.check_join_membership, cv, table,
+            ready=floor_ok)
     r.check("benefit_margins", check_margins, ready=chain_ok)
     r.check("type_mix", check_type_mix, ready=chain_ok)
     r.lines.append(f"checks_failed={r.failures}")

@@ -30,15 +30,17 @@ fundamental cut of a Gomory-Hu tree of y^S on the terminals T_S, built
 from |T_S| - 1 flows.  certify_bound checks that membership for every y^S
 and re-verifies the full cost chain instead of trusting it.
 
-The audit, z^S and y^S run on ints over one lcm (instance.over_lcm),
-gammas converted only where read.  z^S and y^S are returned as ints over
-one denominator, CorrectionVectors.den, and read that way by the
-membership check and the verdict.  The verdict's costs c(z^S) and c(I_S)
-come from instance.vector_cost and edges_cost, which scale only the costs
-of the edges they read.  A Fraction is made only for a returned value
-(gamma, CutAudit, the costs), for f(x(C)) and the cap
-beta(2 - x(C))/(1 - 2beta) of each narrow cut, each built once from the
-load's int ratio, and for eq17 and the eq-18 test at critical cuts.
+One grid: assign_gamma returns a GammaTable, which holds every gamma, and
+per level the cap beta(2 - x(C))/(1 - 2beta) and f(x(C)), with nu - 1/2,
+as ints over one lcm g (instance.over_lcm) that also covers 1/2.  Every
+gamma the rule gives is 0, 1/2, 1, f or 1 - f, so none is rescaled later:
+benefits and correction_vectors read only the table, and certify_bound
+only their two results.  The weights are ints over their own lcm
+(tree_decomp.weight_ints), and z^S and y^S ints over one denominator,
+CorrectionVectors.den.  The verdict's costs c(z^S) and c(I_S) come from
+instance.vector_cost and edges_cost, which scale only the costs of the
+edges they read.  A Fraction is made only for a returned value, for each
+level's cap and f(x(C)), and for eq17 and the eq-18 test at critical cuts.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, degrees, edge,
                        edges_cost, format_rational, over_lcm, vector_cost)
 from .reassembler import MIX_PAIRS, census, mix_pair, type_data
-from .tree_decomp import UnionFind, tree_path
+from .tree_decomp import UnionFind, tree_path, weight_ints
 
 BETA_DEFAULT = Fraction(401, 1000)
 EPS_DEFAULT = Fraction(1, 100)
@@ -86,9 +88,6 @@ class GammaParams:
         if self.nu <= HALF:
             raise ValueError(f"nu = {self.nu} must exceed 1/2")
 
-    def f(self, x) -> Fraction:
-        return f_value(self.beta, x)
-
     @property
     def nu(self) -> Fraction:
         return 1 - f_value(self.beta, self.xi)
@@ -100,7 +99,7 @@ class TreeParity:
     i_edges: frozenset     # edges of the path
     j_edges: frozenset     # the rest: a T_S-join
     t_set: frozenset       # wrong-parity vertices
-    gamma: dict = None     # path edge -> Fraction, set by assign_gamma
+    gamma: dict = None     # path edge -> int over table.g, set by assign_gamma
     e_path: list = None    # chain level -> e^S_C, set by assign_gamma
 
 
@@ -133,16 +132,37 @@ def first_path_edges(parity: TreeParity, chain: CutChain) -> list:
     return out
 
 
-def assign_gamma(dist, chain: CutChain, params: GammaParams):
-    """TreeParity, with gamma and e_path, per atom."""
+@dataclass
+class GammaTable:
+    """assign_gamma's result, the one input of benefits and
+    correction_vectors; every gamma, cap and f(x(C)) in it is an int over g."""
+    dist: list
+    chain: CutChain
+    params: GammaParams
+    parities: list     # TreeParity per atom, gamma over g
+    g: int
+    caps: list         # beta(2 - x(C))/(1 - 2beta) per level, over g
+    f_at: list         # f(x(C)) per level, over g
+    nu_half: int       # nu - 1/2, over g
+
+
+def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
+    """TreeParity, with gamma and e_path, per atom, in one GammaTable."""
     inst = chain.inst
-    if not params.uniform_half:
-        f_at = [params.f(x) for x in chain.loads]   # f(x(C)) per level
+    bn, bd = params.beta.as_integer_ratio()
+    terms = {"half": HALF, "nu": params.nu - HALF}
+    for ci, load in enumerate(chain.loads):
+        ln, ld = load.as_integer_ratio()
+        terms["cap", ci] = Fraction(bn * (2 * ld - ln), ld * (bd - 2 * bn))
+        terms["f", ci] = f_value(params.beta, load)
+    num, g = over_lcm(terms)
+    half = num["half"]
+    f_at = [num["f", ci] for ci in range(len(chain.loads))]
     out = []
     for atom in dist:
         par = split_path_join(atom.tree, inst)
         if params.uniform_half:
-            gamma = dict.fromkeys(par.i_edges, HALF)
+            gamma = dict.fromkeys(par.i_edges, half)
         else:
             gamma = {}
             cross_count = chain.profile(atom.tree).counts
@@ -155,35 +175,19 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams):
                         one_cuts.append(f_at[ci])
                     elif k % 2 == 0:
                         even_cuts.append(f_at[ci])
-                f1 = min(HALF, max(one_cuts)) if one_cuts else ZERO
-                f2 = min(HALF, max(even_cuts)) if even_cuts else ZERO
-                gamma[e] = f2 if f2 < f1 else 1 - f1
-        assert all(0 <= g <= 1 for g in gamma.values())
+                f1 = min(half, max(one_cuts)) if one_cuts else 0
+                f2 = min(half, max(even_cuts)) if even_cuts else 0
+                gamma[e] = f2 if f2 < f1 else g - f1
+        assert all(0 <= v <= g for v in gamma.values())
         par.gamma = gamma
         par.e_path = first_path_edges(par, chain)
         out.append(par)
-    return out
+    return GammaTable(dist=dist, chain=chain, params=params, parities=out,
+                      g=g, caps=[num["cap", ci] for ci in range(len(f_at))],
+                      f_at=f_at, nu_half=num["nu"])
 
 
 # ----- benefits and the per-cut audit -----
-
-def _over_one_den(dist, chain: CutChain, parities, params: GammaParams):
-    """(weights, wden, g, nu - 1/2, caps, gammas): the weights as ints over
-    their lcm wden, the rest over one lcm g, with caps[ci] = beta(2 - x(C))
-    / (1 - 2beta) and gammas[ai][ci] the atom's gamma at e^S_C."""
-    wts, wden = over_lcm(dict(enumerate(a.weight for a in dist)))
-    bn, bd = params.beta.as_integer_ratio()
-    terms = {"nu": params.nu - HALF}
-    for ci, load in enumerate(chain.loads):
-        ln, ld = load.as_integer_ratio()
-        terms[ci] = Fraction(bn * (2 * ld - ln), ld * (bd - 2 * bn))
-    terms.update(((ai, e), par.gamma[e]) for ai, par in enumerate(parities)
-                 for e in par.e_path)
-    num, g = over_lcm(terms)
-    return (wts, wden, g, num["nu"], [num[ci] for ci in range(len(chain))],
-            [[num[ai, e] for e in par.e_path]
-             for ai, par in enumerate(parities)])
-
 
 # census pair (MIX_PAIRS in order, so mix_pair's position is the case)
 # and l,m,r combination per Lemma-14 case
@@ -209,49 +213,45 @@ class CutAudit:
 
 @dataclass
 class BenefitAudit:
-    chain: CutChain
-    parities: list
+    table: GammaTable
     per_cut: list
     all_ok: bool
 
 
-def benefits(dist, chain: CutChain, parities,
-             params: GammaParams) -> BenefitAudit:
-    """Per-narrow-cut benefit audit of parities (from assign_gamma with the
-    same params); margins may be negative (reported, never raised).  The
-    per-tree invariants of the critical-cut case analysis are asserted
-    wherever an active case exists — their failure would mean a code bug,
-    not a legitimately failing instance.  They are consequences of the
-    rule-based gamma, so under params.uniform_half the case machinery is
-    skipped and the margins alone decide."""
+def benefits(table: GammaTable) -> BenefitAudit:
+    """Per-narrow-cut benefit audit of the table's distribution; margins
+    may be negative (reported, never raised).  The per-tree invariants of
+    the critical-cut case analysis are asserted wherever an active case
+    exists — their failure would mean a code bug, not a legitimately
+    failing instance.  They are consequences of the rule-based gamma, so
+    under params.uniform_half the case machinery is skipped and the margins
+    alone decide."""
+    dist, chain, params, g = table.dist, table.chain, table.params, table.g
     xi, eps = params.xi, params.eps
-    nu_half, nu_many = params.nu - HALF, 4 * params.nu - 1
-    wts, wden, g, nh, caps, gammas = _over_one_den(dist, chain, parities,
-                                                   params)
+    nh = table.nu_half        # nu - 1/2 over g
     nm = 4 * nh + g           # 4 nu - 1 over g
+    wts, wden = weight_ints(dist)
     eps_w = floor(eps * wden)  # an int over wden is <= eps iff <= eps_w
     # chain index -> xi-position, at the internal xi-narrow cuts
     internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
     counts = [chain.profile(atom.tree).counts for atom in dist]
-    cells = census((a.tree for a in dist), wts.values(), chain)  # over wden
+    cells = census((a.tree for a in dist), wts, chain)  # over wden
     per_cut = []
     for ci, load in enumerate(chain.loads):
-        cap = caps[ci]
+        cap, fx = table.caps[ci], table.f_at[ci]
         total = p_even = 0    # over g * wden and wden
         bens = []
-        for ai, w in wts.items():
-            k, gam = counts[ai][ci], gammas[ai][ci]
+        for ai, (w, par) in enumerate(zip(wts, table.parities)):
+            k, gam = counts[ai][ci], par.gamma[par.e_path[ci]]
             b = min(cap, gam) if k % 2 == 0 else g - gam if k == 1 else 0
             bens.append(b)
             total += w * b
             if k % 2 == 0:
                 p_even += w
         required = cap * p_even
-        ln, ld = load.as_integer_ratio()
-        fx = cap * (ln - ld)   # f(x(C)) = cap (x(C) - 1), over g * ld
         total_q = Fraction(total, g * wden)
 
-        case = "less_critical" if 2 * fx <= g * ld else "none"
+        case = "less_critical" if 2 * fx <= g else "none"
         eq17 = eq18_ok = None
         pos = internal.get(ci)
         # a critical cut, whose case analysis reads the tree types and their
@@ -281,9 +281,9 @@ def benefits(dist, chain: CutChain, parities,
                         f"lhs {Fraction(lhs, g)}")
                 assert a_sum <= eps_w, "sum p_S a_S exceeded eps"
             base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
-                    * nu_half)
-            eq17 = base - nu_many * Fraction(p_many, wden)
-            eq18_ok = base >= 2 * Fraction(fx, g * ld)
+                    * Fraction(nh, g))
+            eq17 = base - Fraction(nm * p_many, g * wden)
+            eq18_ok = base >= 2 * Fraction(fx, g)
             if case != "none" and load >= 2 - xi / 3:
                 assert 2 * total_q >= eq17, "weighted-sum bound failed"
 
@@ -292,7 +292,7 @@ def benefits(dist, chain: CutChain, parities,
             required=Fraction(required, g * wden),
             margin=Fraction(total - required, g * wden), eq17_bound=eq17,
             eq18_ok=eq18_ok, status="OK" if total >= required else "FAIL"))
-    return BenefitAudit(chain=chain, parities=parities, per_cut=per_cut,
+    return BenefitAudit(table=table, per_cut=per_cut,
                         all_ok=all(c.status == "OK" for c in per_cut))
 
 
@@ -328,29 +328,26 @@ def cheapest_cut_edges(chain: CutChain) -> dict:
     return dict(enumerate(cheap))
 
 
-def correction_vectors(dist, chain: CutChain, parities,
-                       params: GammaParams) -> CorrectionVectors:
-    """z^S and y^S per atom, as ints over one den, asserting the even-cut
-    floor of z^S; certify_bound checks that each y^S is in the T_S-join
-    dominant."""
-    bn, bd = params.beta.as_integer_ratio()   # 1 - 2beta = w1 / bd
-    w1 = bd - 2 * bn
+def correction_vectors(table: GammaTable) -> CorrectionVectors:
+    """z^S and y^S per atom of the table, as ints over one den, asserting
+    the even-cut floor of z^S; certify_bound checks that each y^S is in the
+    T_S-join dominant."""
+    chain, g = table.chain, table.g
+    bn, bd = table.params.beta.as_integer_ratio()
+    xs, xden = over_lcm(chain.x)
+    den = bd * g * xden   # of z^S and y^S
+    w1 = (bd - 2 * bn) * xden   # (1 - 2beta) v/g is w1 v over den
     e_cheap = cheapest_cut_edges(chain)
-    terms = {("x", e): v for e, v in chain.x.items()}
-    terms.update((("load", ci), load) for ci, load in enumerate(chain.loads))
-    for ai, par in enumerate(parities):
-        terms.update(((ai, e), par.gamma[e]) for e in par.i_edges)
-    num, lden = over_lcm(terms)
-    den = bd * lden   # of z^S and y^S; over it, beta(2 - x(C)) and beta x*
-    floors = [bn * (2 * lden - num["load", ci]) for ci in range(len(chain))]
-    beta_x = {e: bn * num["x", e] for e in chain.x}
+    # beta(2 - x(C)) = (1 - 2beta) cap, and beta x*, over den
+    floors = [w1 * cap for cap in table.caps]
+    beta_x = {e: bn * g * v for e, v in xs.items()}
     zs, ys = [], []
-    for ai, (atom, par) in enumerate(zip(dist, parities)):
-        z = {e: w1 * num[ai, e] for e in par.i_edges}
+    for atom, par in zip(table.dist, table.parities):
+        z = {e: w1 * gam for e, gam in par.gamma.items()}
         counts = chain.profile(atom.tree).counts
         for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = floors[ci] - w1 * num[ai, par.e_path[ci]]
+                top = floors[ci] - w1 * par.gamma[par.e_path[ci]]
                 if top > 0:
                     z[e_cheap[ci]] = z.get(e_cheap[ci], 0) + top
         assert all(v >= 0 for v in z.values())
@@ -361,7 +358,7 @@ def correction_vectors(dist, chain: CutChain, parities,
                     "even-cut correction requirement failed"
         y = dict(beta_x)
         for e in par.j_edges:
-            y[e] = y.get(e, 0) + w1 * lden
+            y[e] = y.get(e, 0) + w1 * g
         for e, v in z.items():
             y[e] = y.get(e, 0) + v
         zs.append(z)
@@ -419,10 +416,11 @@ def tjoin_cut_violations(y: dict, t_set, n: int, den: int):
                                       for s in sides)]
 
 
-def check_join_membership(cv: CorrectionVectors, parities, n: int):
-    """Assert that every y^S lies in the T_S-join dominant."""
-    for ai, (y, par) in enumerate(zip(cv.y, parities)):
-        bad = tjoin_cut_violations(y, par.t_set, n, cv.den)
+def check_join_membership(cv: CorrectionVectors, table: GammaTable):
+    """Assert that every y^S of cv, built from table, lies in the T_S-join
+    dominant."""
+    for ai, (y, par) in enumerate(zip(cv.y, table.parities)):
+        bad = tjoin_cut_violations(y, par.t_set, table.chain.inst.n, cv.den)
         assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
 
 
@@ -438,27 +436,25 @@ class Verdict:
     path_cost: Fraction # sum p_S c(I_S)
 
 
-def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
-                  params: GammaParams) -> Verdict:
+def certify_bound(audit: BenefitAudit, cv: CorrectionVectors) -> Verdict:
     """Certified iff every narrow cut passed the benefit audit AND the
-    correction vectors cv (built by correction_vectors for the same dist,
-    chain and parities) are cheap enough:
+    correction vectors cv (built by correction_vectors from audit.table)
+    are cheap enough:
         sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
     Every y^S is checked for T_S-join membership on every call, and when
     the audit passed, the whole cost chain behind that implication is
     re-derived step by step (any failure is a bug, hence an assertion)."""
-    chain, parities = audit.chain, audit.parities
-    inst = chain.inst
-    check_join_membership(cv, parities, inst.n)
-    beta = params.beta
+    table = audit.table
+    inst = table.chain.inst
+    check_join_membership(cv, table)
+    beta = table.params.beta
     w1 = 1 - 2 * beta
     z_cost = sum((a.weight * vector_cost(z, inst)
-                  for a, z in zip(dist, cv.z)), ZERO) / cv.den
+                  for a, z in zip(table.dist, cv.z)), ZERO) / cv.den
     path_cost = sum((a.weight * edges_cost(par.i_edges, inst)
-                     for a, par in zip(dist, parities)), ZERO)
+                     for a, par in zip(table.dist, table.parities)), ZERO)
     if audit.all_ok:
-        _verify_cost_chain(dist, chain, parities, params, cv,
-                           z_cost, path_cost)
+        _verify_cost_chain(table, cv, z_cost, path_cost)
     certified = audit.all_ok and z_cost <= w1 * path_cost
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
@@ -466,11 +462,13 @@ def certify_bound(dist, audit: BenefitAudit, cv: CorrectionVectors,
                    beta=beta, z_cost=z_cost, path_cost=path_cost)
 
 
-def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
-    """The Lemma-6-style derivation, every step numerical, on the ints of
-    _over_one_den and the instance's costs as it holds them."""
-    wts, _, g, _, caps, gammas = _over_one_den(dist, chain, parities, params)
-    w1 = 1 - 2 * params.beta
+def _verify_cost_chain(table: GammaTable, cv, z_cost, path_cost):
+    """The Lemma-6-style derivation, every step numerical, on the table's
+    ints, the weights over their lcm and the instance's costs as it holds
+    them."""
+    dist, chain, g = table.dist, table.chain, table.g
+    wts, _ = weight_ints(dist)
+    w1 = 1 - 2 * table.params.beta
     # per cut: the top-up mass is covered by the single-crossing slack
     # (this is exactly the benefit inequality restated), and the cheap
     # edge never costs more than the designated path edge, which is the
@@ -478,16 +476,16 @@ def _verify_cost_chain(dist, chain, parities, params, cv, z_cost, path_cost):
     # factor w1 > 0 of tops <= w1 * slack is divided out.
     cost = chain.inst.cost
     profiles = [chain.profile(atom.tree) for atom in dist]
-    for ci, cap in enumerate(caps):
+    for ci, cap in enumerate(table.caps):
         tops = slack = 0
-        for ai, (prof, par) in enumerate(zip(profiles, parities)):
+        for w, prof, par in zip(wts, profiles, table.parities):
             k = prof.counts[ci]
             esc = par.e_path[ci]
             if k % 2 == 0:
-                tops += wts[ai] * max(0, cap - gammas[ai][ci])
+                tops += w * max(0, cap - par.gamma[esc])
             elif k == 1:
                 assert prof.single[ci] == esc
-                slack += wts[ai] * (g - gammas[ai][ci])
+                slack += w * (g - par.gamma[esc])
                 assert cost[cv.e_cheap[ci]] <= cost[esc]
         assert tops <= slack, f"stepping stone failed at cut {ci}"
     # per atom: narrow cuts crossed once are defined by distinct path edges

@@ -45,8 +45,8 @@ from math import floor
 
 # narrow_cuts is unused here; perfbench/tracing.py wraps it by this name
 from .cuts import CutChain, narrow_cuts
-from .instance import over_lcm
-from .tree_decomp import Atom, check_reconstruction, is_spanning_tree, tree_key
+from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
+                          tree_key, weight_ints)
 
 # the four type pairs of the type-mix bound: after reassembly, at every
 # internal xi-narrow cut, the mass of one of them is at most p_GOOD + eps
@@ -240,9 +240,9 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
 def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
     """min over the four two-type sums <= p_GOOD + eps at every internal
     xi-narrow cut."""
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    nums, den = weight_ints(dist)
     eps_w = floor(eps * den)  # an int over den is > eps iff > eps_w
-    cells = census((a.tree for a in dist), nums.values(), chain)
+    cells = census((a.tree for a in dist), nums, chain)
     return all(mix_pair(mass, eps_w) is not None for mass in cells[1:-1])
 
 
@@ -270,9 +270,9 @@ def reassemble(dist, chain: CutChain, eps):
     # first frozenset, so the chain's profile cache hashes no new one
     quantum = eps / (n * n)
     qn, qd = quantum.as_integer_ratio()
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
+    nums, den = weight_ints(dist)
     pot, tree_of, rests = {}, {}, []
-    for a, w in zip(dist, nums.values()):
+    for a, w in zip(dist, nums):
         steps, rest = divmod(w * qd, den * qn)
         rests.append(rest)
         if steps:

@@ -114,20 +114,26 @@ def tree_path(tree, start, goal):
 
 # ----- distributions -----
 
-def total_weight(dist) -> Fraction:
+def weight_ints(dist):
+    """(nums, den): dist's weights, in order, as ints over their lcm den."""
     nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    return Fraction(sum(nums.values()), den)
+    return list(nums.values()), den
+
+
+def total_weight(dist) -> Fraction:
+    nums, den = weight_ints(dist)
+    return Fraction(sum(nums), den)
 
 
 def check_reconstruction(x: dict, dist):
     """The distribution's weights sum to 1 and its trees average to x,
     compared as ints: the weights and the sum of weight * tree incidence
     over the weights' lcm den, x over its own lcm."""
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    if sum(nums.values()) != den:
+    nums, den = weight_ints(dist)
+    if sum(nums) != den:
         raise ValueError("total weight is not 1")
     sums = {}
-    for atom, w in zip(dist, nums.values()):
+    for atom, w in zip(dist, nums):
         for e in atom.tree:
             sums[e] = sums.get(e, 0) + w
     sums = {e: v for e, v in sums.items() if v != 0}

@@ -29,10 +29,8 @@ def test_certify_reassembled_wall(benchmark):
     final, _ = reassemble(dist, chain, params.eps)
 
     def certify():
-        parities = assign_gamma(final, chain, params)
-        audit = benefits(final, chain, parities, params)
-        cv = correction_vectors(final, chain, parities, params)
-        return certify_bound(final, audit, cv, params)
+        table = assign_gamma(final, chain, params)
+        return certify_bound(benefits(table), correction_vectors(table))
 
     verdict = benchmark.pedantic(certify, rounds=30, iterations=1,
                                  warmup_rounds=2)
@@ -44,10 +42,10 @@ def test_benefits_reassembled_wall5(benchmark):
     inst, xstar, dist = build_appendix_instance(5)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(dist, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
-    audit = benefits(final, chain, parities, params)
+    table = assign_gamma(final, chain, params)
+    audit = benefits(table)
     assert audit.all_ok and any(c.case == "1" for c in audit.per_cut)
-    benchmark.pedantic(benefits, (final, chain, parities, params),
+    benchmark.pedantic(benefits, (table,),
                        rounds=30, iterations=1, warmup_rounds=2)
 
 
@@ -56,9 +54,8 @@ def test_correction_vectors_reassembled_wall5(benchmark):
     inst, xstar, dist = build_appendix_instance(5)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(dist, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
-    cv = benchmark.pedantic(correction_vectors,
-                            (final, chain, parities, params), rounds=30,
+    table = assign_gamma(final, chain, params)
+    cv = benchmark.pedantic(correction_vectors, (table,), rounds=30,
                             iterations=1, warmup_rounds=2)
     assert len(cv.z) == len(cv.y) == len(final)
 
@@ -68,7 +65,7 @@ def test_join_membership_reassembled_wall5(benchmark):
     inst, xstar, dist = build_appendix_instance(5)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(dist, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
-    cv = correction_vectors(final, chain, parities, params)
-    benchmark.pedantic(check_join_membership, (cv, parities, inst.n),
+    table = assign_gamma(final, chain, params)
+    cv = correction_vectors(table)
+    benchmark.pedantic(check_join_membership, (cv, table),
                        rounds=30, iterations=1, warmup_rounds=2)

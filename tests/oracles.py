@@ -15,14 +15,15 @@ result must satisfy (a metric, a tight-cut basis of the wall fixture, an
 exchange's promises) and use the package's classify, is_spanning_tree,
 sweep table and wall fixture to do so.
 
-Last come the certificate's stages (benefits, correction vectors, the
-verdict and its cost chain, reconstruction, the type census) and the
-sweeps' grid pot as they were written on Fractions.  They share the
-package's inputs to those stages (parities, crossing profiles, tree types,
-cheap edges, the membership and packing checks, the canonical tree order)
-and hold only its int arithmetic to the Fraction one.
-correction_fractions is the one Fraction view of the package's z^S and
-y^S, which it returns as ints over one denominator.
+Last come the certificate's stages (the gamma rule, benefits, correction
+vectors, the verdict and its cost chain, reconstruction, the type census)
+and the sweeps' grid pot as they were written on Fractions.  They share
+the package's inputs to those stages (path-join splits, e^S_C, crossing
+profiles, tree types, cheap edges, the membership and packing checks, the
+canonical tree order) and hold only its int arithmetic to the Fraction
+one.  fraction_parities and correction_fractions are the Fraction views of
+the package's gammas and of its z^S and y^S, which it keeps as ints over
+one denominator each.
 
 Then comes the minimum T-join with its degree rows added one call at a
 time, on the package's simplex and separation: it holds the one-step
@@ -47,9 +48,10 @@ from pathtsp.flows import FlowNetwork, max_flow_min_cut
 from pathtsp.instance import (build_appendix_instance, complete_edges, edge,
                               edges_cost, vector_cost)
 from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
-                            CutAudit, GammaParams, TreeParity, Verdict,
-                            check_join_membership, check_packing,
-                            cheapest_cut_edges, tjoin_cut_violations)
+                            CutAudit, GammaParams, GammaTable, TreeParity,
+                            Verdict, check_join_membership, check_packing,
+                            cheapest_cut_edges, f_value, first_path_edges,
+                            split_path_join, tjoin_cut_violations)
 from pathtsp.reassembler import SWEEPS, classify, exchange, type_data
 from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
 from pathtsp.tree_decomp import Atom, is_spanning_tree, tree_key
@@ -1045,8 +1047,51 @@ def validate_exchange_record(rec, chain):
 # The package runs these stages on ints over common denominators; here
 # they are kept as they were written on Fractions, line for line, so the
 # tests can hold the int versions to the same values, verdicts and
-# assertion messages.  They read the parities, profiles, types and cheap
+# assertion messages.  The later stages read the package's GammaTable,
+# each gamma as Fraction(v, table.g), and the profiles, types and cheap
 # edges from the package, as the int versions do.
+
+def assign_gamma_fraction(dist, chain: CutChain, params: GammaParams):
+    """TreeParity, with gamma as a Fraction per path edge and e_path, per
+    atom."""
+    inst = chain.inst
+    if not params.uniform_half:
+        f_at = [f_value(params.beta, x) for x in chain.loads]
+    out = []
+    for atom in dist:
+        par = split_path_join(atom.tree, inst)
+        if params.uniform_half:
+            gamma = dict.fromkeys(par.i_edges, HALF)
+        else:
+            gamma = {}
+            cross_count = chain.profile(atom.tree).counts
+            for e in par.i_edges:
+                one_cuts = []
+                even_cuts = []
+                for ci in range(*chain.levels_crossed(*e)):
+                    k = cross_count[ci]
+                    if k == 1:
+                        one_cuts.append(f_at[ci])
+                    elif k % 2 == 0:
+                        even_cuts.append(f_at[ci])
+                f1 = min(HALF, max(one_cuts)) if one_cuts else ZERO
+                f2 = min(HALF, max(even_cuts)) if even_cuts else ZERO
+                gamma[e] = f2 if f2 < f1 else 1 - f1
+        assert all(0 <= g <= 1 for g in gamma.values())
+        par.gamma = gamma
+        par.e_path = first_path_edges(par, chain)
+        out.append(par)
+    return out
+
+
+def fraction_parities(table: GammaTable) -> list:
+    """The table's parities with each gamma as the Fraction it stands
+    for: the form assign_gamma_fraction returns and the stages below
+    read."""
+    return [replace(par, gamma={e: Fraction(v, table.g)
+                                for e, v in par.gamma.items()})
+            for par in table.parities]
+
 
 def benefit(parity: TreeParity, k_cross: int, ci: int,
             cap: Fraction) -> Fraction:
@@ -1059,15 +1104,16 @@ def benefit(parity: TreeParity, k_cross: int, ci: int,
     return ZERO
 
 
-def benefits_fraction(dist, chain: CutChain, parities,
-                      params: GammaParams) -> BenefitAudit:
-    """Per-narrow-cut benefit audit of parities (from assign_gamma with the
-    same params); margins may be negative (reported, never raised).  The
-    per-tree invariants of the critical-cut case analysis are asserted
-    wherever an active case exists — their failure would mean a code bug,
-    not a legitimately failing instance.  They are consequences of the
-    rule-based gamma, so under params.uniform_half the case machinery is
-    skipped and the margins alone decide."""
+def benefits_fraction(table: GammaTable) -> BenefitAudit:
+    """Per-narrow-cut benefit audit of the table's distribution; margins
+    may be negative (reported, never raised).  The per-tree invariants of
+    the critical-cut case analysis are asserted wherever an active case
+    exists — their failure would mean a code bug, not a legitimately
+    failing instance.  They are consequences of the rule-based gamma, so
+    under params.uniform_half the case machinery is skipped and the margins
+    alone decide."""
+    dist, chain, params = table.dist, table.chain, table.params
+    parities = fraction_parities(table)
     beta, xi, eps = params.beta, params.xi, params.eps
     w1 = 1 - 2 * beta
     nu = params.nu
@@ -1091,7 +1137,7 @@ def benefits_fraction(dist, chain: CutChain, parities,
         required = cap * p_even
         margin = total - required
 
-        f = params.f(load)
+        f = f_value(beta, load)
         case = "less_critical" if f <= HALF else "none"
         eq17 = None
         eq18_ok = None
@@ -1143,7 +1189,7 @@ def benefits_fraction(dist, chain: CutChain, parities,
             cut_index=ci, load=load, case=case, total=total,
             required=required, margin=margin, eq17_bound=eq17,
             eq18_ok=eq18_ok, status="OK" if margin >= 0 else "FAIL"))
-    return BenefitAudit(chain=chain, parities=parities, per_cut=per_cut,
+    return BenefitAudit(table=table, per_cut=per_cut,
                         all_ok=all(c.status == "OK" for c in per_cut))
 
 
@@ -1157,12 +1203,13 @@ def correction_fractions(cv: CorrectionVectors) -> CorrectionVectors:
                              e_cheap=cv.e_cheap)
 
 
-def correction_vectors_fraction(dist, chain: CutChain, parities,
-                                params: GammaParams) -> CorrectionVectors:
-    """z^S and y^S per atom as Fractions over den 1, asserting the even-cut
-    floor of z^S; certify_bound checks that each y^S is in the T_S-join
-    dominant."""
-    beta = params.beta
+def correction_vectors_fraction(table: GammaTable) -> CorrectionVectors:
+    """z^S and y^S per atom of the table as Fractions over den 1, asserting
+    the even-cut floor of z^S; certify_bound checks that each y^S is in the
+    T_S-join dominant."""
+    dist, chain = table.dist, table.chain
+    parities = fraction_parities(table)
+    beta = table.params.beta
     w1 = 1 - 2 * beta
     e_cheap = cheapest_cut_edges(chain)
     floor = [beta * (2 - load) for load in chain.loads]  # per level
@@ -1195,19 +1242,20 @@ def correction_vectors_fraction(dist, chain: CutChain, parities,
     return CorrectionVectors(z=zs, y=ys, den=1, e_cheap=e_cheap)
 
 
-def certify_bound_fraction(dist, audit: BenefitAudit,
-                           cv: CorrectionVectors,
-                           params: GammaParams) -> Verdict:
+def certify_bound_fraction(audit: BenefitAudit,
+                           cv: CorrectionVectors) -> Verdict:
     """Certified iff every narrow cut passed the benefit audit AND the
-    correction vectors cv (built by correction_vectors for the same dist,
-    chain and parities, in their Fraction view) are cheap enough:
+    correction vectors cv (built by correction_vectors from audit.table,
+    in their Fraction view) are cheap enough:
         sum p_S c(z^S) <= (1 - 2 beta) sum p_S c(I_S).
     Every y^S is checked for T_S-join membership on every call, and when
     the audit passed, the whole cost chain behind that implication is
     re-derived step by step (any failure is a bug, hence an assertion)."""
-    chain, parities = audit.chain, audit.parities
+    table = audit.table
+    dist, chain, params = table.dist, table.chain, table.params
+    parities = fraction_parities(table)
     inst = chain.inst
-    check_join_membership(cv, parities, inst.n)
+    check_join_membership(cv, table)
     beta = params.beta
     w1 = 1 - 2 * beta
     z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)

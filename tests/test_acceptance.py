@@ -18,6 +18,7 @@ from pathtsp.instance import (
     random_metric_instance,
     vector_cost,
 )
+from pathtsp.parity import f_value
 
 from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
                       correction_fractions, crossings, grid_pot, mask_of,
@@ -76,8 +77,8 @@ def test_criterion_1(appendix0, appendix0_chain):
 @criterion(2, "raw wall benefits stall at 1/2 and miss the requirement")
 def test_criterion_2(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    parities = parity.assign_gamma(p4, appendix0_chain, half_params)
-    audit = parity.benefits(p4, appendix0_chain, parities, half_params)
+    audit = parity.benefits(parity.assign_gamma(p4, appendix0_chain,
+                                                half_params))
     assert not audit.all_ok
     for i in appendix_wall_cut_indices(0):
         c = audit.per_cut[i]
@@ -97,11 +98,10 @@ def test_criterion_3(params):
         chain = cuts.narrow_cuts(xstar, inst, XI)
         final, records = reassembler.reassemble(p4, chain, EPS)
         assert reassembler.type_mix_bound_holds(final, chain, EPS)
-        parities = parity.assign_gamma(final, chain, params)
-        audit = parity.benefits(final, chain, parities, params)
+        table = parity.assign_gamma(final, chain, params)
+        audit = parity.benefits(table)
         assert audit.all_ok
-        cv = parity.correction_vectors(final, chain, parities, params)
-        verdict = parity.certify_bound(final, audit, cv, params)
+        verdict = parity.certify_bound(audit, parity.correction_vectors(table))
         assert verdict.certified and verdict.bound == 2 - BETA
         _, _, bomc_value = bomc.best_of_many(final, inst)
         assert bomc_value <= (2 - BETA) * vector_cost(xstar, inst)
@@ -123,13 +123,13 @@ def test_criterion_4(params):
     x = Fraction(144, 100)
     count = 0
     while x <= Fraction(156, 100):
-        assert base(x) >= 2 * params.f(x), f"window violated at {x}"
+        assert base(x) >= 2 * f_value(beta, x), f"window violated at {x}"
         x += Fraction(1, 1000)
         count += 1
     # the gap is a concave parabola in the load; check its exact vertex
     x_ext = Fraction(3, 2) + 3 * (1 - 2 * beta) * (nu - HALF) / (8 * beta)
     assert Fraction(144, 100) < x_ext < Fraction(156, 100)
-    margin = base(x_ext) - 2 * params.f(x_ext)
+    margin = base(x_ext) - 2 * f_value(beta, x_ext)
     assert margin == Fraction(147711386831, 254073600000000) > 0
     return f"{count} grid points plus the extremum"
 
@@ -171,9 +171,9 @@ def property_results(params, legacy_params):
 
         # (c) correction vectors: even-cut floor and join-polyhedron
         # membership for every atom
-        parities = parity.assign_gamma(final, chain, params)
-        cv = parity.correction_vectors(final, chain, parities, params)
-        parity.check_join_membership(cv, parities, inst.n)
+        table = parity.assign_gamma(final, chain, params)
+        cv = parity.correction_vectors(table)
+        parity.check_join_membership(cv, table)
         zs = correction_fractions(cv).z
         for ai in range(len(final)):
             for ci, mask in enumerate(chain.masks):
@@ -188,8 +188,7 @@ def property_results(params, legacy_params):
             assert validate_exchange_record(rec, chain) == []
 
         # (e) certification at the headline beta
-        audit = parity.benefits(final, chain, parities, params)
-        verdict = parity.certify_bound(final, audit, cv, params)
+        verdict = parity.certify_bound(parity.benefits(table), cv)
         assert verdict.certified
 
         # (f) tour and ratio bounds
@@ -199,9 +198,8 @@ def property_results(params, legacy_params):
         assert tour.cost <= Fraction(1599, 1000) * opt
 
         # criterion 6 input: the legacy audit on the same distribution
-        legacy_parities = parity.assign_gamma(final, chain, legacy_params)
-        legacy_audit = parity.benefits(final, chain, legacy_parities,
-                                       legacy_params)
+        legacy_audit = parity.benefits(
+            parity.assign_gamma(final, chain, legacy_params))
         results.append({
             "n": n, "seed": seed,
             "fractional": any(v.denominator > 1 for v in x.values()),

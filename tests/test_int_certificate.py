@@ -1,13 +1,13 @@
 """The certificate's int arithmetic against its Fraction reference.
 
-benefits, correction_vectors, certify_bound (with its cost chain),
-check_reconstruction and the type census run on ints over common
+assign_gamma, benefits, correction_vectors, certify_bound (with its cost
+chain), check_reconstruction and the type census run on ints over common
 denominators; the versions written on Fractions are kept in
-tests/oracles.py.  Every case runs both and asks for the same CutAudits,
-z^S, y^S (read through their Fraction view), cheap edges, verdict and
-census, for the int check to accept the Fraction reconstruction, or for
-the same AssertionError message when a check fails, since `verify` prints
-that message.
+tests/oracles.py.  Every case runs both and asks for the same gammas and
+e^S_C, CutAudits, z^S, y^S (read through their Fraction view), cheap
+edges, verdict and census, for the int check to accept the Fraction
+reconstruction, or for the same AssertionError message when a check
+fails, since `verify` prints that message.
 """
 
 from fractions import Fraction
@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 
 from pathtsp import build_appendix_instance, narrow_cuts
 from pathtsp.cuts import CutChain
-from pathtsp.instance import (Instance, complete_edges, edge, metric_closure,
-                              over_lcm)
+from pathtsp.instance import Instance, complete_edges, edge, metric_closure
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import census, reassemble
-from pathtsp.tree_decomp import Atom, check_reconstruction, decompose
+from pathtsp.tree_decomp import (Atom, check_reconstruction, decompose,
+                                 weight_ints)
 
-from .oracles import (benefits_fraction, certify_bound_fraction,
-                      correction_fractions, correction_vectors_fraction,
+from .oracles import (assign_gamma_fraction, benefits_fraction,
+                      certify_bound_fraction, correction_fractions,
+                      correction_vectors_fraction, fraction_parities,
                       reconstruct, type_census_fraction)
 from .test_cuts import random_chain
 
@@ -50,11 +51,15 @@ def all_fractions(values):
 
 
 def assert_stages_agree(dist, chain, params):
-    parities = assign_gamma(dist, chain, params)
-    audit = outcome(benefits, dist, chain, parities, params)
-    assert audit == outcome(benefits_fraction, dist, chain, parities, params)
-    cv = outcome(correction_vectors, dist, chain, parities, params)
-    ref = outcome(correction_vectors_fraction, dist, chain, parities, params)
+    table = assign_gamma(dist, chain, params)
+    assert all(type(v) is int for par in table.parities
+               for v in par.gamma.values())
+    assert fraction_parities(table) == assign_gamma_fraction(dist, chain,
+                                                             params)
+    audit = outcome(benefits, table)
+    assert audit == outcome(benefits_fraction, table)
+    cv = outcome(correction_vectors, table)
+    ref = outcome(correction_vectors_fraction, table)
     if isinstance(cv, tuple):
         assert cv == ref
     else:
@@ -65,9 +70,9 @@ def assert_stages_agree(dist, chain, params):
         assert all_fractions((c.total, c.required, c.margin))
         assert c.eq17_bound is None or type(c.eq17_bound) is Fraction
     assert all(type(v) is int for vec in cv.z + cv.y for v in vec.values())
-    verdict = outcome(certify_bound, dist, audit, cv, params)
-    assert verdict == outcome(certify_bound_fraction, dist, audit,
-                              correction_fractions(cv), params)
+    verdict = outcome(certify_bound, audit, cv)
+    assert verdict == outcome(certify_bound_fraction, audit,
+                              correction_fractions(cv))
     if not isinstance(verdict, tuple):
         assert all_fractions((verdict.z_cost, verdict.path_cost))
 
@@ -93,16 +98,26 @@ def test_the_wall_closure_and_correction_vectors_make_no_fraction(
     inst, xstar, dist = build_appendix_instance(5)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(dist, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
+    table = assign_gamma(final, chain, params)
     cost, made = fractions_made(monkeypatch, metric_closure, inst.n,
                                 dict.fromkeys(xstar, 1))
     assert made == 0 and cost == inst.cost
     assert all(type(c) is int for c in cost.values())
-    cv, made = fractions_made(monkeypatch, correction_vectors, final, chain,
-                              parities, params)
+    cv, made = fractions_made(monkeypatch, correction_vectors, table)
     assert made == 0
-    assert correction_fractions(cv) == correction_vectors_fraction(
-        final, chain, parities, params)
+    assert correction_fractions(cv) == correction_vectors_fraction(table)
+
+
+def test_assign_gamma_makes_no_fraction_per_atom(monkeypatch, params):
+    # the raw k = 5 wall, the reassembled one (four atoms each, with other
+    # paths) and one raw atom alone, on one chain: the count of Fractions
+    # made grows with neither the atoms nor their path edges
+    inst, xstar, dist = build_appendix_instance(5)
+    chain = narrow_cuts(xstar, inst)
+    final, _ = reassemble(dist, chain, params.eps)
+    made = [fractions_made(monkeypatch, assign_gamma, d, chain, params)[1]
+            for d in (dist, final, dist[:1])]
+    assert made[0] == made[1] == made[2]
 
 
 def assert_sums_agree(dist, chain):
@@ -111,8 +126,8 @@ def assert_sums_agree(dist, chain):
     total = Fraction(sum(a.weight for a in dist))
     unit = [Atom(a.tree, a.weight / total) for a in dist]
     check_reconstruction(reconstruct(unit), unit)
-    nums, den = over_lcm(dict(enumerate(a.weight for a in dist)))
-    masses = census((a.tree for a in dist), nums.values(), chain)
+    nums, den = weight_ints(dist)
+    masses = census((a.tree for a in dist), nums, chain)
     assert masses[0] == masses[-1] == {}
     for i in range(1, len(chain.xi_indices) - 1):
         assert {code: Fraction(w, den) for code, w in masses[i].items()} \
@@ -185,11 +200,12 @@ def test_a_tampered_gamma_fails_both_versions_alike(params):
     inst, xstar, p4 = build_appendix_instance(0)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(p4, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
-    parities[0].gamma = dict.fromkeys(parities[0].gamma, Fraction(1))
+    table = assign_gamma(final, chain, params)
+    par = table.parities[0]
+    par.gamma = dict.fromkeys(par.gamma, table.g)   # gamma = 1
     message = ("per-tree case-1 inequality failed: atom 0, cut 3, type 110, "
                "lhs 0")
     for fn in (benefits, benefits_fraction):
         with pytest.raises(AssertionError) as info:
-            fn(final, chain, parities, params)
+            fn(table)
         assert str(info.value) == message

@@ -1,7 +1,9 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,22 +60,22 @@ def path_x(seq):
 def reassembled(appendix0, appendix0_chain, params):
     _, _, p4 = appendix0
     final, records = reassemble(p4, appendix0_chain, params.eps)
-    parities = assign_gamma(final, appendix0_chain, params)
-    audit = benefits(final, appendix0_chain, parities, params)
+    audit = benefits(assign_gamma(final, appendix0_chain, params))
     return final, records, audit
 
 
 @pytest.fixture(scope="module")
 def raw_audit(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    parities = assign_gamma(p4, appendix0_chain, half_params)
-    return p4, parities, benefits(p4, appendix0_chain, parities, half_params)
+    table = assign_gamma(p4, appendix0_chain, half_params)
+    return p4, table, benefits(table)
 
 
 def test_f_vanishes_at_the_window_ends(params, legacy_params):
-    assert params.f(1) == 0 and params.f(2) == 0
-    assert params.f(Fraction(3, 2)) == Fraction(401, 792) > HALF
-    assert legacy_params.f(Fraction(3, 2)) == HALF
+    beta = params.beta
+    assert f_value(beta, 1) == 0 and f_value(beta, 2) == 0
+    assert f_value(beta, Fraction(3, 2)) == Fraction(401, 792) > HALF
+    assert f_value(legacy_params.beta, Fraction(3, 2)) == HALF
     assert f_value(Fraction(2, 5), Fraction(7, 4)) == HALF * Fraction(3, 4)
 
 
@@ -110,14 +112,15 @@ def test_gamma_is_one_on_an_integral_path(params):
     inst = uniform_instance(6)
     x = path_x(range(6))
     chain = narrow_cuts(x, inst)
-    parities = assign_gamma(decompose(x, inst), chain, params)
-    assert all(g == 1 for g in parities[0].gamma.values())
+    table = assign_gamma(decompose(x, inst), chain, params)
+    assert all(g == table.g for g in table.parities[0].gamma.values())
 
 
 def test_gamma_uniform_override(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
-    for par in assign_gamma(p4, appendix0_chain, half_params):
-        assert all(g == HALF for g in par.gamma.values())
+    table = assign_gamma(p4, appendix0_chain, half_params)
+    for par in table.parities:
+        assert all(2 * g == table.g for g in par.gamma.values())
         assert set(par.gamma) == set(par.i_edges)
 
 
@@ -132,23 +135,26 @@ def test_first_path_edges_match_the_walk_on_the_walls(k, params):
     fixed, records = reassemble(raw, chain, params.eps)
     assert records
     for dist in (raw, fixed):
-        for par in assign_gamma(dist, chain, params):
+        for par in assign_gamma(dist, chain, params).parities:
             assert par.e_path == walked_path_edges(par, chain)
 
 
 def test_first_path_edges_match_the_walk_on_an_lp_optimum(lp26, params):
     inst, sol, _ = lp26
     chain = narrow_cuts(sol.x, inst)
-    for par in assign_gamma(decompose(sol.x, inst), chain, params):
+    for par in assign_gamma(decompose(sol.x, inst), chain, params).parities:
         assert par.e_path == walked_path_edges(par, chain)
 
 
 @settings(max_examples=150, deadline=None)
 @given(trees_on_chains())
 def test_first_path_edges_match_the_walk_on_random_trees(case):
-    tree, chain = case  # the chain has no loads, so gamma must be uniform
+    tree, chain = case
+    # the chain has no loads: give it loads of 1, which the table's caps
+    # and f values read, and a uniform gamma, which reads no profile
+    chain = replace(chain, loads=[Fraction(1)] * len(chain))
     par, = assign_gamma([Atom(tree, Fraction(1))], chain,
-                        GammaParams(uniform_half=True))
+                        GammaParams(uniform_half=True)).parities
     assert par.e_path == walked_path_edges(par, chain)
 
 
@@ -156,7 +162,7 @@ def test_benefit_values(params):
     inst = uniform_instance(6)
     x = path_x(range(6))
     chain = narrow_cuts(x, inst)
-    par = assign_gamma(decompose(x, inst), chain, params)[0]
+    par = assign_gamma(decompose(x, inst), chain, params).parities[0]
     par.gamma = {e: Fraction(1, 4) for e in par.i_edges}
     ci = 0  # cut {0}; the path edge there is (0, 1)
     assert chain.masks[ci] == 1 and par.e_path[ci] == (0, 1)
@@ -187,11 +193,9 @@ def test_raw_wall_distribution_fails_the_audit(raw_audit):
             if c.status == "FAIL"] == list(range(1, 11))
 
 
-def test_raw_wall_distribution_falls_back(raw_audit, appendix0_chain,
-                                          params):
-    p4, parities, audit = raw_audit
-    cv = correction_vectors(p4, appendix0_chain, parities, params)
-    verdict = certify_bound(p4, audit, cv, params)
+def test_raw_wall_distribution_falls_back(raw_audit):
+    _, table, audit = raw_audit
+    verdict = certify_bound(audit, correction_vectors(table))
     assert not verdict.certified and verdict.label == "fallback"
     assert verdict.bound == Fraction(5, 3)
     assert verdict.z_cost == Fraction(2401, 2000)
@@ -202,18 +206,16 @@ def test_raw_wall_distribution_falls_back(raw_audit, appendix0_chain,
 def test_legacy_beta_passes_on_the_raw_wall(appendix0, appendix0_chain,
                                             legacy_params):
     _, _, p4 = appendix0
-    parities = assign_gamma(p4, appendix0_chain, legacy_params)
-    audit = benefits(p4, appendix0_chain, parities, legacy_params)
+    table = assign_gamma(p4, appendix0_chain, legacy_params)
+    audit = benefits(table)
     assert audit.all_ok
     assert all(c.margin == 0 for c in audit.per_cut if c.load > 1)
-    cv = correction_vectors(p4, appendix0_chain, parities, legacy_params)
-    verdict = certify_bound(p4, audit, cv, legacy_params)
+    verdict = certify_bound(audit, correction_vectors(table))
     assert verdict.certified and verdict.bound == Fraction(8, 5)
 
 
-def test_reassembled_wall_is_certified(reassembled, appendix0,
-                                       appendix0_chain, params):
-    final, _, audit = reassembled
+def test_reassembled_wall_is_certified(reassembled, params):
+    _, _, audit = reassembled
     assert audit.all_ok
     for c in audit.per_cut:
         if c.load > 1:
@@ -223,8 +225,7 @@ def test_reassembled_wall_is_certified(reassembled, appendix0,
             assert 2 * c.total >= c.eq17_bound
         else:
             assert c.case == "less_critical"
-    cv = correction_vectors(final, appendix0_chain, audit.parities, params)
-    verdict = certify_bound(final, audit, cv, params)
+    verdict = certify_bound(audit, correction_vectors(audit.table))
     assert verdict.certified and verdict.label == "certified"
     assert verdict.bound == 2 - params.beta == Fraction(1599, 1000)
     assert verdict.z_cost <= (1 - 2 * params.beta) * verdict.path_cost
@@ -236,20 +237,20 @@ def test_reassembled_wall_is_certified(reassembled, appendix0,
 
 
 def test_certify_bound_checks_join_membership(reassembled, appendix0,
-                                             appendix0_chain, params):
+                                             params):
     inst, _, _ = appendix0
-    final, _, audit = reassembled
-    cv = correction_vectors(final, appendix0_chain, audit.parities, params)
-    assert certify_bound(final, audit, cv, params).certified
+    _, _, audit = reassembled
+    cv = correction_vectors(audit.table)
+    assert certify_bound(audit, cv).certified
     # without its J_S part y^S is no longer in the T_S-join dominant
     cv = correction_fractions(cv)
-    par = audit.parities[0]
+    par = audit.table.parities[0]
     w1 = 1 - 2 * params.beta
     for e in par.j_edges:
         cv.y[0][e] -= w1
     assert tjoin_cut_violations(cv.y[0], par.t_set, inst.n, 1)
     with pytest.raises(AssertionError, match=r"atom 0: y\^S misses"):
-        certify_bound(final, audit, cv, params)
+        certify_bound(audit, cv)
 
 
 def test_join_membership_runs_one_flow_per_terminal_tree_edge(
@@ -257,8 +258,8 @@ def test_join_membership_runs_one_flow_per_terminal_tree_edge(
     inst, xstar, dist = build_appendix_instance(5)
     chain = narrow_cuts(xstar, inst)
     final, _ = reassemble(dist, chain, params.eps)
-    parities = assign_gamma(final, chain, params)
-    cv = correction_vectors(final, chain, parities, params)
+    table = assign_gamma(final, chain, params)
+    cv = correction_vectors(table)
     calls = []
     flow = cuts.max_flow_min_cut
 
@@ -267,7 +268,7 @@ def test_join_membership_runs_one_flow_per_terminal_tree_edge(
         return flow(net, s, t)
 
     monkeypatch.setattr(cuts, "max_flow_min_cut", counted)
-    for y, par in zip(cv.y, parities):
+    for y, par in zip(cv.y, table.parities):
         calls.clear()
         assert tjoin_cut_violations(y, par.t_set, inst.n, cv.den) == []
         assert len(calls) == len(par.t_set) - 1 < inst.n - 1
@@ -287,8 +288,7 @@ def test_swapping_the_ends_mirrors_everything(appendix0, half_params):
             mirror(code): w for code, w in census.items()}
     audits = []
     for chain in (c1, c2):
-        parities = assign_gamma(p4, chain, half_params)
-        audits.append(benefits(p4, chain, parities, half_params))
+        audits.append(benefits(assign_gamma(p4, chain, half_params)))
     assert ([c.margin for c in audits[1].per_cut]
             == [c.margin for c in audits[0].per_cut][::-1])
     assert ([c.total for c in audits[1].per_cut]
@@ -296,9 +296,9 @@ def test_swapping_the_ends_mirrors_everything(appendix0, half_params):
 
 
 def test_criticality_window(params):
-    assert params.f(Fraction(144, 100)) <= HALF
-    assert params.f(Fraction(156, 100)) <= HALF
-    assert params.f(Fraction(3, 2)) > HALF
+    assert f_value(params.beta, Fraction(144, 100)) <= HALF
+    assert f_value(params.beta, Fraction(156, 100)) <= HALF
+    assert f_value(params.beta, Fraction(3, 2)) > HALF
 
 
 def test_constants_cover_the_critical_window(params):
@@ -306,16 +306,16 @@ def test_constants_cover_the_critical_window(params):
     base = lambda x: 1 + (5 - Fraction(3, 2) * (x + xi) - eps) * (nu - HALF)
     x = Fraction(144, 100)
     while x <= Fraction(156, 100):
-        assert base(x) >= 2 * params.f(x), f"failed at load {x}"
+        assert base(x) >= 2 * f_value(beta, x), f"failed at load {x}"
         x += Fraction(1, 1000)
     # 2 f - base is a concave parabola; its vertex is the worst load
     x_ext = Fraction(3, 2) + 3 * (1 - 2 * beta) * (nu - HALF) / (8 * beta)
     assert x_ext == Fraction(3, 2) + Fraction(6587757, 352880000)
-    margin = base(x_ext) - 2 * params.f(x_ext)
+    margin = base(x_ext) - 2 * f_value(beta, x_ext)
     assert margin == Fraction(147711386831, 254073600000000) > 0
     delta = Fraction(1, 10 ** 9)
     for probe in (x_ext - delta, x_ext + delta):
-        assert base(probe) - 2 * params.f(probe) > margin
+        assert base(probe) - 2 * f_value(beta, probe) > margin
 
 
 def test_even_cut_topup_constant(params):
@@ -326,9 +326,9 @@ def test_even_cut_topup_constant(params):
 def test_correction_vectors_on_the_wall(raw_audit, appendix0,
                                         appendix0_chain, params):
     inst, xstar, p4 = appendix0
-    _, parities, _ = raw_audit
-    cv = correction_fractions(correction_vectors(p4, appendix0_chain,
-                                                 parities, params))
+    _, table, _ = raw_audit
+    parities = table.parities
+    cv = correction_fractions(correction_vectors(table))
     assert len(cv.z) == len(cv.y) == len(p4)
     w1 = 1 - 2 * params.beta
     for ai, atom in enumerate(p4):
@@ -459,3 +459,13 @@ def test_swept_cheapest_edges_match_the_per_cut_scan(chain):
     assert cheapest_cut_edges(chain) == {
         ci: cheapest_cut_edge(chain.inst, mask)
         for ci, mask in enumerate(chain.masks)}
+
+
+def test_the_readme_library_snippet_runs():
+    # the README's library example calls every certificate stage; it must
+    # run as printed, asserts included
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    snippet = re.search(r"^## Library\n+```python\n(.*?)^```\n", text,
+                        re.M | re.S)
+    assert snippet
+    exec(compile(snippet[1], "README.md", "exec"), {})
