@@ -78,18 +78,18 @@ class Runner:
 def check_lp_point(x, inst):
     """Vertex range, degree/nonnegativity plus cut separation; works at
     every size.  The degrees are summed as ints over the lcm of x's
-    values."""
+    values, on the edges between vertices of inst with weight >= 0."""
     bad = []
     nums, den = over_lcm(x)
     deg = [0] * inst.n   # over den
-    inside = {}  # the edges of x between vertices of inst
+    inside = {}  # the edges of x between vertices of inst, weight >= 0
     for (u, v), val in x.items():
         outside = [w for w in (u, v) if not 0 <= w < inst.n]
         bad.extend(f"vertex {w} of edge {u},{v} is not in 0..{inst.n - 1}"
                    for w in outside)
         if val < 0:
             bad.append(f"negative weight on {u},{v}")
-        if outside:
+        if outside or val < 0:
             continue
         inside[u, v] = nums[u, v]
         deg[u] += nums[u, v]
@@ -209,7 +209,7 @@ def cmd_reassemble(args):
     dist, records = r.stage("reassemble", reassembler.reassemble, dist0,
                             chain, args.eps)
     tree_decomp.write_distribution(args.output, dist)
-    r.lines.append(f"atoms={len(dist)}")
+    r.lines.append(f"atoms={len({atom.tree for atom in dist})}")
     r.lines.append(f"exchanges={len(records)}")
     if args.trace:
         r.lines.extend(exchange_lines(records))

@@ -19,8 +19,9 @@ the shortcut of the cheapest.
 
 import pytest
 
-from pathtsp import build_appendix_instance, narrow_cuts
 from pathtsp.bomc import best_of_many, min_tjoin
+from pathtsp.cuts import narrow_cuts
+from pathtsp.instance import build_appendix_instance
 from pathtsp.parity import GammaParams, split_path_join
 from pathtsp.reassembler import reassemble
 

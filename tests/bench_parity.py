@@ -15,7 +15,8 @@ ints over one denominator, and the membership check
 `check_join_membership`, one Padberg-Rao pass per atom.
 """
 
-from pathtsp import build_appendix_instance, narrow_cuts
+from pathtsp.cuts import narrow_cuts
+from pathtsp.instance import build_appendix_instance
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, check_join_membership,
                             correction_vectors)

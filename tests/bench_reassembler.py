@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathtsp import build_appendix_instance, narrow_cuts
+from pathtsp.cuts import narrow_cuts
+from pathtsp.instance import build_appendix_instance
 from pathtsp.reassembler import reassemble
 
 EPS = Fraction(1, 100)

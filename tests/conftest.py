@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from pathtsp import build_appendix_instance, lp_relax, narrow_cuts
-from pathtsp.instance import random_metric_instance
+from pathtsp import lp_relax
+from pathtsp.cuts import narrow_cuts
+from pathtsp.instance import build_appendix_instance, random_metric_instance
 from pathtsp.parity import GammaParams
 
 

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtsp import bomc, build_appendix_instance, narrow_cuts, parity
+from pathtsp import bomc, parity
 from pathtsp.bomc import (
     best_of_many,
     format_tour_report,
     held_karp_opt,
     min_tjoin,
 )
-from pathtsp.cuts import gomory_hu_tree
+from pathtsp.cuts import gomory_hu_tree, narrow_cuts
 from pathtsp.instance import (
     Instance,
+    build_appendix_instance,
     complete_edges,
     edge,
     random_metric_instance,

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from pathtsp import build_appendix_instance, lp_relax, narrow_cuts
+from pathtsp import lp_relax
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
-from pathtsp.instance import (format_rational, random_metric_instance,
-                              write_instance)
+from pathtsp.cuts import narrow_cuts
+from pathtsp.instance import (build_appendix_instance, format_rational,
+                              random_metric_instance, write_instance)
 from pathtsp.parity import EPS_DEFAULT
 from pathtsp.reassembler import reassemble
 
@@ -185,6 +186,23 @@ def test_reassemble_decomposes_when_no_initial_is_given(tmp_path, capsys):
     assert reports[0] == reports[1]
     assert (tmp_path / "given.dist").read_bytes() == \
         (tmp_path / "own.dist").read_bytes()
+
+
+def test_reassemble_counts_the_trees_it_writes(tmp_path, capsys):
+    # at n = 26 seed 1 reassembly lists five trees twice each, once for
+    # their whole grid steps and once for a residual; the file merges them
+    inst = tmp_path / "inst.txt"
+    sol = tmp_path / "sol.txt"
+    out = tmp_path / "dist.txt"
+    assert main(["gen", "random", "--n", "26", "--seed", "1",
+                 "-o", str(inst)]) == 0
+    assert main(["solve-lp", str(inst), "-o", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["reassemble", str(inst), str(sol), "-o", str(out)]) == 0
+    written = sum(ln.startswith("tree ")
+                  for ln in out.read_text().splitlines())
+    assert written == 5
+    assert f"atoms={written}\n" in capsys.readouterr().out
 
 
 def test_run_random_end_to_end(tmp_path):

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtsp import build_appendix_instance, narrow_cuts
-from pathtsp.cuts import CutChain
-from pathtsp.instance import Instance, complete_edges, edge, metric_closure
+from pathtsp.cuts import CutChain, narrow_cuts
+from pathtsp.instance import (Instance, build_appendix_instance,
+                              complete_edges, edge, metric_closure)
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import census, reassemble

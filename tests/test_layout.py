@@ -4,7 +4,8 @@ import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pathtsp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pathtsp"
 SHARED = ("ZERO", "ONE", "TWO", "HALF")
 PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
 
@@ -81,21 +82,73 @@ def top_level_definitions(path):
             for name in statement_names(node)}
 
 
+def relayed_imports(source, defined, in_package=False):
+    """(line, names) of every from-import of the package in one source text
+    that takes a name from a module not defining it; the package itself
+    defines only its modules.  A relative import is the package's own
+    only in a file of the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and in_package:
+            module = node.module
+        elif node.level == 0 and node.module == "pathtsp":
+            module = None
+        elif node.level == 0 and (node.module or "").startswith("pathtsp."):
+            module = node.module.split(".", 1)[1]
+        else:
+            continue
+        own = set(defined) - {"__init__"} if module is None \
+            else defined[module]
+        names = [a.name for a in node.names if a.name not in own]
+        if names:
+            out.append((node.lineno, names))
+    return out
+
+
+def import_lines(source):
+    """The lines of one source text that hold an import statement."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
 def test_names_are_imported_from_their_defining_module():
+    # one import path per name: the package exports nothing, so
+    # `from pathtsp import` names modules and every other name comes from
+    # the module that defines it, in the package, its tests, demos and
+    # benchmark alike
     defined = {path.stem: top_level_definitions(path)
                for path in SRC.glob("*.py")}
     relayed = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 \
-                    and node.module is not None:
-                names = [a.name for a in node.names
-                         if a.name not in defined[node.module]]
-                if names:
-                    relayed[f"{path.name}:{node.lineno}"] = names
+    for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            for line, names in relayed_imports(path.read_text(), defined,
+                                               folder == SRC):
+                relayed[f"{path.relative_to(ROOT)}:{line}"] = names
     assert not relayed, f"names imported through another module: {relayed}"
+    init = import_lines((SRC / "__init__.py").read_text())
+    assert not init, f"imports in the package's __init__: lines {init}"
+
+
+def test_the_import_rule_catches_planted_imports():
+    defined = {"__init__": set(), "cli": {"main"},
+               "cuts": {"XI_DEFAULT", "narrow_cuts"},
+               "parity": {"assign_gamma"}}
+    planted = ("from pathtsp import cli, narrow_cuts\n"
+               "from pathtsp.parity import XI_DEFAULT, assign_gamma\n"
+               "from pathtsp.cuts import XI_DEFAULT\n"
+               "from .cuts import narrow_cuts, main\n"
+               "from . import cuts, oracles\n"
+               "import pathtsp.cli\n")
+    assert relayed_imports(planted, defined, in_package=True) == [
+        (1, ["narrow_cuts"]), (2, ["XI_DEFAULT"]), (4, ["main"]),
+        (5, ["oracles"])]
+    # outside the package a relative import is not the package's
+    assert relayed_imports(planted, defined) == [
+        (1, ["narrow_cuts"]), (2, ["XI_DEFAULT"])]
+    assert import_lines('"""Doc."""\n\nfrom .cuts import narrow_cuts\n'
+                        '__all__ = ["narrow_cuts"]\n') == [3]
 
 
 def fraction_callers(path):
@@ -181,8 +234,6 @@ def test_every_definition_is_read_in_the_package():
              for stem, tree in modules.items() for stmt in tree.body]
     unread = []
     for stem, tree in modules.items():
-        if stem == "__init__":
-            continue
         for stmt in tree.body:
             for name in statement_names(stmt):
                 if not any(name in names and other is not stmt
@@ -209,8 +260,6 @@ UNREAD_IMPORTS = {"reassembler.narrow_cuts"}
 def test_every_import_is_read_in_its_module():
     unread = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         loaded = {node.id for node in ast.walk(tree)
                   if isinstance(node, ast.Name)

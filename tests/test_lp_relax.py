@@ -328,6 +328,15 @@ def test_solution_is_feasible_and_in_the_tree_polytope(n, seed):
     assert violated_cuts(sol.x, inst) == []
 
 
+def test_check_lp_point_reports_a_negative_edge():
+    # a negative edge stays out of the degrees and the separation, whose
+    # flow network takes no negative capacity; the report names it
+    inst = random_metric_instance(4, 0)
+    x = {(0, 1): Fraction(-1), (1, 2): Fraction(2), (2, 3): Fraction(1)}
+    with pytest.raises(ValueError, match="^negative weight on 0,1; "):
+        check_lp_point(x, inst)
+
+
 def test_solve_lp_is_deterministic():
     inst = random_metric_instance(9, 13)
     a = solve_lp(inst)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp import cuts
-from pathtsp.cuts import gomory_hu_tree, narrow_cuts
+from pathtsp.cuts import XI_DEFAULT, gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
     Instance,
@@ -23,7 +23,6 @@ from pathtsp.instance import (
 from pathtsp.parity import (
     BETA_DEFAULT,
     EPS_DEFAULT,
-    XI_DEFAULT,
     GammaParams,
     assign_gamma,
     benefits,

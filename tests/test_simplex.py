@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathtsp import bomc, build_appendix_instance, lp_relax, tree_decomp
-from pathtsp.instance import complete_edges, random_metric_instance
+from pathtsp import bomc, lp_relax, tree_decomp
+from pathtsp.instance import (build_appendix_instance, complete_edges,
+                              random_metric_instance)
 from pathtsp.parity import split_path_join
 from pathtsp.simplex import (DEN_LIMIT, STALL_LIMIT, ExactSimplex, Infeasible,
                              Unbounded, _reduced, cutting_planes, delta_rows)

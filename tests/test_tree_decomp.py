@@ -35,7 +35,6 @@ def test_spanning_tree_check():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_spanning_tree_check_matches_oracle(n, data):
-    from pathtsp.instance import complete_edges
     pool = list(complete_edges(n))
     edges = data.draw(st.sets(st.sampled_from(pool),
                               min_size=n - 1, max_size=n - 1))
@@ -48,6 +47,11 @@ def test_tree_path_walks_the_tree():
     assert tree_path(tree, 3, 0) == [3, 4, 2, 0]
 
 
+def test_tree_path_reports_a_goal_it_cannot_reach():
+    with pytest.raises(ValueError, match=r"^no path 0\.\.2 in tree$"):
+        tree_path({edge(0, 1)}, 0, 2)
+
+
 def test_decompose_integral_point_is_one_atom():
     inst = random_metric_instance(6, 0)
     inner = [v for v in range(6) if v not in (inst.s, inst.t)]
@@ -57,6 +61,15 @@ def test_decompose_integral_point_is_one_atom():
     assert len(dist) == 1
     assert dist[0].tree == frozenset(tree)
     assert dist[0].weight == 1
+
+
+def test_decompose_rejects_an_integral_point_that_is_not_a_tree():
+    # n - 1 edges at 1 that close a cycle and miss vertex 3
+    inst = random_metric_instance(4, 0)
+    x = {e: Fraction(1) for e in (edge(0, 1), edge(1, 2), edge(0, 2))}
+    with pytest.raises(DecompositionError,
+                       match="^integral x is not a spanning tree$"):
+        decompose(x, inst)
 
 
 def test_decompose_two_tree_mixture():
