@@ -7,17 +7,15 @@ dynamic-programming baseline is cheap enough to report the true ratio.
 """
 
 import argparse
-from fractions import Fraction
 
 from pathtsp.bomc import best_of_many, held_karp_opt
 from pathtsp.cuts import narrow_cuts
-from pathtsp.instance import (edges_cost, format_rational,
-                              random_metric_instance)
+from pathtsp.instance import format_rational, random_metric_instance
 from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import reassemble
-from pathtsp.tree_decomp import decompose
+from pathtsp.tree_decomp import decompose, distribution_cost
 
 
 def main():
@@ -36,8 +34,7 @@ def main():
           f"{frac} fractional")
 
     dist = decompose(sol.x, inst)
-    avg = sum((a.weight * edges_cost(a.tree, inst) for a in dist),
-              Fraction(0))
+    avg = distribution_cost(dist, inst)
     print(f"decomposition: {len(dist)} trees, "
           f"average tree cost {format_rational(avg)}")
 
@@ -47,7 +44,8 @@ def main():
 
     params = GammaParams()
     fixed, records = reassemble(dist, chain, params.eps)
-    print(f"reassembly: {len(records)} exchanges, {len(fixed)} trees")
+    print(f"reassembly: {len(records)} exchanges, "
+          f"{len({atom.tree for atom in fixed})} trees")
 
     table = assign_gamma(fixed, chain, params)
     audit = benefits(table)

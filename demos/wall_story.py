@@ -69,7 +69,8 @@ def main():
     print(RULE)
     fixed, records = reassemble(dist, chain, params.eps)
     print(f"reassembly: {len(records)} exchanges, "
-          f"{len(fixed)} trees in the repaired distribution")
+          f"{len({atom.tree for atom in fixed})} trees in the repaired "
+          f"distribution")
     for rec in records:
         print(f"  cut {rec.cut_index} {rec.direction:>5}: moved "
               f"{format_rational(rec.delta)} weight, swapped {rec.e1} "

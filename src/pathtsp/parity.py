@@ -148,6 +148,9 @@ class GammaTable:
 
 def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
     """TreeParity, with gamma and e_path, per atom, in one GammaTable."""
+    if chain.xi != params.xi:
+        raise ValueError(f"the chain's xi {chain.xi} is not the "
+                         f"parameters' xi {params.xi}")
     inst = chain.inst
     bn, bd = params.beta.as_integer_ratio()
     terms = {"half": HALF, "nu": params.nu - HALF}

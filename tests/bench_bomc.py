@@ -20,20 +20,14 @@ the shortcut of the cheapest.
 import pytest
 
 from pathtsp.bomc import best_of_many, min_tjoin
-from pathtsp.cuts import narrow_cuts
-from pathtsp.instance import build_appendix_instance
-from pathtsp.parity import GammaParams, split_path_join
-from pathtsp.reassembler import reassemble
+from pathtsp.parity import split_path_join
 
-from .oracles import tjoin_subset_dp
+from .oracles import tjoin_subset_dp, wall
 
 
 def parity_set(k, size, reassembled=False):
     """(T, inst): the first T_S with |T_S| = size on the wall at k."""
-    inst, xstar, dist = build_appendix_instance(k)
-    if reassembled:
-        dist, _ = reassemble(dist, narrow_cuts(xstar, inst),
-                             GammaParams().eps)
+    inst, _, dist, _ = wall(k, reassembled)
     T = next(T for T in (split_path_join(atom.tree, inst).t_set
                          for atom in dist) if len(T) == size)
     return T, inst
@@ -56,8 +50,7 @@ def test_subset_dp_wall5(benchmark):
 
 
 def test_best_of_many_wall(benchmark):
-    inst, xstar, dist = build_appendix_instance(5)
-    final, _ = reassemble(dist, narrow_cuts(xstar, inst), GammaParams().eps)
+    inst, _, final, _ = wall(5, reassembled=True)
     rows, tour, bomc = benchmark.pedantic(best_of_many, (final, inst),
                                           rounds=30, iterations=1,
                                           warmup_rounds=2)

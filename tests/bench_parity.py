@@ -15,19 +15,16 @@ ints over one denominator, and the membership check
 `check_join_membership`, one Padberg-Rao pass per atom.
 """
 
-from pathtsp.cuts import narrow_cuts
-from pathtsp.instance import build_appendix_instance
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, check_join_membership,
                             correction_vectors)
-from pathtsp.reassembler import reassemble
+
+from .oracles import wall
 
 
 def test_certify_reassembled_wall(benchmark):
     params = GammaParams()
-    inst, xstar, dist = build_appendix_instance(20)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
+    _, _, final, chain = wall(20, reassembled=True)
 
     def certify():
         table = assign_gamma(final, chain, params)
@@ -39,11 +36,8 @@ def test_certify_reassembled_wall(benchmark):
 
 
 def test_benefits_reassembled_wall5(benchmark):
-    params = GammaParams()
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
-    table = assign_gamma(final, chain, params)
+    _, _, final, chain = wall(5, reassembled=True)
+    table = assign_gamma(final, chain, GammaParams())
     audit = benefits(table)
     assert audit.all_ok and any(c.case == "1" for c in audit.per_cut)
     benchmark.pedantic(benefits, (table,),
@@ -51,22 +45,16 @@ def test_benefits_reassembled_wall5(benchmark):
 
 
 def test_correction_vectors_reassembled_wall5(benchmark):
-    params = GammaParams()
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
-    table = assign_gamma(final, chain, params)
+    _, _, final, chain = wall(5, reassembled=True)
+    table = assign_gamma(final, chain, GammaParams())
     cv = benchmark.pedantic(correction_vectors, (table,), rounds=30,
                             iterations=1, warmup_rounds=2)
     assert len(cv.z) == len(cv.y) == len(final)
 
 
 def test_join_membership_reassembled_wall5(benchmark):
-    params = GammaParams()
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
-    table = assign_gamma(final, chain, params)
+    _, _, final, chain = wall(5, reassembled=True)
+    table = assign_gamma(final, chain, GammaParams())
     cv = correction_vectors(table)
     benchmark.pedantic(check_join_membership, (cv, table),
                        rounds=30, iterations=1, warmup_rounds=2)

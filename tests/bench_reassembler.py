@@ -16,17 +16,16 @@ from fractions import Fraction
 
 import pytest
 
-from pathtsp.cuts import narrow_cuts
-from pathtsp.instance import build_appendix_instance
 from pathtsp.reassembler import reassemble
+
+from .oracles import wall
 
 EPS = Fraction(1, 100)
 
 
 @pytest.mark.parametrize("k, exchanges", [(5, 12), (20, 32)])
 def test_reassemble_wall(benchmark, k, exchanges):
-    inst, xstar, dist = build_appendix_instance(k)
-    chain = narrow_cuts(xstar, inst)
+    _, _, dist, chain = wall(k)
 
     def fresh():
         return (dist, replace(chain), EPS), {}

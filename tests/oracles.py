@@ -10,6 +10,14 @@ which tests hold to every-pair flows, and the table of type codes, so an
 agreement between a fast routine and its oracle is evidence, not
 circularity.
 
+First come the builders that several test modules share, so that each is
+written once and no test module imports another: the all-ones instance,
+the incidence vector and tree of a vertex sequence, the wall at k with its
+narrow-cut chain and, when asked, its reassembled distribution, and the
+hypothesis strategies for random graphs, chains and trees with the packing
+check.  They are not oracles: wall builds its inputs with the package's
+narrow_cuts and reassemble, which other tests hold to the references.
+
 The checkers near the end are not agreement oracles: they restate what a
 result must satisfy (a metric, a tight-cut basis of the wall fixture, an
 exchange's promises) and use the package's classify, is_spanning_tree,
@@ -42,22 +50,132 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 import numpy as np
+from hypothesis import strategies as st
 
-from pathtsp.cuts import TYPE_CODES, CutChain, gomory_hu_tree, load_of_mask
+from pathtsp.cuts import (TYPE_CODES, XI_DEFAULT, CutChain, gomory_hu_tree,
+                          load_of_mask, narrow_cuts)
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
-from pathtsp.instance import (build_appendix_instance, complete_edges, edge,
-                              edges_cost, vector_cost)
-from pathtsp.parity import (CASE_SPECS, BenefitAudit, CorrectionVectors,
-                            CutAudit, GammaParams, GammaTable, TreeParity,
-                            Verdict, check_join_membership, check_packing,
+from pathtsp.instance import (Instance, build_appendix_instance,
+                              complete_edges, edge, edges_cost, vector_cost)
+from pathtsp.parity import (CASE_SPECS, EPS_DEFAULT, BenefitAudit,
+                            CorrectionVectors, CutAudit, GammaParams,
+                            GammaTable, TreeParity, Verdict,
+                            check_join_membership, check_packing,
                             cheapest_cut_edges, f_value, first_path_edges,
                             split_path_join, tjoin_cut_violations)
-from pathtsp.reassembler import SWEEPS, classify, exchange, type_data
+from pathtsp.reassembler import (SWEEPS, classify, exchange, reassemble,
+                                 type_data)
 from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
 from pathtsp.tree_decomp import Atom, is_spanning_tree, tree_key
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+# ----- builders several test modules share -----
+
+def uniform_instance(n, s=0, t=None):
+    """The instance on n vertices with every cost 1, from s to t (by
+    default n - 1)."""
+    t = n - 1 if t is None else t
+    cost = {e: Fraction(1) for e in complete_edges(n)}
+    return Instance(n=n, s=s, t=t, cost=cost)
+
+
+def path_x(seq):
+    """The incidence vector of the path through the vertices of seq."""
+    return {edge(a, b): Fraction(1) for a, b in zip(seq, seq[1:])}
+
+
+def path_tree(seq):
+    """The edge set of the path through the vertices of seq."""
+    return frozenset(path_x(seq))
+
+
+def wall(k, reassembled=False):
+    """(Instance, xstar, distribution, chain) of the wall at k: its
+    four-tree distribution, or that distribution reassembled on the chain
+    at the default eps."""
+    inst, xstar, dist = build_appendix_instance(k)
+    chain = narrow_cuts(xstar, inst)
+    if reassembled:
+        dist, _ = reassemble(dist, chain, EPS_DEFAULT)
+    return inst, xstar, dist, chain
+
+
+@st.composite
+def rational_graphs(draw):
+    """Up to 9 nodes, random rational capacities; zero-capacity and missing
+    edges leave room for isolated nodes and disconnected graphs."""
+    n = draw(st.integers(2, 9))
+    cap = {}
+    for e in combinations(range(n), 2):
+        num = draw(st.integers(0, 6))
+        if num and draw(st.booleans()):
+            cap[e] = Fraction(num, draw(st.integers(1, 4)))
+    return n, cap
+
+
+def random_chain(draw, inst):
+    """A random nested chain of inst from {s} to V - {t}, with a random
+    xi-subset that always keeps both end levels, so that, as on real
+    chains, some levels in between may not be xi-narrow.  Returns the chain
+    and the vertex order its levels are prefixes of."""
+    n, s, t = inst.n, inst.s, inst.t
+    middle = draw(st.permutations([v for v in range(n) if v not in (s, t)]))
+    order = [s, *middle, t]
+    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    sizes = [j for j in range(1, n) if keep[j - 1] or j in (1, n - 1)]
+    masks = [sum(1 << v for v in order[:j]) for j in sizes]
+    last = len(masks) - 1
+    keep = draw(st.lists(st.booleans(), min_size=last + 1,
+                         max_size=last + 1))
+    xi_indices = [i for i in range(last + 1) if keep[i] or i in (0, last)]
+    chain = CutChain(masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
+                     xi_indices=xi_indices, inst=inst, x={})
+    return chain, order
+
+
+@st.composite
+def trees_on_chains(draw):
+    """(spanning tree, chain) on n <= 40 vertices.  The tree takes the
+    vertices in a random order and hangs each from an earlier one: in three
+    cases of four from one at most 1, 2 or 3 places away in the chain's
+    vertex order, so that the tree crosses few cuts and types other than
+    GOOD turn up, and otherwise from any earlier vertex."""
+    n = draw(st.integers(2, 40))
+    s, t = draw(st.permutations(range(n)))[:2]
+    chain, order = random_chain(draw, Instance(n=n, s=s, t=t, cost={}))
+    place = {v: j for j, v in enumerate(order)}
+    reach = draw(st.sampled_from((1, 2, 3, n)))
+    seq = draw(st.permutations(range(n)))
+    tree = set()
+    for i in range(1, n):
+        v = seq[i]
+        near = [u for u in seq[:i] if abs(place[u] - place[v]) <= reach]
+        near = near or seq[:i]
+        tree.add(edge(v, near[draw(st.integers(0, len(near) - 1))]))
+    return frozenset(tree), chain
+
+
+def packing_holds(chain, dist, inst):
+    """Whether, on every edge e, the weight of the trees that cross a chain
+    cut only at e, summed over the cuts, is at most the weight of the
+    trees whose s-t path holds e."""
+    lhs = {}
+    for i, mask in enumerate(chain.masks):
+        for atom in dist:
+            cut = [e for e in atom.tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
+            if len(cut) == 1:
+                lhs[cut[0]] = lhs.get(cut[0], Fraction(0)) + atom.weight
+    rhs = {}
+    for atom in dist:
+        for e in split_path_join(atom.tree, inst).i_edges:
+            rhs[e] = rhs.get(e, Fraction(0)) + atom.weight
+    return all(v <= rhs.get(e, Fraction(0)) for e, v in lhs.items())
+
+
+# ----- reference implementations -----
 
 
 def cut_value(x, U):
@@ -451,17 +569,16 @@ def rational_rank(rows):
 # ----- the exact simplex on a Fraction tableau -----
 #
 # The tableau that pathtsp.simplex.ExactSimplex replaced: every entry a
-# Fraction.  Kept as it was, except that it records the rows add_constraint
-# negates and flips them back in add_column and duals, and it takes and
-# returns what ExactSimplex does: add_cut_row appends a >= row, add_cut_rows
-# appends >= rows given as ints over a denominator, and basic_values and
-# duals return values over the denominator 1.  It keeps its staged model:
-# add_variable, then add_constraint, which still takes a sense and a rhs of
-# either sign, set up on the first solve.  ExactSimplex takes its costs and
-# its equality rows with rhs >= 0 in its constructor; the tests build this
-# tableau from the same equalities (tests/test_simplex.py,
-# FractionEqualities).  The integer-row tableau must pick the same pivots
-# and return the same values.
+# Fraction.  Kept as it was, except that add_constraint takes only a
+# rhs >= 0, so no row is stored negated, and it takes and returns what
+# ExactSimplex does: add_cut_row appends a >= row, add_cut_rows appends >=
+# rows given as ints over a denominator, and basic_values and duals return
+# values over the denominator 1.  It keeps its staged model: add_variable,
+# then add_constraint, which still takes a sense, set up on the first
+# solve.  ExactSimplex takes its costs and its equality rows with rhs >= 0
+# in its constructor; the tests build this tableau from the same equalities
+# (tests/test_simplex.py, FractionEqualities).  The integer-row tableau
+# must pick the same pivots and return the same values.
 
 ONE = Fraction(1)
 
@@ -488,7 +605,6 @@ class FractionSimplex:
         self.basis = []          # basic column per row
         self.art_of_row = []     # artificial column per original row (-1: none)
         self.sp_of_row = {}      # surplus column of a row, where one exists
-        self.negated = set()     # rows stored times -1 to make rhs >= 0
         self.z = None            # phase-2 reduced-cost row
         self.z1 = None           # phase-1 reduced-cost row (None once closed)
         self._setup_done = False
@@ -507,6 +623,7 @@ class FractionSimplex:
         """coeffs: {col: coef}; sense '=' or '>='."""
         assert not self._setup_done, "add_constraint only before the first solve"
         rhs = Fraction(rhs)
+        assert rhs >= 0, "add_constraint takes a rhs >= 0"
         row = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
         if sense == ">=":
             sp = self.add_variable(ZERO)
@@ -514,10 +631,6 @@ class FractionSimplex:
             self.sp_of_row[len(self.rows)] = sp
         elif sense != "=":
             raise ValueError(f"unknown sense {sense!r}")
-        if rhs < 0:
-            row = {j: -c for j, c in row.items()}
-            rhs = -rhs
-            self.negated.add(len(self.rows))
         self.rows.append(row)  # densified in _setup
         self.rhs.append(rhs)
 
@@ -772,8 +885,6 @@ class FractionSimplex:
                 continue
             acol = self.art_of_row[i0]
             assert acol >= 0, "add_column needs the row's artificial column"
-            if i0 in self.negated:
-                a = -a
             for i in range(m):
                 c = self.rows[i][acol]
                 if c != 0:
@@ -815,8 +926,7 @@ class FractionSimplex:
         Read from the reduced cost of each row's unit column: for the
         artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
         the negated reduced cost; for a surplus (-1 entry, cost 0) y_i is
-        the reduced cost itself.  That is the multiplier of the stored row,
-        so it changes sign on a row that add_constraint negated.
+        the reduced cost itself.
         """
         out = []
         for i in range(len(self.rows)):
@@ -828,7 +938,7 @@ class FractionSimplex:
                 y = -self.z[acol]
             else:
                 y = self.z[self.sp_of_row[i]]
-            out.append(-y if i in self.negated else y)
+            out.append(y)
         return out, 1
 
     def assert_optimal(self):

@@ -23,9 +23,8 @@ from pathtsp.parity import f_value
 from .oracles import (appendix_certificate_sets, appendix_wall_cut_indices,
                       correction_fractions, crossings, grid_pot, mask_of,
                       matching_min_cost, path_min_cost, pot_atoms,
-                      rational_rank, reconstruct, validate_exchange_record,
-                      violated_cuts)
-from .test_cuts import packing_holds
+                      packing_holds, rational_rank, reconstruct,
+                      validate_exchange_record, violated_cuts)
 
 BETA = Fraction(401, 1000)
 XI = Fraction(173, 100)

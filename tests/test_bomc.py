@@ -15,7 +15,7 @@ from pathtsp.bomc import (
     held_karp_opt,
     min_tjoin,
 )
-from pathtsp.cuts import gomory_hu_tree, narrow_cuts
+from pathtsp.cuts import gomory_hu_tree
 from pathtsp.instance import (
     Instance,
     build_appendix_instance,
@@ -24,35 +24,27 @@ from pathtsp.instance import (
     random_metric_instance,
 )
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import GammaParams, split_path_join, tjoin_cut_violations
+from pathtsp.parity import EPS_DEFAULT, split_path_join, tjoin_cut_violations
 from pathtsp.reassembler import reassemble
 from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import Atom, decompose
 
 from .oracles import (
+    ZERO,
     degree_rows_one_at_a_time,
     matching_min_cost,
     min_cost_spanning_tree,
     min_tjoin_one_row_at_a_time,
     path_min_cost,
+    path_tree,
     tjoin_subset_dp,
+    uniform_instance,
+    wall,
 )
-
-ZERO = Fraction(0)
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    return Instance(n=n, s=s, t=t,
-                    cost={e: Fraction(1) for e in complete_edges(n)})
 
 
 def cost_of(edges, inst):
     return sum((inst.cost[e] for e in edges), ZERO)
-
-
-def path_tree(seq):
-    return frozenset(edge(a, b) for a, b in zip(seq, seq[1:]))
 
 
 def tour_from_tree(tree, inst):
@@ -204,9 +196,8 @@ def wall_parity_sets():
     """(inst, T) for every tree of the raw and the reassembled walls
     k = 0..8."""
     for k in range(9):
-        inst, xstar, dist = build_appendix_instance(k)
-        final, _ = reassemble(dist, narrow_cuts(xstar, inst),
-                              GammaParams().eps)
+        inst, _, dist, chain = wall(k)
+        final, _ = reassemble(dist, chain, EPS_DEFAULT)
         for atom in dist + final:
             yield inst, split_path_join(atom.tree, inst).t_set
 
@@ -220,13 +211,6 @@ def test_tjoin_takes_the_row_by_row_pivots_on_the_walls(monkeypatch):
     assert len(made) == len(cases) > 36
 
 
-def reassembled_parity_sets(k):
-    """(inst, the T_S of every tree of the reassembled wall at k)."""
-    inst, xstar, dist = build_appendix_instance(k)
-    final, _ = reassemble(dist, narrow_cuts(xstar, inst), GammaParams().eps)
-    return inst, [split_path_join(atom.tree, inst).t_set for atom in final]
-
-
 def test_tjoin_rounds_cut_every_odd_component_at_once(monkeypatch):
     # with one Gomory-Hu side per round, one k = 5 set took 14 rounds, the
     # walls k = 0, 2..5 (the `wall` benchmark pass) 37, and the reassembled
@@ -234,7 +218,8 @@ def test_tjoin_rounds_cut_every_odd_component_at_once(monkeypatch):
     made = recorded_simplices(monkeypatch)
     rounds = {}
     for k in (0, 2, 3, 4, 5, 20):
-        inst, sets = reassembled_parity_sets(k)
+        inst, _, final, _ = wall(k, reassembled=True)
+        sets = [split_path_join(atom.tree, inst).t_set for atom in final]
         for T in sets:
             assert_perfect_matching_on(min_tjoin(T, inst), T)
         rounds[k] = [sx.rounds for sx in made[-len(sets):]]

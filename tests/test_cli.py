@@ -10,13 +10,12 @@ import pytest
 
 from pathtsp import lp_relax
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
-from pathtsp.cuts import narrow_cuts
-from pathtsp.instance import (build_appendix_instance, format_rational,
-                              random_metric_instance, write_instance)
+from pathtsp.instance import (format_rational, random_metric_instance,
+                              write_instance)
 from pathtsp.parity import EPS_DEFAULT
 from pathtsp.reassembler import reassemble
 
-from .oracles import type_census_fraction
+from .oracles import type_census_fraction, wall
 
 
 def strip_timings(path):
@@ -57,8 +56,7 @@ def test_run_appendix_is_certified_and_deterministic(tmp_path):
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_census_lines_print_the_type_census(k):
-    inst, xstar, dist = build_appendix_instance(k)
-    chain = narrow_cuts(xstar, inst)
+    _, _, dist, chain = wall(k)
     for d in (dist, reassemble(dist, chain, EPS_DEFAULT)[0]):
         lines = census_lines(d, chain)
         assert lines == [
@@ -330,10 +328,17 @@ def test_console_script(tmp_path):
 def test_demos_run():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for demo in ("wall_story.py", "random_pipeline.py"):
-        proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
-                              env=env, capture_output=True, text=True)
+    for demo, *args in (["wall_story.py"], ["random_pipeline.py"],
+                        ["random_pipeline.py", "--n", "20", "--seed", "3"]):
+        proc = subprocess.run(
+            [sys.executable, str(root / "demos" / demo), *args],
+            env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+    # reassembly lists each of the 8 trees twice, as whole grid steps and
+    # as a residual: the demo counts distinct trees
+    lines = proc.stdout.splitlines()
+    assert lines[2].startswith("decomposition: 8 trees,")
+    assert lines[4] == "reassembly: 0 exchanges, 8 trees"
 
 
 def test_the_package_runs_without_numpy():

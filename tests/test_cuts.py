@@ -19,12 +19,10 @@ from pathtsp.flows import FlowNetwork
 from pathtsp.instance import (
     Instance,
     build_appendix_instance,
-    complete_edges,
     edge,
     random_metric_instance,
 )
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import split_path_join
 from pathtsp.reassembler import type_data
 from pathtsp.tree_decomp import Atom, decompose
 
@@ -34,25 +32,18 @@ from .oracles import (
     crossings,
     cut_value,
     gomory_hu_tree_all_nodes,
+    ONE,
     members,
     narrow_sets,
     narrow_sets_all_pairs,
+    packing_holds,
     pairwise_intersection_check,
+    path_x,
+    rational_graphs,
+    trees_on_chains,
     type_data_scan,
+    uniform_instance,
 )
-
-
-ONE = Fraction(1)
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    cost = {e: Fraction(1) for e in complete_edges(n)}
-    return Instance(n=n, s=s, t=t, cost=cost)
-
-
-def path_x(seq):
-    return {edge(a, b): Fraction(1) for a, b in zip(seq, seq[1:])}
 
 
 def test_three_vertex_path_chain():
@@ -93,19 +84,6 @@ def test_chain_matches_all_pairs_reference(lp26):
         assert ({frozenset(lv) for lv in chain.levels}
                 == narrow_sets_all_pairs(x, inst))
         assert chain.loads == [cut_value(x, lv) for lv in chain.levels]
-
-
-@st.composite
-def rational_graphs(draw):
-    """Up to 9 nodes, random rational capacities; zero-capacity and missing
-    edges leave room for isolated nodes and disconnected graphs."""
-    n = draw(st.integers(2, 9))
-    cap = {}
-    for e in combinations(range(n), 2):
-        num = draw(st.integers(0, 6))
-        if num and draw(st.booleans()):
-            cap[e] = Fraction(num, draw(st.integers(1, 4)))
-    return n, cap
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,20 +248,6 @@ def test_cut_stats_inequalities_on_random_solutions():
             assert st.p_many == (st.load - 1 - st.p_even) / 2
 
 
-def packing_holds(chain, dist, inst):
-    lhs = {}
-    for i, mask in enumerate(chain.masks):
-        for atom in dist:
-            cut = [e for e in atom.tree if ((mask >> e[0]) ^ (mask >> e[1])) & 1]
-            if len(cut) == 1:
-                lhs[cut[0]] = lhs.get(cut[0], Fraction(0)) + atom.weight
-    rhs = {}
-    for atom in dist:
-        for e in split_path_join(atom.tree, inst).i_edges:
-            rhs[e] = rhs.get(e, Fraction(0)) + atom.weight
-    return all(v <= rhs.get(e, Fraction(0)) for e, v in lhs.items())
-
-
 def test_packing_inequality(appendix0, appendix0_chain):
     inst, _, p4 = appendix0
     assert packing_holds(appendix0_chain, p4, inst)
@@ -302,48 +266,6 @@ def test_cut_report_format(appendix0_chain):
 
 
 # ----- crossing profiles against the scanning oracle -----
-
-def random_chain(draw, inst):
-    """A random nested chain of inst from {s} to V - {t}, with a random
-    xi-subset that always keeps both end levels, so that, as on real
-    chains, some levels in between may not be xi-narrow.  Returns the chain
-    and the vertex order its levels are prefixes of."""
-    n, s, t = inst.n, inst.s, inst.t
-    middle = draw(st.permutations([v for v in range(n) if v not in (s, t)]))
-    order = [s, *middle, t]
-    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-    sizes = [j for j in range(1, n) if keep[j - 1] or j in (1, n - 1)]
-    masks = [sum(1 << v for v in order[:j]) for j in sizes]
-    last = len(masks) - 1
-    keep = draw(st.lists(st.booleans(), min_size=last + 1,
-                         max_size=last + 1))
-    xi_indices = [i for i in range(last + 1) if keep[i] or i in (0, last)]
-    chain = CutChain(masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
-                     xi_indices=xi_indices, inst=inst, x={})
-    return chain, order
-
-
-@st.composite
-def trees_on_chains(draw):
-    """(spanning tree, chain) on n <= 40 vertices.  The tree takes the
-    vertices in a random order and hangs each from an earlier one: in three
-    cases of four from one at most 1, 2 or 3 places away in the chain's
-    vertex order, so that the tree crosses few cuts and types other than
-    GOOD turn up, and otherwise from any earlier vertex."""
-    n = draw(st.integers(2, 40))
-    s, t = draw(st.permutations(range(n)))[:2]
-    chain, order = random_chain(draw, Instance(n=n, s=s, t=t, cost={}))
-    place = {v: j for j, v in enumerate(order)}
-    reach = draw(st.sampled_from((1, 2, 3, n)))
-    seq = draw(st.permutations(range(n)))
-    tree = set()
-    for i in range(1, n):
-        v = seq[i]
-        near = [u for u in seq[:i] if abs(place[u] - place[v]) <= reach]
-        near = near or seq[:i]
-        tree.add(edge(v, near[draw(st.integers(0, len(near) - 1))]))
-    return frozenset(tree), chain
-
 
 # the path s=0, 1, 2, 3, t=4 cut at every prefix, all xi-narrow: the edge
 # 1-3 crosses xi-cuts 1 and 2 but not 0, so l = 1 at cut 2 and l = 0 at 1

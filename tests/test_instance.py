@@ -26,13 +26,7 @@ from pathtsp.lp_relax import separate
 
 from .oracles import (appendix_certificate_sets, mask_of,
                       metric_closure_floyd_warshall, rational_rank,
-                      validate_metric)
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    cost = {e: Fraction(1) for e in complete_edges(n)}
-    return Instance(n=n, s=s, t=t, cost=cost)
+                      uniform_instance, validate_metric)
 
 
 def test_edge_is_canonical():

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp.cuts import CutChain, narrow_cuts
-from pathtsp.instance import (Instance, build_appendix_instance,
-                              complete_edges, edge, metric_closure)
+from pathtsp.instance import Instance, complete_edges, edge, metric_closure
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
 from pathtsp.reassembler import census, reassemble
@@ -28,8 +27,7 @@ from pathtsp.tree_decomp import (Atom, check_reconstruction, decompose,
 from .oracles import (assign_gamma_fraction, benefits_fraction,
                       certify_bound_fraction, correction_fractions,
                       correction_vectors_fraction, fraction_parities,
-                      reconstruct, type_census_fraction)
-from .test_cuts import random_chain
+                      random_chain, reconstruct, type_census_fraction, wall)
 
 # the defaults, Sebo's 8/5 audit, and the beta window GammaParams admits
 # at the default xi, on a 1/200 grid
@@ -94,11 +92,8 @@ def fractions_made(monkeypatch, fn, *args):
 
 def test_the_wall_closure_and_correction_vectors_make_no_fraction(
         monkeypatch):
-    params = GammaParams()
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
-    table = assign_gamma(final, chain, params)
+    inst, xstar, final, chain = wall(5, reassembled=True)
+    table = assign_gamma(final, chain, GammaParams())
     cost, made = fractions_made(monkeypatch, metric_closure, inst.n,
                                 dict.fromkeys(xstar, 1))
     assert made == 0 and cost == inst.cost
@@ -112,8 +107,7 @@ def test_assign_gamma_makes_no_fraction_per_atom(monkeypatch, params):
     # the raw k = 5 wall, the reassembled one (four atoms each, with other
     # paths) and one raw atom alone, on one chain: the count of Fractions
     # made grows with neither the atoms nor their path edges
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
+    _, _, dist, chain = wall(5)
     final, _ = reassemble(dist, chain, params.eps)
     made = [fractions_made(monkeypatch, assign_gamma, d, chain, params)[1]
             for d in (dist, final, dist[:1])]
@@ -137,10 +131,7 @@ def assert_sums_agree(dist, chain):
 @pytest.mark.parametrize("reassembled", [False, True], ids=["raw", "final"])
 @pytest.mark.parametrize("k", range(7))
 def test_the_wall_stages_match_the_fraction_reference(k, reassembled):
-    inst, xstar, dist = build_appendix_instance(k)
-    chain = narrow_cuts(xstar, inst)
-    if reassembled:
-        dist, _ = reassemble(dist, chain, PARAMS[0].eps)
+    _, _, dist, chain = wall(k, reassembled)
     assert_sums_agree(dist, chain)
     for params in PARAMS:
         assert_stages_agree(dist, chain, params)
@@ -197,9 +188,7 @@ def test_random_distributions_match_the_fraction_reference(case, params):
 
 
 def test_a_tampered_gamma_fails_both_versions_alike(params):
-    inst, xstar, p4 = build_appendix_instance(0)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(p4, chain, params.eps)
+    _, _, final, chain = wall(0, reassembled=True)
     table = assign_gamma(final, chain, params)
     par = table.parities[0]
     par.gamma = dict.fromkeys(par.gamma, table.g)   # gamma = 1

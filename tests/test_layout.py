@@ -1,4 +1,5 @@
-"""Layout rules of the package source, checked on its syntax trees."""
+"""Layout rules of the package source and its tests, checked on their
+syntax trees."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pathtsp"
 SHARED = ("ZERO", "ONE", "TWO", "HALF")
 PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
+TEST_MODULE = re.compile(r"(^|\.)test_")
 
 
 def statement_names(node):
@@ -111,6 +113,46 @@ def import_lines(source):
     """The lines of one source text that hold an import statement."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def shared_test_code(folder):
+    """({name: modules} of every top-level function or class name that
+    several modules of folder define, [module:line] of every import there
+    that reads a test_* module)."""
+    owners, imports = {}, []
+    for path in sorted(folder.glob("*.py")):
+        for name in top_level_definitions(path) - module_assignments(path):
+            owners.setdefault(name, []).append(path.name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [a.name for a in node.names]
+                if any(TEST_MODULE.search(name) for name in names):
+                    imports.append(f"{path.name}:{node.lineno}")
+    twice = {name: mods for name, mods in owners.items() if len(mods) > 1}
+    return twice, imports
+
+
+def test_shared_test_code_is_defined_once_in_oracles():
+    # a builder several test modules use is defined once, in
+    # tests/oracles.py, and read from there; constants may repeat
+    twice, imports = shared_test_code(ROOT / "tests")
+    assert not twice, f"defined in several test modules: {twice}"
+    assert not imports, f"imports of a test module: {imports}"
+
+
+def test_the_shared_code_rule_catches_planted_copies(tmp_path):
+    (tmp_path / "oracles.py").write_text("HALF = 1 / 2\n\n"
+                                         "def path_x(seq):\n    pass\n")
+    (tmp_path / "test_a.py").write_text("HALF = 0.5\n\n"
+                                        "class path_x:\n    pass\n")
+    (tmp_path / "test_b.py").write_text("from .test_a import path_x\n"
+                                        "from . import oracles, test_a\n"
+                                        "import tests.test_a\n"
+                                        "from .oracles import HALF\n")
+    assert shared_test_code(tmp_path) == (
+        {"path_x": ["oracles.py", "test_a.py"]},
+        ["test_b.py:1", "test_b.py:2", "test_b.py:3"])
 
 
 def test_names_are_imported_from_their_defining_module():

@@ -32,21 +32,13 @@ from .oracles import (
     full_path_lp_value,
     mask_of,
     path_min_cost,
+    path_x,
     separate_all_pairs,
     separate_every_pair,
     tree_polytope_violations,
+    uniform_instance,
     violated_cuts,
 )
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    cost = {e: Fraction(1) for e in complete_edges(n)}
-    return Instance(n=n, s=s, t=t, cost=cost)
-
-
-def path_incidence(seq):
-    return {edge(a, b): Fraction(1) for a, b in zip(seq, seq[1:])}
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,7 +49,7 @@ def test_separate_accepts_hamiltonian_path(order):
     # path, which this holds to violate no cut
     n = len(order)
     inst = uniform_instance(n, s=order[0], t=order[-1])
-    x = path_incidence(order)
+    x = path_x(order)
     assert all(v == 1 for v in x.values()) and is_spanning_tree(x, n)
     assert separate(x, inst, 1) == []
 
@@ -140,8 +132,8 @@ def test_separate_finds_the_merged_ends_above_the_enumeration_limit(n):
     # x_st = 1 leaves the contracted {s, t} node without an edge; every
     # degree is right, but the cut around {s, t} carries no load
     inst = uniform_instance(n)
-    x = path_incidence((0, n - 1))
-    x.update(path_incidence(tuple(range(1, n - 1)) + (1,)))
+    x = path_x((0, n - 1))
+    x.update(path_x(tuple(range(1, n - 1)) + (1,)))
     assert separate(x, inst, 1) == [((0, n - 1), 2, 0)]
     assert separate_all_pairs(x, inst) == [((0, n - 1), 2, 0)]
 

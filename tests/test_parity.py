@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 from pathtsp import cuts
 from pathtsp.cuts import XI_DEFAULT, gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
-from pathtsp.instance import (
-    Instance,
-    build_appendix_instance,
-    complete_edges,
-    edge,
-    over_lcm,
-    random_metric_instance,
-)
+from pathtsp.instance import Instance, edge, over_lcm, random_metric_instance
 from pathtsp.parity import (
     BETA_DEFAULT,
     EPS_DEFAULT,
@@ -37,22 +30,11 @@ from pathtsp.parity import (
 from pathtsp.reassembler import reassemble
 from pathtsp.tree_decomp import Atom, decompose
 
-from .oracles import (benefit, cheapest_cut_edge, correction_fractions,
-                      cut_value, members, path_edge_at_cut,
-                      tjoin_violations_enumerate, type_census_fraction)
-from .test_cuts import random_chain, rational_graphs, trees_on_chains
-
-HALF = Fraction(1, 2)
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    return Instance(n=n, s=s, t=t,
-                    cost={e: Fraction(1) for e in complete_edges(n)})
-
-
-def path_x(seq):
-    return {edge(a, b): Fraction(1) for a, b in zip(seq, seq[1:])}
+from .oracles import (HALF, benefit, cheapest_cut_edge, correction_fractions,
+                      cut_value, members, path_edge_at_cut, path_x,
+                      random_chain, rational_graphs, tjoin_violations_enumerate,
+                      trees_on_chains, type_census_fraction, uniform_instance,
+                      wall)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +71,13 @@ def test_parameter_pack():
                    {"beta": Fraction(49, 100)}):  # nu falls below 1/2
         with pytest.raises(ValueError):
             GammaParams(**kwargs)
+
+
+def test_assign_gamma_rejects_a_chain_of_another_xi(appendix0, params):
+    inst, xstar, p4 = appendix0
+    chain = narrow_cuts(xstar, inst, Fraction(8, 5))
+    with pytest.raises(ValueError, match="xi 8/5 is not the parameters' xi"):
+        assign_gamma(p4, chain, params)
 
 
 def test_split_of_a_bare_path():
@@ -129,8 +118,7 @@ def walked_path_edges(par, chain):
 
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_first_path_edges_match_the_walk_on_the_walls(k, params):
-    inst, xstar, raw = build_appendix_instance(k)
-    chain = narrow_cuts(xstar, inst)
+    _, _, raw, chain = wall(k)
     fixed, records = reassemble(raw, chain, params.eps)
     assert records
     for dist in (raw, fixed):
@@ -254,9 +242,7 @@ def test_certify_bound_checks_join_membership(reassembled, appendix0,
 
 def test_join_membership_runs_one_flow_per_terminal_tree_edge(
         monkeypatch, params):
-    inst, xstar, dist = build_appendix_instance(5)
-    chain = narrow_cuts(xstar, inst)
-    final, _ = reassemble(dist, chain, params.eps)
+    inst, _, final, chain = wall(5, reassembled=True)
     table = assign_gamma(final, chain, params)
     cv = correction_vectors(table)
     calls = []

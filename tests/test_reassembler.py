@@ -5,8 +5,7 @@ import pytest
 
 from pathtsp import reassembler
 from pathtsp.cuts import TYPE_CODES, CutChain, load_of_mask, narrow_cuts
-from pathtsp.instance import (Instance, build_appendix_instance,
-                              complete_edges, edge, random_metric_instance)
+from pathtsp.instance import edge, random_metric_instance
 from pathtsp.lp_relax import solve_lp
 from pathtsp.reassembler import (
     ExchangeError,
@@ -20,19 +19,12 @@ from pathtsp.reassembler import (
 )
 from pathtsp.tree_decomp import Atom, decompose, total_weight
 
-from .oracles import (appendix_wall_cut_indices, grid_pot, pot_atoms,
+from .oracles import (HALF, appendix_wall_cut_indices, grid_pot, pot_atoms,
                       reconstruct, sweep_rescanning, type_census_fraction,
-                      validate_exchange_record)
+                      uniform_instance, validate_exchange_record, wall)
 
-HALF = Fraction(1, 2)
 XI = Fraction(173, 100)
 EPS = Fraction(1, 100)
-
-
-def uniform_instance(n, s=0, t=None):
-    t = n - 1 if t is None else t
-    cost = {e: Fraction(1) for e in complete_edges(n)}
-    return Instance(n=n, s=s, t=t, cost=cost)
 
 
 def chain_of(inst, levels, x):
@@ -240,9 +232,8 @@ def test_sweep_matches_the_rescanning_reference_on_random_points(
 
 @pytest.mark.parametrize("k", range(6))
 def test_sweep_matches_the_rescanning_reference_on_the_wall(k):
-    inst, xstar, dist = build_appendix_instance(k)
-    assert sweeps_against_the_reference(
-        inst, dist, narrow_cuts(xstar, inst)) > 0
+    inst, _, dist, chain = wall(k)
+    assert sweeps_against_the_reference(inst, dist, chain) > 0
 
 
 def test_the_sweep_contract_catches_a_grown_fragile_type(

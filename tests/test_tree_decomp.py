@@ -18,11 +18,7 @@ from pathtsp.tree_decomp import (
     tree_path,
 )
 
-from .oracles import reconstruct, spans
-
-
-def path_tree(seq):
-    return frozenset(edge(a, b) for a, b in zip(seq, seq[1:]))
+from .oracles import path_tree, reconstruct, spans
 
 
 def test_spanning_tree_check():
