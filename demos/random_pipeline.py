@@ -9,7 +9,7 @@ dynamic-programming baseline is cheap enough to report the true ratio.
 import argparse
 
 from pathtsp.bomc import best_of_many, held_karp_opt
-from pathtsp.cuts import narrow_cuts
+from pathtsp.cuts import XI, narrow_cuts
 from pathtsp.instance import format_rational, random_metric_instance
 from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
@@ -40,14 +40,13 @@ def main():
 
     chain = narrow_cuts(sol.x, inst)
     print(f"narrow-cut chain: {len(chain)} cuts, "
-          f"{len(chain.xi_indices)} below 173/100")
+          f"{len(chain.xi_indices)} below {format_rational(XI)}")
 
-    params = GammaParams()
-    fixed, records = reassemble(dist, chain, params.eps)
+    fixed, records = reassemble(dist, chain)
     print(f"reassembly: {len(records)} exchanges, "
           f"{len({atom.tree for atom in fixed})} trees")
 
-    table = assign_gamma(fixed, chain, params)
+    table = assign_gamma(fixed, chain, GammaParams())
     audit = benefits(table)
     cv = correction_vectors(table)
     verdict = certify_bound(audit, cv)

@@ -13,7 +13,7 @@ printed here is an exact rational.
 from fractions import Fraction
 
 from pathtsp.bomc import best_of_many, format_tour_report
-from pathtsp.cuts import format_cut_report, narrow_cuts
+from pathtsp.cuts import XI, format_cut_report, narrow_cuts
 from pathtsp.instance import (build_appendix_instance, format_rational,
                               vector_cost)
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
@@ -41,8 +41,8 @@ def main():
 
     chain = narrow_cuts(xstar, inst)
     wall = list(range(5, 9))  # the wall cuts' chain indices at k = 0
-    print(f"narrow-cut chain: {len(chain)} cuts, all below 173/100; "
-          f"wall cuts are {wall}")
+    print(f"narrow-cut chain: {len(chain)} cuts, all below "
+          f"{format_rational(XI)}; wall cuts are {wall}")
     for line in format_cut_report(chain)[:3]:
         print(f"  {line}")
     print("  ...")
@@ -67,7 +67,7 @@ def main():
     print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
 
     print(RULE)
-    fixed, records = reassemble(dist, chain, params.eps)
+    fixed, records = reassemble(dist, chain)
     print(f"reassembly: {len(records)} exchanges, "
           f"{len({atom.tree for atom in fixed})} trees in the repaired "
           f"distribution")

@@ -15,12 +15,11 @@ import time
 from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
-from .cuts import XI_DEFAULT
 from .instance import (build_appendix_instance, format_rational,
                        instance_digest, over_lcm, parse_rational,
                        random_metric_instance, read_instance, vector_cost,
                        write_instance)
-from .parity import BETA_DEFAULT, EPS_DEFAULT
+from .parity import BETA_DEFAULT
 
 OPT_BASELINE_LIMIT = 12   # held_karp in reports only at this size or below
 
@@ -130,8 +129,7 @@ def tour_stages(r, dist, inst):
 
 
 def gamma_params(args):
-    return parity.GammaParams(args.beta, args.xi, args.eps,
-                              uniform_half=args.legacy_gamma_half)
+    return parity.GammaParams(args.beta, args.legacy_gamma_half)
 
 
 def census_lines(dist, chain):
@@ -201,13 +199,13 @@ def cmd_reassemble(args):
     inst = read_instance(args.instance, closure=args.closure)
     x, _ = lp_relax.read_solution(args.solution)
     r.stage("check-lp-point", check_lp_point, x, inst)
-    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
+    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
     if args.initial:
         dist0 = tree_decomp.read_distribution(args.initial, n=inst.n)
     else:
         dist0 = r.stage("decompose", tree_decomp.decompose, x, inst)
     dist, records = r.stage("reassemble", reassembler.reassemble, dist0,
-                            chain, args.eps)
+                            chain)
     tree_decomp.write_distribution(args.output, dist)
     r.lines.append(f"atoms={len({atom.tree for atom in dist})}")
     r.lines.append(f"exchanges={len(records)}")
@@ -225,7 +223,7 @@ def cmd_audit(args):
     params = gamma_params(args)
     r.stage("check-lp-point", check_lp_point, x, inst)
     r.stage("reconstruction", tree_decomp.check_reconstruction, x, dist)
-    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
+    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
     verdict = certify_stages(r, dist, chain, params)
     r.emit(args.output)
     return 0 if verdict.certified else 1
@@ -254,14 +252,14 @@ def cmd_verify(args):
         assert not bad, f"negative margin at cuts {bad}"
 
     def check_type_mix():
-        assert reassembler.type_mix_bound_holds(dist, chain, args.eps), \
+        assert reassembler.type_mix_bound_holds(dist, chain), \
             "type-mix bound violated at an internal cut"
 
     point_ok, _ = r.check("lp_point", check_lp_point, x, inst)
     r.check("reconstruction", tree_decomp.check_reconstruction, x, dist)
     # narrow_cuts is complete only for a feasible point
     chain_ok, chain = r.check("narrow_cuts", cuts.narrow_cuts, x, inst,
-                              args.xi, ready=point_ok)
+                              ready=point_ok)
     r.check("cut_stats", cuts.cut_stats, chain, dist, ready=chain_ok)
     r.check("packing", parity.check_packing, dist, chain, ready=chain_ok)
     table = parity.assign_gamma(dist, chain, params) if chain_ok else None
@@ -301,7 +299,7 @@ def cmd_run(args):
         r.stage("check-lp-point", check_lp_point, x, inst)
     r.lines.append(f"lp_value={format_rational(value)}")
 
-    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst, args.xi)
+    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
     r.lines.extend(cuts.format_cut_report(chain))
 
     if xstar is None:
@@ -314,7 +312,7 @@ def cmd_run(args):
         dist = dist0
     else:
         dist, records = r.stage("reassemble", reassembler.reassemble,
-                                dist0, chain, args.eps)
+                                dist0, chain)
     r.lines.append("types_after:")
     r.lines.extend(census_lines(dist, chain))
     if args.trace and records:
@@ -342,16 +340,11 @@ def _add_instance_flags(sp):
                     help="complete a partial cost list by shortest paths")
 
 
-def _add_param_flags(sp, beta=True):
-    sp.add_argument("--xi", type=parse_rational, default=XI_DEFAULT,
+def _add_param_flags(sp):
+    sp.add_argument("--beta", type=parse_rational, default=BETA_DEFAULT,
                     metavar="A/B")
-    sp.add_argument("--eps", type=parse_rational, default=EPS_DEFAULT,
-                    metavar="A/B")
-    if beta:
-        sp.add_argument("--beta", type=parse_rational, default=BETA_DEFAULT,
-                        metavar="A/B")
-        sp.add_argument("--legacy-gamma-half", action="store_true",
-                        help="uniform gamma = 1/2 (use with --beta 2/5)")
+    sp.add_argument("--legacy-gamma-half", action="store_true",
+                    help="uniform gamma = 1/2 (use with --beta 2/5)")
 
 
 def _add_gen(sub):
@@ -395,7 +388,6 @@ def _add_reassemble(sub):
     sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--initial", help="distribution to start from")
     sp.add_argument("--trace", action="store_true")
-    _add_param_flags(sp, beta=False)
     _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_reassemble)
 

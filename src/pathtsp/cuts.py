@@ -3,7 +3,7 @@
 A cut here is delta(L) for a vertex set L with s in L, t not in L; it is
 narrow when its load x(delta(L)) is below 2.  For a feasible LP point the
 narrow cuts are totally ordered by inclusion of their s-sides — that chain,
-the sub-chain of xi-narrow cuts (load < xi), and the per-cut crossing
+the sub-chain of xi-narrow cuts (load < XI), and the per-cut crossing
 statistics of a tree distribution are what the reassembly stage consumes.
 
 The chain is read off one Gomory-Hu cut tree (Gusfield 1990), built from
@@ -47,7 +47,8 @@ from .flows import FlowNetwork, max_flow_min_cut
 from .instance import ZERO, Instance, format_rational
 from .tree_decomp import total_weight
 
-XI_DEFAULT = Fraction(173, 100)
+# the paper's xi, fixed: a cut of load below XI is xi-narrow
+XI = Fraction(173, 100)
 
 # the type codes a tree can have at an internal xi-narrow cut
 TYPE_CODES = ("010", "011", "110", "111", "020", "021", "120",
@@ -88,8 +89,7 @@ class CrossingProfile:
 class CutChain:
     masks: list           # int bitmask per level, strictly nested s-sides
     loads: list           # Fraction load per level
-    xi: Fraction
-    xi_indices: list      # chain indices with load < xi
+    xi_indices: list      # chain indices with load < XI
     inst: Instance        # the instance and LP point the chain belongs to
     x: dict
     # derived from masks: levels[c] is level c as a sorted vertex tuple;
@@ -227,12 +227,11 @@ def gomory_hu_tree(net: FlowNetwork, nodes) -> list:
     return [(below[v], value[v]) for v in nodes[1:]]
 
 
-def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
+def narrow_cuts(x: dict, inst: Instance) -> CutChain:
     """All cuts with load < 2, assembled into the nested chain: the
     fundamental cuts of value < 2 of one Gomory-Hu tree of x, which are
     all such cuts when x is LP-feasible."""
     n, s, t = inst.n, inst.s, inst.t
-    xi = Fraction(xi)
     cap = {e: v for e, v in x.items() if v != 0}
 
     full = (1 << n) - 1
@@ -256,9 +255,9 @@ def narrow_cuts(x: dict, inst: Instance, xi=XI_DEFAULT) -> CutChain:
     if loads[0] != 1 or loads[-1] != 1:
         raise ChainError("end cuts must have load 1")
     assert all(lo < 2 for lo in loads)
-    xi_indices = [i for i, lo in enumerate(loads) if lo < xi]
-    return CutChain(masks=levels, loads=loads, xi=xi,
-                    xi_indices=xi_indices, inst=inst, x=cap)
+    xi_indices = [i for i, lo in enumerate(loads) if lo < XI]
+    return CutChain(masks=levels, loads=loads, xi_indices=xi_indices,
+                    inst=inst, x=cap)
 
 
 # ----- per-cut crossing statistics of a distribution -----

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import add
 
 # the package's shared constants, defined here once
 ZERO = Fraction(0)
@@ -209,7 +210,16 @@ def parse_instance(text: str, closure: bool = False) -> Instance:
             raise ValueError("support graph is disconnected")
         cost = metric_closure(n, given)
     else:
+        # a closure is metric by construction; a full file is checked, as
+        # the T-join and the shortcutting assume a metric (row[u]: u's costs)
         cost = {e: given[e] for e in sorted(given)}
+        row = [[0] * n for _ in range(n)]
+        for (u, w), c in cost.items():
+            row[u][w] = row[w][u] = c
+        for (u, w), c in cost.items():
+            if min(map(add, row[u], row[w])) < c:
+                raise ValueError(f"edge {u},{w} costs more than a path "
+                                 "through a third vertex: not a metric")
     return Instance(n=n, s=s, t=t, cost=cost)
 
 

@@ -49,15 +49,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .cuts import XI_DEFAULT, CutChain, gomory_hu_tree, load_of_mask
+from .cuts import XI, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, degrees, edge,
                        edges_cost, format_rational, over_lcm, vector_cost)
-from .reassembler import MIX_PAIRS, census, mix_pair, type_data
+from .reassembler import EPS, MIX_PAIRS, census, mix_pair, type_data
 from .tree_decomp import UnionFind, tree_path, weight_ints
 
 BETA_DEFAULT = Fraction(401, 1000)
-EPS_DEFAULT = Fraction(1, 100)
 
 
 def f_value(beta: Fraction, x) -> Fraction:
@@ -71,26 +70,18 @@ def f_value(beta: Fraction, x) -> Fraction:
 @dataclass
 class GammaParams:
     beta: Fraction = BETA_DEFAULT
-    xi: Fraction = XI_DEFAULT
-    eps: Fraction = EPS_DEFAULT
     uniform_half: bool = False   # gamma = 1/2 on every path edge
 
     def __post_init__(self):
         self.beta = Fraction(self.beta)
-        self.xi = Fraction(self.xi)
-        self.eps = Fraction(self.eps)
         if not Fraction(2, 5) <= self.beta < HALF:
             raise ValueError(f"beta {self.beta} outside [0.4, 0.5)")
-        if not Fraction(17, 10) <= self.xi <= Fraction(18, 10):
-            raise ValueError(f"xi {self.xi} outside [1.7, 1.8]")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         if self.nu <= HALF:
             raise ValueError(f"nu = {self.nu} must exceed 1/2")
 
     @property
     def nu(self) -> Fraction:
-        return 1 - f_value(self.beta, self.xi)
+        return 1 - f_value(self.beta, XI)
 
 
 @dataclass
@@ -148,9 +139,6 @@ class GammaTable:
 
 def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
     """TreeParity, with gamma and e_path, per atom, in one GammaTable."""
-    if chain.xi != params.xi:
-        raise ValueError(f"the chain's xi {chain.xi} is not the "
-                         f"parameters' xi {params.xi}")
     inst = chain.inst
     bn, bd = params.beta.as_integer_ratio()
     terms = {"half": HALF, "nu": params.nu - HALF}
@@ -230,11 +218,10 @@ def benefits(table: GammaTable) -> BenefitAudit:
     under params.uniform_half the case machinery is skipped and the margins
     alone decide."""
     dist, chain, params, g = table.dist, table.chain, table.params, table.g
-    xi, eps = params.xi, params.eps
     nh = table.nu_half        # nu - 1/2 over g
     nm = 4 * nh + g           # 4 nu - 1 over g
     wts, wden = weight_ints(dist)
-    eps_w = floor(eps * wden)  # an int over wden is <= eps iff <= eps_w
+    eps_w = floor(EPS * wden)  # an int over wden is <= EPS iff <= eps_w
     # chain index -> xi-position, at the internal xi-narrow cuts
     internal = {ci: p for p, ci in enumerate(chain.xi_indices[1:-1], 1)}
     counts = [chain.profile(atom.tree).counts for atom in dist]
@@ -258,10 +245,10 @@ def benefits(table: GammaTable) -> BenefitAudit:
         eq17 = eq18_ok = None
         pos = internal.get(ci)
         # a critical cut, whose case analysis reads the tree types and their
-        # census; with default constants its load sits in a small window
-        # around 3/2, in particular below xi and off the chain ends, so it is
-        # internal.  Exotic (but validated) parameters can break that, in
-        # which case no case applies and the margin alone decides.
+        # census; at the default beta its load sits in a small window around
+        # 3/2, in particular below XI and off the chain ends, so it is
+        # internal.  A larger beta widens the window toward (1, 2), which
+        # can break that; then no case applies and the margin alone decides.
         if case == "none" and not params.uniform_half and pos is not None:
             data = [(ai, wts[ai], *type_data(atom.tree, chain, pos),
                      bens[ai]) for ai, atom in enumerate(dist)]
@@ -282,12 +269,12 @@ def benefits(table: GammaTable) -> BenefitAudit:
                         f"per-tree case-{case} inequality failed: "
                         f"atom {ai}, cut {ci}, type {code}, "
                         f"lhs {Fraction(lhs, g)}")
-                assert a_sum <= eps_w, "sum p_S a_S exceeded eps"
-            base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
+                assert a_sum <= eps_w, "sum p_S a_S exceeded EPS"
+            base = (1 + (5 - Fraction(3, 2) * (load + XI) - EPS)
                     * Fraction(nh, g))
             eq17 = base - Fraction(nm * p_many, g * wden)
             eq18_ok = base >= 2 * Fraction(fx, g)
-            if case != "none" and load >= 2 - xi / 3:
+            if case != "none" and load >= 2 - XI / 3:
                 assert 2 * total_q >= eq17, "weighted-sum bound failed"
 
         per_cut.append(CutAudit(
@@ -434,7 +421,6 @@ class Verdict:
     certified: bool
     label: str          # "certified" or "fallback"
     bound: Fraction     # 2 - beta when certified, else 5/3
-    beta: Fraction
     z_cost: Fraction    # sum p_S c(z^S)
     path_cost: Fraction # sum p_S c(I_S)
 
@@ -462,7 +448,7 @@ def certify_bound(audit: BenefitAudit, cv: CorrectionVectors) -> Verdict:
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
                    bound=(2 - beta) if certified else Fraction(5, 3),
-                   beta=beta, z_cost=z_cost, path_cost=path_cost)
+                   z_cost=z_cost, path_cost=path_cost)
 
 
 def _verify_cost_chain(table: GammaTable, cv, z_cost, path_cost):
@@ -518,6 +504,6 @@ def format_audit_lines(audit: BenefitAudit, verdict: Verdict):
             f"case={c.case} benefit={format_rational(c.total)} "
             f"required={format_rational(c.required)} "
             f"margin={format_rational(c.margin)} status={c.status}")
-    beta = format_rational(verdict.beta) if verdict.certified else "none"
-    lines.append(f"certified_beta={beta}")
+    beta = format_rational(audit.table.params.beta)
+    lines.append(f"certified_beta={beta if verdict.certified else 'none'}")
     return lines

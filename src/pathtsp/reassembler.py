@@ -16,12 +16,12 @@ those exchanges across the chain until one of the two type classes is
 exhausted at every cut.  Direction "left" mirrors both (021 with 110,
 right to left); SWEEPS holds what differs.  The reassemble driver
 takes a tree distribution and the narrow-cut chain of the point it
-decomposes.  It is the one place that knows the eps/n^2 grid: it splits
-each weight once, as an int over the weights' lcm, into whole grid steps
-and a residual below one step, sweeps left then right on one pot of int
-steps by tree, and adds the residual mass back, so the final distribution
-satisfies the four-way type-mix bound within eps at every internal
-xi-narrow cut.
+decomposes.  It is the one place that knows the EPS/n^2 grid, EPS = 1/100
+being the paper's type-mix slack: it splits each weight once, as an int
+over the weights' lcm, into whole grid steps and a residual below one
+step, sweeps left then right on one pot of int steps by tree, and adds the
+residual mass back, so the final distribution satisfies the four-way
+type-mix bound within EPS at every internal xi-narrow cut.
 
 Every type is read from the tree's crossing profile on the chain
 (CutChain.profile), built once per tree from the chain's layers and kept
@@ -48,8 +48,11 @@ from .cuts import CutChain, narrow_cuts
 from .tree_decomp import (Atom, check_reconstruction, is_spanning_tree,
                           tree_key, weight_ints)
 
+# the type-mix slack, fixed
+EPS = Fraction(1, 100)
+
 # the four type pairs of the type-mix bound: after reassembly, at every
-# internal xi-narrow cut, the mass of one of them is at most p_GOOD + eps
+# internal xi-narrow cut, the mass of one of them is at most p_GOOD + EPS
 MIX_PAIRS = (("120", "021"), ("011", "110"), ("011", "021"), ("110", "120"))
 
 # sweep direction -> (the pair it exchanges into (121, 010), the fragile
@@ -223,7 +226,7 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
                 pot[nk] = pot.get(nk, 0) + delta
                 tree_of.setdefault(nk, tree)
 
-    assert len(pot) <= 1 / quantum, "support exceeded n^2/eps"
+    assert len(pot) <= 1 / quantum, "support exceeded n^2/EPS"
     # contract: the targeted pair annihilates; fragile types grow only
     # by what became GOOD
     after = census(map(tree_of.get, pot), pot.values(), chain)
@@ -237,38 +240,32 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
 
 # ----- the driver -----
 
-def type_mix_bound_holds(dist, chain: CutChain, eps) -> bool:
-    """min over the four two-type sums <= p_GOOD + eps at every internal
+def type_mix_bound_holds(dist, chain: CutChain) -> bool:
+    """min over the four two-type sums <= p_GOOD + EPS at every internal
     xi-narrow cut."""
     nums, den = weight_ints(dist)
-    eps_w = floor(eps * den)  # an int over den is > eps iff > eps_w
+    eps_w = floor(EPS * den)  # an int over den is > EPS iff > eps_w
     cells = census((a.tree for a in dist), nums, chain)
     return all(mix_pair(mass, eps_w) is not None for mass in cells[1:-1])
 
 
-def reassemble(dist, chain: CutChain, eps):
+def reassemble(dist, chain: CutChain):
     """Split each weight of the tree distribution dist of chain.x into whole
-    steps of the eps/n^2 grid and a residual below one step, sweep the
+    steps of the EPS/n^2 grid and a residual below one step, sweep the
     steps left, then right, and add the residual back.  Returns
     (distribution, exchange records).
 
-    chain is the narrow-cut chain of the LP point dist decomposes, with
-    3/2 < chain.xi < 2.  The output reconstructs chain.x exactly and
-    satisfies the four-way type-mix bound within eps at every internal
-    xi-narrow cut.
+    chain is the narrow-cut chain of the LP point dist decomposes.  The
+    output reconstructs chain.x exactly and satisfies the four-way type-mix
+    bound within EPS at every internal xi-narrow cut.
     """
-    eps = Fraction(eps)
-    if not Fraction(3, 2) < chain.xi < 2:
-        raise ValueError("xi must lie strictly between 3/2 and 2")
     check_reconstruction(chain.x, dist)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     n = chain.inst.n
 
     # weight w/den = steps * quantum + rest/(den*qd), with rest/(den*qd)
     # below one step; pot keeps the steps by tree, tree_of each key's
     # first frozenset, so the chain's profile cache hashes no new one
-    quantum = eps / (n * n)
+    quantum = EPS / (n * n)
     qn, qd = quantum.as_integer_ratio()
     nums, den = weight_ints(dist)
     pot, tree_of, rests = {}, {}, []
@@ -279,7 +276,7 @@ def reassemble(dist, chain: CutChain, eps):
             key = tree_key(a.tree)
             pot[key] = pot.get(key, 0) + steps
             tree_of.setdefault(key, a.tree)
-    assert Fraction(sum(rests), den * qd) < eps, "residual mass >= eps"
+    assert Fraction(sum(rests), den * qd) < EPS, "residual mass >= EPS"
     records = sweep(pot, tree_of, chain, "left", quantum)
     records += sweep(pot, tree_of, chain, "right", quantum)
     final = [Atom(tree_of[k], w * quantum) for k, w in sorted(pot.items())]
@@ -287,6 +284,6 @@ def reassemble(dist, chain: CutChain, eps):
               for a, rest in zip(dist, rests) if rest]
 
     check_reconstruction(chain.x, final)
-    assert len(final) < n * n / eps + n * n
-    assert type_mix_bound_holds(final, chain, eps)
+    assert len(final) < n * n / EPS + n * n
+    assert type_mix_bound_holds(final, chain)
     return final, records

@@ -12,7 +12,6 @@ kept from the round before.
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -20,15 +19,13 @@ from pathtsp.reassembler import reassemble
 
 from .oracles import wall
 
-EPS = Fraction(1, 100)
-
 
 @pytest.mark.parametrize("k, exchanges", [(5, 12), (20, 32)])
 def test_reassemble_wall(benchmark, k, exchanges):
     _, _, dist, chain = wall(k)
 
     def fresh():
-        return (dist, replace(chain), EPS), {}
+        return (dist, replace(chain)), {}
 
     final, records = benchmark.pedantic(reassemble, setup=fresh, rounds=10,
                                         iterations=1)

@@ -52,19 +52,19 @@ from math import gcd, lcm
 import numpy as np
 from hypothesis import strategies as st
 
-from pathtsp.cuts import (TYPE_CODES, XI_DEFAULT, CutChain, gomory_hu_tree,
+from pathtsp.cuts import (TYPE_CODES, XI, CutChain, gomory_hu_tree,
                           load_of_mask, narrow_cuts)
 from pathtsp.flows import FlowNetwork, max_flow_min_cut
 from pathtsp.instance import (Instance, build_appendix_instance,
                               complete_edges, edge, edges_cost, vector_cost)
-from pathtsp.parity import (CASE_SPECS, EPS_DEFAULT, BenefitAudit,
+from pathtsp.parity import (CASE_SPECS, BenefitAudit,
                             CorrectionVectors, CutAudit, GammaParams,
                             GammaTable, TreeParity, Verdict,
                             check_join_membership, check_packing,
                             cheapest_cut_edges, f_value, first_path_edges,
                             split_path_join, tjoin_cut_violations)
-from pathtsp.reassembler import (SWEEPS, classify, exchange, reassemble,
-                                 type_data)
+from pathtsp.reassembler import (EPS, SWEEPS, classify, exchange,
+                                 reassemble, type_data)
 from pathtsp.simplex import DEN_LIMIT, ExactSimplex, delta_rows
 from pathtsp.tree_decomp import Atom, is_spanning_tree, tree_key
 
@@ -94,12 +94,12 @@ def path_tree(seq):
 
 def wall(k, reassembled=False):
     """(Instance, xstar, distribution, chain) of the wall at k: its
-    four-tree distribution, or that distribution reassembled on the chain
-    at the default eps."""
+    four-tree distribution, or that distribution reassembled on the
+    chain."""
     inst, xstar, dist = build_appendix_instance(k)
     chain = narrow_cuts(xstar, inst)
     if reassembled:
-        dist, _ = reassemble(dist, chain, EPS_DEFAULT)
+        dist, _ = reassemble(dist, chain)
     return inst, xstar, dist, chain
 
 
@@ -131,7 +131,7 @@ def random_chain(draw, inst):
     keep = draw(st.lists(st.booleans(), min_size=last + 1,
                          max_size=last + 1))
     xi_indices = [i for i in range(last + 1) if keep[i] or i in (0, last)]
-    chain = CutChain(masks=masks, loads=[None] * len(masks), xi=XI_DEFAULT,
+    chain = CutChain(masks=masks, loads=[None] * len(masks),
                      xi_indices=xi_indices, inst=inst, x={})
     return chain, order
 
@@ -1224,7 +1224,7 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
     alone decide."""
     dist, chain, params = table.dist, table.chain, table.params
     parities = fraction_parities(table)
-    beta, xi, eps = params.beta, params.xi, params.eps
+    beta = params.beta
     w1 = 1 - 2 * beta
     nu = params.nu
     nu_half, nu_many = nu - HALF, 4 * nu - 1
@@ -1252,11 +1252,11 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
         eq17 = None
         eq18_ok = None
         pos = internal.get(ci)
-        # a critical cut, whose case analysis reads the tree types; with
-        # default constants its load sits in a small window around 3/2, in
-        # particular below xi and off the chain ends, so it is internal.
-        # Exotic (but validated) parameters can break that, in which case
-        # no case applies and the margin alone decides the verdict.
+        # a critical cut, whose case analysis reads the tree types; at the
+        # default beta its load sits in a small window around 3/2, in
+        # particular below XI and off the chain ends, so it is internal.  A
+        # larger beta widens the window toward (1, 2), which can break
+        # that; then no case applies and the margin alone decides.
         if f > HALF and not params.uniform_half and pos is not None:
             data = [(ai, atom.weight, *type_data(atom.tree, chain, pos),
                      bens[ai]) for ai, atom in enumerate(dist)]
@@ -1268,7 +1268,7 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
             good = census.get("GOOD", ZERO)
             for label, pair, combine in CASE_SPECS:
                 pair_mass = sum((census.get(c, ZERO) for c in pair), ZERO)
-                if pair_mass <= good + eps:
+                if pair_mass <= good + EPS:
                     case = label
                     a_sum = ZERO
                     for ai, w, code, l, m, r, b in data:
@@ -1286,13 +1286,13 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
                             f"per-tree case-{label} inequality failed: "
                             f"atom {ai}, cut {ci}, type {code}, "
                             f"lhs {lhs}")
-                    assert a_sum <= eps, "sum p_S a_S exceeded eps"
+                    assert a_sum <= EPS, "sum p_S a_S exceeded EPS"
                     break
-            base = (1 + (5 - Fraction(3, 2) * (load + xi) - eps)
+            base = (1 + (5 - Fraction(3, 2) * (load + XI) - EPS)
                     * nu_half)
             eq17 = base - nu_many * p_many
             eq18_ok = base >= 2 * f
-            if case != "none" and load >= 2 - xi / 3:
+            if case != "none" and load >= 2 - XI / 3:
                 assert 2 * total >= eq17, "weighted-sum bound failed"
 
         per_cut.append(CutAudit(
@@ -1379,7 +1379,7 @@ def certify_bound_fraction(audit: BenefitAudit,
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
                    bound=(2 - beta) if certified else Fraction(5, 3),
-                   beta=beta, z_cost=z_cost, path_cost=path_cost)
+                   z_cost=z_cost, path_cost=path_cost)
 
 
 def _verify_cost_chain_fraction(dist, chain, parities, params, cv, z_cost,

@@ -94,9 +94,9 @@ def test_criterion_3(params):
     for k in (0, 1, 2):
         t0 = time.perf_counter()
         inst, xstar, p4 = build_appendix_instance(k)
-        chain = cuts.narrow_cuts(xstar, inst, XI)
-        final, records = reassembler.reassemble(p4, chain, EPS)
-        assert reassembler.type_mix_bound_holds(final, chain, EPS)
+        chain = cuts.narrow_cuts(xstar, inst)
+        final, records = reassembler.reassemble(p4, chain)
+        assert reassembler.type_mix_bound_holds(final, chain)
         table = parity.assign_gamma(final, chain, params)
         audit = parity.benefits(table)
         assert audit.all_ok
@@ -114,11 +114,12 @@ def test_criterion_3(params):
 
 @criterion(4, "the constant pack covers the critical window")
 def test_criterion_4(params):
-    beta, xi, eps, nu = params.beta, params.xi, params.eps, params.nu
+    assert (params.beta, cuts.XI, reassembler.EPS) == (BETA, XI, EPS)
+    beta, nu = params.beta, params.nu
     assert nu == Fraction(132181, 220000)
     assert nu > Fraction(3, 5)
-    assert beta >= 3 / (6 + 4 * xi * (2 - xi)) == Fraction(2500, 6557)
-    base = lambda x: 1 + (5 - Fraction(3, 2) * (x + xi) - eps) * (nu - HALF)
+    assert beta >= 3 / (6 + 4 * XI * (2 - XI)) == Fraction(2500, 6557)
+    base = lambda x: 1 + (5 - Fraction(3, 2) * (x + XI) - EPS) * (nu - HALF)
     x = Fraction(144, 100)
     count = 0
     while x <= Fraction(156, 100):
@@ -148,7 +149,7 @@ def property_results(params, legacy_params):
         inst = random_metric_instance(n, seed)
         sol = lp_relax.solve_lp(inst)
         x = {e: v for e, v in sol.x.items() if v != 0}
-        chain = cuts.narrow_cuts(x, inst, XI)
+        chain = cuts.narrow_cuts(x, inst)
 
         # (a) reconstruction after every stage
         dist0 = tree_decomp.decompose(x, inst)
@@ -161,7 +162,7 @@ def property_results(params, legacy_params):
             stage = pot_atoms(pot, tree_of, quantum)
             assert reconstruct(stage + residual) == x
 
-        final, records = reassembler.reassemble(dist0, chain, EPS)
+        final, records = reassembler.reassemble(dist0, chain)
         assert reconstruct(final) == x
 
         # (b) per-cut crossing inequalities and the packing bound

@@ -24,7 +24,7 @@ from pathtsp.instance import (
     random_metric_instance,
 )
 from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import EPS_DEFAULT, split_path_join, tjoin_cut_violations
+from pathtsp.parity import split_path_join, tjoin_cut_violations
 from pathtsp.reassembler import reassemble
 from pathtsp.simplex import ExactSimplex
 from pathtsp.tree_decomp import Atom, decompose
@@ -197,7 +197,7 @@ def wall_parity_sets():
     k = 0..8."""
     for k in range(9):
         inst, _, dist, chain = wall(k)
-        final, _ = reassemble(dist, chain, EPS_DEFAULT)
+        final, _ = reassemble(dist, chain)
         for atom in dist + final:
             yield inst, split_path_join(atom.tree, inst).t_set
 

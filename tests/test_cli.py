@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,6 @@ from pathtsp import lp_relax
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
 from pathtsp.instance import (format_rational, random_metric_instance,
                               write_instance)
-from pathtsp.parity import EPS_DEFAULT
 from pathtsp.reassembler import reassemble
 
 from .oracles import type_census_fraction, wall
@@ -57,7 +58,7 @@ def test_run_appendix_is_certified_and_deterministic(tmp_path):
 @pytest.mark.parametrize("k", [0, 5])
 def test_census_lines_print_the_type_census(k):
     _, _, dist, chain = wall(k)
-    for d in (dist, reassemble(dist, chain, EPS_DEFAULT)[0]):
+    for d in (dist, reassemble(dist, chain)[0]):
         lines = census_lines(d, chain)
         assert lines == [
             f"  cut={chain.xi_indices[pos]} " + " ".join(
@@ -253,16 +254,17 @@ def test_run_checks_the_gamma_settings_before_any_stage(monkeypatch,
                              "checked")
 
     monkeypatch.setattr(lp_relax, "solve_lp", solve_lp)
-    assert main(["run", "random", "--n", "30", "--xi", "8/5"]) == 2
-    assert capsys.readouterr().err == "pathtsp: xi 8/5 outside [1.7, 1.8]\n"
-    # outside (3/2, 2) the gamma range is reported, not reassembly's range
-    assert main(["run", "appendix", "--xi", "1"]) == 2
-    assert capsys.readouterr().err == "pathtsp: xi 1 outside [1.7, 1.8]\n"
+    assert main(["run", "random", "--n", "30", "--beta", "1/2"]) == 2
+    assert capsys.readouterr().err == "pathtsp: beta 1/2 outside [0.4, 0.5)\n"
+    # inside [2/5, 1/2) a beta whose nu is at most 1/2 is refused too
+    assert main(["run", "appendix", "--beta", "49/100"]) == 2
+    assert (capsys.readouterr().err
+            == "pathtsp: nu = -76579/20000 must exceed 1/2\n")
 
 
 def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["run", "appendix", "--xi", "1/0"])
+        main(["run", "appendix", "--beta", "1/0"])
     assert err.value.code == 2
     assert "'1/0'" in capsys.readouterr().err
     inst = tmp_path / "inst.txt"
@@ -304,6 +306,29 @@ def test_run_on_an_instance_of_cost_0(tmp_path):
     out = tmp_path / "zero.out"
     assert main(["run", str(inst), "-o", str(out)]) == 0
     assert "bomc=0 opt=0" in strip_timings(out)
+
+
+@pytest.mark.parametrize("seed", [10, 142])
+def test_a_full_cost_file_that_is_not_a_metric_is_refused(tmp_path, capsys,
+                                                          seed):
+    # costs drawn from {1, 2, 3, 50, 100}: read as given, seed 10's run
+    # broke its bomc bound (exit 1) and seed 142's stopped at the tours
+    # stage (exit 2), because the T-join and the shortcutting assume a metric
+    rng = random.Random(seed)
+    n = rng.randint(5, 9)
+    cost = {e: rng.choice((1, 2, 3, 50, 100))
+            for e in combinations(range(n), 2)}
+    s, t = rng.sample(range(n), 2)
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"{n} {s} {t}\n" + "".join(
+        f"{u} {v} {c}\n" for (u, v), c in cost.items()))
+    cost_of = lambda u, v: cost[min(u, v), max(u, v)] if u != v else 0
+    u, w = next((u, w) for u, w in cost if any(
+        cost_of(u, v) + cost_of(v, w) < cost_of(u, w) for v in range(n)))
+    assert main(["run", str(inst)]) == 2
+    assert capsys.readouterr().err == (
+        f"pathtsp: edge {u},{w} costs more than a path through a third "
+        "vertex: not a metric\n")
 
 
 def test_stage_failures_exit_2(tmp_path):
@@ -537,7 +562,9 @@ USAGE_ERRORS = [
     ["run", "appendix", "--k", "x"], ["run", "appendix", "--bogus"],
     ["run", "appendix", "extra"], ["tour", "i", "d", "--xi", "1/2"],
     ["audit", "i", "s", "d", "--beta", "1/0"],
-    ["reassemble", "i", "s", "-o", "f", "--beta", "1/2"]]
+    ["reassemble", "i", "s", "-o", "f", "--beta", "1/2"],
+    ["run", "appendix", "--xi", "8/5"],
+    ["reassemble", "i", "s", "-o", "f", "--eps", "1/100"]]
 
 
 @pytest.mark.parametrize("argv", HELP + USAGE_ERRORS)

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtsp.cuts import (
-    XI_DEFAULT,
     ChainError,
     CutChain,
     cut_stats,
@@ -273,7 +272,7 @@ def test_cut_report_format(appendix0_chain):
 @given(trees_on_chains())
 @example((frozenset({(0, 1), (1, 3), (2, 3), (3, 4)}),
           CutChain(masks=[0b1, 0b11, 0b111, 0b1111], loads=[None] * 4,
-                   xi=XI_DEFAULT, xi_indices=[0, 1, 2, 3],
+                   xi_indices=[0, 1, 2, 3],
                    inst=Instance(n=5, s=0, t=4, cost={}), x={})))
 def test_profile_matches_the_scanning_oracle(case):
     tree, chain = case
@@ -300,5 +299,5 @@ def test_profile_matches_the_scanning_oracle(case):
 def test_chain_levels_must_nest():
     inst = uniform_instance(4, s=0, t=3)
     with pytest.raises(ValueError, match="nested"):
-        CutChain(masks=[0b011, 0b101], loads=[ONE, ONE], xi=XI_DEFAULT,
-                 xi_indices=[0, 1], inst=inst, x={})
+        CutChain(masks=[0b011, 0b101], loads=[ONE, ONE], xi_indices=[0, 1],
+                 inst=inst, x={})

@@ -108,7 +108,7 @@ def test_assign_gamma_makes_no_fraction_per_atom(monkeypatch, params):
     # paths) and one raw atom alone, on one chain: the count of Fractions
     # made grows with neither the atoms nor their path edges
     _, _, dist, chain = wall(5)
-    final, _ = reassemble(dist, chain, params.eps)
+    final, _ = reassemble(dist, chain)
     made = [fractions_made(monkeypatch, assign_gamma, d, chain, params)[1]
             for d in (dist, final, dist[:1])]
     assert made[0] == made[1] == made[2]
@@ -173,7 +173,7 @@ def distributions_on_chains(draw):
                             Fraction(5, 3), Fraction(31, 20), Fraction(7, 4),
                             Fraction(6, 5)))
     chain = CutChain(masks=chain.masks,
-                     loads=[draw(load) for _ in chain.masks], xi=chain.xi,
+                     loads=[draw(load) for _ in chain.masks],
                      xi_indices=chain.xi_indices, inst=inst,
                      x=reconstruct(dist))
     return dist, chain

@@ -8,6 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pathtsp"
 SHARED = ("ZERO", "ONE", "TWO", "HALF")
+# the fixed analysis constants and the package module that assigns each
+FIXED = {"XI": "cuts", "EPS": "reassembler", "BETA_DEFAULT": "parity"}
 PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
 TEST_MODULE = re.compile(r"(^|\.)test_")
 
@@ -41,6 +43,38 @@ def test_shared_constants_are_defined_once():
             owners[name].append(path.name)
     twice = {name: mods for name, mods in owners.items() if len(mods) > 1}
     assert not twice, f"shared constants assigned in several modules: {twice}"
+    # xi, eps and the default beta are assigned in their modules alone, in
+    # the package, its tests, demos and benchmark; test_acceptance restates
+    # the paper's values on its own and checks them against the package's
+    others = [path for folder in ("tests", "demos", "perfbench")
+              for path in sorted((ROOT / folder).glob("*.py"))
+              if path.name != "test_acceptance.py"]
+    copies = fixed_constant_copies(SRC, others)
+    assert not copies, f"fixed constants assigned elsewhere: {copies}"
+
+
+def fixed_constant_copies(src, others):
+    """[file: name] of every module-level assignment of a FIXED name
+    outside the module of src that defines it, in src and the files
+    others."""
+    return [f"{path.name}: {name}"
+            for path in sorted(src.glob("*.py")) + others
+            for name in sorted(module_assignments(path) & FIXED.keys())
+            if path != src / f"{FIXED[name]}.py"]
+
+
+def test_the_fixed_constant_rule_catches_planted_copies(tmp_path):
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "cuts.py").write_text("XI = 173 / 100\n")
+    (src / "parity.py").write_text("BETA_DEFAULT = 0.401\nXI: float = 1.73\n")
+    (src / "reassembler.py").write_text("from .cuts import XI\n"
+                                        "EPS, n = 1 / 100, 2\n")
+    (tests / "test_x.py").write_text("from cuts import XI\nEPS = 0.01\n"
+                                     "def f():\n    BETA_DEFAULT = 0.4\n")
+    assert fixed_constant_copies(src, [tests / "test_x.py"]) == [
+        "parity.py: XI", "test_x.py: EPS"]
 
 
 def docstring_nodes(tree):
@@ -175,20 +209,20 @@ def test_names_are_imported_from_their_defining_module():
 
 def test_the_import_rule_catches_planted_imports():
     defined = {"__init__": set(), "cli": {"main"},
-               "cuts": {"XI_DEFAULT", "narrow_cuts"},
+               "cuts": {"XI", "narrow_cuts"},
                "parity": {"assign_gamma"}}
     planted = ("from pathtsp import cli, narrow_cuts\n"
-               "from pathtsp.parity import XI_DEFAULT, assign_gamma\n"
-               "from pathtsp.cuts import XI_DEFAULT\n"
+               "from pathtsp.parity import XI, assign_gamma\n"
+               "from pathtsp.cuts import XI\n"
                "from .cuts import narrow_cuts, main\n"
                "from . import cuts, oracles\n"
                "import pathtsp.cli\n")
     assert relayed_imports(planted, defined, in_package=True) == [
-        (1, ["narrow_cuts"]), (2, ["XI_DEFAULT"]), (4, ["main"]),
+        (1, ["narrow_cuts"]), (2, ["XI"]), (4, ["main"]),
         (5, ["oracles"])]
     # outside the package a relative import is not the package's
     assert relayed_imports(planted, defined) == [
-        (1, ["narrow_cuts"]), (2, ["XI_DEFAULT"])]
+        (1, ["narrow_cuts"]), (2, ["XI"])]
     assert import_lines('"""Doc."""\n\nfrom .cuts import narrow_cuts\n'
                         '__all__ = ["narrow_cuts"]\n') == [3]
 

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp import cuts
-from pathtsp.cuts import XI_DEFAULT, gomory_hu_tree, narrow_cuts
+from pathtsp.cuts import XI, gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import Instance, edge, over_lcm, random_metric_instance
 from pathtsp.parity import (
     BETA_DEFAULT,
-    EPS_DEFAULT,
     GammaParams,
     assign_gamma,
     benefits,
@@ -27,7 +26,7 @@ from pathtsp.parity import (
     split_path_join,
     tjoin_cut_violations,
 )
-from pathtsp.reassembler import reassemble
+from pathtsp.reassembler import EPS, reassemble
 from pathtsp.tree_decomp import Atom, decompose
 
 from .oracles import (HALF, benefit, cheapest_cut_edge, correction_fractions,
@@ -40,7 +39,7 @@ from .oracles import (HALF, benefit, cheapest_cut_edge, correction_fractions,
 @pytest.fixture(scope="module")
 def reassembled(appendix0, appendix0_chain, params):
     _, _, p4 = appendix0
-    final, records = reassemble(p4, appendix0_chain, params.eps)
+    final, records = reassemble(p4, appendix0_chain)
     audit = benefits(assign_gamma(final, appendix0_chain, params))
     return final, records, audit
 
@@ -62,22 +61,15 @@ def test_f_vanishes_at_the_window_ends(params, legacy_params):
 
 def test_parameter_pack():
     p = GammaParams()
-    assert (p.beta, p.xi, p.eps) == (BETA_DEFAULT, XI_DEFAULT, EPS_DEFAULT)
-    assert p.uniform_half is False
+    assert (p.beta, p.uniform_half) == (BETA_DEFAULT, False)
+    assert Fraction(3, 2) < XI < 2
+    assert Fraction(17, 10) <= XI <= Fraction(18, 10)
+    assert EPS > 0
     assert p.nu == Fraction(132181, 220000) > Fraction(3, 5)
-    assert p.beta >= 3 / (6 + 4 * p.xi * (2 - p.xi)) == Fraction(2500, 6557)
-    for kwargs in ({"beta": Fraction(3, 10)}, {"beta": HALF},
-                   {"xi": Fraction(3, 2)}, {"eps": 0},
-                   {"beta": Fraction(49, 100)}):  # nu falls below 1/2
+    assert p.beta >= 3 / (6 + 4 * XI * (2 - XI)) == Fraction(2500, 6557)
+    for beta in (Fraction(3, 10), HALF, Fraction(49, 100)):  # 49/100: nu < 1/2
         with pytest.raises(ValueError):
-            GammaParams(**kwargs)
-
-
-def test_assign_gamma_rejects_a_chain_of_another_xi(appendix0, params):
-    inst, xstar, p4 = appendix0
-    chain = narrow_cuts(xstar, inst, Fraction(8, 5))
-    with pytest.raises(ValueError, match="xi 8/5 is not the parameters' xi"):
-        assign_gamma(p4, chain, params)
+            GammaParams(beta)
 
 
 def test_split_of_a_bare_path():
@@ -119,7 +111,7 @@ def walked_path_edges(par, chain):
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_first_path_edges_match_the_walk_on_the_walls(k, params):
     _, _, raw, chain = wall(k)
-    fixed, records = reassemble(raw, chain, params.eps)
+    fixed, records = reassemble(raw, chain)
     assert records
     for dist in (raw, fixed):
         for par in assign_gamma(dist, chain, params).parities:
@@ -287,8 +279,8 @@ def test_criticality_window(params):
 
 
 def test_constants_cover_the_critical_window(params):
-    beta, xi, eps, nu = params.beta, params.xi, params.eps, params.nu
-    base = lambda x: 1 + (5 - Fraction(3, 2) * (x + xi) - eps) * (nu - HALF)
+    beta, nu = params.beta, params.nu
+    base = lambda x: 1 + (5 - Fraction(3, 2) * (x + XI) - EPS) * (nu - HALF)
     x = Fraction(144, 100)
     while x <= Fraction(156, 100):
         assert base(x) >= 2 * f_value(beta, x), f"failed at load {x}"

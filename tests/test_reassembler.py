@@ -8,6 +8,7 @@ from pathtsp.cuts import TYPE_CODES, CutChain, load_of_mask, narrow_cuts
 from pathtsp.instance import edge, random_metric_instance
 from pathtsp.lp_relax import solve_lp
 from pathtsp.reassembler import (
+    EPS,
     ExchangeError,
     census,
     classify,
@@ -23,16 +24,13 @@ from .oracles import (HALF, appendix_wall_cut_indices, grid_pot, pot_atoms,
                       reconstruct, sweep_rescanning, type_census_fraction,
                       uniform_instance, validate_exchange_record, wall)
 
-XI = Fraction(173, 100)
-EPS = Fraction(1, 100)
-
 
 def chain_of(inst, levels, x):
     """Hand-assembled chain: the exchange machinery never needs the x it
     came from to be LP-feasible, only the nesting."""
     masks = [sum(1 << v for v in lv) for lv in levels]
     loads = [load_of_mask(x, m) for m in masks]
-    return CutChain(masks=masks, loads=loads, xi=XI,
+    return CutChain(masks=masks, loads=loads,
                     xi_indices=list(range(len(levels))), inst=inst, x=x)
 
 
@@ -261,14 +259,13 @@ def test_the_sweep_contract_catches_a_grown_fragile_type(
 def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
     inst, xstar, p4 = appendix0
     chain = appendix0_chain
-    eps = Fraction(1, 100)
-    assert not type_mix_bound_holds(p4, chain, eps)
-    final, records = reassemble(p4, chain, eps)
-    assert type_mix_bound_holds(final, chain, eps)
+    assert not type_mix_bound_holds(p4, chain)
+    final, records = reassemble(p4, chain)
+    assert type_mix_bound_holds(final, chain)
     assert reconstruct(final) == {e: v for e, v in xstar.items() if v != 0}
     assert total_weight(final) == 1
     assert all(a.weight > 0 for a in final)
-    assert len(final) < inst.n ** 2 / eps + inst.n ** 2
+    assert len(final) < inst.n ** 2 / EPS + inst.n ** 2
     # the left sweep runs first
     assert [rec.direction for rec in records] == ["left"] * 3 + ["right"] * 3
     for rec in records:
@@ -278,8 +275,7 @@ def test_reassemble_fixes_the_wall(appendix0, appendix0_chain):
 def test_reassemble_trivial_on_integral_point():
     inst = uniform_instance(6)
     x = {e: Fraction(1) for e in tree((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))}
-    final, records = reassemble(decompose(x, inst), narrow_cuts(x, inst),
-                                Fraction(1, 100))
+    final, records = reassemble(decompose(x, inst), narrow_cuts(x, inst))
     assert records == []
     assert len(final) == 1 and total_weight(final) == 1
 
@@ -302,28 +298,25 @@ def test_reassemble_rounds_each_weight_down_onto_the_grid():
     # 1/3 is 833 steps of 1/2500 and 1/7500 over: the grid atoms come in
     # canonical tree order, then the residual atoms in input order
     chain, paths, dist = three_paths()
-    final, records = reassemble(dist, chain, EPS)
+    final, records = reassemble(dist, chain)
     assert records == []
     grid = [Atom(p, Fraction(833, 2500)) for p in sorted(paths, key=sorted)]
     assert final == grid + [Atom(p, Fraction(1, 7500)) for p in paths]
 
 
 def test_reassemble_on_the_grid_leaves_no_residual():
-    chain, paths, dist = three_paths()
-    final, records = reassemble(dist, chain, Fraction(1, 12))  # step 1/300
+    # 1/5 and 2/5 are 500 and 1000 steps of 1/2500
+    _, paths, _ = three_paths()
+    dist = [Atom(p, Fraction(w, 5)) for p, w in zip(paths, (1, 2, 2))]
+    chain = narrow_cuts(reconstruct(dist), uniform_instance(5))
+    final, records = reassemble(dist, chain)
     assert records == []
-    assert final == [Atom(p, Fraction(1, 3))
-                     for p in sorted(paths, key=sorted)]
+    assert final == sorted(dist, key=lambda a: sorted(a.tree))
 
 
 def test_reassemble_validates_parameters(appendix0, appendix0_chain):
-    inst, xstar, p4 = appendix0
-    with pytest.raises(ValueError, match="xi"):
-        reassemble(p4, narrow_cuts(xstar, inst, Fraction(3, 2)),
-                   Fraction(1, 100))
-    with pytest.raises(ValueError, match="eps"):
-        reassemble(p4, appendix0_chain, Fraction(0))
+    _, _, p4 = appendix0
     # a distribution read from a file need not belong to the chain's point
     one_tree = [Atom(p4[0].tree, Fraction(1))]
     with pytest.raises(ValueError, match="reconstruct"):
-        reassemble(one_tree, appendix0_chain, Fraction(1, 100))
+        reassemble(one_tree, appendix0_chain)
