@@ -10,7 +10,7 @@ import argparse
 
 from pathtsp.bomc import best_of_many, held_karp_opt
 from pathtsp.cuts import XI, narrow_cuts
-from pathtsp.instance import format_rational, random_metric_instance
+from pathtsp.instance import random_metric_instance
 from pathtsp.lp_relax import solve_lp
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors)
@@ -29,18 +29,17 @@ def main():
 
     sol = solve_lp(inst)
     frac = sum(1 for v in sol.x.values() if v and v.denominator > 1)
-    print(f"lp optimum {format_rational(sol.value)}, "
+    print(f"lp optimum {sol.value}, "
           f"{sum(1 for v in sol.x.values() if v)} support edges, "
           f"{frac} fractional")
 
     dist = decompose(sol.x, inst)
     avg = distribution_cost(dist, inst)
-    print(f"decomposition: {len(dist)} trees, "
-          f"average tree cost {format_rational(avg)}")
+    print(f"decomposition: {len(dist)} trees, average tree cost {avg}")
 
     chain = narrow_cuts(sol.x, inst)
     print(f"narrow-cut chain: {len(chain)} cuts, "
-          f"{len(chain.xi_indices)} below {format_rational(XI)}")
+          f"{len(chain.xi_indices)} below {XI}")
 
     fixed, records = reassemble(dist, chain)
     print(f"reassembly: {len(records)} exchanges, "
@@ -51,18 +50,17 @@ def main():
     cv = correction_vectors(table)
     verdict = certify_bound(audit, cv)
     worst = min(c.margin for c in audit.per_cut)
-    print(f"audit: {verdict.label}, bound {format_rational(verdict.bound)}, "
-          f"worst margin {format_rational(worst)}")
+    print(f"audit: {verdict.label}, bound {verdict.bound}, "
+          f"worst margin {worst}")
 
     rows, tour, value = best_of_many(fixed, inst)
-    print(f"tour: cost {format_rational(tour.cost)}, "
-          f"bomc {format_rational(value)}, "
+    print(f"tour: cost {tour.cost}, bomc {value}, "
           f"lp ratio {float(tour.cost / sol.value):.4f}")
     assert tour.cost <= verdict.bound * sol.value
 
     if inst.n <= 18:
         opt = held_karp_opt(inst)
-        print(f"exact baseline {format_rational(opt)}, "
+        print(f"exact baseline {opt}, "
               f"true ratio {float(tour.cost / opt):.4f}")
 
 

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from pathtsp.bomc import best_of_many, format_tour_report
 from pathtsp.cuts import XI, format_cut_report, narrow_cuts
-from pathtsp.instance import (build_appendix_instance, format_rational,
-                              vector_cost)
+from pathtsp.instance import build_appendix_instance, vector_cost
 from pathtsp.parity import (GammaParams, assign_gamma, benefits,
                             certify_bound, correction_vectors,
                             format_audit_lines)
@@ -27,7 +26,7 @@ RULE = "-" * 72
 def show_census(dist, chain, indices):
     masses = census((a.tree for a in dist), (a.weight for a in dist), chain)
     for i in indices:
-        parts = ", ".join(f"{code}:{format_rational(w)}"
+        parts = ", ".join(f"{code}:{w}"
                           for code, w in sorted(masses[i].items()))
         print(f"  cut {i}: {parts}")
 
@@ -37,12 +36,12 @@ def main():
     print(__doc__.splitlines()[0])
     print(RULE)
     print(f"instance: n={inst.n}, s={inst.s}, t={inst.t}, "
-          f"lp point cost {format_rational(vector_cost(xstar, inst))}")
+          f"lp point cost {vector_cost(xstar, inst)}")
 
     chain = narrow_cuts(xstar, inst)
     wall = list(range(5, 9))  # the wall cuts' chain indices at k = 0
-    print(f"narrow-cut chain: {len(chain)} cuts, all below "
-          f"{format_rational(XI)}; wall cuts are {wall}")
+    print(f"narrow-cut chain: {len(chain)} cuts, all below {XI}; "
+          f"wall cuts are {wall}")
     for line in format_cut_report(chain)[:3]:
         print(f"  {line}")
     print("  ...")
@@ -57,14 +56,13 @@ def main():
     audit = benefits(flat)
     bad = [c for c in audit.per_cut if c.margin < 0]
     interior = [c for c in audit.per_cut if c.required > 0]
-    print(f"flat gamma=1/2 audit at beta={format_rational(params.beta)}: "
+    print(f"flat gamma=1/2 audit at beta={params.beta}: "
           f"{len(bad)} of {len(interior)} interior cuts fail")
-    print(f"  every failure: benefit {format_rational(bad[0].total)} "
-          f"vs required {format_rational(bad[0].required)} "
-          f"(margin {format_rational(bad[0].margin)})")
+    print(f"  every failure: benefit {bad[0].total} vs required "
+          f"{bad[0].required} (margin {bad[0].margin})")
     cv = correction_vectors(flat)
     verdict = certify_bound(audit, cv)
-    print(f"  verdict: {verdict.label}, bound {format_rational(verdict.bound)}")
+    print(f"  verdict: {verdict.label}, bound {verdict.bound}")
 
     print(RULE)
     fixed, records = reassemble(dist, chain)
@@ -73,7 +71,7 @@ def main():
           f"distribution")
     for rec in records:
         print(f"  cut {rec.cut_index} {rec.direction:>5}: moved "
-              f"{format_rational(rec.delta)} weight, swapped {rec.e1} "
+              f"{rec.delta} weight, swapped {rec.e1} "
               f"for {rec.e2} (reach {rec.h}..{rec.k})")
     print("tree types at the wall cuts, after:")
     show_census(fixed, chain, wall)
@@ -92,9 +90,8 @@ def main():
     for line in format_tour_report(rows, value):
         print(f"  {line}")
     lp_value = vector_cost(xstar, inst)
-    print(f"tour cost {format_rational(tour.cost)} <= bomc "
-          f"{format_rational(value)} <= "
-          f"{format_rational(verdict.bound)} * {format_rational(lp_value)}")
+    print(f"tour cost {tour.cost} <= bomc {value} <= "
+          f"{verdict.bound} * {lp_value}")
     assert tour.cost <= value <= verdict.bound * lp_value
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import (Instance, complete_edges, degrees, edge, edges_cost,
-                       format_rational, over_lcm)
+                       over_lcm)
 from .parity import split_path_join, tjoin_cut_violations
 from .simplex import ExactSimplex, cutting_planes, delta_rows
 from .tree_decomp import tree_key
@@ -210,12 +210,11 @@ def held_karp_opt(inst: Instance) -> Fraction:
 def format_tour_report(rows, bomc_value, opt_cost=None):
     lines = []
     for k, (atom, tree_cost, join_cost, total) in enumerate(rows):
-        lines.append(f"atom={k} tree_cost={format_rational(tree_cost)} "
-                     f"join_cost={format_rational(join_cost)} "
-                     f"total={format_rational(total)}")
-    tail = f"bomc={format_rational(bomc_value)}"
+        lines.append(f"atom={k} tree_cost={tree_cost} "
+                     f"join_cost={join_cost} total={total}")
+    tail = f"bomc={bomc_value}"
     if opt_cost is not None:
-        tail += f" opt={format_rational(opt_cost)}"
+        tail += f" opt={opt_cost}"
         if opt_cost:   # no ratio to an optimum of cost 0
             tail += f" ratio≈{float(bomc_value / opt_cost):.6f}"
     lines.append(tail)

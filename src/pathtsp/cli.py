@@ -15,10 +15,9 @@ import time
 from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
-from .instance import (build_appendix_instance, format_rational,
-                       instance_digest, over_lcm, parse_rational,
-                       random_metric_instance, read_instance, vector_cost,
-                       write_instance)
+from .instance import (build_appendix_instance, instance_digest, over_lcm,
+                       parse_rational, random_metric_instance, read_instance,
+                       vector_cost, write_instance)
 from .parity import BETA_DEFAULT
 
 OPT_BASELINE_LIMIT = 12   # held_karp in reports only at this size or below
@@ -96,10 +95,9 @@ def check_lp_point(x, inst):
     for v in range(inst.n):
         want = 1 if v in (inst.s, inst.t) else 2
         if deg[v] != want * den:
-            bad.append(f"degree {format_rational(Fraction(deg[v], den))} "
-                       f"at vertex {v}, expected {want}")
-    bad.extend(f"cut {U} load {format_rational(load)} < "
-               f"{format_rational(req)}"
+            bad.append(f"degree {Fraction(deg[v], den)} at vertex {v}, "
+                       f"expected {want}")
+    bad.extend(f"cut {U} load {load} < {req}"
                for U, req, load in lp_relax.separate(inside, inst, den))
     if bad:
         raise ValueError("; ".join(bad))
@@ -137,7 +135,7 @@ def census_lines(dist, chain):
     masses = reassembler.census((a.tree for a in dist), nums, chain)
     out = []
     for ci, mass in zip(chain.xi_indices[1:-1], masses[1:-1]):
-        cells = " ".join(f"{code}={format_rational(Fraction(w, den))}"
+        cells = " ".join(f"{code}={Fraction(w, den)}"
                          for code, w in sorted(mass.items()))
         out.append(f"  cut={ci} {cells}")
     return out
@@ -147,7 +145,7 @@ def exchange_lines(records):
     out = ["exchanges:"]
     for rec in records:
         out.append(f"  cut={rec.cut_index} dir={rec.direction} "
-                   f"delta={format_rational(rec.delta)} h={rec.h} k={rec.k}")
+                   f"delta={rec.delta} h={rec.h} k={rec.k}")
     return out
 
 
@@ -175,7 +173,7 @@ def cmd_solve_lp(args):
     if args.output:
         lp_relax.write_solution(args.output, sol.x, sol.value)
     r.lines.append(f"instance={instance_digest(inst)} n={inst.n}")
-    r.lines.append(f"lp_value={format_rational(sol.value)}")
+    r.lines.append(f"lp_value={sol.value}")
     r.lines.append(f"support={len(sol.x)}")
     r.emit()
     return 0
@@ -188,8 +186,7 @@ def cmd_decompose(args):
     dist = r.stage("decompose", tree_decomp.decompose, x, inst)
     tree_decomp.write_distribution(args.output, dist)
     r.lines.append(f"atoms={len(dist)}")
-    r.lines.append(
-        f"cost={format_rational(tree_decomp.distribution_cost(dist, inst))}")
+    r.lines.append(f"cost={tree_decomp.distribution_cost(dist, inst)}")
     r.emit()
     return 0
 
@@ -297,7 +294,7 @@ def cmd_run(args):
         x = xstar
         value = vector_cost(x, inst)
         r.stage("check-lp-point", check_lp_point, x, inst)
-    r.lines.append(f"lp_value={format_rational(value)}")
+    r.lines.append(f"lp_value={value}")
 
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
     r.lines.extend(cuts.format_cut_report(chain))
@@ -325,10 +322,9 @@ def cmd_run(args):
     if verdict.certified:
         cap = verdict.bound * value
         bound_ok = bomc_value <= cap
-        r.lines.append(f"bomc_bound={format_rational(cap)} "
+        r.lines.append(f"bomc_bound={cap} "
                        f"status={'OK' if bound_ok else 'FAIL'}")
-    r.lines.append(f"verdict={verdict.label} "
-                   f"bound={format_rational(verdict.bound)}")
+    r.lines.append(f"verdict={verdict.label} bound={verdict.bound}")
     r.emit(args.output)
     return 0 if verdict.certified and bound_ok else 1
 
@@ -337,7 +333,8 @@ def cmd_run(args):
 
 def _add_instance_flags(sp):
     sp.add_argument("--closure", action="store_true",
-                    help="complete a partial cost list by shortest paths")
+                    help="complete a partial cost list by shortest paths "
+                    "(a full list is kept as given and must be metric)")
 
 
 def _add_param_flags(sp):

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import ZERO, Instance, format_rational
+from .instance import ZERO, Instance
 from .tree_decomp import total_weight
 
 # the paper's xi, fixed: a cut of load below XI is xi-narrow
@@ -245,7 +245,7 @@ def narrow_cuts(x: dict, inst: Instance) -> CutChain:
         if (mask >> t) & 1:
             raise ChainError("narrow cut contains both path ends")
         oriented[mask] = value
-    levels = sorted(oriented, key=lambda m: (bin(m).count("1"), m))
+    levels = sorted(oriented, key=lambda m: (m.bit_count(), m))
     if not levels or levels[0] != 1 << s:
         raise ChainError(f"chain does not start at {{{s}}}")
     if levels[-1] != full ^ (1 << t):
@@ -306,6 +306,5 @@ def format_cut_report(chain: CutChain) -> list:
     for i, level in enumerate(chain.levels):
         ids = " ".join(str(v) for v in level)
         xi_flag = "yes" if i in chain.xi_indices else "no"
-        lines.append(f"  {ids} load {format_rational(chain.loads[i])} "
-                     f"xi_narrow: {xi_flag}")
+        lines.append(f"  {ids} load {chain.loads[i]} xi_narrow: {xi_flag}")
     return lines

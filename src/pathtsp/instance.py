@@ -6,7 +6,8 @@ Conventions used across the package:
     meaning 0, and an instance's costs are ints or Fractions too: the wall
     fixture's and a random instance's are ints, and a file's are ints where
     its tokens are plain digits, Fractions elsewhere.  Readers take either
-    through as_integer_ratio() or over_lcm;
+    through as_integer_ratio() or over_lcm; writers print either with str(),
+    "p/q" in lowest terms or "p" for a whole number;
   * all arithmetic is exact (ints and fractions.Fraction), never floats.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
@@ -56,12 +57,6 @@ def over_lcm(values: dict):
     return {k: num * (den // d) for k, (num, d) in ratios.items()}, den
 
 
-def format_rational(q) -> str:
-    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
-    p, d = q.as_integer_ratio()
-    return f"{p}/{d}" if d != 1 else str(p)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A complete graph with symmetric rational costs and endpoints s != t."""
@@ -70,7 +65,7 @@ class Instance:
     s: int
     t: int
     # Edge -> int or Fraction, all n*(n-1)/2 pairs
-    cost: dict = field(compare=True)
+    cost: dict
 
     def __post_init__(self):
         if self.n < 2:
@@ -169,10 +164,8 @@ def random_metric_instance(n: int, seed: int) -> Instance:
 # ---------------------------------------------------------------------------
 
 def emit_instance(inst: Instance) -> str:
-    lines = [f"{inst.n} {inst.s} {inst.t}"]
-    for (u, v) in complete_edges(inst.n):
-        lines.append(f"{u} {v} {format_rational(inst.cost[(u, v)])}")
-    return "\n".join(lines) + "\n"
+    return f"{inst.n} {inst.s} {inst.t}\n" + "".join(
+        [f"{u} {v} {inst.cost[u, v]}\n" for u, v in complete_edges(inst.n)])
 
 
 def parse_instance(text: str, closure: bool = False) -> Instance:

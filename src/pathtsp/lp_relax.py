@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .cuts import gomory_hu_tree
 from .flows import FlowNetwork, max_flow_min_cut
-from .instance import (Instance, complete_edges, edge, format_rational,
-                       over_lcm, parse_rational, vector_cost)
+from .instance import (Instance, complete_edges, edge, over_lcm,
+                       parse_rational, vector_cost)
 from .simplex import ExactSimplex, cutting_planes, delta_rows
 from .tree_decomp import is_spanning_tree
 
@@ -171,10 +171,10 @@ def solve_lp(inst: Instance) -> LpSolution:
 # ----- solution files -----
 
 def emit_solution(x: dict, value: Fraction) -> str:
-    lines = [f"# value {format_rational(value)}"]
+    lines = [f"# value {value}"]
     for (u, v) in sorted(x):
         if x[(u, v)] != 0:
-            lines.append(f"{u} {v} {format_rational(x[(u, v)])}")
+            lines.append(f"{u} {v} {x[(u, v)]}")
     return "\n".join(lines) + "\n"
 
 

@@ -52,7 +52,7 @@ from math import floor
 from .cuts import XI, CutChain, gomory_hu_tree, load_of_mask
 from .flows import FlowNetwork, max_flow_min_cut
 from .instance import (HALF, ZERO, Instance, complete_edges, degrees, edge,
-                       edges_cost, format_rational, over_lcm, vector_cost)
+                       edges_cost, over_lcm, vector_cost)
 from .reassembler import EPS, MIX_PAIRS, census, mix_pair, type_data
 from .tree_decomp import UnionFind, tree_path, weight_ints
 
@@ -500,10 +500,9 @@ def format_audit_lines(audit: BenefitAudit, verdict: Verdict):
     lines = []
     for c in audit.per_cut:
         lines.append(
-            f"cut={c.cut_index} load={format_rational(c.load)} "
-            f"case={c.case} benefit={format_rational(c.total)} "
-            f"required={format_rational(c.required)} "
-            f"margin={format_rational(c.margin)} status={c.status}")
-    beta = format_rational(audit.table.params.beta)
+            f"cut={c.cut_index} load={c.load} case={c.case} "
+            f"benefit={c.total} required={c.required} "
+            f"margin={c.margin} status={c.status}")
+    beta = audit.table.params.beta
     lines.append(f"certified_beta={beta if verdict.certified else 'none'}")
     return lines

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import (ONE, ZERO, Instance, edge, edges_cost,
-                       format_rational, over_lcm, parse_rational, support)
+from .instance import (ONE, ZERO, Instance, edge, edges_cost, over_lcm,
+                       parse_rational, support)
 from .simplex import ExactSimplex
 
 
@@ -223,7 +223,7 @@ def emit_distribution(dist) -> str:
         merged[k] = merged.get(k, ZERO) + atom.weight
     out = []
     for k in sorted(merged):
-        out.append(f"tree {format_rational(merged[k])}")
+        out.append(f"tree {merged[k]}")
         for (u, v) in k:
             out.append(f"{u} {v}")
     return "\n".join(out) + "\n"

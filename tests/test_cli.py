@@ -12,8 +12,7 @@ import pytest
 
 from pathtsp import lp_relax
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
-from pathtsp.instance import (format_rational, random_metric_instance,
-                              write_instance)
+from pathtsp.instance import random_metric_instance, write_instance
 from pathtsp.reassembler import reassemble
 
 from .oracles import type_census_fraction, wall
@@ -62,7 +61,7 @@ def test_census_lines_print_the_type_census(k):
         lines = census_lines(d, chain)
         assert lines == [
             f"  cut={chain.xi_indices[pos]} " + " ".join(
-                f"{code}={format_rational(mass)}"
+                f"{code}={mass}"
                 for code, mass in sorted(type_census_fraction(d, chain, pos).items()))
             for pos in range(1, len(chain.xi_indices) - 1)]
         assert any("/" in line for line in lines)
@@ -325,10 +324,12 @@ def test_a_full_cost_file_that_is_not_a_metric_is_refused(tmp_path, capsys,
     cost_of = lambda u, v: cost[min(u, v), max(u, v)] if u != v else 0
     u, w = next((u, w) for u, w in cost if any(
         cost_of(u, v) + cost_of(v, w) < cost_of(u, w) for v in range(n)))
-    assert main(["run", str(inst)]) == 2
-    assert capsys.readouterr().err == (
-        f"pathtsp: edge {u},{w} costs more than a path through a third "
-        "vertex: not a metric\n")
+    # --closure fills only missing costs: it does not repair a full file
+    for closure in ([], ["--closure"]):
+        assert main(["run", str(inst), *closure]) == 2
+        assert capsys.readouterr().err == (
+            f"pathtsp: edge {u},{w} costs more than a path through a third "
+            "vertex: not a metric\n")
 
 
 def test_stage_failures_exit_2(tmp_path):

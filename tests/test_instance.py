@@ -14,7 +14,6 @@ from pathtsp.instance import (
     complete_edges,
     edge,
     emit_instance,
-    format_rational,
     instance_digest,
     metric_closure,
     over_lcm,
@@ -22,7 +21,8 @@ from pathtsp.instance import (
     parse_rational,
     random_metric_instance,
 )
-from pathtsp.lp_relax import separate
+from pathtsp.lp_relax import emit_solution, separate
+from pathtsp.tree_decomp import Atom, emit_distribution
 
 from .oracles import (appendix_certificate_sets, mask_of,
                       metric_closure_floyd_warshall, rational_rank,
@@ -57,8 +57,19 @@ def test_an_instance_cost_with_a_zero_denominator_is_rejected():
 @pytest.mark.parametrize("q, text", [
     (0, "0"), (3, "3"), (-3, "-3"), (Fraction(5), "5"),
     (Fraction(-7, 4), "-7/4"), (Fraction(6, 4), "3/2")])
-def test_format_rational(q, text):
-    assert format_rational(q) == text
+def test_files_write_ints_plainly_and_fractions_in_lowest_terms(q, text):
+    assert emit_instance(Instance(n=2, s=0, t=1, cost={(0, 1): q})) == (
+        f"2 0 1\n0 1 {text}\n")
+    # a zero entry of x is not written
+    assert emit_solution({(0, 1): q}, q) == (
+        f"# value {text}\n" + (f"0 1 {text}\n" if q else ""))
+    assert emit_distribution([Atom(frozenset({(0, 1)}), q)]) == (
+        f"tree {text}\n0 1\n")
+
+
+def test_an_instance_file_is_written_back_in_lowest_terms():
+    inst = parse_instance("3 0 2\n0 1 6/4\n0 2 007\n1 2 6\n")
+    assert emit_instance(inst) == "3 0 2\n0 1 3/2\n0 2 7\n1 2 6\n"
 
 
 def test_over_lcm_edge_cases():
