@@ -149,16 +149,20 @@ def _shortcut(tree, join, inst: Instance):
 def best_of_many(dist, inst: Instance):
     """Cheapest tree-plus-join over the support; ties go to the first
     atom in canonical order.  Returns (rows, best Tour, bomc value) where
-    rows hold (atom, tree cost, join cost, total) in that order."""
+    rows hold (atom, tree cost, join cost, total) in that order.  Each
+    distinct T_S is joined once, so a tree listed twice costs one join."""
     if not dist:
         raise ValueError("empty distribution")
     atoms = sorted(dist, key=lambda a: tree_key(a.tree))
     rows = []
     best = None
+    joins = {}   # T_S -> its minimum T_S-join
     for atom in atoms:
         tree_cost = edges_cost(atom.tree, inst)
-        par = split_path_join(atom.tree, inst)
-        join = min_tjoin(par.t_set, inst)
+        t_set = split_path_join(atom.tree, inst).t_set
+        if t_set not in joins:
+            joins[t_set] = min_tjoin(t_set, inst)
+        join = joins[t_set]
         join_cost = edges_cost(join, inst)
         total = tree_cost + join_cost
         rows.append((atom, tree_cost, join_cost, total))

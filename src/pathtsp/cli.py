@@ -183,6 +183,7 @@ def cmd_decompose(args):
     r = Runner()
     inst = read_instance(args.instance, closure=args.closure)
     x, _ = lp_relax.read_solution(args.solution)
+    r.stage("check-lp-point", check_lp_point, x, inst)
     dist = r.stage("decompose", tree_decomp.decompose, x, inst)
     tree_decomp.write_distribution(args.output, dist)
     r.lines.append(f"atoms={len(dist)}")

@@ -12,7 +12,7 @@ gamma_{S,e} in [0,1] from the two quantities
 or gamma = 1/2 on every path edge when GammaParams.uniform_half is set
 (Sebo's uniform assignment, the legacy audit mode).  e^S_C, the first path
 edge crossing the narrow cut C, is found for every level of the chain in
-one walk along the path and kept on the tree's TreeParity.
+one walk along the path, and kept with gamma in the GammaTable.
 
 The benefit of (S, C) is min(beta(2-x(C))/(1-2beta), gamma at e^S_C) when
 S crosses C an even number of times, 1 - gamma at e^S_C when it crosses
@@ -27,13 +27,15 @@ tops up even narrow cuts on their cheapest edge e_C, and
 y^S = beta x* + (1-2beta) chi^{J_S} + z^S must hit every T_S-cut with load
 at least 1, verified at every n by Padberg-Rao: a minimum T_S-odd cut is a
 fundamental cut of a Gomory-Hu tree of y^S on the terminals T_S, built
-from |T_S| - 1 flows.  certify_bound checks that membership for every y^S
-and re-verifies the full cost chain instead of trusting it.
+from |T_S| - 1 flows.  certify_bound checks that membership for the y^S
+of every distinct tree (a tree listed twice has one T_S and one y^S) and
+re-verifies the full cost chain instead of trusting it.
 
-One grid: assign_gamma returns a GammaTable, which holds every gamma, and
-per level the cap beta(2 - x(C))/(1 - 2beta) and f(x(C)), with nu - 1/2,
-as ints over one lcm g (instance.over_lcm) that also covers 1/2.  Every
-gamma the rule gives is 0, 1/2, 1, f or 1 - f, so none is rescaled later:
+One grid: assign_gamma returns a GammaTable, which holds each atom's
+TreeParity (the tree's split alone), gammas and e^S_C, and per level the
+cap beta(2 - x(C))/(1 - 2beta) and f(x(C)), with nu - 1/2, the numbers as
+ints over one lcm g (instance.over_lcm) that also covers 1/2.  Every gamma
+the rule gives is 0, 1/2, 1, f or 1 - f, so none is rescaled later:
 benefits and correction_vectors read only the table, and certify_bound
 only their two results.  The weights are ints over their own lcm
 (tree_decomp.weight_ints), and z^S and y^S ints over one denominator,
@@ -84,14 +86,12 @@ class GammaParams:
         return 1 - f_value(self.beta, XI)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeParity:
     path_vertices: tuple   # s .. t along the tree path
     i_edges: frozenset     # edges of the path
     j_edges: frozenset     # the rest: a T_S-join
     t_set: frozenset       # wrong-parity vertices
-    gamma: dict = None     # path edge -> int over table.g, set by assign_gamma
-    e_path: list = None    # chain level -> e^S_C, set by assign_gamma
 
 
 def split_path_join(tree, inst: Instance) -> TreeParity:
@@ -130,7 +130,9 @@ class GammaTable:
     dist: list
     chain: CutChain
     params: GammaParams
-    parities: list     # TreeParity per atom, gamma over g
+    parities: list     # TreeParity per atom
+    gammas: list       # per atom: path edge -> gamma, over g
+    e_paths: list      # per atom: chain level -> e^S_C
     g: int
     caps: list         # beta(2 - x(C))/(1 - 2beta) per level, over g
     f_at: list         # f(x(C)) per level, over g
@@ -138,7 +140,7 @@ class GammaTable:
 
 
 def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
-    """TreeParity, with gamma and e_path, per atom, in one GammaTable."""
+    """Each atom's TreeParity, gamma and e^S_C, in one GammaTable."""
     inst = chain.inst
     bn, bd = params.beta.as_integer_ratio()
     terms = {"half": HALF, "nu": params.nu - HALF}
@@ -149,9 +151,9 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
     num, g = over_lcm(terms)
     half = num["half"]
     f_at = [num["f", ci] for ci in range(len(chain.loads))]
-    out = []
-    for atom in dist:
-        par = split_path_join(atom.tree, inst)
+    parities = [split_path_join(atom.tree, inst) for atom in dist]
+    gammas = []
+    for atom, par in zip(dist, parities):
         if params.uniform_half:
             gamma = dict.fromkeys(par.i_edges, half)
         else:
@@ -170,10 +172,10 @@ def assign_gamma(dist, chain: CutChain, params: GammaParams) -> GammaTable:
                 f2 = min(half, max(even_cuts)) if even_cuts else 0
                 gamma[e] = f2 if f2 < f1 else g - f1
         assert all(0 <= v <= g for v in gamma.values())
-        par.gamma = gamma
-        par.e_path = first_path_edges(par, chain)
-        out.append(par)
-    return GammaTable(dist=dist, chain=chain, params=params, parities=out,
+        gammas.append(gamma)
+    return GammaTable(dist=dist, chain=chain, params=params,
+                      parities=parities, gammas=gammas,
+                      e_paths=[first_path_edges(p, chain) for p in parities],
                       g=g, caps=[num["cap", ci] for ci in range(len(f_at))],
                       f_at=f_at, nu_half=num["nu"])
 
@@ -198,8 +200,8 @@ class CutAudit:
     required: Fraction
     margin: Fraction
     eq17_bound: Fraction  # weighted-sum lower bound at critical cuts
-    eq18_ok: bool = None  # constants sufficiency at the realized load
-    status: str = "OK"    # "OK" | "FAIL"
+    eq18_ok: bool         # constants sufficiency at the realized load
+    status: str           # "OK" | "FAIL"
 
 
 @dataclass
@@ -231,8 +233,8 @@ def benefits(table: GammaTable) -> BenefitAudit:
         cap, fx = table.caps[ci], table.f_at[ci]
         total = p_even = 0    # over g * wden and wden
         bens = []
-        for ai, (w, par) in enumerate(zip(wts, table.parities)):
-            k, gam = counts[ai][ci], par.gamma[par.e_path[ci]]
+        for ai, w in enumerate(wts):
+            k, gam = counts[ai][ci], table.gammas[ai][table.e_paths[ai][ci]]
             b = min(cap, gam) if k % 2 == 0 else g - gam if k == 1 else 0
             bens.append(b)
             total += w * b
@@ -332,12 +334,13 @@ def correction_vectors(table: GammaTable) -> CorrectionVectors:
     floors = [w1 * cap for cap in table.caps]
     beta_x = {e: bn * g * v for e, v in xs.items()}
     zs, ys = [], []
-    for atom, par in zip(table.dist, table.parities):
-        z = {e: w1 * gam for e, gam in par.gamma.items()}
+    for atom, par, gamma, e_path in zip(table.dist, table.parities,
+                                        table.gammas, table.e_paths):
+        z = {e: w1 * gam for e, gam in gamma.items()}
         counts = chain.profile(atom.tree).counts
         for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = floors[ci] - w1 * par.gamma[par.e_path[ci]]
+                top = floors[ci] - w1 * gamma[e_path[ci]]
                 if top > 0:
                     z[e_cheap[ci]] = z.get(e_cheap[ci], 0) + top
         assert all(v >= 0 for v in z.values())
@@ -369,10 +372,10 @@ def tjoin_cut_violations(y: dict, t_set, n: int, den: int):
     terminals T alone, |T| - 1 flows.  Each tree edge splits T, and its
     value is the least load of a cut with that split.  The edges whose
     side is odd include a minimum T-odd cut, so the list is empty exactly
-    when every T-odd cut has load at least 1.  When T = V an edge's side
-    is its cut; otherwise one more flow per violated edge, between two
-    added vertices tied to the terminals of each side, turns the split
-    into a vertex set."""
+    when every T-odd cut has load at least 1.  One more flow per violated
+    edge, between two added vertices tied to the terminals of each side,
+    turns the split into a vertex set (the edge's own side when T = V,
+    where every vertex is tied)."""
     cap = {e: v for e, v in y.items() if v != 0}
     full = (1 << n) - 1
     t_mask = sum(1 << v for v in t_set)
@@ -390,17 +393,15 @@ def tjoin_cut_violations(y: dict, t_set, n: int, den: int):
         for side, value in gomory_hu_tree(net, sorted(t_set)):
             if value >= net.den * den or side.bit_count() % 2 == 0:
                 continue
-            if t_mask != full:
-                big = sum(cap.values(), 1)  # above any cut's load
-                ties = dict(cap)
-                for v in t_set:
-                    ties[n if (side >> v) & 1 else n + 1, v] = big
-                tnet = FlowNetwork(ties, n + 2)
-                flow, cut = max_flow_min_cut(tnet, n, n + 1)
-                assert flow * net.den == value * tnet.den, \
-                    "the split's cut is not the tree edge's"
-                side = sum(1 << v for v in cut if v < n)
-            sides.append(side)
+            big = sum(cap.values(), 1)  # above any cut's load
+            ties = dict(cap)
+            for v in t_set:
+                ties[n if (side >> v) & 1 else n + 1, v] = big
+            tnet = FlowNetwork(ties, n + 2)
+            flow, cut = max_flow_min_cut(tnet, n, n + 1)
+            assert flow * net.den == value * tnet.den, \
+                "the split's cut is not the tree edge's"
+            sides.append(sum(1 << v for v in cut if v < n))
     return [tuple(v for v in range(n) if (side >> v) & 1)
             for side in dict.fromkeys(s if s & 1 else s ^ full
                                       for s in sides)]
@@ -408,9 +409,14 @@ def tjoin_cut_violations(y: dict, t_set, n: int, den: int):
 
 def check_join_membership(cv: CorrectionVectors, table: GammaTable):
     """Assert that every y^S of cv, built from table, lies in the T_S-join
-    dominant."""
-    for ai, (y, par) in enumerate(zip(cv.y, table.parities)):
-        bad = tjoin_cut_violations(y, par.t_set, table.chain.inst.n, cv.den)
+    dominant.  A tree has one T_S and one y^S, so a tree listed twice is
+    checked once, at its first atom."""
+    first = {}
+    for ai, atom in enumerate(table.dist):
+        first.setdefault(atom.tree, ai)
+    for ai in first.values():
+        bad = tjoin_cut_violations(cv.y[ai], table.parities[ai].t_set,
+                                   table.chain.inst.n, cv.den)
         assert not bad, f"atom {ai}: y^S misses the T_S-cut {bad[0]}"
 
 
@@ -467,14 +473,14 @@ def _verify_cost_chain(table: GammaTable, cv, z_cost, path_cost):
     profiles = [chain.profile(atom.tree) for atom in dist]
     for ci, cap in enumerate(table.caps):
         tops = slack = 0
-        for w, prof, par in zip(wts, profiles, table.parities):
+        for ai, (w, prof) in enumerate(zip(wts, profiles)):
             k = prof.counts[ci]
-            esc = par.e_path[ci]
+            esc, gamma = table.e_paths[ai][ci], table.gammas[ai]
             if k % 2 == 0:
-                tops += w * max(0, cap - par.gamma[esc])
+                tops += w * max(0, cap - gamma[esc])
             elif k == 1:
                 assert prof.single[ci] == esc
-                slack += w * (g - par.gamma[esc])
+                slack += w * (g - gamma[esc])
                 assert cost[cv.e_cheap[ci]] <= cost[esc]
         assert tops <= slack, f"stepping stone failed at cut {ci}"
     # per atom: narrow cuts crossed once are defined by distinct path edges

@@ -21,7 +21,8 @@ being the paper's type-mix slack: it splits each weight once, as an int
 over the weights' lcm, into whole grid steps and a residual below one
 step, sweeps left then right on one pot of int steps by tree, and adds the
 residual mass back, so the final distribution satisfies the four-way
-type-mix bound within EPS at every internal xi-narrow cut.
+type-mix bound within EPS at every internal xi-narrow cut.  Each exchange
+is handed the mass it moves and returns its record whole.
 
 Every type is read from the tree's crossing profile on the chain
 (CutChain.profile), built once per tree from the chain's layers and kept
@@ -39,7 +40,7 @@ every crossing question in the package is asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
@@ -114,6 +115,7 @@ def mix_pair(mass: dict, slack):
 class ExchangeRecord:
     cut_index: int        # index into the xi-subchain
     direction: str        # "right": (120,011) -> (121,010); "left" mirrors
+    delta: Fraction       # the mass moved from s1, s2 to s1_new, s2_new
     s1: frozenset
     s2: frozenset
     e0: tuple             # path edge kept in S1 (singleton-defined at C_h)
@@ -123,13 +125,12 @@ class ExchangeRecord:
     k: int                # far end of e2's xi-cut interval
     s1_new: frozenset
     s2_new: frozenset
-    delta: Fraction = None
 
 
-def exchange(s1, s2, chain: CutChain, i: int, direction: str):
+def exchange(s1, s2, chain: CutChain, i: int, direction: str, delta):
     """Swap one edge between s1 and s2 at the i-th xi-narrow cut: (120, 011)
     -> (121, 010) for direction "right", (021, 110) -> (121, 010) for its
-    mirror image "left".  Returns the ExchangeRecord."""
+    mirror image "left", moving mass delta.  Returns its ExchangeRecord."""
     xi = chain.xi_indices
     last = len(xi) - 1
     mirrored = direction == "left"
@@ -185,7 +186,7 @@ def exchange(s1, s2, chain: CutChain, i: int, direction: str):
     assert classify(s1_new, chain, i) == "121"
     assert classify(s2_new, chain, i) == "010"
     return ExchangeRecord(
-        cut_index=i, direction=direction,
+        cut_index=i, direction=direction, delta=delta,
         s1=frozenset(s1), s2=frozenset(s2), e0=e0, e1=e1, e2=e2, h=h, k=k,
         s1_new=s1_new, s2_new=s2_new)
 
@@ -214,8 +215,9 @@ def sweep(pot, tree_of, chain: CutChain, direction: str, quantum):
         while ones and twos:
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
-            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
-            records.append(replace(rec, delta=delta * quantum))
+            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction,
+                           delta * quantum)
+            records.append(rec)
             for key, tree, keys in ((k1, rec.s1_new, ones),
                                     (k2, rec.s2_new, twos)):
                 pot[key] -= delta

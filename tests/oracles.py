@@ -29,7 +29,7 @@ and the sweeps' grid pot as they were written on Fractions.  They share
 the package's inputs to those stages (path-join splits, e^S_C, crossing
 profiles, tree types, cheap edges, the membership and packing checks, the
 canonical tree order) and hold only its int arithmetic to the Fraction
-one.  fraction_parities and correction_fractions are the Fraction views of
+one.  fraction_gammas and correction_fractions are the Fraction views of
 the package's gammas and of its z^S and y^S, which it keeps as ints over
 one denominator each.
 
@@ -44,7 +44,6 @@ exchange.
 """
 
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -59,9 +58,8 @@ from pathtsp.instance import (Instance, build_appendix_instance,
                               complete_edges, edge, edges_cost, vector_cost)
 from pathtsp.parity import (CASE_SPECS, BenefitAudit,
                             CorrectionVectors, CutAudit, GammaParams,
-                            GammaTable, TreeParity, Verdict,
-                            check_join_membership, check_packing,
-                            cheapest_cut_edges, f_value, first_path_edges,
+                            GammaTable, Verdict, check_join_membership,
+                            check_packing, cheapest_cut_edges, f_value,
                             split_path_join, tjoin_cut_violations)
 from pathtsp.reassembler import (EPS, SWEEPS, classify, exchange,
                                  reassemble, type_data)
@@ -1162,8 +1160,7 @@ def validate_exchange_record(rec, chain):
 # edges from the package, as the int versions do.
 
 def assign_gamma_fraction(dist, chain: CutChain, params: GammaParams):
-    """TreeParity, with gamma as a Fraction per path edge and e_path, per
-    atom."""
+    """Per atom, gamma as a Fraction per path edge."""
     inst = chain.inst
     if not params.uniform_half:
         f_at = [f_value(params.beta, x) for x in chain.loads]
@@ -1188,29 +1185,25 @@ def assign_gamma_fraction(dist, chain: CutChain, params: GammaParams):
                 f2 = min(HALF, max(even_cuts)) if even_cuts else ZERO
                 gamma[e] = f2 if f2 < f1 else 1 - f1
         assert all(0 <= g <= 1 for g in gamma.values())
-        par.gamma = gamma
-        par.e_path = first_path_edges(par, chain)
-        out.append(par)
+        out.append(gamma)
     return out
 
 
-def fraction_parities(table: GammaTable) -> list:
-    """The table's parities with each gamma as the Fraction it stands
-    for: the form assign_gamma_fraction returns and the stages below
-    read."""
-    return [replace(par, gamma={e: Fraction(v, table.g)
-                                for e, v in par.gamma.items()})
-            for par in table.parities]
+def fraction_gammas(table: GammaTable) -> list:
+    """The table's gammas, each as the Fraction it stands for: the form
+    assign_gamma_fraction returns and the stages below read."""
+    return [{e: Fraction(v, table.g) for e, v in gamma.items()}
+            for gamma in table.gammas]
 
 
-def benefit(parity: TreeParity, k_cross: int, ci: int,
-            cap: Fraction) -> Fraction:
-    """The benefit of the tree at chain level ci, crossed k_cross times;
-    cap = beta(2 - x(C))/(1 - 2beta) at that level."""
+def benefit(gamma: Fraction, k_cross: int, cap: Fraction) -> Fraction:
+    """The benefit of a tree at a chain level it crosses k_cross times,
+    with gamma at its e^S_C there and cap = beta(2 - x(C))/(1 - 2beta) at
+    that level."""
     if k_cross % 2 == 0:
-        return min(cap, parity.gamma[parity.e_path[ci]])
+        return min(cap, gamma)
     if k_cross == 1:
-        return 1 - parity.gamma[parity.e_path[ci]]
+        return 1 - gamma
     return ZERO
 
 
@@ -1223,7 +1216,7 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
     under params.uniform_half the case machinery is skipped and the margins
     alone decide."""
     dist, chain, params = table.dist, table.chain, table.params
-    parities = fraction_parities(table)
+    gammas = fraction_gammas(table)
     beta = params.beta
     w1 = 1 - 2 * beta
     nu = params.nu
@@ -1239,7 +1232,7 @@ def benefits_fraction(table: GammaTable) -> BenefitAudit:
         bens = []
         for ai, atom in enumerate(dist):
             k = counts[ai][ci]
-            b = benefit(parities[ai], k, ci, cap)
+            b = benefit(gammas[ai][table.e_paths[ai][ci]], k, cap)
             bens.append(b)
             total += atom.weight * b
             if k % 2 == 0:
@@ -1318,21 +1311,22 @@ def correction_vectors_fraction(table: GammaTable) -> CorrectionVectors:
     the even-cut floor of z^S; certify_bound checks that each y^S is in the
     T_S-join dominant."""
     dist, chain = table.dist, table.chain
-    parities = fraction_parities(table)
+    gammas = fraction_gammas(table)
     beta = table.params.beta
     w1 = 1 - 2 * beta
     e_cheap = cheapest_cut_edges(chain)
     floor = [beta * (2 - load) for load in chain.loads]  # per level
     beta_x = {e: beta * v for e, v in chain.x.items()}
     zs, ys = [], []
-    for atom, par in zip(dist, parities):
+    for atom, par, gamma, e_path in zip(dist, table.parities, gammas,
+                                        table.e_paths):
         z = {}
         for e in par.i_edges:
-            z[e] = z.get(e, ZERO) + w1 * par.gamma[e]
+            z[e] = z.get(e, ZERO) + w1 * gamma[e]
         counts = chain.profile(atom.tree).counts
         for ci, k in enumerate(counts):
             if k % 2 == 0:
-                top = floor[ci] - w1 * par.gamma[par.e_path[ci]]
+                top = floor[ci] - w1 * gamma[e_path[ci]]
                 if top > 0:
                     ec = e_cheap[ci]
                     z[ec] = z.get(ec, ZERO) + top
@@ -1363,18 +1357,18 @@ def certify_bound_fraction(audit: BenefitAudit,
     re-derived step by step (any failure is a bug, hence an assertion)."""
     table = audit.table
     dist, chain, params = table.dist, table.chain, table.params
-    parities = fraction_parities(table)
     inst = chain.inst
     check_join_membership(cv, table)
     beta = params.beta
     w1 = 1 - 2 * beta
     z_cost = sum((atom.weight * vector_cost(cv.z[ai], inst)
                   for ai, atom in enumerate(dist)), ZERO)
-    path_cost = sum((atom.weight * edges_cost(parities[ai].i_edges, inst)
-                     for ai, atom in enumerate(dist)), ZERO)
+    path_cost = sum((atom.weight * edges_cost(par.i_edges, inst)
+                     for atom, par in zip(dist, table.parities)), ZERO)
     if audit.all_ok:
-        _verify_cost_chain_fraction(dist, chain, parities, params, cv,
-                                    z_cost, path_cost)
+        _verify_cost_chain_fraction(dist, chain, fraction_gammas(table),
+                                    table.e_paths, params, cv, z_cost,
+                                    path_cost)
     certified = audit.all_ok and z_cost <= w1 * path_cost
     return Verdict(certified=certified,
                    label="certified" if certified else "fallback",
@@ -1382,8 +1376,8 @@ def certify_bound_fraction(audit: BenefitAudit,
                    z_cost=z_cost, path_cost=path_cost)
 
 
-def _verify_cost_chain_fraction(dist, chain, parities, params, cv, z_cost,
-                                path_cost):
+def _verify_cost_chain_fraction(dist, chain, gammas, e_paths, params, cv,
+                                z_cost, path_cost):
     """The Lemma-6-style derivation, every step numerical."""
     beta = params.beta
     w1 = 1 - 2 * beta
@@ -1395,15 +1389,16 @@ def _verify_cost_chain_fraction(dist, chain, parities, params, cv, z_cost,
     for ci, load in enumerate(chain.loads):
         tops = ZERO
         slack = ZERO
-        for atom, prof, par in zip(dist, profiles, parities):
+        for atom, prof, gamma, e_path in zip(dist, profiles, gammas,
+                                             e_paths):
             k = prof.counts[ci]
-            esc = par.e_path[ci]
+            esc = e_path[ci]
             if k % 2 == 0:
-                top = max(ZERO, beta * (2 - load) - w1 * par.gamma[esc])
+                top = max(ZERO, beta * (2 - load) - w1 * gamma[esc])
                 tops += atom.weight * top
             elif k == 1:
                 assert prof.single[ci] == esc
-                slack += atom.weight * (1 - par.gamma[esc])
+                slack += atom.weight * (1 - gamma[esc])
                 assert chain.inst.cost[cv.e_cheap[ci]] \
                     <= chain.inst.cost[esc]
         assert tops <= w1 * slack, f"stepping stone failed at cut {ci}"
@@ -1615,8 +1610,9 @@ def sweep_rescanning(pot, tree_of, chain: CutChain, direction: str, quantum):
                 break
             k1, k2 = ones[0], twos[0]
             delta = min(pot[k1], pot[k2])
-            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction)
-            records.append(replace(rec, delta=delta * quantum))
+            rec = exchange(tree_of[k1], tree_of[k2], chain, i, direction,
+                           delta * quantum)
+            records.append(rec)
             for key, tree in ((k1, rec.s1_new), (k2, rec.s2_new)):
                 pot[key] -= delta
                 if pot[key] == 0:

@@ -326,6 +326,44 @@ def test_best_of_many_picks_the_minimum_row():
         assert join_cost <= cost_of(par.j_edges, inst)
 
 
+def test_a_tree_listed_twice_is_joined_and_checked_once(monkeypatch,
+                                                       params):
+    # reassembly lists a tree twice when it keeps whole grid steps and a
+    # residual; here the reassembled wall's first tree is split in two atoms,
+    # the second and the last
+    inst, _, final, chain = wall(0, reassembled=True)
+    twice = Atom(final[0].tree, final[0].weight / 2)
+    dist = [final[1], twice, *final[2:], twice]
+    seen = {"min_tjoin": [], "tjoin_cut_violations": []}
+
+    def counting(owner, name, t_arg):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            seen[name].append(args[t_arg])
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(bomc, "min_tjoin", 0)
+    counting(parity, "tjoin_cut_violations", 1)
+    t_sets = [split_path_join(a.tree, inst).t_set for a in final]
+    assert len(set(t_sets)) == len(final)   # one T_S per distinct tree
+
+    rows, _, _ = best_of_many(dist, inst)
+    assert len(rows) == len(dist)   # every atom keeps its row
+    assert sorted(map(sorted, seen["min_tjoin"])) == sorted(map(sorted,
+                                                                t_sets))
+    table = parity.assign_gamma(dist, chain, params)
+    cv = parity.correction_vectors(table)
+    parity.check_join_membership(cv, table)
+    assert sorted(map(sorted, seen["tjoin_cut_violations"])) == sorted(
+        map(sorted, t_sets))
+    # a failing y^S is named by the first atom of its tree
+    cv.y[1] = cv.y[-1] = {}
+    with pytest.raises(AssertionError, match=r"^atom 1: y\^S misses"):
+        parity.check_join_membership(cv, table)
+
+
 def test_best_of_many_breaks_ties_canonically():
     inst = uniform_instance(4)
     first = path_tree((0, 1, 2, 3))

@@ -344,9 +344,11 @@ def test_stage_failures_exit_2(tmp_path):
 
 def test_console_script(tmp_path):
     out = tmp_path / "inst.txt"
+    root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "pathtsp.cli", "gen", "random", "--n", "5",
-         "--seed", "1", "-o", str(out)], env=dict(os.environ),
+         "--seed", "1", "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True)
     assert proc.returncode == 0 and out.exists()
 
@@ -455,6 +457,22 @@ def test_an_edge_outside_the_instance_is_a_violation(tmp_path, capsys,
         capsys.readouterr()
         assert main(argv) == 2
         assert f"stage check-lp-point: {detail}; " in capsys.readouterr().err
+
+
+def test_decompose_checks_its_point_first(tmp_path, capsys):
+    # the LP optimum of `gen random --n 6 --seed 1`, and an edge to a
+    # vertex the instance does not have
+    inst, sol = tmp_path / "inst.txt", tmp_path / "x.sol"
+    assert main(["gen", "random", "--n", "6", "--seed", "1",
+                 "-o", str(inst)]) == 0
+    assert main(["solve-lp", str(inst), "-o", str(sol)]) == 0
+    sol.write_text(sol.read_text() + "0 9 1\n")
+    capsys.readouterr()
+    assert main(["decompose", str(inst), str(sol),
+                 "-o", str(tmp_path / "d.txt")]) == 2
+    assert capsys.readouterr().err == ("pathtsp: error stage check-lp-point: "
+                                       "vertex 9 of edge 0,9 is not in "
+                                       "0..5\n")
 
 
 def test_a_wrong_degree_is_printed_as_a_rational(tmp_path, capsys):

@@ -3,8 +3,8 @@
 assign_gamma, benefits, correction_vectors, certify_bound (with its cost
 chain), check_reconstruction and the type census run on ints over common
 denominators; the versions written on Fractions are kept in
-tests/oracles.py.  Every case runs both and asks for the same gammas and
-e^S_C, CutAudits, z^S, y^S (read through their Fraction view), cheap
+tests/oracles.py.  Every case runs both and asks for the same gammas,
+CutAudits, z^S, y^S (read through their Fraction view), cheap
 edges, verdict and census, for the int check to accept the Fraction
 reconstruction, or for the same AssertionError message when a check
 fails, since `verify` prints that message.
@@ -26,7 +26,7 @@ from pathtsp.tree_decomp import (Atom, check_reconstruction, decompose,
 
 from .oracles import (assign_gamma_fraction, benefits_fraction,
                       certify_bound_fraction, correction_fractions,
-                      correction_vectors_fraction, fraction_parities,
+                      correction_vectors_fraction, fraction_gammas,
                       random_chain, reconstruct, type_census_fraction, wall)
 
 # the defaults, Sebo's 8/5 audit, and the beta window GammaParams admits
@@ -50,10 +50,10 @@ def all_fractions(values):
 
 def assert_stages_agree(dist, chain, params):
     table = assign_gamma(dist, chain, params)
-    assert all(type(v) is int for par in table.parities
-               for v in par.gamma.values())
-    assert fraction_parities(table) == assign_gamma_fraction(dist, chain,
-                                                             params)
+    assert all(type(v) is int for gamma in table.gammas
+               for v in gamma.values())
+    assert fraction_gammas(table) == assign_gamma_fraction(dist, chain,
+                                                           params)
     audit = outcome(benefits, table)
     assert audit == outcome(benefits_fraction, table)
     cv = outcome(correction_vectors, table)
@@ -190,8 +190,7 @@ def test_random_distributions_match_the_fraction_reference(case, params):
 def test_a_tampered_gamma_fails_both_versions_alike(params):
     _, _, final, chain = wall(0, reassembled=True)
     table = assign_gamma(final, chain, params)
-    par = table.parities[0]
-    par.gamma = dict.fromkeys(par.gamma, table.g)   # gamma = 1
+    table.gammas[0] = dict.fromkeys(table.gammas[0], table.g)   # gamma = 1
     message = ("per-tree case-1 inequality failed: atom 0, cut 3, type 110, "
                "lhs 0")
     for fn in (benefits, benefits_fraction):

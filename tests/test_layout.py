@@ -248,6 +248,21 @@ def test_simplex_builds_fractions_only_in_its_readers():
     assert not extra, f"Fraction( called outside the readers: {extra}"
 
 
+def test_records_are_built_whole():
+    # each record is made once, with every field; no module of the package
+    # rebuilds one with dataclasses.replace
+    users = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"
+             and any(alias.name == "replace" for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "replace"
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "dataclasses"]
+    assert not users, f"dataclasses.replace used: {users}"
+
+
 def test_only_cuts_reads_the_chain_layers():
     # which chain levels an edge crosses is decided once, by
     # CutChain.levels_crossed; every other module asks it

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -77,6 +77,8 @@ def test_split_of_a_bare_path():
     par = split_path_join(frozenset(path_x(range(5))), inst)
     assert par.path_vertices == (0, 1, 2, 3, 4)
     assert par.j_edges == frozenset() and par.t_set == frozenset()
+    with pytest.raises(FrozenInstanceError):   # the split is built whole
+        par.t_set = frozenset({0, 4})
 
 
 def test_split_of_a_star_at_s():
@@ -93,15 +95,15 @@ def test_gamma_is_one_on_an_integral_path(params):
     x = path_x(range(6))
     chain = narrow_cuts(x, inst)
     table = assign_gamma(decompose(x, inst), chain, params)
-    assert all(g == table.g for g in table.parities[0].gamma.values())
+    assert all(g == table.g for g in table.gammas[0].values())
 
 
 def test_gamma_uniform_override(appendix0, appendix0_chain, half_params):
     _, _, p4 = appendix0
     table = assign_gamma(p4, appendix0_chain, half_params)
-    for par in table.parities:
-        assert all(2 * g == table.g for g in par.gamma.values())
-        assert set(par.gamma) == set(par.i_edges)
+    for par, gamma in zip(table.parities, table.gammas):
+        assert all(2 * g == table.g for g in gamma.values())
+        assert set(gamma) == set(par.i_edges)
 
 
 def walked_path_edges(par, chain):
@@ -114,15 +116,17 @@ def test_first_path_edges_match_the_walk_on_the_walls(k, params):
     fixed, records = reassemble(raw, chain)
     assert records
     for dist in (raw, fixed):
-        for par in assign_gamma(dist, chain, params).parities:
-            assert par.e_path == walked_path_edges(par, chain)
+        table = assign_gamma(dist, chain, params)
+        for par, e_path in zip(table.parities, table.e_paths):
+            assert e_path == walked_path_edges(par, chain)
 
 
 def test_first_path_edges_match_the_walk_on_an_lp_optimum(lp26, params):
     inst, sol, _ = lp26
     chain = narrow_cuts(sol.x, inst)
-    for par in assign_gamma(decompose(sol.x, inst), chain, params).parities:
-        assert par.e_path == walked_path_edges(par, chain)
+    table = assign_gamma(decompose(sol.x, inst), chain, params)
+    for par, e_path in zip(table.parities, table.e_paths):
+        assert e_path == walked_path_edges(par, chain)
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,29 +136,29 @@ def test_first_path_edges_match_the_walk_on_random_trees(case):
     # the chain has no loads: give it loads of 1, which the table's caps
     # and f values read, and a uniform gamma, which reads no profile
     chain = replace(chain, loads=[Fraction(1)] * len(chain))
-    par, = assign_gamma([Atom(tree, Fraction(1))], chain,
-                        GammaParams(uniform_half=True)).parities
-    assert par.e_path == walked_path_edges(par, chain)
+    table = assign_gamma([Atom(tree, Fraction(1))], chain,
+                         GammaParams(uniform_half=True))
+    assert table.e_paths == [walked_path_edges(table.parities[0], chain)]
 
 
 def test_benefit_values(params):
     inst = uniform_instance(6)
     x = path_x(range(6))
     chain = narrow_cuts(x, inst)
-    par = assign_gamma(decompose(x, inst), chain, params).parities[0]
-    par.gamma = {e: Fraction(1, 4) for e in par.i_edges}
+    table = assign_gamma(decompose(x, inst), chain, params)
     ci = 0  # cut {0}; the path edge there is (0, 1)
-    assert chain.masks[ci] == 1 and par.e_path[ci] == (0, 1)
+    assert chain.masks[ci] == 1 and table.e_paths[0][ci] == (0, 1)
 
     def cap(load):  # beta (2 - load) / (1 - 2 beta)
         return params.beta * (2 - load) / (1 - 2 * params.beta)
 
-    assert benefit(par, 1, ci, cap(Fraction(1))) == Fraction(3, 4)
-    assert benefit(par, 3, ci, cap(Fraction(3, 2))) == 0
+    gamma = Fraction(1, 4)
+    assert benefit(gamma, 1, cap(Fraction(1))) == Fraction(3, 4)
+    assert benefit(gamma, 3, cap(Fraction(3, 2))) == 0
     # even crossings: min(cap, gamma)
-    assert benefit(par, 2, ci, cap(Fraction(3, 2))) == Fraction(1, 4)
-    par.gamma[(0, 1)] = Fraction(3, 4)
-    assert benefit(par, 2, ci, cap(Fraction(7, 4))) == Fraction(401, 792)
+    assert benefit(gamma, 2, cap(Fraction(3, 2))) == Fraction(1, 4)
+    assert benefit(Fraction(3, 4), 2, cap(Fraction(7, 4))) == Fraction(
+        401, 792)
 
 
 def test_raw_wall_distribution_fails_the_audit(raw_audit):

@@ -104,11 +104,11 @@ def test_type_census(six_chain):
 
 
 def test_exchange_on_the_two_tree_fixture(six_chain):
-    rec = exchange(S1, S2, six_chain, 2, "right")
+    rec = exchange(S1, S2, six_chain, 2, "right", HALF)
     s1n, s2n = rec.s1_new, rec.s2_new
     assert rec.e0 == (0, 3) and rec.e1 == (2, 3) and rec.e2 == (2, 5)
     assert rec.h == 0 and rec.k == 4
-    assert rec.direction == "right"
+    assert rec.direction == "right" and rec.delta == HALF
     assert s1n == S1 - {(2, 3)} | {(2, 5)}
     assert s2n == S2 - {(2, 5)} | {(2, 3)}
     assert classify(s1n, six_chain, 2) == "121"
@@ -128,7 +128,7 @@ def test_exchange_left_is_the_mirror_image():
     chain = chain_of(inst, LEVELS6, x)
     assert classify(s1m, chain, 2) == "021"
     assert classify(s2m, chain, 2) == "110"
-    rec = exchange(s1m, s2m, chain, 2, "left")
+    rec = exchange(s1m, s2m, chain, 2, "left", HALF)
     s1n, s2n = rec.s1_new, rec.s2_new
     assert rec.e0 == (2, 5) and rec.e1 == (2, 3) and rec.e2 == (0, 3)
     assert rec.h == 4 and rec.k == 0
@@ -140,15 +140,15 @@ def test_exchange_left_is_the_mirror_image():
 
 def test_exchange_rejects_wrong_types(six_chain):
     with pytest.raises(ExchangeError):
-        exchange(S2, S1, six_chain, 2, "right")   # swapped roles
+        exchange(S2, S1, six_chain, 2, "right", HALF)   # swapped roles
     with pytest.raises(ExchangeError):
-        exchange(S1, S1, six_chain, 2, "right")
+        exchange(S1, S1, six_chain, 2, "right", HALF)
     with pytest.raises(ExchangeError):
-        exchange(S1, S2, six_chain, 2, "left")
+        exchange(S1, S2, six_chain, 2, "left", HALF)
 
 
 def test_validate_catches_tampering(six_chain):
-    rec = exchange(S1, S2, six_chain, 2, "right")
+    rec = exchange(S1, S2, six_chain, 2, "right", HALF)
     bad = validate_exchange_record(replace(rec, s1_new=rec.s1), six_chain)
     assert any("s1_new" in msg for msg in bad)
     bad = validate_exchange_record(replace(rec, e1=rec.e2, e2=rec.e1),
@@ -245,9 +245,9 @@ def test_the_sweep_contract_catches_a_grown_fragile_type(
     (t110,) = [a.tree for a in p4 if classify(a.tree, chain, i) == "110"]
     real = reassembler.exchange
 
-    def to_110(s1, s2, chain, i, direction):
-        return replace(real(s1, s2, chain, i, direction), s1_new=t110,
-                       s2_new=t110)
+    def to_110(s1, s2, chain, i, direction, delta):
+        return replace(real(s1, s2, chain, i, direction, delta),
+                       s1_new=t110, s2_new=t110)
 
     monkeypatch.setattr(reassembler, "exchange", to_110)
     quantum = EPS / inst.n ** 2
