@@ -2,20 +2,16 @@
 """End-to-end pipeline on one random metric instance.
 
 Solve the relaxation exactly, decompose the optimum into spanning trees,
-reassemble, audit, and build the best-of-many tour.  For n <= 18 the exact
-dynamic-programming baseline is cheap enough to report the true ratio.
+reassemble, audit, and build the best-of-many tour: one cli.pipeline run,
+which at n <= 12 also finds the exact optimum, for the true ratio.
 """
 
 import argparse
 
-from pathtsp.bomc import best_of_many, held_karp_opt
-from pathtsp.cuts import XI, narrow_cuts
+from pathtsp.cli import pipeline
+from pathtsp.cuts import XI
 from pathtsp.instance import random_metric_instance
-from pathtsp.lp_relax import solve_lp
-from pathtsp.parity import (GammaParams, assign_gamma, benefits,
-                            certify_bound, correction_vectors)
-from pathtsp.reassembler import reassemble
-from pathtsp.tree_decomp import decompose, distribution_cost
+from pathtsp.tree_decomp import distribution_cost
 
 
 def main():
@@ -26,42 +22,27 @@ def main():
 
     inst = random_metric_instance(args.n, args.seed)
     print(f"instance: n={inst.n}, s={inst.s}, t={inst.t}, seed={args.seed}")
+    res = pipeline(inst)
 
-    sol = solve_lp(inst)
-    frac = sum(1 for v in sol.x.values() if v and v.denominator > 1)
-    print(f"lp optimum {sol.value}, "
-          f"{sum(1 for v in sol.x.values() if v)} support edges, "
+    frac = sum(1 for v in res.x.values() if v and v.denominator > 1)
+    print(f"lp optimum {res.value}, "
+          f"{sum(1 for v in res.x.values() if v)} support edges, "
           f"{frac} fractional")
-
-    dist = decompose(sol.x, inst)
-    avg = distribution_cost(dist, inst)
-    print(f"decomposition: {len(dist)} trees, average tree cost {avg}")
-
-    chain = narrow_cuts(sol.x, inst)
-    print(f"narrow-cut chain: {len(chain)} cuts, "
-          f"{len(chain.xi_indices)} below {XI}")
-
-    fixed, records = reassemble(dist, chain)
-    print(f"reassembly: {len(records)} exchanges, "
-          f"{len({atom.tree for atom in fixed})} trees")
-
-    table = assign_gamma(fixed, chain, GammaParams())
-    audit = benefits(table)
-    cv = correction_vectors(table)
-    verdict = certify_bound(audit, cv)
-    worst = min(c.margin for c in audit.per_cut)
-    print(f"audit: {verdict.label}, bound {verdict.bound}, "
+    avg = distribution_cost(res.dist0, inst)
+    print(f"decomposition: {len(res.dist0)} trees, average tree cost {avg}")
+    print(f"narrow-cut chain: {len(res.chain)} cuts, "
+          f"{len(res.chain.xi_indices)} below {XI}")
+    print(f"reassembly: {len(res.records)} exchanges, "
+          f"{len({atom.tree for atom in res.dist})} trees")
+    worst = min(c.margin for c in res.audit.per_cut)
+    print(f"audit: {res.verdict.label}, bound {res.verdict.bound}, "
           f"worst margin {worst}")
-
-    rows, tour, value = best_of_many(fixed, inst)
-    print(f"tour: cost {tour.cost}, bomc {value}, "
-          f"lp ratio {float(tour.cost / sol.value):.4f}")
-    assert tour.cost <= verdict.bound * sol.value
-
-    if inst.n <= 18:
-        opt = held_karp_opt(inst)
-        print(f"exact baseline {opt}, "
-              f"true ratio {float(tour.cost / opt):.4f}")
+    print(f"tour: cost {res.tour.cost}, bomc {res.bomc}, "
+          f"lp ratio {float(res.tour.cost / res.value):.4f}")
+    assert res.tour.cost <= res.verdict.bound * res.value
+    if res.opt is not None:
+        print(f"exact baseline {res.opt}, "
+              f"true ratio {float(res.tour.cost / res.opt):.4f}")
 
 
 if __name__ == "__main__":

@@ -12,13 +12,12 @@ printed here is an exact rational.
 
 from fractions import Fraction
 
-from pathtsp.bomc import best_of_many, format_tour_report
-from pathtsp.cuts import XI, format_cut_report, narrow_cuts
-from pathtsp.instance import build_appendix_instance, vector_cost
-from pathtsp.parity import (GammaParams, assign_gamma, benefits,
-                            certify_bound, correction_vectors,
-                            format_audit_lines)
-from pathtsp.reassembler import census, reassemble
+from pathtsp.bomc import format_tour_report
+from pathtsp.cli import Runner, certify_stages, pipeline
+from pathtsp.cuts import XI, format_cut_report
+from pathtsp.instance import build_appendix_instance
+from pathtsp.parity import GammaParams, format_audit_lines
+from pathtsp.reassembler import census
 
 RULE = "-" * 72
 
@@ -33,12 +32,13 @@ def show_census(dist, chain, indices):
 
 def main():
     inst, xstar, dist = build_appendix_instance(0)
+    res = pipeline(inst, xstar, dist)
+    chain = res.chain
     print(__doc__.splitlines()[0])
     print(RULE)
     print(f"instance: n={inst.n}, s={inst.s}, t={inst.t}, "
-          f"lp point cost {vector_cost(xstar, inst)}")
+          f"lp point cost {res.value}")
 
-    chain = narrow_cuts(xstar, inst)
     wall = list(range(5, 9))  # the wall cuts' chain indices at k = 0
     print(f"narrow-cut chain: {len(chain)} cuts, all below {XI}; "
           f"wall cuts are {wall}")
@@ -50,49 +50,38 @@ def main():
     print("tree types at the wall cuts, before any exchange:")
     show_census(dist, chain, wall)
 
-    params = GammaParams()
-    flat_params = GammaParams(uniform_half=True)
-    flat = assign_gamma(dist, chain, flat_params)
-    audit = benefits(flat)
+    flat = GammaParams(uniform_half=True)
+    audit, verdict = certify_stages(Runner(), dist, chain, flat)
     bad = [c for c in audit.per_cut if c.margin < 0]
     interior = [c for c in audit.per_cut if c.required > 0]
-    print(f"flat gamma=1/2 audit at beta={params.beta}: "
+    print(f"flat gamma=1/2 audit at beta={flat.beta}: "
           f"{len(bad)} of {len(interior)} interior cuts fail")
     print(f"  every failure: benefit {bad[0].total} vs required "
           f"{bad[0].required} (margin {bad[0].margin})")
-    cv = correction_vectors(flat)
-    verdict = certify_bound(audit, cv)
     print(f"  verdict: {verdict.label}, bound {verdict.bound}")
 
     print(RULE)
-    fixed, records = reassemble(dist, chain)
-    print(f"reassembly: {len(records)} exchanges, "
-          f"{len({atom.tree for atom in fixed})} trees in the repaired "
+    print(f"reassembly: {len(res.records)} exchanges, "
+          f"{len({atom.tree for atom in res.dist})} trees in the repaired "
           f"distribution")
-    for rec in records:
+    for rec in res.records:
         print(f"  cut {rec.cut_index} {rec.direction:>5}: moved "
               f"{rec.delta} weight, swapped {rec.e1} "
               f"for {rec.e2} (reach {rec.h}..{rec.k})")
     print("tree types at the wall cuts, after:")
-    show_census(fixed, chain, wall)
+    show_census(res.dist, chain, wall)
 
     print(RULE)
-    table = assign_gamma(fixed, chain, params)
-    audit = benefits(table)
-    cv = correction_vectors(table)
-    verdict = certify_bound(audit, cv)
-    for line in format_audit_lines(audit, verdict):
+    for line in format_audit_lines(res.audit, res.verdict):
         print(f"  {line}")
-    assert verdict.certified and verdict.bound == Fraction(1599, 1000)
+    assert res.verdict.certified and res.verdict.bound == Fraction(1599, 1000)
 
     print(RULE)
-    rows, tour, value = best_of_many(fixed, inst)
-    for line in format_tour_report(rows, value):
+    for line in format_tour_report(res.rows, res.bomc):
         print(f"  {line}")
-    lp_value = vector_cost(xstar, inst)
-    print(f"tour cost {tour.cost} <= bomc {value} <= "
-          f"{verdict.bound} * {lp_value}")
-    assert tour.cost <= value <= verdict.bound * lp_value
+    print(f"tour cost {res.tour.cost} <= bomc {res.bomc} <= "
+          f"{res.verdict.bound} * {res.value}")
+    assert res.tour.cost <= res.bomc <= res.verdict.bound * res.value
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .instance import (Instance, complete_edges, degrees, edge, edges_cost,
                        over_lcm)
-from .parity import split_path_join, tjoin_cut_violations
+from .parity import tjoin_cut_violations
 from .simplex import ExactSimplex, cutting_planes, delta_rows
 from .tree_decomp import tree_key
 
@@ -146,23 +146,23 @@ def _shortcut(tree, join, inst: Instance):
     return Tour(vertices=tuple(seq), cost=cost)
 
 
-def best_of_many(dist, inst: Instance):
-    """Cheapest tree-plus-join over the support; ties go to the first
-    atom in canonical order.  Returns (rows, best Tour, bomc value) where
-    rows hold (atom, tree cost, join cost, total) in that order.  Each
+def best_of_many(dist, parities, inst: Instance):
+    """Cheapest tree-plus-join over the support, given each atom's
+    TreeParity (parities[i] splits dist[i]); ties go to the first atom in
+    canonical order.  Returns (rows, best Tour, bomc value) where rows
+    hold (atom, tree cost, join cost, total) in that order.  Each
     distinct T_S is joined once, so a tree listed twice costs one join."""
     if not dist:
         raise ValueError("empty distribution")
-    atoms = sorted(dist, key=lambda a: tree_key(a.tree))
     rows = []
     best = None
     joins = {}   # T_S -> its minimum T_S-join
-    for atom in atoms:
+    for atom, par in sorted(zip(dist, parities),
+                            key=lambda pair: tree_key(pair[0].tree)):
         tree_cost = edges_cost(atom.tree, inst)
-        t_set = split_path_join(atom.tree, inst).t_set
-        if t_set not in joins:
-            joins[t_set] = min_tjoin(t_set, inst)
-        join = joins[t_set]
+        if par.t_set not in joins:
+            joins[par.t_set] = min_tjoin(par.t_set, inst)
+        join = joins[par.t_set]
         join_cost = edges_cost(join, inst)
         total = tree_cost + join_cost
         rows.append((atom, tree_cost, join_cost, total))

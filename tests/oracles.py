@@ -13,10 +13,11 @@ circularity.
 First come the builders that several test modules share, so that each is
 written once and no test module imports another: the all-ones instance,
 the incidence vector and tree of a vertex sequence, the wall at k with its
-narrow-cut chain and, when asked, its reassembled distribution, and the
-hypothesis strategies for random graphs, chains and trees with the packing
-check.  They are not oracles: wall builds its inputs with the package's
-narrow_cuts and reassemble, which other tests hold to the references.
+narrow-cut chain and, when asked, its reassembled distribution, each
+atom's path-join split, and the hypothesis strategies for random graphs,
+chains and trees with the packing check.  They are not oracles: wall
+builds its inputs with the package's narrow_cuts and reassemble, which
+other tests hold to the references.
 
 The checkers near the end are not agreement oracles: they restate what a
 result must satisfy (a metric, a tight-cut basis of the wall fixture, an
@@ -99,6 +100,11 @@ def wall(k, reassembled=False):
     if reassembled:
         dist, _ = reassemble(dist, chain)
     return inst, xstar, dist, chain
+
+
+def tree_parities(dist, inst):
+    """Each atom's TreeParity, in dist's order, as best_of_many takes them."""
+    return [split_path_join(atom.tree, inst) for atom in dist]
 
 
 @st.composite

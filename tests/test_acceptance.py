@@ -102,7 +102,7 @@ def test_criterion_3(params):
         assert audit.all_ok
         verdict = parity.certify_bound(audit, parity.correction_vectors(table))
         assert verdict.certified and verdict.bound == 2 - BETA
-        _, _, bomc_value = bomc.best_of_many(final, inst)
+        _, _, bomc_value = bomc.best_of_many(final, table.parities, inst)
         assert bomc_value <= (2 - BETA) * vector_cost(xstar, inst)
         for rec in records:
             assert validate_exchange_record(rec, chain) == []
@@ -192,7 +192,8 @@ def property_results(params, legacy_params):
         assert verdict.certified
 
         # (f) tour and ratio bounds
-        _, tour, bomc_value = bomc.best_of_many(final, inst)
+        _, tour, bomc_value = bomc.best_of_many(final, table.parities,
+                                                inst)
         assert tour.cost <= bomc_value <= (2 - BETA) * sol.value
         opt = bomc.held_karp_opt(inst)
         assert tour.cost <= Fraction(1599, 1000) * opt

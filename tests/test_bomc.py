@@ -38,6 +38,7 @@ from .oracles import (
     path_min_cost,
     path_tree,
     tjoin_subset_dp,
+    tree_parities,
     uniform_instance,
     wall,
 )
@@ -49,7 +50,8 @@ def cost_of(edges, inst):
 
 def tour_from_tree(tree, inst):
     """(tree + min parity join cost, shortcut Tour) of one tree."""
-    _, tour, value = best_of_many([Atom(tree, Fraction(1))], inst)
+    dist = [Atom(tree, Fraction(1))]
+    _, tour, value = best_of_many(dist, tree_parities(dist, inst), inst)
     return value, tour
 
 
@@ -285,7 +287,7 @@ def test_best_of_many_solves_one_join_per_atom(monkeypatch):
         return min_tjoin(T, inst)
 
     monkeypatch.setattr("pathtsp.bomc.min_tjoin", counting)
-    rows, tour, value = best_of_many(dist, inst)
+    rows, tour, value = best_of_many(dist, tree_parities(dist, inst), inst)
     assert len(calls) == len(dist) == 4
     winner = next(atom for atom, _, _, total in rows if total == value)
     assert tour == tour_from_tree(winner.tree, inst)[1]
@@ -315,7 +317,7 @@ def test_best_of_many_picks_the_minimum_row():
     inst = random_metric_instance(8, 11)
     x = solve_lp(inst).x
     dist = decompose(x, inst)
-    rows, tour, bomc = best_of_many(dist, inst)
+    rows, tour, bomc = best_of_many(dist, tree_parities(dist, inst), inst)
     assert bomc == min(total for _, _, _, total in rows)
     assert tour.cost <= bomc
     assert len(rows) == len(dist)
@@ -349,7 +351,7 @@ def test_a_tree_listed_twice_is_joined_and_checked_once(monkeypatch,
     t_sets = [split_path_join(a.tree, inst).t_set for a in final]
     assert len(set(t_sets)) == len(final)   # one T_S per distinct tree
 
-    rows, _, _ = best_of_many(dist, inst)
+    rows, _, _ = best_of_many(dist, tree_parities(dist, inst), inst)
     assert len(rows) == len(dist)   # every atom keeps its row
     assert sorted(map(sorted, seen["min_tjoin"])) == sorted(map(sorted,
                                                                 t_sets))
@@ -369,11 +371,11 @@ def test_best_of_many_breaks_ties_canonically():
     first = path_tree((0, 1, 2, 3))
     second = path_tree((0, 2, 1, 3))
     dist = [Atom(second, Fraction(1, 2)), Atom(first, Fraction(1, 2))]
-    rows, tour, bomc = best_of_many(dist, inst)
+    rows, tour, bomc = best_of_many(dist, tree_parities(dist, inst), inst)
     assert bomc == 3 and [r[3] for r in rows] == [3, 3]
     assert tour.vertices == (0, 1, 2, 3)
     with pytest.raises(ValueError):
-        best_of_many([], inst)
+        best_of_many([], [], inst)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -401,7 +403,7 @@ def test_bound_chain_on_a_fractional_solution():
     inst = random_metric_instance(9, 13)
     x = solve_lp(inst).x
     dist = decompose(x, inst)
-    rows, tour, bomc = best_of_many(dist, inst)
+    rows, tour, bomc = best_of_many(dist, tree_parities(dist, inst), inst)
     average = sum((atom.weight * total for atom, _, _, total in rows), ZERO)
     assert tour.cost <= bomc <= average
     assert tour.cost >= held_karp_opt(inst)
@@ -410,7 +412,7 @@ def test_bound_chain_on_a_fractional_solution():
 def test_tour_report_format():
     inst = uniform_instance(4)
     dist = [Atom(path_tree((0, 1, 2, 3)), Fraction(1))]
-    rows, _, bomc = best_of_many(dist, inst)
+    rows, _, bomc = best_of_many(dist, tree_parities(dist, inst), inst)
     lines = format_tour_report(rows, bomc, opt_cost=held_karp_opt(inst))
     assert lines[0] == "atom=0 tree_cost=3 join_cost=0 total=3"
     assert lines[-1] == "bomc=3 opt=3 ratio≈1.000000"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pathtsp import lp_relax
+from pathtsp import cli, lp_relax, parity
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
 from pathtsp.instance import random_metric_instance, write_instance
 from pathtsp.reassembler import reassemble
@@ -233,6 +233,63 @@ def test_run_reports_match_the_recorded_digests(tmp_path):
     assert digests == {key: recorded[key] for key in jobs}
 
 
+TIMELINES = {
+    "appendix --k 0": ["build", "check-lp-point", "narrow-cuts",
+                       "reassemble", "assign-gamma", "benefits",
+                       "correction-vectors", "certify", "tours"],
+    "appendix --k 0 --skip-reassembly": [
+        "build", "check-lp-point", "narrow-cuts", "assign-gamma",
+        "benefits", "correction-vectors", "certify", "tours"],
+    "random --n 8 --seed 0": [
+        "build", "solve-lp", "narrow-cuts", "decompose", "reassemble",
+        "assign-gamma", "benefits", "correction-vectors", "certify",
+        "tours", "baseline"],
+    "FILE": ["solve-lp", "narrow-cuts", "decompose", "reassemble",
+             "assign-gamma", "benefits", "correction-vectors", "certify",
+             "tours"]}
+
+
+@pytest.mark.parametrize("target", TIMELINES)
+def test_run_times_each_stage_once_in_order(tmp_path, capsys, target):
+    # the names and order of the timing lines, one per stage that ran; FILE
+    # is the n = 26 seed 1 instance
+    path = tmp_path / "n26.txt"
+    write_instance(random_metric_instance(26, 1), path)
+    argv = target.replace("FILE", str(path)).split()
+    # the raw wall is not certified, so that run exits 1
+    assert main(["run", *argv]) == int("--skip-reassembly" in argv)
+    lines = capsys.readouterr().out.splitlines()
+    timings = lines[lines.index("# timings") + 1:]
+    assert [ln.split()[0] for ln in timings] == [
+        f"stage={name}" for name in TIMELINES[target]]
+
+
+@pytest.mark.parametrize("target, atoms", [("appendix --k 5", 4),
+                                           ("FILE", 10)])
+def test_run_splits_each_atom_once(tmp_path, monkeypatch, capsys, target,
+                                   atoms):
+    # the tours stage reads T_S from the gamma table, so one run splits
+    # each atom's tree into its s-t path and T_S-join once: 4 atoms on the
+    # k = 5 wall, 10 on the reassembled n = 26 seed 1 instance (FILE);
+    # every module that holds split_path_join gets the counting wrapper
+    path = tmp_path / "n26.txt"
+    write_instance(random_metric_instance(26, 1), path)
+    split = parity.split_path_join
+    calls = []
+
+    def counting(tree, inst):
+        calls.append(tree)
+        return split(tree, inst)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pathtsp") and \
+                getattr(module, "split_path_join", None) is split:
+            monkeypatch.setattr(module, "split_path_join", counting)
+    assert main(["run", *target.replace("FILE", str(path)).split()]) == 0
+    capsys.readouterr()
+    assert len(calls) == atoms
+
+
 def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main([])
@@ -252,7 +309,13 @@ def test_run_checks_the_gamma_settings_before_any_stage(monkeypatch,
         raise AssertionError("the LP was solved before the settings were "
                              "checked")
 
+    def build(*args):
+        raise AssertionError("the instance was built before the settings "
+                             "were checked")
+
     monkeypatch.setattr(lp_relax, "solve_lp", solve_lp)
+    monkeypatch.setattr(cli, "build_appendix_instance", build)
+    monkeypatch.setattr(cli, "random_metric_instance", build)
     assert main(["run", "random", "--n", "30", "--beta", "1/2"]) == 2
     assert capsys.readouterr().err == "pathtsp: beta 1/2 outside [0.4, 0.5)\n"
     # inside [2/5, 1/2) a beta whose nu is at most 1/2 is refused too

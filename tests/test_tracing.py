@@ -48,3 +48,21 @@ def test_tracer_wraps_and_restores_every_layer(capsys):
     assert metrics["reassembler.exchanges"] == 6
     assert metrics["cuts.narrow_cuts_calls"] == 1
     assert metrics["parity.correction_vectors_calls"] == 1
+
+
+def test_the_tracer_sees_every_stage_of_run(capsys):
+    # run reaches each stage through the module attribute the tracer
+    # wraps, so each wrapper records the one call of the run
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert tracer.run_request(main, ["run", "appendix", "--k", "0"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    totals = tracer.totals()
+    for name in ("cli.check_lp_point", "parity.assign_gamma",
+                 "parity.certify_bound", "bomc.best_of_many"):
+        assert totals["calls"][name] == 1, name
+    assert tracing.layer_metrics([totals])["cli.check_lp_point_s"] > 0
