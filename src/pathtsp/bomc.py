@@ -37,7 +37,7 @@ from .tree_decomp import tree_key
 HELD_KARP_LIMIT = 18
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tour:
     vertices: tuple   # permutation of V, vertices[0] = s, vertices[-1] = t
     cost: Fraction

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from . import bomc, cuts, lp_relax, parity, reassembler, tree_decomp
 from .instance import (build_appendix_instance, instance_digest, over_lcm,
-                       parse_rational, random_metric_instance, read_instance,
-                       vector_cost, write_instance)
-from .parity import BETA_DEFAULT
+                       random_metric_instance, read_instance, vector_cost,
+                       write_instance)
 
 OPT_BASELINE_LIMIT = 12   # held_karp in reports only at this size or below
 
@@ -172,7 +171,7 @@ def pipeline(inst, x=None, dist0=None, params=parity.GammaParams(),
 
 
 def gamma_params(args):
-    return parity.GammaParams(args.beta, args.legacy_gamma_half)
+    return parity.LEGACY if args.legacy_gamma_half else parity.GammaParams()
 
 
 def census_lines(dist, chain):
@@ -213,7 +212,7 @@ def cmd_gen(args):
 
 def cmd_solve_lp(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     sol = r.stage("solve-lp", lp_relax.solve_lp, inst)
     if args.output:
         lp_relax.write_solution(args.output, sol.x, sol.value)
@@ -226,7 +225,7 @@ def cmd_solve_lp(args):
 
 def cmd_decompose(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     x, _ = lp_relax.read_solution(args.solution)
     r.stage("check-lp-point", check_lp_point, x, inst)
     dist = r.stage("decompose", tree_decomp.decompose, x, inst)
@@ -239,7 +238,7 @@ def cmd_decompose(args):
 
 def cmd_reassemble(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     x, _ = lp_relax.read_solution(args.solution)
     r.stage("check-lp-point", check_lp_point, x, inst)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
@@ -260,7 +259,7 @@ def cmd_reassemble(args):
 
 def cmd_audit(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = gamma_params(args)
@@ -275,7 +274,7 @@ def cmd_audit(args):
 
 def cmd_tour(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     parities = [parity.split_path_join(a.tree, inst) for a in dist]
     rows, tour, value, opt = tour_stages(r, dist, parities, inst)
@@ -287,7 +286,7 @@ def cmd_tour(args):
 
 def cmd_verify(args):
     r = Runner()
-    inst = read_instance(args.instance, closure=args.closure)
+    inst = read_instance(args.instance)
     x, _ = lp_relax.read_solution(args.solution)
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     params = gamma_params(args)
@@ -331,7 +330,7 @@ def cmd_run(args):
             raise ValueError("run random requires --n")
         inst = r.stage("build", random_metric_instance, args.n, args.seed)
     else:
-        inst = read_instance(args.target, closure=args.closure)
+        inst = read_instance(args.target)
     res = pipeline(inst, x, dist0, params, not args.skip_reassembly, r)
 
     r.lines.append(f"instance={instance_digest(inst)} n={inst.n} "
@@ -360,17 +359,9 @@ def cmd_run(args):
 
 # ----- argument parsing -----
 
-def _add_instance_flags(sp):
-    sp.add_argument("--closure", action="store_true",
-                    help="complete a partial cost list by shortest paths "
-                    "(a full list is kept as given and must be metric)")
-
-
 def _add_param_flags(sp):
-    sp.add_argument("--beta", type=parse_rational, default=BETA_DEFAULT,
-                    metavar="A/B")
     sp.add_argument("--legacy-gamma-half", action="store_true",
-                    help="uniform gamma = 1/2 (use with --beta 2/5)")
+                    help="Sebo's 8/5 audit: uniform gamma = 1/2 at beta = 2/5")
 
 
 def _add_gen(sub):
@@ -392,7 +383,6 @@ def _add_solve_lp(sub):
     sp = sub.add_parser("solve-lp", help="solve the relaxation exactly")
     sp.add_argument("instance")
     sp.add_argument("-o", "--output", help="solution file to write")
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_solve_lp)
 
 
@@ -402,7 +392,6 @@ def _add_decompose(sub):
     sp.add_argument("instance")
     sp.add_argument("solution")
     sp.add_argument("-o", "--output", required=True)
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_decompose)
 
 
@@ -414,7 +403,6 @@ def _add_reassemble(sub):
     sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--initial", help="distribution to start from")
     sp.add_argument("--trace", action="store_true")
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_reassemble)
 
 
@@ -425,7 +413,6 @@ def _add_audit(sub):
     sp.add_argument("dist")
     sp.add_argument("-o", "--output")
     _add_param_flags(sp)
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_audit)
 
 
@@ -434,7 +421,6 @@ def _add_tour(sub):
     sp.add_argument("instance")
     sp.add_argument("dist")
     sp.add_argument("-o", "--output")
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_tour)
 
 
@@ -446,7 +432,6 @@ def _add_verify(sub):
     sp.add_argument("solution")
     sp.add_argument("-o", "--output")
     _add_param_flags(sp)
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_verify)
 
 
@@ -462,7 +447,6 @@ def _add_run(sub):
     sp.add_argument("--skip-reassembly", action="store_true")
     sp.add_argument("--trace", action="store_true")
     _add_param_flags(sp)
-    _add_instance_flags(sp)
     sp.set_defaults(fn=cmd_run)
 
 

@@ -262,7 +262,7 @@ def narrow_cuts(x: dict, inst: Instance) -> CutChain:
 
 # ----- per-cut crossing statistics of a distribution -----
 
-@dataclass
+@dataclass(frozen=True)
 class CutStat:
     load: Fraction
     p_even: Fraction

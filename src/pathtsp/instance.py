@@ -8,6 +8,9 @@ Conventions used across the package:
     its tokens are plain digits, Fractions elsewhere.  Readers take either
     through as_integer_ratio() or over_lcm; writers print either with str(),
     "p/q" in lowest terms or "p" for a whole number;
+  * an instance file that lists every pair is kept as given and must be
+    metric; one that lists fewer pairs is completed by metric_closure, and
+    one with fewer than n - 1 edges is refused as disconnected;
   * all arithmetic is exact (ints and fractions.Fraction), never floats.
 """
 
@@ -141,8 +144,8 @@ def metric_closure(n, weighted_edges):
 
 def random_metric_instance(n: int, seed: int) -> Instance:
     """Deterministic random metric: closure of a random connected integer-weighted graph."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if n < 2:
+        raise ValueError("need at least two vertices")
     rng = random.Random(f"pathtsp/{n}/{seed}")
     order = list(range(n))
     rng.shuffle(order)
@@ -168,7 +171,7 @@ def emit_instance(inst: Instance) -> str:
         [f"{u} {v} {inst.cost[u, v]}\n" for u, v in complete_edges(inst.n)])
 
 
-def parse_instance(text: str, closure: bool = False) -> Instance:
+def parse_instance(text: str) -> Instance:
     rows = [ln for ln in (raw.strip() for raw in text.splitlines())
             if ln and not ln.startswith("#")]
     if not rows:
@@ -196,9 +199,6 @@ def parse_instance(text: str, closure: bool = False) -> Instance:
     # the edges are in range and distinct, so counting finds the gaps
     missing = (n * (n - 1) // 2 if n > 1 else 0) - len(given)
     if missing:
-        if not closure:
-            raise ValueError(f"{missing} missing edge costs (use closure mode "
-                             "to complete by shortest paths)")
         if len(given) < n - 1:  # checked before the n x n table is built
             raise ValueError("support graph is disconnected")
         cost = metric_closure(n, given)
@@ -216,9 +216,9 @@ def parse_instance(text: str, closure: bool = False) -> Instance:
     return Instance(n=n, s=s, t=t, cost=cost)
 
 
-def read_instance(path, closure=False) -> Instance:
+def read_instance(path) -> Instance:
     with open(path) as fh:
-        return parse_instance(fh.read(), closure=closure)
+        return parse_instance(fh.read())
 
 
 def write_instance(inst: Instance, path):

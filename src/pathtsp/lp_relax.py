@@ -48,7 +48,7 @@ from .tree_decomp import is_spanning_tree
 ADD_PER_ROUND = 32   # most-violated cuts appended per round
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpSolution:
     x: dict
     value: Fraction

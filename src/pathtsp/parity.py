@@ -10,7 +10,9 @@ gamma_{S,e} in [0,1] from the two quantities
     gamma = f2 if f2 < f1 else 1 - f1,     f(x) = beta(2-x)(x-1)/(1-2beta),
 
 or gamma = 1/2 on every path edge when GammaParams.uniform_half is set
-(Sebo's uniform assignment, the legacy audit mode).  e^S_C, the first path
+(Sebo's uniform assignment).  The default GammaParams() is the paper's
+audit at beta = 401/1000, which certifies 2 - beta = 1.599; LEGACY, the
+uniform gamma at beta = 2/5, is Sebo's audit of 8/5.  e^S_C, the first path
 edge crossing the narrow cut C, is found for every level of the chain in
 one walk along the path, and kept with gamma in the GammaTable.
 
@@ -69,13 +71,12 @@ def f_value(beta: Fraction, x) -> Fraction:
     return Fraction(bn * (2 * xd - xn) * (xn - xd), xd * xd * (bd - 2 * bn))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaParams:
     beta: Fraction = BETA_DEFAULT
     uniform_half: bool = False   # gamma = 1/2 on every path edge
 
     def __post_init__(self):
-        self.beta = Fraction(self.beta)
         if not Fraction(2, 5) <= self.beta < HALF:
             raise ValueError(f"beta {self.beta} outside [0.4, 0.5)")
         if self.nu <= HALF:
@@ -84,6 +85,10 @@ class GammaParams:
     @property
     def nu(self) -> Fraction:
         return 1 - f_value(self.beta, XI)
+
+
+# Sebo's 8/5 audit: the uniform gamma = 1/2 at beta = 2/5
+LEGACY = GammaParams(Fraction(2, 5), uniform_half=True)
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def first_path_edges(parity: TreeParity, chain: CutChain) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaTable:
     """assign_gamma's result, the one input of benefits and
     correction_vectors; every gamma, cap and f(x(C)) in it is an int over g."""
@@ -191,7 +196,7 @@ CASE_SPECS = tuple(zip("1234", MIX_PAIRS, (
     lambda l, m, r, a: l + 2 * r + a - 2)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutAudit:
     cut_index: int        # index into the narrow-cut chain
     load: Fraction
@@ -204,7 +209,7 @@ class CutAudit:
     status: str           # "OK" | "FAIL"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenefitAudit:
     table: GammaTable
     per_cut: list
@@ -290,7 +295,7 @@ def benefits(table: GammaTable) -> BenefitAudit:
 
 # ----- correction vectors -----
 
-@dataclass
+@dataclass(frozen=True)
 class CorrectionVectors:
     """z^S and y^S per atom, as edge vectors of ints over den: the value
     on edge e is z[ai][e] / den."""
@@ -422,7 +427,7 @@ def check_join_membership(cv: CorrectionVectors, table: GammaTable):
 
 # ----- certification -----
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     certified: bool
     label: str          # "certified" or "fallback"

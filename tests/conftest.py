@@ -5,7 +5,7 @@ import pytest
 from pathtsp import lp_relax
 from pathtsp.cuts import narrow_cuts
 from pathtsp.instance import build_appendix_instance, random_metric_instance
-from pathtsp.parity import GammaParams
+from pathtsp.parity import LEGACY, GammaParams
 
 
 @pytest.fixture(scope="session")
@@ -70,4 +70,4 @@ def half_params():
 @pytest.fixture(scope="session")
 def legacy_params():
     """The older 8/5 audit: beta = 2/5 with the uniform gamma = 1/2."""
-    return GammaParams(beta=Fraction(2, 5), uniform_half=True)
+    return LEGACY

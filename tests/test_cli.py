@@ -5,14 +5,17 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from pathtsp import cli, lp_relax, parity
+from pathtsp import cli, parity
 from pathtsp.cli import SUBCOMMANDS, build_parser, census_lines, main
-from pathtsp.instance import random_metric_instance, write_instance
+from pathtsp.instance import (build_appendix_instance, random_metric_instance,
+                              write_instance)
 from pathtsp.reassembler import reassemble
 
 from .oracles import type_census_fraction, wall
@@ -69,8 +72,8 @@ def test_census_lines_print_the_type_census(k):
 
 def test_run_appendix_without_reassembly_fails(tmp_path):
     out = tmp_path / "raw.txt"
-    assert main(["run", "appendix", "--skip-reassembly",
-                 "--legacy-gamma-half", "--trace", "-o", str(out)]) == 1
+    assert main(["run", "appendix", "--skip-reassembly", "--trace",
+                 "-o", str(out)]) == 1
     body = strip_timings(out)
     assert "certified_beta=none" in body
     assert "verdict=fallback bound=5/3" in body
@@ -85,7 +88,7 @@ def test_verify_flags_the_raw_wall(tmp_path, capsys):
                  "--solution", str(sol), "--dist", str(dist)]) == 0
     out = tmp_path / "verify.txt"
     assert main(["verify", str(dist), str(inst), str(sol),
-                 "--legacy-gamma-half", "-o", str(out)]) == 1
+                 "-o", str(out)]) == 1
     body = strip_timings(out)
     assert "check=reconstruction status=OK" in body
     assert any(ln.startswith("check=benefit_margins status=FAIL")
@@ -211,6 +214,38 @@ def test_run_random_end_to_end(tmp_path):
     assert "verdict=certified bound=1599/1000" in body
 
 
+def test_run_random_n2_is_certified(tmp_path):
+    # two vertices, the fewest an instance has: x* is the edge s-t
+    out = tmp_path / "n2.txt"
+    assert main(["run", "random", "--n", "2", "--seed", "1",
+                 "-o", str(out)]) == 0
+    body = strip_timings(out)
+    assert "bomc=9 opt=9 ratio≈1.000000" in body
+    assert body[-1] == "verdict=certified bound=1599/1000"
+
+
+def test_a_run_record_cannot_change_the_next_default_run():
+    # pipeline's default GammaParams() is one object, shared by every call
+    # and handed back in the gamma table, so it is frozen, as is every
+    # record of the run
+    inst, x, dist0 = build_appendix_instance(0)
+    res = cli.pipeline(inst, x, dist0, reassemble=False)
+    assert res.verdict.label == "fallback"
+    params = res.audit.table.params
+    for field, value in (("uniform_half", True), ("beta", Fraction(2, 5))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(params, field, value)
+    for record in (res.verdict, res.audit, res.audit.table, res.tour):
+        with pytest.raises(FrozenInstanceError):
+            record.bound = Fraction(8, 5)
+    again = cli.pipeline(inst, x, dist0, reassemble=False)
+    assert again.audit.table.params == parity.GammaParams()
+    assert again.verdict == res.verdict
+    # the values the assignments tried are LEGACY's, which certifies 8/5
+    legacy = cli.pipeline(inst, x, dist0, parity.LEGACY, reassemble=False)
+    assert legacy.verdict.bound == Fraction(8, 5)
+
+
 def test_run_reports_match_the_recorded_digests(tmp_path):
     # perfbench/answers.json holds the sha256 of each benchmark job's report
     # above its timings; these are the `wall` jobs and the `random-n26`
@@ -303,32 +338,7 @@ def test_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "pathtsp: run random requires --n\n"
 
 
-def test_run_checks_the_gamma_settings_before_any_stage(monkeypatch,
-                                                         capsys):
-    def solve_lp(inst):
-        raise AssertionError("the LP was solved before the settings were "
-                             "checked")
-
-    def build(*args):
-        raise AssertionError("the instance was built before the settings "
-                             "were checked")
-
-    monkeypatch.setattr(lp_relax, "solve_lp", solve_lp)
-    monkeypatch.setattr(cli, "build_appendix_instance", build)
-    monkeypatch.setattr(cli, "random_metric_instance", build)
-    assert main(["run", "random", "--n", "30", "--beta", "1/2"]) == 2
-    assert capsys.readouterr().err == "pathtsp: beta 1/2 outside [0.4, 0.5)\n"
-    # inside [2/5, 1/2) a beta whose nu is at most 1/2 is refused too
-    assert main(["run", "appendix", "--beta", "49/100"]) == 2
-    assert (capsys.readouterr().err
-            == "pathtsp: nu = -76579/20000 must exceed 1/2\n")
-
-
 def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["run", "appendix", "--beta", "1/0"])
-    assert err.value.code == 2
-    assert "'1/0'" in capsys.readouterr().err
     inst = tmp_path / "inst.txt"
     inst.write_text("3 0 2\n0 1 1\n0 2 1/0\n1 2 1\n")
     assert main(["run", str(inst)]) == 2
@@ -387,12 +397,11 @@ def test_a_full_cost_file_that_is_not_a_metric_is_refused(tmp_path, capsys,
     cost_of = lambda u, v: cost[min(u, v), max(u, v)] if u != v else 0
     u, w = next((u, w) for u, w in cost if any(
         cost_of(u, v) + cost_of(v, w) < cost_of(u, w) for v in range(n)))
-    # --closure fills only missing costs: it does not repair a full file
-    for closure in ([], ["--closure"]):
-        assert main(["run", str(inst), *closure]) == 2
-        assert capsys.readouterr().err == (
-            f"pathtsp: edge {u},{w} costs more than a path through a third "
-            "vertex: not a metric\n")
+    # a full file is read as given: its missing costs alone are completed
+    assert main(["run", str(inst)]) == 2
+    assert capsys.readouterr().err == (
+        f"pathtsp: edge {u},{w} costs more than a path through a third "
+        "vertex: not a metric\n")
 
 
 def test_stage_failures_exit_2(tmp_path):
@@ -646,7 +655,14 @@ USAGE_ERRORS = [
     ["audit", "i", "s", "d", "--beta", "1/0"],
     ["reassemble", "i", "s", "-o", "f", "--beta", "1/2"],
     ["run", "appendix", "--xi", "8/5"],
-    ["reassemble", "i", "s", "-o", "f", "--eps", "1/100"]]
+    ["reassemble", "i", "s", "-o", "f", "--eps", "1/100"],
+    # a partial cost file is completed and the audit is one of two, so
+    # neither --closure nor --beta is a flag of any subcommand
+    ["run", "appendix", "--closure"], ["solve-lp", "i", "--closure"],
+    ["tour", "i", "d", "--closure"], ["verify", "d", "i", "s", "--closure"],
+    ["run", "appendix", "--beta", "2/5"],
+    ["audit", "i", "s", "d", "--legacy-gamma-half", "--beta", "2/5"],
+    ["verify", "d", "i", "s", "--beta", "401/1000"]]
 
 
 @pytest.mark.parametrize("argv", HELP + USAGE_ERRORS)

@@ -1,9 +1,9 @@
 """The first instance off the wall that needs reassembly.
 
 tests/data/graph20.txt is a unit-length graph on 20 vertices (s = 6,
-t = 4, 30 edges), read with --closure as its shortest-path metric.
-graph20.sol is its LP optimum x* (`solve-lp --closure -o`), and
-graph20_raw.dist the four trees `decompose --closure` writes for it.  The
+t = 4, 30 edges), a partial cost file, read as its shortest-path metric.
+graph20.sol is its LP optimum x* (`solve-lp -o`), and graph20_raw.dist
+the four trees `decompose` writes for it.  The
 raw distribution fails the benefit audit at one cut; reassembly makes two
 exchanges, after which the distribution certifies 1599/1000.
 """
@@ -35,7 +35,7 @@ def report(tmp_path, argv):
 
 @pytest.fixture(scope="module")
 def inst():
-    return read_instance(INST, closure=True)
+    return read_instance(INST)
 
 
 def test_the_instance_and_its_lp_optimum(inst):
@@ -56,14 +56,13 @@ def test_the_stored_distribution_reconstructs_the_point(inst):
 
 
 def test_the_raw_distribution_fails_at_one_cut(tmp_path):
-    rc, lines = report(tmp_path, ["audit", INST, SOL, RAW, "--closure"])
+    rc, lines = report(tmp_path, ["audit", INST, SOL, RAW])
     assert rc == 1
     failed = [ln for ln in lines if ln.endswith("status=FAIL")]
     assert failed == ["cut=6 load=3/2 case=none benefit=1/2 "
                       "required=401/792 margin=-5/792 status=FAIL"]
     assert lines[-1] == "certified_beta=none"
-    rc, lines = report(tmp_path, ["run", INST, "--closure",
-                                  "--skip-reassembly"])
+    rc, lines = report(tmp_path, ["run", INST, "--skip-reassembly"])
     assert rc == 1
     assert "cut=6 load=3/2 case=none benefit=1/2 required=401/792 " \
         "margin=-5/792 status=FAIL" in lines
@@ -71,7 +70,7 @@ def test_the_raw_distribution_fails_at_one_cut(tmp_path):
 
 
 def test_reassembly_certifies_after_two_exchanges(tmp_path):
-    rc, lines = report(tmp_path, ["run", INST, "--closure", "--trace"])
+    rc, lines = report(tmp_path, ["run", INST, "--trace"])
     assert rc == 0
     after = lines.index("types_after:")
     assert lines[after + 1:after + 14] == [
@@ -94,7 +93,7 @@ def test_reassembly_certifies_after_two_exchanges(tmp_path):
 
 
 def test_the_legacy_audit_certifies_the_raw_distribution(tmp_path):
-    rc, lines = report(tmp_path, ["audit", INST, SOL, RAW, "--closure",
-                                  "--legacy-gamma-half", "--beta", "2/5"])
+    rc, lines = report(tmp_path, ["audit", INST, SOL, RAW,
+                                  "--legacy-gamma-half"])
     assert rc == 0
     assert lines[-1] == "certified_beta=2/5"

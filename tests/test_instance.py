@@ -163,7 +163,7 @@ def test_metric_closure_matches_floyd_warshall(graph):
 def test_closure_rejects_a_disconnected_graph_with_enough_edges():
     # n - 1 edges pass the early count, but vertex 3 is isolated
     with pytest.raises(ValueError, match="support graph is disconnected"):
-        parse_instance("4 0 3\n0 1 1\n1 2 1\n0 2 1\n", closure=True)
+        parse_instance("4 0 3\n0 1 1\n1 2 1\n0 2 1\n")
 
 
 @settings(max_examples=25, deadline=None)
@@ -207,17 +207,21 @@ def test_random_metric_instance_is_deterministic_and_metric():
 
 
 def test_random_metric_instance_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        random_metric_instance(2, 0)
+    with pytest.raises(ValueError, match="need at least two vertices"):
+        random_metric_instance(1, 0)
+    inst = random_metric_instance(2, 0)
+    assert (inst.n, sorted((inst.s, inst.t))) == (2, [0, 1])
 
 
-def test_parse_requires_all_pairs_unless_closure():
+def test_a_partial_file_is_completed_by_shortest_paths():
     text = "4 0 3\n0 1 1\n1 2 1\n2 3 1\n"
-    with pytest.raises(ValueError):
-        parse_instance(text)
-    inst = parse_instance(text, closure=True)
+    inst = parse_instance(text)
     assert inst.cost[edge(0, 3)] == 3
     assert validate_metric(inst) == []
+    assert inst == parse_instance(emit_instance(inst))
+    # the completion is a closure: a listed cost above a path is lowered
+    inst = parse_instance(text + "0 2 5\n")
+    assert (inst.cost[edge(0, 2)], inst.cost[edge(0, 3)]) == (2, 3)
 
 
 def test_a_large_header_is_rejected_without_listing_its_edges(monkeypatch):
@@ -227,11 +231,9 @@ def test_a_large_header_is_rejected_without_listing_its_edges(monkeypatch):
 
     monkeypatch.setattr(instance, "complete_edges", allocates)
     monkeypatch.setattr(instance, "metric_closure", allocates)
-    text = "1000000 0 1\n0 1 1\n"
-    with pytest.raises(ValueError, match="^499999499999 missing edge costs"):
-        parse_instance(text)
+    # a partial file, refused for its too few edges before any distance
     with pytest.raises(ValueError, match="support graph is disconnected"):
-        parse_instance(text, closure=True)
+        parse_instance("1000000 0 1\n0 1 1\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -242,7 +244,7 @@ def test_a_large_header_is_rejected_without_listing_its_edges(monkeypatch):
     ("3 0 2\n0 3 1\n", "vertex out of range in '0 3 1'"),
     ("3 0 2\n0 1 1\n1 0 2\n", "duplicate edge (0, 1)"),
     ("3 0 2\n0 1 -1\n", "negative cost in '0 1 -1'"),
-    ("3 0 2\n0 1 1\n", "2 missing edge costs"),
+    ("3 0 2\n0 1 1\n", "support graph is disconnected"),
     ("-5 0 1\n", "need at least two vertices"),
 ])
 def test_parse_instance_rejects_malformed_text(text, message):

@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pathtsp"
 SHARED = ("ZERO", "ONE", "TWO", "HALF")
 # the fixed analysis constants and the package module that assigns each
-FIXED = {"XI": "cuts", "EPS": "reassembler", "BETA_DEFAULT": "parity"}
+FIXED = {"XI": "cuts", "EPS": "reassembler", "BETA_DEFAULT": "parity",
+         "LEGACY": "parity"}
 PLACEHOLDER = re.compile(r"\{[A-Za-z_]\w*\}")
 TEST_MODULE = re.compile(r"(^|\.)test_")
 
@@ -43,8 +44,9 @@ def test_shared_constants_are_defined_once():
             owners[name].append(path.name)
     twice = {name: mods for name, mods in owners.items() if len(mods) > 1}
     assert not twice, f"shared constants assigned in several modules: {twice}"
-    # xi, eps and the default beta are assigned in their modules alone, in
-    # the package, its tests, demos and benchmark; test_acceptance restates
+    # xi, eps, the default beta and the legacy audit are assigned in their
+    # modules alone, in the package, its tests, demos and benchmark;
+    # test_acceptance restates
     # the paper's values on its own and checks them against the package's
     others = [path for folder in ("tests", "demos", "perfbench")
               for path in sorted((ROOT / folder).glob("*.py"))
@@ -248,9 +250,37 @@ def test_simplex_builds_fractions_only_in_its_readers():
     assert not extra, f"Fraction( called outside the readers: {extra}"
 
 
+# the one record filled after it is built: the chain's crossing profiles
+UNFROZEN = {"CutChain"}
+
+
+def unfrozen_records(source):
+    """The names of the classes in one source text made by a dataclass
+    decorator without frozen=True."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        for dec in getattr(node, "decorator_list", []):
+            call = isinstance(dec, ast.Call)
+            func = dec.func if call else dec
+            name = getattr(func, "id", getattr(func, "attr", None))
+            frozen = call and any(kw.arg == "frozen" and
+                                  getattr(kw.value, "value", None) is True
+                                  for kw in dec.keywords)
+            if isinstance(node, ast.ClassDef) and name == "dataclass" \
+                    and not frozen:
+                out.append(node.name)
+    return out
+
+
 def test_records_are_built_whole():
-    # each record is made once, with every field; no module of the package
-    # rebuilds one with dataclasses.replace
+    # each record is made once, with every field, and frozen, so that a
+    # record handed back (a default GammaParams() among them) cannot be
+    # changed under its next reader; no module of the package rebuilds
+    # one with dataclasses.replace
+    unfrozen = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                for name in unfrozen_records(path.read_text())
+                if name not in UNFROZEN]
+    assert not unfrozen, f"records that are not frozen: {unfrozen}"
     users = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
@@ -261,6 +291,16 @@ def test_records_are_built_whole():
              and isinstance(node.value, ast.Name)
              and node.value.id == "dataclasses"]
     assert not users, f"dataclasses.replace used: {users}"
+
+
+def test_the_frozen_record_rule_catches_planted_records():
+    planted = ("@dataclass\nclass A:\n    x: int\n\n"
+               "@dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+               "@dataclasses.dataclass(order=True, frozen=False)\n"
+               "class C:\n    x: int\n\n"
+               "@dataclasses.dataclass(frozen=True)\nclass D:\n    x: int\n\n"
+               "class E:\n    x: int\n")
+    assert unfrozen_records(planted) == ["A", "C"]
 
 
 def test_only_cuts_reads_the_chain_layers():
