@@ -12,11 +12,11 @@ printed here is an exact rational.
 
 from fractions import Fraction
 
-from pathtsp.bomc import format_tour_report
-from pathtsp.cli import Runner, certify_stages, pipeline
-from pathtsp.cuts import XI, format_cut_report
+from pathtsp.cli import (Runner, certify_stages, format_audit_lines,
+                         format_cut_report, format_tour_report, pipeline)
+from pathtsp.cuts import XI
 from pathtsp.instance import build_appendix_instance
-from pathtsp.parity import GammaParams, format_audit_lines
+from pathtsp.parity import GammaParams
 from pathtsp.reassembler import census
 
 RULE = "-" * 72

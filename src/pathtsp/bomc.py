@@ -209,17 +209,3 @@ def held_karp_opt(inst: Instance) -> Fraction:
     best = dp[size - 1][others.index(inst.t)]
     assert best is not INF
     return Fraction(best, scale)
-
-
-def format_tour_report(rows, bomc_value, opt_cost=None):
-    lines = []
-    for k, (atom, tree_cost, join_cost, total) in enumerate(rows):
-        lines.append(f"atom={k} tree_cost={tree_cost} "
-                     f"join_cost={join_cost} total={total}")
-    tail = f"bomc={bomc_value}"
-    if opt_cost is not None:
-        tail += f" opt={opt_cost}"
-        if opt_cost:   # no ratio to an optimum of cost 0
-            tail += f" ratio≈{float(bomc_value / opt_cost):.6f}"
-    lines.append(tail)
-    return lines

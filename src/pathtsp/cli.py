@@ -3,7 +3,9 @@ certificate checker.
 
 `pipeline` runs each stage once and returns a `RunResult`, which `run`
 formats and the demos print; it calls each stage through its module, so a
-wrapper set on the module attribute sees the call.
+wrapper set on the module attribute sees the call.  The stage modules
+return records only: every line of every subcommand's report is built
+here, by the report-line functions and the subcommands themselves.
 
 Exit status: 0 = all audits pass, 1 = an audit FAILed, 2 = usage, parse,
 or stage error.  Reports are deterministic byte-for-byte for identical
@@ -174,6 +176,17 @@ def gamma_params(args):
     return parity.LEGACY if args.legacy_gamma_half else parity.GammaParams()
 
 
+# ----- report lines -----
+
+def format_cut_report(chain: cuts.CutChain) -> list:
+    lines = ["cuts:"]
+    for i, level in enumerate(chain.levels):
+        ids = " ".join(str(v) for v in level)
+        xi_flag = "yes" if i in chain.xi_indices else "no"
+        lines.append(f"  {ids} load {chain.loads[i]} xi_narrow: {xi_flag}")
+    return lines
+
+
 def census_lines(dist, chain):
     nums, den = tree_decomp.weight_ints(dist)
     masses = reassembler.census((a.tree for a in dist), nums, chain)
@@ -191,6 +204,32 @@ def exchange_lines(records):
         out.append(f"  cut={rec.cut_index} dir={rec.direction} "
                    f"delta={rec.delta} h={rec.h} k={rec.k}")
     return out
+
+
+def format_audit_lines(audit: parity.BenefitAudit, verdict: parity.Verdict):
+    lines = []
+    for c in audit.per_cut:
+        lines.append(
+            f"cut={c.cut_index} load={c.load} case={c.case} "
+            f"benefit={c.total} required={c.required} "
+            f"margin={c.margin} status={c.status}")
+    beta = audit.table.params.beta
+    lines.append(f"certified_beta={beta if verdict.certified else 'none'}")
+    return lines
+
+
+def format_tour_report(rows, bomc_value, opt_cost=None):
+    lines = []
+    for k, (atom, tree_cost, join_cost, total) in enumerate(rows):
+        lines.append(f"atom={k} tree_cost={tree_cost} "
+                     f"join_cost={join_cost} total={total}")
+    tail = f"bomc={bomc_value}"
+    if opt_cost is not None:
+        tail += f" opt={opt_cost}"
+        if opt_cost:   # no ratio to an optimum of cost 0
+            tail += f" ratio≈{float(bomc_value / opt_cost):.6f}"
+    lines.append(tail)
+    return lines
 
 
 # ----- subcommand implementations -----
@@ -267,7 +306,7 @@ def cmd_audit(args):
     r.stage("reconstruction", tree_decomp.check_reconstruction, x, dist)
     chain = r.stage("narrow-cuts", cuts.narrow_cuts, x, inst)
     audit, verdict = certify_stages(r, dist, chain, params)
-    r.lines.extend(parity.format_audit_lines(audit, verdict))
+    r.lines.extend(format_audit_lines(audit, verdict))
     r.emit(args.output)
     return 0 if verdict.certified else 1
 
@@ -278,7 +317,7 @@ def cmd_tour(args):
     dist = tree_decomp.read_distribution(args.dist, n=inst.n)
     parities = [parity.split_path_join(a.tree, inst) for a in dist]
     rows, tour, value, opt = tour_stages(r, dist, parities, inst)
-    r.lines.extend(bomc.format_tour_report(rows, value, opt))
+    r.lines.extend(format_tour_report(rows, value, opt))
     r.lines.append("path=" + " ".join(str(v) for v in tour.vertices))
     r.emit(args.output)
     return 0
@@ -336,15 +375,15 @@ def cmd_run(args):
     r.lines.append(f"instance={instance_digest(inst)} n={inst.n} "
                    f"s={inst.s} t={inst.t}")
     r.lines.append(f"lp_value={res.value}")
-    r.lines.extend(cuts.format_cut_report(res.chain))
+    r.lines.extend(format_cut_report(res.chain))
     r.lines.append("types_before:")
     r.lines.extend(census_lines(res.dist0, res.chain))
     r.lines.append("types_after:")
     r.lines.extend(census_lines(res.dist, res.chain))
     if args.trace and res.records:
         r.lines.extend(exchange_lines(res.records))
-    r.lines.extend(parity.format_audit_lines(res.audit, res.verdict))
-    r.lines.extend(bomc.format_tour_report(res.rows, res.bomc, res.opt))
+    r.lines.extend(format_audit_lines(res.audit, res.verdict))
+    r.lines.extend(format_tour_report(res.rows, res.bomc, res.opt))
 
     bound_ok = True
     if res.verdict.certified:

@@ -297,14 +297,3 @@ def cut_stats(chain: CutChain, dist) -> list:
         out.append(CutStat(load=load, p_even=p_even, p_one=p_one,
                            p_many=p_many))
     return out
-
-
-# ----- report formatting -----
-
-def format_cut_report(chain: CutChain) -> list:
-    lines = ["cuts:"]
-    for i, level in enumerate(chain.levels):
-        ids = " ".join(str(v) for v in level)
-        xi_flag = "yes" if i in chain.xi_indices else "no"
-        lines.append(f"  {ids} load {chain.loads[i]} xi_narrow: {xi_flag}")
-    return lines

@@ -8,9 +8,10 @@ Conventions used across the package:
     its tokens are plain digits, Fractions elsewhere.  Readers take either
     through as_integer_ratio() or over_lcm; writers print either with str(),
     "p/q" in lowest terms or "p" for a whole number;
-  * an instance file that lists every pair is kept as given and must be
-    metric; one that lists fewer pairs is completed by metric_closure, and
-    one with fewer than n - 1 edges is refused as disconnected;
+  * an instance file that lists every pair is kept as given; one that
+    lists fewer pairs is completed by metric_closure, and one with fewer
+    than n - 1 edges is refused as disconnected.  Either kind is refused
+    when a listed cost is above a path through a third vertex;
   * all arithmetic is exact (ints and fractions.Fraction), never floats.
 """
 
@@ -198,21 +199,24 @@ def parse_instance(text: str) -> Instance:
         given[e] = q
     # the edges are in range and distinct, so counting finds the gaps
     missing = (n * (n - 1) // 2 if n > 1 else 0) - len(given)
+    # the T-join and the shortcutting assume a metric, so a listed cost
+    # above a path through a third vertex is refused in either kind of file
     if missing:
         if len(given) < n - 1:  # checked before the n x n table is built
             raise ValueError("support graph is disconnected")
         cost = metric_closure(n, given)
+        over = (e for e in sorted(given) if cost[e] < given[e])
     else:
-        # a closure is metric by construction; a full file is checked, as
-        # the T-join and the shortcutting assume a metric (row[u]: u's costs)
         cost = {e: given[e] for e in sorted(given)}
-        row = [[0] * n for _ in range(n)]
+        row = [[0] * n for _ in range(n)]  # row[u]: u's costs
         for (u, w), c in cost.items():
             row[u][w] = row[w][u] = c
-        for (u, w), c in cost.items():
-            if min(map(add, row[u], row[w])) < c:
-                raise ValueError(f"edge {u},{w} costs more than a path "
-                                 "through a third vertex: not a metric")
+        over = ((u, w) for (u, w), c in cost.items()
+                if min(map(add, row[u], row[w])) < c)
+    bad = next(over, None)
+    if bad is not None:
+        raise ValueError(f"edge {bad[0]},{bad[1]} costs more than a path "
+                         "through a third vertex: not a metric")
     return Instance(n=n, s=s, t=t, cost=cost)
 
 

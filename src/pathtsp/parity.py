@@ -503,17 +503,3 @@ def check_packing(dist, chain: CutChain):
                 assert e not in seen, (
                     f"atom {ai}: edge {e} defines two narrow cuts")
                 seen.add(e)
-
-
-# ----- report formatting -----
-
-def format_audit_lines(audit: BenefitAudit, verdict: Verdict):
-    lines = []
-    for c in audit.per_cut:
-        lines.append(
-            f"cut={c.cut_index} load={c.load} case={c.case} "
-            f"benefit={c.total} required={c.required} "
-            f"margin={c.margin} status={c.status}")
-    beta = audit.table.params.beta
-    lines.append(f"certified_beta={beta if verdict.certified else 'none'}")
-    return lines

@@ -155,12 +155,6 @@ def decompose(x: dict, inst: Instance):
     """
     n = inst.n
     edges = support(x)
-    if len(edges) == n - 1 and all(x[e] == 1 for e in edges):
-        tree = frozenset(edges)
-        if not is_spanning_tree(tree, n):
-            raise DecompositionError("integral x is not a spanning tree")
-        return [Atom(tree, ONE)]
-
     row_of = {e: i for i, e in enumerate(edges)}
     conv = len(edges)  # convexity row id
     sx = ExactSimplex(rows=[({}, *x[e].as_integer_ratio()) for e in edges]

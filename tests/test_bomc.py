@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from pathtsp import bomc, parity
 from pathtsp.bomc import (
     best_of_many,
-    format_tour_report,
     held_karp_opt,
     min_tjoin,
 )
+from pathtsp.cli import format_tour_report
 from pathtsp.cuts import gomory_hu_tree
 from pathtsp.instance import (
     Instance,

@@ -268,6 +268,40 @@ def test_run_reports_match_the_recorded_digests(tmp_path):
     assert digests == {key: recorded[key] for key in jobs}
 
 
+# sha256 of the report above its timings, with its exit code, on the k = 5
+# wall's designed point: the audit of its four raw trees, and the audit and
+# the tours of the trees that `reassemble --initial` makes from them
+WALL5_REPORTS = {
+    "audit raw": (
+        1, "529f0532c57c80350958be7e4f2bf8a827f821189f759b6a83c217666487757b"),
+    "audit raw --legacy-gamma-half": (
+        0, "4a182a77e8761710942d6b800b2590cbfe7a4305dabb9bab095cdf107622346a"),
+    "audit reassembled": (
+        0, "4d3be6f2eee19cde8e4a3751a13461f668b14eef8e3b2f5ad0d428256dbf48d8"),
+    "tour reassembled": (
+        0, "3dbe87d4e4429cf86af3acc0d80d696962bdf9491032831c2faa18c1d66e502d")}
+
+
+def test_audit_and_tour_reports_match_their_recorded_digests(tmp_path):
+    inst, sol, raw, fixed, out = (str(tmp_path / name) for name in (
+        "wall.txt", "wall.sol", "raw.dist", "fixed.dist", "report.txt"))
+    assert main(["gen", "appendix", "--k", "5", "-o", inst,
+                 "--solution", sol, "--dist", raw]) == 0
+    assert main(["reassemble", inst, sol, "-o", fixed,
+                 "--initial", raw]) == 0
+    jobs = {"audit raw": ["audit", inst, sol, raw],
+            "audit raw --legacy-gamma-half": ["audit", inst, sol, raw,
+                                              "--legacy-gamma-half"],
+            "audit reassembled": ["audit", inst, sol, fixed],
+            "tour reassembled": ["tour", inst, fixed]}
+    reports = {}
+    for key, argv in jobs.items():
+        code = main([*argv, "-o", out])
+        report = Path(out).read_text().split("# timings")[0]
+        reports[key] = (code, hashlib.sha256(report.encode()).hexdigest())
+    assert reports == WALL5_REPORTS
+
+
 TIMELINES = {
     "appendix --k 0": ["build", "check-lp-point", "narrow-cuts",
                        "reassemble", "assign-gamma", "benefits",
@@ -401,6 +435,17 @@ def test_a_full_cost_file_that_is_not_a_metric_is_refused(tmp_path, capsys,
     assert main(["run", str(inst)]) == 2
     assert capsys.readouterr().err == (
         f"pathtsp: edge {u},{w} costs more than a path through a third "
+        "vertex: not a metric\n")
+
+
+def test_a_partial_cost_file_with_a_cost_above_a_path_is_refused(tmp_path,
+                                                                 capsys):
+    # 0 2 5 is above the path 0-1-2 of cost 2: refused, not lowered to 2
+    inst = tmp_path / "inst.txt"
+    inst.write_text("4 0 3\n0 1 1\n1 2 1\n2 3 1\n0 2 5\n")
+    assert main(["run", str(inst)]) == 2
+    assert capsys.readouterr().err == (
+        "pathtsp: edge 0,2 costs more than a path through a third "
         "vertex: not a metric\n")
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathtsp.cli import format_cut_report
 from pathtsp.cuts import (
     ChainError,
     CutChain,
     cut_stats,
-    format_cut_report,
     gomory_hu_tree,
     narrow_cuts,
 )

@@ -219,9 +219,11 @@ def test_a_partial_file_is_completed_by_shortest_paths():
     assert inst.cost[edge(0, 3)] == 3
     assert validate_metric(inst) == []
     assert inst == parse_instance(emit_instance(inst))
-    # the completion is a closure: a listed cost above a path is lowered
-    inst = parse_instance(text + "0 2 5\n")
-    assert (inst.cost[edge(0, 2)], inst.cost[edge(0, 3)]) == (2, 3)
+    # a listed cost above a path is refused, as in a full file
+    with pytest.raises(ValueError, match=re.escape(
+            "edge 0,2 costs more than a path through a third vertex: "
+            "not a metric")):
+        parse_instance(text + "0 2 5\n")
 
 
 def test_a_large_header_is_rejected_without_listing_its_edges(monkeypatch):

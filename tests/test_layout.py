@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pathtsp"
-SHARED = ("ZERO", "ONE", "TWO", "HALF")
+SHARED = ("ZERO", "ONE", "HALF")
 # the fixed analysis constants and the package module that assigns each
 FIXED = {"XI": "cuts", "EPS": "reassembler", "BETA_DEFAULT": "parity",
          "LEGACY": "parity"}
@@ -303,43 +303,47 @@ def test_the_frozen_record_rule_catches_planted_records():
     assert unfrozen_records(planted) == ["A", "C"]
 
 
-def test_only_cuts_reads_the_chain_layers():
-    # which chain levels an edge crosses is decided once, by
-    # CutChain.levels_crossed; every other module asks it
-    readers = [f"{path.name}:{node.lineno}"
-               for path in sorted(SRC.glob("*.py")) if path.stem != "cuts"
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "layer"]
-    assert not readers, f"chain layers read outside cuts: {readers}"
+# attributes that one module alone touches, and that module: the chain's
+# layers (every other module asks CutChain.levels_crossed), a crossing
+# profile's type codes (read through reassembler: in bulk by census, one at
+# a time by classify and type_data; cuts builds them by keyword) and the
+# tableau's fields, its cost-row forms, basis and row maps (every other
+# module goes through simplex's constructor, warm modifications and readers)
+OWNER = {"layer": "cuts", "codes": "reassembler",
+         **dict.fromkeys(("z1", "zden", "z1den", "art_of_row", "sp_of_row",
+                          "basis"), "simplex")}
 
 
-# fields that only the tableau has: its cost-row forms, basis and row maps
-TABLEAU_FIELDS = {"z1", "zden", "z1den", "art_of_row", "sp_of_row", "basis"}
-
-
-def tableau_field_uses(source):
-    """The lines of one source text that read or assign an attribute named
-    after a tableau field."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+def owned_attribute_uses(source, module):
+    """(line, attribute) of every read or assignment, in one source text of
+    the named module, of an attribute that another module owns."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute)
-                  and node.attr in TABLEAU_FIELDS)
+                  and OWNER.get(node.attr, module) != module)
 
 
-def test_only_simplex_reads_the_tableau_fields():
-    # the tableau's form is simplex's own; every other module goes through
-    # its constructor, its warm modifications and its readers
-    users = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-             if path.stem != "simplex"
-             for line in tableau_field_uses(path.read_text())]
-    assert not users, f"tableau fields used outside simplex: {users}"
+def test_owned_attributes_are_used_only_in_their_module():
+    users = [f"{path.name}:{line} {attr}" for path in sorted(SRC.glob("*.py"))
+             for line, attr in owned_attribute_uses(path.read_text(),
+                                                    path.stem)]
+    assert not users, f"attributes used outside their module: {users}"
 
 
-def test_the_tableau_rule_catches_a_planted_use():
-    planted = ("def f(sx):\n"
+def test_the_ownership_rule_catches_planted_uses():
+    planted = ("def f(sx, chain, tree):\n"
                "    r = sx.basis.index(0)\n"
                "    sx.z1den = 1\n"
-               "    return sx.art_of_row[r], sx.rows, sx.den\n")
-    assert tableau_field_uses(planted) == [2, 3, 4]
+               "    prof = CrossingProfile(counts=[], codes=[None])\n"
+               "    lo = chain.layer[0]\n"
+               "    return sx.art_of_row[r], chain.profile(tree).codes[1], "
+               "sx.rows\n")
+    assert owned_attribute_uses(planted, "parity") == [
+        (2, "basis"), (3, "z1den"), (5, "layer"), (6, "art_of_row"),
+        (6, "codes")]
+    # a module's own attributes are its to use
+    assert owned_attribute_uses(planted, "simplex") == [
+        (5, "layer"), (6, "codes")]
 
 
 def names_read(node, modules):
@@ -399,26 +403,3 @@ def test_every_import_is_read_in_its_module():
                    if name not in loaded
                    and f"{path.stem}.{name}" not in UNREAD_IMPORTS]
     assert not unread, f"imported names their module never reads: {unread}"
-
-
-def type_code_reads(source):
-    """The lines of one source text that read an attribute named codes."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "codes")
-
-
-def test_only_reassembler_reads_the_type_codes():
-    # tree types are read through reassembler: in bulk by census, one at a
-    # time by classify and type_data; cuts builds the codes by keyword
-    readers = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-               if path.stem != "reassembler"
-               for line in type_code_reads(path.read_text())]
-    assert not readers, f"type codes read outside reassembler: {readers}"
-
-
-def test_the_type_code_rule_catches_a_planted_use():
-    planted = ("def f(chain, tree):\n"
-               "    prof = CrossingProfile(counts=[], single=[], types=[],\n"
-               "                           codes=[None])\n"
-               "    return chain.profile(tree).codes[1], prof\n")
-    assert type_code_reads(planted) == [4]

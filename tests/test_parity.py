@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtsp import cuts
+from pathtsp.cli import format_audit_lines
 from pathtsp.cuts import XI, gomory_hu_tree, narrow_cuts
 from pathtsp.flows import FlowNetwork
 from pathtsp.instance import Instance, edge, over_lcm, random_metric_instance
@@ -22,7 +23,6 @@ from pathtsp.parity import (
     cheapest_cut_edges,
     correction_vectors,
     f_value,
-    format_audit_lines,
     split_path_join,
     tjoin_cut_violations,
 )

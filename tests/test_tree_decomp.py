@@ -64,7 +64,7 @@ def test_decompose_rejects_an_integral_point_that_is_not_a_tree():
     inst = random_metric_instance(4, 0)
     x = {e: Fraction(1) for e in (edge(0, 1), edge(1, 2), edge(0, 2))}
     with pytest.raises(DecompositionError,
-                       match="^integral x is not a spanning tree$"):
+                       match="^support graph is not connected$"):
         decompose(x, inst)
 
 
