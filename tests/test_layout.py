@@ -323,27 +323,49 @@ def owned_attribute_uses(source, module):
                   and OWNER.get(node.attr, module) != module)
 
 
-def test_owned_attributes_are_used_only_in_their_module():
-    users = [f"{path.name}:{line} {attr}" for path in sorted(SRC.glob("*.py"))
-             for line, attr in owned_attribute_uses(path.read_text(),
-                                                    path.stem)]
-    assert not users, f"attributes used outside their module: {users}"
+def uses_outside(owner):
+    """file:line attribute of every use, outside the owner module, of an
+    attribute that module owns."""
+    return [f"{path.name}:{line} {attr}" for path in sorted(SRC.glob("*.py"))
+            for line, attr in owned_attribute_uses(path.read_text(),
+                                                   path.stem)
+            if OWNER[attr] == owner]
 
 
-def test_the_ownership_rule_catches_planted_uses():
-    planted = ("def f(sx, chain, tree):\n"
+def test_only_cuts_reads_the_chain_layers():
+    users = uses_outside("cuts")
+    assert not users, f"chain layers read outside cuts: {users}"
+
+
+def test_only_simplex_reads_the_tableau_fields():
+    users = uses_outside("simplex")
+    assert not users, f"tableau fields used outside simplex: {users}"
+
+
+def test_the_tableau_rule_catches_a_planted_use():
+    planted = ("def f(sx):\n"
                "    r = sx.basis.index(0)\n"
                "    sx.z1den = 1\n"
-               "    prof = CrossingProfile(counts=[], codes=[None])\n"
-               "    lo = chain.layer[0]\n"
-               "    return sx.art_of_row[r], chain.profile(tree).codes[1], "
-               "sx.rows\n")
+               "    return sx.art_of_row[r], sx.rows, sx.den\n")
     assert owned_attribute_uses(planted, "parity") == [
-        (2, "basis"), (3, "z1den"), (5, "layer"), (6, "art_of_row"),
-        (6, "codes")]
+        (2, "basis"), (3, "z1den"), (4, "art_of_row")]
     # a module's own attributes are its to use
-    assert owned_attribute_uses(planted, "simplex") == [
-        (5, "layer"), (6, "codes")]
+    assert owned_attribute_uses(planted, "simplex") == []
+
+
+def test_only_reassembler_reads_the_type_codes():
+    users = uses_outside("reassembler")
+    assert not users, f"type codes read outside reassembler: {users}"
+
+
+def test_the_type_code_rule_catches_a_planted_use():
+    planted = ("def f(chain, tree):\n"
+               "    prof = CrossingProfile(counts=[], single=[], types=[],\n"
+               "                           codes=[None])\n"
+               "    return chain.profile(tree).codes[1], prof\n")
+    # building the codes by keyword is not a read
+    assert owned_attribute_uses(planted, "parity") == [(4, "codes")]
+    assert owned_attribute_uses(planted, "reassembler") == []
 
 
 def names_read(node, modules):
