@@ -188,24 +188,23 @@ def held_karp_opt(inst: Instance) -> Fraction:
         w[u][v] = w[v][u] = c
 
     size = 1 << k
-    INF = float("inf")
-    dp = [[INF] * k for _ in range(size)]
+    dp = [[None] * k for _ in range(size)]  # None: no path reaches it yet
     for i, v in enumerate(others):
         dp[1 << i][i] = w[inst.s][v]
     for mask in range(size):
         row = dp[mask]
         for i in range(k):
             cur = row[i]
-            if cur is INF or not (mask >> i) & 1:
+            if cur is None or not (mask >> i) & 1:
                 continue
             vi = others[i]
             for j in range(k):
                 if (mask >> j) & 1:
                     continue
                 nxt = cur + w[vi][others[j]]
-                nm = mask | (1 << j)
-                if nxt < dp[nm][j]:
-                    dp[nm][j] = nxt
+                to = dp[mask | (1 << j)]
+                if to[j] is None or nxt < to[j]:
+                    to[j] = nxt
     best = dp[size - 1][others.index(inst.t)]
-    assert best is not INF
+    assert best is not None
     return Fraction(best, scale)

@@ -271,9 +271,10 @@ class CutStat:
 
 
 def cut_stats(chain: CutChain, dist) -> list:
-    """One CutStat per chain level; asserts the crossing identities."""
+    """One CutStat per chain level; asserts that the weights sum to 1 and
+    the crossing identities."""
+    assert total_weight(dist) == 1, "total weight is not 1"
     out = []
-    total = total_weight(dist)
     counts = [chain.profile(atom.tree).counts for atom in dist]
     for i, load in enumerate(chain.loads):
         p_even = ZERO
@@ -289,11 +290,10 @@ def cut_stats(chain: CutChain, dist) -> list:
             elif k == 1:
                 p_one += atom.weight
             p_many += atom.weight * ((k - 1) // 2)
-        if total == 1:
-            assert weighted == load, "x(C) = sum p_S |S cap C| failed"
-            assert p_even <= load - 1
-            assert p_one >= 2 - load
-            assert p_many == (load - 1 - p_even) / 2
+        assert weighted == load, "x(C) = sum p_S |S cap C| failed"
+        assert p_even <= load - 1
+        assert p_one >= 2 - load
+        assert p_many == (load - 1 - p_even) / 2
         out.append(CutStat(load=load, p_even=p_even, p_one=p_one,
                            p_many=p_many))
     return out

@@ -156,7 +156,10 @@ def random_metric_instance(n: int, seed: int) -> Instance:
         weights[edge(u, v)] = rng.randint(1, 20)
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in weights and rng.random() < 0.35:
+            if (u, v) in weights:
+                continue
+            p, q = rng.random().as_integer_ratio()
+            if 20 * p < 7 * q:  # an edge with chance 7/20
                 weights[(u, v)] = rng.randint(1, 20)
     cost = metric_closure(n, weights)
     s, t = rng.sample(range(n), 2)

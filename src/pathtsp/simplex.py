@@ -1,23 +1,26 @@
 """Exact two-phase primal/dual simplex on integer rows.
 
-Dense tableau with one artificial column per original row; the artificial
-columns double as an explicit B^-1, which is what makes warm column
-generation cheap.  Pivot selection is Dantzig with an automatic switch to
-Bland's rule after a stall, so degenerate models still terminate.  All
-tie-breaks go to the lowest index, so runs are deterministic.
+Dense tableau with one unit column per row; the unit columns double as an
+explicit B^-1, which is what makes warm column generation cheap.  Pivot
+selection is Dantzig with an automatic switch to Bland's rule after a
+stall, so degenerate models still terminate.  All tie-breaks go to the
+lowest index, so runs are deterministic.
 
 Representation.  Row i is a list of Python ints `rows[i]` and an int
 `rhs[i]` over one positive int denominator `den[i]`: the tableau entry is
-rows[i][j] / den[i].  The reduced-cost rows `z` and `z1` are int lists over
-their own denominators `zden` and `z1den`.  A pivot divides the pivot row
-by its pivot entry, which cancels that row's denominator, and eliminates
-the entering column from every other row fraction-free, in the spirit of
-Bareiss (1968), touching only the pivot row's nonzeros.  Start rows and
-add_cut_rows() rows come as ints; costs and the other inputs, ints or
-Fractions, are read as int ratios (as_integer_ratio(), or numerator and
+rows[i][j] / den[i].  Row i's unit column unit[i] is the artificial of a
+start row or the surplus of a cut row, with the entry +1 or -1 in the row
+as given; that entry times its tableau column is column i of B^-1, on start
+rows and cut rows alike.  The reduced-cost rows `z` and `z1` are int lists
+over their own denominators `zden` and `z1den`.  A pivot divides the pivot
+row by its pivot entry, which cancels that row's denominator, and
+eliminates the entering column from every other row fraction-free, in the
+spirit of Bareiss (1968), touching only the pivot row's nonzeros.  Start
+rows and add_cut_rows() rows come as ints; costs and the other inputs, ints
+or Fractions, are read as int ratios (as_integer_ratio(), or numerator and
 denominator) on entry, and costs are stored as given.  Fractions appear
-only in the readers: the solution, the objective and the phase-1
-objective.  The duals are read back as ints over their cost row's
+only in the readers: the solution, the objective and the phase-1 objective.
+The open phase's duals are read back as ints over their cost row's
 denominator, the form pricing uses, and the solution can be read the same
 way, as each basic column's rhs over its row's denominator.
 
@@ -61,8 +64,8 @@ add_cut_rows() takes.  Two usage patterns:
     in one add_cut_rows() step, whose tableau is the one that one
     add_cut_row() per row builds (dual simplex repairs the basis);
   * decomposition master: start rows on no columns, then solve_phase1(),
-    read duals("z1"), add_column(), repeat with phase 1 open until its
-    objective is zero.
+    read duals() (phase 1's), add_column(), repeat with phase 1 open until
+    its objective is zero.
 """
 
 from __future__ import annotations
@@ -199,8 +202,7 @@ class ExactSimplex:
         self.rows = []           # tableau: rows[i][j] / den[i]
         self.rhs = []            # rhs[i] / den[i]
         self.den = []
-        self.art_of_row = []     # artificial column per original row (-1: none)
-        self.sp_of_row = {}      # surplus column of each cut row
+        self.unit = []           # artificial or surplus column per row
         self.pivots = 0
         ncols = len(self.costs) + len(rows)
         for coeffs, b, d in rows:
@@ -214,8 +216,8 @@ class ExactSimplex:
             self.rows.append(row)
             self.rhs.append(b)
             self.den.append(d)
-            self.art_of_row.append(a)
-        self.basis = list(self.art_of_row)  # basic column per row
+            self.unit.append(a)
+        self.basis = list(self.unit)  # basic column per row
         # phase-2 reduced costs over zden: the all-artificial basis has
         # zero cost
         ratios = [c.as_integer_ratio() for c in self.costs]
@@ -231,7 +233,7 @@ class ExactSimplex:
                 k = z1den // d
                 for j in compress(count(), row):
                     z1[j] -= k * row[j]
-            for a in self.art_of_row:
+            for a in self.unit:
                 z1[a] = 0
             self.z1, _, self.z1den = _reduced(z1, 0, z1den)
 
@@ -276,9 +278,9 @@ class ExactSimplex:
         return sum((self.costs[j] * Fraction(b, d) for b, d, j in
                     zip(self.rhs, self.den, self.basis) if b), Fraction(0))
 
-    def _primal_steps(self, zrow_name):
-        """Primal simplex to optimality on the chosen objective row."""
-        phase1 = zrow_name == "z1"
+    def _primal_steps(self):
+        """Primal simplex to optimality on the open phase's cost row."""
+        phase1 = self.z1 is not None
         rows, rhs, basis = self.rows, self.rhs, self.basis
         structural = self.structural
         stall = 0
@@ -373,10 +375,10 @@ class ExactSimplex:
     def solve(self):
         """Two-phase solve; warm after add_cut_rows via dual repair."""
         if self.z1 is not None:
-            self._primal_steps("z1")
+            self._primal_steps()
             self._close_phase1()
         self._dual_steps()
-        self._primal_steps("z")
+        self._primal_steps()
 
     def solve_phase1(self) -> Fraction:
         """Run phase 1 to optimality and return its objective (may be > 0).
@@ -385,7 +387,7 @@ class ExactSimplex:
         this is the column-generation master loop.
         """
         assert self.z1 is not None, "phase 1 already closed"
-        self._primal_steps("z1")
+        self._primal_steps()
         return self._phase1_objective()
 
     # ----- warm modifications -----
@@ -441,46 +443,44 @@ class ExactSimplex:
                 new_rhs += k * rhs[i]
             assert raw[sp] == d
             raw, new_rhs, d = _rescaled(raw, new_rhs, d)
-            self.sp_of_row[len(rows)] = sp
             rows.append(raw)
             rhs.append(new_rhs)
             den.append(d)
             self.basis.append(sp)
-            self.art_of_row.append(-1)
+            self.unit.append(sp)
         return list(range(first, len(rows)))
 
     def add_column(self, cost, coeffs: dict) -> int:
-        """Append a structural column given its ORIGINAL-row coefficients.
-
-        Valid while every row still carries its artificial column (true for
-        the decomposition master, which never appends rows).
-        """
+        """Append a structural column given its coefficients a in the rows
+        as given, start rows and cut rows alike: column i of B^-1 is e
+        times the tableau column of row i's unit column u, whose entry in
+        the row as given is e, so B^-1 a and y.a are read through the
+        units of the rows a uses."""
         coeffs = {i0: a.as_integer_ratio() for i0, a in coeffs.items()
                   if a != 0}
-        # tableau column = B^-1 a, read off the artificial columns
         d_in = lcm(*(q for _, q in coeffs.values()))
-        weights = []
+        structural = self.structural
+        weights = []  # (u, e * a_i * d_in) per row i of the column
         for i0, (p, q) in coeffs.items():
-            acol = self.art_of_row[i0]
-            assert acol >= 0, "add_column needs the row's artificial column"
-            weights.append((acol, p * (d_in // q)))
+            u = self.unit[i0]
+            k = p * (d_in // q)
+            weights.append((u, -k if structural[u] else k))
         j = self._new_column(cost)
         rows, rhs, den = self.rows, self.rhs, self.den
         for i, row in enumerate(rows):
-            v = sum(k * row[acol] for acol, k in weights)
+            v = sum(k * row[u] for u, k in weights)
             rows[i], rhs[i], den[i] = _appended(row, rhs[i], den[i],
                                                 v, den[i] * d_in)
-        # reduced costs cost - y.a over the column's rows only, with y read
-        # off the artificial columns as in duals(): y_i = -z[a_i] / zden,
-        # and y_i = 1 - z1[a_i] / z1den in phase 1
+        # reduced costs cost - y.a, with y_i = e (c_u - z_u) as in duals():
+        # c_u is 0 in phase 2, and 1 in phase 1, whose rows are start rows
         cp, cq = cost.as_integer_ratio()
         zden = self.zden
-        num = sum(k * self.z[acol] for acol, k in weights)
+        num = sum(k * self.z[u] for u, k in weights)
         self.z, _, self.zden = _appended(
             self.z, 0, zden, cp * zden * d_in + num * cq, cq * zden * d_in)
         if self.z1 is not None:
             z1den = self.z1den
-            num = sum(k * (self.z1[acol] - z1den) for acol, k in weights)
+            num = sum(k * (self.z1[u] - z1den) for u, k in weights)
             self.z1, _, self.z1den = _appended(self.z1, 0, z1den, num,
                                                z1den * d_in)
         return j
@@ -498,28 +498,20 @@ class ExactSimplex:
         return [(j, b, d) for j, b, d in zip(self.basis, self.rhs, self.den)
                 if b]
 
-    def duals(self, zrow_name="z"):
-        """One multiplier per row, in row order, for the rows as given, as
-        (nums, den): y_i = nums[i] / den over the cost row's own positive
-        denominator (zden, or z1den in phase 1).
-
-        Read from the reduced cost of each row's unit column: for the
-        artificial (+1 entry, cost 0 in phase 2 and 1 in phase 1) y_i is
-        the negated reduced cost; for a surplus (-1 entry, cost 0) y_i is
-        the reduced cost itself.
-        """
-        phase1 = zrow_name == "z1"
-        assert not phase1 or self.z1 is not None
+    def duals(self):
+        """The open phase's multipliers, one per row in row order, for the
+        rows as given, as (nums, den): y_i = nums[i] / den over the cost
+        row's own positive denominator (z1den while phase 1 is open, zden
+        after).  Read from row i's unit column u as y_i = e (c_u - z_u),
+        with e its entry in the row as given and c_u its cost: an
+        artificial has e = +1 and costs 1 in phase 1, 0 in phase 2; a
+        surplus has e = -1 and costs 0."""
+        phase1 = self.z1 is not None
         zrow, den = (self.z1, self.z1den) if phase1 else (self.z, self.zden)
-        out = []
-        for i, acol in enumerate(self.art_of_row):
-            if phase1:
-                out.append(den - zrow[acol])
-            elif acol >= 0:
-                out.append(-zrow[acol])
-            else:
-                out.append(zrow[self.sp_of_row[i]])
-        return out, den
+        c = den if phase1 else 0  # an artificial's cost, over den
+        structural = self.structural
+        return [zrow[u] if structural[u] else c - zrow[u]
+                for u in self.unit], den
 
     def assert_optimal(self):
         assert all(b >= 0 for b in self.rhs), "primal infeasible tableau"

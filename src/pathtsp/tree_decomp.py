@@ -175,7 +175,7 @@ def decompose(x: dict, inst: Instance):
     # new, and there are finitely many trees, so the loop ends
     seen = {seeded[0]}
     while (gap := sx.solve_phase1()) != 0:
-        y, _ = sx.duals("z1")  # over a den > 0: same order, same sign
+        y, _ = sx.duals()  # over a den > 0: same order, same sign
         weights = {e: y[row_of[e]] for e in edges}
         best = max_weight_spanning_tree(n, weights)
         if best is None or best[1] + y[conv] <= 0:

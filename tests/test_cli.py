@@ -616,14 +616,19 @@ CHECKS = ("lp_point", "reconstruction", "narrow_cuts", "cut_stats",
           "benefit_margins", "type_mix")
 
 
-def wall_triple(tmp_path, reassembled):
+def wall_triple(tmp_path, reassembled, heavy=False):
     """The k = 0 wall as written by `gen appendix`, with its four-tree
-    distribution, or that distribution after `reassemble`."""
+    distribution, or that distribution after `reassemble`, or (heavy) with
+    each tree's weight 1/4 made 1/2, so that the weights sum to 2."""
     inst = tmp_path / "wall.txt"
     sol = tmp_path / "wall.sol"
     dist = tmp_path / "wall.dist"
     assert main(["gen", "appendix", "--k", "0", "-o", str(inst),
                  "--solution", str(sol), "--dist", str(dist)]) == 0
+    if heavy:
+        text = dist.read_text()
+        assert text.count("tree 1/4\n") == 4
+        dist.write_text(text.replace("tree 1/4\n", "tree 1/2\n"))
     if reassembled:
         fixed = tmp_path / "fixed.dist"
         assert main(["reassemble", str(inst), str(sol), "-o", str(fixed),
@@ -641,12 +646,17 @@ def wall_triple(tmp_path, reassembled):
         "FAIL detail=cut (0, 1, 3) load 0 < 2",
         "FAIL detail=distribution does not reconstruct the solution"]
      + ["SKIP"] * 7, 1),
+    ("heavy", ["OK", "FAIL detail=total weight is not 1", "OK",
+               "FAIL detail=total weight is not 1", "OK", "OK", "OK",
+               "FAIL detail=negative margin at cuts [3, 5, 6, 7, 8]",
+               "FAIL detail=type-mix bound violated at an internal cut"], 1),
 ])
 def test_verify_report(tmp_path, capsys, triple, statuses, rc):
     if triple == "infeasible":
         inst, sol, dist = infeasible_triple(tmp_path)
     else:
-        inst, sol, dist = wall_triple(tmp_path, triple == "reassembled")
+        inst, sol, dist = wall_triple(tmp_path, triple == "reassembled",
+                                      triple == "heavy")
     capsys.readouterr()
     assert main(["verify", str(dist), str(inst), str(sol)]) == rc
     out = capsys.readouterr().out.splitlines()

@@ -250,6 +250,40 @@ def test_simplex_builds_fractions_only_in_its_readers():
     assert not extra, f"Fraction( called outside the readers: {extra}"
 
 
+def float_uses(source):
+    """(function, line) of every float literal and every use of the name
+    float in one source text, with the innermost def around it, or
+    "<module>"."""
+    tree = ast.parse(source)
+    around = {}
+    for fn in ast.walk(tree):  # outer defs first, so inner ones overwrite
+        if isinstance(fn, ast.FunctionDef):
+            around.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return sorted((around.get(node, "<module>"), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "float"
+                  or isinstance(node, ast.Constant)
+                  and type(node.value) is float)
+
+
+def test_floats_appear_only_in_the_tour_ratio_display():
+    # every value is exact; the tour report's ratio≈ alone is a float
+    uses = [(path.stem, fn, line) for path in sorted(SRC.glob("*.py"))
+            for fn, line in float_uses(path.read_text())]
+    assert [(module, fn) for module, fn, _ in uses] == [
+        ("cli", "format_tour_report")], f"floats in the package: {uses}"
+
+
+def test_the_float_rule_catches_planted_floats():
+    planted = ('"""A docstring may say float."""\n'
+               "INF = float('inf')\n"
+               "def f(x):\n"
+               "    def g():\n"
+               "        return x * 0.5 + 2\n"
+               "    return float(x), g\n")
+    assert float_uses(planted) == [("<module>", 2), ("f", 6), ("g", 5)]
+
+
 # the one record filled after it is built: the chain's crossing profiles
 UNFROZEN = {"CutChain"}
 
@@ -307,11 +341,11 @@ def test_the_frozen_record_rule_catches_planted_records():
 # layers (every other module asks CutChain.levels_crossed), a crossing
 # profile's type codes (read through reassembler: in bulk by census, one at
 # a time by classify and type_data; cuts builds them by keyword) and the
-# tableau's fields, its cost-row forms, basis and row maps (every other
+# tableau's fields, its cost-row forms, basis and unit columns (every other
 # module goes through simplex's constructor, warm modifications and readers)
 OWNER = {"layer": "cuts", "codes": "reassembler",
-         **dict.fromkeys(("z1", "zden", "z1den", "art_of_row", "sp_of_row",
-                          "basis"), "simplex")}
+         **dict.fromkeys(("z1", "zden", "z1den", "unit", "basis"),
+                         "simplex")}
 
 
 def owned_attribute_uses(source, module):
@@ -346,9 +380,9 @@ def test_the_tableau_rule_catches_a_planted_use():
     planted = ("def f(sx):\n"
                "    r = sx.basis.index(0)\n"
                "    sx.z1den = 1\n"
-               "    return sx.art_of_row[r], sx.rows, sx.den\n")
+               "    return sx.unit[r], sx.rows, sx.den\n")
     assert owned_attribute_uses(planted, "parity") == [
-        (2, "basis"), (3, "z1den"), (4, "art_of_row")]
+        (2, "basis"), (3, "z1den"), (4, "unit")]
     # a module's own attributes are its to use
     assert owned_attribute_uses(planted, "simplex") == []
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -33,9 +34,10 @@ def build(costs, rows):
     return ExactSimplex(costs, [int_row(coeffs, rhs) for coeffs, rhs in rows])
 
 
-def dual_values(sx, zrow_name="z"):
-    """The duals of sx as Fractions; their denominator must be positive."""
-    nums, den = sx.duals(zrow_name)
+def dual_values(sx):
+    """The open phase's duals of sx as Fractions; their denominator must be
+    positive."""
+    nums, den = sx.duals()
     assert den > 0
     return [Fraction(y, den) for y in nums]
 
@@ -276,6 +278,13 @@ class FractionEqualities(oracles.FractionSimplex):
         if not rows:
             self._close_phase1()
 
+    def duals(self, zrow_name=None):
+        """ExactSimplex.duals(): the open phase's duals, unless a phase is
+        named."""
+        if zrow_name is None:
+            zrow_name = "z" if self.z1 is None else "z1"
+        return super().duals(zrow_name)
+
 
 class StallRecorder(PivotPath, FractionEqualities):
     """The oracle, recording its pivots and its longest run of degenerate
@@ -330,7 +339,7 @@ def assert_same_tableau(pair):
         assert [Fraction(c, new.z1den) for c in new.z1] == old.z1
 
 
-def assert_same_state(pair, phase1=False):
+def assert_same_state(pair):
     new, old = pair
     assert_same_tableau(pair)
     assert new.path == old.path
@@ -338,10 +347,9 @@ def assert_same_state(pair, phase1=False):
     assert new.pivots == old.pivots
     assert new.solution() == old.solution()
     assert new.objective() == old.objective()
-    for zrow_name in ("z", "z1") if phase1 else ("z",):
-        old_values, old_den = old.duals(zrow_name)
-        assert old_den == 1
-        assert dual_values(new, zrow_name) == old_values
+    old_values, old_den = old.duals()
+    assert old_den == 1
+    assert dual_values(new) == old_values
 
 
 def build_model(costs, rows):
@@ -414,6 +422,76 @@ def test_a_batch_of_cut_rows_is_the_rows_one_at_a_time(run):
                                   for coefs, rhs in cuts])
     assert row_ids == list(range(len(rows), len(rows) + len(cuts)))
     assert vars(batch) == vars(one)
+
+
+@st.composite
+def late_column_runs(draw):
+    """A cutting-plane run that solves before and after its cut rows: its
+    costs are >= 0, and a point x0 >= 0 meets its = rows and satisfies
+    its >= rows and cut rows.  Then the columns (cost, entries) added after
+    the cut rows: one entry per start row, as written in the run, then one
+    per cut row."""
+    number = draw(numbers)
+    nvars = draw(st.integers(1, 4))
+    coefs = st.lists(number, min_size=nvars, max_size=nvars)
+    costs = [abs(c) for c in draw(coefs)]
+    x0 = [abs(v) for v in draw(coefs)]
+
+    def at_most_x0(row):  # row.x0 minus a slack >= 0
+        return sum(map(mul, row, x0)) - abs(draw(number))
+
+    rows = []
+    for row, sense in draw(st.lists(st.tuples(
+            coefs, st.sampled_from(["=", ">="])), min_size=1, max_size=3)):
+        rows.append((row, sense, sum(map(mul, row, x0)) if sense == "="
+                     else at_most_x0(row)))
+    cuts = [(row, at_most_x0(row))
+            for row in draw(st.lists(coefs, min_size=1, max_size=3))]
+    m = len(rows) + len(cuts)
+    columns = draw(st.lists(st.tuples(
+        number, st.lists(number, min_size=m, max_size=m)),
+        min_size=1, max_size=3))
+    return costs, rows, cuts, columns
+
+
+def solved_objective(sx):
+    """sx.solve(), then the objective, or the name of the exception."""
+    try:
+        sx.solve()
+    except RAISES as exc:
+        return type(exc).__name__
+    return sx.objective()
+
+
+@settings(max_examples=150, deadline=None)
+@given(late_column_runs())
+# x >= 1 costs 2 a unit and the cut x >= 2 makes it 4; the column y, at
+# cost 1 and entry 1 in the cut row alone, brings it down to 3
+@example(([2], [([1], ">=", 1)], [([1], 2)], [(1, [0, 1])]))
+def test_a_column_added_after_cut_rows_solves_as_if_built_in(run):
+    costs, rows, cuts, columns = run
+    sx = ExactSimplex(*build_model(costs, rows))
+    sx.solve()
+    sx.add_cut_rows([int_row(dict(enumerate(coefs)), rhs)
+                     for coefs, rhs in cuts])
+    sx.solve()
+    # a start row with rhs < 0 went in negated, with its entries
+    signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows] + [1] * len(cuts)
+    for cost, entries in columns:
+        sx.add_column(cost, {i: s * a for i, (s, a)
+                             in enumerate(zip(signs, entries))})
+    fresh = FractionEqualities(*build_model(
+        [*costs, *(cost for cost, _ in columns)],
+        [(coefs + [entries[i] for _, entries in columns], sense, rhs)
+         for i, (coefs, sense, rhs) in enumerate(rows)]
+        + [(coefs + [entries[i] for _, entries in columns], ">=", rhs)
+           for i, (coefs, rhs) in enumerate(cuts, len(rows))]))
+    outcome = solved_objective(sx)
+    assert outcome == solved_objective(fresh)
+    if not isinstance(outcome, str):
+        sx.assert_optimal()
+        assert_strong_duality(sx, [abs(Fraction(rhs)) for _, _, rhs in rows]
+                              + [rhs for _, rhs in cuts])
 
 
 # sparse int rows: about two entries in three are 0, and a common factor
@@ -529,14 +607,14 @@ def test_master_path_matches_the_fraction_tableau(run):
 
     pair = both((), [int_row({}, abs(b)) for b in rhs])
     assert same_call(pair, "solve_phase1")
-    assert_same_state(pair, phase1=True)
+    assert_same_state(pair)
     for cost, coefs in columns:
         for sx in pair:
             sx.add_column(cost, {i: -a if b < 0 else a for i, (a, b)
                                  in enumerate(zip(coefs, rhs))})
         assert_same_tableau(pair)
         assert same_call(pair, "solve_phase1")
-        assert_same_state(pair, phase1=True)
+        assert_same_state(pair)
     if same_call(pair, "solve"):
         assert_same_state(pair)
 
